@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="scenario JSON file")
     run.add_argument("--out", help="output directory (default: GENTORUS_OUT or stdout)")
     run.add_argument("--format", choices=["json", "csv", "table"], help="output format")
-    run.add_argument("--parallel", action="store_true", help="parallel mode-block assembly")
+    run.add_argument("--parallel", action="store_true", help="parallel t-sample scan")
     run.add_argument("--fail-fast", action="store_true", help="stop after the first failure")
     run.add_argument("--tolerance", type=float, help="override the default tolerance")
     run.add_argument("--timings", action="store_true", help="also emit a timings sidecar")

@@ -23,7 +23,7 @@ from .calculus import (
     schouten_bracket,
 )
 from .fourier import FourierScalar
-from .hodge import HodgeContext, ObstructionError
+from .hodge import HodgeContext, ObstructionError, _ModeSpectra, _adjoint, _stack_linear
 from .metric import GeneralizedMetric
 from .spinor import (
     CliffordPoly,
@@ -260,8 +260,10 @@ class AlgebroidHodge:
     """Hodge package for the Lie algebroid differential on frame polynomials.
 
     Polynomials are identified with spinors through the canonical generator
-    (P maps to P . rho0), the inner product pulled back from Born-Infeld,
-    and the differential assembled mode by mode from the Cartan formula.
+    (P maps to P . rho0), the inner product pulled back from Born-Infeld.
+    The differential at mode k is C + 2 pi i sum_a k_a A_a; C and the A_a
+    are read off the Cartan formula at mode 0 and at the unit modes, and the
+    Laplacians of all modes are eigendecomposed in stacked chunks.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
@@ -296,25 +298,30 @@ class AlgebroidHodge:
         self.poly_basis_inv = np.linalg.inv(self.poly_basis)
 
         self.modes = list(box.modes(geometry))
-        self._eigs: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self._dmats: Dict[Tuple, np.ndarray] = {}
-        for mode in self.modes:
-            dmat = np.zeros((self.size, self.size), dtype=complex)
-            phase = FourierScalar.mode(geometry, box, mode)
-            for j, key in enumerate(self.keys):
-                poly = CliffordPoly(structure.dual_frame, len(key), {key: phase})
-                image = lie_derivation_dL(poly, structure)
-                col = np.zeros(self.size, dtype=complex)
-                for ikey, f in image.terms():
-                    col[self.index[ikey]] = f.coefficient(mode)
-                dmat[:, j] = col
-            dmat = self.poly_basis_inv @ dmat @ self.poly_basis
-            self._dmats[mode] = dmat
-            lap = dmat @ dmat.conj().T + dmat.conj().T @ dmat
-            lap = (lap + lap.conj().T) / 2
-            self._eigs[mode] = np.linalg.eigh(lap)
-        radius = max(float(v.max()) if v.size else 0.0 for v, _ in self._eigs.values())
-        self.cutoff = 1e-9 * radius if radius > 0 else 1e-12
+        self._mode_index = {mode: i for i, mode in enumerate(self.modes)}
+        self._const = self._probe((0,) * dim)
+        # a box with K = 0 holds only mode 0, where the slopes never enter
+        self._slopes = np.zeros((dim, self.size, self.size), dtype=complex)
+        if box.K:
+            for a, unit in enumerate(np.eye(dim, dtype=int)):
+                self._slopes[a] = (self._probe(tuple(unit)) - self._const) / (2j * math.pi)
+
+        def laplacian(sel):
+            d = _stack_linear(self._const, self._slopes, self.modes[sel])
+            return d @ _adjoint(d) + _adjoint(d) @ d
+
+        self._spectra = _ModeSpectra(laplacian, len(self.modes), [slice(0, self.size)])
+
+    def _probe(self, mode: Tuple[int, ...]) -> np.ndarray:
+        """d_L at one mode in the orthonormal basis, column by unit polynomial."""
+        geometry, box = self.structure.geometry, self.structure.box
+        dmat = np.zeros((self.size, self.size), dtype=complex)
+        phase = FourierScalar.mode(geometry, box, mode)
+        for j, key in enumerate(self.keys):
+            poly = CliffordPoly(self.structure.dual_frame, len(key), {key: phase})
+            for ikey, f in lie_derivation_dL(poly, self.structure).terms():
+                dmat[self.index[ikey], j] = f.coefficient(mode)
+        return self.poly_basis_inv @ dmat @ self.poly_basis
 
     # poly <-> per-mode coordinate vectors ------------------------------
 
@@ -340,27 +347,24 @@ class AlgebroidHodge:
         coeffs = {k: FourierScalar(geometry, box, cs) for k, cs in per_key.items()}
         return CliffordPoly(self.structure.dual_frame, degree, coeffs)
 
-    def _spectral(self, poly: CliffordPoly, degree_out: int, fn) -> CliffordPoly:
-        vectors = {}
-        for mode, coords in self.coords_of(poly).items():
-            vals, vecs = self._eigs[mode]
-            amps = vecs.conj().T @ coords
-            vectors[mode] = vecs @ (fn(vals) * amps)
-        return self.poly_from_coords(vectors, degree_out)
+    def _spectral(self, poly: CliffordPoly, weights) -> CliffordPoly:
+        vectors = {
+            mode: self._spectra.apply(self._mode_index[mode], coords, weights)
+            for mode, coords in self.coords_of(poly).items()
+        }
+        return self.poly_from_coords(vectors, poly.degree)
 
     def harmonic(self, poly: CliffordPoly) -> CliffordPoly:
-        return self._spectral(poly, poly.degree, lambda v: (v <= self.cutoff).astype(float))
+        return self._spectral(poly, self._spectra.harmonic_weights)
 
     def green(self, poly: CliffordPoly) -> CliffordPoly:
-        return self._spectral(
-            poly, poly.degree,
-            lambda v: np.where(v > self.cutoff, 1.0 / np.where(v > self.cutoff, v, 1.0), 0.0),
-        )
+        return self._spectral(poly, self._spectra.green_weights)
 
     def dL_adjoint(self, poly: CliffordPoly) -> CliffordPoly:
         vectors = {}
         for mode, coords in self.coords_of(poly).items():
-            vectors[mode] = self._dmats[mode].conj().T @ coords
+            d = _stack_linear(self._const, self._slopes, [mode])[0]
+            vectors[mode] = _adjoint(d) @ coords
         return self.poly_from_coords(vectors, poly.degree - 1)
 
 

@@ -345,10 +345,9 @@ def identity_suite(
     metric: GeneralizedMetric,
     seed: int = 0,
     samples: int = 100,
-    parallel: bool = False,
 ) -> List[Dict]:
     """The full identity battery for one structure/metric pair."""
-    ctx = HodgeContext(structure, metric, parallel=parallel)
+    ctx = HodgeContext(structure, metric)
     out = []
     out.extend(clifford_suite(structure.geometry, structure.box, seed=seed, samples=samples))
     out.extend(structure_suite(structure))

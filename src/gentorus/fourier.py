@@ -50,9 +50,6 @@ class TorusGeometry:
         self.n = int(n)
         self.dim = 2 * self.n
 
-    def axis_labels(self) -> Tuple[str, ...]:
-        return tuple(f"x{j + 1}" for j in range(self.dim))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusGeometry) and other.n == self.n
 
@@ -85,7 +82,6 @@ class TruncationBox:
     def modes(self, geometry: TorusGeometry) -> Iterator[Mode]:
         """All admissible modes in lexicographic order."""
         rng = range(-self.K, self.K + 1)
-        idx = [rng.start] * geometry.dim
 
         def rec(prefix, depth):
             if depth == geometry.dim:
@@ -96,11 +92,7 @@ class TruncationBox:
                 yield from rec(prefix, depth + 1)
                 prefix.pop()
 
-        del idx
         yield from rec([], 0)
-
-    def with_policy(self, policy: str) -> "TruncationBox":
-        return TruncationBox(self.K, policy)
 
     def __eq__(self, other) -> bool:
         return (
@@ -321,15 +313,3 @@ class FourierScalar:
         parts = [f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items())]
         return "FourierScalar({" + ", ".join(parts) + "})"
 
-
-def scalar_mul(f: FourierScalar, g: FourierScalar, policy: str | None = None) -> FourierScalar:
-    """Ring product; module-level alias of :meth:`FourierScalar.mul`."""
-    return f.mul(g, policy=policy)
-
-
-def scalar_derive(f: FourierScalar, axis: int) -> FourierScalar:
-    return f.derive(axis)
-
-
-def scalar_integrate(f: FourierScalar) -> complex:
-    return f.integrate()

@@ -1,17 +1,20 @@
 """Finite-dimensional Hodge theory for the level-graded spinor complex.
 
-Constant structures make every operator block-diagonal over Fourier modes,
-so each package is assembled mode by mode on a Born-Infeld-orthonormal
-constant basis.  Adjoints are conjugate transposes in that basis (exact on
-the truncation); Laplacians are eigendecomposed per mode and level block,
-the kernel split off by a relative cutoff, and the Green operator is the
-pseudo-inverse on the kernel complement.
+Constant structures make every operator block-diagonal over Fourier modes.
+On a Born-Infeld-orthonormal constant basis the twisted differential at
+mode k is C + 2 pi i sum_a k_a A_a, so the operators are assembled for all
+modes at once and kept as arrays stacked over the modes.  Adjoints are
+conjugate transposes in that basis (exact on the truncation).  Laplacians
+are eigendecomposed by batched ``eigh`` over chunks of modes, one call per
+level block, the kernel split off by a relative cutoff, and the Green
+operator is the pseudo-inverse on the kernel complement.  The Lie-algebroid
+complex (``deformation.AlgebroidHodge``) shares the assembly and the
+eigendecomposition.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -32,6 +35,8 @@ from .structure import GCStructure
 KINDS = ("d", "del", "dbar", "bc", "aeppli")
 
 RANK_CUTOFF = 1e-9
+
+MODE_CHUNK = 256  # modes per batched eigh; bounds the transient Laplacian stack
 
 
 class ObstructionError(ValueError):
@@ -94,6 +99,77 @@ def _intersection_dim(a: np.ndarray, b: np.ndarray, rel: float = RANK_CUTOFF,
     return da + db - _rank(np.hstack([a, b]), rel, floor)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
+    """The operators C + 2 pi i sum_a k_a A_a at the given modes, stacked.
+
+    ``const`` is (N, N), ``slopes`` is (dim, N, N) and ``modes`` a sequence
+    of integer dim-tuples; the result is (len(modes), N, N).
+    """
+    k = np.asarray(modes, dtype=float)
+    out = np.einsum("ma,aij->mij", 2j * math.pi * k, slopes)
+    out += const
+    return out
+
+
+class _ModeSpectra:
+    """Eigendecomposed per-mode Hermitian Laplacians, by diagonal block.
+
+    ``laplacian(sel)`` returns the Laplacians of the modes in the slice
+    ``sel`` as an (m, N, N) stack.  It is called on MODE_CHUNK modes at a
+    time, so the whole stack never exists at once, and each block of a chunk
+    goes to one batched ``eigh``.  ``vals[b]`` is (M, n_b) and ``vecs[b]``
+    is (M, n_b, n_b) for ``blocks[b]``; ``leak`` is the largest entry
+    outside the blocks.  Eigenvalues up to RANK_CUTOFF times the spectral
+    radius count as kernel.
+    """
+
+    def __init__(self, laplacian, count: int, blocks: List[slice]):
+        self.blocks = blocks
+        sizes = [b.stop - b.start for b in blocks]
+        self.vals = [np.empty((count, n)) for n in sizes]
+        self.vecs = [np.empty((count, n, n), dtype=complex) for n in sizes]
+        self.leak = 0.0
+        for start in range(0, count, MODE_CHUNK):
+            sel = slice(start, min(start + MODE_CHUNK, count))
+            lap = laplacian(sel)
+            for vals, vecs, b in zip(self.vals, self.vecs, blocks):
+                block = lap[:, b, b]
+                vals[sel], vecs[sel] = np.linalg.eigh((block + _adjoint(block)) / 2)
+                lap[:, b, b] = 0.0
+            self.leak = max(self.leak, float(np.abs(lap).max()))
+        self.radius = max(float(v.max()) for v in self.vals)
+        self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
+
+    def harmonic_weights(self, vals: np.ndarray) -> np.ndarray:
+        return (vals <= self.cutoff).astype(float)
+
+    def green_weights(self, vals: np.ndarray) -> np.ndarray:
+        kernel = vals <= self.cutoff
+        return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals))
+
+    def apply(self, index: int, coords: np.ndarray, weights) -> np.ndarray:
+        """weights(L) applied to one coordinate vector at mode ``index``."""
+        out = np.zeros_like(coords)
+        for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
+            v = vecs[index]
+            out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
+        return out
+
+    def matrix(self, index: int, weights) -> np.ndarray:
+        """weights(L) at mode ``index`` as a matrix."""
+        size = self.blocks[-1].stop
+        out = np.zeros((size, size), dtype=complex)
+        for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
+            v = vecs[index]
+            out[b, b] = (v * weights(vals[index])) @ v.conj().T
+        return out
+
+
 class HodgePackage:
     """Eigendecomposed Laplacian of one kind with projector and Green operator.
 
@@ -109,46 +185,29 @@ class HodgePackage:
         self.context = context
         self.kind = kind
         self.blockwise = kind != "d"
-        self._eigs: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self.block_leak = 0.0
-
         if self.blockwise:
-            self._blocks = [
-                (k, context.level_slices[k]) for k in context.structure.levels()
-            ]
+            self._levels = list(context.structure.levels())
+            blocks = [context.level_slices[k] for k in self._levels]
         else:
-            self._blocks = [(None, slice(0, context.size))]
+            self._levels = [None]
+            blocks = [slice(0, context.size)]
+        self._spectra = _ModeSpectra(
+            lambda sel: context._laplacian(kind, sel), len(context.modes), blocks
+        )
+        self.vals, self.vecs = self._spectra.vals, self._spectra.vecs
+        self.block_leak = self._spectra.leak
+        self.spectral_radius = self._spectra.radius
+        self.cutoff = self._spectra.cutoff
 
-        radius = 0.0
-        for mode in context.modes:
-            lap = context.laplacian_matrix(kind, mode)
-            for key, sl in self._blocks:
-                block = lap[sl, sl]
-                block = (block + block.conj().T) / 2
-                vals, vecs = (
-                    np.linalg.eigh(block) if block.size else (np.zeros(0), np.zeros((0, 0)))
-                )
-                self._eigs[(mode, key)] = (vals, vecs)
-                if vals.size:
-                    radius = max(radius, float(vals.max()))
-            if self.blockwise:
-                off = lap.copy()
-                for _, sl in self._blocks:
-                    off[sl, sl] = 0.0
-                if off.size:
-                    self.block_leak = max(self.block_leak, float(np.abs(off).max()))
-
-        self.spectral_radius = radius
-        self.cutoff = RANK_CUTOFF * radius if radius > 0 else 1e-12
         self.warnings: List[str] = []
-        gap = 0
-        for (mode, key), (vals, _) in self._eigs.items():
-            gap += int(np.sum((vals > self.cutoff) & (vals <= 10 * self.cutoff)))
+        gap = sum(
+            int(np.sum((v > self.cutoff) & (v <= 10 * self.cutoff))) for v in self.vals
+        )
         if gap:
             self.warnings.append(
                 f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"
             )
-        if self.block_leak > 1e-9 * max(1.0, radius):
+        if self.block_leak > 1e-9 * max(1.0, self.spectral_radius):
             self.warnings.append(
                 f"level-block leakage {self.block_leak:.3e} in the {kind} Laplacian"
             )
@@ -156,22 +215,20 @@ class HodgePackage:
     # ------------------------------------------------------------------
 
     def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
-        modes = [mode] if mode is not None else self.context.modes
+        ctx = self.context
+        indices = range(len(ctx.modes)) if mode is None else [ctx._mode_index[mode]]
         if self.blockwise:
-            return sum(
-                int(np.sum(self._eigs[(m, level)][0] <= self.cutoff)) for m in modes
-            )
+            vals = self.vals[self._levels.index(level)]
+            return sum(int(np.sum(vals[i] <= self.cutoff)) for i in indices)
         # level content of a level-mixing kernel: rank of the projected basis
         total = 0
-        sl = self.context.level_slices[level]
-        for m in modes:
-            vals, vecs = self._eigs[(m, None)]
-            kern = vecs[:, vals <= self.cutoff]
+        sl = ctx.level_slices[level]
+        for i in indices:
+            kern = self.vecs[0][i][:, self.vals[0][i] <= self.cutoff]
             if kern.shape[1] == 0:
                 continue
-            block = kern[sl, :]
-            s = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-            if s.size and s[0] > RANK_CUTOFF:
+            s = np.linalg.svd(kern[sl, :], compute_uv=False)
+            if s[0] > RANK_CUTOFF:
                 total += int(np.sum(s > RANK_CUTOFF * s[0]))
         return total
 
@@ -182,41 +239,33 @@ class HodgePackage:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
         ctx = self.context
         out = []
-        for mode in ctx.modes:
-            for key, sl in self._blocks:
+        for i, mode in enumerate(ctx.modes):
+            for key, vals, vecs, sl in zip(
+                self._levels, self.vals, self.vecs, self._spectra.blocks
+            ):
                 if self.blockwise and level is not None and key != level:
                     continue
-                vals, vecs = self._eigs[(mode, key)]
-                for i in range(len(vals)):
-                    if vals[i] <= self.cutoff:
-                        coords = np.zeros(ctx.size, dtype=complex)
-                        coords[sl] = vecs[:, i]
-                        out.append(ctx.spinor_from_coords({mode: coords}))
+                for j in np.flatnonzero(vals[i] <= self.cutoff):
+                    coords = np.zeros(ctx.size, dtype=complex)
+                    coords[sl] = vecs[i][:, j]
+                    out.append(ctx.spinor_from_mode_coords({mode: coords}))
         return out
 
-    def _apply_spectral(self, sigma: Spinor, fn) -> Spinor:
+    def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
         ctx = self.context
-        vectors = {}
-        for mode, coords in ctx.coords_of(sigma).items():
-            out = np.zeros_like(coords)
-            for key, sl in self._blocks:
-                vals, vecs = self._eigs[(mode, key)]
-                if vals.size == 0:
-                    continue
-                amps = vecs.conj().T @ coords[sl]
-                out[sl] = vecs @ (fn(vals) * amps)
-            vectors[mode] = out
+        vectors = {
+            mode: self._spectra.apply(ctx._mode_index[mode], coords, weights)
+            for mode, coords in ctx.coords_of(sigma).items()
+        }
         return ctx.spinor_from_mode_coords(vectors)
 
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
-        return self._apply_spectral(sigma, lambda v: (v <= self.cutoff).astype(float))
+        return self._apply_spectral(sigma, self._spectra.harmonic_weights)
 
     def green(self, sigma: Spinor) -> Spinor:
         """Pseudo-inverse on the kernel complement."""
-        return self._apply_spectral(
-            sigma, lambda v: np.where(v > self.cutoff, 1.0 / np.where(v > self.cutoff, v, 1.0), 0.0)
-        )
+        return self._apply_spectral(sigma, self._spectra.green_weights)
 
     def laplacian(self, sigma: Spinor) -> Spinor:
         return self._apply_spectral(sigma, lambda v: v)
@@ -236,31 +285,14 @@ class HodgePackage:
         return worst
 
     def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        ctx = self.context
-        g = np.zeros((ctx.size, ctx.size), dtype=complex)
-        for key, sl in self._blocks:
-            vals, vecs = self._eigs[(mode, key)]
-            if vals.size == 0:
-                continue
-            mask = vals <= self.cutoff
-            inv = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, vals))
-            g[sl, sl] = (vecs * inv) @ vecs.conj().T
-        return g
+        return self._spectra.matrix(self.context._mode_index[mode], self._spectra.green_weights)
 
     def harmonic_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        ctx = self.context
-        h = np.zeros((ctx.size, ctx.size), dtype=complex)
-        for key, sl in self._blocks:
-            vals, vecs = self._eigs[(mode, key)]
-            if vals.size == 0:
-                continue
-            mask = vals <= self.cutoff
-            h[sl, sl] = (vecs * mask) @ vecs.conj().T
-        return h
+        return self._spectra.matrix(self.context._mode_index[mode], self._spectra.harmonic_weights)
 
 
 class HodgeContext:
-    """Per-mode operator matrices on a Born-Infeld-orthonormal level basis."""
+    """Operator matrices on a Born-Infeld-orthonormal level basis, stacked over modes."""
 
     OPERATOR_NAMES = (
         "d", "del", "dbar", "d_adj", "del_adj", "dbar_adj",
@@ -272,7 +304,6 @@ class HodgeContext:
         structure: GCStructure,
         metric: GeneralizedMetric,
         box: TruncationBox | None = None,
-        parallel: bool = False,
     ):
         if metric.compatibility(structure) > 1e-9:
             raise ValueError("metric does not commute with the structure")
@@ -316,20 +347,18 @@ class HodgeContext:
         self._wedge_twist = self._form_wedge_matrix(structure.twist)
 
         self.modes: List[Tuple[int, ...]] = list(self.box.modes(self.geometry))
-        self._dmats: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._ops: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
+        self._mode_index = {mode: i for i, mode in enumerate(self.modes)}
         self._packages: Dict[str, HodgePackage] = {}
 
-        def build(mode):
-            return mode, self._assemble_d(mode)
-
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                for mode, mat in pool.map(build, self.modes):
-                    self._dmats[mode] = mat
-        else:
-            for mode in self.modes:
-                self._dmats[mode] = self._assemble_d(mode)
+        # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
+        d = _stack_linear(
+            self.basis_inv @ -self._wedge_twist @ self.basis,
+            np.array([self.basis_inv @ w @ self.basis for w in self._wedge_axis]),
+            self.modes,
+        )
+        self._masks = {"del": self._shift_mask(-1), "dbar": self._shift_mask(+1)}
+        # del, dbar and deldbar are stacked on first use: packages need d alone
+        self._stacks = {"d": d}
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -346,71 +375,64 @@ class HodgeContext:
             out[:, j] = spinor_mode_vector(image, (0,) * self.structure.dim)
         return out
 
-    def _assemble_d(self, mode: Tuple[int, ...]) -> np.ndarray:
-        dmono = -self._wedge_twist.astype(complex)
-        tau = 2j * math.pi
-        for a, ka in enumerate(mode):
-            if ka != 0:
-                dmono = dmono + tau * ka * self._wedge_axis[a]
-        return self.basis_inv @ dmono @ self.basis
-
-    def _level_mask(self, mat: np.ndarray, shift: int) -> np.ndarray:
-        out = np.zeros_like(mat)
+    def _shift_mask(self, shift: int) -> np.ndarray:
+        """Entries that map level k to level k + shift."""
+        out = np.zeros((self.size, self.size), dtype=bool)
         for k in self.structure.levels():
             target = k + shift
-            if not -self.structure.n <= target <= self.structure.n:
-                continue
-            out[self.level_slices[target], self.level_slices[k]] = mat[
-                self.level_slices[target], self.level_slices[k]
-            ]
+            if -self.structure.n <= target <= self.structure.n:
+                out[self.level_slices[target], self.level_slices[k]] = True
         return out
 
-    def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
-        key = (name, mode)
-        if key in self._ops:
-            return self._ops[key]
+    def _op(self, name: str, sel) -> np.ndarray:
+        """d, del or dbar at the modes picked by ``sel`` (an index or a slice)."""
+        d = self._stacks["d"][sel]
         if name == "d":
-            mat = self._dmats[mode]
-        elif name == "del":
-            mat = self._level_mask(self._dmats[mode], -1)
-        elif name == "dbar":
-            mat = self._level_mask(self._dmats[mode], +1)
-        elif name.endswith("_adj"):
-            mat = self.operator_matrix(name[:-4], mode).conj().T
-        elif name == "deldbar":
-            mat = self.operator_matrix("del", mode) @ self.operator_matrix("dbar", mode)
-        else:
+            return d
+        if name not in self._masks:
             raise ValueError(f"unknown operator {name!r}")
-        self._ops[key] = mat
-        return mat
+        return np.where(self._masks[name], d, 0.0)
+
+    def _stack(self, name: str) -> np.ndarray:
+        """``name`` at every mode, built on first use and kept."""
+        if name not in self._stacks:
+            self._stacks[name] = (
+                self._stack("del") @ self._stack("dbar")
+                if name == "deldbar"
+                else self._op(name, slice(None))
+            )
+        return self._stacks[name]
+
+    def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
+        if name.endswith("_adj"):
+            return _adjoint(self.operator_matrix(name[:-4], mode))
+        return self._stack(name)[self._mode_index[mode]]
 
     def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
-        if kind == "d":
-            a = self.operator_matrix("d", mode)
-            return a @ a.conj().T + a.conj().T @ a
-        if kind == "del":
-            a = self.operator_matrix("del", mode)
-            return a @ a.conj().T + a.conj().T @ a
-        if kind == "dbar":
-            a = self.operator_matrix("dbar", mode)
-            return a @ a.conj().T + a.conj().T @ a
-        dl = self.operator_matrix("del", mode)
-        db = self.operator_matrix("dbar", mode)
-        dl_a, db_a = dl.conj().T, db.conj().T
+        return self._laplacian(kind, self._mode_index[mode])
+
+    def _laplacian(self, kind: str, sel) -> np.ndarray:
+        """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice)."""
+        if kind in ("d", "del", "dbar"):
+            a = self._op(kind, sel)
+            return a @ _adjoint(a) + _adjoint(a) @ a
+        dl = self._op("del", sel)
+        db = self._op("dbar", sel)
+        dl_a, db_a = _adjoint(dl), _adjoint(db)
         if kind == "bc":
             t = dl @ db
             s = db_a @ dl
             return (
-                t @ t.conj().T + t.conj().T @ t
-                + s @ s.conj().T + s.conj().T @ s
+                t @ _adjoint(t) + _adjoint(t) @ t
+                + s @ _adjoint(s) + _adjoint(s) @ s
                 + db_a @ db + dl_a @ dl
             )
         if kind == "aeppli":
             t = db @ dl
             r = dl @ db_a
             return (
-                t @ t.conj().T + t.conj().T @ t
-                + r @ r.conj().T + r.conj().T @ r
+                t @ _adjoint(t) + _adjoint(t) @ t
+                + r @ _adjoint(r) + _adjoint(r) @ r
                 + db @ db_a + dl @ dl_a
             )
         raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -430,9 +452,6 @@ class HodgeContext:
     def spinor_from_mode_coords(self, vectors: Dict[Tuple[int, ...], np.ndarray]) -> Spinor:
         mono_vectors = {m: self.basis @ v for m, v in vectors.items()}
         return spinor_from_mode_vectors(self.geometry, self.box, mono_vectors, tol=0.0)
-
-    def spinor_from_coords(self, vectors: Dict[Tuple[int, ...], np.ndarray]) -> Spinor:
-        return self.spinor_from_mode_coords(vectors)
 
     def apply(self, name: str, sigma: Spinor) -> Spinor:
         vectors = {}

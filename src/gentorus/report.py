@@ -201,11 +201,5 @@ def emit_report(
     return written
 
 
-def strip_volatile(report: Dict) -> Dict:
-    """Drop fields that may legitimately differ between runs (none today;
-    timings are already kept out of the canonical document)."""
-    return report
-
-
 def reports_equal(a: Dict, b: Dict) -> bool:
-    return strip_volatile(a) == strip_volatile(b)
+    return a == b

@@ -222,11 +222,7 @@ class Runner:
     @property
     def context(self) -> HodgeContext:
         if self._context is None:
-            self._context = HodgeContext(
-                self.scenario.structure,
-                self.scenario.metric,
-                parallel=self.parallel,
-            )
+            self._context = HodgeContext(self.scenario.structure, self.scenario.metric)
         return self._context
 
     # -- experiment implementations --------------------------------------
@@ -304,7 +300,7 @@ class Runner:
                 from .deformation import FrameMaps
                 sup = FrameMaps(s, eps_t).sup_norm()
                 entries.append(entry(f"criterion_norm_gate[{label}]", sup, 1.0))
-        fb = frame_block_matrices(s, series.eps_at(exp.get("t", [0.1])[0]))
+        fb = frame_block_matrices(s, series.eps_at(_complex_from(exp.get("t", [0.1])[0])))
         for name, value in fb["residuals"].items():
             entries.append(entry(f"frame_blocks_{name}", value, 1e-9))
         return {"entries": entries, "status": _status_from_entries(entries)}

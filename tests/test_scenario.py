@@ -147,10 +147,22 @@ def test_cli_negative_control_exit_code():
 
 
 def test_cli_parallel_matches_serial():
-    config = minimal_config()
+    config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
+    config["experiments"] = minimal_config()["experiments"] + [config["experiments"][1]]
     serial, _ = run_scenario(config, parallel=False)
     parallel, _ = run_scenario(config, parallel=True)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_criterion_accepts_complex_t_pairs():
+    """t given in the schema's [re, im] form reaches the frame-block check too."""
+    config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
+    config["experiments"] = [{"kind": "criterion", "t": [[0.2, 0.1]], "samples": 2, "seed": 3}]
+    report, _ = run_scenario(config)
+    names = [e["name"] for e in report["experiments"][0]["entries"]]
+    assert "criterion_proof_identity[t=0.2+0.1j]" in names
+    assert any(name.startswith("frame_blocks_") for name in names)
+    assert report["summary"]["status"] == "pass"
 
 
 def test_emit_report_identical_bytes(tmp_path):
