@@ -1,7 +1,7 @@
 """Command line entry point.
 
     gentorus run <config.json> [--out DIR] [--format json|csv|table]
-                  [--parallel] [--fail-fast] [--tolerance X] [--timings]
+                  [--fail-fast] [--tolerance X] [--timings]
     gentorus verify <config.json> <expected-report.json>
 
 Exit codes: 0 when every experiment passes, 2 when an experiment surfaced a
@@ -38,9 +38,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.tolerance is not None:
         config.setdefault("tolerances", {})["default"] = args.tolerance
-    report, timings = run_scenario(
-        config, parallel=args.parallel, fail_fast=args.fail_fast
-    )
+    report, timings = run_scenario(config, fail_fast=args.fail_fast)
     out_dir = args.out or os.environ.get("GENTORUS_OUT") or config.get(
         "output", {}
     ).get("dir")
@@ -72,7 +70,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     expected = load_report(Path(args.expected).read_text(encoding="utf-8"))
-    report, _ = run_scenario(config, parallel=args.parallel)
+    report, _ = run_scenario(config)
     if reports_equal(report, expected):
         print("verify: reports match")
         return 0
@@ -101,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="scenario JSON file")
     run.add_argument("--out", help="output directory (default: GENTORUS_OUT or stdout)")
     run.add_argument("--format", choices=["json", "csv", "table"], help="output format")
-    run.add_argument("--parallel", action="store_true", help="parallel t-sample scan")
     run.add_argument("--fail-fast", action="store_true", help="stop after the first failure")
     run.add_argument("--tolerance", type=float, help="override the default tolerance")
     run.add_argument("--timings", action="store_true", help="also emit a timings sidecar")
@@ -110,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a config and compare to a golden report")
     verify.add_argument("config", help="scenario JSON file")
     verify.add_argument("expected", help="expected report JSON file")
-    verify.add_argument("--parallel", action="store_true")
     verify.set_defaults(func=_cmd_verify)
     return parser
 

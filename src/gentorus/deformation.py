@@ -23,7 +23,14 @@ from .calculus import (
     schouten_bracket,
 )
 from .fourier import FourierScalar
-from .hodge import HodgeContext, ObstructionError, _ModeSpectra, _adjoint, _stack_linear
+from .hodge import (
+    HodgeContext,
+    ObstructionError,
+    _ModeSpectra,
+    _adjoint,
+    _rank,
+    _stack_linear,
+)
 from .metric import GeneralizedMetric
 from .spinor import (
     CliffordPoly,
@@ -679,25 +686,13 @@ def frame_block_matrices(
     forward = stack_blocks(top_left, top_right, bot_left, bot_right)
 
     # [eps] and [eps*] recovered from the pairings (Formulas 2.4 / 2.5 shape)
-    inv_bot_right = _fs_mat_neumann_inverse(
+    inv_br = _fs_mat_neumann_inverse(
         _fs_mat_add(ident, _fs_mat_scale(bot_right, -1)), policy=policy
-    ) if not _fs_mat_is_constant(bot_right) else None
-    if inv_bot_right is None:
-        inv_br = _fs_mat_from_constant(
-            geometry, box, np.linalg.inv(_fs_mat_constant_values(bot_right))
-        )
-    else:
-        inv_br = inv_bot_right
+    )
     eps_rec = _fs_mat_mul(inv_br, bot_left, policy=policy)
-    if _fs_mat_is_constant(top_left):
-        inv_tl = _fs_mat_from_constant(
-            geometry, box, np.linalg.inv(_fs_mat_constant_values(top_left))
-        )
-    else:
-        inv_tl = _fs_mat_neumann_inverse(
-            _fs_mat_scale(_fs_mat_add(top_left, _fs_mat_scale(ident, -1)), -1),
-            policy=policy,
-        )
+    inv_tl = _fs_mat_neumann_inverse(
+        _fs_mat_add(ident, _fs_mat_scale(top_left, -1)), policy=policy
+    )
     eps_star_rec = _fs_mat_mul(inv_tl, top_right, policy=policy)
 
     # coefficient-matrix consistency: [eps]_{kj} = eps_{jk}
@@ -1172,7 +1167,6 @@ def hodge_number_scan(
     levels: Sequence[int] | None = None,
     order: int = 2,
     tol: float = 1e-9,
-    parallel: bool = False,
 ) -> Dict:
     """Kernel dimensions of the deformed raising Laplacian across samples,
     plus the rank of the harmonic transport map at each level.
@@ -1180,9 +1174,8 @@ def hodge_number_scan(
     For each sample t the deformed structure is built at eps(t) (constant
     deformations only), its raising-kernel dimensions recorded, and the
     extended harmonic basis transported and projected onto the deformed
-    harmonics; constancy verdicts compare every row to t = 0.  Samples are
-    independent and may be processed in parallel; rows are assembled in the
-    given sample order either way.
+    harmonics; constancy verdicts compare every row to t = 0.  Rows come in
+    the given sample order.
     """
     structure = context.structure
     if not series.is_constant():
@@ -1218,20 +1211,12 @@ def hodge_number_scan(
                 image = pk_t.harmonic(transport.forward(sigma_t))
                 images.append([ctx_t.bi_inner(image, h) for h in harm_basis])
             if images and harm_basis:
-                mat = np.asarray(images, dtype=complex)
-                s = np.linalg.svd(mat, compute_uv=False)
-                ranks[k] = int(np.sum(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
+                ranks[k] = int(_rank(np.asarray(images, dtype=complex)))
             else:
                 ranks[k] = 0
         return {"t": t, "dims": dims, "injectivity_rank": ranks}
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(sample_row, t_samples))
-    else:
-        rows = [sample_row(t) for t in t_samples]
+    rows = [sample_row(t) for t in t_samples]
 
     constant = {
         k: all(row["dims"][k] == base_dims[k] for row in rows) for k in levels

@@ -20,8 +20,7 @@ from .calculus import (
     twisted_d,
 )
 from .fourier import TorusGeometry, TruncationBox
-from .hodge import HodgeContext, _null_basis, _range_basis, _rank
-from .metric import GeneralizedMetric
+from .hodge import HodgeContext, _adjoint, _null_basis, _range_basis, _rank
 from .spinor import (
     CliffordPoly,
     clifford_act,
@@ -189,43 +188,36 @@ def _hodge_identities(ctx: HodgeContext) -> List[Dict]:
 
 
 def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
-    """Kernel and orthogonal-decomposition facts for the BC and Aeppli kinds."""
+    """Kernel and orthogonal-decomposition facts for the BC and Aeppli kinds.
+
+    Every basis is a stack over the modes, zero-padded past its rank, so
+    dimensions are counted by rank.
+    """
     out = []
     size = ctx.size
+    dl, db, t = ctx._stack("del"), ctx._stack("dbar"), ctx._stack("deldbar")
     for kind in ("bc", "aeppli"):
         pk = ctx.package(kind)
-        dim_mismatch = 0
-        containment = 0.0
-        decomp_dim_defect = 0
-        orth = 0.0
-        for mode in ctx.modes:
-            dl = ctx.operator_matrix("del", mode)
-            db = ctx.operator_matrix("dbar", mode)
-            t = ctx.operator_matrix("deldbar", mode)
-            if kind == "bc":
-                stack = np.vstack([dl, db, t.conj().T])
-                second = _range_basis(t)
-                third_parts = np.hstack([dl.conj().T, db.conj().T])
-            else:
-                stack = np.vstack([dl.conj().T, db.conj().T, t])
-                second = _range_basis(t.conj().T)
-                third_parts = np.hstack([dl, db])
-            null = _null_basis(stack)
-            hmat = pk.harmonic_matrix(mode)
-            hbasis = _range_basis(hmat)
-            if hbasis.shape[1] != null.shape[1]:
-                dim_mismatch += 1
-            if null.shape[1]:
-                containment = max(
-                    containment, float(np.abs(null - hmat @ null).max())
-                )
-            third = _range_basis(third_parts)
-            total = hbasis.shape[1] + _rank(second) + _rank(third)
-            if total != size:
-                decomp_dim_defect += abs(total - size)
-            for a, b in ((hbasis, second), (second, third), (hbasis, third)):
-                if a.shape[1] and b.shape[1]:
-                    orth = max(orth, float(np.abs(a.conj().T @ b).max()))
+        if kind == "bc":
+            stack = np.concatenate([dl, db, _adjoint(t)], axis=1)
+            second = _range_basis(t)
+            third = _range_basis(np.concatenate([_adjoint(dl), _adjoint(db)], axis=2))
+        else:
+            stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
+            second = _range_basis(_adjoint(t))
+            third = _range_basis(np.concatenate([dl, db], axis=2))
+        null = _null_basis(stack)
+        hmat = pk._spectra.matrix(slice(None), pk._spectra.harmonic_weights)
+        hbasis = _range_basis(hmat)
+        hdim = _rank(hbasis)
+        dim_mismatch = int(np.sum(hdim != _rank(null)))
+        containment = float(np.abs(null - hmat @ null).max())
+        total = hdim + _rank(second) + _rank(third)
+        decomp_dim_defect = int(np.sum(np.abs(total - size)))
+        orth = max(
+            float(np.abs(_adjoint(a) @ b).max())
+            for a, b in ((hbasis, second), (second, third), (hbasis, third))
+        )
         out.append(entry(f"kernel_characterization_dim_{kind}", dim_mismatch, 0.0))
         out.append(entry(f"kernel_containment_{kind}", containment, 1e-9))
         out.append(entry(f"decomposition_dims_{kind}", decomp_dim_defect, 0.0))
@@ -338,19 +330,3 @@ def hodge_table(ctx: HodgeContext) -> Dict:
             for kind in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
         }
     return {"kernel_dimensions": dims, "class_checks": checks}
-
-
-def identity_suite(
-    structure: GCStructure,
-    metric: GeneralizedMetric,
-    seed: int = 0,
-    samples: int = 100,
-) -> List[Dict]:
-    """The full identity battery for one structure/metric pair."""
-    ctx = HodgeContext(structure, metric)
-    out = []
-    out.extend(clifford_suite(structure.geometry, structure.box, seed=seed, samples=samples))
-    out.extend(structure_suite(structure))
-    out.extend(calculus_suite(structure, seed=seed))
-    out.extend(hodge_suite(ctx, seed=seed))
-    return out

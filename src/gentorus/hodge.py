@@ -7,9 +7,11 @@ modes at once and kept as arrays stacked over the modes.  Adjoints are
 conjugate transposes in that basis (exact on the truncation).  Laplacians
 are eigendecomposed by batched ``eigh`` over chunks of modes, one call per
 level block, the kernel split off by a relative cutoff, and the Green
-operator is the pseudo-inverse on the kernel complement.  The Lie-algebroid
-complex (``deformation.AlgebroidHodge``) shares the assembly and the
-eigendecomposition.
+operator is the pseudo-inverse on the kernel complement.  The class checks
+(the ddbar-lemma and the solvability classes) slice level blocks from the
+same stacks and decide every numerical rank by one batched SVD per
+question.  The Lie-algebroid complex (``deformation.AlgebroidHodge``)
+shares the assembly and the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -47,56 +49,53 @@ class ObstructionError(ValueError):
         self.data = data or {}
 
 
-def _cut(s: np.ndarray, rel: float, floor: float) -> int:
-    """Number of singular values above max(rel * s_max, floor).
+def _cut(s: np.ndarray, floor) -> np.ndarray:
+    """Per matrix, the number of singular values above max(RANK_CUTOFF * s_max, floor).
 
-    The absolute floor matters when a matrix is pure float noise: its own
-    largest singular value is then a meaningless reference.
+    ``s`` holds descending singular values along its last axis and ``floor``
+    broadcasts against the rest.  The absolute floor matters when a matrix
+    is pure float noise: its own largest singular value is then a
+    meaningless reference.
     """
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > max(rel * s[0], floor)))
+    bound = np.maximum(RANK_CUTOFF * s[..., :1], np.asarray(floor)[..., None])
+    return np.sum(s > bound, axis=-1)
 
 
-def _rank(mat: np.ndarray, rel: float = RANK_CUTOFF, floor: float = 0.0) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return _cut(s, rel, floor)
+def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
+    """Numerical rank of each matrix of an (..., r, c) stack."""
+    return _cut(np.linalg.svd(mats, compute_uv=False), floor)
 
 
-def _range_basis(mat: np.ndarray, rel: float = RANK_CUTOFF, floor: float = 0.0) -> np.ndarray:
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat)
-    r = _cut(s, rel, floor)
-    return u[:, :r]
+def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
+    """Orthonormal range bases of a stack, (..., r, min(r, c)).
+
+    Columns past each matrix's rank are zero: zero columns add only zero
+    singular values, so every rank and containment is unchanged.
+    """
+    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
+    u *= (np.arange(s.shape[-1]) < _cut(s, floor)[..., None])[..., None, :]
+    return u
 
 
-def _null_basis(mat: np.ndarray, rel: float = RANK_CUTOFF, floor: float = 0.0) -> np.ndarray:
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    if mat.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
-    r = _cut(s, rel, floor)
-    return vh[r:].conj().T
+def _null_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
+    """Orthonormal null-space bases of a stack, (..., c, c), zero past the nullity."""
+    rows, cols = mats.shape[-2:]
+    s, vh = np.linalg.svd(mats, full_matrices=rows < cols)[1:]
+    basis = _adjoint(vh)
+    basis *= (np.arange(cols) >= _cut(s, floor)[..., None])[..., None, :]
+    return basis
 
 
-def _contained(sub: np.ndarray, sup: np.ndarray, rel: float = RANK_CUTOFF,
-               floor: float = 0.0) -> bool:
-    """Column span of sub contained in column span of sup."""
-    if sub.shape[1] == 0:
-        return True
-    return _rank(np.hstack([sup, sub]), rel, floor) == _rank(sup, rel, floor)
+def _contained(sub: np.ndarray, sup: np.ndarray, floor=0.0) -> np.ndarray:
+    """Per matrix, column span of sub contained in column span of sup."""
+    return _rank(np.concatenate([sup, sub], axis=-1), floor) == _rank(sup, floor)
 
 
-def _intersection_dim(a: np.ndarray, b: np.ndarray, rel: float = RANK_CUTOFF,
-                      floor: float = 0.0) -> int:
-    da, db = _rank(a, rel, floor), _rank(b, rel, floor)
-    if da == 0 or db == 0:
-        return 0
-    return da + db - _rank(np.hstack([a, b]), rel, floor)
+def _intersection_dim(a: np.ndarray, b: np.ndarray, floor=0.0) -> np.ndarray:
+    """Per matrix, the dimension of the intersection of the column spans."""
+    da, db = _rank(a, floor), _rank(b, floor)
+    both = _rank(np.concatenate([a, b], axis=-1), floor)
+    return np.where((da == 0) | (db == 0), 0, da + db - both)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -160,13 +159,13 @@ class _ModeSpectra:
             out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
         return out
 
-    def matrix(self, index: int, weights) -> np.ndarray:
-        """weights(L) at mode ``index`` as a matrix."""
+    def matrix(self, sel, weights) -> np.ndarray:
+        """weights(L) at the modes picked by ``sel`` (an index or a slice)."""
         size = self.blocks[-1].stop
-        out = np.zeros((size, size), dtype=complex)
+        out = np.zeros(self.vals[0][sel].shape[:-1] + (size, size), dtype=complex)
         for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
-            v = vecs[index]
-            out[b, b] = (v * weights(vals[index])) @ v.conj().T
+            v = vecs[sel]
+            out[..., b, b] = (v * weights(vals[sel])[..., None, :]) @ _adjoint(v)
         return out
 
 
@@ -535,19 +534,11 @@ class HodgeContext:
     # class checks
     # ------------------------------------------------------------------
 
-    def _block(self, name: str, mode, row_level: int | None, col_level: int | None) -> np.ndarray:
-        mat = self.operator_matrix(name, mode)
-        rows = (
-            self.level_slices[row_level]
-            if row_level is not None and -self.structure.n <= row_level <= self.structure.n
-            else slice(0, 0)
-        )
-        cols = (
-            self.level_slices[col_level]
-            if col_level is not None and -self.structure.n <= col_level <= self.structure.n
-            else slice(0, 0)
-        )
-        return mat[rows, cols]
+    def _level(self, k: int) -> slice:
+        """Coordinates of level k; empty outside [-n, n]."""
+        if -self.structure.n <= k <= self.structure.n:
+            return self.level_slices[k]
+        return slice(0, 0)
 
     def class_check(self, kind: str, k: int) -> Dict:
         """Rank verdicts for the ddbar-lemma and the solvability classes.
@@ -555,68 +546,55 @@ class HodgeContext:
         Kinds: 'ddbar_lemma', 'B_k', 'S_k', 'Bcal_k', 'Scal_k'.  The two
         S/B families quantify over phi in the level above k with
         dbar(del phi) = 0 (plain) or dbar phi = 0 (calligraphic); the B
-        variants additionally demand a del-exact solution.
+        variants additionally demand a del-exact solution.  Every verdict
+        is decided per mode, on level blocks sliced from the stacked d, by
+        one batched SVD per rank question; ``holds`` requires it at every
+        mode and ``dims`` sums the ranks over the modes.
         """
-        holds = True
-        dims = {"candidates": 0, "target": 0}
-        for mode in self.modes:
-            # absolute noise floor tied to the operator magnitude at this mode
-            dmat = self.operator_matrix("d", mode)
-            scale = max(1.0, float(np.abs(dmat).max()))
-            floor = RANK_CUTOFF * scale
-            if kind == "ddbar_lemma":
-                del_in = self._block("del", mode, k, k + 1)
-                dbar_out = self._block("dbar", mode, k + 1, k)
-                del_out = self._block("del", mode, k - 1, k)
-                dbar_in = self._block("dbar", mode, k, k - 1)
-                deldbar = self._block("deldbar", mode, k, k)
-                v1 = _range_basis(del_in, floor=floor)
-                ker_dbar = _null_basis(dbar_out, floor=floor)
-                v2 = _range_basis(dbar_in, floor=floor)
-                ker_del = _null_basis(del_out, floor=floor)
-                v3 = _range_basis(deldbar, floor=floor * scale)
-                d1 = _intersection_dim(v1, ker_dbar, floor=RANK_CUTOFF)
-                d2 = _intersection_dim(v2, ker_del, floor=RANK_CUTOFF)
-                d3 = _rank(v3, floor=RANK_CUTOFF)
-                dims["candidates"] += d1 + d2
-                dims["target"] += 2 * d3
-                if not (d1 == d2 == d3):
-                    holds = False
-                continue
+        if kind not in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
+            raise ValueError(f"unknown class check {kind!r}")
+        d = self._stack("d")
 
+        def block(row_level, col_level):
+            # del is the block one level down of d, dbar the block one level up
+            return d[:, self._level(row_level), self._level(col_level)]
+
+        # absolute noise floor tied to the operator magnitude at each mode
+        scale = np.maximum(1.0, np.abs(d).max(axis=(1, 2)))
+        floor = RANK_CUTOFF * scale
+        del_down = block(k, k + 1)
+        if kind == "ddbar_lemma":
+            v1 = _range_basis(del_down, floor)
+            ker_dbar = _null_basis(block(k + 1, k), floor)
+            v2 = _range_basis(block(k, k - 1), floor)
+            ker_del = _null_basis(block(k - 1, k), floor)
+            v3 = _range_basis(del_down @ block(k + 1, k), floor * scale)
+            d1 = _intersection_dim(v1, ker_dbar, RANK_CUTOFF)
+            d2 = _intersection_dim(v2, ker_del, RANK_CUTOFF)
+            d3 = _rank(v3, RANK_CUTOFF)
+            holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
+        elif del_down.shape[-1] == 0:
+            # no level above k: nothing to check
+            holds, candidates, target = True, 0, 0
+        else:
             if kind in ("S_k", "B_k"):
                 # phi in level k+1 with dbar(del phi) = 0
-                del_down = self._block("del", mode, k, k + 1)
-                dbar_after = self._block("dbar", mode, k + 1, k)
-                if del_down.shape[1] == 0:
-                    continue
-                null = _null_basis(dbar_after @ del_down, floor=floor * scale)
-                w = del_down @ null if null.shape[1] else np.zeros((del_down.shape[0], 0), dtype=complex)
-            elif kind in ("Scal_k", "Bcal_k"):
-                # phi in level k+1 with dbar phi = 0
-                del_down = self._block("del", mode, k, k + 1)
-                dbar_up = self._block("dbar", mode, k + 2, k + 1)
-                if del_down.shape[1] == 0:
-                    continue
-                if dbar_up.shape[0] == 0:
-                    null = np.eye(del_down.shape[1], dtype=complex)
-                else:
-                    null = _null_basis(dbar_up, floor=floor)
-                w = del_down @ null if null.shape[1] else np.zeros((del_down.shape[0], 0), dtype=complex)
+                null = _null_basis(block(k + 1, k) @ del_down, floor * scale)
             else:
-                raise ValueError(f"unknown class check {kind!r}")
-
-            w = _range_basis(w, floor=floor)
+                # phi in level k+1 with dbar phi = 0
+                null = _null_basis(block(k + 2, k + 1), floor)
+            w = _range_basis(del_down @ null, floor)
+            dbar_in = block(k, k - 1)
             if kind in ("S_k", "Scal_k"):
-                target = _range_basis(self._block("dbar", mode, k, k - 1), floor=floor)
+                image = _range_basis(dbar_in, floor)
             else:
                 # del-exact solutions: dbar(del sigma1) with sigma1 at level k
-                target = _range_basis(
-                    self._block("dbar", mode, k, k - 1) @ self._block("del", mode, k - 1, k),
-                    floor=floor * scale,
-                )
-            dims["candidates"] += _rank(w, floor=RANK_CUTOFF)
-            dims["target"] += _rank(target, floor=RANK_CUTOFF)
-            if not _contained(w, target, floor=RANK_CUTOFF):
-                holds = False
-        return {"kind": kind, "level": k, "holds": holds, "dims": dims}
+                image = _range_basis(dbar_in @ block(k - 1, k), floor * scale)
+            holds = _contained(w, image, RANK_CUTOFF)
+            candidates, target = _rank(w, RANK_CUTOFF), _rank(image, RANK_CUTOFF)
+        return {
+            "kind": kind,
+            "level": k,
+            "holds": bool(np.all(holds)),
+            "dims": {"candidates": int(np.sum(candidates)), "target": int(np.sum(target))},
+        }

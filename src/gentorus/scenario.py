@@ -108,6 +108,13 @@ class Scenario:
                 raise ScenarioError("every experiment needs a 'kind'")
         n = self.geometry.n
         for exp in self.experiments:
+            for key in ("t", "t_samples"):
+                if key in exp and not isinstance(exp[key], list):
+                    raise ScenarioError(
+                        f"experiment {key!r} must be a list, got {exp[key]!r}"
+                    )
+            if exp["kind"] == "criterion" and exp.get("t") == []:
+                raise ScenarioError("criterion experiment needs at least one 't'")
             for key in ("level", "levels"):
                 if key in exp:
                     levels = exp[key] if isinstance(exp[key], list) else [exp[key]]
@@ -213,9 +220,8 @@ def _status_from_entries(entries: List[Dict]) -> str:
 class Runner:
     """Executes the experiments of a scenario and assembles the report."""
 
-    def __init__(self, scenario: Scenario, parallel: bool = False, fail_fast: bool = False):
+    def __init__(self, scenario: Scenario, fail_fast: bool = False):
         self.scenario = scenario
-        self.parallel = parallel
         self.fail_fast = fail_fast
         self._context: HodgeContext | None = None
 
@@ -370,7 +376,7 @@ class Runner:
         order = int(exp.get("order", 2))
         report = hodge_number_scan(
             self.context, series, t_samples, levels=levels, order=order,
-            tol=self.scenario.tolerance, parallel=self.parallel,
+            tol=self.scenario.tolerance,
         )
         rows = []
         for row in report["rows"]:
@@ -467,10 +473,10 @@ class Runner:
         return report
 
 
-def run_scenario(config: Dict, parallel: bool = False, fail_fast: bool = False) -> Tuple[Dict, List[Dict]]:
+def run_scenario(config: Dict, fail_fast: bool = False) -> Tuple[Dict, List[Dict]]:
     """Parse, run, and return (report, timings)."""
     scenario = Scenario(config)
-    runner = Runner(scenario, parallel=parallel, fail_fast=fail_fast)
+    runner = Runner(scenario, fail_fast=fail_fast)
     report = runner.run()
     return report, runner.timings
 

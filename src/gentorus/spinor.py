@@ -168,14 +168,6 @@ class Spinor:
             return self.comps[key]
         return FourierScalar.zero(self.geometry, self.box)
 
-    def degrees(self) -> Iterable[int]:
-        return sorted({len(m) for m in self.comps})
-
-    def degree_part(self, p: int) -> "Spinor":
-        return Spinor(
-            self.geometry, self.box, {m: f for m, f in self.comps.items() if len(m) == p}
-        )
-
     def norm(self) -> float:
         return math.sqrt(sum(f.norm() ** 2 for f in self.comps.values()))
 
@@ -189,10 +181,6 @@ class Spinor:
         return Spinor(
             self.geometry, box, {m: f.embed(box) for m, f in self.comps.items()}
         )
-
-    def top_component(self) -> FourierScalar:
-        top = tuple(range(self.geometry.dim))
-        return self.coefficient(top)
 
     def modes(self) -> Iterable[Tuple[int, ...]]:
         seen = set()

@@ -142,18 +142,19 @@ def test_symplectic_torus_class_checks_all_true():
 def test_double_image_always_contained(t4ctx_twisted):
     """Im(del dbar) sits inside Im(del) and Ker(dbar) and inside Im(dbar)
     and Ker(del) even where the full lemma fails (twisted background)."""
-    from gentorus.hodge import _contained, _null_basis, _range_basis
+    from gentorus.hodge import _contained, _range_basis
     ctx = t4ctx_twisted
+
+    def block(name, row_level, col_level):
+        return ctx._stack(name)[:, ctx._level(row_level), ctx._level(col_level)]
+
     lemma_fails_somewhere = False
     for k in ctx.structure.levels():
-        for mode in ctx.modes:
-            v3 = _range_basis(ctx._block("deldbar", mode, k, k))
-            if v3.shape[1] == 0:
-                continue
-            del_in = _range_basis(ctx._block("del", mode, k, k + 1))
-            dbar_in = _range_basis(ctx._block("dbar", mode, k, k - 1))
-            assert _contained(v3, del_in)
-            assert _contained(v3, dbar_in)
+        v3 = _range_basis(block("deldbar", k, k))
+        del_in = _range_basis(block("del", k, k + 1))
+        dbar_in = _range_basis(block("dbar", k, k - 1))
+        assert _contained(v3, del_in).all()
+        assert _contained(v3, dbar_in).all()
         if not ctx.class_check("ddbar_lemma", k)["holds"]:
             lemma_fails_somewhere = True
     assert lemma_fails_somewhere  # the twist genuinely breaks the lemma here
@@ -321,3 +322,131 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     cutoff = _reference_cutoff(vals)
     batched = alg._spectra.vals[0] <= alg._spectra.cutoff
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.sum(axis=1).tolist()
+
+
+# ----------------------------------------------------------------------
+# per-mode reference for the class checks: one SVD per block and mode
+# ----------------------------------------------------------------------
+
+
+def _ref_cut(s, rel, floor):
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > max(rel * s[0], floor)))
+
+
+def _ref_rank(mat, rel=RANK_CUTOFF, floor=0.0):
+    if mat.size == 0:
+        return 0
+    return _ref_cut(np.linalg.svd(mat, compute_uv=False), rel, floor)
+
+
+def _ref_range_basis(mat, rel=RANK_CUTOFF, floor=0.0):
+    if mat.size == 0:
+        return np.zeros((mat.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(mat)
+    return u[:, : _ref_cut(s, rel, floor)]
+
+
+def _ref_null_basis(mat, rel=RANK_CUTOFF, floor=0.0):
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    if mat.shape[1] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(mat)
+    return vh[_ref_cut(s, rel, floor):].conj().T
+
+
+def _ref_contained(sub, sup, rel=RANK_CUTOFF, floor=0.0):
+    if sub.shape[1] == 0:
+        return True
+    return _ref_rank(np.hstack([sup, sub]), rel, floor) == _ref_rank(sup, rel, floor)
+
+
+def _ref_intersection_dim(a, b, rel=RANK_CUTOFF, floor=0.0):
+    da, db = _ref_rank(a, rel, floor), _ref_rank(b, rel, floor)
+    if da == 0 or db == 0:
+        return 0
+    return da + db - _ref_rank(np.hstack([a, b]), rel, floor)
+
+
+def _ref_block(ctx, name, mode, row_level, col_level):
+    mat = ctx.operator_matrix(name, mode)
+    n = ctx.structure.n
+    rows = ctx.level_slices[row_level] if -n <= row_level <= n else slice(0, 0)
+    cols = ctx.level_slices[col_level] if -n <= col_level <= n else slice(0, 0)
+    return mat[rows, cols]
+
+
+def reference_class_check(ctx, kind, k):
+    """The class check decided mode by mode, one small SVD at a time."""
+    holds = True
+    dims = {"candidates": 0, "target": 0}
+    for mode in ctx.modes:
+        scale = max(1.0, float(np.abs(ctx.operator_matrix("d", mode)).max()))
+        floor = RANK_CUTOFF * scale
+
+        def block(name, row_level, col_level):
+            return _ref_block(ctx, name, mode, row_level, col_level)
+
+        if kind == "ddbar_lemma":
+            v1 = _ref_range_basis(block("del", k, k + 1), floor=floor)
+            ker_dbar = _ref_null_basis(block("dbar", k + 1, k), floor=floor)
+            v2 = _ref_range_basis(block("dbar", k, k - 1), floor=floor)
+            ker_del = _ref_null_basis(block("del", k - 1, k), floor=floor)
+            v3 = _ref_range_basis(block("deldbar", k, k), floor=floor * scale)
+            d1 = _ref_intersection_dim(v1, ker_dbar, floor=RANK_CUTOFF)
+            d2 = _ref_intersection_dim(v2, ker_del, floor=RANK_CUTOFF)
+            d3 = _ref_rank(v3, floor=RANK_CUTOFF)
+            dims["candidates"] += d1 + d2
+            dims["target"] += 2 * d3
+            holds = holds and d1 == d2 == d3
+            continue
+        del_down = block("del", k, k + 1)
+        if del_down.shape[1] == 0:
+            continue
+        if kind in ("S_k", "B_k"):
+            null = _ref_null_basis(block("dbar", k + 1, k) @ del_down, floor=floor * scale)
+        else:
+            dbar_up = block("dbar", k + 2, k + 1)
+            if dbar_up.shape[0] == 0:
+                null = np.eye(del_down.shape[1], dtype=complex)
+            else:
+                null = _ref_null_basis(dbar_up, floor=floor)
+        w = del_down @ null if null.shape[1] else np.zeros((del_down.shape[0], 0), dtype=complex)
+        w = _ref_range_basis(w, floor=floor)
+        if kind in ("S_k", "Scal_k"):
+            target = _ref_range_basis(block("dbar", k, k - 1), floor=floor)
+        else:
+            target = _ref_range_basis(
+                block("dbar", k, k - 1) @ block("del", k - 1, k), floor=floor * scale
+            )
+        dims["candidates"] += _ref_rank(w, floor=RANK_CUTOFF)
+        dims["target"] += _ref_rank(target, floor=RANK_CUTOFF)
+        holds = holds and _ref_contained(w, target, floor=RANK_CUTOFF)
+    return {"kind": kind, "level": k, "holds": holds, "dims": dims}
+
+
+def _symplectic_case(n, K):
+    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    s = GCStructure.symplectic_structure(omega, TruncationBox(K))
+    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _case(1, 1),
+        lambda: _symplectic_case(1, 1),
+        lambda: _case(2, 1),
+        lambda: _case(2, 1, twisted=True),
+        lambda: _symplectic_case(2, 1),
+        lambda: _case(2, 2),
+    ],
+    ids=["t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2"],
+)
+def test_stacked_class_checks_match_per_mode_reference(build):
+    ctx = HodgeContext(*build())
+    for k in ctx.structure.levels():
+        for kind in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
+            assert ctx.class_check(kind, k) == reference_class_check(ctx, kind, k), (kind, k)

@@ -146,12 +146,22 @@ def test_cli_negative_control_exit_code():
     assert code == 2
 
 
-def test_cli_parallel_matches_serial():
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"kind": "criterion", "t": [], "samples": 2},
+        {"kind": "criterion", "t": 5, "samples": 2},
+        {"kind": "extend", "level": -1, "order": 1, "t_samples": 0.1},
+    ],
+)
+def test_cli_rejects_bad_t_lists_without_traceback(experiment, tmp_path, capsys):
+    """An empty criterion t list or a scalar t / t_samples is a config error."""
     config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
-    config["experiments"] = minimal_config()["experiments"] + [config["experiments"][1]]
-    serial, _ = run_scenario(config, parallel=False)
-    parallel, _ = run_scenario(config, parallel=True)
-    assert report_to_json(serial) == report_to_json(parallel)
+    config["experiments"] = [experiment]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_criterion_accepts_complex_t_pairs():
