@@ -10,7 +10,6 @@ one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .hodge import (
     ObstructionError,
     _ModeSpectra,
     _adjoint,
+    _mode_positions,
     _rank,
     _stack_linear,
 )
@@ -38,9 +38,10 @@ from .spinor import (
     Spinor,
     clifford_act_many,
     constant_spinor_vector,
+    from_mode_stack,
+    mode_stack,
+    monomial_list,
     pairing,
-    spinor_from_mode_vectors,
-    spinor_mode_vector,
 )
 from .structure import GCStructure
 
@@ -270,7 +271,9 @@ class AlgebroidHodge:
     (P maps to P . rho0), the inner product pulled back from Born-Infeld.
     The differential at mode k is C + 2 pi i sum_a k_a A_a; C and the A_a
     are read off the Cartan formula at mode 0 and at the unit modes, and the
-    Laplacians of all modes are eigendecomposed in stacked chunks.
+    Laplacians of all modes are eigendecomposed in stacked chunks.  A
+    polynomial's coefficients enter as mode rows (``spinor.mode_stack``), so
+    the projector, Green operator and adjoint each act by one batched product.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
@@ -278,34 +281,23 @@ class AlgebroidHodge:
         self.metric = metric
         geometry, box = structure.geometry, structure.box
         dim = structure.dim
-        from .spinor import monomial_list
 
         self.keys = monomial_list(dim)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.size = len(self.keys)
 
-        # Gram via the spinor identification, orthonormalized per degree
+        # Gram via the spinor identification, orthonormalized per degree: the
+        # level basis holds the degree-d words at level d - n, in key order
         level_cols = structure._level_matrix
-        # structure keys are ordered by (level, subset); ours by (degree, subset):
-        # the orderings coincide because level = degree - n.
-        cols = []
-        self.degree_slices: Dict[int, slice] = {}
-        start = 0
-        for d in range(dim + 1):
-            block = [level_cols[:, structure._level_keys.index((d - structure.n, key))]
-                     for key in itertools.combinations(range(dim), d)]
-            block = np.column_stack(block)
-            cols.append(metric.orthonormalize_columns(block))
-            count = block.shape[1]
-            self.degree_slices[d] = slice(start, start + count)
-            start += count
-        spinor_basis = np.hstack(cols)
+        spinor_basis = np.hstack([
+            metric.orthonormalize_columns(level_cols[:, structure._level_slices[d - structure.n]])
+            for d in range(dim + 1)
+        ])
         # express the orthonormal spinor basis back in poly coordinates
         self.poly_basis = np.linalg.solve(level_cols, spinor_basis)
         self.poly_basis_inv = np.linalg.inv(self.poly_basis)
 
         self.modes = list(box.modes(geometry))
-        self._mode_index = {mode: i for i, mode in enumerate(self.modes)}
         self._const = self._probe((0,) * dim)
         # a box with K = 0 holds only mode 0, where the slopes never enter
         self._slopes = np.zeros((dim, self.size, self.size), dtype=complex)
@@ -330,36 +322,25 @@ class AlgebroidHodge:
                 dmat[self.index[ikey], j] = f.coefficient(mode)
         return self.poly_basis_inv @ dmat @ self.poly_basis
 
-    # poly <-> per-mode coordinate vectors ------------------------------
+    # poly <-> per-mode coordinate rows ---------------------------------
 
-    def coords_of(self, poly: CliffordPoly) -> Dict[Tuple[int, ...], np.ndarray]:
-        per_mode: Dict[Tuple[int, ...], np.ndarray] = {}
-        for key, f in poly.terms():
-            row = self.index[key]
-            for mode, c in f.coeffs.items():
-                per_mode.setdefault(mode, np.zeros(self.size, dtype=complex))[row] += c
-        return {m: self.poly_basis_inv @ v for m, v in per_mode.items()}
+    def _coords(self, poly: CliffordPoly) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        modes, rows = mode_stack(poly.coeffs, self.structure.dim)
+        return modes, rows @ self.poly_basis_inv.T
 
-    def poly_from_coords(self, vectors: Dict[Tuple[int, ...], np.ndarray],
-                         degree: int) -> CliffordPoly:
+    def _poly(self, modes, coords: np.ndarray, degree: int) -> CliffordPoly:
+        """The degree-``degree`` polynomial with coordinate rows ``coords``."""
+        rows = coords @ self.poly_basis.T
+        rows[:, [len(key) != degree for key in self.keys]] = 0.0
         geometry, box = self.structure.geometry, self.structure.box
-        per_key: Dict[Tuple[int, ...], Dict] = {}
-        for mode, v in vectors.items():
-            raw = self.poly_basis @ v
-            for row, c in enumerate(raw):
-                if c != 0 and len(self.keys[row]) == degree:
-                    per_key.setdefault(self.keys[row], {})[mode] = (
-                        per_key.get(self.keys[row], {}).get(mode, 0.0) + c
-                    )
-        coeffs = {k: FourierScalar(geometry, box, cs) for k, cs in per_key.items()}
-        return CliffordPoly(self.structure.dual_frame, degree, coeffs)
+        return CliffordPoly(
+            self.structure.dual_frame, degree, from_mode_stack(geometry, box, modes, rows)
+        )
 
     def _spectral(self, poly: CliffordPoly, weights) -> CliffordPoly:
-        vectors = {
-            mode: self._spectra.apply(self._mode_index[mode], coords, weights)
-            for mode, coords in self.coords_of(poly).items()
-        }
-        return self.poly_from_coords(vectors, poly.degree)
+        modes, coords = self._coords(poly)
+        index = _mode_positions(self.structure.box, self.structure.dim, modes)
+        return self._poly(modes, self._spectra.apply(index, coords, weights), poly.degree)
 
     def harmonic(self, poly: CliffordPoly) -> CliffordPoly:
         return self._spectral(poly, self._spectra.harmonic_weights)
@@ -368,11 +349,9 @@ class AlgebroidHodge:
         return self._spectral(poly, self._spectra.green_weights)
 
     def dL_adjoint(self, poly: CliffordPoly) -> CliffordPoly:
-        vectors = {}
-        for mode, coords in self.coords_of(poly).items():
-            d = _stack_linear(self._const, self._slopes, [mode])[0]
-            vectors[mode] = _adjoint(d) @ coords
-        return self.poly_from_coords(vectors, poly.degree - 1)
+        modes, coords = self._coords(poly)
+        d = _stack_linear(self._const, self._slopes, modes)
+        return self._poly(modes, np.einsum("mji,mj->mi", d.conj(), coords), poly.degree - 1)
 
 
 def maurer_cartan_verify(series: Beltrami, tol: float = 1e-9) -> Dict:
@@ -502,15 +481,8 @@ class Transport:
 
     def frame_coefficients(self, sigma: Spinor) -> Dict[Tuple[int, ...], FourierScalar]:
         """FourierScalar coefficients of sigma in the dual-frame word basis."""
-        coords = self.structure.frame_coordinates(sigma)
         geometry, box = self.structure.geometry, self.structure.box
-        per_key: Dict[Tuple[int, ...], Dict] = {}
-        for mode, vec in coords.items():
-            for col, c in enumerate(vec):
-                if c != 0:
-                    _, key = self.structure._level_keys[col]
-                    per_key.setdefault(key, {})[mode] = per_key.get(key, {}).get(mode, 0.0) + c
-        return {k: FourierScalar(geometry, box, cs) for k, cs in per_key.items()}
+        return from_mode_stack(geometry, box, *self.structure.frame_coordinates(sigma))
 
     def substituted_word(
         self, key: Tuple[int, ...], images: Sequence[CourantVector], vacuum: Spinor
@@ -520,14 +492,13 @@ class Transport:
     # -- the transport and its inverse -----------------------------------
 
     def forward(self, sigma: Spinor) -> Spinor:
-        one_plus = self._one_plus_eps_star_images()
+        geometry, box = self.structure.geometry, self.structure.box
         if self._constant:
-            mat = self._forward_matrix_constant()
-            vectors = {}
-            for mode, coords in self.structure.frame_coordinates(sigma).items():
-                vectors[mode] = mat @ coords
-            return spinor_from_mode_vectors(self.structure.geometry, self.structure.box, vectors)
-        out = Spinor.zero(self.structure.geometry, self.structure.box)
+            modes, coords = self.structure.frame_coordinates(sigma)
+            rows = coords @ self._forward_matrix_constant().T
+            return Spinor(geometry, box, from_mode_stack(geometry, box, modes, rows))
+        one_plus = self._one_plus_eps_star_images()
+        out = Spinor.zero(geometry, box)
         for key, coeff in self.frame_coefficients(sigma).items():
             word = self.substituted_word(key, one_plus, self.exp_rho0)
             out = out.add(word.scale_scalar(coeff, policy=self.policy))
@@ -538,19 +509,17 @@ class Transport:
             raise DeformationError(
                 "transport inverse requires a constant-coefficient deformation"
             )
-        inv = self._forward_inverse_constant()
-        vectors = {}
-        for mode in sigma.modes():
-            vec = spinor_mode_vector(sigma, mode)
-            vectors[mode] = self.structure._level_matrix @ (inv @ vec)
-        return spinor_from_mode_vectors(self.structure.geometry, self.structure.box, vectors)
+        geometry, box = self.structure.geometry, self.structure.box
+        modes, rows = mode_stack(sigma.comps, self.structure.dim)
+        rows = rows @ (self.structure._level_matrix @ self._forward_inverse_constant()).T
+        return Spinor(geometry, box, from_mode_stack(geometry, box, modes, rows))
 
     def _forward_matrix_constant(self) -> np.ndarray:
         if self._forward_matrix is None:
             one_plus = self._one_plus_eps_star_images()
             size = 2 ** self.structure.dim
             cols = np.zeros((size, size), dtype=complex)
-            for col, (_, key) in enumerate(self.structure._level_keys):
+            for col, key in enumerate(monomial_list(self.structure.dim)):
                 word = self.substituted_word(key, one_plus, self.exp_rho0)
                 cols[:, col] = constant_spinor_vector(word)
             self._forward_matrix = cols
@@ -831,9 +800,6 @@ class DeformedStructure:
     def delbar(self, sigma: Spinor) -> Spinor:
         """Level-raising component of d_H in the deformed grading."""
         return delbar_op(sigma, self.structure)
-
-    def del_lower(self, sigma: Spinor) -> Spinor:
-        return del_op(sigma, self.structure)
 
 
 def deformed_delbar(

@@ -10,8 +10,11 @@ level block, the kernel split off by a relative cutoff, and the Green
 operator is the pseudo-inverse on the kernel complement.  The class checks
 (the ddbar-lemma and the solvability classes) slice level blocks from the
 same stacks and decide every numerical rank by one batched SVD per
-question.  The Lie-algebroid complex (``deformation.AlgebroidHodge``)
-shares the assembly and the eigendecomposition.
+question; each (kind, level) is decided once per context.  A spinor enters
+and leaves as its mode rows (``spinor.mode_stack``), so every operator,
+projector and Green operator acts by one product batched over its modes.
+The Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
+assembly, the eigendecomposition and the batched application.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from .metric import GeneralizedMetric
 from .spinor import (
     Spinor,
     constant_clifford_matrix,
+    constant_spinor_vector,
+    from_mode_stack,
+    mode_stack,
     monomial_list,
     spinor_from_constant_vector,
-    spinor_from_mode_vectors,
-    spinor_mode_vector,
     wedge,
 )
 from .structure import GCStructure
@@ -109,10 +113,22 @@ def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
     ``const`` is (N, N), ``slopes`` is (dim, N, N) and ``modes`` a sequence
     of integer dim-tuples; the result is (len(modes), N, N).
     """
-    k = np.asarray(modes, dtype=float)
+    k = np.asarray(modes, dtype=float).reshape(-1, len(slopes))
     out = np.einsum("ma,aij->mij", 2j * math.pi * k, slopes)
     out += const
     return out
+
+
+def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
+    """Indices of ``modes`` in ``box.modes``, which run lexicographically.
+
+    Raises ValueError for a mode outside the box.
+    """
+    k = np.array(modes, dtype=int).reshape(-1, dim)
+    outside = np.abs(k).max(axis=1, initial=0) > box.K
+    if outside.any():
+        raise ValueError(f"spinor mode {modes[int(np.argmax(outside))]} outside the context box")
+    return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
 
 
 class _ModeSpectra:
@@ -151,12 +167,13 @@ class _ModeSpectra:
         kernel = vals <= self.cutoff
         return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals))
 
-    def apply(self, index: int, coords: np.ndarray, weights) -> np.ndarray:
-        """weights(L) applied to one coordinate vector at mode ``index``."""
+    def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
+        """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
         out = np.zeros_like(coords)
         for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
             v = vecs[index]
-            out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
+            inner = weights(vals[index])[..., None] * (_adjoint(v) @ coords[:, b, None])
+            out[:, b] = (v @ inner)[..., 0]
         return out
 
     def matrix(self, sel, weights) -> np.ndarray:
@@ -215,18 +232,15 @@ class HodgePackage:
 
     def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
         ctx = self.context
-        indices = range(len(ctx.modes)) if mode is None else [ctx._mode_index[mode]]
+        sel = slice(None) if mode is None else ctx._positions([mode])
         if self.blockwise:
-            vals = self.vals[self._levels.index(level)]
-            return sum(int(np.sum(vals[i] <= self.cutoff)) for i in indices)
+            return int(np.sum(self.vals[self._levels.index(level)][sel] <= self.cutoff))
         # level content of a level-mixing kernel: rank of the projected basis
+        kernel = self.vals[0][sel] <= self.cutoff
+        vecs = self.vecs[0][sel]
         total = 0
-        sl = ctx.level_slices[level]
-        for i in indices:
-            kern = self.vecs[0][i][:, self.vals[0][i] <= self.cutoff]
-            if kern.shape[1] == 0:
-                continue
-            s = np.linalg.svd(kern[sl, :], compute_uv=False)
+        for i in np.flatnonzero(kernel.any(axis=1)):
+            s = np.linalg.svd(vecs[i][ctx.level_slices[level]][:, kernel[i]], compute_uv=False)
             if s[0] > RANK_CUTOFF:
                 total += int(np.sum(s > RANK_CUTOFF * s[0]))
         return total
@@ -237,26 +251,26 @@ class HodgePackage:
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
         ctx = self.context
-        out = []
-        for i, mode in enumerate(ctx.modes):
-            for key, vals, vecs, sl in zip(
-                self._levels, self.vals, self.vecs, self._spectra.blocks
-            ):
-                if self.blockwise and level is not None and key != level:
-                    continue
-                for j in np.flatnonzero(vals[i] <= self.cutoff):
-                    coords = np.zeros(ctx.size, dtype=complex)
-                    coords[sl] = vecs[i][:, j]
-                    out.append(ctx.spinor_from_mode_coords({mode: coords}))
-        return out
+        index = [np.zeros(0, dtype=int)]
+        rows = [np.zeros((0, ctx.size), dtype=complex)]
+        for key, vals, vecs, sl in zip(self._levels, self.vals, self.vecs, self._spectra.blocks):
+            if self.blockwise and level is not None and key != level:
+                continue
+            modes, cols = np.nonzero(vals <= self.cutoff)
+            coords = np.zeros((len(modes), ctx.size), dtype=complex)
+            coords[:, sl] = vecs[modes, :, cols]
+            index.append(modes)
+            rows.append(coords)
+        # mode by mode, then block by block, then eigenvector by eigenvector
+        index = np.concatenate(index)
+        order = np.argsort(index, kind="stable")
+        rows = np.concatenate(rows)[order]
+        return [ctx._spinor([ctx.modes[i]], row[None]) for i, row in zip(index[order], rows)]
 
     def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
         ctx = self.context
-        vectors = {
-            mode: self._spectra.apply(ctx._mode_index[mode], coords, weights)
-            for mode, coords in ctx.coords_of(sigma).items()
-        }
-        return ctx.spinor_from_mode_coords(vectors)
+        modes, coords = ctx._coords(sigma)
+        return ctx._spinor(modes, self._spectra.apply(ctx._positions(modes), coords, weights))
 
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
@@ -270,24 +284,20 @@ class HodgePackage:
         return self._apply_spectral(sigma, lambda v: v)
 
     def identity_residual(self) -> float:
-        """Operator-norm residual of (harmonic + laplacian o green - 1)."""
-        ctx = self.context
-        worst = 0.0
-        for mode in ctx.modes:
-            lap = ctx.laplacian_matrix(self.kind, mode)
-            resid = (
-                self.harmonic_matrix(mode)
-                + lap @ self.green_matrix(mode)
-                - np.eye(ctx.size)
-            )
-            worst = max(worst, float(np.linalg.norm(resid, 2)))
-        return worst
+        """Operator-norm residual of (harmonic + laplacian o green - 1), worst mode."""
+        ctx, sp, every = self.context, self._spectra, slice(None)
+        resid = (
+            sp.matrix(every, sp.harmonic_weights)
+            + ctx._laplacian(self.kind, every) @ sp.matrix(every, sp.green_weights)
+            - np.eye(ctx.size)
+        )
+        return float(np.linalg.norm(resid, 2, axis=(1, 2)).max())
 
     def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.context._mode_index[mode], self._spectra.green_weights)
+        return self._spectra.matrix(self.context._position(mode), self._spectra.green_weights)
 
     def harmonic_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.context._mode_index[mode], self._spectra.harmonic_weights)
+        return self._spectra.matrix(self.context._position(mode), self._spectra.harmonic_weights)
 
 
 class HodgeContext:
@@ -346,7 +356,6 @@ class HodgeContext:
         self._wedge_twist = self._form_wedge_matrix(structure.twist)
 
         self.modes: List[Tuple[int, ...]] = list(self.box.modes(self.geometry))
-        self._mode_index = {mode: i for i, mode in enumerate(self.modes)}
         self._packages: Dict[str, HodgePackage] = {}
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
@@ -358,6 +367,7 @@ class HodgeContext:
         self._masks = {"del": self._shift_mask(-1), "dbar": self._shift_mask(+1)}
         # del, dbar and deldbar are stacked on first use: packages need d alone
         self._stacks = {"d": d}
+        self._checks: Dict[Tuple[str, int], Dict] = {}
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -370,8 +380,7 @@ class HodgeContext:
         monos = monomial_list(self.structure.dim)
         for j, mono in enumerate(monos):
             unit = spinor_from_constant_vector(self.geometry, self.box, np.eye(self.size)[:, j])
-            image = wedge(form, unit)
-            out[:, j] = spinor_mode_vector(image, (0,) * self.structure.dim)
+            out[:, j] = constant_spinor_vector(wedge(form, unit))
         return out
 
     def _shift_mask(self, shift: int) -> np.ndarray:
@@ -384,7 +393,9 @@ class HodgeContext:
         return out
 
     def _op(self, name: str, sel) -> np.ndarray:
-        """d, del or dbar at the modes picked by ``sel`` (an index or a slice)."""
+        """d, del, dbar or deldbar at the modes picked by ``sel`` (index, slice or indices)."""
+        if name == "deldbar":
+            return self._op("del", sel) @ self._op("dbar", sel)
         d = self._stacks["d"][sel]
         if name == "d":
             return d
@@ -395,20 +406,16 @@ class HodgeContext:
     def _stack(self, name: str) -> np.ndarray:
         """``name`` at every mode, built on first use and kept."""
         if name not in self._stacks:
-            self._stacks[name] = (
-                self._stack("del") @ self._stack("dbar")
-                if name == "deldbar"
-                else self._op(name, slice(None))
-            )
+            self._stacks[name] = self._op(name, slice(None))
         return self._stacks[name]
 
     def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
         if name.endswith("_adj"):
             return _adjoint(self.operator_matrix(name[:-4], mode))
-        return self._stack(name)[self._mode_index[mode]]
+        return self._stack(name)[self._position(mode)]
 
     def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._laplacian(kind, self._mode_index[mode])
+        return self._laplacian(kind, self._position(mode))
 
     def _laplacian(self, kind: str, sel) -> np.ndarray:
         """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice)."""
@@ -440,23 +447,30 @@ class HodgeContext:
     # spinor transport
     # ------------------------------------------------------------------
 
-    def coords_of(self, sigma: Spinor) -> Dict[Tuple[int, ...], np.ndarray]:
-        out = {}
-        for mode in sigma.modes():
-            if not self.box.contains(mode):
-                raise ValueError(f"spinor mode {mode} outside the context box")
-            out[mode] = self.basis_inv @ spinor_mode_vector(sigma, mode)
-        return out
+    def _positions(self, modes) -> np.ndarray:
+        """Indices into the mode stacks; ValueError for a mode outside the box."""
+        return _mode_positions(self.box, self.structure.dim, modes)
 
-    def spinor_from_mode_coords(self, vectors: Dict[Tuple[int, ...], np.ndarray]) -> Spinor:
-        mono_vectors = {m: self.basis @ v for m, v in vectors.items()}
-        return spinor_from_mode_vectors(self.geometry, self.box, mono_vectors, tol=0.0)
+    def _position(self, mode: Tuple[int, ...]) -> int:
+        return int(self._positions([mode])[0])
+
+    def _coords(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """sigma's modes and its coordinate rows in the level basis."""
+        modes, rows = mode_stack(sigma.comps, self.structure.dim)
+        return modes, rows @ self.basis_inv.T
+
+    def _spinor(self, modes, coords: np.ndarray) -> Spinor:
+        """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
+        rows = coords @ self.basis.T
+        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
 
     def apply(self, name: str, sigma: Spinor) -> Spinor:
-        vectors = {}
-        for mode, coords in self.coords_of(sigma).items():
-            vectors[mode] = self.operator_matrix(name, mode) @ coords
-        return self.spinor_from_mode_coords(vectors)
+        modes, coords = self._coords(sigma)
+        adjoint = name.endswith("_adj")
+        ops = self._op(name[:-4] if adjoint else name, self._positions(modes))
+        if adjoint:
+            ops = _adjoint(ops)
+        return self._spinor(modes, np.einsum("mij,mj->mi", ops, coords))
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
@@ -549,10 +563,18 @@ class HodgeContext:
         variants additionally demand a del-exact solution.  Every verdict
         is decided per mode, on level blocks sliced from the stacked d, by
         one batched SVD per rank question; ``holds`` requires it at every
-        mode and ``dims`` sums the ranks over the modes.
+        mode and ``dims`` sums the ranks over the modes.  The verdicts depend
+        on the context alone, so each (kind, k) is decided once; every call
+        returns a fresh dict.
         """
         if kind not in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
             raise ValueError(f"unknown class check {kind!r}")
+        if (kind, k) not in self._checks:
+            self._checks[kind, k] = self._class_check(kind, k)
+        check = self._checks[kind, k]
+        return {**check, "dims": dict(check["dims"])}
+
+    def _class_check(self, kind: str, k: int) -> Dict:
         d = self._stack("d")
 
         def block(row_level, col_level):

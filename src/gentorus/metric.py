@@ -25,9 +25,9 @@ from .spinor import (
     CourantVector,
     Spinor,
     constant_clifford_matrix,
+    from_mode_stack,
+    mode_stack,
     monomial_list,
-    spinor_from_mode_vectors,
-    spinor_mode_vector,
 )
 from .structure import GCStructure, natural_pairing_matrix, _vector_from_values
 
@@ -275,31 +275,22 @@ class GeneralizedMetric:
 
     def hodge_star(self, sigma: Spinor) -> Spinor:
         """Hodge star as the Clifford word of the oriented C+ frame."""
-        vectors = {}
-        for mode in sigma.modes():
-            vectors[mode] = self.star_matrix @ spinor_mode_vector(sigma, mode)
-        return spinor_from_mode_vectors(self.geometry, self.box, vectors)
+        modes, rows = mode_stack(sigma.comps, self.geometry.dim)
+        rows = rows @ self.star_matrix.T
+        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
 
     def bi_inner(self, alpha: Spinor, beta: Spinor) -> complex:
-        """Born-Infeld inner product, linear in alpha, conjugate-linear in beta."""
-        modes = set(alpha.modes()) & set(beta.modes())
-        total = 0.0 + 0.0j
-        for mode in modes:
-            va = spinor_mode_vector(alpha, mode)
-            vb = spinor_mode_vector(beta, mode)
-            total += va @ self.bi_gram @ vb.conj()
-        return total
+        """Born-Infeld inner product, linear in alpha, conjugate-linear in beta.
+
+        Modes pair only with themselves, so beta is read at alpha's modes.
+        """
+        modes, a = mode_stack(alpha.comps, self.geometry.dim)
+        _, b = mode_stack(beta.comps, self.geometry.dim, modes)
+        return complex(np.sum((a @ self.bi_gram) * b.conj()))
 
     def bi_norm(self, alpha: Spinor) -> float:
         val = self.bi_inner(alpha, alpha)
         return math.sqrt(max(val.real, 0.0))
-
-    def unit_normalize(self, alpha: Spinor) -> Spinor:
-        """Scale to unit Born-Infeld norm (phase untouched)."""
-        norm = self.bi_norm(alpha)
-        if norm == 0:
-            raise MetricError("cannot normalize the zero spinor")
-        return alpha.scale(1.0 / norm)
 
     def constant_inner(self, va: np.ndarray, vb: np.ndarray) -> complex:
         return va @ self.bi_gram @ vb.conj()

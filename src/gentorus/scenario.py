@@ -91,9 +91,11 @@ class Scenario:
         torus = config.get("torus")
         if not torus or "n" not in torus or "K" not in torus:
             raise ScenarioError("config requires torus.n and torus.K")
-        self.geometry = TorusGeometry(int(torus["n"]))
-        policy = torus.get("policy", "strict")
-        self.box = TruncationBox(int(torus["K"]), policy=policy)
+        try:
+            self.geometry = TorusGeometry(int(torus["n"]))
+            self.box = TruncationBox(int(torus["K"]), policy=torus.get("policy", "strict"))
+        except ValueError as err:
+            raise ScenarioError(f"bad torus: {err}") from err
         self.tolerance = float(
             config.get("tolerances", {}).get("default", DEFAULT_TOLERANCE)
         )
@@ -196,12 +198,18 @@ class Scenario:
             okey = _parse_key_tuple(order_key)
             if len(okey) != 2:
                 raise ScenarioError(f"bad deformation order key {order_key!r}")
-            terms = {}
-            for slot_key, fdata in poly_spec.get("terms", {}).items():
-                skey = _parse_key_tuple(slot_key)
-                terms[skey] = _parse_fourier(self.geometry, self.box, fdata)
-            coeffs[okey] = CliffordPoly(self.structure.dual_frame, 2, terms)
-        series = Beltrami(self.structure, coeffs)
+            try:
+                terms = {
+                    _parse_key_tuple(slot_key): _parse_fourier(self.geometry, self.box, fdata)
+                    for slot_key, fdata in poly_spec.get("terms", {}).items()
+                }
+                coeffs[okey] = CliffordPoly(self.structure.dual_frame, 2, terms)
+            except ValueError as err:
+                raise ScenarioError(f"bad deformation coefficient {order_key!r}: {err}") from err
+        try:
+            series = Beltrami(self.structure, coeffs)
+        except DeformationError as err:
+            raise ScenarioError(f"bad deformation: {err}") from err
         if spec.get("expand"):
             order = int(spec.get("order", 2))
             first = {

@@ -12,6 +12,13 @@ for the pairing <X + xi, Y + eta> = xi(Y) + eta(X) (no 1/2 factor).
 Monomials are stored as strictly increasing tuples of 0-based cotangent
 generator indices; every sign in the package is derived from sorting
 permutations against this one canonical order.
+
+Linear maps that act mode by mode (Hodge operators, level projections, the
+metric pairing, the transport) work on arrays: :func:`mode_stack` lays a
+coefficient dict out as one row per Fourier mode and one column per key of
+:func:`monomial_list`, and :func:`from_mode_stack` turns such rows back into
+a coefficient dict.  These two are the only conversions between the dicts
+and per-mode arrays.
 """
 
 from __future__ import annotations
@@ -181,12 +188,6 @@ class Spinor:
         return Spinor(
             self.geometry, box, {m: f.embed(box) for m, f in self.comps.items()}
         )
-
-    def modes(self) -> Iterable[Tuple[int, ...]]:
-        seen = set()
-        for f in self.comps.values():
-            seen.update(f.support())
-        return sorted(seen)
 
     def __repr__(self) -> str:
         if not self.comps:
@@ -628,11 +629,6 @@ class CliffordPoly:
         return f"CliffordPoly(degree={self.degree}, terms={len(self.coeffs)})"
 
 
-def poly_act(P: CliffordPoly, sigma: Spinor, policy: str | None = None) -> Spinor:
-    """Module-level alias of :meth:`CliffordPoly.act`."""
-    return P.act(sigma, policy=policy)
-
-
 def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:
     """Reversed composition order of a Clifford factor list."""
     return list(reversed(vectors))
@@ -658,47 +654,59 @@ def monomial_index(dim: int) -> Dict[Monomial, int]:
     return _MONOMIAL_INDEX_CACHE[dim]
 
 
-def spinor_mode_vector(sigma: Spinor, mode: Tuple[int, ...]) -> np.ndarray:
-    """Coefficient vector of one Fourier mode in the monomial basis."""
-    dim = sigma.geometry.dim
-    idx = monomial_index(dim)
-    out = np.zeros(len(idx), dtype=complex)
-    for mono, f in sigma.comps.items():
-        c = f.coeffs.get(mode)
-        if c is not None:
-            out[idx[mono]] = c
-    return out
+def mode_stack(
+    terms: Dict[Monomial, FourierScalar],
+    dim: int,
+    modes: Sequence[Tuple[int, ...]] | None = None,
+) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """Per-mode coefficient rows of a ``Spinor.comps`` or ``CliffordPoly.coeffs`` dict.
+
+    Returns ``(modes, rows)``: ``rows[i, j]`` is the coefficient at
+    ``modes[i]`` of the j-th key of ``monomial_list(dim)``.  ``modes``
+    defaults to the sorted union of the supports; coefficients at modes not
+    listed are left out.
+    """
+    if modes is None:
+        modes = sorted({mode for f in terms.values() for mode in f.coeffs})
+    row = {mode: i for i, mode in enumerate(modes)}
+    col = monomial_index(dim)
+    rows = np.zeros((len(modes), len(col)), dtype=complex)
+    for key, f in terms.items():
+        for mode, c in f.coeffs.items():
+            if mode in row:
+                rows[row[mode], col[key]] = c
+    return list(modes), rows
 
 
-def spinor_from_mode_vectors(
+def from_mode_stack(
     geometry: TorusGeometry,
     box: TruncationBox,
-    vectors: Dict[Tuple[int, ...], np.ndarray],
-    tol: float = 0.0,
-) -> Spinor:
-    """Assemble a spinor from per-mode coefficient vectors."""
-    monos = monomial_list(geometry.dim)
-    per_mono: Dict[Monomial, Dict[Tuple[int, ...], complex]] = {}
-    for mode, vec in vectors.items():
-        for i, c in enumerate(vec):
-            if abs(c) > tol:
-                per_mono.setdefault(monos[i], {})[mode] = per_mono.get(monos[i], {}).get(mode, 0.0) + c
-    comps = {
-        mono: FourierScalar(geometry, box, cs) for mono, cs in per_mono.items()
-    }
-    return Spinor(geometry, box, comps)
+    modes: Sequence[Tuple[int, ...]],
+    rows: np.ndarray,
+) -> Dict[Monomial, FourierScalar]:
+    """The coefficient dict of per-mode rows laid out as by :func:`mode_stack`.
+
+    Exact zeros are dropped, so a key appears only where its column has a
+    nonzero entry.
+    """
+    keys = monomial_list(geometry.dim)
+    terms: Dict[Monomial, FourierScalar] = {}
+    for j in np.flatnonzero(np.any(rows, axis=0)):
+        live = np.flatnonzero(rows[:, j])
+        terms[keys[j]] = FourierScalar(geometry, box, {modes[i]: rows[i, j] for i in live})
+    return terms
 
 
 def constant_spinor_vector(sigma: Spinor) -> np.ndarray:
     """Coefficient vector of a constant-coefficient spinor."""
-    return spinor_mode_vector(sigma, (0,) * sigma.geometry.dim)
+    return mode_stack(sigma.comps, sigma.geometry.dim, [(0,) * sigma.geometry.dim])[1][0]
 
 
 def spinor_from_constant_vector(
     geometry: TorusGeometry, box: TruncationBox, vec: np.ndarray
 ) -> Spinor:
-    zero_mode = (0,) * geometry.dim
-    return spinor_from_mode_vectors(geometry, box, {zero_mode: np.asarray(vec, dtype=complex)})
+    rows = np.asarray(vec, dtype=complex)[None]
+    return Spinor(geometry, box, from_mode_stack(geometry, box, [(0,) * geometry.dim], rows))
 
 
 def constant_clifford_matrix(values: np.ndarray, dim: int) -> np.ndarray:

@@ -8,6 +8,9 @@ the canonical line generator annihilated by L, an optional constant closed
     level k in [-n, n]  <->  span of (k+n)-fold dual-frame Clifford words
     acting on the canonical generator.
 
+Level projections and weights act on a spinor's mode rows in that word
+basis, one product for all modes.
+
 Only constant-coefficient J, twist and frames are supported; all variation
 enters later through deformation coefficients.
 """
@@ -28,10 +31,10 @@ from .spinor import (
     constant_clifford_matrix,
     constant_spinor_vector,
     courant_bracket,
+    from_mode_stack,
+    mode_stack,
     pairing,
     spinor_from_constant_vector,
-    spinor_from_mode_vectors,
-    spinor_mode_vector,
     wedge,
 )
 
@@ -146,7 +149,7 @@ class GCStructure:
 
         self.rho0 = self._canonical_spinor()
         self._rho0_vec = constant_spinor_vector(self.rho0)
-        self._level_matrix, self._level_slices, self._level_keys = self._build_level_basis()
+        self._level_matrix, self._level_slices = self._build_level_basis()
         self._level_inverse = np.linalg.inv(self._level_matrix)
         self.structure_constants = self._structure_constants()
         self.validation = self._residuals()
@@ -196,10 +199,14 @@ class GCStructure:
         return spinor_from_constant_vector(self.geometry, self.box, vec)
 
     def _build_level_basis(self):
+        """Dual-frame words on rho0, one column per subset of the dual frame.
+
+        Level k holds the (k+n)-fold words, so the columns follow
+        ``monomial_list(dim)`` order with the subsets as keys.
+        """
         size = 2 ** self.dim
         columns = np.zeros((size, size), dtype=complex)
         slices: Dict[int, slice] = {}
-        keys: List[Tuple[int, Tuple[int, ...]]] = []
         col = 0
         for k in range(-self.n, self.n + 1):
             start = col
@@ -208,10 +215,9 @@ class GCStructure:
                 for i in reversed(subset):
                     vec = self._dual_cliff[i] @ vec
                 columns[:, col] = vec
-                keys.append((k, subset))
                 col += 1
             slices[k] = slice(start, col)
-        return columns, slices, keys
+        return columns, slices
 
     def _structure_constants(self) -> np.ndarray:
         c = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
@@ -446,46 +452,38 @@ class GCStructure:
         if not -self.n <= k <= self.n:
             raise ValueError(f"level {k} out of range [-{self.n}, {self.n}]")
 
-    def frame_coordinates(self, sigma: Spinor) -> Dict[Tuple[int, ...], np.ndarray]:
-        """Per-mode coordinates of sigma in the dual-frame spinor basis."""
-        out = {}
-        for mode in sigma.modes():
-            out[mode] = self._level_inverse @ spinor_mode_vector(sigma, mode)
-        return out
+    def frame_coordinates(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """sigma's modes and its coordinate rows in the dual-frame spinor basis.
+
+        Columns follow ``monomial_list(dim)``: column j holds the word on
+        the j-th subset of the dual frame.
+        """
+        modes, rows = mode_stack(sigma.comps, self.dim)
+        return modes, rows @ self._level_inverse.T
+
+    def _level_part(self, modes, coords: np.ndarray, k: int) -> Spinor:
+        sl = self._level_slices[k]
+        rows = coords[:, sl] @ self._level_matrix[:, sl].T
+        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
 
     def project_level(self, sigma: Spinor, k: int) -> Spinor:
         self._check_level(k)
-        sl = self._level_slices[k]
-        vectors = {}
-        for mode, coords in self.frame_coordinates(sigma).items():
-            kept = np.zeros_like(coords)
-            kept[sl] = coords[sl]
-            vectors[mode] = self._level_matrix @ kept
-        return spinor_from_mode_vectors(self.geometry, self.box, vectors)
+        return self._level_part(*self.frame_coordinates(sigma), k)
 
     def level_components(self, sigma: Spinor) -> Dict[int, Spinor]:
-        coords = self.frame_coordinates(sigma)
-        out = {}
-        for k in self.levels():
-            sl = self._level_slices[k]
-            vectors = {}
-            for mode, c in coords.items():
-                kept = np.zeros_like(c)
-                kept[sl] = c[sl]
-                if np.abs(kept).max() > 0:
-                    vectors[mode] = self._level_matrix @ kept
-            if vectors:
-                out[k] = spinor_from_mode_vectors(self.geometry, self.box, vectors)
-        return out
+        modes, coords = self.frame_coordinates(sigma)
+        return {
+            k: self._level_part(modes, coords, k)
+            for k in self.levels()
+            if np.any(coords[:, self._level_slices[k]])
+        }
 
     def level_weights(self, sigma: Spinor) -> Dict[int, float]:
-        coords = self.frame_coordinates(sigma)
-        weights = {k: 0.0 for k in self.levels()}
-        for c in coords.values():
-            for k in self.levels():
-                sl = self._level_slices[k]
-                weights[k] += float(np.sum(np.abs(c[sl]) ** 2))
-        return {k: math.sqrt(w) for k, w in weights.items()}
+        _, coords = self.frame_coordinates(sigma)
+        return {
+            k: math.sqrt(float(np.sum(np.abs(coords[:, self._level_slices[k]]) ** 2)))
+            for k in self.levels()
+        }
 
     def level_of(self, sigma: Spinor, tol: float = 1e-9) -> int:
         """The single level carrying sigma; raises if levels mix."""
@@ -527,17 +525,6 @@ class GCStructure:
     # ------------------------------------------------------------------
     # frame polynomials
     # ------------------------------------------------------------------
-
-    def dual_frame_poly(
-        self, coeffs: Dict[Tuple[int, ...], FourierScalar], degree: int
-    ) -> CliffordPoly:
-        """Polynomial over the dual frame (sections of the conjugate bundle)."""
-        return CliffordPoly(self.dual_frame, degree, coeffs)
-
-    def frame_poly(
-        self, coeffs: Dict[Tuple[int, ...], FourierScalar], degree: int
-    ) -> CliffordPoly:
-        return CliffordPoly(self.frame, degree, coeffs)
 
     def conjugate_poly(self, poly: CliffordPoly) -> CliffordPoly:
         """Complex conjugate, re-expanded over the opposite frame.
@@ -598,12 +585,6 @@ class GCStructure:
             twist=self.twist.embed(box),
             label=self.label,
         )
-
-    def clifford_frame(self, i: int) -> np.ndarray:
-        return self._frame_cliff[i]
-
-    def clifford_dual(self, i: int) -> np.ndarray:
-        return self._dual_cliff[i]
 
     def __repr__(self) -> str:
         return f"GCStructure({self.label}, n={self.n}, K={self.box.K})"

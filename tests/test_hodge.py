@@ -12,9 +12,9 @@ from gentorus.hodge import RANK_CUTOFF, HodgeContext, ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     Spinor,
+    mode_stack,
     random_spinor,
     spinor_from_constant_vector,
-    spinor_mode_vector,
 )
 from gentorus.structure import GCStructure
 
@@ -63,7 +63,7 @@ def brute_force_kernel_dims(ctx):
             sigma = spinor_from_constant_vector(s.geometry, s.box, unit)
             sigma = sigma.scale_scalar(FourierScalar.mode(s.geometry, s.box, mode))
             image = delbar_op(sigma, s)
-            cols[:, j] = spinor_mode_vector(image, mode)
+            cols[:, j] = mode_stack(image.comps, s.dim, [mode])[1][0]
         adj = np.linalg.solve(hmat, cols.conj().T @ hmat)
         lap = adj @ cols + cols @ adj
         # classify kernel vectors by level
@@ -158,6 +158,27 @@ def test_double_image_always_contained(t4ctx_twisted):
         if not ctx.class_check("ddbar_lemma", k)["holds"]:
             lemma_fails_somewhere = True
     assert lemma_fails_somewhere  # the twist genuinely breaks the lemma here
+
+
+def test_class_check_is_decided_once(monkeypatch):
+    """A repeated (kind, level) check runs no SVD and hands out a fresh dict."""
+    s, m = _case(2, 1)
+    ctx = HodgeContext(s, m)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    first = ctx.class_check("B_k", -1)
+    assert calls
+    calls.clear()
+    again = ctx.class_check("B_k", -1)
+    assert not calls
+    assert again == first
+    assert again is not first and again["dims"] is not first["dims"]
 
 
 def test_ddbar_lemma_true_on_torus(t2ctx):

@@ -1,0 +1,316 @@
+"""Stacked spinor and polynomial maps against their per-mode loops.
+
+The reference functions below convert one Fourier mode at a time and apply
+one matrix per mode, as the code did before the maps were stacked over the
+modes.  The stacked maps must agree with them to 1e-12 relative on
+multi-mode random inputs; kernel counts and harmonic bases must be equal.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gentorus.deformation import AlgebroidHodge, Transport
+from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
+from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, _stack_linear
+from gentorus.metric import GeneralizedMetric
+from gentorus.spinor import (
+    CliffordPoly,
+    Spinor,
+    monomial_index,
+    monomial_list,
+    random_fourier_scalar,
+    random_spinor,
+)
+from gentorus.structure import GCStructure
+
+REL = 1e-12
+
+
+def _build(name):
+    if name == "t2-K2":
+        s = GCStructure.complex_structure(1, TruncationBox(2))
+    else:
+        box = TruncationBox(1)
+        twist = Spinor.constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0)
+        s = GCStructure.complex_structure(2, box, twist=twist)
+    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+
+
+@pytest.fixture(scope="module", params=["t2-K2", "t4-twisted-K1"])
+def case(request):
+    s, m = _build(request.param)
+    return s, m, HodgeContext(s, m)
+
+
+def _spinors(s, seed, count=3):
+    rng = np.random.default_rng(seed)
+    return [random_spinor(rng, s.geometry, s.box, max_mode=s.box.K, terms=3) for _ in range(count)]
+
+
+def _assert_close(got, want):
+    assert (got - want).norm() <= REL * max(got.norm(), want.norm())
+
+
+# ----------------------------------------------------------------------
+# per-mode reference
+# ----------------------------------------------------------------------
+
+
+def ref_modes(sigma):
+    return sorted({mode for f in sigma.comps.values() for mode in f.support()})
+
+
+def ref_mode_vector(sigma, mode):
+    idx = monomial_index(sigma.geometry.dim)
+    out = np.zeros(len(idx), dtype=complex)
+    for mono, f in sigma.comps.items():
+        c = f.coeffs.get(mode)
+        if c is not None:
+            out[idx[mono]] = c
+    return out
+
+
+def ref_terms(geometry, box, vectors, keys):
+    per_key = {}
+    for mode, vec in vectors.items():
+        for i, c in enumerate(vec):
+            if c != 0:
+                per_key.setdefault(keys[i], {})[mode] = c
+    return {key: FourierScalar(geometry, box, cs) for key, cs in per_key.items()}
+
+
+def ref_spinor(geometry, box, vectors):
+    return Spinor(geometry, box, ref_terms(geometry, box, vectors, monomial_list(geometry.dim)))
+
+
+def ref_map(sigma, per_mode):
+    """Apply ``per_mode(mode, vector)`` at every mode of sigma."""
+    vectors = {mode: per_mode(mode, ref_mode_vector(sigma, mode)) for mode in ref_modes(sigma)}
+    return ref_spinor(sigma.geometry, sigma.box, vectors)
+
+
+def ref_spectral(spectra, index, coords, weights):
+    out = np.zeros_like(coords)
+    for vals, vecs, b in zip(spectra.vals, spectra.vecs, spectra.blocks):
+        v = vecs[index]
+        out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
+    return out
+
+
+def ref_kernel_dimension(ctx, pk, level, indices):
+    if pk.blockwise:
+        vals = pk.vals[pk._levels.index(level)]
+        return sum(int(np.sum(vals[i] <= pk.cutoff)) for i in indices)
+    total = 0
+    sl = ctx.level_slices[level]
+    for i in indices:
+        kern = pk.vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
+        if kern.shape[1] == 0:
+            continue
+        s = np.linalg.svd(kern[sl, :], compute_uv=False)
+        if s[0] > RANK_CUTOFF:
+            total += int(np.sum(s > RANK_CUTOFF * s[0]))
+    return total
+
+
+def ref_harmonic_basis(ctx, pk, level):
+    out = []
+    for i, mode in enumerate(ctx.modes):
+        for key, vals, vecs, sl in zip(pk._levels, pk.vals, pk.vecs, pk._spectra.blocks):
+            if pk.blockwise and level is not None and key != level:
+                continue
+            for j in np.flatnonzero(vals[i] <= pk.cutoff):
+                coords = np.zeros(ctx.size, dtype=complex)
+                coords[sl] = vecs[i][:, j]
+                out.append(ref_spinor(ctx.geometry, ctx.box, {mode: ctx.basis @ coords}))
+    return out
+
+
+def ref_frame_coordinates(s, sigma):
+    return {mode: s._level_inverse @ ref_mode_vector(sigma, mode) for mode in ref_modes(sigma)}
+
+
+# ----------------------------------------------------------------------
+# Hodge context and packages
+# ----------------------------------------------------------------------
+
+
+def test_apply_matches_per_mode(case):
+    s, _, ctx = case
+    for name in ctx.OPERATOR_NAMES:
+        for sigma in _spinors(s, 11):
+            want = ref_map(
+                sigma,
+                lambda mode, v: ctx.basis @ (ctx.operator_matrix(name, mode) @ (ctx.basis_inv @ v)),
+            )
+            _assert_close(ctx.apply(name, sigma), want)
+
+
+def test_apply_rejects_modes_outside_the_box(case):
+    s, _, ctx = case
+    big = TruncationBox(s.box.K + 1)
+    mode = (s.box.K + 1,) + (0,) * (s.dim - 1)
+    sigma = Spinor(s.geometry, big, {(0,): FourierScalar.mode(s.geometry, big, mode)})
+    with pytest.raises(ValueError, match="outside the context box"):
+        ctx.apply("d", sigma)
+
+
+@pytest.mark.parametrize("kind", ["dbar", "bc", "aeppli", "d"])
+def test_spectral_maps_match_per_mode(case, kind):
+    s, _, ctx = case
+    pk = ctx.package(kind)
+    sp = pk._spectra
+    maps = [
+        (pk.harmonic, sp.harmonic_weights),
+        (pk.green, sp.green_weights),
+        (pk.laplacian, lambda v: v),
+    ]
+    for method, weights in maps:
+        for sigma in _spinors(s, 13):
+            want = ref_map(
+                sigma,
+                lambda mode, v: ctx.basis
+                @ ref_spectral(sp, ctx.modes.index(mode), ctx.basis_inv @ v, weights),
+            )
+            _assert_close(method(sigma), want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("cutoff", ["package", "median"])
+def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch):
+    s, _, ctx = case
+    pk = ctx.package(kind)
+    if cutoff == "median":
+        # kernels at many modes and in several blocks fix the basis order
+        median = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
+        monkeypatch.setattr(pk, "cutoff", median)
+    everywhere = range(len(ctx.modes))
+    for k in s.levels():
+        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, k, everywhere)
+        for i, mode in enumerate(ctx.modes):
+            assert pk.kernel_dimension(k, mode) == ref_kernel_dimension(ctx, pk, k, [i])
+    for level in [None, *s.levels()]:
+        got = pk.harmonic_basis(level)
+        want = ref_harmonic_basis(ctx, pk, level)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert {m: f.coeffs for m, f in a.comps.items()} == {
+                m: f.coeffs for m, f in b.comps.items()
+            }
+
+
+# ----------------------------------------------------------------------
+# level grading, metric, transport
+# ----------------------------------------------------------------------
+
+
+def test_level_maps_match_per_mode(case):
+    s, _, _ = case
+    for sigma in _spinors(s, 17):
+        coords = ref_frame_coordinates(s, sigma)
+        weights = {}
+        for k in s.levels():
+            sl = s._level_slices[k]
+            kept = {}
+            for mode, c in coords.items():
+                part = np.zeros_like(c)
+                part[sl] = c[sl]
+                kept[mode] = s._level_matrix @ part
+            want = ref_spinor(s.geometry, s.box, kept)
+            _assert_close(s.project_level(sigma, k), want)
+            _assert_close(s.level_components(sigma)[k], want)
+            weights[k] = np.sqrt(sum(float(np.sum(np.abs(c[sl]) ** 2)) for c in coords.values()))
+        got = s.level_weights(sigma)
+        assert got.keys() == weights.keys()
+        for k, w in weights.items():
+            assert abs(got[k] - w) <= REL * w
+
+
+def test_metric_maps_match_per_mode(case):
+    s, m, _ = case
+    spinors = _spinors(s, 19, count=4)
+    for sigma in spinors:
+        _assert_close(m.hodge_star(sigma), ref_map(sigma, lambda mode, v: m.star_matrix @ v))
+    for a, b in itertools.product(spinors, repeat=2):
+        want = sum(
+            ref_mode_vector(a, mode) @ m.bi_gram @ ref_mode_vector(b, mode).conj()
+            for mode in set(ref_modes(a)) & set(ref_modes(b))
+        )
+        assert abs(m.bi_inner(a, b) - want) <= REL * max(abs(want), m.bi_norm(a) * m.bi_norm(b))
+
+
+def _constant_eps(s, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = {
+        key: FourierScalar.constant(s.geometry, s.box, 0.1 * complex(rng.normal(), rng.normal()))
+        for key in itertools.combinations(range(s.dim), 2)
+    }
+    return CliffordPoly(s.dual_frame, 2, coeffs)
+
+
+def test_transport_matches_per_mode(case):
+    s, _, _ = case
+    tr = Transport(s, _constant_eps(s, 23))
+    keys = monomial_list(s.dim)
+    forward, inverse = tr._forward_matrix_constant(), tr._forward_inverse_constant()
+    for sigma in _spinors(s, 29):
+        coords = ref_frame_coordinates(s, sigma)
+        got = tr.frame_coefficients(sigma)
+        want = ref_terms(s.geometry, s.box, coords, keys)
+        assert got.keys() == want.keys()
+        diff = sum((got[k] - want[k]).norm() ** 2 for k in want) ** 0.5
+        assert diff <= REL * sum(f.norm() ** 2 for f in want.values()) ** 0.5
+
+        want = ref_spinor(s.geometry, s.box, {mode: forward @ c for mode, c in coords.items()})
+        _assert_close(tr.forward(sigma), want)
+        want = ref_map(sigma, lambda mode, v: s._level_matrix @ (inverse @ v))
+        _assert_close(tr.inverse(sigma), want)
+
+
+# ----------------------------------------------------------------------
+# algebroid Hodge package
+# ----------------------------------------------------------------------
+
+
+def ref_poly_coords(alg, poly):
+    per_mode = {}
+    for key, f in poly.terms():
+        for mode, c in f.coeffs.items():
+            per_mode.setdefault(mode, np.zeros(alg.size, dtype=complex))[alg.index[key]] += c
+    return {mode: alg.poly_basis_inv @ v for mode, v in per_mode.items()}
+
+
+def ref_poly(alg, vectors, degree):
+    s = alg.structure
+    keep = np.array([len(key) == degree for key in alg.keys])
+    raw = {mode: (alg.poly_basis @ v) * keep for mode, v in vectors.items()}
+    return CliffordPoly(s.dual_frame, degree, ref_terms(s.geometry, s.box, raw, alg.keys))
+
+
+def test_algebroid_maps_match_per_mode(case):
+    s, m, _ = case
+    alg = AlgebroidHodge(s, m)
+    sp = alg._spectra
+    rng = np.random.default_rng(31)
+    for degree in range(1, s.dim + 1):
+        terms = {
+            key: random_fourier_scalar(rng, s.geometry, s.box, terms=3)
+            for key in itertools.combinations(range(s.dim), degree)
+        }
+        poly = CliffordPoly(s.dual_frame, degree, terms)
+        coords = ref_poly_coords(alg, poly)
+        for method, weights in [(alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)]:
+            vectors = {
+                mode: ref_spectral(sp, alg.modes.index(mode), c, weights)
+                for mode, c in coords.items()
+            }
+            got, want = method(poly), ref_poly(alg, vectors, degree)
+            assert (got - want).norm() <= REL * max(got.norm(), want.norm())
+        vectors = {
+            mode: _stack_linear(alg._const, alg._slopes, [mode])[0].conj().T @ c
+            for mode, c in coords.items()
+        }
+        got, want = alg.dL_adjoint(poly), ref_poly(alg, vectors, degree - 1)
+        assert (got - want).norm() <= REL * max(got.norm(), want.norm())

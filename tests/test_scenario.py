@@ -164,6 +164,46 @@ def test_cli_rejects_bad_t_lists_without_traceback(experiment, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _deformation_config():
+    return {
+        "name": "bad-input",
+        "torus": {"n": 1, "K": 1},
+        "structure": {"type": "complex"},
+        "deformation": {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}},
+        "experiments": [{"kind": "hodge-table"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("torus", "n"), 0),
+        (("torus", "K"), -1),
+        (("torus", "policy"), "lax"),
+        (
+            ("deformation", "coefficients", "1,0", "terms", "0,1"),
+            {"modes": [{"k": [5, 0], "c": 0.1}]},
+        ),
+        (("deformation", "coefficients"), {"0,0": {"terms": {"0,1": 0.1}}}),
+        (("deformation", "coefficients", "1,0", "terms"), {"0,1,1": 0.1}),
+    ],
+    ids=["n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity"],
+)
+def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
+    """Values the torus, Fourier, polynomial and series constructors refuse
+    are config errors: exit 1 with a message, no traceback."""
+    config = _deformation_config()
+    assert run_scenario(config)[0]["summary"]["status"] == "pass"
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_criterion_accepts_complex_t_pairs():
     """t given in the schema's [re, im] form reaches the frame-block check too."""
     config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
