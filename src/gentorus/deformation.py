@@ -6,6 +6,13 @@ indexed family of them).  Its dual arises by conjugation; the pair shears
 the eigenframes, transports the level grading, and turns holomorphy on the
 deformed structure into a residual computable entirely on the undeformed
 one.
+
+Every matrix of Fourier series here (the frame maps [eps], [eps*] and
+eps eps*, the pairing blocks of the sheared frames, and their Neumann-series
+inverses) is a :class:`~gentorus.fourier.FourierMatrix` mode stack, so each
+matrix product is one batched convolution; sections and transport images
+stay :class:`CourantVector` lists of scalars, read from the stacks entry by
+entry.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .calculus import (
     lie_derivation_dL,
     schouten_bracket,
 )
-from .fourier import FourierScalar
+from .fourier import FourierMatrix, FourierScalar
 from .hodge import (
     HodgeContext,
     ObstructionError,
@@ -41,9 +48,8 @@ from .spinor import (
     from_mode_stack,
     mode_stack,
     monomial_list,
-    pairing,
 )
-from .structure import GCStructure
+from .structure import GCStructure, natural_pairing_matrix
 
 OrderKey = Tuple[int, int]
 
@@ -53,101 +59,29 @@ class DeformationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrices with FourierScalar entries
+# Neumann-series inverse of Fourier matrices
 # ---------------------------------------------------------------------------
 
 
-def _fs_zero_matrix(geometry, box, shape) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = FourierScalar.zero(geometry, box)
-    return out
+def _neumann_inverse(
+    a: FourierMatrix, policy=None, rel_tol: float = 1e-14, max_terms: int = 200
+) -> FourierMatrix:
+    """(1 - a)^{-1} by Neumann series; exact inversion on constant matrices.
 
-
-def _fs_identity(geometry, box, size) -> np.ndarray:
-    out = _fs_zero_matrix(geometry, box, (size, size))
-    for i in range(size):
-        out[i, i] = FourierScalar.constant(geometry, box, 1.0)
-    return out
-
-
-def _fs_mat_mul(a: np.ndarray, b: np.ndarray, policy=None) -> np.ndarray:
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    sample = a[0, 0]
-    out = _fs_zero_matrix(sample.geometry, sample.box, (rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = out[i, j]
-            for k in range(inner):
-                if a[i, k].is_zero() or b[k, j].is_zero():
-                    continue
-                acc = acc.add(a[i, k].mul(b[k, j], policy=policy))
-            out[i, j] = acc
-    return out
-
-
-def _fs_mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx].add(b[idx])
-    return out
-
-
-def _fs_mat_scale(a: np.ndarray, c) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx].scale(c)
-    return out
-
-
-def _fs_mat_norm(a: np.ndarray) -> float:
-    return math.sqrt(sum(a[idx].norm() ** 2 for idx in np.ndindex(*a.shape)))
-
-
-def _fs_mat_is_constant(a: np.ndarray) -> bool:
-    zero_mode = (0,) * a[0, 0].geometry.dim
-    for idx in np.ndindex(*a.shape):
-        for mode in a[idx].support():
-            if mode != zero_mode:
-                return False
-    return True
-
-
-def _fs_mat_constant_values(a: np.ndarray) -> np.ndarray:
-    zero_mode = (0,) * a[0, 0].geometry.dim
-    out = np.zeros(a.shape, dtype=complex)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx].coefficient(zero_mode)
-    return out
-
-
-def _fs_mat_from_constant(geometry, box, values: np.ndarray) -> np.ndarray:
-    out = np.empty(values.shape, dtype=object)
-    for idx in np.ndindex(*values.shape):
-        out[idx] = FourierScalar.constant(geometry, box, values[idx])
-    return out
-
-
-def _fs_mat_neumann_inverse(
-    a: np.ndarray, policy=None, rel_tol: float = 1e-14, max_terms: int = 200
-) -> np.ndarray:
-    """(1 - a)^{-1} by Neumann series; exact inversion on constant matrices."""
-    sample = a[0, 0]
-    geometry, box = sample.geometry, sample.box
+    The series stops at the first term whose norm is at most ``rel_tol``
+    times max(1, norm of the partial sum).
+    """
+    geometry, box = a.geometry, a.box
     size = a.shape[0]
-    if _fs_mat_is_constant(a):
-        values = _fs_mat_constant_values(a)
-        inv = np.linalg.inv(np.eye(size) - values)
-        return _fs_mat_from_constant(geometry, box, inv)
-    total = _fs_identity(geometry, box, size)
-    term = _fs_identity(geometry, box, size)
+    if a.is_constant():
+        inv = np.linalg.inv(np.eye(size) - a.constant_values())
+        return FourierMatrix.constant(geometry, box, inv)
+    total = term = FourierMatrix.identity(geometry, box, size)
     for _ in range(max_terms):
-        term = _fs_mat_mul(term, a, policy=policy)
-        tnorm = _fs_mat_norm(term)
-        total = _fs_mat_add(total, term)
-        if tnorm <= rel_tol * max(1.0, _fs_mat_norm(total)):
+        term = term.matmul(a, policy=policy)
+        tnorm = term.norm()
+        total = total + term
+        if tnorm <= rel_tol * max(1.0, total.norm()):
             return total
     raise DeformationError(
         "Neumann series for the frame inverse did not converge; "
@@ -165,7 +99,8 @@ class FrameMaps:
 
     ``eps_matrix`` M satisfies eps(l_p) = sum_i M[i, p] l^i and
     ``eps_star_matrix`` N satisfies eps*(l^p) = sum_i N[i, p] l_i; the
-    composite eps eps* acts on the dual frame by E = M N.
+    composite eps eps* acts on the dual frame by E = M N.  All three are
+    :class:`FourierMatrix` stacks.
     """
 
     def __init__(self, structure: GCStructure, eps: CliffordPoly,
@@ -176,15 +111,14 @@ class FrameMaps:
         self.eps = eps
         self.eps_star = eps_star if eps_star is not None else structure.conjugate_poly(eps)
         self.policy = policy
-        dim = structure.dim
-        geometry, box = structure.geometry, structure.box
-        self.eps_matrix = _fs_zero_matrix(geometry, box, (dim, dim))
-        self.eps_star_matrix = _fs_zero_matrix(geometry, box, (dim, dim))
-        for i in range(dim):
-            for p in range(dim):
-                self.eps_matrix[i, p] = eps.coefficient((i, p))
-                self.eps_star_matrix[i, p] = self.eps_star.coefficient((i, p))
-        self.eps_eps_star = _fs_mat_mul(self.eps_matrix, self.eps_star_matrix, policy=policy)
+        slots = range(structure.dim)
+        self.eps_matrix = FourierMatrix.from_scalars(
+            [[eps.coefficient((i, p)) for p in slots] for i in slots]
+        )
+        self.eps_star_matrix = FourierMatrix.from_scalars(
+            [[self.eps_star.coefficient((i, p)) for p in slots] for i in slots]
+        )
+        self.eps_eps_star = self.eps_matrix.matmul(self.eps_star_matrix, policy=policy)
 
     def sup_norm(self, points_per_axis: int | None = None) -> float:
         """Grid estimate of the sup over the torus of the 2-norm of eps."""
@@ -194,16 +128,10 @@ class FrameMaps:
         axes = [np.linspace(0.0, 1.0, npts, endpoint=False)] * structure.dim
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        dim = structure.dim
-        vals = np.zeros((pts.shape[0], dim, dim), dtype=complex)
-        for i in range(dim):
-            for p in range(dim):
-                f = self.eps_matrix[i, p]
-                if not f.is_zero():
-                    vals[:, i, p] = f.evaluate(pts)
+        vals = self.eps_matrix.evaluate(pts)
         return float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max()) if pts.size else 0.0
 
-    def dual_image(self, matrix: np.ndarray, into_frame: bool) -> List[CourantVector]:
+    def dual_image(self, matrix: FourierMatrix, into_frame: bool) -> List[CourantVector]:
         """Images of the dual frame under a matrix (into L when into_frame)."""
         structure = self.structure
         targets = structure.frame if into_frame else structure.dual_frame
@@ -457,8 +385,8 @@ class Transport:
         self.maps = FrameMaps(structure, eps, policy=policy)
         self.policy = policy
         self.exp_rho0 = self.exp_act(structure.rho0)
-        self._constant = _fs_mat_is_constant(self.maps.eps_matrix) and _fs_mat_is_constant(
-            self.maps.eps_star_matrix
+        self._constant = (
+            self.maps.eps_matrix.is_constant() and self.maps.eps_star_matrix.is_constant()
         )
         self._forward_matrix = None
         self._forward_inverse = None
@@ -550,13 +478,12 @@ class Transport:
         return out
 
     def images_one_minus_epseps(self) -> List[CourantVector]:
-        dim = self.structure.dim
-        ident = _fs_identity(self.structure.geometry, self.structure.box, dim)
-        mat = _fs_mat_add(ident, _fs_mat_scale(self.maps.eps_eps_star, -1))
-        return self.maps.dual_image(mat, into_frame=False)
+        s = self.structure
+        ident = FourierMatrix.identity(s.geometry, s.box, s.dim)
+        return self.maps.dual_image(ident - self.maps.eps_eps_star, into_frame=False)
 
     def images_inverse_one_minus_epseps(self) -> List[CourantVector]:
-        inv = _fs_mat_neumann_inverse(self.maps.eps_eps_star, policy=self.policy)
+        inv = _neumann_inverse(self.maps.eps_eps_star, policy=self.policy)
         return self.maps.dual_image(inv, into_frame=False)
 
     def images_one_plus_star_minus_epseps(self) -> List[CourantVector]:
@@ -566,10 +493,10 @@ class Transport:
 
     def images_inverse_combo(self) -> List[CourantVector]:
         """(-eps* (1 - eps eps*)^{-1} + (1 - eps eps*)^{-1}) on the dual frame."""
-        inv = _fs_mat_neumann_inverse(self.maps.eps_eps_star, policy=self.policy)
+        inv = _neumann_inverse(self.maps.eps_eps_star, policy=self.policy)
         plain = self.maps.dual_image(inv, into_frame=False)
         starred = self.maps.dual_image(
-            _fs_mat_mul(self.maps.eps_star_matrix, inv, policy=self.policy), into_frame=True
+            self.maps.eps_star_matrix.matmul(inv, policy=self.policy), into_frame=True
         )
         return [plain[i].add(starred[i].scale(-1)) for i in range(self.structure.dim)]
 
@@ -591,6 +518,9 @@ def frame_block_matrices(
     Builds xi_i = (1+eps)(l_i), the normalized duals xi^i, assembles the
     4n x 4n pairing block matrix, inverts it by the triangular-factor closed
     form in [eps], [eps*], and reports the residual against the identity.
+    Sections are handled as the columns of (4n, 2n) stacks over their
+    (tangent, cotangent) components, so every pairing and every block is a
+    :class:`FourierMatrix` product.
     """
     maps = FrameMaps(structure, eps, policy=policy)
     sup = maps.sup_norm()
@@ -601,117 +531,85 @@ def frame_block_matrices(
     dim = structure.dim
     geometry, box = structure.geometry, structure.box
 
-    frame_images = maps.dual_image(maps.eps_matrix, into_frame=False)
-    xi = [structure.frame[i].add(frame_images[i]) for i in range(dim)]
-    star_images = maps.dual_image(maps.eps_star_matrix, into_frame=True)
-    eta_raw = [structure.dual_frame[i].add(star_images[i]) for i in range(dim)]
+    def constant(values):
+        return FourierMatrix.constant(geometry, box, values)
+
+    def mul(a, b):
+        return a.matmul(b, policy=policy)
+
+    def columns(stack):
+        return [
+            CourantVector(
+                geometry, box,
+                [stack[c, i] for c in range(dim)],
+                [stack[dim + c, i] for c in range(dim)],
+            )
+            for i in range(dim)
+        ]
+
+    ident = FourierMatrix.identity(geometry, box, dim)
+    frame, dual = constant(structure._frame_vals), constant(structure._dual_vals)
+    q = constant(natural_pairing_matrix(dim))
+    xi = frame + mul(dual, maps.eps_matrix)
+    eta_raw = dual + mul(frame, maps.eps_star_matrix)
 
     # normalize the dual frame: xi^i = sum_j N[i, j] eta_raw^j
-    pmat = _fs_zero_matrix(geometry, box, (dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            pmat[i, j] = pairing(eta_raw[i], xi[j], policy=policy)
-    ident = _fs_identity(geometry, box, dim)
-    defect = _fs_mat_add(pmat, _fs_mat_scale(ident, -1))
-    nmat = _fs_mat_neumann_inverse(_fs_mat_scale(defect, -1), policy=policy)
-    xi_dual = []
-    for i in range(dim):
-        acc = CourantVector.zero(geometry, box)
-        for j in range(dim):
-            if not nmat[i, j].is_zero():
-                acc = acc.add(eta_raw[j].scale_scalar(nmat[i, j], policy=policy))
-        xi_dual.append(acc)
-
-    dual_residual = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            val = pairing(xi_dual[i], xi[j], policy=policy)
-            want = 1.0 if i == j else 0.0
-            dual_residual = max(dual_residual, val.add(
-                FourierScalar.constant(geometry, box, -want)).norm())
-
-    def pair_block(rows: Sequence[CourantVector], against_dual: bool) -> np.ndarray:
-        block = _fs_zero_matrix(geometry, box, (dim, dim))
-        basis = structure.dual_frame if against_dual else structure.frame
-        for i in range(dim):
-            for j in range(dim):
-                block[i, j] = pairing(basis[j], rows[i], policy=policy)
-        return block
+    pmat = mul(mul(eta_raw.T, q), xi)
+    nmat = _neumann_inverse(ident - pmat, policy=policy)
+    xi_dual = mul(eta_raw, nmat.T)
+    xi_dual_q, xi_q = mul(xi_dual.T, q), mul(xi.T, q)
+    dual_residual = float((mul(xi_dual_q, xi) - ident).entry_norms().max())
 
     # forward block matrix in the arrangement [[L(Xi*), L*(Xi*)], [L(Xi), L*(Xi)]]
-    top_left = pair_block(xi_dual, against_dual=False)
-    top_right = pair_block(xi_dual, against_dual=True)
-    bot_left = pair_block(xi, against_dual=False)
-    bot_right = pair_block(xi, against_dual=True)
+    top_left, top_right = mul(xi_dual_q, frame), mul(xi_dual_q, dual)
+    bot_left, bot_right = mul(xi_q, frame), mul(xi_q, dual)
 
     def stack_blocks(tl, tr, bl, br):
-        out = _fs_zero_matrix(geometry, box, (2 * dim, 2 * dim))
-        out[:dim, :dim] = tl
-        out[:dim, dim:] = tr
-        out[dim:, :dim] = bl
-        out[dim:, dim:] = br
-        return out
+        return FourierMatrix(
+            geometry, box,
+            np.concatenate([tl.modes, tr.modes, bl.modes, br.modes]),
+            np.concatenate([
+                np.pad(tl.coeffs, ((0, 0), (0, dim), (0, dim))),
+                np.pad(tr.coeffs, ((0, 0), (0, dim), (dim, 0))),
+                np.pad(bl.coeffs, ((0, 0), (dim, 0), (0, dim))),
+                np.pad(br.coeffs, ((0, 0), (dim, 0), (dim, 0))),
+            ]),
+            np.block([[tl.dropped_mass, tr.dropped_mass], [bl.dropped_mass, br.dropped_mass]]),
+        )
 
     forward = stack_blocks(top_left, top_right, bot_left, bot_right)
 
     # [eps] and [eps*] recovered from the pairings (Formulas 2.4 / 2.5 shape)
-    inv_br = _fs_mat_neumann_inverse(
-        _fs_mat_add(ident, _fs_mat_scale(bot_right, -1)), policy=policy
-    )
-    eps_rec = _fs_mat_mul(inv_br, bot_left, policy=policy)
-    inv_tl = _fs_mat_neumann_inverse(
-        _fs_mat_add(ident, _fs_mat_scale(top_left, -1)), policy=policy
-    )
-    eps_star_rec = _fs_mat_mul(inv_tl, top_right, policy=policy)
+    inv_br = _neumann_inverse(ident - bot_right, policy=policy)
+    e_mat = mul(inv_br, bot_left)
+    inv_tl = _neumann_inverse(ident - top_left, policy=policy)
+    es_mat = mul(inv_tl, top_right)
 
     # coefficient-matrix consistency: [eps]_{kj} = eps_{jk}
-    conv_residual = 0.0
-    for k in range(dim):
-        for j in range(dim):
-            conv_residual = max(
-                conv_residual,
-                eps_rec[k, j].add(eps.coefficient((j, k)).scale(-1)).norm(),
-            )
+    conv_residual = float((e_mat - maps.eps_matrix.T).entry_norms().max())
 
     # closed-form inverse
-    e_mat = eps_rec
-    es_mat = eps_star_rec
-    inv_one_minus_se = _fs_mat_neumann_inverse(
-        _fs_mat_mul(es_mat, e_mat, policy=policy), policy=policy
+    inv_one_minus_se = _neumann_inverse(mul(es_mat, e_mat), policy=policy)
+    inv_one_minus_es = _neumann_inverse(mul(e_mat, es_mat), policy=policy)
+    closed_inverse = stack_blocks(
+        mul(inv_one_minus_se, inv_tl),
+        -mul(es_mat, mul(inv_one_minus_es, inv_br)),
+        -mul(inv_one_minus_es, mul(e_mat, inv_tl)),
+        mul(inv_one_minus_es, inv_br),
     )
-    inv_one_minus_es = _fs_mat_neumann_inverse(
-        _fs_mat_mul(e_mat, es_mat, policy=policy), policy=policy
-    )
-    tl_inv = _fs_mat_mul(inv_one_minus_se, inv_tl, policy=policy)
-    tr_inv = _fs_mat_scale(
-        _fs_mat_mul(es_mat, _fs_mat_mul(inv_one_minus_es, inv_br, policy=policy),
-                    policy=policy),
-        -1,
-    )
-    bl_inv = _fs_mat_scale(
-        _fs_mat_mul(inv_one_minus_es, _fs_mat_mul(e_mat, inv_tl, policy=policy),
-                    policy=policy),
-        -1,
-    )
-    br_inv = _fs_mat_mul(inv_one_minus_es, inv_br, policy=policy)
-    closed_inverse = stack_blocks(tl_inv, tr_inv, bl_inv, br_inv)
-
-    product = _fs_mat_mul(forward, closed_inverse, policy=policy)
-    resid_mat = _fs_mat_add(product, _fs_mat_scale(_fs_identity(geometry, box, 2 * dim), -1))
-    inverse_residual = _fs_mat_norm(resid_mat)
+    product = mul(forward, closed_inverse)
+    inverse_residual = (product - FourierMatrix.identity(geometry, box, 2 * dim)).norm()
 
     # swap identity: (1 - [eps][eps*])^{-1} [eps] = [eps](1 - [eps*][eps])^{-1}
-    lhs = _fs_mat_mul(inv_one_minus_es, e_mat, policy=policy)
-    rhs = _fs_mat_mul(e_mat, inv_one_minus_se, policy=policy)
-    swap_residual = _fs_mat_norm(_fs_mat_add(lhs, _fs_mat_scale(rhs, -1)))
+    swap_residual = (mul(inv_one_minus_es, e_mat) - mul(e_mat, inv_one_minus_se)).norm()
 
     return {
-        "frames": xi,
-        "dual_frames": xi_dual,
+        "frames": columns(xi),
+        "dual_frames": columns(xi_dual),
         "forward": forward,
         "inverse": closed_inverse,
-        "eps_matrix": eps_rec,
-        "eps_star_matrix": eps_star_rec,
+        "eps_matrix": e_mat,
+        "eps_star_matrix": es_mat,
         "sup_norm": sup,
         "residuals": {
             "duality": dual_residual,
@@ -738,8 +636,7 @@ class DeformedStructure:
 
     def __init__(self, structure: GCStructure, eps: CliffordPoly, tol: float = 1e-9):
         maps = FrameMaps(structure, eps)
-        if not (_fs_mat_is_constant(maps.eps_matrix)
-                and _fs_mat_is_constant(maps.eps_star_matrix)):
+        if not (maps.eps_matrix.is_constant() and maps.eps_star_matrix.is_constant()):
             raise DeformationError("deformed structures require constant deformations")
         self.base = structure
         self.eps = eps
@@ -757,8 +654,6 @@ class DeformedStructure:
                 for i in range(dim)
             ]
         )
-        from .structure import natural_pairing_matrix
-
         q = natural_pairing_matrix(dim)
         conj_vals = xi_vals.conj()
         p = conj_vals.T @ q @ xi_vals
@@ -827,10 +722,14 @@ def criterion_rhs(
     structure: GCStructure, eps: CliffordPoly, sigma: Spinor, policy=None
 ) -> Spinor:
     """(delbar + [del, eps .]) (1 - eps eps*)(sigma)."""
-    transport = Transport(structure, eps, policy=policy)
+    return _criterion_rhs(Transport(structure, eps, policy=policy), sigma)
+
+
+def _criterion_rhs(transport: Transport, sigma: Spinor) -> Spinor:
+    structure, policy = transport.structure, transport.policy
     dressed = transport.factorwise(transport.images_one_minus_epseps(), sigma)
     return delbar_op(dressed, structure, policy=policy).add(
-        bracket_del_action(structure, eps, dressed, policy=policy)
+        bracket_del_action(structure, transport.eps, dressed, policy=policy)
     )
 
 
@@ -849,15 +748,10 @@ def holomorphy_residuals(
     transport of the Neumann-dressed rhs.
     """
     transport = Transport(structure, eps, policy=policy)
-    maps = transport.maps
     out: Dict[str, float] = {}
-    rhs = criterion_rhs(structure, eps, sigma, policy=policy)
+    rhs = _criterion_rhs(transport, sigma)
     out["rhs_residual"] = rhs.norm()
-
-    constant = _fs_mat_is_constant(maps.eps_matrix) and _fs_mat_is_constant(
-        maps.eps_star_matrix
-    )
-    if constant:
+    if transport._constant:
         ds = deformed if deformed is not None else DeformedStructure(structure, eps)
         transported = transport.forward(sigma)
         lhs = ds.delbar(transported)

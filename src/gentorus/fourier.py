@@ -9,6 +9,13 @@ with integer frequency vectors k supported inside a symmetric truncation box
 |k_j| <= K.  Products are convolutions; frequencies escaping the box are
 either an error (``strict`` policy) or dropped with their squared magnitude
 accumulated in ``dropped_mass`` (``drop`` policy).
+
+A matrix of such scalars is held as one mode stack, :class:`FourierMatrix`:
+integer modes (P, 2n) and coefficient matrices (P, rows, cols).  Its product
+is the same direct convolution, every mode pair in one batched product whose
+results are summed into their output modes; no FFT, so exact zeros stay
+exact and the ``strict`` escapes and per-entry dropped mass come out as for
+the entrywise scalar products.
 """
 
 from __future__ import annotations
@@ -108,7 +115,7 @@ class TruncationBox:
         return f"TruncationBox(K={self.K}, policy={self.policy!r})"
 
 
-def _check_same_space(f: "FourierScalar", g: "FourierScalar") -> None:
+def _check_same_space(f, g) -> None:
     if f.geometry != g.geometry:
         raise GeometryMismatch("scalars live on different tori")
     if f.box != g.box:
@@ -313,3 +320,270 @@ class FourierScalar:
         parts = [f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items())]
         return "FourierScalar({" + ", ".join(parts) + "})"
 
+
+# ---------------------------------------------------------------------------
+# matrices of truncated Fourier series, stacked over their modes
+# ---------------------------------------------------------------------------
+
+# complex entries in one transient block of pair products in FourierMatrix.matmul
+PAIR_CHUNK = 1 << 18
+
+
+def _mode_keys(box: TruncationBox, modes: np.ndarray) -> np.ndarray:
+    """Integer keys of modes whose entries lie in [-2K, 2K].
+
+    The keys are additive (the key of a sum of modes is the sum of their
+    keys) and ordered as the modes are, lexicographically.
+    """
+    base = 4 * box.K + 1
+    return modes @ base ** np.arange(modes.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _add_rows(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
+    """out[slots[i]] += values[i], repeated slots summed."""
+    if not len(slots):
+        return
+    order = np.argsort(slots, kind="stable")
+    starts = _group_starts(slots[order])
+    out[slots[order[starts]]] += np.add.reduceat(values[order], starts, axis=0)
+
+
+class FourierMatrix:
+    """A matrix of truncated Fourier series, held as one stack over its modes.
+
+    ``modes`` is an integer (P, 2n) array in lexicographic order and
+    ``coeffs`` the (P, rows, cols) coefficient matrices at those modes; a
+    mode whose coefficient matrix is exactly zero is not stored.
+    ``dropped_mass`` (rows, cols) is the ``dropped_mass`` of each entry as a
+    :class:`FourierScalar`, and ``m[i, j]`` returns that scalar.  Values are
+    immutable after construction.
+    """
+
+    def __init__(
+        self,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        modes,
+        coeffs,
+        dropped_mass=None,
+    ):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 3:
+            raise ValueError("coefficients must be a (modes, rows, cols) stack")
+        modes = np.asarray(modes, dtype=np.int64).reshape(len(coeffs), geometry.dim)
+        outside = np.abs(modes).max(axis=1, initial=0) > box.K
+        if outside.any():
+            raise TruncationError(tuple(int(k) for k in modes[np.argmax(outside)]))
+        # sort by mode, sum repeated modes, drop all-zero coefficient matrices
+        if len(modes) > 1:
+            keys = _mode_keys(box, modes)
+            order = np.argsort(keys, kind="stable")
+            starts = _group_starts(keys[order])
+            coeffs = np.add.reduceat(coeffs[order], starts, axis=0)
+            modes = modes[order[starts]]
+        live = np.any(coeffs, axis=(1, 2))
+        self.geometry = geometry
+        self.box = box
+        self.modes = modes[live]
+        self.coeffs = coeffs[live]
+        shape = coeffs.shape[1:]
+        self.dropped_mass = (
+            np.zeros(shape) if dropped_mass is None
+            else np.array(dropped_mass, dtype=float).reshape(shape)
+        )
+
+    # ------------------------------------------------------------------
+    # constructors
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def constant(cls, geometry: TorusGeometry, box: TruncationBox, values) -> "FourierMatrix":
+        values = np.asarray(values, dtype=complex)
+        return cls(geometry, box, np.zeros((1, geometry.dim), dtype=np.int64), values[None])
+
+    @classmethod
+    def identity(cls, geometry: TorusGeometry, box: TruncationBox, size: int) -> "FourierMatrix":
+        return cls.constant(geometry, box, np.eye(size))
+
+    @classmethod
+    def from_scalars(cls, entries: Sequence[Sequence[FourierScalar]]) -> "FourierMatrix":
+        """The stack of a nested (rows, cols) sequence of scalars."""
+        sample = entries[0][0]
+        shape = (len(entries), len(entries[0]))
+        index: Dict[Mode, int] = {}
+        cells = []
+        dropped = np.zeros(shape)
+        for i, row in enumerate(entries):
+            for j, f in enumerate(row):
+                _check_same_space(sample, f)
+                dropped[i, j] = f.dropped_mass
+                for mode, c in f.coeffs.items():
+                    cells.append((index.setdefault(mode, len(index)), i, j, c))
+        coeffs = np.zeros((len(index),) + shape, dtype=complex)
+        for p, i, j, c in cells:
+            coeffs[p, i, j] = c
+        return cls(sample.geometry, sample.box, list(index), coeffs, dropped)
+
+    # ------------------------------------------------------------------
+    # ring operations
+    # ------------------------------------------------------------------
+
+    def add(self, other: "FourierMatrix") -> "FourierMatrix":
+        _check_same_space(self, other)
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        return FourierMatrix(
+            self.geometry,
+            self.box,
+            np.concatenate([self.modes, other.modes]),
+            np.concatenate([self.coeffs, other.coeffs]),
+            self.dropped_mass + other.dropped_mass,
+        )
+
+    def scale(self, c) -> "FourierMatrix":
+        return FourierMatrix(
+            self.geometry, self.box, self.modes, self.coeffs * complex(c), self.dropped_mass
+        )
+
+    def matmul(self, other: "FourierMatrix", policy: str | None = None) -> "FourierMatrix":
+        """Matrix product under the given (or the box's) policy.
+
+        Entry (i, j) is the sum over k of the scalar products of ``self[i, k]``
+        and ``other[k, j]`` with zero factors skipped, so coefficients agree
+        with the entrywise products up to rounding, and escapes and dropped
+        mass agree exactly: under ``strict`` a product of two nonzero
+        coefficients outside the box raises, under ``drop`` each escaping
+        frequency of each scalar product adds its squared magnitude.
+        """
+        _check_same_space(self, other)
+        if policy is None:
+            policy = self.box.policy
+        if policy not in ("strict", "drop"):
+            raise ValueError(f"unknown truncation policy {policy!r}")
+        (rows, inner), cols = self.shape, other.shape[1]
+        if other.shape[0] != inner:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
+        a, b, K = self.coeffs, other.coeffs, self.box.K
+        live = np.any(a, axis=0)[:, :, None] & np.any(b, axis=0)[None, :, :]
+        dropped = np.sum(
+            live * (self.dropped_mass[:, :, None] + other.dropped_mass[None, :, :]), axis=1
+        )
+        if not (len(a) and len(b)):
+            zero = np.zeros((0, rows, cols))
+            return FourierMatrix(self.geometry, self.box, self.modes[:0], zero, dropped)
+        # every pair of modes, keyed by the mode of its product
+        keys = _mode_keys(self.box, self.modes)[:, None] + _mode_keys(self.box, other.modes)
+        inside = np.ones(keys.shape, dtype=bool)
+        for axis in range(self.geometry.dim):
+            inside &= np.abs(self.modes[:, axis, None] + other.modes[:, axis]) <= K
+        escaped = ~inside
+        if policy == "strict" and escaped.any():
+            # a pair escapes only through a nonzero coefficient on both sides
+            reach = np.any(a, axis=1).astype(int) @ np.any(b, axis=2).T.astype(int) > 0
+            hit = escaped & reach
+            if hit.any():
+                p, q = np.unravel_index(np.argmax(hit), hit.shape)
+                raise TruncationError(tuple(int(k) for k in self.modes[p] + other.modes[q]))
+
+        # one product over all mode pairs, A's modes taken in chunks
+        pi, qi = np.nonzero(inside)
+        out_keys, first, slot = np.unique(keys[pi, qi], return_index=True, return_inverse=True)
+        out = np.zeros((len(out_keys), rows, cols), dtype=complex)
+        b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
+        step = max(1, PAIR_CHUNK // max(1, len(b) * rows * cols))
+        done = 0
+        for lo in range(0, len(a), step):
+            prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, len(b), cols)
+            pairs = prod.transpose(0, 2, 1, 3)[inside[lo:lo + step]]
+            _add_rows(out, slot[done:done + len(pairs)], pairs)
+            done += len(pairs)
+
+        if policy == "drop" and escaped.any() and live.any():
+            # each scalar product a[i, k] b[k, j] drops its own escaping
+            # frequencies: sums are squared per (i, k, j), over live triples
+            i, k, j = np.nonzero(live)
+            left, right = a[:, i, k], b[:, k, j]
+            pe, qe = np.nonzero(escaped)
+            order = np.argsort(keys[pe, qe], kind="stable")
+            pe, qe = pe[order], qe[order]
+            group = np.cumsum(np.concatenate(([0], np.diff(keys[pe, qe]) != 0)))
+            lost = np.zeros((group[-1] + 1, len(i)), dtype=complex)
+            step = max(1, PAIR_CHUNK // len(i))
+            for lo in range(0, len(pe), step):
+                g = group[lo:lo + step]
+                starts = _group_starts(g)
+                terms = left[pe[lo:lo + step]] * right[qe[lo:lo + step]]
+                lost[g[starts]] += np.add.reduceat(terms, starts, axis=0)
+            np.add.at(dropped, (i, j), np.sum(lost.real ** 2 + lost.imag ** 2, axis=0))
+        return FourierMatrix(
+            self.geometry, self.box, self.modes[pi[first]] + other.modes[qi[first]], out, dropped
+        )
+
+    @property
+    def T(self) -> "FourierMatrix":
+        return FourierMatrix(
+            self.geometry, self.box, self.modes, self.coeffs.transpose(0, 2, 1),
+            self.dropped_mass.T,
+        )
+
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.coeffs.shape[1:]
+
+    def __getitem__(self, index) -> FourierScalar:
+        i, j = index
+        column = self.coeffs[:, i, j]
+        return FourierScalar(
+            self.geometry,
+            self.box,
+            {tuple(self.modes[p].tolist()): column[p] for p in np.flatnonzero(column)},
+            self.dropped_mass[i, j],
+        )
+
+    def norm(self) -> float:
+        """l2 norm of all coefficients: the root sum of squared entry norms."""
+        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+
+    def entry_norms(self) -> np.ndarray:
+        """(rows, cols) array of the entries' l2 norms."""
+        return np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
+
+    def is_constant(self) -> bool:
+        return not self.modes.any()
+
+    def constant_values(self) -> np.ndarray:
+        """The coefficient matrix at mode zero."""
+        return self.coeffs[~self.modes.any(axis=1)].sum(axis=0)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate at spatial points, shape (..., 2n) -> complex (..., rows, cols)."""
+        points = np.asarray(points, dtype=float)
+        phases = np.exp(2.0j * math.pi * (points @ self.modes.T))
+        return np.tensordot(phases, self.coeffs, axes=1)
+
+    # ------------------------------------------------------------------
+    # operator sugar
+    # ------------------------------------------------------------------
+
+    def __add__(self, other: "FourierMatrix") -> "FourierMatrix":
+        return self.add(other)
+
+    def __sub__(self, other: "FourierMatrix") -> "FourierMatrix":
+        return self.add(other.scale(-1))
+
+    def __neg__(self) -> "FourierMatrix":
+        return self.scale(-1)
+
+    def __repr__(self) -> str:
+        return f"FourierMatrix(shape={self.shape}, modes={len(self.modes)})"

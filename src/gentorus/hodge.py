@@ -269,6 +269,8 @@ class HodgePackage:
 
     def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
         ctx = self.context
+        if not sigma.comps:
+            return Spinor.zero(ctx.geometry, ctx.box)
         modes, coords = ctx._coords(sigma)
         return ctx._spinor(modes, self._spectra.apply(ctx._positions(modes), coords, weights))
 
@@ -465,6 +467,10 @@ class HodgeContext:
         return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
 
     def apply(self, name: str, sigma: Spinor) -> Spinor:
+        if name not in self.OPERATOR_NAMES:
+            raise ValueError(f"unknown operator {name!r}")
+        if not sigma.comps:
+            return Spinor.zero(self.geometry, self.box)
         modes, coords = self._coords(sigma)
         adjoint = name.endswith("_adj")
         ops = self._op(name[:-4] if adjoint else name, self._positions(modes))

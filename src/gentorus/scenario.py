@@ -18,6 +18,7 @@ from .deformation import (
     Beltrami,
     DeformationError,
     DeformedStructure,
+    FrameMaps,
     frame_block_matrices,
     extend_closed_form,
     hodge_number_scan,
@@ -125,21 +126,23 @@ class Scenario:
                             raise ScenarioError(
                                 f"experiment level {k} outside [-{n}, {n}]"
                             )
+        self._sup_norms: Dict[complex, float] = {}
         if self.series is not None:
-            from .deformation import FrameMaps
-
             for exp in self.experiments:
                 for key in ("t", "t_samples"):
                     for t in exp.get(key, []):
-                        tval = _complex_from(t)
-                        sup = FrameMaps(
-                            self.structure, self.series.eps_at(tval)
-                        ).sup_norm()
+                        sup = self.sup_norm(_complex_from(t))
                         if sup >= 1.0:
                             raise ScenarioError(
                                 f"sample t={t} puts the deformation sup-norm at "
                                 f"{sup:.3f} >= 1"
                             )
+
+    def sup_norm(self, t: complex) -> float:
+        """Grid sup-norm of the deformation at sample t, computed once per t."""
+        if t not in self._sup_norms:
+            self._sup_norms[t] = FrameMaps(self.structure, self.series.eps_at(t)).sup_norm()
+        return self._sup_norms[t]
 
     # ------------------------------------------------------------------
 
@@ -215,9 +218,12 @@ class Scenario:
             first = {
                 key: poly for key, poly in series.coefficients.items() if sum(key) == 1
             }
-            series = maurer_cartan_expand(
-                self.structure, self.metric, first, order, tol=self.tolerance
-            )
+            try:
+                series = maurer_cartan_expand(
+                    self.structure, self.metric, first, order, tol=self.tolerance
+                )
+            except (TruncationError, ObstructionError, DeformationError) as err:
+                raise ScenarioError(f"deformation expansion failed: {err}") from err
         return series
 
 
@@ -311,9 +317,9 @@ class Runner:
             else:
                 # varying deformations are assessed through the undeformed
                 # side only; record the norm gate as the checked quantity
-                from .deformation import FrameMaps
-                sup = FrameMaps(s, eps_t).sup_norm()
-                entries.append(entry(f"criterion_norm_gate[{label}]", sup, 1.0))
+                entries.append(
+                    entry(f"criterion_norm_gate[{label}]", self.scenario.sup_norm(t), 1.0)
+                )
         fb = frame_block_matrices(s, series.eps_at(_complex_from(exp.get("t", [0.1])[0])))
         for name, value in fb["residuals"].items():
             entries.append(entry(f"frame_blocks_{name}", value, 1e-9))

@@ -285,13 +285,13 @@ def _reference_cutoff(spectra):
     return RANK_CUTOFF * radius if radius > 0 else 1e-12
 
 
-def _case(n, K, twisted=False):
+def _case(n, K, twisted=False, g_scale=1.0):
     box = TruncationBox(K)
     twist = (
         Spinor.constant_form(TorusGeometry(n), box, (0, 1, 2), 1.0) if twisted else None
     )
     s = GCStructure.complex_structure(n, box, twist=twist)
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n))
+    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
 
 
 @pytest.mark.parametrize(
@@ -463,8 +463,12 @@ def _symplectic_case(n, K):
         lambda: _case(2, 1, twisted=True),
         lambda: _symplectic_case(2, 1),
         lambda: _case(2, 2),
+        # g = 1e-4 puts d at 7e5, where the absolute floors decide ranks: the
+        # level-0 ddbar-lemma target reads 292, and 320 if the deldbar block
+        # took the unscaled floor
+        lambda: _case(2, 1, twisted=True, g_scale=1e-4),
     ],
-    ids=["t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2"],
+    ids=["t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors"],
 )
 def test_stacked_class_checks_match_per_mode_reference(build):
     ctx = HodgeContext(*build())

@@ -4,15 +4,24 @@ The reference functions below convert one Fourier mode at a time and apply
 one matrix per mode, as the code did before the maps were stacked over the
 modes.  The stacked maps must agree with them to 1e-12 relative on
 multi-mode random inputs; kernel counts and harmonic bases must be equal.
+Fourier matrices are checked the same way against the entrywise
+object-array products and Neumann series they replaced.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from gentorus.deformation import AlgebroidHodge, Transport
-from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
+from gentorus.deformation import AlgebroidHodge, DeformationError, Transport, _neumann_inverse
+from gentorus.fourier import (
+    FourierMatrix,
+    FourierScalar,
+    TorusGeometry,
+    TruncationBox,
+    TruncationError,
+)
 from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, _stack_linear
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
@@ -146,6 +155,24 @@ def test_apply_matches_per_mode(case):
                 lambda mode, v: ctx.basis @ (ctx.operator_matrix(name, mode) @ (ctx.basis_inv @ v)),
             )
             _assert_close(ctx.apply(name, sigma), want)
+
+
+def test_zero_spinor_maps_to_zero(case):
+    """A spinor without components skips the stacked products and gives
+    what the per-mode maps give: the zero spinor in the context's box."""
+    s, _, ctx = case
+    for box in (s.box, TruncationBox(s.box.K + 1)):
+        zero = Spinor.zero(s.geometry, box)
+        want = ref_map(zero, lambda mode, v: v)
+        got = [ctx.apply(name, zero) for name in ctx.OPERATOR_NAMES]
+        for kind in KINDS:
+            pk = ctx.package(kind)
+            got += [pk.harmonic(zero), pk.green(zero), pk.laplacian(zero)]
+        for out in got:
+            assert out.comps == want.comps == {}
+            assert (out.geometry, out.box) == (ctx.geometry, ctx.box)
+    with pytest.raises(ValueError, match="unknown operator"):
+        ctx.apply("curl", Spinor.zero(s.geometry, s.box))
 
 
 def test_apply_rejects_modes_outside_the_box(case):
@@ -314,3 +341,234 @@ def test_algebroid_maps_match_per_mode(case):
         }
         got, want = alg.dL_adjoint(poly), ref_poly(alg, vectors, degree - 1)
         assert (got - want).norm() <= REL * max(got.norm(), want.norm())
+
+
+# ----------------------------------------------------------------------
+# Fourier matrices: the object-array arithmetic they replaced
+# ----------------------------------------------------------------------
+
+
+def _fs_zero_matrix(geometry, box, shape) -> np.ndarray:
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = FourierScalar.zero(geometry, box)
+    return out
+
+
+def _fs_identity(geometry, box, size) -> np.ndarray:
+    out = _fs_zero_matrix(geometry, box, (size, size))
+    for i in range(size):
+        out[i, i] = FourierScalar.constant(geometry, box, 1.0)
+    return out
+
+
+def _fs_mat_mul(a: np.ndarray, b: np.ndarray, policy=None) -> np.ndarray:
+    rows, inner = a.shape
+    inner2, cols = b.shape
+    assert inner == inner2
+    sample = a[0, 0]
+    out = _fs_zero_matrix(sample.geometry, sample.box, (rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            acc = out[i, j]
+            for k in range(inner):
+                if a[i, k].is_zero() or b[k, j].is_zero():
+                    continue
+                acc = acc.add(a[i, k].mul(b[k, j], policy=policy))
+            out[i, j] = acc
+    return out
+
+
+def _fs_mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(a.shape, dtype=object)
+    for idx in np.ndindex(*a.shape):
+        out[idx] = a[idx].add(b[idx])
+    return out
+
+
+def _fs_mat_norm(a: np.ndarray) -> float:
+    return math.sqrt(sum(a[idx].norm() ** 2 for idx in np.ndindex(*a.shape)))
+
+
+def _fs_mat_is_constant(a: np.ndarray) -> bool:
+    zero_mode = (0,) * a[0, 0].geometry.dim
+    for idx in np.ndindex(*a.shape):
+        for mode in a[idx].support():
+            if mode != zero_mode:
+                return False
+    return True
+
+
+def _fs_mat_constant_values(a: np.ndarray) -> np.ndarray:
+    zero_mode = (0,) * a[0, 0].geometry.dim
+    out = np.zeros(a.shape, dtype=complex)
+    for idx in np.ndindex(*a.shape):
+        out[idx] = a[idx].coefficient(zero_mode)
+    return out
+
+
+def _fs_mat_from_constant(geometry, box, values: np.ndarray) -> np.ndarray:
+    out = np.empty(values.shape, dtype=object)
+    for idx in np.ndindex(*values.shape):
+        out[idx] = FourierScalar.constant(geometry, box, values[idx])
+    return out
+
+
+def _fs_mat_neumann_inverse(
+    a: np.ndarray, policy=None, rel_tol: float = 1e-14, max_terms: int = 200
+) -> np.ndarray:
+    """(1 - a)^{-1} by Neumann series; exact inversion on constant matrices."""
+    sample = a[0, 0]
+    geometry, box = sample.geometry, sample.box
+    size = a.shape[0]
+    if _fs_mat_is_constant(a):
+        values = _fs_mat_constant_values(a)
+        inv = np.linalg.inv(np.eye(size) - values)
+        return _fs_mat_from_constant(geometry, box, inv)
+    total = _fs_identity(geometry, box, size)
+    term = _fs_identity(geometry, box, size)
+    for _ in range(max_terms):
+        term = _fs_mat_mul(term, a, policy=policy)
+        tnorm = _fs_mat_norm(term)
+        total = _fs_mat_add(total, term)
+        if tnorm <= rel_tol * max(1.0, _fs_mat_norm(total)):
+            return total
+    raise DeformationError(
+        "Neumann series for the frame inverse did not converge; "
+        "deformation too large for this expansion"
+    )
+
+
+STACK_CASES = {"t2-K2": (1, 2), "t4-K1": (2, 1)}
+
+
+@pytest.fixture(params=[(name, policy) for name in STACK_CASES for policy in ("strict", "drop")],
+                ids=lambda p: "-".join(p))
+def space(request):
+    name, policy = request.param
+    n, K = STACK_CASES[name]
+    return TorusGeometry(n), TruncationBox(K, policy)
+
+
+def _entries(geometry, box, rows):
+    """Object array from nested rows of scalars, {mode: c} dicts or constants."""
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for idx in np.ndindex(*out.shape):
+        cell = rows[idx[0]][idx[1]]
+        if isinstance(cell, dict):
+            cell = FourierScalar(geometry, box, cell)
+        elif not isinstance(cell, FourierScalar):
+            cell = FourierScalar.constant(geometry, box, cell)
+        out[idx] = cell
+    return out
+
+
+def _random_entries(rng, geometry, box, shape, reach, density=0.7):
+    """Random scalars with modes in [-reach, reach]; some entries are zero
+    and some carry dropped mass."""
+    rows = []
+    for _ in range(shape[0]):
+        row = []
+        for _ in range(shape[1]):
+            coeffs = {}
+            if rng.random() < density:
+                for _ in range(int(rng.integers(1, 4))):
+                    mode = tuple(int(v) for v in rng.integers(-reach, reach + 1, geometry.dim))
+                    coeffs[mode] = complex(rng.normal(), rng.normal())
+            mass = float(rng.random()) if rng.random() < 0.3 else 0.0
+            row.append(FourierScalar(geometry, box, coeffs, mass))
+        rows.append(row)
+    return _entries(geometry, box, rows)
+
+
+def _stack(entries):
+    return FourierMatrix.from_scalars(entries.tolist())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (TruncationError, DeformationError) as err:
+        return type(err)
+
+
+def _assert_stack_matches(got, want):
+    """Coefficients to REL relative and dropped mass entry by entry, or the
+    same exception type."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert got.shape == want.shape
+    for idx in np.ndindex(*want.shape):
+        g, w = got[idx], want[idx]
+        assert (g - w).norm() <= REL * max(g.norm(), w.norm()), idx
+        assert g.dropped_mass == pytest.approx(w.dropped_mass, rel=REL, abs=0.0), idx
+
+
+def test_fourier_matrix_products_match_reference(space):
+    geometry, box = space
+    rng = np.random.default_rng(43)
+    K, outcomes = box.K, set()
+    for trial in range(12):
+        # mode reaches that stay inside the box, and ones that escape it
+        reach_a, reach_b = [(K, 0), (K // 2, K - K // 2), (K, K), (1, K)][trial % 4]
+        a = _random_entries(rng, geometry, box, (3, 4), reach_a)
+        b = _random_entries(rng, geometry, box, (4, 2), reach_b)
+        want = _outcome(lambda: _fs_mat_mul(a, b, policy=box.policy))
+        got = _outcome(lambda: _stack(a).matmul(_stack(b)))
+        _assert_stack_matches(got, want)
+        outcomes.add(want is TruncationError)
+    assert outcomes == ({False, True} if box.policy == "strict" else {False})
+
+    # the mode pair (K e_0, K e_0) leaves the box, but no product of two
+    # nonzero entries pairs those modes: neither path raises
+    edge = {(K,) + (0,) * (geometry.dim - 1): 0.5}
+    a = _entries(geometry, box, [[edge, {}], [{}, 1.0]])
+    b = _entries(geometry, box, [[1.0, {}], [{}, edge]])
+    _assert_stack_matches(_stack(a).matmul(_stack(b)), _fs_mat_mul(a, b))
+
+
+def _scaled(entries, c):
+    out = np.empty(entries.shape, dtype=object)
+    for idx in np.ndindex(*entries.shape):
+        out[idx] = entries[idx].scale(c)
+    return out
+
+
+def test_fourier_matrix_neumann_matches_reference(space, monkeypatch):
+    """Same sums, dropped mass and exceptions, after the same number of terms."""
+    geometry, box = space
+    rng = np.random.default_rng(47)
+    e0, e1 = (np.eye(geometry.dim, dtype=int)[:2]).tolist()
+    cases = []
+    for _ in range(2):
+        a = _random_entries(rng, geometry, box, (3, 3), reach=1)
+        cases.append(_scaled(a, 0.3 / _fs_mat_norm(a)))
+    # nilpotent: the series ends exactly, inside the box
+    cases.append(_entries(geometry, box, [
+        [{}, {tuple(e0): 0.4}, 0.2], [{}, {}, {tuple(e1): 0.3}], [{}, {}, {}],
+    ]))
+    # growing: 1.2^k on the diagonal, modes fixed; never converges
+    cases.append(_entries(geometry, box, [[1.2, {tuple(e0): 0.5}], [{}, 1.2]]))
+    cases.append(_entries(geometry, box, [[0.2, 0.1j], [-0.3, 0.4]]))
+
+    counts = {"reference": 0, "stack": 0}
+    matmul = FourierMatrix.matmul
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(globals(), "_fs_mat_mul", counted("reference", _fs_mat_mul))
+    monkeypatch.setattr(FourierMatrix, "matmul", counted("stack", matmul))
+    seen = set()
+    for a in cases:
+        counts.update(reference=0, stack=0)
+        want = _outcome(lambda: _fs_mat_neumann_inverse(a, policy=box.policy, max_terms=40))
+        got = _outcome(lambda: _neumann_inverse(_stack(a), policy=box.policy, max_terms=40))
+        _assert_stack_matches(got, want)
+        assert counts["stack"] == counts["reference"]
+        seen.add(want if isinstance(want, type) else counts["reference"] > 0)
+    assert DeformationError in seen and True in seen

@@ -186,8 +186,21 @@ def _deformation_config():
         ),
         (("deformation", "coefficients"), {"0,0": {"terms": {"0,1": 0.1}}}),
         (("deformation", "coefficients", "1,0", "terms"), {"0,1,1": 0.1}),
+        (
+            ("deformation",),
+            {
+                "coefficients": {
+                    "1,0": {"terms": {"0,1": {"modes": [{"k": [1, 0], "c": 0.1}]}}}
+                },
+                "expand": True,
+                "order": 3,
+            },
+        ),
     ],
-    ids=["n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity"],
+    ids=[
+        "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
+        "expand-escapes-box",
+    ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
     """Values the torus, Fourier, polynomial and series constructors refuse
