@@ -510,7 +510,7 @@ class Transport:
 
 
 def frame_block_matrices(
-    structure: GCStructure, eps: CliffordPoly, policy=None
+    structure: GCStructure, eps: CliffordPoly, policy=None, sup_norm: float | None = None
 ) -> Dict:
     """Pairing blocks of the deformed frames, their closed-form inverse, and
     residuals.
@@ -520,10 +520,12 @@ def frame_block_matrices(
     form in [eps], [eps*], and reports the residual against the identity.
     Sections are handled as the columns of (4n, 2n) stacks over their
     (tangent, cotangent) components, so every pairing and every block is a
-    :class:`FourierMatrix` product.
+    :class:`FourierMatrix` product.  ``sup_norm``, when given, is eps's grid
+    sup-norm as :meth:`FrameMaps.sup_norm` computes it; it is checked against
+    1 as the computed one would be.
     """
     maps = FrameMaps(structure, eps, policy=policy)
-    sup = maps.sup_norm()
+    sup = maps.sup_norm() if sup_norm is None else sup_norm
     if sup >= 1.0:
         raise DeformationError(
             f"deformation sup-norm {sup:.3f} >= 1; frame expansion invalid"
@@ -746,6 +748,11 @@ def holomorphy_residuals(
     the raising part of d on the transported spinor, computed on the
     deformed structure; identity: their exact relation through the
     transport of the Neumann-dressed rhs.
+
+    A varying deformation yields only ``rhs_residual`` and ``scale``, which
+    the ``criterion`` experiment does not report: for a varying eps it
+    reports the norm gate and the frame blocks, and under the ``drop``
+    policy it calls this function on no sample.
     """
     transport = Transport(structure, eps, policy=policy)
     out: Dict[str, float] = {}

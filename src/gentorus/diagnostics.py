@@ -182,8 +182,7 @@ def _adjointness(ctx: HodgeContext, rng: np.random.Generator, samples: int = 5) 
 def _hodge_identities(ctx: HodgeContext) -> List[Dict]:
     out = []
     for kind in ("dbar", "bc", "aeppli", "d", "del"):
-        pk = ctx.package(kind)
-        out.append(entry(f"hodge_identity_{kind}", pk.identity_residual(), 1e-9))
+        out.append(entry(f"hodge_identity_{kind}", ctx.identity_residual(kind), 1e-9))
     return out
 
 

@@ -131,6 +131,63 @@ def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
     return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
 
 
+class _LevelBasis:
+    """Level-basis coordinates of spinors, stacked over the modes of a box.
+
+    The constant basis is Born-Infeld orthonormal and aligned with the level
+    grading; ``level_slices[k]`` picks level k's columns.  A spinor's
+    coordinates are one row per mode of its support, and ``positions``
+    gives those modes' rows in the stacks over ``modes``.  Hodge packages
+    hold this rather than their context, so a context and its packages
+    form no reference cycle and are freed as soon as the context is dropped.
+    """
+
+    def __init__(self, structure: GCStructure, metric: GeneralizedMetric, box: TruncationBox):
+        self.geometry = structure.geometry
+        self.box = box
+        self.dim = structure.dim
+        self.size = 2 ** structure.dim
+        self.levels = list(structure.levels())
+        cols = []
+        slices: Dict[int, slice] = {}
+        start = 0
+        for k in self.levels:
+            raw = structure._level_matrix[:, structure._level_slices[k]]
+            ortho = metric.orthonormalize_columns(raw)
+            cols.append(ortho)
+            slices[k] = slice(start, start + ortho.shape[1])
+            start += ortho.shape[1]
+        self.basis = np.hstack(cols)
+        self.level_slices = slices
+        self.basis_inv = np.linalg.inv(self.basis)
+
+        gram = np.zeros((self.size, self.size), dtype=complex)
+        for i in range(self.size):
+            for j in range(self.size):
+                gram[i, j] = metric.constant_inner(self.basis[:, i], self.basis[:, j])
+        residual = float(np.abs(gram - np.eye(self.size)).max())
+        if residual > 1e-10:
+            raise ValueError(f"level basis failed orthonormalization ({residual:.3e})")
+        self.modes: List[Tuple[int, ...]] = list(box.modes(self.geometry))
+
+    def positions(self, modes) -> np.ndarray:
+        """Indices into the mode stacks; ValueError for a mode outside the box."""
+        return _mode_positions(self.box, self.dim, modes)
+
+    def position(self, mode: Tuple[int, ...]) -> int:
+        return int(self.positions([mode])[0])
+
+    def coords(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """sigma's modes and its coordinate rows in the level basis."""
+        modes, rows = mode_stack(sigma.comps, self.dim)
+        return modes, rows @ self.basis_inv.T
+
+    def spinor(self, modes, coords: np.ndarray) -> Spinor:
+        """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
+        rows = coords @ self.basis.T
+        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
+
+
 class _ModeSpectra:
     """Eigendecomposed per-mode Hermitian Laplacians, by diagonal block.
 
@@ -198,17 +255,17 @@ class HodgePackage:
     def __init__(self, context: "HodgeContext", kind: str):
         if kind not in KINDS:
             raise ValueError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
-        self.context = context
+        self.level_basis = lb = context.level_basis
         self.kind = kind
         self.blockwise = kind != "d"
         if self.blockwise:
-            self._levels = list(context.structure.levels())
-            blocks = [context.level_slices[k] for k in self._levels]
+            self._levels = lb.levels
+            blocks = [lb.level_slices[k] for k in self._levels]
         else:
             self._levels = [None]
-            blocks = [slice(0, context.size)]
+            blocks = [slice(0, lb.size)]
         self._spectra = _ModeSpectra(
-            lambda sel: context._laplacian(kind, sel), len(context.modes), blocks
+            lambda sel: context._laplacian(kind, sel), len(lb.modes), blocks
         )
         self.vals, self.vecs = self._spectra.vals, self._spectra.vecs
         self.block_leak = self._spectra.leak
@@ -231,8 +288,8 @@ class HodgePackage:
     # ------------------------------------------------------------------
 
     def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
-        ctx = self.context
-        sel = slice(None) if mode is None else ctx._positions([mode])
+        lb = self.level_basis
+        sel = slice(None) if mode is None else lb.positions([mode])
         if self.blockwise:
             return int(np.sum(self.vals[self._levels.index(level)][sel] <= self.cutoff))
         # level content of a level-mixing kernel: rank of the projected basis
@@ -240,24 +297,24 @@ class HodgePackage:
         vecs = self.vecs[0][sel]
         total = 0
         for i in np.flatnonzero(kernel.any(axis=1)):
-            s = np.linalg.svd(vecs[i][ctx.level_slices[level]][:, kernel[i]], compute_uv=False)
+            s = np.linalg.svd(vecs[i][lb.level_slices[level]][:, kernel[i]], compute_uv=False)
             if s[0] > RANK_CUTOFF:
                 total += int(np.sum(s > RANK_CUTOFF * s[0]))
         return total
 
     def kernel_dimensions(self) -> Dict[int, int]:
-        return {k: self.kernel_dimension(k) for k in self.context.structure.levels()}
+        return {k: self.kernel_dimension(k) for k in self.level_basis.levels}
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
-        ctx = self.context
+        lb = self.level_basis
         index = [np.zeros(0, dtype=int)]
-        rows = [np.zeros((0, ctx.size), dtype=complex)]
+        rows = [np.zeros((0, lb.size), dtype=complex)]
         for key, vals, vecs, sl in zip(self._levels, self.vals, self.vecs, self._spectra.blocks):
             if self.blockwise and level is not None and key != level:
                 continue
             modes, cols = np.nonzero(vals <= self.cutoff)
-            coords = np.zeros((len(modes), ctx.size), dtype=complex)
+            coords = np.zeros((len(modes), lb.size), dtype=complex)
             coords[:, sl] = vecs[modes, :, cols]
             index.append(modes)
             rows.append(coords)
@@ -265,14 +322,14 @@ class HodgePackage:
         index = np.concatenate(index)
         order = np.argsort(index, kind="stable")
         rows = np.concatenate(rows)[order]
-        return [ctx._spinor([ctx.modes[i]], row[None]) for i, row in zip(index[order], rows)]
+        return [lb.spinor([lb.modes[i]], row[None]) for i, row in zip(index[order], rows)]
 
     def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
-        ctx = self.context
+        lb = self.level_basis
         if not sigma.comps:
-            return Spinor.zero(ctx.geometry, ctx.box)
-        modes, coords = ctx._coords(sigma)
-        return ctx._spinor(modes, self._spectra.apply(ctx._positions(modes), coords, weights))
+            return Spinor.zero(lb.geometry, lb.box)
+        modes, coords = lb.coords(sigma)
+        return lb.spinor(modes, self._spectra.apply(lb.positions(modes), coords, weights))
 
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
@@ -285,21 +342,11 @@ class HodgePackage:
     def laplacian(self, sigma: Spinor) -> Spinor:
         return self._apply_spectral(sigma, lambda v: v)
 
-    def identity_residual(self) -> float:
-        """Operator-norm residual of (harmonic + laplacian o green - 1), worst mode."""
-        ctx, sp, every = self.context, self._spectra, slice(None)
-        resid = (
-            sp.matrix(every, sp.harmonic_weights)
-            + ctx._laplacian(self.kind, every) @ sp.matrix(every, sp.green_weights)
-            - np.eye(ctx.size)
-        )
-        return float(np.linalg.norm(resid, 2, axis=(1, 2)).max())
-
     def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.context._position(mode), self._spectra.green_weights)
+        return self._spectra.matrix(self.level_basis.position(mode), self._spectra.green_weights)
 
     def harmonic_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.context._position(mode), self._spectra.harmonic_weights)
+        return self._spectra.matrix(self.level_basis.position(mode), self._spectra.harmonic_weights)
 
 
 class HodgeContext:
@@ -322,31 +369,9 @@ class HodgeContext:
         self.metric = metric
         self.box = box or structure.box
         self.geometry = structure.geometry
-        self.size = 2 ** structure.dim
-
-        # orthonormal constant basis aligned with the level grading
-        cols = []
-        slices: Dict[int, slice] = {}
-        start = 0
-        for k in structure.levels():
-            raw = structure._level_matrix[:, structure._level_slices[k]]
-            ortho = metric.orthonormalize_columns(raw)
-            cols.append(ortho)
-            slices[k] = slice(start, start + ortho.shape[1])
-            start += ortho.shape[1]
-        self.basis = np.hstack(cols)
-        self.level_slices = slices
-        self.basis_inv = np.linalg.inv(self.basis)
-
-        gram = np.zeros((self.size, self.size), dtype=complex)
-        for i in range(self.size):
-            for j in range(self.size):
-                gram[i, j] = metric.constant_inner(self.basis[:, i], self.basis[:, j])
-        self.orthonormality_residual = float(np.abs(gram - np.eye(self.size)).max())
-        if self.orthonormality_residual > 1e-10:
-            raise ValueError(
-                f"level basis failed orthonormalization ({self.orthonormality_residual:.3e})"
-            )
+        self.level_basis = lb = _LevelBasis(structure, metric, self.box)
+        self.size, self.modes = lb.size, lb.modes
+        self.basis, self.basis_inv, self.level_slices = lb.basis, lb.basis_inv, lb.level_slices
 
         # wedge matrices generating the twisted differential per mode
         dim = structure.dim
@@ -357,7 +382,6 @@ class HodgeContext:
             self._wedge_axis.append(constant_clifford_matrix(values, dim))
         self._wedge_twist = self._form_wedge_matrix(structure.twist)
 
-        self.modes: List[Tuple[int, ...]] = list(self.box.modes(self.geometry))
         self._packages: Dict[str, HodgePackage] = {}
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
@@ -414,10 +438,10 @@ class HodgeContext:
     def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
         if name.endswith("_adj"):
             return _adjoint(self.operator_matrix(name[:-4], mode))
-        return self._stack(name)[self._position(mode)]
+        return self._stack(name)[self.level_basis.position(mode)]
 
     def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._laplacian(kind, self._position(mode))
+        return self._laplacian(kind, self.level_basis.position(mode))
 
     def _laplacian(self, kind: str, sel) -> np.ndarray:
         """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice)."""
@@ -449,39 +473,34 @@ class HodgeContext:
     # spinor transport
     # ------------------------------------------------------------------
 
-    def _positions(self, modes) -> np.ndarray:
-        """Indices into the mode stacks; ValueError for a mode outside the box."""
-        return _mode_positions(self.box, self.structure.dim, modes)
-
-    def _position(self, mode: Tuple[int, ...]) -> int:
-        return int(self._positions([mode])[0])
-
-    def _coords(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-        """sigma's modes and its coordinate rows in the level basis."""
-        modes, rows = mode_stack(sigma.comps, self.structure.dim)
-        return modes, rows @ self.basis_inv.T
-
-    def _spinor(self, modes, coords: np.ndarray) -> Spinor:
-        """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
-        rows = coords @ self.basis.T
-        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
-
     def apply(self, name: str, sigma: Spinor) -> Spinor:
         if name not in self.OPERATOR_NAMES:
             raise ValueError(f"unknown operator {name!r}")
         if not sigma.comps:
             return Spinor.zero(self.geometry, self.box)
-        modes, coords = self._coords(sigma)
+        lb = self.level_basis
+        modes, coords = lb.coords(sigma)
         adjoint = name.endswith("_adj")
-        ops = self._op(name[:-4] if adjoint else name, self._positions(modes))
+        ops = self._op(name[:-4] if adjoint else name, lb.positions(modes))
         if adjoint:
             ops = _adjoint(ops)
-        return self._spinor(modes, np.einsum("mij,mj->mi", ops, coords))
+        return lb.spinor(modes, np.einsum("mij,mj->mi", ops, coords))
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
             self._packages[kind] = HodgePackage(self, kind)
         return self._packages[kind]
+
+    def identity_residual(self, kind: str) -> float:
+        """Operator-norm residual of (harmonic + laplacian o green - 1) for the
+        ``kind`` package, worst mode."""
+        sp, every = self.package(kind)._spectra, slice(None)
+        resid = (
+            sp.matrix(every, sp.harmonic_weights)
+            + self._laplacian(kind, every) @ sp.matrix(every, sp.green_weights)
+            - np.eye(self.size)
+        )
+        return float(np.linalg.norm(resid, 2, axis=(1, 2)).max())
 
     def bi_inner(self, a: Spinor, b: Spinor) -> complex:
         return self.metric.bi_inner(a, b)

@@ -118,6 +118,12 @@ class Scenario:
                     )
             if exp["kind"] == "criterion" and exp.get("t") == []:
                 raise ScenarioError("criterion experiment needs at least one 't'")
+            if exp["kind"] in ("criterion", "identity-suite") and "samples" in exp:
+                samples = exp["samples"]
+                if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+                    raise ScenarioError(
+                        f"experiment 'samples' must be an integer >= 1, got {samples!r}"
+                    )
             for key in ("level", "levels"):
                 if key in exp:
                     levels = exp[key] if isinstance(exp[key], list) else [exp[key]]
@@ -290,13 +296,18 @@ class Runner:
         rng = np.random.default_rng(seed)
         entries = []
         constant = series.is_constant()
+        # A varying eps reports only its norm gate and the frame blocks, so its
+        # samples are run under strict alone: there the discarded right-hand
+        # side can still raise TruncationError, the experiment's verdict.
+        # Under drop the right-hand side neither raises nor inverts anything.
+        run_samples = constant or s.box.policy == "strict"
         for t in exp.get("t", [0.1]):
             t = _complex_from(t)
             eps_t = series.eps_at(t)
             deformed = DeformedStructure(s, eps_t) if constant else None
             worst_identity = 0.0
             agree = True
-            for _ in range(samples):
+            for _ in range(samples if run_samples else 0):
                 sigma = random_spinor(rng, s.geometry, s.box, max_mode=max(1, s.box.K // 2))
                 res = holomorphy_residuals(s, eps_t, sigma, deformed=deformed)
                 if "proof_identity_residual" in res:
@@ -315,12 +326,11 @@ class Runner:
                     entry(f"criterion_covanish[{label}]", 0.0 if agree else 1.0, 0.5)
                 )
             else:
-                # varying deformations are assessed through the undeformed
-                # side only; record the norm gate as the checked quantity
                 entries.append(
                     entry(f"criterion_norm_gate[{label}]", self.scenario.sup_norm(t), 1.0)
                 )
-        fb = frame_block_matrices(s, series.eps_at(_complex_from(exp.get("t", [0.1])[0])))
+        t0 = _complex_from(exp.get("t", [0.1])[0])
+        fb = frame_block_matrices(s, series.eps_at(t0), sup_norm=self.scenario.sup_norm(t0))
         for name, value in fb["residuals"].items():
             entries.append(entry(f"frame_blocks_{name}", value, 1e-9))
         return {"entries": entries, "status": _status_from_entries(entries)}

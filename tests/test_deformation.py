@@ -12,6 +12,7 @@ from gentorus.deformation import (
     DeformedStructure,
     Transport,
     bracket_del_action,
+    criterion_rhs,
     deformed_delbar,
     frame_block_matrices,
     holomorphy_residuals,
@@ -276,6 +277,27 @@ def test_deformed_structure_canonical_and_levels(t2):
             assert ds.structure.level_of(tr.forward(b)) == k
 
 
+def test_deformed_context_dies_with_its_last_reference(t2):
+    """A Hodge context and its packages form no reference cycle, so the
+    deformed-side context of a scan sample is freed without the cyclic
+    collector, and a package kept alone still works."""
+    import gc
+    import weakref
+
+    eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
+    gc.collect()
+    gc.disable()
+    try:
+        ds = DeformedStructure(t2, eps)
+        pk = ds.context.package("dbar")
+        ref = weakref.ref(ds.context)
+        del ds
+        assert ref() is None
+        assert pk.kernel_dimensions() == {-1: 1, 0: 2, 1: 1}
+    finally:
+        gc.enable()
+
+
 def test_deformed_delbar_of_canonical_vanishes(t2):
     eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
     ds = DeformedStructure(t2, eps)
@@ -323,6 +345,38 @@ def test_criterion_zero_deformation_reduces_to_delbar(t2):
     want = delbar_op(sigma, t2).norm()
     assert abs(res["rhs_residual"] - want) < 1e-12 * max(1.0, want)
     assert abs(res["lhs_residual"] - want) < 1e-12 * max(1.0, want)
+
+
+def test_varying_criterion_rhs_under_drop_drops_mass_and_inverts_nothing(monkeypatch):
+    """A varying eps's criterion right-hand side calls no Neumann inverse;
+    under drop its escaping products lose mass where strict raises, so no
+    sample of it can decide a verdict there."""
+    import gentorus.deformation as deformation
+    from gentorus.fourier import TruncationError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Neumann inverse called")
+
+    monkeypatch.setattr(deformation, "_neumann_inverse", refuse)
+    for policy in ("drop", "strict"):
+        s = GCStructure.complex_structure(1, TruncationBox(1, policy=policy))
+        eps = CliffordPoly(
+            s.dual_frame, 2, {(0, 1): FourierScalar(s.geometry, s.box, {(1, 0): 0.06})}
+        )
+        rng = np.random.default_rng(7)
+        sigmas = [random_spinor(rng, s.geometry, s.box, max_mode=1) for _ in range(3)]
+        if policy == "strict":
+            with pytest.raises(TruncationError):
+                for sigma in sigmas:
+                    criterion_rhs(s, eps, sigma)
+            continue
+        lost = 0.0
+        for sigma in sigmas:
+            lost += criterion_rhs(s, eps, sigma).dropped_mass()
+            res = holomorphy_residuals(s, eps, sigma)
+            assert set(res) == {"rhs_residual", "scale"}
+            assert np.isfinite(res["rhs_residual"])
+        assert lost > 0
 
 
 def test_beltrami_deformed_holomorphy_on_seed(t2):

@@ -196,10 +196,16 @@ def _deformation_config():
                 "order": 3,
             },
         ),
+        (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": -3}]),
+        (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": 0}]),
+        (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": True}]),
+        (("experiments",), [{"kind": "identity-suite", "samples": 2.7}]),
+        (("experiments",), [{"kind": "identity-suite", "samples": "5"}]),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
-        "expand-escapes-box",
+        "expand-escapes-box", "criterion-samples-negative", "criterion-samples-zero",
+        "criterion-samples-bool", "identity-samples-fraction", "identity-samples-string",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
@@ -226,6 +232,87 @@ def test_criterion_accepts_complex_t_pairs():
     assert "criterion_proof_identity[t=0.2+0.1j]" in names
     assert any(name.startswith("frame_blocks_") for name in names)
     assert report["summary"]["status"] == "pass"
+
+
+def _varying_criterion_config(policy, K=1):
+    """T^2 with eps at mode [1, 0]: at K=1 its criterion right-hand side
+    leaves the box."""
+    return {
+        "name": "varying-criterion",
+        "torus": {"n": 1, "K": K, "policy": policy},
+        "structure": {"type": "complex"},
+        "deformation": {
+            "coefficients": {"1,0": {"terms": {"0,1": {"modes": [{"k": [1, 0], "c": 0.3}]}}}}
+        },
+        "experiments": [{"kind": "criterion", "t": [0.2], "samples": 3}],
+    }
+
+
+@pytest.mark.parametrize(
+    "constant, policy, K, calls",
+    [(False, "drop", 1, 0), (True, "drop", 1, 6), (True, "strict", 1, 6), (False, "strict", 2, 6)],
+    ids=["varying-drop", "constant-drop", "constant-strict", "varying-strict"],
+)
+def test_criterion_runs_samples_only_where_they_decide_the_verdict(
+    constant, policy, K, calls, monkeypatch
+):
+    """A varying eps reports no sample, so under drop none is computed;
+    under strict a sample may still raise, so all of them run."""
+    import gentorus.scenario as scenario
+
+    seen = []
+    real = scenario.holomorphy_residuals
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "holomorphy_residuals", counted)
+    config = _varying_criterion_config(policy, K)
+    config["experiments"][0]["t"] = [0.2, 0.4]
+    if constant:
+        config["deformation"]["coefficients"]["1,0"]["terms"]["0,1"] = 0.3
+    report, _ = run_scenario(config)
+    assert report["summary"]["status"] == "pass"
+    assert len(seen) == calls
+
+
+def test_varying_criterion_computes_each_sup_norm_once(monkeypatch):
+    """The norm gates and the frame blocks reuse the sup-norms computed when
+    the config was parsed."""
+    from gentorus.deformation import FrameMaps
+
+    calls = []
+    real = FrameMaps.sup_norm
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(FrameMaps, "sup_norm", counted)
+    config = _varying_criterion_config("drop")
+    config["experiments"][0]["t"] = [0.2, 0.4]
+    report, _ = run_scenario(config)
+    assert report["summary"]["status"] == "pass"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "policy, status, error",
+    [
+        ("strict", "error", "TruncationError: frequency (2, 0) escapes the truncation box"),
+        ("drop", "pass", None),
+    ],
+    ids=["strict", "drop"],
+)
+def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
+    exp = run_scenario(_varying_criterion_config(policy))[0]["experiments"][0]
+    assert exp["status"] == status
+    assert exp.get("error") == error
+    if status == "pass":
+        names = [e["name"] for e in exp["entries"]]
+        assert names[0] == "criterion_norm_gate[t=0.2]"
+        assert all(name.startswith("frame_blocks_") for name in names[1:])
 
 
 def test_emit_report_identical_bytes(tmp_path):
