@@ -235,7 +235,7 @@ class AlgebroidHodge:
 
         def laplacian(sel):
             d = _stack_linear(self._const, self._slopes, self.modes[sel])
-            return d @ _adjoint(d) + _adjoint(d) @ d
+            return [d @ _adjoint(d) + _adjoint(d) @ d]
 
         self._spectra = _ModeSpectra(laplacian, len(self.modes), [slice(0, self.size)])
 

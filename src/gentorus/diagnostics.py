@@ -20,7 +20,7 @@ from .calculus import (
     twisted_d,
 )
 from .fourier import TorusGeometry, TruncationBox
-from .hodge import HodgeContext, _adjoint, _null_basis, _range_basis, _rank
+from .hodge import HodgeContext, _adjoint, _basis_rank, _null_basis, _range_basis
 from .spinor import (
     CliffordPoly,
     clifford_act,
@@ -190,7 +190,7 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
     """Kernel and orthogonal-decomposition facts for the BC and Aeppli kinds.
 
     Every basis is a stack over the modes, zero-padded past its rank, so
-    dimensions are counted by rank.
+    dimensions are counted as nonzero columns.
     """
     out = []
     size = ctx.size
@@ -208,10 +208,10 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
         null = _null_basis(stack)
         hmat = pk._spectra.matrix(slice(None), pk._spectra.harmonic_weights)
         hbasis = _range_basis(hmat)
-        hdim = _rank(hbasis)
-        dim_mismatch = int(np.sum(hdim != _rank(null)))
+        hdim = _basis_rank(hbasis)
+        dim_mismatch = int(np.sum(hdim != _basis_rank(null)))
         containment = float(np.abs(null - hmat @ null).max())
-        total = hdim + _rank(second) + _rank(third)
+        total = hdim + _basis_rank(second) + _basis_rank(third)
         decomp_dim_defect = int(np.sum(np.abs(total - size)))
         orth = max(
             float(np.abs(_adjoint(a) @ b).max())
@@ -229,13 +229,13 @@ def _green_commutation(ctx: HodgeContext) -> List[Dict]:
     worst = {f"green_identity_{i}": 0.0 for i in range(1, 9)}
     bc = ctx.package("bc")
     ae = ctx.package("aeppli")
-    for mode in ctx.modes:
+    every = slice(None)
+    laps = zip(ctx.modes, ctx._laplacian("bc", every), ctx._laplacian("aeppli", every))
+    for mode, lbc, la in laps:
         dl = ctx.operator_matrix("del", mode)
         db = ctx.operator_matrix("dbar", mode)
         t = dl @ db                      # level-preserving double operator
         t2 = db @ dl
-        lbc = ctx.laplacian_matrix("bc", mode)
-        la = ctx.laplacian_matrix("aeppli", mode)
         gbc = bc.green_matrix(mode)
         ga = ae.green_matrix(mode)
         scale = max(1.0, np.abs(lbc).max(), np.abs(la).max())
@@ -290,10 +290,9 @@ def _kaehler_diagnostic(ctx: HodgeContext) -> List[Dict]:
     except Exception:
         return [entry("kaehler_partner_integrable", 1.0, float("inf"))]
     worst = 0.0
-    for mode in ctx.modes:
-        ld = ctx.laplacian_matrix("d", mode)
-        ldel = ctx.laplacian_matrix("del", mode)
-        ldbar = ctx.laplacian_matrix("dbar", mode)
+    every = slice(None)
+    laps = zip(*(ctx._laplacian(kind, every) for kind in ("d", "del", "dbar")))
+    for ld, ldel, ldbar in laps:
         scale = max(1.0, np.abs(ld).max())
         worst = max(
             worst,

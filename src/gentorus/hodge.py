@@ -4,16 +4,21 @@ Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, so the operators are assembled for all
 modes at once and kept as arrays stacked over the modes.  Adjoints are
-conjugate transposes in that basis (exact on the truncation).  Laplacians
-are eigendecomposed by batched ``eigh`` over chunks of modes, one call per
-level block, the kernel split off by a relative cutoff, and the Green
-operator is the pseudo-inverse on the kernel complement.  The class checks
-(the ddbar-lemma and the solvability classes) slice level blocks from the
-same stacks and decide every numerical rank by one batched SVD per
-question; each (kind, level) is decided once per context.  A spinor enters
-and leaves as its mode rows (``spinor.mode_stack``), so every operator,
-projector and Green operator acts by one product batched over its modes.
-The Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
+conjugate transposes in that basis (exact on the truncation).  The
+Laplacians are assembled per diagonal block from products of the level
+blocks of d (one block per level; the whole matrix for the level-mixing d
+Laplacian), so their entries off the blocks are exact zeros, and each block
+is eigendecomposed by batched ``eigh`` over chunks of modes, the kernel
+split off by a relative cutoff; the Green operator is the pseudo-inverse on
+the kernel complement.  The class checks (the ddbar-lemma and the
+solvability classes) slice level blocks from the same stacks and decide
+every numerical rank by a batched SVD.  A basis carries its rank in its
+nonzero columns, the bases that several kinds of one level share are
+computed once while that level is the one asked last, and each
+(kind, level) is decided once per context.  A spinor enters and leaves as
+its mode rows (``spinor.mode_stack``), so every operator, projector and
+Green operator acts by one product batched over its modes.  The
+Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
 assembly, the eigendecomposition and the batched application.
 """
 
@@ -44,6 +49,10 @@ RANK_CUTOFF = 1e-9
 
 MODE_CHUNK = 256  # modes per batched eigh; bounds the transient Laplacian stack
 
+# HodgeContext.check_counts: class checks decided and served from the memo,
+# shared bases computed and reused
+CHECK_COUNTERS = ("decided", "memo_hits", "bases_computed", "bases_reused")
+
 
 class ObstructionError(ValueError):
     """A solvability condition failed; carries the offending norms."""
@@ -73,8 +82,10 @@ def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
 def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
     """Orthonormal range bases of a stack, (..., r, min(r, c)).
 
-    Columns past each matrix's rank are zero: zero columns add only zero
-    singular values, so every rank and containment is unchanged.
+    Columns past each matrix's rank are exact zeros, and every kept column
+    is a unit vector, so ``_basis_rank`` reads the rank back.  Zero columns
+    add only zero singular values, so every rank and containment is
+    unchanged.
     """
     u, s = np.linalg.svd(mats, full_matrices=False)[:2]
     u *= (np.arange(s.shape[-1]) < _cut(s, floor)[..., None])[..., None, :]
@@ -90,14 +101,26 @@ def _null_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
     return basis
 
 
+def _trim(basis: np.ndarray) -> np.ndarray:
+    """A basis stack without the columns that are zero at every matrix: its
+    width becomes the widest rank (or nullity) over the stack."""
+    return basis[..., basis.any(axis=tuple(range(basis.ndim - 1)))]
+
+
+def _basis_rank(basis: np.ndarray) -> np.ndarray:
+    """Per matrix, the rank of a basis from ``_range_basis`` or ``_null_basis``:
+    its count of nonzero columns."""
+    return np.count_nonzero(basis.any(axis=-2), axis=-1)
+
+
 def _contained(sub: np.ndarray, sup: np.ndarray, floor=0.0) -> np.ndarray:
-    """Per matrix, column span of sub contained in column span of sup."""
-    return _rank(np.concatenate([sup, sub], axis=-1), floor) == _rank(sup, floor)
+    """Per matrix, column span of sub contained in that of the basis sup."""
+    return _rank(np.concatenate([sup, sub], axis=-1), floor) == _basis_rank(sup)
 
 
 def _intersection_dim(a: np.ndarray, b: np.ndarray, floor=0.0) -> np.ndarray:
-    """Per matrix, the dimension of the intersection of the column spans."""
-    da, db = _rank(a, floor), _rank(b, floor)
+    """Per matrix, the dimension of the intersection of the spans of two bases."""
+    da, db = _basis_rank(a), _basis_rank(b)
     both = _rank(np.concatenate([a, b], axis=-1), floor)
     return np.where((da == 0) | (db == 0), 0, da + db - both)
 
@@ -191,13 +214,13 @@ class _LevelBasis:
 class _ModeSpectra:
     """Eigendecomposed per-mode Hermitian Laplacians, by diagonal block.
 
-    ``laplacian(sel)`` returns the Laplacians of the modes in the slice
-    ``sel`` as an (m, N, N) stack.  It is called on MODE_CHUNK modes at a
-    time, so the whole stack never exists at once, and each block of a chunk
-    goes to one batched ``eigh``.  ``vals[b]`` is (M, n_b) and ``vecs[b]``
-    is (M, n_b, n_b) for ``blocks[b]``; ``leak`` is the largest entry
-    outside the blocks.  Eigenvalues up to RANK_CUTOFF times the spectral
-    radius count as kernel.
+    ``laplacian(sel)`` returns the diagonal blocks of the Laplacians of the
+    modes in the slice ``sel``, one (m, n_b, n_b) stack per slice of
+    ``blocks``; the Laplacian is zero off these blocks.  It is called on
+    MODE_CHUNK modes at a time, so no whole stack exists at once, and each
+    block of a chunk goes to one batched ``eigh``.  ``vals[b]`` is (M, n_b)
+    and ``vecs[b]`` is (M, n_b, n_b) for ``blocks[b]``.  Eigenvalues up to
+    RANK_CUTOFF times the spectral radius count as kernel.
     """
 
     def __init__(self, laplacian, count: int, blocks: List[slice]):
@@ -205,15 +228,10 @@ class _ModeSpectra:
         sizes = [b.stop - b.start for b in blocks]
         self.vals = [np.empty((count, n)) for n in sizes]
         self.vecs = [np.empty((count, n, n), dtype=complex) for n in sizes]
-        self.leak = 0.0
         for start in range(0, count, MODE_CHUNK):
             sel = slice(start, min(start + MODE_CHUNK, count))
-            lap = laplacian(sel)
-            for vals, vecs, b in zip(self.vals, self.vecs, blocks):
-                block = lap[:, b, b]
+            for vals, vecs, block in zip(self.vals, self.vecs, laplacian(sel)):
                 vals[sel], vecs[sel] = np.linalg.eigh((block + _adjoint(block)) / 2)
-                lap[:, b, b] = 0.0
-            self.leak = max(self.leak, float(np.abs(lap).max()))
         self.radius = max(float(v.max()) for v in self.vals)
         self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
 
@@ -258,17 +276,13 @@ class HodgePackage:
         self.level_basis = lb = context.level_basis
         self.kind = kind
         self.blockwise = kind != "d"
-        if self.blockwise:
-            self._levels = lb.levels
-            blocks = [lb.level_slices[k] for k in self._levels]
-        else:
-            self._levels = [None]
-            blocks = [slice(0, lb.size)]
+        self._levels = lb.levels if self.blockwise else [None]
         self._spectra = _ModeSpectra(
-            lambda sel: context._laplacian(kind, sel), len(lb.modes), blocks
+            lambda sel: context._laplacian_blocks(kind, sel),
+            len(lb.modes),
+            context._laplacian_slices(kind),
         )
         self.vals, self.vecs = self._spectra.vals, self._spectra.vecs
-        self.block_leak = self._spectra.leak
         self.spectral_radius = self._spectra.radius
         self.cutoff = self._spectra.cutoff
 
@@ -279,10 +293,6 @@ class HodgePackage:
         if gap:
             self.warnings.append(
                 f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"
-            )
-        if self.block_leak > 1e-9 * max(1.0, self.spectral_radius):
-            self.warnings.append(
-                f"level-block leakage {self.block_leak:.3e} in the {kind} Laplacian"
             )
 
     # ------------------------------------------------------------------
@@ -394,6 +404,12 @@ class HodgeContext:
         # del, dbar and deldbar are stacked on first use: packages need d alone
         self._stacks = {"d": d}
         self._checks: Dict[Tuple[str, int], Dict] = {}
+        # bases shared by the class checks of one level: only the level
+        # asked last is kept (``_shared_basis``)
+        self._bases_level: int | None = None
+        self._bases: Dict[str, np.ndarray] = {}
+        self._scale: np.ndarray | None = None
+        self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -443,31 +459,70 @@ class HodgeContext:
     def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
         return self._laplacian(kind, self.level_basis.position(mode))
 
+    def _laplacian_slices(self, kind: str) -> List[slice]:
+        """The diagonal blocks of the ``kind`` Laplacian: the levels, or the
+        whole matrix for the level-mixing ``d``."""
+        if kind == "d":
+            return [slice(0, self.size)]
+        return [self.level_slices[k] for k in self.level_basis.levels]
+
     def _laplacian(self, kind: str, sel) -> np.ndarray:
-        """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice)."""
-        if kind in ("d", "del", "dbar"):
-            a = self._op(kind, sel)
-            return a @ _adjoint(a) + _adjoint(a) @ a
-        dl = self._op("del", sel)
-        db = self._op("dbar", sel)
-        dl_a, db_a = _adjoint(dl), _adjoint(db)
-        if kind == "bc":
-            t = dl @ db
-            s = db_a @ dl
-            return (
-                t @ _adjoint(t) + _adjoint(t) @ t
-                + s @ _adjoint(s) + _adjoint(s) @ s
-                + db_a @ db + dl_a @ dl
-            )
-        if kind == "aeppli":
-            t = db @ dl
-            r = dl @ db_a
-            return (
-                t @ _adjoint(t) + _adjoint(t) @ t
-                + r @ _adjoint(r) + _adjoint(r) @ r
-                + db @ db_a + dl @ dl_a
-            )
-        raise ValueError(f"unknown Laplacian kind {kind!r}")
+        """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice):
+        its blocks placed on the diagonal."""
+        blocks = self._laplacian_blocks(kind, sel)
+        out = np.zeros(blocks[0].shape[:-2] + (self.size, self.size), dtype=complex)
+        for block, b in zip(blocks, self._laplacian_slices(kind)):
+            out[..., b, b] = block
+        return out
+
+    def _laplacian_blocks(self, kind: str, sel) -> List[np.ndarray]:
+        """The diagonal blocks of the ``kind`` Laplacian at the modes picked by ``sel``.
+
+        Each block is assembled from level blocks of d: del is the block one
+        level down, dbar the block one level up.  Every term of the del,
+        dbar, bc and aeppli Laplacians is X X* or X* X of such blocks, so the
+        entries off the level blocks are exact zeros.
+        """
+        d = self._stacks["d"][sel]
+        if kind == "d":
+            return [d @ _adjoint(d) + _adjoint(d) @ d]
+        if kind not in KINDS:
+            raise ValueError(f"unknown Laplacian kind {kind!r}")
+
+        def block(row_level, col_level):
+            return d[..., self._level(row_level), self._level(col_level)]
+
+        out = []
+        for k in self.level_basis.levels:
+            if kind in ("del", "dbar"):
+                # a maps into level k, b out of it
+                step = -1 if kind == "del" else 1
+                a, b = block(k, k - step), block(k + step, k)
+                out.append(a @ _adjoint(a) + _adjoint(b) @ b)
+                continue
+            dl_out, db_out = block(k - 1, k), block(k + 1, k)
+            if kind == "bc":
+                t = block(k, k + 1) @ db_out  # del dbar on level k
+                # dbar* del from level k + 2 into k, and from k into k - 2
+                s_in = _adjoint(db_out) @ block(k + 1, k + 2)
+                s_out = _adjoint(block(k - 1, k - 2)) @ dl_out
+                out.append(
+                    t @ _adjoint(t) + _adjoint(t) @ t
+                    + s_in @ _adjoint(s_in) + _adjoint(s_out) @ s_out
+                    + _adjoint(db_out) @ db_out + _adjoint(dl_out) @ dl_out
+                )
+            else:
+                db_in, dl_in = block(k, k - 1), block(k, k + 1)
+                t = db_in @ dl_out  # dbar del on level k
+                # del dbar* from level k + 2 into k, and from k into k - 2
+                r_in = dl_in @ _adjoint(block(k + 2, k + 1))
+                r_out = block(k - 2, k - 1) @ _adjoint(db_in)
+                out.append(
+                    t @ _adjoint(t) + _adjoint(t) @ t
+                    + r_in @ _adjoint(r_in) + _adjoint(r_out) @ r_out
+                    + db_in @ _adjoint(db_in) + dl_in @ _adjoint(dl_in)
+                )
+        return out
 
     # ------------------------------------------------------------------
     # spinor transport
@@ -587,58 +642,87 @@ class HodgeContext:
         dbar(del phi) = 0 (plain) or dbar phi = 0 (calligraphic); the B
         variants additionally demand a del-exact solution.  Every verdict
         is decided per mode, on level blocks sliced from the stacked d, by
-        one batched SVD per rank question; ``holds`` requires it at every
-        mode and ``dims`` sums the ranks over the modes.  The verdicts depend
-        on the context alone, so each (kind, k) is decided once; every call
-        returns a fresh dict.
+        batched SVDs; ``holds`` requires it at every mode and ``dims`` sums
+        the ranks over the modes.  A basis carries its rank in its nonzero
+        columns, so a rank question costs one SVD, and the bases that
+        several kinds of level k share are computed once while k is the
+        level asked last.  The verdicts depend on the context alone, so
+        each (kind, k) is decided once; every call returns a fresh dict.
         """
         if kind not in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
             raise ValueError(f"unknown class check {kind!r}")
-        if (kind, k) not in self._checks:
+        if (kind, k) in self._checks:
+            self.check_counts["memo_hits"] += 1
+        else:
             self._checks[kind, k] = self._class_check(kind, k)
+            self.check_counts["decided"] += 1
         check = self._checks[kind, k]
         return {**check, "dims": dict(check["dims"])}
 
+    def _block(self, row_level: int, col_level: int) -> np.ndarray:
+        """The level block of d at every mode: del one level down, dbar one up."""
+        return self._stack("d")[:, self._level(row_level), self._level(col_level)]
+
+    def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per mode, the operator scale and the absolute rank floor tied to it."""
+        if self._scale is None:
+            self._scale = np.maximum(1.0, np.abs(self._stack("d")).max(axis=(1, 2)))
+        return self._scale, RANK_CUTOFF * self._scale
+
+    def _shared_basis(self, name: str, k: int) -> np.ndarray:
+        """A basis that several class checks of level k share.
+
+        'dbar_in' is the range of dbar into level k, 'dbar_del_in' the range
+        of dbar del into level k (del-exact solutions), and 'w_plain' /
+        'w_cal' the span of del phi over phi in level k + 1 with
+        dbar(del phi) = 0 / dbar phi = 0.  Only the bases of the level asked
+        last are kept.
+        """
+        if self._bases_level != k:
+            self._bases_level, self._bases = k, {}
+        if name in self._bases:
+            self.check_counts["bases_reused"] += 1
+            return self._bases[name]
+        self.check_counts["bases_computed"] += 1
+        scale, floor = self._floor()
+        block = self._block
+        if name == "dbar_in":
+            basis = _range_basis(block(k, k - 1), floor)
+        elif name == "dbar_del_in":
+            basis = _range_basis(block(k, k - 1) @ block(k - 1, k), floor * scale)
+        else:
+            del_down = block(k, k + 1)
+            if name == "w_plain":
+                null = _null_basis(block(k + 1, k) @ del_down, floor * scale)
+            else:
+                null = _null_basis(block(k + 2, k + 1), floor)
+            basis = _range_basis(del_down @ _trim(null), floor)
+        basis = self._bases[name] = _trim(basis)
+        return basis
+
     def _class_check(self, kind: str, k: int) -> Dict:
-        d = self._stack("d")
-
-        def block(row_level, col_level):
-            # del is the block one level down of d, dbar the block one level up
-            return d[:, self._level(row_level), self._level(col_level)]
-
-        # absolute noise floor tied to the operator magnitude at each mode
-        scale = np.maximum(1.0, np.abs(d).max(axis=(1, 2)))
-        floor = RANK_CUTOFF * scale
+        scale, floor = self._floor()
+        block = self._block
         del_down = block(k, k + 1)
         if kind == "ddbar_lemma":
-            v1 = _range_basis(del_down, floor)
-            ker_dbar = _null_basis(block(k + 1, k), floor)
-            v2 = _range_basis(block(k, k - 1), floor)
-            ker_del = _null_basis(block(k - 1, k), floor)
+            # the shared basis first: it frees the bases of another level
+            v2 = self._shared_basis("dbar_in", k)
+            v1 = _trim(_range_basis(del_down, floor))
+            ker_dbar = _trim(_null_basis(block(k + 1, k), floor))
+            ker_del = _trim(_null_basis(block(k - 1, k), floor))
             v3 = _range_basis(del_down @ block(k + 1, k), floor * scale)
             d1 = _intersection_dim(v1, ker_dbar, RANK_CUTOFF)
             d2 = _intersection_dim(v2, ker_del, RANK_CUTOFF)
-            d3 = _rank(v3, RANK_CUTOFF)
+            d3 = _basis_rank(v3)
             holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
         elif del_down.shape[-1] == 0:
             # no level above k: nothing to check
             holds, candidates, target = True, 0, 0
         else:
-            if kind in ("S_k", "B_k"):
-                # phi in level k+1 with dbar(del phi) = 0
-                null = _null_basis(block(k + 1, k) @ del_down, floor * scale)
-            else:
-                # phi in level k+1 with dbar phi = 0
-                null = _null_basis(block(k + 2, k + 1), floor)
-            w = _range_basis(del_down @ null, floor)
-            dbar_in = block(k, k - 1)
-            if kind in ("S_k", "Scal_k"):
-                image = _range_basis(dbar_in, floor)
-            else:
-                # del-exact solutions: dbar(del sigma1) with sigma1 at level k
-                image = _range_basis(dbar_in @ block(k - 1, k), floor * scale)
+            w = self._shared_basis("w_plain" if kind in ("S_k", "B_k") else "w_cal", k)
+            image = self._shared_basis("dbar_in" if kind in ("S_k", "Scal_k") else "dbar_del_in", k)
             holds = _contained(w, image, RANK_CUTOFF)
-            candidates, target = _rank(w, RANK_CUTOFF), _rank(image, RANK_CUTOFF)
+            candidates, target = _basis_rank(w), _basis_rank(image)
         return {
             "kind": kind,
             "level": k,

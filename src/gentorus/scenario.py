@@ -34,7 +34,7 @@ from .diagnostics import (
     structure_suite,
 )
 from .fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
-from .hodge import HodgeContext, ObstructionError
+from .hodge import CHECK_COUNTERS, HodgeContext, ObstructionError
 from .metric import GeneralizedMetric, MetricError
 from .spinor import CliffordPoly, Spinor, random_spinor
 from .structure import GCStructure, StructureError
@@ -84,6 +84,18 @@ def _parse_key_tuple(text) -> Tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(",") if v != "")
 
 
+def _check_integer(key: str, value, low: int, high: int | None = None) -> None:
+    """An experiment's integer field: an int, not a bool, within [low, high]."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ScenarioError(f"experiment {key!r} must be an integer {bound}, got {value!r}")
+
+
 class Scenario:
     """Parsed and validated scenario configuration."""
 
@@ -119,19 +131,19 @@ class Scenario:
             if exp["kind"] == "criterion" and exp.get("t") == []:
                 raise ScenarioError("criterion experiment needs at least one 't'")
             if exp["kind"] in ("criterion", "identity-suite") and "samples" in exp:
-                samples = exp["samples"]
-                if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-                    raise ScenarioError(
-                        f"experiment 'samples' must be an integer >= 1, got {samples!r}"
-                    )
-            for key in ("level", "levels"):
+                _check_integer("samples", exp["samples"], 1)
+            for key in ("order", "sigma00", "seed"):
                 if key in exp:
-                    levels = exp[key] if isinstance(exp[key], list) else [exp[key]]
-                    for k in levels:
-                        if not -n <= int(k) <= n:
-                            raise ScenarioError(
-                                f"experiment level {k} outside [-{n}, {n}]"
-                            )
+                    _check_integer(key, exp[key], 0)
+            if "level" in exp:
+                _check_integer("level", exp["level"], -n, n)
+            if "levels" in exp:
+                if not isinstance(exp["levels"], list):
+                    raise ScenarioError(
+                        f"experiment 'levels' must be a list, got {exp['levels']!r}"
+                    )
+                for k in exp["levels"]:
+                    _check_integer("levels", k, -n, n)
         self._sup_norms: Dict[complex, float] = {}
         if self.series is not None:
             for exp in self.experiments:
@@ -250,6 +262,12 @@ class Runner:
         if self._context is None:
             self._context = HodgeContext(self.scenario.structure, self.scenario.metric)
         return self._context
+
+    def _check_counts(self) -> Dict[str, int]:
+        """The class-check counters of the runner's context, zero before it exists."""
+        if self._context is None:
+            return dict.fromkeys(CHECK_COUNTERS, 0)
+        return dict(self._context.check_counts)
 
     # -- experiment implementations --------------------------------------
 
@@ -453,6 +471,7 @@ class Runner:
         for exp in self.scenario.experiments:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
+            counts_before = self._check_counts()
             started = time.monotonic()
             try:
                 handler = handlers.get(kind)
@@ -481,7 +500,15 @@ class Runner:
             # strict-policy runs never drop spectral content silently, so
             # experiments report zero unless they surfaced a total themselves
             record.setdefault("dropped_mass", round12(0.0))
-            timings.append({"kind": kind, "wall_time_s": time.monotonic() - started})
+            wall = time.monotonic() - started
+            counts_after = self._check_counts()
+            timings.append({
+                "kind": kind,
+                "wall_time_s": wall,
+                "class_checks": {
+                    key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
+                },
+            })
             counts[record["status"]] += 1
             report["experiments"].append(record)
             if self.fail_fast and record["status"] in ("fail", "error", "finding"):

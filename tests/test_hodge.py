@@ -8,7 +8,7 @@ import pytest
 from gentorus.calculus import delbar_op
 from gentorus.diagnostics import hodge_suite, hodge_table
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
-from gentorus.hodge import RANK_CUTOFF, HodgeContext, ObstructionError
+from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     Spinor,
@@ -454,24 +454,123 @@ def _symplectic_case(n, K):
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: _case(1, 1),
-        lambda: _symplectic_case(1, 1),
-        lambda: _case(2, 1),
-        lambda: _case(2, 1, twisted=True),
-        lambda: _symplectic_case(2, 1),
-        lambda: _case(2, 2),
-        # g = 1e-4 puts d at 7e5, where the absolute floors decide ranks: the
-        # level-0 ddbar-lemma target reads 292, and 320 if the deldbar block
-        # took the unscaled floor
-        lambda: _case(2, 1, twisted=True, g_scale=1e-4),
-    ],
-    ids=["t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors"],
-)
+CLASS_CHECK_CASES = [
+    lambda: _case(1, 1),
+    lambda: _symplectic_case(1, 1),
+    lambda: _case(2, 1),
+    lambda: _case(2, 1, twisted=True),
+    lambda: _symplectic_case(2, 1),
+    lambda: _case(2, 2),
+    # g = 1e-4 puts d at 7e5, where the absolute floors decide ranks: the
+    # level-0 ddbar-lemma target reads 292, and 320 if the deldbar block
+    # took the unscaled floor
+    lambda: _case(2, 1, twisted=True, g_scale=1e-4),
+]
+CLASS_CHECK_IDS = [
+    "t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors"
+]
+CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
+
+
+@pytest.mark.parametrize("build", CLASS_CHECK_CASES, ids=CLASS_CHECK_IDS)
 def test_stacked_class_checks_match_per_mode_reference(build):
     ctx = HodgeContext(*build())
     for k in ctx.structure.levels():
         for kind in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
             assert ctx.class_check(kind, k) == reference_class_check(ctx, kind, k), (kind, k)
+
+
+@pytest.mark.parametrize("build", CLASS_CHECK_CASES, ids=CLASS_CHECK_IDS)
+def test_class_checks_do_not_depend_on_the_order_asked(build):
+    """The shared bases are kept for the level asked last; asking the checks
+    in reversed or shuffled order, on fresh contexts, gives the reference."""
+    structure, metric = build()
+    questions = [(kind, k) for k in structure.levels() for kind in CHECK_KINDS]
+    ctx = HodgeContext(structure, metric)
+    want = {q: reference_class_check(ctx, *q) for q in questions}
+    shuffled = [questions[i] for i in np.random.default_rng(11).permutation(len(questions))]
+    for order in (questions[::-1], shuffled):
+        ctx = HodgeContext(structure, metric)
+        for kind, k in order:
+            assert ctx.class_check(kind, k) == want[kind, k], (kind, k)
+        assert ctx.check_counts["decided"] == len(questions)
+
+
+def test_hodge_table_svd_count(monkeypatch):
+    """hodge_table on T^4 K=1 makes 76 SVD calls (177 before the class
+    checks shared their bases and carried their ranks): 71 batched calls in
+    the 25 class checks and 5 per-mode calls for the d kernel's levels."""
+    ctx = HodgeContext(*_case(2, 1))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    hodge_table(ctx)
+    assert len(calls) <= 76
+    assert ctx.check_counts == {
+        "decided": 25, "memo_hits": 0, "bases_computed": 17, "bases_reused": 20
+    }
+
+
+# ----------------------------------------------------------------------
+# the Laplacians assembled per level block against the full-matrix formula
+# ----------------------------------------------------------------------
+
+
+def _full_matrix_laplacian(ctx, kind):
+    """The Laplacian from products of whole masked operator matrices."""
+
+    def adj(x):
+        return x.conj().swapaxes(1, 2)
+
+    every = slice(None)
+    if kind in ("d", "del", "dbar"):
+        a = ctx._op(kind, every)
+        return a @ adj(a) + adj(a) @ a
+    dl, db = ctx._op("del", every), ctx._op("dbar", every)
+    if kind == "bc":
+        t, s = dl @ db, adj(db) @ dl
+        return (
+            t @ adj(t) + adj(t) @ t + s @ adj(s) + adj(s) @ s + adj(db) @ db + adj(dl) @ dl
+        )
+    t, r = db @ dl, dl @ adj(db)
+    return t @ adj(t) + adj(t) @ t + r @ adj(r) + adj(r) @ r + db @ adj(db) + dl @ adj(dl)
+
+
+def _sheared_case(n, K):
+    b = np.zeros((2 * n, 2 * n))
+    b[0, 1], b[1, 0] = 0.7, -0.7
+    s = GCStructure.complex_structure(n, TruncationBox(K)).b_transform(b)
+    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n), b)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _case(1, 1),
+        lambda: _case(1, 2),
+        lambda: _symplectic_case(1, 1),
+        lambda: _symplectic_case(1, 2),
+        lambda: _case(2, 1, twisted=True),
+        lambda: _sheared_case(2, 1),
+    ],
+    ids=["t2-K1", "t2-K2", "t2-symplectic-K1", "t2-symplectic-K2", "t4-twisted", "t4-sheared"],
+)
+def test_laplacian_is_zero_off_its_blocks_and_assembled_per_block(build):
+    """The full-matrix products are exact zeros off the level blocks (off
+    nothing for d, whose one block is the whole matrix), and the Laplacian
+    assembled per level block equals them."""
+    ctx = HodgeContext(*build())
+    for kind in KINDS:
+        full = _full_matrix_laplacian(ctx, kind)
+        off = np.ones((ctx.size, ctx.size), dtype=bool)
+        for b in ctx._laplacian_slices(kind):
+            off[b, b] = False
+        assert not full[:, off].any(), kind
+        blocks = ctx._laplacian(kind, slice(None))
+        scale = max(1.0, float(np.abs(full).max()))
+        assert np.abs(blocks - full).max() <= 1e-12 * scale, kind

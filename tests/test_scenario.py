@@ -201,11 +201,22 @@ def _deformation_config():
         (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": True}]),
         (("experiments",), [{"kind": "identity-suite", "samples": 2.7}]),
         (("experiments",), [{"kind": "identity-suite", "samples": "5"}]),
+        (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "order": 1.9}]),
+        (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "order": -1}]),
+        (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": 2, "seed": 3.7}]),
+        (("experiments",), [{"kind": "criterion", "t": [0.1], "samples": 2, "seed": -1}]),
+        (("experiments",), [{"kind": "extend", "level": "x", "order": 1}]),
+        (("experiments",), [{"kind": "extend", "level": -1, "sigma00": 0.5, "order": 1}]),
+        (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "levels": [0.5]}]),
+        (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "levels": 0}]),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
         "expand-escapes-box", "criterion-samples-negative", "criterion-samples-zero",
         "criterion-samples-bool", "identity-samples-fraction", "identity-samples-string",
+        "scan-order-fraction", "scan-order-negative", "criterion-seed-fraction",
+        "criterion-seed-negative", "extend-level-string", "extend-sigma00-fraction",
+        "scan-levels-fraction", "scan-levels-scalar",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
@@ -313,6 +324,28 @@ def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
         names = [e["name"] for e in exp["entries"]]
         assert names[0] == "criterion_norm_gate[t=0.2]"
         assert all(name.startswith("frame_blocks_") for name in names[1:])
+
+
+def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
+    """Each experiment's sidecar entry counts the class checks it decided or
+    found in the memo and the shared bases it computed or reused; the
+    report bytes are those of a run without the sidecar."""
+    config = minimal_config()
+    config["experiments"].append({"kind": "hodge-table"})
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "plain")]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "timed"), "--timings"]) == 0
+    plain, timed = tmp_path / "plain" / "mini.json", tmp_path / "timed" / "mini.json"
+    assert timed.read_bytes() == plain.read_bytes()
+    assert not (tmp_path / "plain" / "mini.timings.json").exists()
+    sidecar = json.loads((tmp_path / "timed" / "mini.timings.json").read_text())
+    assert [t["class_checks"] for t in sidecar] == [
+        {"decided": 0, "memo_hits": 0, "bases_computed": 0, "bases_reused": 0},
+        # T^2: 3 levels x 5 kinds; 4 shared bases at levels -1 and 0, 1 at level 1
+        {"decided": 15, "memo_hits": 0, "bases_computed": 9, "bases_reused": 10},
+        {"decided": 0, "memo_hits": 15, "bases_computed": 0, "bases_reused": 0},
+    ]
 
 
 def test_emit_report_identical_bytes(tmp_path):
