@@ -2,9 +2,10 @@
 
 The twisted differential d sigma - H ^ sigma splits, on a structure with
 involutive eigenbundle, into the level-lowering and level-raising pieces
-(projections onto adjacent levels).  The module also carries the Lie
-algebroid differential on frame polynomials and the Schouten bracket that
-extends the twisted Courant bracket to them.
+(projections onto adjacent levels).  All three act mode by mode as
+C + 2 pi i sum_a k_a A_a, one product over a spinor's modes.  The module
+also carries the Lie algebroid differential on frame polynomials and the
+Schouten bracket that extends the twisted Courant bracket to them.
 """
 
 from __future__ import annotations
@@ -12,48 +13,58 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .fourier import FourierScalar
 from .spinor import (
     CliffordPoly,
     CourantVector,
     Spinor,
+    _stack_linear,
+    clifford_generators,
     courant_bracket,
-    exterior_derivative,
     pairing,
-    wedge,
+    wedge_matrix,
 )
 from .structure import GCStructure
 
+# a bracket's off-span mass, relative to its norm, that means it left the
+# conjugate eigenbundle
+SPAN_TOL = 1e-9
 
-def twisted_d(sigma: Spinor, structure: GCStructure, policy: str | None = None) -> Spinor:
+
+def d_matrices(structure: GCStructure) -> Tuple[np.ndarray, np.ndarray]:
+    """C and the slopes A_a with d_H = C + 2 pi i sum_a k_a A_a at mode k.
+
+    On the monomial basis C = -H ^ (the twist is constant) and A_a = dx^a ^.
+    """
+    dim = structure.dim
+    return -wedge_matrix(structure.twist).constant_values(), clifford_generators(dim)[dim:]
+
+
+def twisted_d(sigma: Spinor, structure: GCStructure) -> Spinor:
     """d_H sigma = d sigma - H ^ sigma."""
-    out = exterior_derivative(sigma)
-    if not structure.twist.is_zero():
-        out = out.add(wedge(structure.twist, sigma, policy=policy).scale(-1))
-    return out
+    return sigma.map_modes(_stack_linear(*d_matrices(structure), sigma.modes))
 
 
-def _shifted_projection(
-    sigma: Spinor, structure: GCStructure, shift: int, policy: str | None = None
-) -> Spinor:
-    out = Spinor.zero(sigma.geometry, sigma.box)
-    for k, part in structure.level_components(sigma).items():
-        target = k + shift
-        if -structure.n <= target <= structure.n:
-            out = out.add(
-                structure.project_level(twisted_d(part, structure, policy=policy), target)
-            )
-    return out
+def _shifted_part(sigma: Spinor, structure: GCStructure, shift: int) -> Spinor:
+    """The part of d_H that maps each level k to level k + shift: the level
+    blocks of C and of the A_a masked in the frame basis."""
+    const, slopes = d_matrices(structure)
+    words, coords = structure._level_matrix, structure._level_inverse
+    frame = coords @ np.concatenate([const[None], slopes]) @ words
+    parts = words @ (structure.shift_mask(shift) * frame) @ coords
+    return sigma.map_modes(_stack_linear(parts[0], parts[1:], sigma.modes))
 
 
-def del_op(sigma: Spinor, structure: GCStructure, policy: str | None = None) -> Spinor:
+def del_op(sigma: Spinor, structure: GCStructure) -> Spinor:
     """Level-lowering component of the twisted differential."""
-    return _shifted_projection(sigma, structure, -1, policy=policy)
+    return _shifted_part(sigma, structure, -1)
 
 
-def delbar_op(sigma: Spinor, structure: GCStructure, policy: str | None = None) -> Spinor:
+def delbar_op(sigma: Spinor, structure: GCStructure) -> Spinor:
     """Level-raising component of the twisted differential."""
-    return _shifted_projection(sigma, structure, +1, policy=policy)
+    return _shifted_part(sigma, structure, +1)
 
 
 def dolbeault_split(
@@ -155,7 +166,6 @@ def schouten_bracket(
     b: CliffordPoly,
     structure: GCStructure,
     policy: str | None = None,
-    span_tol: float = 1e-9,
 ) -> CliffordPoly:
     """Schouten extension of the twisted Courant bracket to frame polynomials.
 
@@ -183,7 +193,7 @@ def schouten_bracket(
                     br = courant_bracket(secs_a[alpha], secs_b[beta], H=H, policy=policy)
                     coeffs, off = _expand_in_dual_frame(br, structure, policy=policy)
                     scale = max(1.0, br.norm())
-                    if off > span_tol * scale:
+                    if off > SPAN_TOL * scale:
                         raise ValueError(
                             "bracket left the conjugate eigenbundle "
                             f"(off-span mass {off:.3e}); structure not involutive?"

@@ -348,7 +348,8 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
 
 def _add_rows(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
     """out[slots[i]] += values[i], repeated slots summed."""
-    if not len(slots):
+    if (slots[1:] > slots[:-1]).all():
+        out[slots] += values
         return
     order = np.argsort(slots, kind="stable")
     starts = _group_starts(slots[order])
@@ -378,21 +379,24 @@ class FourierMatrix:
         if coeffs.ndim != 3:
             raise ValueError("coefficients must be a (modes, rows, cols) stack")
         modes = np.asarray(modes, dtype=np.int64).reshape(len(coeffs), geometry.dim)
-        outside = np.abs(modes).max(axis=1, initial=0) > box.K
-        if outside.any():
+        if len(modes) and np.abs(modes).max() > box.K:
+            outside = np.abs(modes).max(axis=1) > box.K
             raise TruncationError(tuple(int(k) for k in modes[np.argmax(outside)]))
         # sort by mode, sum repeated modes, drop all-zero coefficient matrices
         if len(modes) > 1:
             keys = _mode_keys(box, modes)
-            order = np.argsort(keys, kind="stable")
-            starts = _group_starts(keys[order])
-            coeffs = np.add.reduceat(coeffs[order], starts, axis=0)
-            modes = modes[order[starts]]
-        live = np.any(coeffs, axis=(1, 2))
+            if not (keys[1:] > keys[:-1]).all():
+                order = np.argsort(keys, kind="stable")
+                starts = _group_starts(keys[order])
+                coeffs = np.add.reduceat(coeffs[order], starts, axis=0)
+                modes = modes[order[starts]]
+        live = coeffs.any(axis=(1, 2))
+        if not live.all():
+            modes, coeffs = modes[live], coeffs[live]
         self.geometry = geometry
         self.box = box
-        self.modes = modes[live]
-        self.coeffs = coeffs[live]
+        self.modes = modes
+        self.coeffs = coeffs
         shape = coeffs.shape[1:]
         self.dropped_mass = (
             np.zeros(shape) if dropped_mass is None
@@ -416,20 +420,55 @@ class FourierMatrix:
     def from_scalars(cls, entries: Sequence[Sequence[FourierScalar]]) -> "FourierMatrix":
         """The stack of a nested (rows, cols) sequence of scalars."""
         sample = entries[0][0]
-        shape = (len(entries), len(entries[0]))
+        cells = (((i, j), f) for i, row in enumerate(entries) for j, f in enumerate(row))
+        return cls.from_entries(sample.geometry, sample.box, (len(entries), len(entries[0])), cells)
+
+    @classmethod
+    def from_entries(
+        cls,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        shape: Tuple[int, int],
+        entries: Iterable[Tuple[Tuple[int, int], FourierScalar]],
+    ) -> "FourierMatrix":
+        """The stack of a matrix given by ((i, j), scalar) pairs.
+
+        Absent entries are zero and scalars given for the same entry are
+        summed, dropped mass included.
+        """
         index: Dict[Mode, int] = {}
         cells = []
         dropped = np.zeros(shape)
-        for i, row in enumerate(entries):
-            for j, f in enumerate(row):
-                _check_same_space(sample, f)
-                dropped[i, j] = f.dropped_mass
-                for mode, c in f.coeffs.items():
-                    cells.append((index.setdefault(mode, len(index)), i, j, c))
-        coeffs = np.zeros((len(index),) + shape, dtype=complex)
-        for p, i, j, c in cells:
-            coeffs[p, i, j] = c
-        return cls(sample.geometry, sample.box, list(index), coeffs, dropped)
+        for (i, j), f in entries:
+            if f.geometry != geometry or f.box != box:
+                raise GeometryMismatch("matrix entry lives in a different space")
+            dropped[i, j] += f.dropped_mass
+            for mode, c in f.coeffs.items():
+                cells.append((index.setdefault(mode, len(index)), i, j, c))
+        coeffs = np.zeros((len(index),) + tuple(shape), dtype=complex)
+        if cells:
+            p, i, j, c = zip(*cells)
+            np.add.at(coeffs, (p, i, j), c)
+        return cls(geometry, box, list(index), coeffs, dropped)
+
+    @classmethod
+    def block(cls, blocks: Sequence[Sequence["FourierMatrix"]]) -> "FourierMatrix":
+        """The block matrix of a nested (rows, cols) sequence of blocks."""
+        first = blocks[0][0]
+        rows = np.cumsum([0] + [row[0].shape[0] for row in blocks])
+        cols = np.cumsum([0] + [b.shape[1] for b in blocks[0]])
+        modes, coeffs = [], []
+        for r, row in enumerate(blocks):
+            for c, b in enumerate(row):
+                _check_same_space(first, b)
+                wide = np.zeros((len(b.modes), rows[-1], cols[-1]), dtype=complex)
+                wide[:, rows[r]:rows[r + 1], cols[c]:cols[c + 1]] = b.coeffs
+                modes.append(b.modes)
+                coeffs.append(wide)
+        return cls(
+            first.geometry, first.box, np.concatenate(modes), np.concatenate(coeffs),
+            np.block([[b.dropped_mass for b in row] for row in blocks]),
+        )
 
     # ------------------------------------------------------------------
     # ring operations
@@ -472,9 +511,11 @@ class FourierMatrix:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         a, b, K = self.coeffs, other.coeffs, self.box.K
         live = np.any(a, axis=0)[:, :, None] & np.any(b, axis=0)[None, :, :]
-        dropped = np.sum(
-            live * (self.dropped_mass[:, :, None] + other.dropped_mass[None, :, :]), axis=1
-        )
+        dropped = np.zeros((rows, cols))
+        if self.dropped_mass.any() or other.dropped_mass.any():
+            dropped = np.sum(
+                live * (self.dropped_mass[:, :, None] + other.dropped_mass[None, :, :]), axis=1
+            )
         if not (len(a) and len(b)):
             zero = np.zeros((0, rows, cols))
             return FourierMatrix(self.geometry, self.box, self.modes[:0], zero, dropped)
@@ -494,8 +535,13 @@ class FourierMatrix:
 
         # one product over all mode pairs, A's modes taken in chunks
         pi, qi = np.nonzero(inside)
-        out_keys, first, slot = np.unique(keys[pi, qi], return_index=True, return_inverse=True)
-        out = np.zeros((len(out_keys), rows, cols), dtype=complex)
+        pair_keys = keys[pi, qi]
+        if (pair_keys[1:] > pair_keys[:-1]).all():
+            # one side has one mode: its shifts keep the other side's order
+            first = slot = np.arange(len(pair_keys))
+        else:
+            _, first, slot = np.unique(pair_keys, return_index=True, return_inverse=True)
+        out = np.zeros((len(first), rows, cols), dtype=complex)
         b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
         step = max(1, PAIR_CHUNK // max(1, len(b) * rows * cols))
         done = 0
@@ -524,6 +570,12 @@ class FourierMatrix:
             np.add.at(dropped, (i, j), np.sum(lost.real ** 2 + lost.imag ** 2, axis=0))
         return FourierMatrix(
             self.geometry, self.box, self.modes[pi[first]] + other.modes[qi[first]], out, dropped
+        )
+
+    def conj(self) -> "FourierMatrix":
+        """Entrywise complex conjugate; flips every frequency."""
+        return FourierMatrix(
+            self.geometry, self.box, -self.modes, self.coeffs.conj(), self.dropped_mass
         )
 
     @property

@@ -2,8 +2,9 @@
 
 Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
-mode k is C + 2 pi i sum_a k_a A_a, so the operators are assembled for all
-modes at once and kept as arrays stacked over the modes.  Adjoints are
+mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
+``calculus.d_matrices`` changed to that basis, so the operators are
+assembled for all modes at once and kept as arrays stacked over the modes.  Adjoints are
 conjugate transposes in that basis (exact on the truncation).  The
 Laplacians are assembled per diagonal block from products of the level
 blocks of d (one block per level; the whole matrix for the level-mixing d
@@ -16,7 +17,7 @@ every numerical rank by a batched SVD.  A basis carries its rank in its
 nonzero columns, the bases that several kinds of one level share are
 computed once while that level is the one asked last, and each
 (kind, level) is decided once per context.  A spinor enters and leaves as
-its mode rows (``spinor.mode_stack``), so every operator, projector and
+the coefficient rows of its mode stack, so every operator, projector and
 Green operator acts by one product batched over its modes.  The
 Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
 assembly, the eigendecomposition and the batched application.
@@ -24,23 +25,14 @@ assembly, the eigendecomposition and the batched application.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .calculus import d_matrices
 from .fourier import TruncationBox
 from .metric import GeneralizedMetric
-from .spinor import (
-    Spinor,
-    constant_clifford_matrix,
-    constant_spinor_vector,
-    from_mode_stack,
-    mode_stack,
-    monomial_list,
-    spinor_from_constant_vector,
-    wedge,
-)
+from .spinor import Spinor, _stack_linear
 from .structure import GCStructure
 
 KINDS = ("d", "del", "dbar", "bc", "aeppli")
@@ -130,18 +122,6 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
-    """The operators C + 2 pi i sum_a k_a A_a at the given modes, stacked.
-
-    ``const`` is (N, N), ``slopes`` is (dim, N, N) and ``modes`` a sequence
-    of integer dim-tuples; the result is (len(modes), N, N).
-    """
-    k = np.asarray(modes, dtype=float).reshape(-1, len(slopes))
-    out = np.einsum("ma,aij->mij", 2j * math.pi * k, slopes)
-    out += const
-    return out
-
-
 def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
     """Indices of ``modes`` in ``box.modes``, which run lexicographically.
 
@@ -150,7 +130,8 @@ def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
     k = np.array(modes, dtype=int).reshape(-1, dim)
     outside = np.abs(k).max(axis=1, initial=0) > box.K
     if outside.any():
-        raise ValueError(f"spinor mode {modes[int(np.argmax(outside))]} outside the context box")
+        mode = tuple(int(v) for v in k[np.argmax(outside)])
+        raise ValueError(f"spinor mode {mode} outside the context box")
     return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
 
 
@@ -200,15 +181,13 @@ class _LevelBasis:
     def position(self, mode: Tuple[int, ...]) -> int:
         return int(self.positions([mode])[0])
 
-    def coords(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-        """sigma's modes and its coordinate rows in the level basis."""
-        modes, rows = mode_stack(sigma.comps, self.dim)
-        return modes, rows @ self.basis_inv.T
+    def coords(self, sigma: Spinor) -> np.ndarray:
+        """sigma's coordinate rows in the level basis, at ``sigma.modes``."""
+        return sigma.rows @ self.basis_inv.T
 
     def spinor(self, modes, coords: np.ndarray) -> Spinor:
         """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
-        rows = coords @ self.basis.T
-        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
+        return Spinor.from_modes(self.geometry, self.box, modes, coords @ self.basis.T)
 
 
 class _ModeSpectra:
@@ -336,10 +315,10 @@ class HodgePackage:
 
     def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
         lb = self.level_basis
-        if not sigma.comps:
+        if sigma.is_zero():
             return Spinor.zero(lb.geometry, lb.box)
-        modes, coords = lb.coords(sigma)
-        return lb.spinor(modes, self._spectra.apply(lb.positions(modes), coords, weights))
+        coords = self._spectra.apply(lb.positions(sigma.modes), lb.coords(sigma), weights)
+        return lb.spinor(sigma.modes, coords)
 
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
@@ -383,24 +362,14 @@ class HodgeContext:
         self.size, self.modes = lb.size, lb.modes
         self.basis, self.basis_inv, self.level_slices = lb.basis, lb.basis_inv, lb.level_slices
 
-        # wedge matrices generating the twisted differential per mode
-        dim = structure.dim
-        self._wedge_axis = []
-        for a in range(dim):
-            values = np.zeros(2 * dim, dtype=complex)
-            values[dim + a] = 1.0
-            self._wedge_axis.append(constant_clifford_matrix(values, dim))
-        self._wedge_twist = self._form_wedge_matrix(structure.twist)
-
         self._packages: Dict[str, HodgePackage] = {}
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
+        const, slopes = d_matrices(structure)
         d = _stack_linear(
-            self.basis_inv @ -self._wedge_twist @ self.basis,
-            np.array([self.basis_inv @ w @ self.basis for w in self._wedge_axis]),
-            self.modes,
+            self.basis_inv @ const @ self.basis, self.basis_inv @ slopes @ self.basis, self.modes
         )
-        self._masks = {"del": self._shift_mask(-1), "dbar": self._shift_mask(+1)}
+        self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
         # del, dbar and deldbar are stacked on first use: packages need d alone
         self._stacks = {"d": d}
         self._checks: Dict[Tuple[str, int], Dict] = {}
@@ -414,25 +383,6 @@ class HodgeContext:
     # ------------------------------------------------------------------
     # matrix assembly
     # ------------------------------------------------------------------
-
-    def _form_wedge_matrix(self, form: Spinor) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=complex)
-        if form.is_zero():
-            return out
-        monos = monomial_list(self.structure.dim)
-        for j, mono in enumerate(monos):
-            unit = spinor_from_constant_vector(self.geometry, self.box, np.eye(self.size)[:, j])
-            out[:, j] = constant_spinor_vector(wedge(form, unit))
-        return out
-
-    def _shift_mask(self, shift: int) -> np.ndarray:
-        """Entries that map level k to level k + shift."""
-        out = np.zeros((self.size, self.size), dtype=bool)
-        for k in self.structure.levels():
-            target = k + shift
-            if -self.structure.n <= target <= self.structure.n:
-                out[self.level_slices[target], self.level_slices[k]] = True
-        return out
 
     def _op(self, name: str, sel) -> np.ndarray:
         """d, del, dbar or deldbar at the modes picked by ``sel`` (index, slice or indices)."""
@@ -531,15 +481,14 @@ class HodgeContext:
     def apply(self, name: str, sigma: Spinor) -> Spinor:
         if name not in self.OPERATOR_NAMES:
             raise ValueError(f"unknown operator {name!r}")
-        if not sigma.comps:
+        if sigma.is_zero():
             return Spinor.zero(self.geometry, self.box)
         lb = self.level_basis
-        modes, coords = lb.coords(sigma)
         adjoint = name.endswith("_adj")
-        ops = self._op(name[:-4] if adjoint else name, lb.positions(modes))
+        ops = self._op(name[:-4] if adjoint else name, lb.positions(sigma.modes))
         if adjoint:
             ops = _adjoint(ops)
-        return lb.spinor(modes, np.einsum("mij,mj->mi", ops, coords))
+        return lb.spinor(sigma.modes, np.einsum("mij,mj->mi", ops, lb.coords(sigma)))
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:

@@ -21,14 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .fourier import TorusGeometry, TruncationBox
-from .spinor import (
-    CourantVector,
-    Spinor,
-    constant_clifford_matrix,
-    from_mode_stack,
-    mode_stack,
-    monomial_list,
-)
+from .spinor import Spinor, constant_clifford_matrix, monomial_list
 from .structure import GCStructure, natural_pairing_matrix, _vector_from_values
 
 
@@ -275,18 +268,18 @@ class GeneralizedMetric:
 
     def hodge_star(self, sigma: Spinor) -> Spinor:
         """Hodge star as the Clifford word of the oriented C+ frame."""
-        modes, rows = mode_stack(sigma.comps, self.geometry.dim)
-        rows = rows @ self.star_matrix.T
-        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
+        return sigma.map_modes(self.star_matrix)
 
     def bi_inner(self, alpha: Spinor, beta: Spinor) -> complex:
         """Born-Infeld inner product, linear in alpha, conjugate-linear in beta.
 
         Modes pair only with themselves, so beta is read at alpha's modes.
         """
-        modes, a = mode_stack(alpha.comps, self.geometry.dim)
-        _, b = mode_stack(beta.comps, self.geometry.dim, modes)
-        return complex(np.sum((a @ self.bi_gram) * b.conj()))
+        _, slot = np.unique(np.concatenate([alpha.modes, beta.modes]), axis=0, return_inverse=True)
+        slot = slot.reshape(-1)
+        b = np.zeros((len(slot), beta.rows.shape[1]), dtype=complex)
+        b[slot[len(alpha.modes):]] = beta.rows
+        return complex(np.sum((alpha.rows @ self.bi_gram) * b[slot[: len(alpha.modes)]].conj()))
 
     def bi_norm(self, alpha: Spinor) -> float:
         val = self.bi_inner(alpha, alpha)

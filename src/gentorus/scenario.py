@@ -85,7 +85,7 @@ def _parse_key_tuple(text) -> Tuple[int, ...]:
 
 
 def _check_integer(key: str, value, low: int, high: int | None = None) -> None:
-    """An experiment's integer field: an int, not a bool, within [low, high]."""
+    """An integer field of the config: an int, not a bool, within [low, high]."""
     if (
         isinstance(value, bool)
         or not isinstance(value, int)
@@ -93,7 +93,7 @@ def _check_integer(key: str, value, low: int, high: int | None = None) -> None:
         or (high is not None and value > high)
     ):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ScenarioError(f"experiment {key!r} must be an integer {bound}, got {value!r}")
+        raise ScenarioError(f"{key!r} must be an integer {bound}, got {value!r}")
 
 
 class Scenario:
@@ -231,8 +231,9 @@ class Scenario:
             series = Beltrami(self.structure, coeffs)
         except DeformationError as err:
             raise ScenarioError(f"bad deformation: {err}") from err
+        order = spec.get("order", 2)
+        _check_integer("order", order, 1)
         if spec.get("expand"):
-            order = int(spec.get("order", 2))
             first = {
                 key: poly for key, poly in series.coefficients.items() if sum(key) == 1
             }

@@ -13,16 +13,20 @@ Monomials are stored as strictly increasing tuples of 0-based cotangent
 generator indices; every sign in the package is derived from sorting
 permutations against this one canonical order.
 
-Linear maps that act mode by mode (Hodge operators, level projections, the
-metric pairing, the transport) work on arrays: :func:`mode_stack` lays a
-coefficient dict out as one row per Fourier mode and one column per key of
-:func:`monomial_list`, and :func:`from_mode_stack` turns such rows back into
-a coefficient dict.  These two are the only conversions between the dicts
-and per-mode arrays.
+A spinor holds its coefficients as one
+:class:`~gentorus.fourier.FourierMatrix` column over the
+:func:`monomial_list` basis.  A map that acts mode by mode (Hodge operators,
+level projections, the metric pairing, the transport inverse, d) is one
+product over the modes (:meth:`Spinor.map_modes`), and a product with
+varying coefficients (wedge, contraction, Clifford action) is one
+``FourierMatrix.matmul`` of the operand's action matrix, built from its
+coefficients and the constant matrices of :func:`clifford_generators`, with
+the spinor's column.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -30,6 +34,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .fourier import (
+    FourierMatrix,
     FourierScalar,
     GeometryMismatch,
     TorusGeometry,
@@ -70,10 +75,14 @@ def sort_monomial(indices: Sequence[int]) -> Tuple[Monomial, int] | None:
 
 
 class Spinor:
-    """Element of the exterior algebra with FourierScalar coefficients.
+    """Element of the exterior algebra with Fourier-series coefficients.
 
-    ``comps`` maps strictly increasing index tuples to coefficients; zero
-    coefficients are not stored.
+    The coefficients are one :class:`~gentorus.fourier.FourierMatrix`
+    column, ``stack``: modes (P, 2n), coefficients (P, 2^{2n}, 1) on the
+    :func:`monomial_list` basis and the dropped mass of each component.
+    The constructor takes a dict from strictly increasing index tuples to
+    :class:`FourierScalar` coefficients; ``comps`` and ``coefficient`` read
+    the stack back as such scalars.
     """
 
     def __init__(
@@ -82,32 +91,37 @@ class Spinor:
         box: TruncationBox,
         comps: Dict[Monomial, FourierScalar] | None = None,
     ):
-        self.geometry = geometry
-        self.box = box
-        clean: Dict[Monomial, FourierScalar] = {}
-        if comps:
-            for mono, f in comps.items():
-                mono = tuple(int(i) for i in mono)
-                if any(not 0 <= i < geometry.dim for i in mono):
-                    raise ValueError(f"monomial {mono} out of range")
-                if tuple(sorted(mono)) != mono or len(set(mono)) != len(mono):
-                    raise ValueError(f"monomial {mono} is not strictly increasing")
-                if f.geometry != geometry or f.box != box:
-                    raise GeometryMismatch("spinor coefficient in a different space")
-                # zero coefficients are dropped unless they carry truncation
-                # mass, which must stay auditable
-                if not f.is_zero() or f.dropped_mass > 0:
-                    if mono in clean:
-                        clean[mono] = clean[mono].add(f)
-                    else:
-                        clean[mono] = f
-        self.comps = {
-            m: f for m, f in clean.items() if not f.is_zero() or f.dropped_mass > 0
-        }
+        index = monomial_index(geometry.dim)
+        entries = []
+        for mono, f in (comps or {}).items():
+            mono = tuple(int(i) for i in mono)
+            if any(not 0 <= i < geometry.dim for i in mono):
+                raise ValueError(f"monomial {mono} out of range")
+            if tuple(sorted(mono)) != mono or len(set(mono)) != len(mono):
+                raise ValueError(f"monomial {mono} is not strictly increasing")
+            if f.geometry != geometry or f.box != box:
+                raise GeometryMismatch("spinor coefficient in a different space")
+            entries.append(((index[mono], 0), f))
+        self.stack = FourierMatrix.from_entries(geometry, box, (len(index), 1), entries)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_stack(cls, stack: FourierMatrix) -> "Spinor":
+        """The spinor whose coefficient column is ``stack``."""
+        out = cls.__new__(cls)
+        out.stack = stack
+        return out
+
+    @classmethod
+    def from_modes(
+        cls, geometry: TorusGeometry, box: TruncationBox, modes, rows: np.ndarray
+    ) -> "Spinor":
+        """The spinor with coefficient rows ``rows`` (P, 2^{2n}) at ``modes`` (P, 2n)."""
+        rows = np.asarray(rows, dtype=complex)
+        return cls.from_stack(FourierMatrix(geometry, box, modes, rows[:, :, None]))
 
     @classmethod
     def zero(cls, geometry: TorusGeometry, box: TruncationBox) -> "Spinor":
@@ -125,28 +139,51 @@ class Spinor:
         return cls(geometry, box, {key: FourierScalar.constant(geometry, box, c)})
 
     # ------------------------------------------------------------------
+    # the coefficient stack
+    # ------------------------------------------------------------------
+
+    @property
+    def geometry(self) -> TorusGeometry:
+        return self.stack.geometry
+
+    @property
+    def box(self) -> TruncationBox:
+        return self.stack.box
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The (P, 2n) modes that carry a nonzero coefficient."""
+        return self.stack.modes
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (P, 2^{2n}) coefficient rows at ``modes``."""
+        return self.stack.coeffs[:, :, 0]
+
+    def map_modes(self, ops: np.ndarray) -> "Spinor":
+        """A linear map applied mode by mode: ``ops`` is one (2^{2n}, 2^{2n})
+        matrix for every mode or a (P, 2^{2n}, 2^{2n}) stack, one per mode.
+
+        The map moves coefficients between components, so the result
+        carries no dropped mass.
+        """
+        rows = self.rows @ ops.T if ops.ndim == 2 else np.einsum("mij,mj->mi", ops, self.rows)
+        return Spinor.from_modes(self.geometry, self.box, self.modes, rows)
+
+    # ------------------------------------------------------------------
     # linear structure
     # ------------------------------------------------------------------
 
     def add(self, other: "Spinor") -> "Spinor":
-        if self.geometry != other.geometry or self.box != other.box:
-            raise GeometryMismatch("spinors live in different spaces")
-        out = dict(self.comps)
-        for mono, f in other.comps.items():
-            out[mono] = out[mono].add(f) if mono in out else f
-        return Spinor(self.geometry, self.box, out)
+        return Spinor.from_stack(self.stack.add(other.stack))
 
     def scale(self, c) -> "Spinor":
-        return Spinor(
-            self.geometry, self.box, {m: f.scale(c) for m, f in self.comps.items()}
-        )
+        return Spinor.from_stack(self.stack.scale(c))
 
     def scale_scalar(self, g: FourierScalar, policy: str | None = None) -> "Spinor":
-        return Spinor(
-            self.geometry,
-            self.box,
-            {m: f.mul(g, policy=policy) for m, f in self.comps.items()},
-        )
+        """g sigma: g times the identity, one product with the column."""
+        action = _action(FourierMatrix.from_scalars([[g]]), np.eye(2 ** g.geometry.dim)[None])
+        return Spinor.from_stack(action.matmul(self.stack, policy=policy))
 
     def __add__(self, other: "Spinor") -> "Spinor":
         return self.add(other)
@@ -161,63 +198,81 @@ class Spinor:
         return self.scale(c)
 
     def conj(self) -> "Spinor":
-        return Spinor(
-            self.geometry, self.box, {m: f.conj() for m, f in self.comps.items()}
-        )
+        return Spinor.from_stack(self.stack.conj())
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
+    @property
+    def comps(self) -> Dict[Monomial, FourierScalar]:
+        """The components with a nonzero coefficient or dropped mass, as scalars."""
+        s = self.stack
+        live = np.any(s.coeffs[:, :, 0], axis=0) | (s.dropped_mass[:, 0] > 0)
+        keys = monomial_list(s.geometry.dim)
+        return {keys[j]: s[j, 0] for j in np.flatnonzero(live)}
+
     def coefficient(self, mono: Sequence[int]) -> FourierScalar:
-        key = tuple(int(i) for i in mono)
-        if key in self.comps:
-            return self.comps[key]
-        return FourierScalar.zero(self.geometry, self.box)
+        j = monomial_index(self.geometry.dim).get(tuple(int(i) for i in mono))
+        if j is None:
+            return FourierScalar.zero(self.geometry, self.box)
+        return self.stack[j, 0]
 
     def norm(self) -> float:
-        return math.sqrt(sum(f.norm() ** 2 for f in self.comps.values()))
+        return self.stack.norm()
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(f.is_zero(tol) for f in self.comps.values())
+        if tol == 0.0:
+            return not len(self.stack.modes)
+        return bool(np.abs(self.stack.coeffs).max(initial=0.0) <= tol)
 
     def dropped_mass(self) -> float:
-        return sum(f.dropped_mass for f in self.comps.values())
+        return float(self.stack.dropped_mass.sum())
 
     def embed(self, box: TruncationBox) -> "Spinor":
-        return Spinor(
-            self.geometry, box, {m: f.embed(box) for m, f in self.comps.items()}
-        )
+        s = self.stack
+        return Spinor.from_stack(FourierMatrix(s.geometry, box, s.modes, s.coeffs, s.dropped_mass))
 
     def __repr__(self) -> str:
-        if not self.comps:
+        comps = self.comps
+        if not comps:
             return "Spinor(0)"
-        parts = [f"dx{list(m)}: {f!r}" for m, f in sorted(self.comps.items())]
+        parts = [f"dx{list(m)}: {f!r}" for m, f in sorted(comps.items())]
         return "Spinor({" + ", ".join(parts) + "})"
+
+
+def _action(weights: FourierMatrix, matrices: np.ndarray) -> FourierMatrix:
+    """sum_j weights[0, j] matrices[j]: constant matrices with the
+    Fourier-series weights of a one-row matrix.
+
+    An entry's dropped mass is the sum of the dropped mass of the weights
+    whose matrix is nonzero there.
+    """
+    size = matrices.shape[1:]
+    flat = matrices.reshape(len(matrices), size[0] * size[1])
+    return FourierMatrix(
+        weights.geometry,
+        weights.box,
+        weights.modes,
+        (weights.coeffs[:, 0] @ flat).reshape((-1,) + size),
+        (weights.dropped_mass[0] @ (flat != 0)).reshape(size),
+    )
+
+
+def wedge_matrix(form: Spinor) -> FourierMatrix:
+    """The matrix of the left wedge product by ``form`` on the monomial basis."""
+    return _action(form.stack.T, _wedge_words(form.geometry.dim))
 
 
 def wedge(a: Spinor, b: Spinor, policy: str | None = None) -> Spinor:
     """Exterior product a ^ b."""
-    out: Dict[Monomial, FourierScalar] = {}
-    for ma, fa in a.comps.items():
-        for mb, fb in b.comps.items():
-            sorted_sign = sort_monomial(ma + mb)
-            if sorted_sign is None:
-                continue
-            mono, sign = sorted_sign
-            term = fa.mul(fb, policy=policy).scale(sign)
-            out[mono] = out[mono].add(term) if mono in out else term
-    return Spinor(a.geometry, a.box, out)
+    return Spinor.from_stack(wedge_matrix(a).matmul(b.stack, policy=policy))
 
 
 def form_reversal(a: Spinor) -> Spinor:
     """Reversal anti-automorphism: degree-p parts pick up (-1)^{p(p-1)/2}."""
-    out: Dict[Monomial, FourierScalar] = {}
-    for m, f in a.comps.items():
-        p = len(m)
-        sign = -1 if (p * (p - 1) // 2) % 2 else 1
-        out[m] = f.scale(sign)
-    return Spinor(a.geometry, a.box, out)
+    signs = [-1 if (len(m) * (len(m) - 1) // 2) % 2 else 1 for m in monomial_list(a.geometry.dim)]
+    return a.map_modes(np.diag(signs))
 
 
 class CourantVector:
@@ -350,36 +405,22 @@ def pairing(a: CourantVector, b: CourantVector, policy: str | None = None) -> Fo
     return out
 
 
+def clifford_matrix(a: CourantVector) -> FourierMatrix:
+    """The matrix of the Clifford action of a section on the monomial basis."""
+    weights = FourierMatrix.from_scalars([a.tangent + a.cotangent])
+    return _action(weights, clifford_generators(a.geometry.dim))
+
+
 def contract(a: CourantVector, sigma: Spinor, policy: str | None = None) -> Spinor:
     """Interior product i_X sigma by the tangent part of a."""
-    out: Dict[Monomial, FourierScalar] = {}
-    for mono, f in sigma.comps.items():
-        for pos, j in enumerate(mono):
-            comp = a.tangent[j]
-            if comp.is_zero():
-                continue
-            sign = -1 if pos % 2 else 1
-            rest = mono[:pos] + mono[pos + 1 :]
-            term = f.mul(comp, policy=policy).scale(sign)
-            out[rest] = out[rest].add(term) if rest in out else term
-    return Spinor(sigma.geometry, sigma.box, out)
-
-
-def cotangent_form(a: CourantVector) -> Spinor:
-    """The degree-1 spinor built from the cotangent part of a."""
-    comps = {
-        (j,): a.cotangent[j]
-        for j in range(a.geometry.dim)
-        if not a.cotangent[j].is_zero()
-    }
-    return Spinor(a.geometry, a.box, comps)
+    dim = a.geometry.dim
+    action = _action(FourierMatrix.from_scalars([a.tangent]), clifford_generators(dim)[:dim])
+    return Spinor.from_stack(action.matmul(sigma.stack, policy=policy))
 
 
 def clifford_act(a: CourantVector, sigma: Spinor, policy: str | None = None) -> Spinor:
     """Clifford action (X + xi) . sigma = i_X sigma + xi ^ sigma."""
-    return contract(a, sigma, policy=policy).add(
-        wedge(cotangent_form(a), sigma, policy=policy)
-    )
+    return Spinor.from_stack(clifford_matrix(a).matmul(sigma.stack, policy=policy))
 
 
 def clifford_act_many(
@@ -392,28 +433,23 @@ def clifford_act_many(
     return out
 
 
+def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
+    """The operators C + 2 pi i sum_a k_a A_a at the given modes, stacked.
+
+    ``const`` is (N, N), ``slopes`` is (dim, N, N) and ``modes`` a sequence
+    of integer dim-tuples; the result is (len(modes), N, N).
+    """
+    k = np.asarray(modes, dtype=float).reshape(-1, len(slopes))
+    out = np.einsum("ma,aij->mij", 2j * math.pi * k, slopes)
+    out += const
+    return out
+
+
 def exterior_derivative(sigma: Spinor) -> Spinor:
-    """Coordinate exterior derivative d sigma."""
-    out: Dict[Monomial, FourierScalar] = {}
-    for mono, f in sigma.comps.items():
-        for axis in range(sigma.geometry.dim):
-            df = f.derive(axis)
-            if df.is_zero():
-                continue
-            merged = _merge_index(mono, axis)
-            if merged is None:
-                continue
-            new_mono, sign = merged
-            term = df.scale(sign)
-            out[new_mono] = out[new_mono].add(term) if new_mono in out else term
-    return Spinor(sigma.geometry, sigma.box, out)
-
-
-def lie_derivative(X: CourantVector, eta: Spinor, policy: str | None = None) -> Spinor:
-    """Cartan formula L_X eta = d(i_X eta) + i_X(d eta) on forms."""
-    return exterior_derivative(contract(X, eta, policy=policy)).add(
-        contract(X, exterior_derivative(eta), policy=policy)
-    )
+    """Coordinate exterior derivative d sigma: 2 pi i sum_a k_a dx^a ^ at mode k."""
+    dim = sigma.geometry.dim
+    slopes = clifford_generators(dim)[dim:]
+    return sigma.map_modes(_stack_linear(0.0, slopes, sigma.modes))
 
 
 def courant_bracket(
@@ -426,38 +462,53 @@ def courant_bracket(
 
     [X + xi, Y + eta]_H = [X, Y] + L_X eta - L_Y xi
                           - 1/2 d(i_X eta - i_Y xi) + i_Y i_X H.
+
+    By the Cartan formula L_X eta = d(i_X eta) + i_X d eta, the 1-form part
+    is, with s = i_X eta - i_Y xi and sums over repeated indices,
+        1/2 d_j s + X^k (d_k eta_j - d_j eta_k) - Y^k (d_k xi_j - d_j xi_k)
+        + H_klj X^k Y^l.
     """
     geom, box = a.geometry, a.box
     dim = geom.dim
+    X, xi, Y, eta = a.tangent, a.cotangent, b.tangent, b.cotangent
+    zero = FourierScalar.zero(geom, box)
+
+    def grad(f: FourierScalar) -> List[FourierScalar | None]:
+        """d_0 f .. d_{dim-1} f; all None for a constant f."""
+        return [f.derive(k) for k in range(dim)] if any(map(any, f.coeffs)) else [None] * dim
+
+    def total(terms) -> FourierScalar:
+        """The sum of c f g over (c, f, g) terms, zero and None factors skipped."""
+        out = zero
+        for c, f, g in terms:
+            if f is not None and g is not None and f.coeffs and g.coeffs:
+                out = out.add(f.mul(g, policy=policy).scale(c))
+        return out
+
+    # dX[j][k] is d_k X^j
+    dX, dY, dxi, deta = ([grad(f) for f in v] for v in (X, Y, xi, eta))
 
     # vector-field bracket [X, Y]^j = X^k d_k Y^j - Y^k d_k X^j
-    lie_tan: List[FourierScalar] = []
+    lie_tan = [
+        total([(c, f[k], g[j][k]) for c, f, g in ((1, X, dY), (-1, Y, dX)) for k in range(dim)])
+        for j in range(dim)
+    ]
+    s = total([(1, eta[k], X[k]) for k in range(dim)] + [(-1, xi[k], Y[k]) for k in range(dim)])
+    cot = []
     for j in range(dim):
-        acc = FourierScalar.zero(geom, box)
+        terms = []
         for k in range(dim):
-            acc = acc.add(a.tangent[k].mul(b.tangent[j].derive(k), policy=policy))
-            acc = acc.add(
-                b.tangent[k].mul(a.tangent[j].derive(k), policy=policy).scale(-1)
-            )
-        lie_tan.append(acc)
+            if k != j:
+                terms += [(1, X[k], deta[j][k]), (-1, X[k], deta[k][j]),
+                          (-1, Y[k], dxi[j][k]), (1, Y[k], dxi[k][j])]
+        cot.append(s.derive(j).scale(0.5).add(total(terms)))
 
-    eta = cotangent_form(b)
-    xi = cotangent_form(a)
-    one_forms = lie_derivative(a, eta, policy=policy).add(
-        lie_derivative(b, xi, policy=policy).scale(-1)
-    )
-
-    # -1/2 d(i_X eta - i_Y xi)
-    ix_eta = contract(a, eta, policy=policy).coefficient(())
-    iy_xi = contract(b, xi, policy=policy).coefficient(())
-    half_term = ix_eta.add(iy_xi.scale(-1))
-    exact = Spinor.scalar(half_term)
-    one_forms = one_forms.add(exterior_derivative(exact).scale(-0.5))
-
-    if H is not None and not H.is_zero():
-        one_forms = one_forms.add(contract(b, contract(a, H, policy=policy), policy=policy))
-
-    cot = [one_forms.coefficient((j,)) for j in range(dim)]
+    if H is not None:
+        for mono, h in H.comps.items():
+            if len(mono) == 3:
+                for k, l, j in itertools.permutations(mono):
+                    sign = sort_monomial((k, l, j))[1]
+                    cot[j] = cot[j].add(total([(sign, total([(1, X[k], Y[l])]), h)]))
     return CourantVector(geom, box, lie_tan, cot)
 
 
@@ -504,6 +555,7 @@ class CliffordPoly:
         self.coeffs = {
             k: f for k, f in clean.items() if not f.is_zero() or f.dropped_mass > 0
         }
+        self._matrix: FourierMatrix | None = None  # the action matrix, built on first use
 
     @classmethod
     def zero(cls, frame: Sequence[CourantVector], degree: int) -> "CliffordPoly":
@@ -563,13 +615,27 @@ class CliffordPoly:
         return self.coeffs[skey].scale(sign)
 
     def act(self, sigma: Spinor, policy: str | None = None) -> Spinor:
-        """Iterated Clifford action, slots applied in increasing tuple order."""
-        out = Spinor.zero(self.geometry, self.box)
-        for key, f in self.coeffs.items():
-            vecs = [self.frame[i] for i in key]
-            term = clifford_act_many(vecs, sigma.scale_scalar(f, policy=policy), policy=policy)
-            out = out.add(term)
-        return out
+        """Iterated Clifford action, slots applied in increasing tuple order.
+
+        The frame must be constant: the action is one matrix, the sum of
+        the coefficients times the constant matrices of the slot words,
+        applied to sigma's column in one product.
+        """
+        if self._matrix is None:
+            if not all(v.is_constant() for v in self.frame):
+                raise ValueError("the Clifford action needs a constant frame")
+            dim = self.geometry.dim
+            slots = [constant_clifford_matrix(v.constant_values(), dim) for v in self.frame]
+            eye = np.eye(2 ** dim)
+            words = [
+                functools.reduce(np.matmul, [slots[i] for i in key], eye) for key in self.coeffs
+            ]
+            weights = FourierMatrix.from_entries(
+                self.geometry, self.box, (1, len(words)),
+                (((0, w), f) for w, f in enumerate(self.coeffs.values())),
+            )
+            self._matrix = _action(weights, np.array(words).reshape((-1,) + eye.shape))
+        return Spinor.from_stack(self._matrix.matmul(sigma.stack, policy=policy))
 
     def wedge(self, other: "CliffordPoly", policy: str | None = None) -> "CliffordPoly":
         """Exterior product over a common frame.
@@ -636,6 +702,8 @@ def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:
 
 _MONOMIAL_CACHE: Dict[int, List[Monomial]] = {}
 _MONOMIAL_INDEX_CACHE: Dict[int, Dict[Monomial, int]] = {}
+_GENERATOR_CACHE: Dict[int, np.ndarray] = {}
+_WEDGE_CACHE: Dict[int, np.ndarray] = {}
 
 
 def monomial_list(dim: int) -> List[Monomial]:
@@ -654,59 +722,40 @@ def monomial_index(dim: int) -> Dict[Monomial, int]:
     return _MONOMIAL_INDEX_CACHE[dim]
 
 
-def mode_stack(
-    terms: Dict[Monomial, FourierScalar],
-    dim: int,
-    modes: Sequence[Tuple[int, ...]] | None = None,
-) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-    """Per-mode coefficient rows of a ``Spinor.comps`` or ``CliffordPoly.coeffs`` dict.
-
-    Returns ``(modes, rows)``: ``rows[i, j]`` is the coefficient at
-    ``modes[i]`` of the j-th key of ``monomial_list(dim)``.  ``modes``
-    defaults to the sorted union of the supports; coefficients at modes not
-    listed are left out.
-    """
-    if modes is None:
-        modes = sorted({mode for f in terms.values() for mode in f.coeffs})
-    row = {mode: i for i, mode in enumerate(modes)}
-    col = monomial_index(dim)
-    rows = np.zeros((len(modes), len(col)), dtype=complex)
-    for key, f in terms.items():
-        for mode, c in f.coeffs.items():
-            if mode in row:
-                rows[row[mode], col[key]] = c
-    return list(modes), rows
+def clifford_generators(dim: int) -> np.ndarray:
+    """The (2 dim, N, N) matrices of the Clifford action of the coordinate
+    sections d/dx^0 .. d/dx^{dim-1}, dx^0 .. dx^{dim-1} on the monomial basis."""
+    if dim not in _GENERATOR_CACHE:
+        monos = monomial_list(dim)
+        idx = monomial_index(dim)
+        size = len(monos)
+        out = np.zeros((2 * dim, size, size))
+        for col, mono in enumerate(monos):
+            # interior product by d/dx^j
+            for pos, j in enumerate(mono):
+                out[j, idx[mono[:pos] + mono[pos + 1 :]], col] = -1 if pos % 2 else 1
+            # wedge by dx^j
+            for j in range(dim):
+                merged = _merge_index(mono, j)
+                if merged is not None:
+                    out[dim + j, idx[merged[0]], col] = merged[1]
+        _GENERATOR_CACHE[dim] = out
+    return _GENERATOR_CACHE[dim]
 
 
-def from_mode_stack(
-    geometry: TorusGeometry,
-    box: TruncationBox,
-    modes: Sequence[Tuple[int, ...]],
-    rows: np.ndarray,
-) -> Dict[Monomial, FourierScalar]:
-    """The coefficient dict of per-mode rows laid out as by :func:`mode_stack`.
-
-    Exact zeros are dropped, so a key appears only where its column has a
-    nonzero entry.
-    """
-    keys = monomial_list(geometry.dim)
-    terms: Dict[Monomial, FourierScalar] = {}
-    for j in np.flatnonzero(np.any(rows, axis=0)):
-        live = np.flatnonzero(rows[:, j])
-        terms[keys[j]] = FourierScalar(geometry, box, {modes[i]: rows[i, j] for i in live})
-    return terms
-
-
-def constant_spinor_vector(sigma: Spinor) -> np.ndarray:
-    """Coefficient vector of a constant-coefficient spinor."""
-    return mode_stack(sigma.comps, sigma.geometry.dim, [(0,) * sigma.geometry.dim])[1][0]
-
-
-def spinor_from_constant_vector(
-    geometry: TorusGeometry, box: TruncationBox, vec: np.ndarray
-) -> Spinor:
-    rows = np.asarray(vec, dtype=complex)[None]
-    return Spinor(geometry, box, from_mode_stack(geometry, box, [(0,) * geometry.dim], rows))
+def _wedge_words(dim: int) -> np.ndarray:
+    """The (N, N, N) matrices of the left wedge by each monomial, in
+    :func:`monomial_list` order."""
+    if dim not in _WEDGE_CACHE:
+        wedges = clifford_generators(dim)[dim:]
+        words = []
+        for mono in monomial_list(dim):
+            word = np.eye(2 ** dim)
+            for j in mono:
+                word = word @ wedges[j]
+            words.append(word)
+        _WEDGE_CACHE[dim] = np.array(words)
+    return _WEDGE_CACHE[dim]
 
 
 def constant_clifford_matrix(values: np.ndarray, dim: int) -> np.ndarray:
@@ -714,29 +763,7 @@ def constant_clifford_matrix(values: np.ndarray, dim: int) -> np.ndarray:
 
     ``values`` holds the 4n components (tangent first, then cotangent).
     """
-    values = np.asarray(values, dtype=complex)
-    monos = monomial_list(dim)
-    idx = monomial_index(dim)
-    size = len(monos)
-    out = np.zeros((size, size), dtype=complex)
-    for col, mono in enumerate(monos):
-        # interior product by the tangent part
-        for pos, j in enumerate(mono):
-            comp = values[j]
-            if comp != 0:
-                rest = mono[:pos] + mono[pos + 1 :]
-                out[idx[rest], col] += comp * (-1 if pos % 2 else 1)
-        # wedge by the cotangent part
-        for j in range(dim):
-            comp = values[dim + j]
-            if comp == 0:
-                continue
-            merged = _merge_index(mono, j)
-            if merged is None:
-                continue
-            new_mono, sign = merged
-            out[idx[new_mono], col] += comp * sign
-    return out
+    return np.tensordot(np.asarray(values, dtype=complex), clifford_generators(dim), axes=1)
 
 
 def random_fourier_scalar(

@@ -8,8 +8,8 @@ the canonical line generator annihilated by L, an optional constant closed
     level k in [-n, n]  <->  span of (k+n)-fold dual-frame Clifford words
     acting on the canonical generator.
 
-Level projections and weights act on a spinor's mode rows in that word
-basis, one product for all modes.
+Frame coordinates, level projections and weights act on a spinor's
+coefficient stack in that word basis, one product for all modes.
 
 Only constant-coefficient J, twist and frames are supported; all variation
 enters later through deformation coefficients.
@@ -23,18 +23,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .fourier import FourierScalar, TorusGeometry, TruncationBox
+from .fourier import FourierMatrix, FourierScalar, TorusGeometry, TruncationBox
 from .spinor import (
     CliffordPoly,
     CourantVector,
     Spinor,
     constant_clifford_matrix,
-    constant_spinor_vector,
     courant_bracket,
-    from_mode_stack,
-    mode_stack,
     pairing,
-    spinor_from_constant_vector,
     wedge,
 )
 
@@ -148,7 +144,7 @@ class GCStructure:
         ]
 
         self.rho0 = self._canonical_spinor()
-        self._rho0_vec = constant_spinor_vector(self.rho0)
+        self._rho0_vec = self.rho0.stack.constant_values()[:, 0]
         self._level_matrix, self._level_slices = self._build_level_basis()
         self._level_inverse = np.linalg.inv(self._level_matrix)
         self.structure_constants = self._structure_constants()
@@ -196,7 +192,10 @@ class GCStructure:
                 vec = vec * (abs(c) / c)
                 break
         vec = vec / np.linalg.norm(vec)
-        return spinor_from_constant_vector(self.geometry, self.box, vec)
+        return self._constant_spinor(vec)
+
+    def _constant_spinor(self, vec: np.ndarray) -> Spinor:
+        return Spinor.from_modes(self.geometry, self.box, np.zeros((1, self.dim)), vec[None])
 
     def _build_level_basis(self):
         """Dual-frame words on rho0, one column per subset of the dual frame.
@@ -452,34 +451,40 @@ class GCStructure:
         if not -self.n <= k <= self.n:
             raise ValueError(f"level {k} out of range [-{self.n}, {self.n}]")
 
-    def frame_coordinates(self, sigma: Spinor) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-        """sigma's modes and its coordinate rows in the dual-frame spinor basis.
+    def frame_coordinates(self, sigma: Spinor) -> FourierMatrix:
+        """sigma's coordinates in the dual-frame spinor basis, a column like
+        ``sigma.stack`` without dropped mass.
 
-        Columns follow ``monomial_list(dim)``: column j holds the word on
-        the j-th subset of the dual frame.
+        Rows follow ``monomial_list(dim)``: row j holds the word on the
+        j-th subset of the dual frame.
         """
-        modes, rows = mode_stack(sigma.comps, self.dim)
-        return modes, rows @ self._level_inverse.T
+        coords = sigma.rows @ self._level_inverse.T
+        return FourierMatrix(self.geometry, self.box, sigma.modes, coords[:, :, None])
 
-    def _level_part(self, modes, coords: np.ndarray, k: int) -> Spinor:
+    def shift_mask(self, shift: int) -> np.ndarray:
+        """Entries of a matrix on the frame basis that map level k to level k + shift."""
+        level = np.concatenate([[k] * self.level_dimension(k) for k in self.levels()])
+        return level[:, None] == level[None, :] + shift
+
+    def _level_part(self, coords: FourierMatrix, k: int) -> Spinor:
         sl = self._level_slices[k]
-        rows = coords[:, sl] @ self._level_matrix[:, sl].T
-        return Spinor(self.geometry, self.box, from_mode_stack(self.geometry, self.box, modes, rows))
+        rows = coords.coeffs[:, sl, 0] @ self._level_matrix[:, sl].T
+        return Spinor.from_modes(self.geometry, self.box, coords.modes, rows)
 
     def project_level(self, sigma: Spinor, k: int) -> Spinor:
         self._check_level(k)
-        return self._level_part(*self.frame_coordinates(sigma), k)
+        return self._level_part(self.frame_coordinates(sigma), k)
 
     def level_components(self, sigma: Spinor) -> Dict[int, Spinor]:
-        modes, coords = self.frame_coordinates(sigma)
+        coords = self.frame_coordinates(sigma)
         return {
-            k: self._level_part(modes, coords, k)
+            k: self._level_part(coords, k)
             for k in self.levels()
-            if np.any(coords[:, self._level_slices[k]])
+            if np.any(coords.coeffs[:, self._level_slices[k]])
         }
 
     def level_weights(self, sigma: Spinor) -> Dict[int, float]:
-        _, coords = self.frame_coordinates(sigma)
+        coords = self.frame_coordinates(sigma).coeffs
         return {
             k: math.sqrt(float(np.sum(np.abs(coords[:, self._level_slices[k]]) ** 2)))
             for k in self.levels()
@@ -501,14 +506,7 @@ class GCStructure:
         """Constant frame spinors spanning the level-k slice."""
         self._check_level(k)
         sl = self._level_slices[k]
-        out = []
-        for col in range(sl.start, sl.stop):
-            out.append(
-                spinor_from_constant_vector(
-                    self.geometry, self.box, self._level_matrix[:, col]
-                )
-            )
-        return out
+        return [self._constant_spinor(col) for col in self._level_matrix[:, sl].T]
 
     def rotation_generator(self) -> np.ndarray:
         """Spinorial action of J on the monomial basis.

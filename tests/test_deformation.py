@@ -10,6 +10,7 @@ from gentorus.deformation import (
     Beltrami,
     DeformationError,
     DeformedStructure,
+    FrameMaps,
     Transport,
     bracket_del_action,
     criterion_rhs,
@@ -57,6 +58,31 @@ def random_constant_eps(rng, structure, norm=0.3):
             mat[i, p] = eps.coefficient((i, p)).integrate()
     scale = norm / max(np.linalg.norm(mat, 2), 1e-12)
     return eps.scale(scale)
+
+
+def grid_sup_norm(maps):
+    """The sup over the (4K + 1)^{2n} grid of the 2-norm of eps's matrix."""
+    s = maps.structure
+    axes = [np.linspace(0.0, 1.0, 4 * s.box.K + 1, endpoint=False)] * s.dim
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return float(np.linalg.norm(maps.eps_matrix.evaluate(points), ord=2, axis=(1, 2)).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sup_norm_of_constant_eps_is_its_matrix_norm(n):
+    """A constant eps takes one value at every grid point: its sup-norm is
+    the 2-norm of that matrix, equal to the grid value; a varying eps keeps
+    its grid value."""
+    s = GCStructure.complex_structure(n, TruncationBox(1))
+    rng = np.random.default_rng(59 + n)
+    for _ in range(10):
+        maps = FrameMaps(s, random_constant_eps(rng, s, rng.uniform(0.1, 0.9)))
+        want = float(np.linalg.norm(maps.eps_matrix.constant_values(), 2))
+        assert maps.sup_norm() == want == grid_sup_norm(maps)
+    f = FourierScalar(s.geometry, s.box, {(1,) + (0,) * (s.dim - 1): 0.2, (0,) * s.dim: 0.1})
+    maps = FrameMaps(s, CliffordPoly(s.dual_frame, 2, {(0, s.dim - 1): f}))
+    assert not maps.eps_matrix.is_constant()
+    assert maps.sup_norm() == grid_sup_norm(maps)
 
 
 def test_frame_blocks_zero_deformation(t2):

@@ -247,6 +247,29 @@ def test_scan_constancy_and_ranks(t2k1):
     assert all(report["constant"].values())
 
 
+def test_scan_builds_one_transport_per_sample(t2k1, monkeypatch):
+    """Each nonzero sample t builds one transport, shared by the deformed
+    structure, the forward map and the undressing of every extension, and
+    computes the inverse-dressing images once; t = 0 builds none."""
+    s, m, ctx = t2k1
+    calls = {"init": 0, "images": 0}
+    init, images = Transport.__init__, Transport.images_inverse_one_minus_epseps
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_images(self):
+        calls["images"] += 1
+        return images(self)
+
+    monkeypatch.setattr(Transport, "__init__", counted_init)
+    monkeypatch.setattr(Transport, "images_inverse_one_minus_epseps", counted_images)
+    report = hodge_number_scan(ctx, constant_series(s, 0.3), [0.0, 0.05, 0.1, 0.15], order=2)
+    assert all(row["injectivity_rank"] == {-1: 1, 0: 2, 1: 1} for row in report["rows"])
+    assert calls == {"init": 3, "images": 3}
+
+
 def test_scan_t4(t2k1):
     """Invariance scan on the larger torus: binomial dimensions at every
     sample and full transport ranks."""

@@ -12,13 +12,37 @@ from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     Spinor,
-    mode_stack,
+    constant_clifford_matrix,
+    monomial_list,
     random_spinor,
-    spinor_from_constant_vector,
+    wedge,
 )
 from gentorus.structure import GCStructure
 
 BOX = TruncationBox(1)
+
+
+def spinor_from_constant_vector(geometry, box, vec):
+    """The constant spinor with coefficient vector ``vec``, built from its components."""
+    return Spinor(geometry, box, {
+        mono: FourierScalar.constant(geometry, box, c)
+        for mono, c in zip(monomial_list(geometry.dim), vec) if c != 0
+    })
+
+
+def mode_vector(sigma, mode):
+    """sigma's coefficients at one mode, read from its components."""
+    return np.array([sigma.coefficient(m).coefficient(mode) for m in monomial_list(sigma.geometry.dim)])
+
+
+def wedge_matrix_reference(form, box):
+    """Left wedge by ``form`` on the monomial basis, column by column."""
+    size = 2 ** form.geometry.dim
+    out = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        unit = spinor_from_constant_vector(form.geometry, box, np.eye(size)[:, j])
+        out[:, j] = mode_vector(wedge(form, unit), (0,) * form.geometry.dim)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +87,7 @@ def brute_force_kernel_dims(ctx):
             sigma = spinor_from_constant_vector(s.geometry, s.box, unit)
             sigma = sigma.scale_scalar(FourierScalar.mode(s.geometry, s.box, mode))
             image = delbar_op(sigma, s)
-            cols[:, j] = mode_stack(image.comps, s.dim, [mode])[1][0]
+            cols[:, j] = mode_vector(image, mode)
         adj = np.linalg.solve(hmat, cols.conj().T @ hmat)
         lap = adj @ cols + cols @ adj
         # classify kernel vectors by level
@@ -311,9 +335,11 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     ctx = HodgeContext(s, m)
     alg = AlgebroidHodge(s, m)
     stacked = hodge._stack_linear(alg._const, alg._slopes, alg.modes)
+    wedge_twist = wedge_matrix_reference(s.twist, s.box)
+    wedge_axis = [constant_clifford_matrix(np.eye(2 * s.dim)[s.dim + a], s.dim) for a in range(s.dim)]
     for i, mode in enumerate(ctx.modes):
-        dmono = -ctx._wedge_twist + 2j * math.pi * sum(
-            k * w for k, w in zip(mode, ctx._wedge_axis)
+        dmono = -wedge_twist + 2j * math.pi * sum(
+            k * w for k, w in zip(mode, wedge_axis)
         )
         ref = ctx.basis_inv @ dmono @ ctx.basis
         assert np.abs(ctx.operator_matrix("d", mode) - ref).max() < 1e-12

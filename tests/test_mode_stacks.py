@@ -5,7 +5,9 @@ one matrix per mode, as the code did before the maps were stacked over the
 modes.  The stacked maps must agree with them to 1e-12 relative on
 multi-mode random inputs; kernel counts and harmonic bases must be equal.
 Fourier matrices are checked the same way against the entrywise
-object-array products and Neumann series they replaced.
+object-array products and Neumann series they replaced, and the spinor
+products (wedge, contraction, Clifford action, d and the transport) against
+the loops over coefficient dicts they replaced.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from gentorus.calculus import del_op, delbar_op, twisted_d
 from gentorus.deformation import AlgebroidHodge, DeformationError, Transport, _neumann_inverse
 from gentorus.fourier import (
     FourierMatrix,
@@ -22,26 +25,35 @@ from gentorus.fourier import (
     TruncationBox,
     TruncationError,
 )
-from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, _stack_linear
+from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     CliffordPoly,
     Spinor,
+    _merge_index,
+    _stack_linear,
+    clifford_act,
+    contract,
+    courant_bracket,
+    exterior_derivative,
     monomial_index,
     monomial_list,
+    random_courant_vector,
     random_fourier_scalar,
     random_spinor,
+    sort_monomial,
+    wedge,
 )
 from gentorus.structure import GCStructure
 
 REL = 1e-12
 
 
-def _build(name):
+def _build(name, policy="strict"):
     if name == "t2-K2":
-        s = GCStructure.complex_structure(1, TruncationBox(2))
+        s = GCStructure.complex_structure(1, TruncationBox(2, policy))
     else:
-        box = TruncationBox(1)
+        box = TruncationBox(1, policy)
         twist = Spinor.constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0)
         s = GCStructure.complex_structure(2, box, twist=twist)
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
@@ -281,10 +293,12 @@ def test_transport_matches_per_mode(case):
     s, _, _ = case
     tr = Transport(s, _constant_eps(s, 23))
     keys = monomial_list(s.dim)
-    forward, inverse = tr._forward_matrix_constant(), tr._forward_inverse_constant()
+    forward = tr.forward_words.constant_values()
+    inverse = np.linalg.inv(forward)
     for sigma in _spinors(s, 29):
         coords = ref_frame_coordinates(s, sigma)
-        got = tr.frame_coefficients(sigma)
+        column = s.frame_coordinates(sigma)
+        got = {keys[j]: column[j, 0] for j in range(len(keys)) if column.coeffs[:, j].any()}
         want = ref_terms(s.geometry, s.box, coords, keys)
         assert got.keys() == want.keys()
         diff = sum((got[k] - want[k]).norm() ** 2 for k in want) ** 0.5
@@ -572,3 +586,220 @@ def test_fourier_matrix_neumann_matches_reference(space, monkeypatch):
         assert counts["stack"] == counts["reference"]
         seen.add(want if isinstance(want, type) else counts["reference"] > 0)
     assert DeformationError in seen and True in seen
+
+
+# ----------------------------------------------------------------------
+# spinor products: the loops over coefficient dicts they replaced
+# ----------------------------------------------------------------------
+
+
+def _dict_add(out, mono, term):
+    out[mono] = out[mono].add(term) if mono in out else term
+
+
+def ref_wedge(a, b, policy=None):
+    out = {}
+    for ma, fa in a.comps.items():
+        for mb, fb in b.comps.items():
+            sorted_sign = sort_monomial(ma + mb)
+            if sorted_sign is not None:
+                _dict_add(out, sorted_sign[0], fa.mul(fb, policy=policy).scale(sorted_sign[1]))
+    return Spinor(a.geometry, a.box, out)
+
+
+def ref_contract(a, sigma, policy=None):
+    out = {}
+    for mono, f in sigma.comps.items():
+        for pos, j in enumerate(mono):
+            if not a.tangent[j].is_zero():
+                term = f.mul(a.tangent[j], policy=policy).scale(-1 if pos % 2 else 1)
+                _dict_add(out, mono[:pos] + mono[pos + 1:], term)
+    return Spinor(sigma.geometry, sigma.box, out)
+
+
+def ref_cotangent_form(a):
+    comps = {(j,): f for j, f in enumerate(a.cotangent) if not f.is_zero()}
+    return Spinor(a.geometry, a.box, comps)
+
+
+def ref_clifford_act(a, sigma, policy=None):
+    return ref_contract(a, sigma, policy).add(ref_wedge(ref_cotangent_form(a), sigma, policy))
+
+
+def ref_clifford_act_many(vectors, sigma, policy=None):
+    for v in reversed(vectors):
+        sigma = ref_clifford_act(v, sigma, policy)
+    return sigma
+
+
+def ref_scale_scalar(sigma, g, policy=None):
+    return Spinor(sigma.geometry, sigma.box, {m: f.mul(g, policy=policy) for m, f in sigma.comps.items()})
+
+
+def ref_exterior_derivative(sigma):
+    out = {}
+    for mono, f in sigma.comps.items():
+        for axis in range(sigma.geometry.dim):
+            df, merged = f.derive(axis), _merge_index(mono, axis)
+            if not df.is_zero() and merged is not None:
+                _dict_add(out, merged[0], df.scale(merged[1]))
+    return Spinor(sigma.geometry, sigma.box, out)
+
+
+def ref_act(poly, sigma, policy=None):
+    out = Spinor.zero(poly.geometry, poly.box)
+    for key, f in poly.coeffs.items():
+        vecs = [poly.frame[i] for i in key]
+        out = out.add(ref_clifford_act_many(vecs, ref_scale_scalar(sigma, f, policy), policy))
+    return out
+
+
+def ref_twisted_d(sigma, s):
+    out = ref_exterior_derivative(sigma)
+    if not s.twist.is_zero():
+        out = out.add(ref_wedge(s.twist, sigma).scale(-1))
+    return out
+
+
+def ref_project(s, sigma, k):
+    """Level-k part of sigma from the per-mode frame coordinates."""
+    sl, kept = s._level_slices[k], {}
+    for mode, c in ref_frame_coordinates(s, sigma).items():
+        part = np.zeros_like(c)
+        part[sl] = c[sl]
+        kept[mode] = s._level_matrix @ part
+    return ref_spinor(s.geometry, s.box, kept)
+
+
+def ref_shifted(sigma, s, shift):
+    out = Spinor.zero(sigma.geometry, sigma.box)
+    for k in s.levels():
+        if -s.n <= k + shift <= s.n:
+            out = out.add(ref_project(s, ref_twisted_d(ref_project(s, sigma, k), s), k + shift))
+    return out
+
+
+def ref_factorwise(tr, images, sigma, vacuum):
+    s = tr.structure
+    coeffs = ref_terms(s.geometry, s.box, ref_frame_coordinates(s, sigma), monomial_list(s.dim))
+    out = Spinor.zero(s.geometry, s.box)
+    for key, coeff in coeffs.items():
+        word = ref_clifford_act_many([images[i] for i in key], vacuum)
+        out = out.add(ref_scale_scalar(word, coeff))
+    return out
+
+
+def ref_courant_bracket(a, b, H, policy=None):
+    """The Cartan-formula bracket on spinors; its vector part is unchanged."""
+    def lie(X, eta):
+        return ref_exterior_derivative(ref_contract(X, eta, policy)).add(
+            ref_contract(X, ref_exterior_derivative(eta), policy)
+        )
+
+    eta, xi = ref_cotangent_form(b), ref_cotangent_form(a)
+    one_forms = lie(a, eta).add(lie(b, xi).scale(-1))
+    half = ref_contract(a, eta, policy).coefficient(()) - ref_contract(b, xi, policy).coefficient(())
+    one_forms = one_forms.add(ref_exterior_derivative(Spinor.scalar(half)).scale(-0.5))
+    one_forms = one_forms.add(ref_contract(b, ref_contract(a, H, policy), policy))
+    return [one_forms.coefficient((j,)) for j in range(a.geometry.dim)]
+
+
+@pytest.fixture(scope="module", params=[
+    (name, policy) for name in ("t2-K2", "t4-twisted-K1") for policy in ("strict", "drop")
+], ids="-".join)
+def policy_case(request):
+    return _build(*request.param)[0]
+
+
+def _massive(rng, sigma):
+    """sigma with a random dropped mass on every component."""
+    g, box = sigma.geometry, sigma.box
+    return Spinor(g, box, {m: FourierScalar(g, box, f.coeffs, rng.random()) for m, f in sigma.comps.items()})
+
+
+def _compare(got_fn, want_fn, mass=True):
+    """Coefficients to REL relative and, with ``mass``, each component's
+    dropped mass, or the same TruncationError; returns whether one was raised."""
+    want, got = _outcome(want_fn), _outcome(got_fn)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want is TruncationError
+        return True
+    _assert_close(got, want)
+    if mass:
+        for mono in set(got.comps) | set(want.comps):
+            lost = got.coefficient(mono).dropped_mass
+            assert lost == pytest.approx(want.coefficient(mono).dropped_mass, rel=REL, abs=0.0)
+    return False
+
+
+def test_spinor_products_match_dict_loops(policy_case):
+    """wedge, contract, clifford_act and scale_scalar are one product whose
+    entries are single scalar products: the same coefficients, escapes and
+    dropped mass as the loops (and conj, as the entrywise conjugate).  eps's action sums several words into one
+    entry, so only its coefficients and escapes are compared."""
+    s = policy_case
+    g, box, K = s.geometry, s.box, s.box.K
+    rng = np.random.default_rng(61)
+    raised, dropped = set(), 0.0
+    for trial in range(6):
+        reach = (K, K // 2)[trial % 2]
+        a, b = (_massive(rng, random_spinor(rng, g, box, max_mode=reach, terms=3)) for _ in range(2))
+        v = random_courant_vector(rng, g, box, max_mode=reach)
+        f = random_fourier_scalar(rng, g, box, max_mode=reach, terms=3)
+        eps = CliffordPoly(s.dual_frame, 2, {
+            key: random_fourier_scalar(rng, g, box, max_mode=reach, terms=2)
+            for key in itertools.combinations(range(s.dim), 2)
+        })
+        raised.add(_compare(lambda: wedge(a, b), lambda: ref_wedge(a, b)))
+        raised.add(_compare(lambda: contract(v, b), lambda: ref_contract(v, b)))
+        raised.add(_compare(lambda: clifford_act(v, b), lambda: ref_clifford_act(v, b)))
+        raised.add(_compare(lambda: b.scale_scalar(f), lambda: ref_scale_scalar(b, f)))
+        raised.add(_compare(lambda: eps.act(b), lambda: ref_act(eps, b), mass=False))
+        _compare(b.conj, lambda: Spinor(g, box, {m: f.conj() for m, f in b.comps.items()}))
+        if box.policy == "drop":
+            dropped += clifford_act(v, b).dropped_mass() - b.dropped_mass()
+    assert raised == ({False, True} if box.policy == "strict" else {False})
+    assert box.policy == "strict" or dropped > 0
+
+
+def test_differentials_and_bracket_match_dict_loops(policy_case):
+    """d, d_H, del and dbar move no mode; the bracket's components agree."""
+    s = policy_case
+    g, box = s.geometry, s.box
+    rng = np.random.default_rng(67)
+    for sigma in _spinors(s, 71):
+        _assert_close(exterior_derivative(sigma), ref_exterior_derivative(sigma))
+        _assert_close(twisted_d(sigma, s), ref_twisted_d(sigma, s))
+        _assert_close(del_op(sigma, s), ref_shifted(sigma, s, -1))
+        _assert_close(delbar_op(sigma, s), ref_shifted(sigma, s, +1))
+    H = Spinor.constant_form(g, box, (0, 1, 2), 0.7) if s.dim == 4 else Spinor.zero(g, box)
+    for _ in range(4):
+        a, b = (random_courant_vector(rng, g, box, max_mode=1) for _ in range(2))
+        want = _outcome(lambda: ref_courant_bracket(a, b, H))
+        got = _outcome(lambda: courant_bracket(a, b, H=H))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want is TruncationError
+            continue
+        for x, y in zip(got.cotangent, want):
+            assert (x - y).norm() <= REL * max(1.0, x.norm(), y.norm())
+
+
+def test_transport_matches_dict_loops(policy_case):
+    """forward and factorwise: one product of the word matrix with the frame
+    coordinates, against the word-by-word loops, for a constant and a
+    varying eps."""
+    s = policy_case
+    g, box = s.geometry, s.box
+    f = FourierScalar(g, box, {(1,) + (0,) * (s.dim - 1): 0.05, (0,) * s.dim: 0.1})
+    for eps in (_constant_eps(s, 73), CliffordPoly(s.dual_frame, 2, {(0, s.dim - 1): f})):
+        tr = _outcome(lambda: Transport(s, eps))
+        if isinstance(tr, type):
+            assert tr is TruncationError and box.policy == "strict"
+            continue
+        plus = tr._one_plus_eps_star_images()
+        minus = tr.images_one_minus_epseps()
+        for sigma in _spinors(s, 79, count=2):
+            _compare(lambda: tr.forward(sigma), lambda: ref_factorwise(tr, plus, sigma, tr.exp_rho0),
+                     mass=False)
+            _compare(lambda: tr.factorwise(minus, sigma),
+                     lambda: ref_factorwise(tr, minus, sigma, s.rho0), mass=False)

@@ -174,6 +174,10 @@ def _deformation_config():
     }
 
 
+# a deformation block whose expansion runs and passes with a valid order
+_EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "order": 2}
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -209,6 +213,9 @@ def _deformation_config():
         (("experiments",), [{"kind": "extend", "level": -1, "sigma00": 0.5, "order": 1}]),
         (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "levels": [0.5]}]),
         (("experiments",), [{"kind": "scan", "t_samples": [0.0, 0.1], "levels": 0}]),
+        (("deformation",), {**_EXPANDED, "order": 1.9}),
+        (("deformation",), {**_EXPANDED, "order": -1}),
+        (("deformation",), {**_EXPANDED, "order": True}),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
@@ -216,7 +223,8 @@ def _deformation_config():
         "criterion-samples-bool", "identity-samples-fraction", "identity-samples-string",
         "scan-order-fraction", "scan-order-negative", "criterion-seed-fraction",
         "criterion-seed-negative", "extend-level-string", "extend-sigma00-fraction",
-        "scan-levels-fraction", "scan-levels-scalar",
+        "scan-levels-fraction", "scan-levels-scalar", "expand-order-fraction",
+        "expand-order-negative", "expand-order-bool",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):

@@ -10,13 +10,21 @@ from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     Spinor,
     clifford_act,
-    constant_spinor_vector,
+    monomial_list,
     random_spinor,
     wedge,
 )
 from gentorus.structure import GCStructure, StructureError, two_form_spinor, wedge_exponential
 
 BOX = TruncationBox(2)
+
+
+def constant_spinor_vector(sigma):
+    """Coefficient vector of a constant-coefficient spinor, read from its components."""
+    zero = (0,) * sigma.geometry.dim
+    return np.array(
+        [sigma.coefficient(mono).coefficient(zero) for mono in monomial_list(sigma.geometry.dim)]
+    )
 
 
 @pytest.fixture(scope="module")
