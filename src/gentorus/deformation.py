@@ -123,17 +123,21 @@ class FrameMaps:
         """Grid estimate of the sup over the torus of the 2-norm of eps.
 
         A constant eps takes its one value at every grid point, so its
-        sup-norm is the 2-norm of that matrix, without the grid.
+        sup-norm is the 2-norm of that matrix, without the grid.  Otherwise
+        eps depends only on the axes on which one of its modes is nonzero,
+        and the full grid repeats the values of the grid over those axes, so
+        only that grid is evaluated.
         """
         if self.eps_matrix.is_constant():
             return float(np.linalg.norm(self.eps_matrix.constant_values(), 2))
-        structure = self.structure
-        npts = 4 * structure.box.K + 1
-        axes = [np.linspace(0.0, 1.0, npts, endpoint=False)] * structure.dim
+        active = np.flatnonzero(self.eps_matrix.modes.any(axis=0))
+        npts = 4 * self.structure.box.K + 1
+        axes = [np.linspace(0.0, 1.0, npts, endpoint=False)] * len(active)
         grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = np.zeros((npts ** len(active), self.structure.dim))
+        pts[:, active] = np.stack([g.ravel() for g in grids], axis=-1)
         vals = self.eps_matrix.evaluate(pts)
-        return float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max()) if pts.size else 0.0
+        return float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max())
 
     def dual_image(self, matrix: FourierMatrix, into_frame: bool) -> List[CourantVector]:
         """Images of the dual frame under a matrix (into L when into_frame)."""
@@ -437,6 +441,10 @@ class Transport:
         return self.word_matrix(self._one_plus_eps_star_images(), self.exp_rho0)
 
     @cached_property
+    def _dress_words(self) -> FourierMatrix:
+        return self.word_matrix(self.images_one_minus_epseps(), self.structure.rho0)
+
+    @cached_property
     def _undress_words(self) -> FourierMatrix:
         return self.word_matrix(self.images_inverse_one_minus_epseps(), self.structure.rho0)
 
@@ -458,6 +466,10 @@ class Transport:
     ) -> Spinor:
         """Apply a frame endomorphism to every Clifford factor, vacuum fixed."""
         return self._substitute(self.word_matrix(images, self.structure.rho0), sigma)
+
+    def dress(self, sigma: Spinor) -> Spinor:
+        """(1 - eps eps*) applied factorwise; its word matrix is built once."""
+        return self._substitute(self._dress_words, sigma)
 
     def undress(self, sigma: Spinor) -> Spinor:
         """(1 - eps eps*)^{-1} applied factorwise; its word matrix is built once."""
@@ -698,7 +710,7 @@ def criterion_rhs(structure: GCStructure, eps: CliffordPoly, sigma: Spinor) -> S
 
 def _criterion_rhs(transport: Transport, sigma: Spinor) -> Spinor:
     structure = transport.structure
-    dressed = transport.factorwise(transport.images_one_minus_epseps(), sigma)
+    dressed = transport.dress(sigma)
     return delbar_op(dressed, structure).add(
         bracket_del_action(structure, transport.eps, dressed)
     )

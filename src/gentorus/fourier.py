@@ -156,6 +156,23 @@ class FourierScalar:
         self.coeffs = {m: c for m, c in clean.items() if c != 0}
         self.dropped_mass = float(dropped_mass)
 
+    @classmethod
+    def _from_clean(
+        cls,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        coeffs: Dict[Mode, complex],
+        dropped_mass: float,
+    ) -> "FourierScalar":
+        """The scalar of ``coeffs`` whose keys are already int tuples inside
+        the box and whose values are nonzero Python complex numbers; nothing
+        is checked."""
+        out = cls.__new__(cls)
+        out.geometry, out.box = geometry, box
+        out.coeffs = coeffs
+        out.dropped_mass = dropped_mass
+        return out
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -356,6 +373,24 @@ def _add_rows(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
     out[slots[order[starts]]] += np.add.reduceat(values[order], starts, axis=0)
 
 
+def _live(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(rows, inner, cols) mask of the triples (i, k, j) at which the
+    entries a[i, k] and b[k, j] of two stacks are both nonzero."""
+    return np.any(a, axis=0)[:, :, None] & np.any(b, axis=0)[None, :, :]
+
+
+def _pair_products(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """The products a[p] @ b[q] of every pair of coefficient matrices of two
+    stacks, A's modes in chunks of at most ``PAIR_CHUNK`` complex entries:
+    yields (lo, pairs) with pairs[p - lo, q] = a[p] @ b[q], one GEMM each."""
+    (rows, inner), cols = a.shape[1:], b.shape[2]
+    b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
+    step = max(1, PAIR_CHUNK // max(1, len(b) * rows * cols))
+    for lo in range(0, len(a), step):
+        prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, len(b), cols)
+        yield lo, prod.transpose(0, 2, 1, 3)
+
+
 class FourierMatrix:
     """A matrix of truncated Fourier series, held as one stack over its modes.
 
@@ -402,6 +437,28 @@ class FourierMatrix:
             np.zeros(shape) if dropped_mass is None
             else np.array(dropped_mass, dtype=float).reshape(shape)
         )
+
+    @classmethod
+    def _from_sorted(
+        cls,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        modes: np.ndarray,
+        coeffs: np.ndarray,
+        dropped_mass: np.ndarray,
+    ) -> "FourierMatrix":
+        """The stack of distinct int64 ``modes`` (P, 2n) already in
+        lexicographic order and inside the box, complex ``coeffs`` and a float
+        (rows, cols) ``dropped_mass``; only the all-zero coefficient matrices
+        are dropped."""
+        live = coeffs.any(axis=(1, 2))
+        if not live.all():
+            modes, coeffs = modes[live], coeffs[live]
+        out = cls.__new__(cls)
+        out.geometry, out.box = geometry, box
+        out.modes, out.coeffs = modes, coeffs
+        out.dropped_mass = dropped_mass
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -487,7 +544,7 @@ class FourierMatrix:
         )
 
     def scale(self, c) -> "FourierMatrix":
-        return FourierMatrix(
+        return FourierMatrix._from_sorted(
             self.geometry, self.box, self.modes, self.coeffs * complex(c), self.dropped_mass
         )
 
@@ -500,6 +557,10 @@ class FourierMatrix:
         mass agree exactly: under ``strict`` a product of two nonzero
         coefficients outside the box raises, under ``drop`` each escaping
         frequency of each scalar product adds its squared magnitude.
+
+        When one factor has one mode and no product mode leaves the box, the
+        product modes are the other factor's shifted by it, and the pair
+        products are stored as they come, without sorting or summing.
         """
         _check_same_space(self, other)
         if policy is None:
@@ -510,15 +571,27 @@ class FourierMatrix:
         if other.shape[0] != inner:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         a, b, K = self.coeffs, other.coeffs, self.box.K
-        live = np.any(a, axis=0)[:, :, None] & np.any(b, axis=0)[None, :, :]
         dropped = np.zeros((rows, cols))
         if self.dropped_mass.any() or other.dropped_mass.any():
             dropped = np.sum(
-                live * (self.dropped_mass[:, :, None] + other.dropped_mass[None, :, :]), axis=1
+                _live(a, b) * (self.dropped_mass[:, :, None] + other.dropped_mass[None, :, :]),
+                axis=1,
             )
         if not (len(a) and len(b)):
-            zero = np.zeros((0, rows, cols))
-            return FourierMatrix(self.geometry, self.box, self.modes[:0], zero, dropped)
+            zero = np.zeros((0, rows, cols), dtype=complex)
+            return FourierMatrix._from_sorted(self.geometry, self.box, self.modes[:0], zero, dropped)
+        if len(a) == 1 or len(b) == 1:
+            # shifts keep the other side's order; any escape takes the
+            # general path, which raises or drops it
+            modes = (self.modes[:, None] + other.modes).reshape(-1, self.geometry.dim)
+            if np.abs(modes).max() <= K:
+                out = np.zeros((len(a), len(b), rows, cols), dtype=complex)
+                for lo, pairs in _pair_products(a, b):
+                    out[lo:lo + len(pairs)] += pairs
+                return FourierMatrix._from_sorted(
+                    self.geometry, self.box, modes, out.reshape(-1, rows, cols), dropped
+                )
+
         # every pair of modes, keyed by the mode of its product
         keys = _mode_keys(self.box, self.modes)[:, None] + _mode_keys(self.box, other.modes)
         inside = np.ones(keys.shape, dtype=bool)
@@ -542,16 +615,14 @@ class FourierMatrix:
         else:
             _, first, slot = np.unique(pair_keys, return_index=True, return_inverse=True)
         out = np.zeros((len(first), rows, cols), dtype=complex)
-        b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
-        step = max(1, PAIR_CHUNK // max(1, len(b) * rows * cols))
         done = 0
-        for lo in range(0, len(a), step):
-            prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, len(b), cols)
-            pairs = prod.transpose(0, 2, 1, 3)[inside[lo:lo + step]]
+        for lo, pairs in _pair_products(a, b):
+            pairs = pairs[inside[lo:lo + len(pairs)]]
             _add_rows(out, slot[done:done + len(pairs)], pairs)
             done += len(pairs)
 
-        if policy == "drop" and escaped.any() and live.any():
+        live = _live(a, b) if policy == "drop" and escaped.any() else None
+        if live is not None and live.any():
             # each scalar product a[i, k] b[k, j] drops its own escaping
             # frequencies: sums are squared per (i, k, j), over live triples
             i, k, j = np.nonzero(live)
@@ -568,7 +639,7 @@ class FourierMatrix:
                 terms = left[pe[lo:lo + step]] * right[qe[lo:lo + step]]
                 lost[g[starts]] += np.add.reduceat(terms, starts, axis=0)
             np.add.at(dropped, (i, j), np.sum(lost.real ** 2 + lost.imag ** 2, axis=0))
-        return FourierMatrix(
+        return FourierMatrix._from_sorted(
             self.geometry, self.box, self.modes[pi[first]] + other.modes[qi[first]], out, dropped
         )
 
@@ -580,7 +651,7 @@ class FourierMatrix:
 
     @property
     def T(self) -> "FourierMatrix":
-        return FourierMatrix(
+        return FourierMatrix._from_sorted(
             self.geometry, self.box, self.modes, self.coeffs.transpose(0, 2, 1),
             self.dropped_mass.T,
         )
@@ -596,11 +667,13 @@ class FourierMatrix:
     def __getitem__(self, index) -> FourierScalar:
         i, j = index
         column = self.coeffs[:, i, j]
-        return FourierScalar(
+        live = np.flatnonzero(column)
+        return FourierScalar._from_clean(
             self.geometry,
             self.box,
-            {tuple(self.modes[p].tolist()): column[p] for p in np.flatnonzero(column)},
-            self.dropped_mass[i, j],
+            # + 0.0 clears signed zeros, as the checked constructor's sums do
+            dict(zip(map(tuple, self.modes[live].tolist()), (column[live] + 0.0).tolist())),
+            float(self.dropped_mass[i, j]),
         )
 
     def norm(self) -> float:

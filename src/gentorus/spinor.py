@@ -181,9 +181,8 @@ class Spinor:
         return Spinor.from_stack(self.stack.scale(c))
 
     def scale_scalar(self, g: FourierScalar, policy: str | None = None) -> "Spinor":
-        """g sigma: g times the identity, one product with the column."""
-        action = _action(FourierMatrix.from_scalars([[g]]), np.eye(2 ** g.geometry.dim)[None])
-        return Spinor.from_stack(action.matmul(self.stack, policy=policy))
+        """g sigma: one product of the column with the 1 x 1 stack of g."""
+        return Spinor.from_stack(self.stack.matmul(FourierMatrix.from_scalars([[g]]), policy=policy))
 
     def __add__(self, other: "Spinor") -> "Spinor":
         return self.add(other)
@@ -250,7 +249,7 @@ def _action(weights: FourierMatrix, matrices: np.ndarray) -> FourierMatrix:
     """
     size = matrices.shape[1:]
     flat = matrices.reshape(len(matrices), size[0] * size[1])
-    return FourierMatrix(
+    return FourierMatrix._from_sorted(
         weights.geometry,
         weights.box,
         weights.modes,

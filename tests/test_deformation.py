@@ -20,7 +20,7 @@ from gentorus.deformation import (
     maurer_cartan_expand,
     maurer_cartan_verify,
 )
-from gentorus.fourier import FourierScalar, TruncationBox
+from gentorus.fourier import FourierMatrix, FourierScalar, TruncationBox
 from gentorus.hodge import ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
@@ -83,6 +83,33 @@ def test_sup_norm_of_constant_eps_is_its_matrix_norm(n):
     maps = FrameMaps(s, CliffordPoly(s.dual_frame, 2, {(0, s.dim - 1): f}))
     assert not maps.eps_matrix.is_constant()
     assert maps.sup_norm() == grid_sup_norm(maps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sup_norm_grids_only_the_axes_eps_varies_on(n, monkeypatch):
+    """An eps varying along one axis, and one varying along two: the grid
+    over those axes alone gives the full grid's value."""
+    s = GCStructure.complex_structure(n, TruncationBox(2))
+    e, zero = np.eye(s.dim, dtype=int), (0,) * s.dim
+    along = {
+        1: {tuple(e[0]): 0.2, zero: 0.1, tuple(-e[0]): 0.05j},
+        2: {tuple(e[0] + e[-1]): 0.15, tuple(-e[-1]): -0.1 + 0.02j, zero: 0.1},
+    }
+    evaluated = []
+    real = FourierMatrix.evaluate
+
+    def counted(self, points):
+        evaluated.append(len(points))
+        return real(self, points)
+
+    for axes, coeffs in along.items():
+        f = FourierScalar(s.geometry, s.box, coeffs)
+        maps = FrameMaps(s, CliffordPoly(s.dual_frame, 2, {(0, s.dim - 1): f}))
+        want = grid_sup_norm(maps)
+        with monkeypatch.context() as m:
+            m.setattr(FourierMatrix, "evaluate", counted)
+            assert maps.sup_norm() == want
+        assert evaluated.pop() == (4 * s.box.K + 1) ** axes
 
 
 def test_frame_blocks_zero_deformation(t2):

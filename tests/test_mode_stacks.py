@@ -542,6 +542,107 @@ def test_fourier_matrix_products_match_reference(space):
     _assert_stack_matches(_stack(a).matmul(_stack(b)), _fs_mat_mul(a, b))
 
 
+@pytest.fixture
+def general_products(monkeypatch):
+    """Counts the products that take FourierMatrix.matmul's general path,
+    the one that sums mode pairs into their output modes."""
+    import gentorus.fourier as fourier
+
+    calls = []
+    real = fourier._add_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fourier, "_add_rows", counted)
+    return calls
+
+
+def _at_mode(rng, geometry, box, shape, mode):
+    """Object array whose nonzero entries have the one mode ``mode``; some
+    entries are zero and some carry dropped mass."""
+    rows = [[
+        FourierScalar(
+            geometry, box,
+            {mode: complex(rng.normal(), rng.normal())} if rng.random() < 0.7 else {},
+            float(rng.random()) if rng.random() < 0.3 else 0.0,
+        ) for _ in range(shape[1])
+    ] for _ in range(shape[0])]
+    return _entries(geometry, box, rows)
+
+
+def _escape_outcome(fn):
+    """The product, or the mode of the TruncationError it raises."""
+    try:
+        return fn()
+    except TruncationError as err:
+        return err.mode
+
+
+def test_one_mode_products_match_reference(space, general_products):
+    """A factor with one mode, constant or at a single nonzero mode, on the
+    left, on the right or on both sides: the same coefficients and dropped
+    mass as the entrywise products, and no pair sums while every product
+    mode stays inside the box."""
+    geometry, box = space
+    rng = np.random.default_rng(53)
+    e0 = (1,) + (0,) * (geometry.dim - 1)
+    for mode in ((0,) * geometry.dim, e0, tuple(-v for v in e0)):
+        for _ in range(3):
+            one = _at_mode(rng, geometry, box, (3, 4), mode)
+            right = _random_entries(rng, geometry, box, (4, 2), box.K - 1)
+            left = _random_entries(rng, geometry, box, (2, 3), box.K - 1)
+            other_one = _at_mode(rng, geometry, box, (4, 2), tuple(-v for v in mode))
+            for a, b in ((one, right), (left, one), (one, other_one)):
+                want = _fs_mat_mul(a, b, policy=box.policy)
+                _assert_stack_matches(_stack(a).matmul(_stack(b)), want)
+    assert general_products == []
+
+
+def test_one_mode_products_that_escape_take_the_general_path(space, general_products):
+    """A one-mode factor whose shifts leave the box: under strict the same
+    escaping mode is raised as by the entrywise products, under drop the
+    same dropped mass, entry by entry, on top of the inputs' mass."""
+    geometry, box = space
+    K, dim = box.K, geometry.dim
+    e0 = (1,) + (0,) * (dim - 1)
+    edge = (K,) + (0,) * (dim - 1)
+    zero = (0,) * dim
+    one = FourierScalar(geometry, box, {edge: 0.5 - 0.2j}, dropped_mass=0.25)
+    wide = FourierScalar(geometry, box, {zero: 2.0, e0: 1.0 + 1.0j, edge: -0.3})
+    cases = [
+        ([[one, {}], [{}, {edge: 0.7}]], [[wide, 1.0], [{edge: 0.1}, {}]]),
+        ([[wide, {e0: 0.2}]], [[one], [{}]]),
+    ]
+    for a_rows, b_rows in cases:
+        a, b = _entries(geometry, box, a_rows), _entries(geometry, box, b_rows)
+        want = _escape_outcome(lambda: _fs_mat_mul(a, b, policy=box.policy))
+        got = _escape_outcome(lambda: _stack(a).matmul(_stack(b)))
+        if box.policy == "strict":
+            assert got == want == (K + 1,) + (0,) * (dim - 1)
+        else:
+            _assert_stack_matches(got, want)
+            assert got.dropped_mass.max() > 0.25
+    assert (general_products != []) == (box.policy == "drop")
+
+
+def test_one_mode_product_stores_no_cancelled_mode(space):
+    """Products that cancel to exact zero at a mode, or everywhere, store
+    no coefficient matrix there."""
+    geometry, box = space
+    rng = np.random.default_rng(59)
+    f = FourierScalar(geometry, box, {(0,) * geometry.dim: 1.5, (1,) + (0,) * (geometry.dim - 1): -2.0})
+    g = random_fourier_scalar(rng, geometry, box, max_mode=box.K, terms=3)
+    ones = _stack(_entries(geometry, box, [[1.0, 1.0]]))
+    cancelled = ones.matmul(_stack(_entries(geometry, box, [[f], [-f]])))
+    assert len(cancelled.modes) == 0 and cancelled.shape == (1, 1)
+    kept = ones.matmul(_stack(_entries(geometry, box, [[f + g], [-f]])))
+    assert kept.coeffs.any(axis=(1, 2)).all()
+    assert sorted(map(tuple, kept.modes.tolist())) == sorted(g.support())
+    _assert_stack_matches(kept, _entries(geometry, box, [[g]]))
+
+
 def _scaled(entries, c):
     out = np.empty(entries.shape, dtype=object)
     for idx in np.ndindex(*entries.shape):
@@ -760,6 +861,35 @@ def test_spinor_products_match_dict_loops(policy_case):
             dropped += clifford_act(v, b).dropped_mass() - b.dropped_mass()
     assert raised == ({False, True} if box.policy == "strict" else {False})
     assert box.policy == "strict" or dropped > 0
+
+
+def test_scale_scalar_matches_componentwise_mul(policy_case):
+    """g sigma is each component's FourierScalar.mul by g, for a constant g,
+    a g at one nonzero mode and a general g: the same coefficients, the
+    dropped mass of sigma and g, and, when a product leaves the box, the
+    same escaping mode under strict and the same lost mass under drop."""
+    s = policy_case
+    g, box, K = s.geometry, s.box, s.box.K
+    rng = np.random.default_rng(83)
+    e0 = (1,) + (0,) * (s.dim - 1)
+    scalars = [
+        FourierScalar(g, box, {(0,) * s.dim: 0.4 - 0.3j}, dropped_mass=0.125),
+        FourierScalar(g, box, {e0: 1.5j}, dropped_mass=0.5),
+        random_fourier_scalar(rng, g, box, max_mode=K, terms=3),
+    ]
+    for reach in (K - 1, K):
+        sigma = _massive(rng, random_spinor(rng, g, box, max_mode=reach, terms=3))
+        for f in scalars:
+            _compare(lambda: sigma.scale_scalar(f), lambda: ref_scale_scalar(sigma, f))
+    edge = FourierScalar(g, box, {(K,) + (0,) * (s.dim - 1): 1.0, (0,) * s.dim: 0.5}, 0.25)
+    sigma = Spinor(g, box, {(0,): edge, (1,): edge.scale(2.0)})
+    want = _escape_outcome(lambda: ref_scale_scalar(sigma, scalars[1]))
+    got = _escape_outcome(lambda: sigma.scale_scalar(scalars[1]))
+    if box.policy == "strict":
+        assert got == want == (K + 1,) + (0,) * (s.dim - 1)
+    else:
+        _compare(lambda: got, lambda: want)
+        assert got.dropped_mass() > sigma.dropped_mass() + 2 * scalars[1].dropped_mass
 
 
 def test_differentials_and_bracket_match_dict_loops(policy_case):

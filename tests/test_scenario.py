@@ -18,6 +18,7 @@ from gentorus.scenario import Scenario, ScenarioError, exit_code_for, run_scenar
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
+GOLDENS = ROOT / "tests" / "goldens"
 
 
 def minimal_config():
@@ -129,6 +130,16 @@ def test_cli_run_and_verify(tmp_path, capsys):
     report_path.write_text(report_to_json(doc))
     code = main(["verify", str(config_path), str(report_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_scenario_verifies_against_its_golden(path, capsys):
+    """Every shipped scenario reproduces its checked-in report.  A golden is
+    rewritten (``gentorus run scenarios/<file> --out tests/goldens --format
+    json``) only by a change meant to move its values, and CHANGES.md names
+    each value that moved."""
+    golden = GOLDENS / f"{json.loads(path.read_text())['name']}.json"
+    assert main(["verify", str(path), str(golden)]) == 0, capsys.readouterr().err
 
 
 def test_cli_emits_requested_formats(tmp_path):
@@ -294,6 +305,30 @@ def test_criterion_runs_samples_only_where_they_decide_the_verdict(
     report, _ = run_scenario(config)
     assert report["summary"]["status"] == "pass"
     assert len(seen) == calls
+
+
+def test_constant_criterion_builds_each_word_matrix_once_per_transport(monkeypatch):
+    """Every sample of a constant eps shares its transport's forward,
+    dressing and undressing word matrices: three per transport, however
+    many samples run."""
+    from gentorus.deformation import Transport
+
+    built = []
+    real = Transport.word_matrix
+
+    def counted(self, *args):
+        built.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Transport, "word_matrix", counted)
+    config = _varying_criterion_config("drop")
+    config["deformation"]["coefficients"]["1,0"]["terms"]["0,1"] = 0.3
+    config["experiments"][0].update(t=[0.2, 0.4], samples=4)
+    report, _ = run_scenario(config)
+    assert report["summary"]["status"] == "pass"
+    transports = {id(tr): tr for tr in built}
+    assert len(transports) == 2
+    assert [sum(tr is other for tr in built) for other in transports.values()] == [3, 3]
 
 
 def test_varying_criterion_computes_each_sup_norm_once(monkeypatch):
