@@ -889,8 +889,14 @@ def extend_closed_form(
 
     class_checks: Dict[str, Dict] = {}
     if variant == "standard":
-        class_checks["B_lower"] = context.class_check("B_k", level - 1) if level - 1 >= -structure.n else {"holds": True, "kind": "B_k", "level": level - 1, "dims": {}}
-        class_checks["S_upper"] = context.class_check("S_k", level + 1) if level + 1 <= structure.n else {"holds": True, "kind": "S_k", "level": level + 1, "dims": {}}
+        # one batch of the checks whose level exists; the others hold trivially
+        wanted = {"B_lower": ("B_k", level - 1), "S_upper": ("S_k", level + 1)}
+        asked = {name: q for name, q in wanted.items() if abs(q[1]) <= structure.n}
+        verdicts = dict(zip(asked, context.class_checks(asked.values())))
+        for name, (kind, k) in wanted.items():
+            class_checks[name] = verdicts.get(
+                name, {"holds": True, "kind": kind, "level": k, "dims": {}}
+            )
         for name, check in class_checks.items():
             if not check["holds"]:
                 raise ObstructionError(

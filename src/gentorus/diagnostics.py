@@ -20,7 +20,7 @@ from .calculus import (
     twisted_d,
 )
 from .fourier import TorusGeometry, TruncationBox
-from .hodge import HodgeContext, _adjoint, _basis_rank, _null_basis, _range_basis
+from .hodge import CHECK_KINDS, HodgeContext, _adjoint, _basis_rank, _null_basis, _range_basis
 from .spinor import (
     CliffordPoly,
     clifford_act,
@@ -316,15 +316,18 @@ def hodge_suite(ctx: HodgeContext, seed: int = 0) -> List[Dict]:
 
 
 def hodge_table(ctx: HodgeContext) -> Dict:
-    """Kernel dimensions per kind and level plus class-check verdicts."""
+    """Kernel dimensions per kind and level plus class-check verdicts.
+
+    The class checks go first, as one batch: their decompositions are freed
+    before the packages' eigenvectors are built.
+    """
+    levels = list(ctx.structure.levels())
+    questions = [(kind, k) for k in levels for kind in CHECK_KINDS]
+    checks: Dict[str, Dict[str, bool]] = {str(k): {} for k in levels}
+    for (kind, k), check in zip(questions, ctx.class_checks(questions)):
+        checks[str(k)][kind] = check["holds"]
     dims = {
-        kind: {str(k): ctx.package(kind).kernel_dimension(k) for k in ctx.structure.levels()}
+        kind: {str(k): ctx.package(kind).kernel_dimension(k) for k in levels}
         for kind in ("dbar", "bc", "aeppli", "d")
     }
-    checks = {}
-    for k in ctx.structure.levels():
-        checks[str(k)] = {
-            kind: ctx.class_check(kind, k)["holds"]
-            for kind in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
-        }
     return {"kernel_dimensions": dims, "class_checks": checks}

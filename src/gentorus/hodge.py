@@ -13,10 +13,13 @@ is eigendecomposed by batched ``eigh`` over chunks of modes, the kernel
 split off by a relative cutoff; the Green operator is the pseudo-inverse on
 the kernel complement.  The class checks (the ddbar-lemma and the
 solvability classes) slice level blocks from the same stacks and decide
-every numerical rank by a batched SVD.  A basis carries its rank in its
-nonzero columns, the bases that several kinds of one level share are
-computed once while that level is the one asked last, and each
-(kind, level) is decided once per context.  A spinor enters and leaves as
+every numerical rank by a batched SVD, or by the vector norm for a stack
+of single rows or columns.  A basis carries its rank in its nonzero
+columns.  Checks are asked in batches: within a batch each matrix they
+decompose (a level block of d, or dbar del on a level) gets one SVD that
+gives both its range and its null space, and the decompositions are
+dropped once the batch has passed their levels and freed when it returns.
+Each (kind, level) is decided once per context.  A spinor enters and leaves as
 the coefficient rows of its mode stack, so every operator, projector and
 Green operator acts by one product batched over its modes.  The
 Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
@@ -25,7 +28,7 @@ assembly, the eigendecomposition and the batched application.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -39,11 +42,13 @@ KINDS = ("d", "del", "dbar", "bc", "aeppli")
 
 RANK_CUTOFF = 1e-9
 
-MODE_CHUNK = 256  # modes per batched eigh; bounds the transient Laplacian stack
+MODE_CHUNK = 256  # modes per batched eigh or |d| scan; bounds their transient stacks
+
+CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 
 # HodgeContext.check_counts: class checks decided and served from the memo,
-# shared bases computed and reused
-CHECK_COUNTERS = ("decided", "memo_hits", "bases_computed", "bases_reused")
+# decompositions computed and reused within a batch of checks
+CHECK_COUNTERS = ("decided", "memo_hits", "decompositions_computed", "decompositions_reused")
 
 
 class ObstructionError(ValueError):
@@ -66,8 +71,27 @@ def _cut(s: np.ndarray, floor) -> np.ndarray:
     return np.sum(s > bound, axis=-1)
 
 
+def _vector_values(mats: np.ndarray) -> np.ndarray:
+    """The singular values, (..., min(r, c)), of a stack of one-row or
+    one-column matrices: each vector's norm, and none for an empty matrix."""
+    rows, cols = mats.shape[-2:]
+    norms = np.linalg.norm(mats.reshape(mats.shape[:-2] + (rows * cols,)), axis=-1)
+    return norms[..., None][..., : min(rows, cols)]
+
+
+def _below(rank: np.ndarray, width: int) -> np.ndarray:
+    """Per matrix, a (..., 1, width) mask of the columns before its rank."""
+    return (np.arange(width) < rank[..., None])[..., None, :]
+
+
 def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
-    """Numerical rank of each matrix of an (..., r, c) stack."""
+    """Numerical rank of each matrix of an (..., r, c) stack.
+
+    A stack of single rows or columns has one singular value per matrix,
+    its vector norm, so it takes no SVD.
+    """
+    if min(mats.shape[-2:]) <= 1:
+        return _cut(_vector_values(mats), floor)
     return _cut(np.linalg.svd(mats, compute_uv=False), floor)
 
 
@@ -77,26 +101,52 @@ def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
     Columns past each matrix's rank are exact zeros, and every kept column
     is a unit vector, so ``_basis_rank`` reads the rank back.  Zero columns
     add only zero singular values, so every rank and containment is
-    unchanged.
+    unchanged.  A stack of single rows or columns is decided by its vector
+    norms: the basis is the normalized column, or the 1 x 1 unit.
     """
-    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
-    u *= (np.arange(s.shape[-1]) < _cut(s, floor)[..., None])[..., None, :]
-    return u
+    rows, cols = mats.shape[-2:]
+    if min(rows, cols) > 1:
+        u, s = np.linalg.svd(mats, full_matrices=False)[:2]
+        u *= _below(_cut(s, floor), s.shape[-1])
+        return u
+    s = _vector_values(mats)
+    kept = _below(_cut(s, floor), s.shape[-1])
+    if cols == 1 and rows > 0:
+        return np.divide(mats, s[..., None, :], out=np.zeros_like(mats), where=kept)
+    return np.broadcast_to(kept, mats.shape[:-2] + (rows, s.shape[-1])).astype(mats.dtype)
+
+
+def _range_and_null(mats: np.ndarray, floor=0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """The range basis, as ``_range_basis`` gives it, and the orthonormal
+    null-space basis, (..., c, c) and zero past the nullity, of a stack from
+    one decomposition.
+
+    One SVD gives both; a stack of single columns, or of matrices without
+    rows, needs none.
+    """
+    rows, cols = mats.shape[-2:]
+    if cols <= 1 or rows == 0:
+        span = _range_basis(mats, floor)
+        return span, np.eye(cols, dtype=mats.dtype) * ~_below(_basis_rank(span), cols)
+    u, s, vh = np.linalg.svd(mats, full_matrices=rows < cols)
+    rank = _cut(s, floor)
+    u *= _below(rank, s.shape[-1])
+    null = np.conjugate(vh, out=vh).swapaxes(-1, -2)
+    null *= ~_below(rank, cols)
+    return u, null
 
 
 def _null_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
     """Orthonormal null-space bases of a stack, (..., c, c), zero past the nullity."""
-    rows, cols = mats.shape[-2:]
-    s, vh = np.linalg.svd(mats, full_matrices=rows < cols)[1:]
-    basis = _adjoint(vh)
-    basis *= (np.arange(cols) >= _cut(s, floor)[..., None])[..., None, :]
-    return basis
+    return _range_and_null(mats, floor)[1]
 
 
 def _trim(basis: np.ndarray) -> np.ndarray:
     """A basis stack without the columns that are zero at every matrix: its
-    width becomes the widest rank (or nullity) over the stack."""
-    return basis[..., basis.any(axis=tuple(range(basis.ndim - 1)))]
+    width becomes the widest rank (or nullity) over the stack.  A stack with
+    no such column is returned as it is, not copied."""
+    keep = basis.any(axis=tuple(range(basis.ndim - 1)))
+    return basis if keep.all() else basis[..., keep]
 
 
 def _basis_rank(basis: np.ndarray) -> np.ndarray:
@@ -373,10 +423,9 @@ class HodgeContext:
         # del, dbar and deldbar are stacked on first use: packages need d alone
         self._stacks = {"d": d}
         self._checks: Dict[Tuple[str, int], Dict] = {}
-        # bases shared by the class checks of one level: only the level
-        # asked last is kept (``_shared_basis``)
-        self._bases_level: int | None = None
-        self._bases: Dict[str, np.ndarray] = {}
+        # while ``class_checks`` runs, the decompositions its checks share:
+        # key -> (the highest level they involve, value); None between batches
+        self._batch: Dict[Hashable, Tuple[int, object]] | None = None
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
 
@@ -583,6 +632,31 @@ class HodgeContext:
             return self.level_slices[k]
         return slice(0, 0)
 
+    def class_checks(self, questions: Iterable[Tuple[str, int]]) -> List[Dict]:
+        """Decide a batch of (kind, level) class checks; the verdicts in the order asked.
+
+        Each question goes to ``class_check`` in ascending level order.  The
+        checks of the batch share their decompositions: each matrix they
+        decompose gets one SVD in the batch (``_shared``).  When the batch
+        moves on to level k it drops the decompositions whose levels all lie
+        below k, since no later level asks for them, and none is left on the
+        context when it returns.
+        """
+        questions = list(questions)
+        for kind, _ in questions:
+            if kind not in CHECK_KINDS:
+                raise ValueError(f"unknown class check {kind!r}")
+        verdicts: List[Dict] = [{}] * len(questions)
+        self._batch = {}
+        try:
+            for i in sorted(range(len(questions)), key=lambda i: questions[i][1]):
+                kind, k = questions[i]
+                self._batch = {key: v for key, v in self._batch.items() if v[0] >= k}
+                verdicts[i] = self.class_check(kind, k)
+        finally:
+            self._batch = None
+        return verdicts
+
     def class_check(self, kind: str, k: int) -> Dict:
         """Rank verdicts for the ddbar-lemma and the solvability classes.
 
@@ -593,13 +667,13 @@ class HodgeContext:
         is decided per mode, on level blocks sliced from the stacked d, by
         batched SVDs; ``holds`` requires it at every mode and ``dims`` sums
         the ranks over the modes.  A basis carries its rank in its nonzero
-        columns, so a rank question costs one SVD, and the bases that
-        several kinds of level k share are computed once while k is the
-        level asked last.  The verdicts depend on the context alone, so
-        each (kind, k) is decided once; every call returns a fresh dict.
+        columns, so a rank question costs one SVD.  Outside ``class_checks``
+        the check is a batch of one; within a batch it shares the batch's
+        decompositions.  The verdicts depend on the context alone, so each
+        (kind, k) is decided once; every call returns a fresh dict.
         """
-        if kind not in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
-            raise ValueError(f"unknown class check {kind!r}")
+        if self._batch is None:
+            return self.class_checks([(kind, k)])[0]
         if (kind, k) in self._checks:
             self.check_counts["memo_hits"] += 1
         else:
@@ -615,61 +689,74 @@ class HodgeContext:
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per mode, the operator scale and the absolute rank floor tied to it."""
         if self._scale is None:
-            self._scale = np.maximum(1.0, np.abs(self._stack("d")).max(axis=(1, 2)))
+            # by chunks of modes: a whole |d| stack would raise the peak memory
+            d = self._stack("d")
+            self._scale = np.maximum(1.0, np.concatenate([
+                np.abs(d[start:start + MODE_CHUNK]).max(axis=(1, 2))
+                for start in range(0, len(d), MODE_CHUNK)
+            ]))
         return self._scale, RANK_CUTOFF * self._scale
 
-    def _shared_basis(self, name: str, k: int) -> np.ndarray:
-        """A basis that several class checks of level k share.
-
-        'dbar_in' is the range of dbar into level k, 'dbar_del_in' the range
-        of dbar del into level k (del-exact solutions), and 'w_plain' /
-        'w_cal' the span of del phi over phi in level k + 1 with
-        dbar(del phi) = 0 / dbar phi = 0.  Only the bases of the level asked
-        last are kept.
-        """
-        if self._bases_level != k:
-            self._bases_level, self._bases = k, {}
-        if name in self._bases:
-            self.check_counts["bases_reused"] += 1
-            return self._bases[name]
-        self.check_counts["bases_computed"] += 1
-        scale, floor = self._floor()
-        block = self._block
-        if name == "dbar_in":
-            basis = _range_basis(block(k, k - 1), floor)
-        elif name == "dbar_del_in":
-            basis = _range_basis(block(k, k - 1) @ block(k - 1, k), floor * scale)
+    def _shared(self, key: Hashable, level: int, compute: Callable[[], object]):
+        """``compute()``, once per batch of checks under ``key``; the batch
+        drops it when it moves past ``level``."""
+        if key in self._batch:
+            self.check_counts["decompositions_reused"] += 1
         else:
-            del_down = block(k, k + 1)
-            if name == "w_plain":
-                null = _null_basis(block(k + 1, k) @ del_down, floor * scale)
-            else:
-                null = _null_basis(block(k + 2, k + 1), floor)
-            basis = _range_basis(del_down @ _trim(null), floor)
-        basis = self._bases[name] = _trim(basis)
-        return basis
+            self.check_counts["decompositions_computed"] += 1
+            self._batch[key] = (level, compute())
+        return self._batch[key][1]
+
+    def _decomposition(self, key: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """The trimmed range and null-space bases of the matrix that ``key`` names.
+
+        (r, c) names the level block of d from level c to level r, and
+        (k, k - 1, k) the product dbar del on level k,
+        block(k, k - 1) @ block(k - 1, k), whose floor is scaled by the
+        operator scale.
+        """
+
+        def compute():
+            scale, floor = self._floor()
+            mats = self._block(*key[:2])
+            if len(key) == 3:
+                mats, floor = mats @ self._block(*key[1:]), floor * scale
+            return tuple(_trim(basis) for basis in _range_and_null(mats, floor))
+
+        return self._shared(key, max(key), compute)
+
+    def _candidates(self, k: int, calligraphic: bool) -> np.ndarray:
+        """The span of del phi over phi in level k + 1 with dbar(del phi) = 0,
+        or with dbar phi = 0 (calligraphic)."""
+
+        def compute():
+            kernel = (k + 2, k + 1) if calligraphic else (k + 1, k, k + 1)
+            del_down = self._block(k, k + 1) @ self._decomposition(kernel)[1]
+            return _trim(_range_basis(del_down, self._floor()[1]))
+
+        return self._shared(("w_cal" if calligraphic else "w_plain", k), k, compute)
 
     def _class_check(self, kind: str, k: int) -> Dict:
-        scale, floor = self._floor()
-        block = self._block
-        del_down = block(k, k + 1)
+        def span(key):
+            return self._decomposition(key)[0]
+
+        def null(key):
+            return self._decomposition(key)[1]
+
         if kind == "ddbar_lemma":
-            # the shared basis first: it frees the bases of another level
-            v2 = self._shared_basis("dbar_in", k)
-            v1 = _trim(_range_basis(del_down, floor))
-            ker_dbar = _trim(_null_basis(block(k + 1, k), floor))
-            ker_del = _trim(_null_basis(block(k - 1, k), floor))
-            v3 = _range_basis(del_down @ block(k + 1, k), floor * scale)
-            d1 = _intersection_dim(v1, ker_dbar, RANK_CUTOFF)
-            d2 = _intersection_dim(v2, ker_del, RANK_CUTOFF)
-            d3 = _basis_rank(v3)
+            scale, floor = self._floor()
+            d1 = _intersection_dim(span((k, k + 1)), null((k + 1, k)), RANK_CUTOFF)
+            d2 = _intersection_dim(span((k, k - 1)), null((k - 1, k)), RANK_CUTOFF)
+            # del dbar on level k: only its rank is asked
+            d3 = _rank(self._block(k, k + 1) @ self._block(k + 1, k), floor * scale)
             holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
-        elif del_down.shape[-1] == 0:
+        elif self._block(k, k + 1).shape[-1] == 0:
             # no level above k: nothing to check
             holds, candidates, target = True, 0, 0
         else:
-            w = self._shared_basis("w_plain" if kind in ("S_k", "B_k") else "w_cal", k)
-            image = self._shared_basis("dbar_in" if kind in ("S_k", "Scal_k") else "dbar_del_in", k)
+            w = self._candidates(k, calligraphic=kind in ("Scal_k", "Bcal_k"))
+            # the range of dbar into level k, or of dbar del (del-exact solutions)
+            image = span((k, k - 1) if kind in ("S_k", "Scal_k") else (k, k - 1, k))
             holds = _contained(w, image, RANK_CUTOFF)
             candidates, target = _basis_rank(w), _basis_rank(image)
         return {

@@ -41,6 +41,13 @@ from .structure import GCStructure, StructureError
 
 DEFAULT_TOLERANCE = 1e-9
 
+# upper bounds on the sizes a config asks for, each above every value in
+# scenarios/ and perfbench/configs/; a config past one is refused before
+# anything is built
+MAX_ORDER = 10  # an experiment's order and the deformation block's
+MAX_SAMPLES = 1000  # random samples of a criterion or an identity suite
+MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
+
 
 class ScenarioError(ValueError):
     """Configuration parse or validation failure."""
@@ -109,6 +116,11 @@ class Scenario:
             self.box = TruncationBox(int(torus["K"]), policy=torus.get("policy", "strict"))
         except ValueError as err:
             raise ScenarioError(f"bad torus: {err}") from err
+        self.experiments = config.get("experiments", [])
+        self._check_experiments()
+        deformation = config.get("deformation")
+        if deformation:
+            _check_integer("order", deformation.get("order", 2), 1, MAX_ORDER)
         self.tolerance = float(
             config.get("tolerances", {}).get("default", DEFAULT_TOLERANCE)
         )
@@ -116,34 +128,7 @@ class Scenario:
         self.metric = self._build_metric(config.get("metric"))
         if self.metric.compatibility(self.structure) > 1e-9:
             raise ScenarioError("metric does not commute with the structure")
-        self.series = self._build_deformation(config.get("deformation"))
-        self.experiments = config.get("experiments", [])
-        for exp in self.experiments:
-            if "kind" not in exp:
-                raise ScenarioError("every experiment needs a 'kind'")
-        n = self.geometry.n
-        for exp in self.experiments:
-            for key in ("t", "t_samples"):
-                if key in exp and not isinstance(exp[key], list):
-                    raise ScenarioError(
-                        f"experiment {key!r} must be a list, got {exp[key]!r}"
-                    )
-            if exp["kind"] == "criterion" and exp.get("t") == []:
-                raise ScenarioError("criterion experiment needs at least one 't'")
-            if exp["kind"] in ("criterion", "identity-suite") and "samples" in exp:
-                _check_integer("samples", exp["samples"], 1)
-            for key in ("order", "sigma00", "seed"):
-                if key in exp:
-                    _check_integer(key, exp[key], 0)
-            if "level" in exp:
-                _check_integer("level", exp["level"], -n, n)
-            if "levels" in exp:
-                if not isinstance(exp["levels"], list):
-                    raise ScenarioError(
-                        f"experiment 'levels' must be a list, got {exp['levels']!r}"
-                    )
-                for k in exp["levels"]:
-                    _check_integer("levels", k, -n, n)
+        self.series = self._build_deformation(deformation)
         self._sup_norms: Dict[complex, float] = {}
         if self.series is not None:
             for exp in self.experiments:
@@ -155,6 +140,38 @@ class Scenario:
                                 f"sample t={t} puts the deformation sup-norm at "
                                 f"{sup:.3f} >= 1"
                             )
+
+    def _check_experiments(self) -> None:
+        """Types and sizes of the experiment fields, checked before anything is built."""
+        n = self.geometry.n
+        for exp in self.experiments:
+            if "kind" not in exp:
+                raise ScenarioError("every experiment needs a 'kind'")
+            for key in ("t", "t_samples", "levels"):
+                if key not in exp:
+                    continue
+                if not isinstance(exp[key], list):
+                    raise ScenarioError(
+                        f"experiment {key!r} must be a list, got {exp[key]!r}"
+                    )
+                if len(exp[key]) > MAX_LIST_LENGTH:
+                    raise ScenarioError(
+                        f"experiment {key!r} has {len(exp[key])} entries, "
+                        f"more than {MAX_LIST_LENGTH}"
+                    )
+            if exp["kind"] == "criterion" and exp.get("t") == []:
+                raise ScenarioError("criterion experiment needs at least one 't'")
+            if exp["kind"] in ("criterion", "identity-suite") and "samples" in exp:
+                _check_integer("samples", exp["samples"], 1, MAX_SAMPLES)
+            if "order" in exp:
+                _check_integer("order", exp["order"], 0, MAX_ORDER)
+            for key in ("sigma00", "seed"):
+                if key in exp:
+                    _check_integer(key, exp[key], 0)
+            if "level" in exp:
+                _check_integer("level", exp["level"], -n, n)
+            for k in exp.get("levels", []):
+                _check_integer("levels", k, -n, n)
 
     def sup_norm(self, t: complex) -> float:
         """Grid sup-norm of the deformation at sample t, computed once per t."""
@@ -231,8 +248,7 @@ class Scenario:
             series = Beltrami(self.structure, coeffs)
         except DeformationError as err:
             raise ScenarioError(f"bad deformation: {err}") from err
-        order = spec.get("order", 2)
-        _check_integer("order", order, 1)
+        order = spec.get("order", 2)  # validated in __init__
         if spec.get("expand"):
             first = {
                 key: poly for key, poly in series.coefficients.items() if sum(key) == 1

@@ -1,10 +1,15 @@
 """Hodge packages, solvers, class checks, with independent matrix oracles."""
 
+import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gentorus import hodge
 from gentorus.calculus import delbar_op
 from gentorus.diagnostics import hodge_suite, hodge_table
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
@@ -491,29 +496,40 @@ CLASS_CHECK_CASES = [
     # level-0 ddbar-lemma target reads 292, and 320 if the deldbar block
     # took the unscaled floor
     lambda: _case(2, 1, twisted=True, g_scale=1e-4),
+    lambda: _sheared_case(2, 1),
 ]
 CLASS_CHECK_IDS = [
-    "t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors"
+    "t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors",
+    "t4-b-transform",
 ]
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
+CASES = range(len(CLASS_CHECK_CASES))
 
 
-@pytest.mark.parametrize("build", CLASS_CHECK_CASES, ids=CLASS_CHECK_IDS)
-def test_stacked_class_checks_match_per_mode_reference(build):
-    ctx = HodgeContext(*build())
-    for k in ctx.structure.levels():
-        for kind in ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k"):
-            assert ctx.class_check(kind, k) == reference_class_check(ctx, kind, k), (kind, k)
-
-
-@pytest.mark.parametrize("build", CLASS_CHECK_CASES, ids=CLASS_CHECK_IDS)
-def test_class_checks_do_not_depend_on_the_order_asked(build):
-    """The shared bases are kept for the level asked last; asking the checks
-    in reversed or shuffled order, on fresh contexts, gives the reference."""
-    structure, metric = build()
-    questions = [(kind, k) for k in structure.levels() for kind in CHECK_KINDS]
+@functools.lru_cache(maxsize=None)
+def _reference_case(case):
+    """Structure, metric and the reference verdict of every (kind, level) of
+    one ``CLASS_CHECK_CASES`` entry, built once per test session."""
+    structure, metric = CLASS_CHECK_CASES[case]()
     ctx = HodgeContext(structure, metric)
-    want = {q: reference_class_check(ctx, *q) for q in questions}
+    questions = [(kind, k) for k in structure.levels() for kind in CHECK_KINDS]
+    return structure, metric, {q: reference_class_check(ctx, *q) for q in questions}
+
+
+@pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
+def test_stacked_class_checks_match_per_mode_reference(case):
+    structure, metric, want = _reference_case(case)
+    ctx = HodgeContext(structure, metric)
+    for (kind, k), verdict in want.items():
+        assert ctx.class_check(kind, k) == verdict, (kind, k)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
+def test_class_checks_do_not_depend_on_the_order_asked(case):
+    """Asking the checks one at a time in reversed or shuffled order, on
+    fresh contexts, gives the reference."""
+    structure, metric, want = _reference_case(case)
+    questions = list(want)
     shuffled = [questions[i] for i in np.random.default_rng(11).permutation(len(questions))]
     for order in (questions[::-1], shuffled):
         ctx = HodgeContext(structure, metric)
@@ -523,9 +539,13 @@ def test_class_checks_do_not_depend_on_the_order_asked(build):
 
 
 def test_hodge_table_svd_count(monkeypatch):
-    """hodge_table on T^4 K=1 makes 76 SVD calls (177 before the class
-    checks shared their bases and carried their ranks): 71 batched calls in
-    the 25 class checks and 5 per-mode calls for the d kernel's levels."""
+    """hodge_table on T^4 K=1 makes 39 SVD calls (177 before the class
+    checks shared their bases and carried their ranks, 76 before they shared
+    each decomposition within a batch and ranked single rows and columns by
+    their norms): 34 batched calls in the 25 class checks and 5 per-mode
+    calls for the d kernel's levels.  The batch decomposes 25 distinct
+    matrices: the 12 level blocks of d between adjacent levels from -3 to 3,
+    dbar del on the 5 levels, and the 8 candidate spans of levels -2 to 1."""
     ctx = HodgeContext(*_case(2, 1))
     calls = []
     svd = np.linalg.svd
@@ -536,10 +556,124 @@ def test_hodge_table_svd_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     hodge_table(ctx)
-    assert len(calls) <= 76
+    assert len(calls) <= 39
     assert ctx.check_counts == {
-        "decided": 25, "memo_hits": 0, "bases_computed": 17, "bases_reused": 20
+        "decided": 25, "memo_hits": 0,
+        "decompositions_computed": 25, "decompositions_reused": 35,
     }
+
+
+@settings(
+    max_examples=30, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
+    """Any questions, in any order and with repeats, asked as two batches on
+    one context give the reference verdicts and what one-at-a-time checks
+    on a fresh context give, with the same counts of decided checks and
+    memo hits."""
+    case = data.draw(st.sampled_from(CASES), label="case")
+    structure, metric, want = _reference_case(case)
+    asked = data.draw(st.lists(st.sampled_from(sorted(want)), max_size=2 * len(want)))
+    split = data.draw(st.integers(0, len(asked)), label="split")
+    batched = HodgeContext(structure, metric)
+    got = batched.class_checks(asked[:split]) + batched.class_checks(asked[split:])
+    single = HodgeContext(structure, metric)
+    assert got == [single.class_check(kind, k) for kind, k in asked]
+    assert got == [want[q] for q in asked]
+    for key in ("decided", "memo_hits"):
+        assert batched.check_counts[key] == single.check_counts[key]
+
+
+@pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
+def test_a_batch_decomposes_each_matrix_once(case, monkeypatch):
+    """Within one batch, no matrix goes through a decomposing SVD twice, and
+    the number of decompositions does not depend on the order asked."""
+    structure, metric, want = _reference_case(case)
+    questions = list(want)
+    shuffled = [questions[i] for i in np.random.default_rng(5).permutation(len(questions))]
+    svd = np.linalg.svd
+    computed = []
+    for order in (questions, shuffled):
+        seen = []
+
+        def recording_svd(mats, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                seen.append((mats.shape, mats.tobytes()))
+            return svd(mats, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        ctx = HodgeContext(structure, metric)
+        assert ctx.class_checks(order) == [want[q] for q in order]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert seen and len(set(seen)) == len(seen)
+        computed.append(ctx.check_counts["decompositions_computed"])
+    assert computed[0] == computed[1]
+
+
+def test_no_decomposition_outlives_its_batch(monkeypatch):
+    """When a batch reaches level k, every decomposition whose levels all lie
+    below k is freed, and none is alive after the batch returns."""
+    ctx = HodgeContext(*_case(2, 1))
+    kept = []
+    decomposition, check = HodgeContext._decomposition, HodgeContext.class_check
+
+    def recording(self, key):
+        bases = decomposition(self, key)
+        kept.extend((key, weakref.ref(basis)) for basis in bases)
+        return bases
+
+    def inspecting(self, kind, k):
+        assert all(ref() is None for key, ref in kept if max(key) < k), (kind, k)
+        return check(self, kind, k)
+
+    monkeypatch.setattr(HodgeContext, "_decomposition", recording)
+    monkeypatch.setattr(HodgeContext, "class_check", inspecting)
+    questions = [(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS]
+    ctx.class_checks(questions[::-1])
+    assert any(max(key) == 2 for key, _ in kept)
+    assert kept and all(ref() is None for _, ref in kept)
+    assert ctx._batch is None
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 1), (1, 5), (1, 1), (0, 3), (3, 0), (0, 0)],
+    ids=["column", "row", "scalar", "no-rows", "no-columns", "empty"],
+)
+def test_one_row_and_one_column_stacks_match_the_svd(shape):
+    """Ranks, range bases and null bases of stacks of single rows or columns,
+    or of empty matrices, agree with a per-matrix SVD under the same cut,
+    on zero vectors, floors that bind and floors that do not."""
+    rng = np.random.default_rng(7)
+    mats = rng.normal(size=(7,) + shape) + 1j * rng.normal(size=(7,) + shape)
+    mats[0] = 0.0
+    mats[1] *= 1e-13
+    norms = np.linalg.norm(mats.reshape(7, -1), axis=1)
+    # no floor, floors just below and just above the norm, a floor at the
+    # noise level of a unit vector, a floor on a zero vector
+    floors = np.array([0.0, 0.0, 0.5, 2.0, 1e-9, 0.0, 3.0]) * np.where(norms > 0, norms, 1.0)
+    floors[4] = 1e-9
+    rank = hodge._rank(mats, floors)
+    # a one-row stack's range comes from the norm alone, and from the SVD
+    # that its null space needs when both are asked: equal up to a phase
+    span = hodge._range_basis(mats, floors)
+    shared_span, null = hodge._range_and_null(mats, floors)
+    assert span.shape == shared_span.shape == mats.shape[:-1] + (min(shape),)
+    assert null.shape == (7, shape[1], shape[1])
+
+    def projector(basis):
+        return basis @ basis.conj().T
+
+    for mat, floor, r, u, w, v in zip(mats, floors, rank, span, shared_span, null):
+        ref_rank = _ref_rank(mat, floor=floor)
+        assert r == ref_rank == hodge._basis_rank(u) == hodge._basis_rank(w)
+        assert hodge._basis_rank(v) == shape[1] - ref_rank
+        want = projector(_ref_range_basis(mat, floor=floor))
+        assert np.allclose(projector(u), want) and np.allclose(projector(w), want)
+        assert np.allclose(projector(v), projector(_ref_null_basis(mat, floor=floor)))
+    if min(shape) == 1:
+        assert rank.tolist() == [0, 1, 1, 0, 1, 1, 0]
 
 
 # ----------------------------------------------------------------------

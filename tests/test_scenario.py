@@ -14,11 +14,21 @@ from gentorus.report import (
     report_to_table,
     reports_equal,
 )
-from gentorus.scenario import Scenario, ScenarioError, exit_code_for, run_scenario
+from gentorus.scenario import (
+    MAX_LIST_LENGTH,
+    MAX_ORDER,
+    MAX_SAMPLES,
+    Scenario,
+    ScenarioError,
+    exit_code_for,
+    run_scenario,
+)
+from gentorus.structure import GCStructure
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 GOLDENS = ROOT / "tests" / "goldens"
+BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
 
 def minimal_config():
@@ -253,6 +263,63 @@ def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_pa
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _sized_config(field, size):
+    """A T^2 config that asks for ``size`` of ``field``."""
+    config = _deformation_config()
+    experiment = {
+        "extend-order": {"kind": "extend", "level": -1, "order": size},
+        "scan-order": {"kind": "scan", "t_samples": [0.0, 0.1], "order": size},
+        "criterion-samples": {"kind": "criterion", "t": [0.1], "samples": size},
+        "identity-samples": {"kind": "identity-suite", "samples": size},
+        "t": {"kind": "criterion", "t": [0.1] * size, "samples": 1},
+        "t_samples": {"kind": "scan", "t_samples": [0.1] * size},
+        "levels": {"kind": "scan", "t_samples": [0.0, 0.1], "levels": [0] * size},
+    }.get(field)
+    if experiment is None:
+        config["deformation"]["order"] = size
+    else:
+        config["experiments"] = [experiment]
+    return config
+
+
+@pytest.mark.parametrize(
+    "field, limit",
+    [
+        ("deformation-order", MAX_ORDER),
+        ("extend-order", MAX_ORDER),
+        ("scan-order", MAX_ORDER),
+        ("criterion-samples", MAX_SAMPLES),
+        ("identity-samples", MAX_SAMPLES),
+        ("t", MAX_LIST_LENGTH),
+        ("t_samples", MAX_LIST_LENGTH),
+        ("levels", MAX_LIST_LENGTH),
+    ],
+)
+def test_config_sizes_are_bounded_before_anything_is_built(
+    field, limit, tmp_path, capsys, monkeypatch
+):
+    """A size at its bound parses; one past it is a config error, exit 1,
+    raised before the structure is built."""
+    Scenario(_sized_config(field, limit))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the structure was built before the size check")
+
+    monkeypatch.setattr(GCStructure, "complex_structure", refuse)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_sized_config(field, limit + 1)))
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(limit) in err
+
+
+def test_shipped_and_benchmark_configs_are_within_the_size_bounds():
+    paths = sorted(SCENARIOS.glob("*.json")) + sorted(BENCH_CONFIGS.glob("*/*.json"))
+    assert len(paths) == 13
+    for path in paths:
+        Scenario(json.loads(path.read_text()))
+
+
 def test_criterion_accepts_complex_t_pairs():
     """t given in the schema's [re, im] form reaches the frame-block check too."""
     config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
@@ -371,7 +438,7 @@ def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
 
 def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     """Each experiment's sidecar entry counts the class checks it decided or
-    found in the memo and the shared bases it computed or reused; the
+    found in the memo and the decompositions it computed or reused; the
     report bytes are those of a run without the sidecar."""
     config = minimal_config()
     config["experiments"].append({"kind": "hodge-table"})
@@ -384,10 +451,13 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     assert not (tmp_path / "plain" / "mini.timings.json").exists()
     sidecar = json.loads((tmp_path / "timed" / "mini.timings.json").read_text())
     assert [t["class_checks"] for t in sidecar] == [
-        {"decided": 0, "memo_hits": 0, "bases_computed": 0, "bases_reused": 0},
-        # T^2: 3 levels x 5 kinds; 4 shared bases at levels -1 and 0, 1 at level 1
-        {"decided": 15, "memo_hits": 0, "bases_computed": 9, "bases_reused": 10},
-        {"decided": 0, "memo_hits": 15, "bases_computed": 0, "bases_reused": 0},
+        {"decided": 0, "memo_hits": 0, "decompositions_computed": 0, "decompositions_reused": 0},
+        # T^2: 3 levels x 5 kinds decompose 15 matrices: the 8 level blocks
+        # of d between adjacent levels from -2 to 2, dbar del on the 3
+        # levels and the 4 candidate spans of levels -1 and 0; 32 lookups
+        {"decided": 15, "memo_hits": 0,
+         "decompositions_computed": 15, "decompositions_reused": 17},
+        {"decided": 0, "memo_hits": 15, "decompositions_computed": 0, "decompositions_reused": 0},
     ]
 
 
