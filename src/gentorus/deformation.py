@@ -38,6 +38,7 @@ from .hodge import (
     ObstructionError,
     _ModeSpectra,
     _adjoint,
+    _mode_mirror,
     _mode_positions,
     _rank,
 )
@@ -207,7 +208,10 @@ class AlgebroidHodge:
     (P maps to P . rho0), the inner product pulled back from Born-Infeld.
     The differential at mode k is C + 2 pi i sum_a k_a A_a; C and the A_a
     are read off the Cartan formula at mode 0 and at the unit modes, and the
-    Laplacians of all modes are eigendecomposed in stacked chunks.  A
+    Laplacians are eigendecomposed in stacked chunks.  When C is exactly
+    zero (an untwisted, constant structure) the differential is odd in k, so
+    the Laplacians at +-k are bitwise equal and only the first half of the
+    box, mode 0 included, is decomposed; otherwise every mode is.  A
     polynomial's coefficients enter as the rows of a
     :class:`~gentorus.fourier.FourierMatrix` over the ``monomial_list``
     keys, so the projector, Green operator and adjoint each act by one
@@ -247,7 +251,10 @@ class AlgebroidHodge:
             d = _stack_linear(self._const, self._slopes, self.modes[sel])
             return [d @ _adjoint(d) + _adjoint(d) @ d]
 
-        self._spectra = _ModeSpectra(laplacian, len(self.modes), [slice(0, self.size)])
+        odd = not self._const.any()
+        self._spectra = _ModeSpectra(
+            laplacian, _mode_mirror(len(self.modes), odd), [slice(0, self.size)]
+        )
 
     def _probe(self, mode: Tuple[int, ...]) -> np.ndarray:
         """d_L at one mode in the orthonormal basis, column by unit polynomial."""

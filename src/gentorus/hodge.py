@@ -24,6 +24,16 @@ the coefficient rows of its mode stack, so every operator, projector and
 Green operator acts by one product batched over its modes.  The
 Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
 assembly, the eigendecomposition and the batched application.
+
+On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
+k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
+have the same ranks and spans.  The box's modes run lexicographically over
+a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
+M // 2 + 1 modes are eigendecomposed and ranked (``_mode_mirror``).  Every
+reader maps a mode to its representative, and every count over the modes
+(kernel dimensions, class-check dims, spectral-gap warnings) weights a
+representative by the two modes it stands for (one for mode 0).  A twisted
+context, whose C is not exactly zero, decomposes every mode.
 """
 
 from __future__ import annotations
@@ -185,6 +195,22 @@ def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
     return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
 
 
+def _mode_mirror(count: int, odd: bool) -> np.ndarray:
+    """Per mode of a box, the index of the representative mode that stands for it.
+
+    The modes run lexicographically over a symmetric cube, so -k of mode i
+    sits at index count - 1 - i.  An operator C + 2 pi i sum_a k_a A_a with
+    C exactly zero is odd in k: its stack at -k is bitwise the negation of
+    the one at k, so the Laplacians at +-k are bitwise equal and the level
+    blocks share their ranks and spans.  Then mode i is represented by
+    min(i, count - 1 - i); otherwise (``odd`` false) by itself.  Either way
+    the representatives are the first modes of the box, and
+    ``np.bincount`` of the result counts the modes each one stands for.
+    """
+    index = np.arange(count)
+    return np.minimum(index, index[::-1]) if odd else index
+
+
 class _LevelBasis:
     """Level-basis coordinates of spinors, stacked over the modes of a box.
 
@@ -215,10 +241,8 @@ class _LevelBasis:
         self.level_slices = slices
         self.basis_inv = np.linalg.inv(self.basis)
 
-        gram = np.zeros((self.size, self.size), dtype=complex)
-        for i in range(self.size):
-            for j in range(self.size):
-                gram[i, j] = metric.constant_inner(self.basis[:, i], self.basis[:, j])
+        # gram[i, j] = constant_inner(basis[:, i], basis[:, j]), as one product
+        gram = self.basis.T @ metric.bi_gram @ self.basis.conj()
         residual = float(np.abs(gram - np.eye(self.size)).max())
         if residual > 1e-10:
             raise ValueError(f"level basis failed orthonormalization ({residual:.3e})")
@@ -243,17 +267,26 @@ class _LevelBasis:
 class _ModeSpectra:
     """Eigendecomposed per-mode Hermitian Laplacians, by diagonal block.
 
+    Only the representative modes are decomposed: ``rep`` (from
+    ``_mode_mirror``) maps each mode of the box to the mode whose spectra
+    it shares, and ``weight[r]`` counts the modes that representative r
+    stands for.  An untwisted operator pairs k with -k, so R = M // 2 + 1 of
+    the M modes are decomposed; a twisted one decomposes every mode.
     ``laplacian(sel)`` returns the diagonal blocks of the Laplacians of the
     modes in the slice ``sel``, one (m, n_b, n_b) stack per slice of
     ``blocks``; the Laplacian is zero off these blocks.  It is called on
-    MODE_CHUNK modes at a time, so no whole stack exists at once, and each
-    block of a chunk goes to one batched ``eigh``.  ``vals[b]`` is (M, n_b)
-    and ``vecs[b]`` is (M, n_b, n_b) for ``blocks[b]``.  Eigenvalues up to
-    RANK_CUTOFF times the spectral radius count as kernel.
+    MODE_CHUNK representatives at a time, so no whole stack exists at once,
+    and each block of a chunk goes to one batched ``eigh``.  ``vals[b]`` is
+    (R, n_b) and ``vecs[b]`` is (R, n_b, n_b) for ``blocks[b]``; every
+    reader indexes them through ``rep``.  Eigenvalues up to RANK_CUTOFF
+    times the spectral radius count as kernel.
     """
 
-    def __init__(self, laplacian, count: int, blocks: List[slice]):
+    def __init__(self, laplacian, rep: np.ndarray, blocks: List[slice]):
         self.blocks = blocks
+        self.rep = rep
+        self.weight = np.bincount(rep)
+        count = len(self.weight)
         sizes = [b.stop - b.start for b in blocks]
         self.vals = [np.empty((count, n)) for n in sizes]
         self.vecs = [np.empty((count, n, n), dtype=complex) for n in sizes]
@@ -274,6 +307,7 @@ class _ModeSpectra:
     def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
         """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
         out = np.zeros_like(coords)
+        index = self.rep[index]
         for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
             v = vecs[index]
             inner = weights(vals[index])[..., None] * (_adjoint(v) @ coords[:, b, None])
@@ -282,6 +316,7 @@ class _ModeSpectra:
 
     def matrix(self, sel, weights) -> np.ndarray:
         """weights(L) at the modes picked by ``sel`` (an index or a slice)."""
+        sel = self.rep[sel]
         size = self.blocks[-1].stop
         out = np.zeros(self.vals[0][sel].shape[:-1] + (size, size), dtype=complex)
         for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
@@ -296,7 +331,9 @@ class HodgePackage:
     Most Laplacians preserve the level grading and are eigendecomposed per
     level block; the full twisted-d Laplacian mixes levels by +-2 away from
     the generalized Kaehler case, so that kind decomposes whole per-mode
-    matrices.
+    matrices.  ``vals`` and ``vecs`` hold the context's representative
+    modes only; every count over the modes weights a representative by the
+    modes it stands for.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
@@ -306,9 +343,9 @@ class HodgePackage:
         self.kind = kind
         self.blockwise = kind != "d"
         self._levels = lb.levels if self.blockwise else [None]
-        self._spectra = _ModeSpectra(
+        self._spectra = sp = _ModeSpectra(
             lambda sel: context._laplacian_blocks(kind, sel),
-            len(lb.modes),
+            context.rep,
             context._laplacian_slices(kind),
         )
         self.vals, self.vecs = self._spectra.vals, self._spectra.vecs
@@ -317,7 +354,8 @@ class HodgePackage:
 
         self.warnings: List[str] = []
         gap = sum(
-            int(np.sum((v > self.cutoff) & (v <= 10 * self.cutoff))) for v in self.vals
+            int(np.sum((v > self.cutoff) & (v <= 10 * self.cutoff), axis=1) @ sp.weight)
+            for v in self.vals
         )
         if gap:
             self.warnings.append(
@@ -327,10 +365,14 @@ class HodgePackage:
     # ------------------------------------------------------------------
 
     def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
-        lb = self.level_basis
-        sel = slice(None) if mode is None else lb.positions([mode])
+        lb, sp = self.level_basis, self._spectra
+        if mode is None:
+            sel, weight = slice(None), sp.weight
+        else:
+            sel, weight = sp.rep[lb.positions([mode])], np.ones(1, dtype=int)
         if self.blockwise:
-            return int(np.sum(self.vals[self._levels.index(level)][sel] <= self.cutoff))
+            kernel = self.vals[self._levels.index(level)][sel] <= self.cutoff
+            return int(np.sum(kernel, axis=1) @ weight)
         # level content of a level-mixing kernel: rank of the projected basis
         kernel = self.vals[0][sel] <= self.cutoff
         vecs = self.vecs[0][sel]
@@ -338,7 +380,7 @@ class HodgePackage:
         for i in np.flatnonzero(kernel.any(axis=1)):
             s = np.linalg.svd(vecs[i][lb.level_slices[level]][:, kernel[i]], compute_uv=False)
             if s[0] > RANK_CUTOFF:
-                total += int(np.sum(s > RANK_CUTOFF * s[0]))
+                total += int(weight[i]) * int(np.sum(s > RANK_CUTOFF * s[0]))
         return total
 
     def kernel_dimensions(self) -> Dict[int, int]:
@@ -346,15 +388,15 @@ class HodgePackage:
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
-        lb = self.level_basis
+        lb, rep = self.level_basis, self._spectra.rep
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
         for key, vals, vecs, sl in zip(self._levels, self.vals, self.vecs, self._spectra.blocks):
             if self.blockwise and level is not None and key != level:
                 continue
-            modes, cols = np.nonzero(vals <= self.cutoff)
+            modes, cols = np.nonzero(vals[rep] <= self.cutoff)
             coords = np.zeros((len(modes), lb.size), dtype=complex)
-            coords[:, sl] = vecs[modes, :, cols]
+            coords[:, sl] = vecs[rep[modes], :, cols]
             index.append(modes)
             rows.append(coords)
         # mode by mode, then block by block, then eigenvector by eigenvector
@@ -416,9 +458,14 @@ class HodgeContext:
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
         const, slopes = d_matrices(structure)
-        d = _stack_linear(
-            self.basis_inv @ const @ self.basis, self.basis_inv @ slopes @ self.basis, self.modes
-        )
+        const = self.basis_inv @ const @ self.basis
+        d = _stack_linear(const, self.basis_inv @ slopes @ self.basis, self.modes)
+        # untwisted, d is odd in k: the packages and the class checks decide
+        # the representatives, the first len(weight) modes, and weight each
+        # by the modes it stands for
+        self.rep = _mode_mirror(len(self.modes), not const.any())
+        self.weight = np.bincount(self.rep)
+        self._reps = slice(0, len(self.weight))
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
         # del, dbar and deldbar are stacked on first use: packages need d alone
         self._stacks = {"d": d}
@@ -546,11 +593,12 @@ class HodgeContext:
 
     def identity_residual(self, kind: str) -> float:
         """Operator-norm residual of (harmonic + laplacian o green - 1) for the
-        ``kind`` package, worst mode."""
-        sp, every = self.package(kind)._spectra, slice(None)
+        ``kind`` package, worst mode: worst representative, since a mode and
+        its mirror have bitwise-equal Laplacians."""
+        sp, reps = self.package(kind)._spectra, self._reps
         resid = (
-            sp.matrix(every, sp.harmonic_weights)
-            + self._laplacian(kind, every) @ sp.matrix(every, sp.green_weights)
+            sp.matrix(reps, sp.harmonic_weights)
+            + self._laplacian(kind, reps) @ sp.matrix(reps, sp.green_weights)
             - np.eye(self.size)
         )
         return float(np.linalg.norm(resid, 2, axis=(1, 2)).max())
@@ -664,10 +712,12 @@ class HodgeContext:
         S/B families quantify over phi in the level above k with
         dbar(del phi) = 0 (plain) or dbar phi = 0 (calligraphic); the B
         variants additionally demand a del-exact solution.  Every verdict
-        is decided per mode, on level blocks sliced from the stacked d, by
-        batched SVDs; ``holds`` requires it at every mode and ``dims`` sums
-        the ranks over the modes.  A basis carries its rank in its nonzero
-        columns, so a rank question costs one SVD.  Outside ``class_checks``
+        is decided per representative mode, on level blocks sliced from the
+        stacked d, by batched SVDs; ``holds`` requires it at every one, and
+        ``dims`` sums the ranks over the modes, each representative weighted
+        by the modes it stands for (a level block at -k is minus the one at
+        k, with the same rank and span).  A basis carries its rank in its
+        nonzero columns, so a rank question costs one SVD.  Outside ``class_checks``
         the check is a batch of one; within a batch it shares the batch's
         decompositions.  The verdicts depend on the context alone, so each
         (kind, k) is decided once; every call returns a fresh dict.
@@ -683,14 +733,16 @@ class HodgeContext:
         return {**check, "dims": dict(check["dims"])}
 
     def _block(self, row_level: int, col_level: int) -> np.ndarray:
-        """The level block of d at every mode: del one level down, dbar one up."""
-        return self._stack("d")[:, self._level(row_level), self._level(col_level)]
+        """The level block of d at every representative mode: del one level
+        down, dbar one up."""
+        return self._stack("d")[self._reps, self._level(row_level), self._level(col_level)]
 
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per mode, the operator scale and the absolute rank floor tied to it."""
+        """Per representative mode, the operator scale and the absolute rank
+        floor tied to it."""
         if self._scale is None:
             # by chunks of modes: a whole |d| stack would raise the peak memory
-            d = self._stack("d")
+            d = self._stack("d")[self._reps]
             self._scale = np.maximum(1.0, np.concatenate([
                 np.abs(d[start:start + MODE_CHUNK]).max(axis=(1, 2))
                 for start in range(0, len(d), MODE_CHUNK)
@@ -763,5 +815,8 @@ class HodgeContext:
             "kind": kind,
             "level": k,
             "holds": bool(np.all(holds)),
-            "dims": {"candidates": int(np.sum(candidates)), "target": int(np.sum(target))},
+            "dims": {
+                "candidates": int(np.sum(candidates * self.weight)),
+                "target": int(np.sum(target * self.weight)),
+            },
         }

@@ -111,9 +111,11 @@ class Scenario:
         torus = config.get("torus")
         if not torus or "n" not in torus or "K" not in torus:
             raise ScenarioError("config requires torus.n and torus.K")
+        _check_integer("torus.n", torus["n"], 1)
+        _check_integer("torus.K", torus["K"], 0)
         try:
-            self.geometry = TorusGeometry(int(torus["n"]))
-            self.box = TruncationBox(int(torus["K"]), policy=torus.get("policy", "strict"))
+            self.geometry = TorusGeometry(torus["n"])
+            self.box = TruncationBox(torus["K"], policy=torus.get("policy", "strict"))
         except ValueError as err:
             raise ScenarioError(f"bad torus: {err}") from err
         self.experiments = config.get("experiments", [])
@@ -285,6 +287,14 @@ class Runner:
         if self._context is None:
             return dict.fromkeys(CHECK_COUNTERS, 0)
         return dict(self._context.check_counts)
+
+    def _mode_counts(self) -> Dict[str, int]:
+        """The modes of the scenario's box, and how many of them the runner's
+        context eigendecomposes and ranks: about half of them untwisted,
+        every one twisted, none before the context exists."""
+        box, dim = self.scenario.box, self.scenario.geometry.dim
+        decomposed = 0 if self._context is None else len(self._context.weight)
+        return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed}
 
     # -- experiment implementations --------------------------------------
 
@@ -525,6 +535,7 @@ class Runner:
                 "class_checks": {
                     key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
                 },
+                "modes": self._mode_counts(),
             })
             counts[record["status"]] += 1
             report["experiments"].append(record)

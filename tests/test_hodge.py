@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from gentorus import hodge
 from gentorus.calculus import delbar_op
+from gentorus.deformation import DeformedStructure
 from gentorus.diagnostics import hodge_suite, hodge_table
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
 from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
+    CliffordPoly,
     Spinor,
     constant_clifford_matrix,
     monomial_list,
@@ -372,7 +374,8 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
-    batched = alg._spectra.vals[0] <= alg._spectra.cutoff
+    # every mode of the box, each read at its representative
+    batched = alg._spectra.vals[0][alg._spectra.rep] <= alg._spectra.cutoff
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.sum(axis=1).tolist()
 
 
@@ -497,10 +500,12 @@ CLASS_CHECK_CASES = [
     # took the unscaled floor
     lambda: _case(2, 1, twisted=True, g_scale=1e-4),
     lambda: _sheared_case(2, 1),
+    # untwisted, so the checks rank 313 of the 625 modes and weight them
+    lambda: _sheared_case(2, 2),
 ]
 CLASS_CHECK_IDS = [
     "t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors",
-    "t4-b-transform",
+    "t4-b-transform", "t4-b-transform-K2",
 ]
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 CASES = range(len(CLASS_CHECK_CASES))
@@ -734,3 +739,208 @@ def test_laplacian_is_zero_off_its_blocks_and_assembled_per_block(build):
         blocks = ctx._laplacian(kind, slice(None))
         scale = max(1.0, float(np.abs(full).max()))
         assert np.abs(blocks - full).max() <= 1e-12 * scale, kind
+
+
+# ----------------------------------------------------------------------
+# the +-k mirror: untwisted operators are odd in k
+# ----------------------------------------------------------------------
+
+
+def _deformed_context():
+    """The Hodge context of complex T^4 K=1 sheared by a constant deformation."""
+    s, _ = _case(2, 1)
+    eps = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.constant(s.geometry, s.box, 0.3)})
+    return DeformedStructure(s, eps).context
+
+
+MIRROR_CASES = {
+    "t4-complex": lambda: HodgeContext(*_case(2, 1)),
+    "t4-symplectic": lambda: HodgeContext(*_symplectic_case(2, 1)),
+    "t4-b-transform": lambda: HodgeContext(*_sheared_case(2, 1)),
+    "t4-deformed": _deformed_context,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MIRROR_CASES))
+def mirrored(request):
+    return MIRROR_CASES[request.param]()
+
+
+def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
+    """d at -k is bitwise -d at k, and every Laplacian block at -k is
+    bitwise the one at k; -k of mode i is mode P - 1 - i, so mode i is
+    represented by min(i, P - 1 - i)."""
+    ctx = mirrored
+    modes, count = ctx.modes, len(ctx.modes)
+    assert all(modes[count - 1 - i] == tuple(-k for k in mode) for i, mode in enumerate(modes))
+    d = ctx._stack("d")
+    assert np.array_equal(d[::-1], -d)
+    for kind in KINDS:
+        for block in ctx._laplacian_blocks(kind, slice(None)):
+            assert np.array_equal(block[::-1], block), kind
+    assert ctx.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
+    assert ctx.weight.tolist() == [2] * (count // 2) + [1]
+
+
+def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
+    """-H^ is not zero, so d is not odd in k: every mode stands for itself."""
+    from gentorus.deformation import AlgebroidHodge
+
+    ctx = t4ctx_twisted
+    every = list(range(len(ctx.modes)))
+    assert ctx.rep.tolist() == every and ctx.weight.tolist() == [1] * len(every)
+    assert all(len(v) == len(every) for v in ctx.package("bc").vals)
+    alg = AlgebroidHodge(ctx.structure, ctx.metric)
+    assert alg._spectra.rep.tolist() == every
+
+
+def _full_box_spectra(ctx, kind):
+    """Every mode's eigendecomposition, per diagonal block, by one eigh over the box."""
+    return [
+        np.linalg.eigh((block + block.conj().swapaxes(-1, -2)) / 2)
+        for block in ctx._laplacian_blocks(kind, slice(None))
+    ]
+
+
+def _apply_full(spectra, blocks, index, coords, weights):
+    """weights(L) applied to coordinate rows at box modes ``index``."""
+    out = np.zeros_like(coords)
+    for (vals, vecs), b in zip(spectra, blocks):
+        v = vecs[index]
+        inner = weights(vals[index])[..., None] * (v.conj().swapaxes(-1, -2) @ coords[:, b, None])
+        out[:, b] = (v @ inner)[..., 0]
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
+    """The package holds half the box, yet its eigenvalues, eigenvectors,
+    kernel dimensions (summed and per mode), spectral-gap warnings,
+    harmonic bases and harmonic and Green applies are those of a
+    decomposition of every mode."""
+    ctx = mirrored
+    lb, pk = ctx.level_basis, ctx.package(kind)
+    count = len(ctx.modes)
+    full = _full_box_spectra(ctx, kind)
+    blocks = ctx._laplacian_slices(kind)
+    for (vals, vecs), held_vals, held_vecs in zip(full, pk.vals, pk.vecs):
+        assert len(held_vals) == len(held_vecs) == count // 2 + 1
+        assert np.array_equal(held_vals[ctx.rep], vals)
+        assert np.array_equal(held_vecs[ctx.rep], vecs)
+    cutoff = _reference_cutoff(vals for vals, _ in full)
+    assert pk.cutoff == cutoff
+
+    gap = sum(int(np.sum((vals > cutoff) & (vals <= 10 * cutoff))) for vals, _ in full)
+    want = [f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"]
+    assert pk.warnings == (want if gap else [])
+
+    def kernel_dim(level, indices):
+        if pk.blockwise:
+            vals = full[lb.levels.index(level)][0]
+            return int(np.sum(vals[indices] <= cutoff))
+        total = 0
+        for i in indices:
+            vals, vecs = full[0][0][i], full[0][1][i]
+            kern = vecs[lb.level_slices[level]][:, vals <= cutoff]
+            if kern.shape[1]:
+                s = np.linalg.svd(kern, compute_uv=False)
+                total += int(np.sum(s > RANK_CUTOFF * s[0])) if s[0] > RANK_CUTOFF else 0
+        return total
+
+    for level in lb.levels:
+        assert pk.kernel_dimension(level) == kernel_dim(level, range(count))
+        for i, mode in enumerate(ctx.modes):
+            assert pk.kernel_dimension(level, mode) == kernel_dim(level, [i])
+
+    for level in [None, *lb.levels]:
+        want = []
+        for i, mode in enumerate(ctx.modes):
+            for key, (vals, vecs), b in zip(pk._levels, full, blocks):
+                if pk.blockwise and level is not None and key != level:
+                    continue
+                for j in np.flatnonzero(vals[i] <= cutoff):
+                    row = np.zeros(ctx.size, dtype=complex)
+                    row[b] = vecs[i][:, j]
+                    want.append(lb.spinor([mode], row[None]))
+        got = pk.harmonic_basis(level)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert {m: f.coeffs for m, f in a.comps.items()} == {
+                m: f.coeffs for m, f in b.comps.items()
+            }
+
+    rng = np.random.default_rng(41)
+    coords = rng.normal(size=(count, ctx.size)) + 1j * rng.normal(size=(count, ctx.size))
+    sigma = lb.spinor(ctx.modes, coords)
+    index = lb.positions(sigma.modes)
+    sp = pk._spectra
+    for method, weights in ((pk.harmonic, sp.harmonic_weights), (pk.green, sp.green_weights)):
+        want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights))
+        got = method(sigma)
+        assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
+
+
+def test_spectral_gap_warning_counts_every_mode_of_the_box(monkeypatch):
+    """With a cutoff wide enough that eigenvalues fall within 10x of it, the
+    warning counts them at every mode of the box: twice at a paired
+    representative, once at mode 0."""
+    monkeypatch.setattr(hodge, "RANK_CUTOFF", 0.1)
+    ctx = HodgeContext(*_case(2, 1))
+    for kind in KINDS:
+        full = _full_box_spectra(ctx, kind)
+        cutoff = 0.1 * max(float(vals.max()) for vals, _ in full)
+        gap = sum(int(np.sum((vals > cutoff) & (vals <= 10 * cutoff))) for vals, _ in full)
+        assert gap > 0
+        assert ctx.package(kind).warnings == [
+            f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"
+        ]
+
+
+def test_algebroid_spectra_equal_a_full_box_decomposition():
+    """The algebroid package of complex T^4 K=1 decomposes half the box,
+    and its harmonic projector and Green operator are those of a
+    decomposition of every mode."""
+    from gentorus.deformation import AlgebroidHodge
+    from gentorus.spinor import _stack_linear, random_fourier_scalar
+
+    alg = AlgebroidHodge(*_case(2, 1))
+    sp, count = alg._spectra, len(alg.modes)
+    assert sp.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
+    d = _stack_linear(alg._const, alg._slopes, alg.modes)
+    assert np.array_equal(d[::-1], -d)
+    lap = d @ d.conj().swapaxes(-1, -2) + d.conj().swapaxes(-1, -2) @ d
+    full = [np.linalg.eigh((lap + lap.conj().swapaxes(-1, -2)) / 2)]
+    assert len(sp.vals[0]) == count // 2 + 1
+    assert np.array_equal(sp.vals[0][sp.rep], full[0][0])
+    assert np.array_equal(sp.vecs[0][sp.rep], full[0][1])
+
+    rng = np.random.default_rng(43)
+    s = alg.structure
+    for degree, keys in ((1, [(0,), (2,)]), (2, [(0, 2), (1, 3)])):
+        terms = {key: random_fourier_scalar(rng, s.geometry, s.box, terms=12) for key in keys}
+        poly = CliffordPoly(s.dual_frame, degree, terms)
+        modes, coords = alg._coords(poly)
+        index = hodge._mode_positions(s.box, s.dim, modes)
+        for method, weights in ((alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)):
+            rows = _apply_full(full, [slice(0, alg.size)], index, coords, weights)
+            got, want = method(poly), alg._poly(modes, rows, degree)
+            assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
+
+
+@pytest.mark.parametrize("twisted, rows", [(False, 41), (True, 81)], ids=["untwisted", "twisted"])
+def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, monkeypatch):
+    """On T^4 K=1 (81 modes) every mode stack that hodge_table hands to
+    svd or eigh holds the 41 representatives when untwisted, and all 81
+    modes when twisted."""
+    ctx = HodgeContext(*_case(2, 1, twisted))
+    stacks = []
+    for name in ("svd", "eigh"):
+
+        def counting(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) > 2:
+                stacks.append(len(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    hodge_table(ctx)
+    assert stacks and set(stacks) == {rows}

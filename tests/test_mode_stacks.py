@@ -113,7 +113,9 @@ def ref_map(sigma, per_mode):
 
 
 def ref_spectral(spectra, index, coords, weights):
+    """weights(L) at box mode ``index``, from its representative's spectra."""
     out = np.zeros_like(coords)
+    index = spectra.rep[index]
     for vals, vecs, b in zip(spectra.vals, spectra.vecs, spectra.blocks):
         v = vecs[index]
         out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
@@ -121,12 +123,14 @@ def ref_spectral(spectra, index, coords, weights):
 
 
 def ref_kernel_dimension(ctx, pk, level, indices):
+    """The kernel dimension summed over box modes ``indices``, one mode at a time."""
+    rep = pk._spectra.rep
     if pk.blockwise:
         vals = pk.vals[pk._levels.index(level)]
-        return sum(int(np.sum(vals[i] <= pk.cutoff)) for i in indices)
+        return sum(int(np.sum(vals[rep[i]] <= pk.cutoff)) for i in indices)
     total = 0
     sl = ctx.level_slices[level]
-    for i in indices:
+    for i in rep[list(indices)]:
         kern = pk.vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
         if kern.shape[1] == 0:
             continue
@@ -138,7 +142,7 @@ def ref_kernel_dimension(ctx, pk, level, indices):
 
 def ref_harmonic_basis(ctx, pk, level):
     out = []
-    for i, mode in enumerate(ctx.modes):
+    for i, mode in zip(pk._spectra.rep, ctx.modes):
         for key, vals, vecs, sl in zip(pk._levels, pk.vals, pk.vecs, pk._spectra.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue

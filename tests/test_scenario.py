@@ -263,6 +263,25 @@ def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_pa
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 1.7), ("n", True), ("n", "1"), ("n", 0), ("n", 2.0), ("K", 1.9), ("K", False),
+     ("K", "2"), ("K", -1), ("K", None)],
+)
+def test_torus_n_and_K_must_be_integers(key, value, tmp_path, capsys):
+    """torus.n (>= 1) and torus.K (>= 0) are validated like every other
+    integer field: a fraction, a bool or a string is a config error, exit 1,
+    not a box of the truncated size."""
+    config = minimal_config()
+    config["torus"][key] = value
+    with pytest.raises(ScenarioError, match=f"'torus.{key}' must be an integer"):
+        Scenario(config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _sized_config(field, size):
     """A T^2 config that asks for ``size`` of ``field``."""
     config = _deformation_config()
@@ -459,6 +478,31 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
          "decompositions_computed": 15, "decompositions_reused": 17},
         {"decided": 0, "memo_hits": 15, "decompositions_computed": 0, "decompositions_reused": 0},
     ]
+
+
+def test_timings_sidecar_counts_the_modes_the_context_decomposes():
+    """Each sidecar entry gives the box's modes and how many of them the
+    runner's context decomposes: none before the context exists, the 5
+    representatives of the 9 untwisted T^2 modes, every mode when twisted.
+    The report holds no such count."""
+    config = _deformation_config()
+    config["experiments"] = [
+        {"kind": "criterion", "t": [0.1], "samples": 1},
+        {"kind": "hodge-table"},
+    ]
+    report, timings = run_scenario(config)
+    assert [t["modes"] for t in timings] == [
+        {"box": 9, "decomposed": 0},
+        {"box": 9, "decomposed": 5},
+    ]
+    assert '"decomposed"' not in report_to_json(report)
+    twisted = {
+        "name": "twisted",
+        "torus": {"n": 2, "K": 1},
+        "structure": {"type": "complex", "H": [{"indices": [0, 1, 2], "c": [1.0, 0]}]},
+        "experiments": [{"kind": "hodge-table"}],
+    }
+    assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 81}
 
 
 def test_emit_report_identical_bytes(tmp_path):
