@@ -8,7 +8,8 @@ shared by the test battery and the scenario runner.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List
+import math
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -19,15 +20,23 @@ from .calculus import (
     schouten_bracket,
     twisted_d,
 )
-from .fourier import TorusGeometry, TruncationBox
-from .hodge import CHECK_KINDS, HodgeContext, _adjoint, _basis_rank, _null_basis, _range_basis
+from .fourier import FourierMatrix, TorusGeometry, TruncationBox
+from .hodge import (
+    CHECK_KINDS,
+    MODE_CHUNK,
+    HodgeContext,
+    _adjoint,
+    _basis_rank,
+    _null_basis,
+    _range_basis,
+)
 from .spinor import (
     CliffordPoly,
-    clifford_act,
-    pairing,
-    random_courant_vector,
+    _action,
+    clifford_generators,
     random_fourier_scalar,
     random_spinor,
+    random_terms,
 )
 from .structure import GCStructure
 
@@ -47,7 +56,20 @@ def clifford_suite(
     seed: int = 0,
     samples: int = 100,
 ) -> List[Dict]:
-    """Clifford relation residuals over random triples.
+    """Clifford relation residuals a.b.sigma + b.a.sigma - <a, b> sigma over
+    random triples: ``samples`` with constant sections a, b and a constant
+    spinor, then ``samples`` whose factors carry modes up to K // 3.
+
+    Every floating-point operation is the one the per-sample products of
+    :func:`~gentorus.spinor.clifford_act` and :func:`~gentorus.spinor.pairing`
+    perform, so the residuals are bitwise those of a loop over the samples.
+    The constant half is one stack over all its samples: each sample's
+    products are the same one-mode gemv slices, and its pairing the same
+    Python complex sum.  The Fourier half stays per sample, its draws made
+    straight into mode stacks and each section's action matrix built once;
+    it is not batched, because the mode sets differ per sample and a
+    product computed at another shape, such as a one-column product inside
+    a wider one (gemv against gemm), changes bits.
 
     The Fourier half needs a no-truncation regime: small boxes are embedded
     in one wide enough for the triple products.
@@ -55,29 +77,120 @@ def clifford_suite(
     rng = np.random.default_rng(seed)
     if box.K < 3:
         box = TruncationBox(3, policy="strict")
-    worst_const = 0.0
-    worst_fourier = 0.0
-    for _ in range(samples):
-        a = random_courant_vector(rng, geometry, box, constant=True)
-        b = random_courant_vector(rng, geometry, box, constant=True)
-        sigma = random_spinor(rng, geometry, box, max_mode=0)
-        lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
-        rhs = sigma.scale_scalar(pairing(a, b))
-        scale = max(1.0, a.norm() * b.norm() * sigma.norm())
-        worst_const = max(worst_const, (lhs - rhs).norm() / scale)
-    mm = max(1, box.K // 3)
-    for _ in range(samples):
-        a = random_courant_vector(rng, geometry, box, max_mode=mm)
-        b = random_courant_vector(rng, geometry, box, max_mode=mm)
-        sigma = random_spinor(rng, geometry, box, max_mode=mm)
-        lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
-        rhs = sigma.scale_scalar(pairing(a, b))
-        scale = max(1.0, a.norm() * b.norm() * sigma.norm())
-        worst_fourier = max(worst_fourier, (lhs - rhs).norm() / scale)
     return [
-        entry("clifford_relation_constant", worst_const, 1e-12),
-        entry("clifford_relation_fourier", worst_fourier, 1e-9),
+        entry("clifford_relation_constant", _clifford_constant(rng, geometry, box, samples), 1e-12),
+        entry("clifford_relation_fourier", _clifford_fourier(rng, geometry, box, samples), 1e-9),
     ]
+
+
+def _clifford_constant(
+    rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, samples: int
+) -> float:
+    """The worst relative Clifford residual over constant triples, drawn
+    into one stack: sections (S, 2, 4n) and spinors (S, N, 1)."""
+    generators = clifford_generators(geometry.dim)
+    size = generators.shape[1]
+    sections = np.empty((samples, 2, len(generators)), dtype=complex)
+    sigma = np.empty((samples, size, 1), dtype=complex)
+    pairings = np.empty((samples, 1, 1), dtype=complex)
+    scales = np.empty(samples)
+    zero = (0,) * geometry.dim
+    for s in range(samples):
+        a = _constant_section(rng, geometry)
+        b = _constant_section(rng, geometry)
+        spinor = random_spinor(rng, geometry, box, max_mode=0)
+        sections[s] = [c for _, c in a], [c for _, c in b]
+        sigma[s] = spinor.stack.coeffs[0]
+        pairings[s] = _pairing(a, b)[zero]
+        scales[s] = max(1.0, _section_norm(a) * _section_norm(b) * spinor.norm())
+    # exact: each entry of an action matrix is one +-1 times one component
+    actions = (sections @ generators.reshape(len(generators), -1)).reshape(-1, 2, size, size)
+    ma, mb = actions[:, 0], actions[:, 1]
+    lhs = ma @ (mb @ sigma) + mb @ (ma @ sigma)
+    resid = np.sqrt(np.sum(np.abs(lhs - sigma @ pairings) ** 2, axis=(1, 2)))
+    return float((resid / scales).max(initial=0.0))
+
+
+def _clifford_fourier(
+    rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, samples: int
+) -> float:
+    """The worst relative Clifford residual over triples with modes up to
+    K // 3, one sample at a time."""
+    mm = max(1, box.K // 3)
+    worst = 0.0
+    for _ in range(samples):
+        a = _fourier_section(rng, geometry, mm)
+        b = _fourier_section(rng, geometry, mm)
+        spinor = random_spinor(rng, geometry, box, max_mode=mm).stack
+        ma, mb = _section_action(geometry, box, a), _section_action(geometry, box, b)
+        lhs = ma.matmul(mb.matmul(spinor)) + mb.matmul(ma.matmul(spinor))
+        g = _row_stack(geometry, box, [(m, 0, c) for m, c in _pairing(a, b).items()], 1)
+        rhs = spinor.matmul(g)
+        scale = max(1.0, _section_norm(a) * _section_norm(b) * spinor.norm())
+        worst = max(worst, (lhs - rhs).norm() / scale)
+    return worst
+
+
+# A section drawn for the Clifford suite is its 4n components (tangent, then
+# cotangent) as one (mode, coefficient) term each, as random_courant_vector
+# draws them.
+
+
+def _constant_section(rng: np.random.Generator, geometry: TorusGeometry) -> List[Tuple]:
+    zero = (0,) * geometry.dim
+    return [(zero, complex(rng.normal(), rng.normal())) for _ in range(2 * geometry.dim)]
+
+
+def _fourier_section(
+    rng: np.random.Generator, geometry: TorusGeometry, max_mode: int
+) -> List[Tuple]:
+    return [
+        next(iter(random_terms(rng, geometry.dim, max_mode, 1).items()))
+        for _ in range(2 * geometry.dim)
+    ]
+
+
+def _row_stack(
+    geometry: TorusGeometry, box: TruncationBox, cells: List[Tuple], cols: int
+) -> FourierMatrix:
+    """The one-row stack with coefficient c at (mode, column j) for each
+    (mode, j, c) cell, no two cells at one place and every mode in the box:
+    a section's components, as ``clifford_matrix`` weighs them, or a scalar."""
+    modes = sorted({m for m, _, _ in cells})
+    at = {m: p for p, m in enumerate(modes)}
+    coeffs = np.zeros((len(modes), 1, cols), dtype=complex)
+    for m, j, c in cells:
+        coeffs[at[m], 0, j] = c
+    return FourierMatrix._from_sorted(
+        geometry, box, np.array(modes, dtype=np.int64).reshape(-1, geometry.dim), coeffs,
+        np.zeros((1, cols)),
+    )
+
+
+def _section_action(
+    geometry: TorusGeometry, box: TruncationBox, section: List[Tuple]
+) -> FourierMatrix:
+    """The matrix of a section's Clifford action, as ``clifford_matrix`` builds it."""
+    cells = [(m, j, c) for j, (m, c) in enumerate(section)]
+    weights = _row_stack(geometry, box, cells, len(section))
+    return _action(weights, clifford_generators(geometry.dim))
+
+
+def _section_norm(section: List[Tuple]) -> float:
+    """``CourantVector.norm``: the root sum of the squared component norms."""
+    return math.sqrt(sum(math.sqrt(abs(c) ** 2) ** 2 for _, c in section))
+
+
+def _pairing(a: List[Tuple], b: List[Tuple]) -> Dict[Tuple[int, ...], complex]:
+    """<a, b> as mode -> coefficient, summed in the order and with the
+    Python complex arithmetic of :func:`~gentorus.spinor.pairing`."""
+    dim = len(a) // 2
+    out: Dict[Tuple[int, ...], complex] = {}
+    for j in range(dim):
+        for (m1, c1), (m2, c2) in ((a[dim + j], b[j]), (b[dim + j], a[j])):
+            mode = tuple(p + q for p, q in zip(m1, m2))
+            out[mode] = out.get(mode, 0.0) + c1 * c2
+    return out
 
 
 def structure_suite(structure: GCStructure, tol: float = 1e-12) -> List[Dict]:
@@ -151,17 +264,42 @@ def calculus_suite(structure: GCStructure, seed: int = 0, samples: int = 5) -> L
     ]
 
 
+def _rep_chunks(ctx: HodgeContext):
+    """The context's representative modes, MODE_CHUNK at a time.
+
+    The per-mode terms of the Hodge diagnostics are stacked products over
+    these slices.  A mirrored mode's terms are bitwise its representative's:
+    its del and dbar are negated, its Laplacians and Green matrices equal,
+    products of negated factors are exact, and the SVD is unchanged by sign
+    flips of rows or columns.  A stacked product equals its per-mode one
+    slice by slice.  So a worst case over the representatives is the worst
+    case over the box, and a count weights each representative by
+    ``ctx.weight``.
+    """
+    count = len(ctx.weight)
+    for start in range(0, count, MODE_CHUNK):
+        yield slice(start, min(start + MODE_CHUNK, count))
+
+
+def _worst(values: np.ndarray) -> np.ndarray:
+    """Per mode of a (modes, rows, cols) stack, its largest absolute entry."""
+    return np.abs(values).max(axis=(1, 2))
+
+
 def _matrix_identities(ctx: HodgeContext) -> List[Dict]:
     worst = {"del_squared": 0.0, "dbar_squared": 0.0, "anticommute": 0.0, "d_split": 0.0}
-    for mode in ctx.modes:
-        dl = ctx.operator_matrix("del", mode)
-        db = ctx.operator_matrix("dbar", mode)
-        d = ctx.operator_matrix("d", mode)
-        scale = max(1.0, np.abs(d).max()) ** 2
-        worst["del_squared"] = max(worst["del_squared"], np.abs(dl @ dl).max() / scale)
-        worst["dbar_squared"] = max(worst["dbar_squared"], np.abs(db @ db).max() / scale)
-        worst["anticommute"] = max(worst["anticommute"], np.abs(dl @ db + db @ dl).max() / scale)
-        worst["d_split"] = max(worst["d_split"], np.abs(d - dl - db).max() / max(1.0, np.abs(d).max()))
+    for sel in _rep_chunks(ctx):
+        dl, db, d = (ctx._op(name, sel) for name in ("del", "dbar", "d"))
+        top = _worst(d)
+        scale = np.array([max(1.0, m) ** 2 for m in top])
+        values = {
+            "del_squared": _worst(dl @ dl) / scale,
+            "dbar_squared": _worst(db @ db) / scale,
+            "anticommute": _worst(dl @ db + db @ dl) / scale,
+            "d_split": _worst(d - dl - db) / np.maximum(1.0, top),
+        }
+        for k, v in values.items():
+            worst[k] = max(worst[k], v.max())
     return [entry(k, v, 1e-9) for k, v in worst.items()]
 
 
@@ -189,34 +327,39 @@ def _hodge_identities(ctx: HodgeContext) -> List[Dict]:
 def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
     """Kernel and orthogonal-decomposition facts for the BC and Aeppli kinds.
 
-    Every basis is a stack over the modes, zero-padded past its rank, so
-    dimensions are counted as nonzero columns.
+    Every basis is a stack over the representative modes, zero-padded past
+    its rank, so dimensions are counted as nonzero columns, and each count
+    weights a representative by the modes it stands for.
     """
     out = []
-    size = ctx.size
-    dl, db, t = ctx._stack("del"), ctx._stack("dbar"), ctx._stack("deldbar")
     for kind in ("bc", "aeppli"):
-        pk = ctx.package(kind)
-        if kind == "bc":
-            stack = np.concatenate([dl, db, _adjoint(t)], axis=1)
-            second = _range_basis(t)
-            third = _range_basis(np.concatenate([_adjoint(dl), _adjoint(db)], axis=2))
-        else:
-            stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
-            second = _range_basis(_adjoint(t))
-            third = _range_basis(np.concatenate([dl, db], axis=2))
-        null = _null_basis(stack)
-        hmat = pk._spectra.matrix(slice(None), pk._spectra.harmonic_weights)
-        hbasis = _range_basis(hmat)
-        hdim = _basis_rank(hbasis)
-        dim_mismatch = int(np.sum(hdim != _basis_rank(null)))
-        containment = float(np.abs(null - hmat @ null).max())
-        total = hdim + _basis_rank(second) + _basis_rank(third)
-        decomp_dim_defect = int(np.sum(np.abs(total - size)))
-        orth = max(
-            float(np.abs(_adjoint(a) @ b).max())
-            for a, b in ((hbasis, second), (second, third), (hbasis, third))
-        )
+        sp = ctx.package(kind)._spectra
+        dim_mismatch = decomp_dim_defect = 0
+        containment = orth = 0.0
+        for sel in _rep_chunks(ctx):
+            dl, db, t = (ctx._op(name, sel) for name in ("del", "dbar", "deldbar"))
+            if kind == "bc":
+                stack = np.concatenate([dl, db, _adjoint(t)], axis=1)
+                second = _range_basis(t)
+                third = _range_basis(np.concatenate([_adjoint(dl), _adjoint(db)], axis=2))
+            else:
+                stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
+                second = _range_basis(_adjoint(t))
+                third = _range_basis(np.concatenate([dl, db], axis=2))
+            weight = ctx.weight[sel]
+            null = _null_basis(stack)
+            hmat = sp.matrix(sel, sp.harmonic_weights)
+            hbasis = _range_basis(hmat)
+            hdim = _basis_rank(hbasis)
+            dim_mismatch += int(np.sum(weight * (hdim != _basis_rank(null))))
+            containment = max(containment, float(np.abs(null - hmat @ null).max()))
+            total = hdim + _basis_rank(second) + _basis_rank(third)
+            decomp_dim_defect += int(np.sum(weight * np.abs(total - ctx.size)))
+            orth = max(
+                orth,
+                *(float(np.abs(_adjoint(a) @ b).max())
+                  for a, b in ((hbasis, second), (second, third), (hbasis, third))),
+            )
         out.append(entry(f"kernel_characterization_dim_{kind}", dim_mismatch, 0.0))
         out.append(entry(f"kernel_containment_{kind}", containment, 1e-9))
         out.append(entry(f"decomposition_dims_{kind}", decomp_dim_defect, 0.0))
@@ -227,36 +370,30 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
 def _green_commutation(ctx: HodgeContext) -> List[Dict]:
     """The eight Laplacian/Green commutation identities as matrix equations."""
     worst = {f"green_identity_{i}": 0.0 for i in range(1, 9)}
-    bc = ctx.package("bc")
-    ae = ctx.package("aeppli")
-    every = slice(None)
-    laps = zip(ctx.modes, ctx._laplacian("bc", every), ctx._laplacian("aeppli", every))
-    for mode, lbc, la in laps:
-        dl = ctx.operator_matrix("del", mode)
-        db = ctx.operator_matrix("dbar", mode)
+    bc = ctx.package("bc")._spectra
+    ae = ctx.package("aeppli")._spectra
+    for sel in _rep_chunks(ctx):
+        lbc, la = ctx._laplacian("bc", sel), ctx._laplacian("aeppli", sel)
+        dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
         t = dl @ db                      # level-preserving double operator
         t2 = db @ dl
-        gbc = bc.green_matrix(mode)
-        ga = ae.green_matrix(mode)
-        scale = max(1.0, np.abs(lbc).max(), np.abs(la).max())
-        pairs = {
-            1: lbc @ t @ t.conj().T - t @ t.conj().T @ lbc,
-            2: la @ t2.conj().T @ t2 - t2.conj().T @ t2 @ la,
-            3: lbc @ t - t @ la,
-            4: t.conj().T @ lbc - la @ t.conj().T,
-            5: gbc @ t @ t.conj().T - t @ t.conj().T @ gbc,
-            6: ga @ t2.conj().T @ t2 - t2.conj().T @ t2 @ ga,
-            7: gbc @ t - t @ ga,
-            8: t.conj().T @ gbc - ga @ t.conj().T,
+        th, t2h = _adjoint(t), _adjoint(t2)
+        gbc = bc.matrix(sel, bc.green_weights)
+        ga = ae.matrix(sel, ae.green_weights)
+        scale = np.maximum(1.0, np.maximum(_worst(lbc), _worst(la)))
+        resids = {
+            1: _worst(lbc @ t @ th - t @ th @ lbc),
+            2: _worst(la @ t2h @ t2 - t2h @ t2 @ la),
+            3: np.maximum(_worst(lbc @ t - t @ la), _worst(lbc @ t - t @ th @ t)),
+            4: np.maximum(_worst(th @ lbc - la @ th), _worst(th @ lbc - th @ t @ th)),
+            5: _worst(gbc @ t @ th - t @ th @ gbc),
+            6: _worst(ga @ t2h @ t2 - t2h @ t2 @ ga),
+            7: _worst(gbc @ t - t @ ga),
+            8: _worst(th @ gbc - ga @ th),
         }
-        mid = lbc @ t - t @ t.conj().T @ t
-        pairs[3] = np.maximum(np.abs(pairs[3]), np.abs(mid))
-        mid4 = t.conj().T @ lbc - t.conj().T @ t @ t.conj().T
-        pairs[4] = np.maximum(np.abs(pairs[4]), np.abs(mid4))
-        for i, resid in pairs.items():
-            worst[f"green_identity_{i}"] = max(
-                worst[f"green_identity_{i}"], float(np.abs(resid).max()) / scale
-            )
+        for i, resid in resids.items():
+            key = f"green_identity_{i}"
+            worst[key] = max(worst[key], (resid / scale).max())
     return [entry(k, v, 1e-9) for k, v in worst.items()]
 
 
@@ -266,14 +403,11 @@ def _star_conjugation(ctx: HodgeContext) -> List[Dict]:
     star_inv = np.linalg.inv(star)
     worst = 0.0
     worst_del = 0.0
-    for mode in ctx.modes:
-        db_adj = ctx.operator_matrix("dbar_adj", mode)
-        dl_adj = ctx.operator_matrix("del_adj", mode)
-        dl = ctx.operator_matrix("del", mode)
-        db = ctx.operator_matrix("dbar", mode)
-        scale = max(1.0, np.abs(dl).max(), np.abs(db).max())
-        worst = max(worst, float(np.abs(db_adj - star @ dl @ star_inv).max()) / scale)
-        worst_del = max(worst_del, float(np.abs(dl_adj - star @ db @ star_inv).max()) / scale)
+    for sel in _rep_chunks(ctx):
+        dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
+        scale = np.maximum(1.0, np.maximum(_worst(dl), _worst(db)))
+        worst = max(worst, (_worst(_adjoint(db) - star @ dl @ star_inv) / scale).max())
+        worst_del = max(worst_del, (_worst(_adjoint(dl) - star @ db @ star_inv) / scale).max())
     return [
         entry("star_conjugation_dbar_adj", worst, 1e-9),
         entry("star_conjugation_del_adj", worst_del, 1e-9),

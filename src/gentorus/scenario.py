@@ -275,6 +275,8 @@ class Runner:
         self.scenario = scenario
         self.fail_fast = fail_fast
         self._context: HodgeContext | None = None
+        # wall seconds of each suite of the running identity-suite experiment
+        self._suite_times: Dict[str, float] = {}
 
     @property
     def context(self) -> HodgeContext:
@@ -302,11 +304,17 @@ class Runner:
         seed = int(exp.get("seed", 0))
         samples = int(exp.get("samples", 100))
         s = self.scenario.structure
+        suites = (
+            ("clifford", lambda: clifford_suite(s.geometry, s.box, seed=seed, samples=samples)),
+            ("structure", lambda: structure_suite(s)),
+            ("calculus", lambda: calculus_suite(s, seed=seed)),
+            ("hodge", lambda: hodge_suite(self.context, seed=seed)),
+        )
         entries = []
-        entries.extend(clifford_suite(s.geometry, s.box, seed=seed, samples=samples))
-        entries.extend(structure_suite(s))
-        entries.extend(calculus_suite(s, seed=seed))
-        entries.extend(hodge_suite(self.context, seed=seed))
+        for name, suite in suites:
+            started = time.monotonic()
+            entries.extend(suite())
+            self._suite_times[name] = time.monotonic() - started
         return {"entries": entries, "status": _status_from_entries(entries)}
 
     def _run_hodge_table(self, exp: Dict) -> Dict:
@@ -499,6 +507,7 @@ class Runner:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
             counts_before = self._check_counts()
+            self._suite_times = {}
             started = time.monotonic()
             try:
                 handler = handlers.get(kind)
@@ -529,14 +538,17 @@ class Runner:
             record.setdefault("dropped_mass", round12(0.0))
             wall = time.monotonic() - started
             counts_after = self._check_counts()
-            timings.append({
+            timing = {
                 "kind": kind,
                 "wall_time_s": wall,
                 "class_checks": {
                     key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
                 },
                 "modes": self._mode_counts(),
-            })
+            }
+            if kind == "identity-suite":
+                timing["suites"] = self._suite_times
+            timings.append(timing)
             counts[record["status"]] += 1
             report["experiments"].append(record)
             if self.fail_fast and record["status"] in ("fail", "error", "finding"):

@@ -765,6 +765,19 @@ def constant_clifford_matrix(values: np.ndarray, dim: int) -> np.ndarray:
     return np.tensordot(np.asarray(values, dtype=complex), clifford_generators(dim), axes=1)
 
 
+def random_terms(
+    rng: np.random.Generator, dim: int, max_mode: int, terms: int
+) -> Dict[Tuple[int, ...], complex]:
+    """The mode -> coefficient draws of one random scalar: per term, its
+    mode's dim integers in [-max_mode, max_mode], then a complex normal;
+    repeated modes are summed in draw order."""
+    coeffs: Dict[Tuple[int, ...], complex] = {}
+    for _ in range(terms):
+        mode = tuple(int(rng.integers(-max_mode, max_mode + 1)) for _ in range(dim))
+        coeffs[mode] = coeffs.get(mode, 0.0) + complex(rng.normal(), rng.normal())
+    return coeffs
+
+
 def random_fourier_scalar(
     rng: np.random.Generator,
     geometry: TorusGeometry,
@@ -775,11 +788,7 @@ def random_fourier_scalar(
     """Small random trigonometric polynomial for randomized identity tests."""
     if max_mode is None:
         max_mode = box.K
-    coeffs: Dict[Tuple[int, ...], complex] = {}
-    for _ in range(terms):
-        mode = tuple(int(rng.integers(-max_mode, max_mode + 1)) for _ in range(geometry.dim))
-        coeffs[mode] = coeffs.get(mode, 0.0) + complex(rng.normal(), rng.normal())
-    return FourierScalar(geometry, box, coeffs)
+    return FourierScalar(geometry, box, random_terms(rng, geometry.dim, max_mode, terms))
 
 
 def random_spinor(
@@ -789,11 +798,20 @@ def random_spinor(
     max_mode: int | None = None,
     terms: int = 1,
 ) -> Spinor:
-    comps = {}
-    for size in range(geometry.dim + 1):
-        for mono in itertools.combinations(range(geometry.dim), size):
-            comps[mono] = random_fourier_scalar(rng, geometry, box, max_mode, terms)
-    return Spinor(geometry, box, comps)
+    """A random spinor: one :func:`random_fourier_scalar` per component, in
+    :func:`monomial_list` order, drawn straight into the coefficient stack."""
+    if max_mode is None:
+        max_mode = box.K
+    size = 2 ** geometry.dim
+    modes, rows, values = [], [], []
+    for row in range(size):
+        for mode, c in random_terms(rng, geometry.dim, max_mode, terms).items():
+            modes.append(mode)
+            rows.append(row)
+            values.append(c)
+    coeffs = np.zeros((len(values), size, 1), dtype=complex)
+    coeffs[np.arange(len(values)), rows, 0] = values
+    return Spinor.from_stack(FourierMatrix(geometry, box, modes, coeffs))
 
 
 def random_courant_vector(

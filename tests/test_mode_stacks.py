@@ -15,9 +15,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gentorus import diagnostics
 from gentorus.calculus import del_op, delbar_op, twisted_d
 from gentorus.deformation import AlgebroidHodge, DeformationError, Transport, _neumann_inverse
+from gentorus.diagnostics import _clifford_constant, clifford_suite, entry
 from gentorus.fourier import (
     FourierMatrix,
     FourierScalar,
@@ -25,7 +29,15 @@ from gentorus.fourier import (
     TruncationBox,
     TruncationError,
 )
-from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext
+from gentorus.hodge import (
+    KINDS,
+    RANK_CUTOFF,
+    HodgeContext,
+    _adjoint,
+    _basis_rank,
+    _null_basis,
+    _range_basis,
+)
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     CliffordPoly,
@@ -38,6 +50,7 @@ from gentorus.spinor import (
     exterior_derivative,
     monomial_index,
     monomial_list,
+    pairing,
     random_courant_vector,
     random_fourier_scalar,
     random_spinor,
@@ -937,3 +950,288 @@ def test_transport_matches_dict_loops(policy_case):
                      mass=False)
             _compare(lambda: tr.factorwise(minus, sigma),
                      lambda: ref_factorwise(tr, minus, sigma, s.rho0), mass=False)
+
+
+# ----------------------------------------------------------------------
+# identity suites: the per-sample and per-mode loops they replaced
+# ----------------------------------------------------------------------
+#
+# The stacked suites must reproduce these references bit for bit: the
+# reports print their residuals to 12 significant digits.
+
+
+def ref_random_spinor(rng, geometry, box, max_mode=None, terms=1):
+    comps = {}
+    for size in range(geometry.dim + 1):
+        for mono in itertools.combinations(range(geometry.dim), size):
+            comps[mono] = random_fourier_scalar(rng, geometry, box, max_mode, terms)
+    return Spinor(geometry, box, comps)
+
+
+def _ref_clifford_half(rng, geometry, box, samples, constant):
+    mm = 0 if constant else max(1, box.K // 3)
+    worst = 0.0
+    for _ in range(samples):
+        if constant:
+            a = random_courant_vector(rng, geometry, box, constant=True)
+            b = random_courant_vector(rng, geometry, box, constant=True)
+        else:
+            a = random_courant_vector(rng, geometry, box, max_mode=mm)
+            b = random_courant_vector(rng, geometry, box, max_mode=mm)
+        sigma = ref_random_spinor(rng, geometry, box, max_mode=mm)
+        lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
+        rhs = sigma.scale_scalar(pairing(a, b))
+        scale = max(1.0, a.norm() * b.norm() * sigma.norm())
+        worst = max(worst, (lhs - rhs).norm() / scale)
+    return worst
+
+
+def ref_clifford_suite(geometry, box, seed=0, samples=100):
+    rng = np.random.default_rng(seed)
+    if box.K < 3:
+        box = TruncationBox(3, policy="strict")
+    return [
+        entry("clifford_relation_constant",
+              _ref_clifford_half(rng, geometry, box, samples, True), 1e-12),
+        entry("clifford_relation_fourier",
+              _ref_clifford_half(rng, geometry, box, samples, False), 1e-9),
+    ]
+
+
+def _suite_box(K):
+    return TruncationBox(3, "strict") if K < 3 else TruncationBox(K, "strict")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("terms", [1, 2, 5])
+def test_random_spinor_matches_dict_built(n, terms):
+    """Drawn straight into its stack, a random spinor is bitwise the one
+    built from a dict of random scalars, and takes the same draws."""
+    geometry = TorusGeometry(n)
+    for K, max_mode, seed in itertools.product((0, 1, 3), (None, 0, 1), range(3)):
+        box = TruncationBox(K)
+        if max_mode is not None and max_mode > K:
+            continue
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_spinor(rng, geometry, box, max_mode, terms).stack
+        want = ref_random_spinor(ref_rng, geometry, box, max_mode, terms).stack
+        assert np.array_equal(got.modes, want.modes)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.dropped_mass.tobytes() == want.dropped_mass.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _seeds_and_samples(n):
+    """Seeds 0-4 at 1 and 7 samples, and seed 0 at 100 samples; T^6 takes one
+    sample per seed, because its Fourier half costs about 70 ms a sample in
+    either form."""
+    if n == 3:
+        return [(seed, 1) for seed in range(5)]
+    return [(seed, samples) for seed in range(5) for samples in (1, 7)] + [(0, 100)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [0, 1, 5])
+def test_clifford_constant_half_matches_per_sample_reference(n, K):
+    """The constant half, one stack over its samples, equals the per-sample
+    products exactly, and leaves the generator where they leave it."""
+    geometry, box = TorusGeometry(n), _suite_box(K)
+    for seed, samples in [(seed, s) for seed in range(5) for s in (1, 7)] + [(0, 100)]:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _clifford_constant(rng, geometry, box, samples)
+        assert got == _ref_clifford_half(ref_rng, geometry, box, samples, True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [0, 1, 5])
+def test_clifford_suite_matches_per_sample_reference(n, K):
+    """Both halves of the suite equal the per-sample loop exactly."""
+    geometry = TorusGeometry(n)
+    for seed, samples in _seeds_and_samples(n):
+        want = ref_clifford_suite(geometry, TruncationBox(K), seed, samples)
+        assert clifford_suite(geometry, TruncationBox(K), seed, samples) == want
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 2),
+    K=st.integers(0, 7),
+    policy=st.sampled_from(["strict", "drop"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    samples=st.integers(1, 12),
+)
+def test_clifford_suite_property(n, K, policy, seed, samples):
+    geometry, box = TorusGeometry(n), TruncationBox(K, policy)
+    assert clifford_suite(geometry, box, seed, samples) == ref_clifford_suite(
+        geometry, box, seed, samples
+    )
+
+
+def test_clifford_suite_products_and_conversions(monkeypatch):
+    """On T^2 K=1 with 100 samples the suite takes five Fourier products per
+    Fourier sample (four for a.b.sigma + b.a.sigma, one for <a, b> sigma)
+    and none for the constant half, and converts no scalar to a stack."""
+    counts = {"matmul": 0, "from_entries": 0}
+    matmul, from_entries = FourierMatrix.matmul, FourierMatrix.from_entries.__func__
+
+    def counted_matmul(self, other, policy=None):
+        counts["matmul"] += 1
+        return matmul(self, other, policy)
+
+    def counted_from_entries(cls, *args, **kwargs):
+        counts["from_entries"] += 1
+        return from_entries(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FourierMatrix, "matmul", counted_matmul)
+    monkeypatch.setattr(FourierMatrix, "from_entries", classmethod(counted_from_entries))
+    clifford_suite(TorusGeometry(1), TruncationBox(1), seed=0, samples=100)
+    assert counts == {"matmul": 500, "from_entries": 0}
+
+
+def _hodge_case(name):
+    box = TruncationBox(1)
+    if name == "symplectic":
+        omega = np.array([[0.0, 1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1.0, 0]])
+        s = GCStructure.symplectic_structure(omega, box)
+        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4)))
+    if name == "b-transform":
+        b = np.zeros((4, 4))
+        b[0, 1], b[1, 0] = 0.7, -0.7
+        s = GCStructure.complex_structure(2, box).b_transform(b)
+        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4), b))
+    twist = Spinor.constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0) if name == "twisted" else None
+    s = GCStructure.complex_structure(2, box, twist=twist)
+    return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4)))
+
+
+def ref_matrix_identities(ctx):
+    worst = {"del_squared": 0.0, "dbar_squared": 0.0, "anticommute": 0.0, "d_split": 0.0}
+    for mode in ctx.modes:
+        dl = ctx.operator_matrix("del", mode)
+        db = ctx.operator_matrix("dbar", mode)
+        d = ctx.operator_matrix("d", mode)
+        scale = max(1.0, np.abs(d).max()) ** 2
+        worst["del_squared"] = max(worst["del_squared"], np.abs(dl @ dl).max() / scale)
+        worst["dbar_squared"] = max(worst["dbar_squared"], np.abs(db @ db).max() / scale)
+        worst["anticommute"] = max(worst["anticommute"], np.abs(dl @ db + db @ dl).max() / scale)
+        worst["d_split"] = max(worst["d_split"], np.abs(d - dl - db).max() / max(1.0, np.abs(d).max()))
+    return [entry(k, v, 1e-9) for k, v in worst.items()]
+
+
+def ref_kernel_characterizations(ctx):
+    out = []
+    size = ctx.size
+    dl, db, t = ctx._stack("del"), ctx._stack("dbar"), ctx._stack("deldbar")
+    for kind in ("bc", "aeppli"):
+        pk = ctx.package(kind)
+        if kind == "bc":
+            stack = np.concatenate([dl, db, _adjoint(t)], axis=1)
+            second = _range_basis(t)
+            third = _range_basis(np.concatenate([_adjoint(dl), _adjoint(db)], axis=2))
+        else:
+            stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
+            second = _range_basis(_adjoint(t))
+            third = _range_basis(np.concatenate([dl, db], axis=2))
+        null = _null_basis(stack)
+        hmat = pk._spectra.matrix(slice(None), pk._spectra.harmonic_weights)
+        hbasis = _range_basis(hmat)
+        hdim = _basis_rank(hbasis)
+        dim_mismatch = int(np.sum(hdim != _basis_rank(null)))
+        containment = float(np.abs(null - hmat @ null).max())
+        total = hdim + _basis_rank(second) + _basis_rank(third)
+        decomp_dim_defect = int(np.sum(np.abs(total - size)))
+        orth = max(
+            float(np.abs(_adjoint(a) @ b).max())
+            for a, b in ((hbasis, second), (second, third), (hbasis, third))
+        )
+        out.append(entry(f"kernel_characterization_dim_{kind}", dim_mismatch, 0.0))
+        out.append(entry(f"kernel_containment_{kind}", containment, 1e-9))
+        out.append(entry(f"decomposition_dims_{kind}", decomp_dim_defect, 0.0))
+        out.append(entry(f"decomposition_orthogonal_{kind}", orth, 1e-9))
+    return out
+
+
+def ref_green_commutation(ctx):
+    worst = {f"green_identity_{i}": 0.0 for i in range(1, 9)}
+    bc = ctx.package("bc")
+    ae = ctx.package("aeppli")
+    every = slice(None)
+    laps = zip(ctx.modes, ctx._laplacian("bc", every), ctx._laplacian("aeppli", every))
+    for mode, lbc, la in laps:
+        dl = ctx.operator_matrix("del", mode)
+        db = ctx.operator_matrix("dbar", mode)
+        t = dl @ db
+        t2 = db @ dl
+        gbc = bc.green_matrix(mode)
+        ga = ae.green_matrix(mode)
+        scale = max(1.0, np.abs(lbc).max(), np.abs(la).max())
+        pairs = {
+            1: lbc @ t @ t.conj().T - t @ t.conj().T @ lbc,
+            2: la @ t2.conj().T @ t2 - t2.conj().T @ t2 @ la,
+            3: lbc @ t - t @ la,
+            4: t.conj().T @ lbc - la @ t.conj().T,
+            5: gbc @ t @ t.conj().T - t @ t.conj().T @ gbc,
+            6: ga @ t2.conj().T @ t2 - t2.conj().T @ t2 @ ga,
+            7: gbc @ t - t @ ga,
+            8: t.conj().T @ gbc - ga @ t.conj().T,
+        }
+        mid = lbc @ t - t @ t.conj().T @ t
+        pairs[3] = np.maximum(np.abs(pairs[3]), np.abs(mid))
+        mid4 = t.conj().T @ lbc - t.conj().T @ t @ t.conj().T
+        pairs[4] = np.maximum(np.abs(pairs[4]), np.abs(mid4))
+        for i, resid in pairs.items():
+            worst[f"green_identity_{i}"] = max(
+                worst[f"green_identity_{i}"], float(np.abs(resid).max()) / scale
+            )
+    return [entry(k, v, 1e-9) for k, v in worst.items()]
+
+
+def ref_star_conjugation(ctx):
+    star = ctx.basis_inv @ ctx.metric.star_matrix @ ctx.basis
+    star_inv = np.linalg.inv(star)
+    worst = 0.0
+    worst_del = 0.0
+    for mode in ctx.modes:
+        db_adj = ctx.operator_matrix("dbar_adj", mode)
+        dl_adj = ctx.operator_matrix("del_adj", mode)
+        dl = ctx.operator_matrix("del", mode)
+        db = ctx.operator_matrix("dbar", mode)
+        scale = max(1.0, np.abs(dl).max(), np.abs(db).max())
+        worst = max(worst, float(np.abs(db_adj - star @ dl @ star_inv).max()) / scale)
+        worst_del = max(worst_del, float(np.abs(dl_adj - star @ db @ star_inv).max()) / scale)
+    return [
+        entry("star_conjugation_dbar_adj", worst, 1e-9),
+        entry("star_conjugation_del_adj", worst_del, 1e-9),
+    ]
+
+
+@pytest.mark.parametrize("name", ["complex", "symplectic", "b-transform", "twisted"])
+@pytest.mark.parametrize("cutoff", ["package", "median"])
+def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
+    """Over the representative modes, stacked, the Hodge diagnostics equal
+    the per-mode loops over the whole box exactly; on the twisted torus every
+    mode is its own representative.  A median kernel cutoff makes the
+    kernel-dimension counts nonzero, so the weights of the representatives
+    show.  With MODE_CHUNK at 7 or 1 the chunks end mid-box and the values
+    stay the same."""
+    ctx = _hodge_case(name)
+    assert (len(ctx.weight) == len(ctx.modes)) == (name == "twisted")
+    if cutoff == "median":
+        for kind in ("bc", "aeppli"):
+            sp = ctx.package(kind)._spectra
+            median = float(np.median(np.concatenate([v.ravel() for v in sp.vals])))
+            monkeypatch.setattr(sp, "cutoff", median)
+    want = (
+        ref_matrix_identities(ctx) + ref_kernel_characterizations(ctx)
+        + ref_green_commutation(ctx) + ref_star_conjugation(ctx)
+    )
+    counts = [e["value"] for e in want if e["name"].startswith(("kernel_char", "decomposition_dims"))]
+    assert any(counts) == (cutoff == "median")
+    for chunk in (diagnostics.MODE_CHUNK, 7, 1):
+        monkeypatch.setattr(diagnostics, "MODE_CHUNK", chunk)
+        got = (
+            diagnostics._matrix_identities(ctx) + diagnostics._kernel_characterizations(ctx)
+            + diagnostics._green_commutation(ctx) + diagnostics._star_conjugation(ctx)
+        )
+        assert got == want

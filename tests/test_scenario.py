@@ -505,6 +505,20 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
     assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 81}
 
 
+def test_timings_sidecar_times_each_identity_suite():
+    """An identity-suite entry of the sidecar gives the wall seconds of each
+    of its four suites, and no other experiment has the key; the report
+    holds none of it."""
+    report, timings = run_scenario(minimal_config())
+    suites = timings[0]["suites"]
+    assert list(suites) == ["clifford", "structure", "calculus", "hodge"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in suites.values())
+    assert sum(suites.values()) <= timings[0]["wall_time_s"]
+    assert "suites" not in timings[1]
+    assert '"suites"' not in report_to_json(report)
+    assert '"clifford"' not in report_to_json(report)
+
+
 def test_emit_report_identical_bytes(tmp_path):
     report, timings = run_scenario(minimal_config())
     p1 = emit_report(report, tmp_path / "a", formats=["json", "csv", "table"])
