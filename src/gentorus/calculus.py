@@ -106,9 +106,7 @@ def anchor_derivative(
     return out
 
 
-def lie_derivation_dL(
-    a: CliffordPoly, structure: GCStructure, policy: str | None = None
-) -> CliffordPoly:
+def lie_derivation_dL(a: CliffordPoly, structure: GCStructure) -> CliffordPoly:
     """Lie algebroid differential on polynomials over the dual frame.
 
     (d_L a)(x_0, .., x_k) = sum_i (-1)^i p(x_i) a(.., x_i omitted, ..)
@@ -224,6 +222,6 @@ def maurer_cartan_residual(
     eps: CliffordPoly, structure: GCStructure, policy: str | None = None
 ) -> CliffordPoly:
     """d_L eps - (1/2)[eps, eps], the integrability defect of a deformation."""
-    dl = lie_derivation_dL(eps, structure, policy=policy)
+    dl = lie_derivation_dL(eps, structure)
     br = schouten_bracket(eps, eps, structure, policy=policy)
     return dl.add(br.scale(-0.5))

@@ -10,12 +10,16 @@ one.
 Every matrix of Fourier series here (the frame maps [eps], [eps*] and
 eps eps*, the pairing blocks of the sheared frames, and their Neumann-series
 inverses) is a :class:`~gentorus.fourier.FourierMatrix` mode stack, so each
-matrix product is one batched convolution; sections and transport images
-stay :class:`CourantVector` lists of scalars, read from the stacks entry by
-entry.  Spinors are mode stacks too: the transport and the factorwise
-dressings are one product of a word matrix (the substituted frame words on
-the vacuum, one column each) with a spinor's frame coordinates, and the
-exponential action is repeated products of eps's action matrix.
+matrix product is one batched convolution.  Lists of sections are stacks
+too: the frames, the sheared frames and every transport image are (4n, 2n)
+stacks whose columns hold the sections' (tangent, cotangent) components,
+defined once in :class:`FrameMaps`; only the frames that
+``frame_block_matrices`` and ``DeformedStructure`` hand out are
+:class:`CourantVector` lists.  Spinors are mode stacks as well: the
+transport and the factorwise dressings are one product of a word matrix
+(the substituted frame words on the vacuum, one column each) with a
+spinor's frame coordinates, and the exponential action is repeated products
+of eps's action matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .fourier import FourierMatrix, FourierScalar
 from .hodge import (
     HodgeContext,
     ObstructionError,
+    _LevelBasis,
     _ModeSpectra,
     _adjoint,
     _mode_mirror,
@@ -47,8 +52,9 @@ from .spinor import (
     CliffordPoly,
     CourantVector,
     Spinor,
+    _action,
     _stack_linear,
-    clifford_matrix,
+    clifford_generators,
     monomial_list,
 )
 from .structure import GCStructure, natural_pairing_matrix
@@ -65,25 +71,26 @@ class DeformationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _neumann_inverse(
-    a: FourierMatrix, policy=None, rel_tol: float = 1e-14, max_terms: int = 200
-) -> FourierMatrix:
-    """(1 - a)^{-1} by Neumann series; exact inversion on constant matrices.
+# the Neumann series stops at the first term whose norm is at most
+# NEUMANN_REL_TOL times max(1, norm of the partial sum), or fails after
+# NEUMANN_MAX_TERMS terms
+NEUMANN_REL_TOL = 1e-14
+NEUMANN_MAX_TERMS = 200
 
-    The series stops at the first term whose norm is at most ``rel_tol``
-    times max(1, norm of the partial sum).
-    """
+
+def _neumann_inverse(a: FourierMatrix) -> FourierMatrix:
+    """(1 - a)^{-1} by Neumann series; exact inversion on constant matrices."""
     geometry, box = a.geometry, a.box
     size = a.shape[0]
     if a.is_constant():
         inv = np.linalg.inv(np.eye(size) - a.constant_values())
         return FourierMatrix.constant(geometry, box, inv)
     total = term = FourierMatrix.identity(geometry, box, size)
-    for _ in range(max_terms):
-        term = term.matmul(a, policy=policy)
+    for _ in range(NEUMANN_MAX_TERMS):
+        term = term.matmul(a)
         tnorm = term.norm()
         total = total + term
-        if tnorm <= rel_tol * max(1.0, total.norm()):
+        if tnorm <= NEUMANN_REL_TOL * max(1.0, total.norm()):
             return total
     raise DeformationError(
         "Neumann series for the frame inverse did not converge; "
@@ -97,11 +104,16 @@ def _neumann_inverse(
 
 
 class FrameMaps:
-    """Matrix forms of a deformation and its conjugate on the frames.
+    """Matrix forms of a deformation and its conjugate, and the frames they
+    shear.
 
     ``eps_matrix`` M satisfies eps(l_p) = sum_i M[i, p] l^i and
     ``eps_star_matrix`` N satisfies eps*(l^p) = sum_i N[i, p] l_i; the
-    composite eps eps* acts on the dual frame by E = M N.  All three are
+    composite eps eps* acts on the dual frame by E = M N.  A list of
+    sections is a (4n, 2n) stack whose column i holds the (tangent,
+    cotangent) components of section i: ``frame`` and ``dual`` hold the
+    frames l_i and l^i, ``xi`` the sheared frame (1+eps)(l_i) and ``eta``
+    the sheared dual frame (1+eps*)(l^i).  All of them are
     :class:`FourierMatrix` stacks.
     """
 
@@ -110,15 +122,23 @@ class FrameMaps:
             raise DeformationError("deformation must be a 2-polynomial over the dual frame")
         self.structure = structure
         self.eps = eps
-        self.eps_star = structure.conjugate_poly(eps)
+        geometry, box = structure.geometry, structure.box
         slots = range(structure.dim)
         self.eps_matrix = FourierMatrix.from_scalars(
             [[eps.coefficient((i, p)) for p in slots] for i in slots]
         )
-        self.eps_star_matrix = FourierMatrix.from_scalars(
-            [[self.eps_star.coefficient((i, p)) for p in slots] for i in slots]
+        # eps* is the conjugate of eps re-expanded over the frame:
+        # conj(l^i) = sum_a C[a, i] l_a with C[a, i] = <l^a, conj(l^i)>
+        dual_vals = structure._dual_vals
+        conj_coords = FourierMatrix.constant(
+            geometry, box, dual_vals.T @ natural_pairing_matrix(structure.dim) @ dual_vals.conj()
         )
+        self.eps_star_matrix = conj_coords.matmul(self.eps_matrix.conj()).matmul(conj_coords.T)
         self.eps_eps_star = self.eps_matrix.matmul(self.eps_star_matrix)
+        self.frame = FourierMatrix.constant(geometry, box, structure._frame_vals)
+        self.dual = FourierMatrix.constant(geometry, box, dual_vals)
+        self.xi = self.frame + self.dual_image(self.eps_matrix, into_frame=False)
+        self.eta = self.dual + self.dual_image(self.eps_star_matrix, into_frame=True)
 
     def sup_norm(self) -> float:
         """Grid estimate of the sup over the torus of the 2-norm of eps.
@@ -140,19 +160,10 @@ class FrameMaps:
         vals = self.eps_matrix.evaluate(pts)
         return float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max())
 
-    def dual_image(self, matrix: FourierMatrix, into_frame: bool) -> List[CourantVector]:
-        """Images of the dual frame under a matrix (into L when into_frame)."""
-        structure = self.structure
-        targets = structure.frame if into_frame else structure.dual_frame
-        out = []
-        for p in range(structure.dim):
-            acc = CourantVector.zero(structure.geometry, structure.box)
-            for i in range(structure.dim):
-                f = matrix[i, p]
-                if not f.is_zero():
-                    acc = acc.add(targets[i].scale_scalar(f))
-            out.append(acc)
-        return out
+    def dual_image(self, matrix: FourierMatrix, into_frame: bool) -> FourierMatrix:
+        """Images of the dual frame under a matrix (into L when into_frame),
+        as a stack of sections."""
+        return (self.frame if into_frame else self.dual).matmul(matrix)
 
 
 class Beltrami:
@@ -192,9 +203,6 @@ class Beltrami:
                         return False
         return True
 
-    def orders(self) -> List[OrderKey]:
-        return sorted(self.coefficients)
-
 
 # ---------------------------------------------------------------------------
 # the algebroid Hodge package (for Maurer-Cartan expansion)
@@ -221,25 +229,20 @@ class AlgebroidHodge:
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         self.structure = structure
         self.metric = metric
-        geometry, box = structure.geometry, structure.box
+        box = structure.box
         dim = structure.dim
 
         self.keys = monomial_list(dim)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.size = len(self.keys)
 
-        # Gram via the spinor identification, orthonormalized per degree: the
-        # level basis holds the degree-d words at level d - n, in key order
-        level_cols = structure._level_matrix
-        spinor_basis = np.hstack([
-            metric.orthonormalize_columns(level_cols[:, structure._level_slices[d - structure.n]])
-            for d in range(dim + 1)
-        ])
-        # express the orthonormal spinor basis back in poly coordinates
-        self.poly_basis = np.linalg.solve(level_cols, spinor_basis)
+        # the context's orthonormal level basis, which holds the degree-d
+        # words at level d - n in key order, in poly coordinates
+        level_basis = _LevelBasis(structure, metric, box)
+        self.poly_basis = np.linalg.solve(structure._level_matrix, level_basis.basis)
         self.poly_basis_inv = np.linalg.inv(self.poly_basis)
 
-        self.modes = list(box.modes(geometry))
+        self.modes = level_basis.modes
         self._const = self._probe((0,) * dim)
         # a box with K = 0 holds only mode 0, where the slopes never enter
         self._slopes = np.zeros((dim, self.size, self.size), dtype=complex)
@@ -401,7 +404,9 @@ class Transport:
     sum c_I (1+eps*)(l^{i_1}) .. (1+eps*)(l^{i_k}) . (exp(eps) . rho0).
     Every frame substitution is one product of a word matrix, whose columns
     are the substituted words on the vacuum, with sigma's frame-coordinate
-    column; for a constant eps the word matrix has the one mode zero.
+    column; for a constant eps the word matrix has the one mode zero.  The
+    substituted frames are (4n, 2n) stacks of sections, as in
+    :class:`FrameMaps`, and each one is a stack expression in the frame maps.
     """
 
     def __init__(self, structure: GCStructure, eps: CliffordPoly):
@@ -429,11 +434,24 @@ class Transport:
 
     # -- frame substitution ----------------------------------------------
 
-    def word_matrix(self, images: Sequence[CourantVector], vacuum: Spinor) -> FourierMatrix:
-        """Column I holds images[i_1] . .. . images[i_k] . vacuum for the
-        I-th subset {i_1 < .. < i_k} of the frame in ``monomial_list`` order."""
-        acts = [clifford_matrix(v) for v in images]
-        keys = monomial_list(self.structure.dim)
+    def word_matrix(self, images: FourierMatrix, vacuum: Spinor) -> FourierMatrix:
+        """Column I holds v_{i_1} . .. . v_{i_k} . vacuum for the I-th subset
+        {i_1 < .. < i_k} of the frame in ``monomial_list`` order, where v_i
+        is column i of the (4n, 2n) stack ``images``."""
+        dim = self.structure.dim
+        gens = clifford_generators(dim)
+        # v_i's Clifford matrix: its column read as a (1, 4n) row of weights
+        acts = [
+            _action(
+                FourierMatrix._from_sorted(
+                    images.geometry, images.box, images.modes,
+                    images.coeffs[:, None, :, i], images.dropped_mass[None, :, i],
+                ),
+                gens,
+            )
+            for i in range(dim)
+        ]
+        keys = monomial_list(dim)
         words = {(): vacuum.stack}
         for key in keys[1:]:
             words[key] = acts[key[0]].matmul(words[key[1:]])
@@ -468,9 +486,7 @@ class Transport:
         inverse = np.linalg.inv(self.forward_words.constant_values())
         return sigma.map_modes(self.structure._level_matrix @ inverse)
 
-    def factorwise(
-        self, images: Sequence[CourantVector], sigma: Spinor
-    ) -> Spinor:
+    def factorwise(self, images: FourierMatrix, sigma: Spinor) -> Spinor:
         """Apply a frame endomorphism to every Clifford factor, vacuum fixed."""
         return self._substitute(self.word_matrix(images, self.structure.rho0), sigma)
 
@@ -484,33 +500,26 @@ class Transport:
 
     # -- frame endomorphism images ---------------------------------------
 
-    def _one_plus_eps_star_images(self) -> List[CourantVector]:
-        star_images = self.maps.dual_image(self.maps.eps_star_matrix, into_frame=True)
-        return [
-            self.structure.dual_frame[i].add(star_images[i])
-            for i in range(self.structure.dim)
-        ]
+    def _one_plus_eps_star_images(self) -> FourierMatrix:
+        return self.maps.eta
 
-    def images_one_minus_epseps(self) -> List[CourantVector]:
+    def images_one_minus_epseps(self) -> FourierMatrix:
         s = self.structure
         ident = FourierMatrix.identity(s.geometry, s.box, s.dim)
         return self.maps.dual_image(ident - self.maps.eps_eps_star, into_frame=False)
 
-    def images_inverse_one_minus_epseps(self) -> List[CourantVector]:
-        inv = _neumann_inverse(self.maps.eps_eps_star)
-        return self.maps.dual_image(inv, into_frame=False)
+    def images_inverse_one_minus_epseps(self) -> FourierMatrix:
+        return self.maps.dual_image(_neumann_inverse(self.maps.eps_eps_star), into_frame=False)
 
-    def images_one_plus_star_minus_epseps(self) -> List[CourantVector]:
-        plus = self._one_plus_eps_star_images()
-        minus = self.maps.dual_image(self.maps.eps_eps_star, into_frame=False)
-        return [plus[i].add(minus[i].scale(-1)) for i in range(self.structure.dim)]
+    def images_one_plus_star_minus_epseps(self) -> FourierMatrix:
+        return self.maps.eta - self.maps.dual_image(self.maps.eps_eps_star, into_frame=False)
 
-    def images_inverse_combo(self) -> List[CourantVector]:
+    def images_inverse_combo(self) -> FourierMatrix:
         """(-eps* (1 - eps eps*)^{-1} + (1 - eps eps*)^{-1}) on the dual frame."""
         inv = _neumann_inverse(self.maps.eps_eps_star)
-        plain = self.maps.dual_image(inv, into_frame=False)
-        starred = self.maps.dual_image(self.maps.eps_star_matrix.matmul(inv), into_frame=True)
-        return [plain[i].add(starred[i].scale(-1)) for i in range(self.structure.dim)]
+        return self.maps.dual_image(inv, into_frame=False) - self.maps.dual_image(
+            self.maps.eps_star_matrix.matmul(inv), into_frame=True
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +551,6 @@ def frame_block_matrices(
     dim = structure.dim
     geometry, box = structure.geometry, structure.box
 
-    def constant(values):
-        return FourierMatrix.constant(geometry, box, values)
-
-    def mul(a, b):
-        return a.matmul(b)
-
     def columns(stack):
         return [
             CourantVector(
@@ -559,45 +562,43 @@ def frame_block_matrices(
         ]
 
     ident = FourierMatrix.identity(geometry, box, dim)
-    frame, dual = constant(structure._frame_vals), constant(structure._dual_vals)
-    q = constant(natural_pairing_matrix(dim))
-    xi = frame + mul(dual, maps.eps_matrix)
-    eta_raw = dual + mul(frame, maps.eps_star_matrix)
+    frame, dual, xi, eta = maps.frame, maps.dual, maps.xi, maps.eta
+    q = FourierMatrix.constant(geometry, box, natural_pairing_matrix(dim))
 
-    # normalize the dual frame: xi^i = sum_j N[i, j] eta_raw^j
-    pmat = mul(mul(eta_raw.T, q), xi)
+    # normalize the dual frame: xi^i = sum_j N[i, j] eta^j
+    pmat = eta.T.matmul(q).matmul(xi)
     nmat = _neumann_inverse(ident - pmat)
-    xi_dual = mul(eta_raw, nmat.T)
-    xi_dual_q, xi_q = mul(xi_dual.T, q), mul(xi.T, q)
-    dual_residual = float((mul(xi_dual_q, xi) - ident).entry_norms().max())
+    xi_dual = eta.matmul(nmat.T)
+    xi_dual_q, xi_q = xi_dual.T.matmul(q), xi.T.matmul(q)
+    dual_residual = float((xi_dual_q.matmul(xi) - ident).entry_norms().max())
 
     # forward block matrix in the arrangement [[L(Xi*), L*(Xi*)], [L(Xi), L*(Xi)]]
-    top_left, top_right = mul(xi_dual_q, frame), mul(xi_dual_q, dual)
-    bot_left, bot_right = mul(xi_q, frame), mul(xi_q, dual)
+    top_left, top_right = xi_dual_q.matmul(frame), xi_dual_q.matmul(dual)
+    bot_left, bot_right = xi_q.matmul(frame), xi_q.matmul(dual)
 
     forward = FourierMatrix.block([[top_left, top_right], [bot_left, bot_right]])
 
     # [eps] and [eps*] recovered from the pairings (Formulas 2.4 / 2.5 shape)
     inv_br = _neumann_inverse(ident - bot_right)
-    e_mat = mul(inv_br, bot_left)
+    e_mat = inv_br.matmul(bot_left)
     inv_tl = _neumann_inverse(ident - top_left)
-    es_mat = mul(inv_tl, top_right)
+    es_mat = inv_tl.matmul(top_right)
 
     # coefficient-matrix consistency: [eps]_{kj} = eps_{jk}
     conv_residual = float((e_mat - maps.eps_matrix.T).entry_norms().max())
 
     # closed-form inverse
-    inv_one_minus_se = _neumann_inverse(mul(es_mat, e_mat))
-    inv_one_minus_es = _neumann_inverse(mul(e_mat, es_mat))
+    inv_one_minus_se = _neumann_inverse(es_mat.matmul(e_mat))
+    inv_one_minus_es = _neumann_inverse(e_mat.matmul(es_mat))
     closed_inverse = FourierMatrix.block([
-        [mul(inv_one_minus_se, inv_tl), -mul(es_mat, mul(inv_one_minus_es, inv_br))],
-        [-mul(inv_one_minus_es, mul(e_mat, inv_tl)), mul(inv_one_minus_es, inv_br)],
+        [inv_one_minus_se.matmul(inv_tl), -es_mat.matmul(inv_one_minus_es.matmul(inv_br))],
+        [-inv_one_minus_es.matmul(e_mat.matmul(inv_tl)), inv_one_minus_es.matmul(inv_br)],
     ])
-    product = mul(forward, closed_inverse)
+    product = forward.matmul(closed_inverse)
     inverse_residual = (product - FourierMatrix.identity(geometry, box, 2 * dim)).norm()
 
     # swap identity: (1 - [eps][eps*])^{-1} [eps] = [eps](1 - [eps*][eps])^{-1}
-    swap_residual = (mul(inv_one_minus_es, e_mat) - mul(e_mat, inv_one_minus_se)).norm()
+    swap_residual = (inv_one_minus_es.matmul(e_mat) - e_mat.matmul(inv_one_minus_se)).norm()
 
     return {
         "frames": columns(xi),
@@ -643,13 +644,7 @@ class DeformedStructure:
 
         geometry, box = structure.geometry, structure.box
         dim = structure.dim
-        frame_images = maps.dual_image(maps.eps_matrix, into_frame=False)
-        xi_vals = np.column_stack(
-            [
-                structure.frame[i].add(frame_images[i]).constant_values()
-                for i in range(dim)
-            ]
-        )
+        xi_vals = maps.xi.constant_values()
         q = natural_pairing_matrix(dim)
         conj_vals = xi_vals.conj()
         p = conj_vals.T @ q @ xi_vals

@@ -305,7 +305,7 @@ def _matrix_identities(ctx: HodgeContext) -> List[Dict]:
 
 def _adjointness(ctx: HodgeContext, rng: np.random.Generator, samples: int = 5) -> List[Dict]:
     worst = {"del": 0.0, "dbar": 0.0, "d": 0.0}
-    mm = max(1, ctx.box.K // 2)
+    mm = min(ctx.box.K, max(1, ctx.box.K // 2))
     for _ in range(samples):
         alpha = random_spinor(rng, ctx.geometry, ctx.box, max_mode=mm)
         beta = random_spinor(rng, ctx.geometry, ctx.box, max_mode=mm)

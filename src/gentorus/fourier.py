@@ -27,8 +27,6 @@ import numpy as np
 
 Mode = Tuple[int, ...]
 
-_ZERO_TOL = 0.0  # coefficients are pruned only when exactly zero
-
 
 class TruncationError(ValueError):
     """A product frequency left the truncation box under strict policy."""

@@ -426,9 +426,6 @@ class HodgePackage:
     def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
         return self._spectra.matrix(self.level_basis.position(mode), self._spectra.green_weights)
 
-    def harmonic_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.level_basis.position(mode), self._spectra.harmonic_weights)
-
 
 class HodgeContext:
     """Operator matrices on a Born-Infeld-orthonormal level basis, stacked over modes."""
@@ -438,17 +435,12 @@ class HodgeContext:
         "deldbar", "deldbar_adj",
     )
 
-    def __init__(
-        self,
-        structure: GCStructure,
-        metric: GeneralizedMetric,
-        box: TruncationBox | None = None,
-    ):
+    def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         if metric.compatibility(structure) > 1e-9:
             raise ValueError("metric does not commute with the structure")
         self.structure = structure
         self.metric = metric
-        self.box = box or structure.box
+        self.box = structure.box
         self.geometry = structure.geometry
         self.level_basis = lb = _LevelBasis(structure, metric, self.box)
         self.size, self.modes = lb.size, lb.modes

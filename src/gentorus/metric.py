@@ -48,8 +48,8 @@ class GeneralizedMetric:
     ----------
     gmatrix : ndarray
         Real 4n x 4n matrix of G.
-    cplus, cminus : list of CourantVector
-        Orthonormal frames of the +1 / -1 eigenbundles.
+    cplus : list of CourantVector
+        Orthonormal frame of the +1 eigenbundle.
     star_matrix : ndarray
         Constant matrix of the Hodge star on the monomial basis.
     volume_factor : float
@@ -99,13 +99,9 @@ class GeneralizedMetric:
             )
 
         self._cplus_values = cplus_values
-        self._cminus_values = cminus_values
         self.cplus = [_vector_from_values(geometry, box, cplus_values[:, i]) for i in range(dim)]
-        self.cminus = [_vector_from_values(geometry, box, cminus_values[:, i]) for i in range(dim)]
         self.star_matrix = star
         self.bi_gram = gram
-        self._hermitian_gram = hmat
-        self.star_inverse = np.linalg.inv(star)
 
         basis = np.column_stack([cplus_values, cminus_values])
         signs = np.diag([1.0] * dim + [-1.0] * dim)

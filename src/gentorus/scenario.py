@@ -53,6 +53,24 @@ class ScenarioError(ValueError):
     """Configuration parse or validation failure."""
 
 
+def _parse_block(name: str, parse):
+    """``parse()``, with the errors a malformed value raises while the
+    config's ``name`` block is read reported as a ScenarioError."""
+    try:
+        return parse()
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ScenarioError(f"bad {name} block: {type(err).__name__}: {err}") from err
+
+
+def _object(value, name: str) -> Dict:
+    """A config block that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name!r} must be an object, got {value!r}")
+    return value
+
+
 def round12(x) -> float:
     """Floats are fixed at 12 significant digits on entry to a report."""
     if x is None:
@@ -123,11 +141,13 @@ class Scenario:
         deformation = config.get("deformation")
         if deformation:
             _check_integer("order", deformation.get("order", 2), 1, MAX_ORDER)
-        self.tolerance = float(
-            config.get("tolerances", {}).get("default", DEFAULT_TOLERANCE)
+        self.tolerance = _parse_block("tolerances", lambda: float(
+            _object(config.get("tolerances", {}), "tolerances").get("default", DEFAULT_TOLERANCE)
+        ))
+        self.structure = _parse_block(
+            "structure", lambda: self._build_structure(config.get("structure"))
         )
-        self.structure = self._build_structure(config.get("structure"))
-        self.metric = self._build_metric(config.get("metric"))
+        self.metric = _parse_block("metric", lambda: self._build_metric(config.get("metric")))
         if self.metric.compatibility(self.structure) > 1e-9:
             raise ScenarioError("metric does not commute with the structure")
         self.series = self._build_deformation(deformation)
@@ -188,7 +208,7 @@ class Scenario:
             return None
         comps = {}
         for item in spec:
-            key = tuple(int(i) for i in item["indices"])
+            key = tuple(int(i) for i in _object(item, "H entry")["indices"])
             comps[key] = FourierScalar.constant(
                 self.geometry, self.box, _complex_from(item["c"])
             )
@@ -197,7 +217,7 @@ class Scenario:
     def _build_structure(self, spec) -> GCStructure:
         if not spec:
             raise ScenarioError("config requires a structure block")
-        kind = spec.get("type")
+        kind = _object(spec, "structure").get("type")
         twist = self._parse_twist(spec.get("H"))
         try:
             if kind == "complex":
@@ -207,6 +227,10 @@ class Scenario:
                 )
             if kind == "symplectic":
                 omega = np.asarray(spec["omega"], dtype=float)
+                if omega.shape != (self.geometry.dim,) * 2:
+                    raise ScenarioError(
+                        f"omega must be a {self.geometry.dim} x {self.geometry.dim} matrix"
+                    )
                 return GCStructure.symplectic_structure(omega, self.box, twist=twist)
             if kind == "b_transform":
                 base = self._build_structure(spec.get("base"))
@@ -221,6 +245,7 @@ class Scenario:
         g = np.eye(dim)
         b = np.zeros((dim, dim))
         if spec:
+            _object(spec, "metric")
             if "g" in spec:
                 g = np.asarray(spec["g"], dtype=float)
             if "b" in spec and spec["b"] is not None:

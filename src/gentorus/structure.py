@@ -25,7 +25,6 @@ import numpy as np
 
 from .fourier import FourierMatrix, FourierScalar, TorusGeometry, TruncationBox
 from .spinor import (
-    CliffordPoly,
     CourantVector,
     Spinor,
     constant_clifford_matrix,
@@ -117,7 +116,6 @@ class GCStructure:
         twist: Spinor | None = None,
         label: str = "custom",
         tol: float = DEFAULT_TOL,
-        validate: bool = True,
     ):
         self.geometry = geometry
         self.box = box
@@ -149,17 +147,16 @@ class GCStructure:
         self._level_inverse = np.linalg.inv(self._level_matrix)
         self.structure_constants = self._structure_constants()
         self.validation = self._residuals()
-        if validate:
-            bad = {k: v for k, v in self.validation.items() if v > tol}
-            if bad:
-                detail = ", ".join(f"{k}={v:.3e}" for k, v in bad.items())
-                if "integrability" in bad and self._bracket_offframe_pair:
-                    i, j = self._bracket_offframe_pair
-                    detail += f" (worst bracket pair: frame {i}, frame {j})"
-                raise StructureError(
-                    f"structure '{label}' failed validation: " + detail,
-                    self.validation,
-                )
+        bad = {k: v for k, v in self.validation.items() if v > tol}
+        if bad:
+            detail = ", ".join(f"{k}={v:.3e}" for k, v in bad.items())
+            if "integrability" in bad and self._bracket_offframe_pair:
+                i, j = self._bracket_offframe_pair
+                detail += f" (worst bracket pair: frame {i}, frame {j})"
+            raise StructureError(
+                f"structure '{label}' failed validation: " + detail,
+                self.validation,
+            )
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -519,51 +516,6 @@ class GCStructure:
         for i in range(self.dim):
             nhat += self._dual_cliff[i] @ self._frame_cliff[i]
         return 1j * (self.n * np.eye(size) - nhat)
-
-    # ------------------------------------------------------------------
-    # frame polynomials
-    # ------------------------------------------------------------------
-
-    def conjugate_poly(self, poly: CliffordPoly) -> CliffordPoly:
-        """Complex conjugate, re-expanded over the opposite frame.
-
-        A polynomial over the dual frame conjugates into one over the frame
-        and vice versa; used to pair deformation coefficients with their
-        duals.
-        """
-        if poly.frame == self.dual_frame:
-            target, source_conj_coords = self.frame, self._dual_conj_in_frame()
-        elif poly.frame == self.frame:
-            target, source_conj_coords = self.dual_frame, self._frame_conj_in_dual()
-        else:
-            raise ValueError("polynomial frame does not belong to this structure")
-        out = CliffordPoly.zero(target, poly.degree)
-        for key, f in poly.terms():
-            fconj = f.conj()
-            # conj(frame_{i}) = sum_a coords[a, i] target_a
-            expansions = [source_conj_coords[:, i] for i in key]
-            for combo in itertools.product(range(self.dim), repeat=len(key)):
-                coeff = 1.0 + 0.0j
-                for pos, a in enumerate(combo):
-                    coeff *= expansions[pos][a]
-                if coeff == 0:
-                    continue
-                out = out.add(
-                    CliffordPoly(
-                        target, poly.degree, {tuple(combo): fconj.scale(coeff)}
-                    )
-                )
-        return out
-
-    def _dual_conj_in_frame(self) -> np.ndarray:
-        q = natural_pairing_matrix(self.dim)
-        conj_vals = self._dual_vals.conj()
-        return self._dual_vals.T @ q @ conj_vals  # coords[a, i] = <l^a, conj(l^i)>
-
-    def _frame_conj_in_dual(self) -> np.ndarray:
-        q = natural_pairing_matrix(self.dim)
-        conj_vals = self._frame_vals.conj()
-        return self._frame_vals.T @ q @ conj_vals
 
     def rebox(self, box: TruncationBox) -> "GCStructure":
         """The same structure with its data re-homed in another box."""

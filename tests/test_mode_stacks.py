@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from gentorus import diagnostics
 from gentorus.calculus import del_op, delbar_op, twisted_d
-from gentorus.deformation import AlgebroidHodge, DeformationError, Transport, _neumann_inverse
+from gentorus.deformation import (
+    AlgebroidHodge,
+    DeformationError,
+    FrameMaps,
+    Transport,
+    _neumann_inverse,
+)
 from gentorus.diagnostics import _clifford_constant, clifford_suite, entry
 from gentorus.fourier import (
     FourierMatrix,
@@ -41,6 +47,7 @@ from gentorus.hodge import (
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
     CliffordPoly,
+    CourantVector,
     Spinor,
     _merge_index,
     _stack_linear,
@@ -57,7 +64,7 @@ from gentorus.spinor import (
     sort_monomial,
     wedge,
 )
-from gentorus.structure import GCStructure
+from gentorus.structure import GCStructure, natural_pairing_matrix
 
 REL = 1e-12
 
@@ -698,8 +705,8 @@ def test_fourier_matrix_neumann_matches_reference(space, monkeypatch):
     seen = set()
     for a in cases:
         counts.update(reference=0, stack=0)
-        want = _outcome(lambda: _fs_mat_neumann_inverse(a, policy=box.policy, max_terms=40))
-        got = _outcome(lambda: _neumann_inverse(_stack(a), policy=box.policy, max_terms=40))
+        want = _outcome(lambda: _fs_mat_neumann_inverse(a, policy=box.policy))
+        got = _outcome(lambda: _neumann_inverse(_stack(a)))
         _assert_stack_matches(got, want)
         assert counts["stack"] == counts["reference"]
         seen.add(want if isinstance(want, type) else counts["reference"] > 0)
@@ -799,10 +806,18 @@ def ref_shifted(sigma, s, shift):
 
 def ref_factorwise(tr, images, sigma, vacuum):
     s = tr.structure
+    sections = [
+        CourantVector(
+            s.geometry, s.box,
+            [images[c, i] for c in range(s.dim)],
+            [images[s.dim + c, i] for c in range(s.dim)],
+        )
+        for i in range(s.dim)
+    ]
     coeffs = ref_terms(s.geometry, s.box, ref_frame_coordinates(s, sigma), monomial_list(s.dim))
     out = Spinor.zero(s.geometry, s.box)
     for key, coeff in coeffs.items():
-        word = ref_clifford_act_many([images[i] for i in key], vacuum)
+        word = ref_clifford_act_many([sections[i] for i in key], vacuum)
         out = out.add(ref_scale_scalar(word, coeff))
     return out
 
@@ -950,6 +965,155 @@ def test_transport_matches_dict_loops(policy_case):
                      mass=False)
             _compare(lambda: tr.factorwise(minus, sigma),
                      lambda: ref_factorwise(tr, minus, sigma, s.rho0), mass=False)
+
+
+# ----------------------------------------------------------------------
+# frame maps: the slot-pair conjugation and the image loops they replaced
+# ----------------------------------------------------------------------
+#
+# eps* and the transport images are stack products.  Where every entry of a
+# product has one nonzero frame term with an exact factor (complex frames,
+# the standard omega) they equal the dict-ring references bit for bit;
+# elsewhere the sums are taken in another order.
+
+
+def ref_conjugate_poly(s, poly):
+    """The conjugate of a polynomial over the dual frame, re-expanded over
+    the frame slot tuple by slot tuple: conj(l^i) = sum_a C[a, i] l_a with
+    C[a, i] = <l^a, conj(l^i)>."""
+    coords = s._dual_vals.T @ natural_pairing_matrix(s.dim) @ s._dual_vals.conj()
+    out = CliffordPoly.zero(s.frame, poly.degree)
+    for key, f in poly.terms():
+        fconj = f.conj()
+        expansions = [coords[:, i] for i in key]
+        for combo in itertools.product(range(s.dim), repeat=len(key)):
+            coeff = 1.0 + 0.0j
+            for pos, a in enumerate(combo):
+                coeff *= expansions[pos][a]
+            if coeff == 0:
+                continue
+            out = out.add(CliffordPoly(s.frame, poly.degree, {tuple(combo): fconj.scale(coeff)}))
+    return out
+
+
+def ref_dual_image(s, matrix, into_frame):
+    """Images of the dual frame under a matrix, summed section by section."""
+    targets = s.frame if into_frame else s.dual_frame
+    out = []
+    for p in range(s.dim):
+        acc = CourantVector.zero(s.geometry, s.box)
+        for i in range(s.dim):
+            f = matrix[i, p]
+            if not f.is_zero():
+                acc = acc.add(targets[i].scale_scalar(f))
+        out.append(acc)
+    return out
+
+
+def _section_stack(vectors):
+    """The (4n, 2n) stack whose column i holds section i's components."""
+    return FourierMatrix.from_scalars(
+        [list(comps) for comps in zip(*(v.tangent + v.cotangent for v in vectors))]
+    )
+
+
+def ref_frame_maps(s, eps):
+    """[eps*] and the transport images as the dict ring built them."""
+    slots = range(s.dim)
+    star = ref_conjugate_poly(s, eps)
+    eps_star = FourierMatrix.from_scalars([[star.coefficient((i, p)) for p in slots] for i in slots])
+    epseps = FourierMatrix.from_scalars(
+        [[eps.coefficient((i, p)) for p in slots] for i in slots]
+    ).matmul(eps_star)
+    inv = _neumann_inverse(epseps)
+    ident = FourierMatrix.identity(s.geometry, s.box, s.dim)
+    plus = [s.dual_frame[i].add(v) for i, v in enumerate(ref_dual_image(s, eps_star, True))]
+    minus = ref_dual_image(s, epseps, False)
+    plain = ref_dual_image(s, inv, False)
+    starred = ref_dual_image(s, eps_star.matmul(inv), True)
+    images = {
+        "_one_plus_eps_star_images": plus,
+        "images_one_minus_epseps": ref_dual_image(s, ident - epseps, False),
+        "images_inverse_one_minus_epseps": plain,
+        "images_one_plus_star_minus_epseps": [p.add(q.scale(-1)) for p, q in zip(plus, minus)],
+        "images_inverse_combo": [p.add(q.scale(-1)) for p, q in zip(plain, starred)],
+    }
+    return eps_star, {name: _section_stack(vectors) for name, vectors in images.items()}
+
+
+_OMEGA = np.array([[0, 1, 0, 0.5], [-1, 0, 0.3, 0], [0, -0.3, 0, 2], [-0.5, 0, -2, 0]])
+_SHEAR = np.array([[1, 0.3, 0, 0], [0, 1, 0.2, 0], [0, 0, 1, 0.5], [0.1, 0, 0, 1]])
+_JCX = _SHEAR @ np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]) @ np.linalg.inv(_SHEAR)
+_B = np.array([[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 0, 0.3], [0, 0, -0.3, 0]])
+
+# name: (structure on a box, whether the products are exact)
+FRAME_CASES = {
+    "t2-complex": (lambda box: GCStructure.complex_structure(1, box), True),
+    "t4-complex": (lambda box: GCStructure.complex_structure(2, box), True),
+    "t6-complex": (lambda box: GCStructure.complex_structure(3, box), True),
+    "t2-symplectic": (lambda box: GCStructure.symplectic_structure([[0, 1], [-1, 0]], box), True),
+    "t4-symplectic-omega": (lambda box: GCStructure.symplectic_structure(_OMEGA, box), False),
+    "t4-complex-jcx": (lambda box: GCStructure.complex_structure(2, box, jcx=_JCX), False),
+    "t4-b-transform": (lambda box: GCStructure.complex_structure(2, box).b_transform(_B), False),
+}
+
+
+def _assert_same_stack(got, want, exact):
+    """Bitwise equal coefficients, or equal to 1e-15 relative."""
+    if exact:
+        assert np.array_equal(got.modes, want.modes)
+        assert np.array_equal(got.coeffs, want.coeffs)
+    else:
+        assert (got - want).norm() <= 1e-15 * want.norm()
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_frame_maps_match_dict_ring(name):
+    """[eps*] and every transport image against the slot-pair conjugation
+    and the dict-ring image loop, for a constant and a varying eps."""
+    build, exact = FRAME_CASES[name]
+    s = build(TruncationBox(1 if name.startswith("t6") else 2, "drop"))
+    e0 = (1,) + (0,) * (s.dim - 1)
+    f = FourierScalar(s.geometry, s.box, {e0: 0.05, (0,) * s.dim: 0.1 - 0.02j})
+    varying = CliffordPoly(s.dual_frame, 2, {(0, s.dim - 1): f, (0, 1): f.conj().scale(0.5j)})
+    for eps in (_constant_eps(s, 101), varying):
+        tr = Transport(s, eps)
+        eps_star, images = ref_frame_maps(s, eps)
+        _assert_same_stack(tr.maps.eps_star_matrix, eps_star, exact)
+        for method, want in images.items():
+            _assert_same_stack(getattr(tr, method)(), want, exact)
+
+
+def test_transport_makes_no_scalar_products_or_entry_views(monkeypatch):
+    """Frame maps, the transport, the dressings, a factorwise map and the
+    constant inverse are stack products throughout: no FourierScalar.mul and
+    no entry view of a FourierMatrix, for a constant and a varying eps."""
+    box = TruncationBox(2, "drop")
+    s = GCStructure.complex_structure(2, box)
+    sigma = _spinors(s, 103, count=1)[0]
+    varying = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar(s.geometry, box, {(1, 0, 0, 0): 0.3})})
+    counts = {"mul": 0, "entry": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FourierScalar, "mul", counted("mul", FourierScalar.mul))
+    monkeypatch.setattr(FourierMatrix, "__getitem__", counted("entry", FourierMatrix.__getitem__))
+    for eps in (_constant_eps(s, 107), varying):
+        counts.update(mul=0, entry=0)
+        FrameMaps(s, eps)
+        tr = Transport(s, eps)
+        tr.forward(sigma)
+        tr.dress(sigma)
+        tr.undress(sigma)
+        tr.factorwise(tr.images_one_plus_star_minus_epseps(), sigma)
+        if tr._constant:
+            tr.inverse(sigma)
+        assert counts == {"mul": 0, "entry": 0}
+    assert not Transport(s, varying)._constant
 
 
 # ----------------------------------------------------------------------

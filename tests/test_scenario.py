@@ -1,9 +1,12 @@
 """Scenario runner, report determinism, CLI behavior."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentorus.cli import main
 from gentorus.report import (
@@ -280,6 +283,81 @@ def test_torus_n_and_K_must_be_integers(key, value, tmp_path, capsys):
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("tolerances",), {"default": "abc"}),
+        (("structure", "jcx"), "x"),
+        (("structure", "H"), [{"c": 1.0}]),
+        (("metric", "g"), [[10 ** 400, 0], [0, 1]]),
+    ],
+    ids=["tolerance-string", "jcx-string", "twist-without-indices", "g-beyond-float"],
+)
+def test_cli_rejects_malformed_blocks_without_traceback(path, value, tmp_path, capsys):
+    """A value the tolerance, structure, twist or metric block cannot be
+    read from is a config error, exit 1, not a traceback."""
+    config = minimal_config()
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_BLOCK_FIELDS = [
+    ("tolerances",), ("tolerances", "default"), ("structure",), ("structure", "type"),
+    ("structure", "H"), ("structure", "jcx"), ("structure", "omega"), ("structure", "base"),
+    ("structure", "B"), ("metric",), ("metric", "g"), ("metric", "b"),
+]
+_BLOCK_STRUCTURES = {
+    "complex": {"type": "complex"},
+    "symplectic": {"type": "symplectic", "omega": [[0, 1], [-1, 0]]},
+    "b_transform": {"type": "b_transform", "base": {"type": "complex"}, "B": [[0, 0.5], [-0.5, 0]]},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_BLOCK_STRUCTURES)), field=st.sampled_from(_BLOCK_FIELDS),
+       value=_JSON)
+def test_cli_exit_codes_for_arbitrary_json_in_parsed_blocks(kind, field, value):
+    """Any JSON value in the tolerance, structure, twist or metric fields
+    runs or fails with an exit code in {0, 1, 2}; no exception leaves main."""
+    config = {
+        "name": "fuzz",
+        "torus": {"n": 1, "K": 1},
+        "tolerances": {"default": 1e-9},
+        "structure": json.loads(json.dumps(_BLOCK_STRUCTURES[kind])),
+        "metric": {"g": [[1, 0], [0, 1]]},
+        "experiments": [{"kind": "hodge-table"}],
+    }
+    target = config
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "fuzz.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", out]) in (0, 1, 2)
+
+
+def test_identity_suite_runs_on_a_K0_box():
+    """A box with K = 0 holds mode 0 alone, and the Hodge checks draw their
+    spinors there: the suite passes rather than escaping the box."""
+    config = minimal_config()
+    config["torus"]["K"] = 0
+    config["experiments"] = [{"kind": "identity-suite", "seed": 0, "samples": 5}]
+    report, _ = run_scenario(config)
+    assert exit_code_for(report) == 0
 
 
 def _sized_config(field, size):
