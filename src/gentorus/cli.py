@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .report import emit_report, load_report, report_to_table, reports_equal
-from .scenario import ScenarioError, exit_code_for, run_scenario
+from .scenario import ScenarioError, _object, exit_code_for, run_scenario
 
 
 def _load_config(path: str) -> dict:
@@ -27,17 +27,18 @@ def _load_config(path: str) -> dict:
     except OSError as err:
         raise ScenarioError(f"cannot read config {path}: {err}") from err
     try:
-        return json.loads(text)
+        config = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(
             f"config {path} is not valid JSON (line {err.lineno}, col {err.colno}): {err.msg}"
         ) from err
+    return _object(config, "config")
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.tolerance is not None:
-        config.setdefault("tolerances", {})["default"] = args.tolerance
+        _object(config.setdefault("tolerances", {}), "tolerances")["default"] = args.tolerance
     report, timings = run_scenario(config, fail_fast=args.fail_fast)
     out_dir = args.out or os.environ.get("GENTORUS_OUT") or config.get(
         "output", {}
@@ -47,13 +48,16 @@ def _cmd_run(args) -> int:
     )
     stem = config.get("name", "report").replace("/", "_") or "report"
     if out_dir:
-        paths = emit_report(
-            report,
-            Path(out_dir),
-            formats=formats,
-            stem=stem,
-            timings=timings if args.timings else None,
-        )
+        try:
+            paths = emit_report(
+                report,
+                Path(out_dir),
+                formats=formats,
+                stem=stem,
+                timings=timings if args.timings else None,
+            )
+        except (OSError, ValueError) as err:
+            raise ScenarioError(f"cannot write the report to {out_dir}: {err}") from err
         for p in paths:
             print(p)
     else:

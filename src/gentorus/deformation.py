@@ -36,13 +36,14 @@ from .calculus import (
     lie_derivation_dL,
     schouten_bracket,
 )
-from .fourier import FourierMatrix, FourierScalar
+from .fourier import FourierMatrix
 from .hodge import (
     HodgeContext,
     ObstructionError,
     _LevelBasis,
     _ModeSpectra,
-    _adjoint,
+    _laplacian_blocks,
+    _level_d,
     _mode_mirror,
     _mode_positions,
     _rank,
@@ -114,7 +115,8 @@ class FrameMaps:
     cotangent) components of section i: ``frame`` and ``dual`` hold the
     frames l_i and l^i, ``xi`` the sheared frame (1+eps)(l_i) and ``eta``
     the sheared dual frame (1+eps*)(l^i).  All of them are
-    :class:`FourierMatrix` stacks.
+    :class:`FourierMatrix` stacks, each built on first use, so a reader
+    of ``eps_matrix`` alone (``sup_norm``) builds nothing else.
     """
 
     def __init__(self, structure: GCStructure, eps: CliffordPoly):
@@ -122,23 +124,42 @@ class FrameMaps:
             raise DeformationError("deformation must be a 2-polynomial over the dual frame")
         self.structure = structure
         self.eps = eps
-        geometry, box = structure.geometry, structure.box
         slots = range(structure.dim)
         self.eps_matrix = FourierMatrix.from_scalars(
             [[eps.coefficient((i, p)) for p in slots] for i in slots]
         )
+
+    @cached_property
+    def eps_star_matrix(self) -> FourierMatrix:
         # eps* is the conjugate of eps re-expanded over the frame:
         # conj(l^i) = sum_a C[a, i] l_a with C[a, i] = <l^a, conj(l^i)>
-        dual_vals = structure._dual_vals
+        s, dual_vals = self.structure, self.structure._dual_vals
         conj_coords = FourierMatrix.constant(
-            geometry, box, dual_vals.T @ natural_pairing_matrix(structure.dim) @ dual_vals.conj()
+            s.geometry, s.box, dual_vals.T @ natural_pairing_matrix(s.dim) @ dual_vals.conj()
         )
-        self.eps_star_matrix = conj_coords.matmul(self.eps_matrix.conj()).matmul(conj_coords.T)
-        self.eps_eps_star = self.eps_matrix.matmul(self.eps_star_matrix)
-        self.frame = FourierMatrix.constant(geometry, box, structure._frame_vals)
-        self.dual = FourierMatrix.constant(geometry, box, dual_vals)
-        self.xi = self.frame + self.dual_image(self.eps_matrix, into_frame=False)
-        self.eta = self.dual + self.dual_image(self.eps_star_matrix, into_frame=True)
+        return conj_coords.matmul(self.eps_matrix.conj()).matmul(conj_coords.T)
+
+    @cached_property
+    def eps_eps_star(self) -> FourierMatrix:
+        return self.eps_matrix.matmul(self.eps_star_matrix)
+
+    @cached_property
+    def frame(self) -> FourierMatrix:
+        s = self.structure
+        return FourierMatrix.constant(s.geometry, s.box, s._frame_vals)
+
+    @cached_property
+    def dual(self) -> FourierMatrix:
+        s = self.structure
+        return FourierMatrix.constant(s.geometry, s.box, s._dual_vals)
+
+    @cached_property
+    def xi(self) -> FourierMatrix:
+        return self.frame + self.dual_image(self.eps_matrix, into_frame=False)
+
+    @cached_property
+    def eta(self) -> FourierMatrix:
+        return self.dual + self.dual_image(self.eps_star_matrix, into_frame=True)
 
     def sup_norm(self) -> float:
         """Grid estimate of the sup over the torus of the 2-norm of eps.
@@ -214,12 +235,14 @@ class AlgebroidHodge:
 
     Polynomials are identified with spinors through the canonical generator
     (P maps to P . rho0), the inner product pulled back from Born-Infeld.
-    The differential at mode k is C + 2 pi i sum_a k_a A_a; C and the A_a
-    are read off the Cartan formula at mode 0 and at the unit modes, and the
-    Laplacians are eigendecomposed in stacked chunks.  When C is exactly
-    zero (an untwisted, constant structure) the differential is odd in k, so
-    the Laplacians at +-k are bitwise equal and only the first half of the
-    box, mode 0 included, is decomposed; otherwise every mode is.  A
+    Under that map d_L is dbar, the level-raising part of d_H, so the
+    differential at mode k is C + 2 pi i sum_a k_a A_a, where C and the A_a
+    are the raising blocks of those of d_H in the level basis
+    (``hodge._level_d``), and the Laplacians are the dbar Laplacian's level
+    blocks (``hodge._laplacian_blocks``), eigendecomposed in stacked
+    chunks.  When C is exactly zero the differential is odd in k, so the
+    Laplacians at +-k are bitwise equal and only the first half of the box,
+    mode 0 included, is decomposed; otherwise every mode is.  A
     polynomial's coefficients enter as the rows of a
     :class:`~gentorus.fourier.FourierMatrix` over the ``monomial_list``
     keys, so the projector, Green operator and adjoint each act by one
@@ -229,46 +252,29 @@ class AlgebroidHodge:
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         self.structure = structure
         self.metric = metric
-        box = structure.box
-        dim = structure.dim
 
-        self.keys = monomial_list(dim)
+        self.keys = monomial_list(structure.dim)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.size = len(self.keys)
 
         # the context's orthonormal level basis, which holds the degree-d
         # words at level d - n in key order, in poly coordinates
-        level_basis = _LevelBasis(structure, metric, box)
-        self.poly_basis = np.linalg.solve(structure._level_matrix, level_basis.basis)
+        lb = _LevelBasis(structure, metric, structure.box)
+        self.poly_basis = np.linalg.solve(structure._level_matrix, lb.basis)
         self.poly_basis_inv = np.linalg.inv(self.poly_basis)
 
-        self.modes = level_basis.modes
-        self._const = self._probe((0,) * dim)
-        # a box with K = 0 holds only mode 0, where the slopes never enter
-        self._slopes = np.zeros((dim, self.size, self.size), dtype=complex)
-        if box.K:
-            for a, unit in enumerate(np.eye(dim, dtype=int)):
-                self._slopes[a] = (self._probe(tuple(unit)) - self._const) / (2j * math.pi)
-
-        def laplacian(sel):
-            d = _stack_linear(self._const, self._slopes, self.modes[sel])
-            return [d @ _adjoint(d) + _adjoint(d) @ d]
-
-        odd = not self._const.any()
+        self.modes = lb.modes
+        raising = structure.shift_mask(+1)
+        const, slopes = _level_d(structure, lb)
+        self._const = np.where(raising, const, 0)
+        self._slopes = np.where(raising, slopes, 0)
         self._spectra = _ModeSpectra(
-            laplacian, _mode_mirror(len(self.modes), odd), [slice(0, self.size)]
+            lambda sel: _laplacian_blocks(
+                lb, _stack_linear(self._const, self._slopes, self.modes[sel]), "dbar"
+            ),
+            _mode_mirror(len(self.modes), not self._const.any()),
+            [lb.level_slices[k] for k in lb.levels],
         )
-
-    def _probe(self, mode: Tuple[int, ...]) -> np.ndarray:
-        """d_L at one mode in the orthonormal basis, column by unit polynomial."""
-        geometry, box = self.structure.geometry, self.structure.box
-        dmat = np.zeros((self.size, self.size), dtype=complex)
-        phase = FourierScalar.mode(geometry, box, mode)
-        for j, key in enumerate(self.keys):
-            poly = CliffordPoly(self.structure.dual_frame, len(key), {key: phase})
-            for ikey, f in lie_derivation_dL(poly, self.structure).terms():
-                dmat[self.index[ikey], j] = f.coefficient(mode)
-        return self.poly_basis_inv @ dmat @ self.poly_basis
 
     # poly <-> per-mode coordinate rows ---------------------------------
 

@@ -22,8 +22,10 @@ dropped once the batch has passed their levels and freed when it returns.
 Each (kind, level) is decided once per context.  A spinor enters and leaves as
 the coefficient rows of its mode stack, so every operator, projector and
 Green operator acts by one product batched over its modes.  The
-Lie-algebroid complex (``deformation.AlgebroidHodge``) shares the
-assembly, the eigendecomposition and the batched application.
+Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar complex
+in polynomial coordinates (P maps to P . rho0), so it holds no operator of
+its own: its differential is the raising blocks of ``_level_d``, and its
+Laplacian blocks come from ``_laplacian_blocks`` and ``_ModeSpectra``.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -248,6 +250,10 @@ class _LevelBasis:
             raise ValueError(f"level basis failed orthonormalization ({residual:.3e})")
         self.modes: List[Tuple[int, ...]] = list(box.modes(self.geometry))
 
+    def level(self, k: int) -> slice:
+        """Coordinates of level k; empty outside [-n, n]."""
+        return self.level_slices.get(k, slice(0, 0))
+
     def positions(self, modes) -> np.ndarray:
         """Indices into the mode stacks; ValueError for a mode outside the box."""
         return _mode_positions(self.box, self.dim, modes)
@@ -262,6 +268,64 @@ class _LevelBasis:
     def spinor(self, modes, coords: np.ndarray) -> Spinor:
         """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
         return Spinor.from_modes(self.geometry, self.box, modes, coords @ self.basis.T)
+
+
+def _level_d(structure: GCStructure, lb: _LevelBasis) -> Tuple[np.ndarray, np.ndarray]:
+    """C and the slopes A_a of d_H = C + 2 pi i sum_a k_a A_a in the level
+    basis ``lb``: those of ``calculus.d_matrices`` changed to that basis."""
+    const, slopes = d_matrices(structure)
+    return lb.basis_inv @ const @ lb.basis, lb.basis_inv @ slopes @ lb.basis
+
+
+def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndarray]:
+    """The diagonal blocks of the ``kind`` Laplacian of the stack ``d`` of
+    differentials in the level basis ``lb``: one per level, or the whole
+    matrix for the level-mixing ``d``.
+
+    Each block is assembled from level blocks of d: del is the block one
+    level down, dbar the block one level up.  Every term of the del,
+    dbar, bc and aeppli Laplacians is X X* or X* X of such blocks, so the
+    entries off the level blocks are exact zeros.
+    """
+    if kind == "d":
+        return [d @ _adjoint(d) + _adjoint(d) @ d]
+    if kind not in KINDS:
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
+
+    def block(row_level, col_level):
+        return d[..., lb.level(row_level), lb.level(col_level)]
+
+    out = []
+    for k in lb.levels:
+        if kind in ("del", "dbar"):
+            # a maps into level k, b out of it
+            step = -1 if kind == "del" else 1
+            a, b = block(k, k - step), block(k + step, k)
+            out.append(a @ _adjoint(a) + _adjoint(b) @ b)
+            continue
+        dl_out, db_out = block(k - 1, k), block(k + 1, k)
+        if kind == "bc":
+            t = block(k, k + 1) @ db_out  # del dbar on level k
+            # dbar* del from level k + 2 into k, and from k into k - 2
+            s_in = _adjoint(db_out) @ block(k + 1, k + 2)
+            s_out = _adjoint(block(k - 1, k - 2)) @ dl_out
+            out.append(
+                t @ _adjoint(t) + _adjoint(t) @ t
+                + s_in @ _adjoint(s_in) + _adjoint(s_out) @ s_out
+                + _adjoint(db_out) @ db_out + _adjoint(dl_out) @ dl_out
+            )
+        else:
+            db_in, dl_in = block(k, k - 1), block(k, k + 1)
+            t = db_in @ dl_out  # dbar del on level k
+            # del dbar* from level k + 2 into k, and from k into k - 2
+            r_in = dl_in @ _adjoint(block(k + 2, k + 1))
+            r_out = block(k - 2, k - 1) @ _adjoint(db_in)
+            out.append(
+                t @ _adjoint(t) + _adjoint(t) @ t
+                + r_in @ _adjoint(r_in) + _adjoint(r_out) @ r_out
+                + db_in @ _adjoint(db_in) + dl_in @ _adjoint(dl_in)
+            )
+    return out
 
 
 class _ModeSpectra:
@@ -449,9 +513,8 @@ class HodgeContext:
         self._packages: Dict[str, HodgePackage] = {}
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
-        const, slopes = d_matrices(structure)
-        const = self.basis_inv @ const @ self.basis
-        d = _stack_linear(const, self.basis_inv @ slopes @ self.basis, self.modes)
+        const, slopes = _level_d(structure, lb)
+        d = _stack_linear(const, slopes, self.modes)
         # untwisted, d is odd in k: the packages and the class checks decide
         # the representatives, the first len(weight) modes, and weight each
         # by the modes it stands for
@@ -514,53 +577,8 @@ class HodgeContext:
         return out
 
     def _laplacian_blocks(self, kind: str, sel) -> List[np.ndarray]:
-        """The diagonal blocks of the ``kind`` Laplacian at the modes picked by ``sel``.
-
-        Each block is assembled from level blocks of d: del is the block one
-        level down, dbar the block one level up.  Every term of the del,
-        dbar, bc and aeppli Laplacians is X X* or X* X of such blocks, so the
-        entries off the level blocks are exact zeros.
-        """
-        d = self._stacks["d"][sel]
-        if kind == "d":
-            return [d @ _adjoint(d) + _adjoint(d) @ d]
-        if kind not in KINDS:
-            raise ValueError(f"unknown Laplacian kind {kind!r}")
-
-        def block(row_level, col_level):
-            return d[..., self._level(row_level), self._level(col_level)]
-
-        out = []
-        for k in self.level_basis.levels:
-            if kind in ("del", "dbar"):
-                # a maps into level k, b out of it
-                step = -1 if kind == "del" else 1
-                a, b = block(k, k - step), block(k + step, k)
-                out.append(a @ _adjoint(a) + _adjoint(b) @ b)
-                continue
-            dl_out, db_out = block(k - 1, k), block(k + 1, k)
-            if kind == "bc":
-                t = block(k, k + 1) @ db_out  # del dbar on level k
-                # dbar* del from level k + 2 into k, and from k into k - 2
-                s_in = _adjoint(db_out) @ block(k + 1, k + 2)
-                s_out = _adjoint(block(k - 1, k - 2)) @ dl_out
-                out.append(
-                    t @ _adjoint(t) + _adjoint(t) @ t
-                    + s_in @ _adjoint(s_in) + _adjoint(s_out) @ s_out
-                    + _adjoint(db_out) @ db_out + _adjoint(dl_out) @ dl_out
-                )
-            else:
-                db_in, dl_in = block(k, k - 1), block(k, k + 1)
-                t = db_in @ dl_out  # dbar del on level k
-                # del dbar* from level k + 2 into k, and from k into k - 2
-                r_in = dl_in @ _adjoint(block(k + 2, k + 1))
-                r_out = block(k - 2, k - 1) @ _adjoint(db_in)
-                out.append(
-                    t @ _adjoint(t) + _adjoint(t) @ t
-                    + r_in @ _adjoint(r_in) + _adjoint(r_out) @ r_out
-                    + db_in @ _adjoint(db_in) + dl_in @ _adjoint(dl_in)
-                )
-        return out
+        """The diagonal blocks of the ``kind`` Laplacian at the modes picked by ``sel``."""
+        return _laplacian_blocks(self.level_basis, self._stacks["d"][sel], kind)
 
     # ------------------------------------------------------------------
     # spinor transport
@@ -668,9 +686,7 @@ class HodgeContext:
 
     def _level(self, k: int) -> slice:
         """Coordinates of level k; empty outside [-n, n]."""
-        if -self.structure.n <= k <= self.structure.n:
-            return self.level_slices[k]
-        return slice(0, 0)
+        return self.level_basis.level(k)
 
     def class_checks(self, questions: Iterable[Tuple[str, int]]) -> List[Dict]:
         """Decide a batch of (kind, level) class checks; the verdicts in the order asked.

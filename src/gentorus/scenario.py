@@ -36,6 +36,7 @@ from .diagnostics import (
 from .fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
 from .hodge import CHECK_COUNTERS, HodgeContext, ObstructionError
 from .metric import GeneralizedMetric, MetricError
+from .report import FORMATS
 from .spinor import CliffordPoly, Spinor, random_spinor
 from .structure import GCStructure, StructureError
 
@@ -121,13 +122,25 @@ def _check_integer(key: str, value, low: int, high: int | None = None) -> None:
         raise ScenarioError(f"{key!r} must be an integer {bound}, got {value!r}")
 
 
+def _check_output(output: Dict) -> None:
+    """The output block: a directory name and a list of report formats."""
+    if not isinstance(output.get("dir", ""), str):
+        raise ScenarioError(f"'output.dir' must be a string, got {output['dir']!r}")
+    formats = output.get("formats", [])
+    if not isinstance(formats, list) or any(f not in FORMATS for f in formats):
+        raise ScenarioError(f"'output.formats' must be a list of {FORMATS}, got {formats!r}")
+
+
 class Scenario:
     """Parsed and validated scenario configuration."""
 
     def __init__(self, config: Dict):
-        self.config = config
-        torus = config.get("torus")
-        if not torus or "n" not in torus or "K" not in torus:
+        self.config = _object(config, "config")
+        if not isinstance(config.get("name", ""), str):
+            raise ScenarioError(f"'name' must be a string, got {config['name']!r}")
+        _check_output(_object(config.get("output", {}), "output"))
+        torus = _object(config.get("torus") or {}, "torus")
+        if "n" not in torus or "K" not in torus:
             raise ScenarioError("config requires torus.n and torus.K")
         _check_integer("torus.n", torus["n"], 1)
         _check_integer("torus.K", torus["K"], 0)
@@ -140,6 +153,7 @@ class Scenario:
         self._check_experiments()
         deformation = config.get("deformation")
         if deformation:
+            _object(deformation, "deformation")
             _check_integer("order", deformation.get("order", 2), 1, MAX_ORDER)
         self.tolerance = _parse_block("tolerances", lambda: float(
             _object(config.get("tolerances", {}), "tolerances").get("default", DEFAULT_TOLERANCE)
@@ -166,8 +180,10 @@ class Scenario:
     def _check_experiments(self) -> None:
         """Types and sizes of the experiment fields, checked before anything is built."""
         n = self.geometry.n
+        if not isinstance(self.experiments, list):
+            raise ScenarioError(f"'experiments' must be a list, got {self.experiments!r}")
         for exp in self.experiments:
-            if "kind" not in exp:
+            if not isinstance(_object(exp, "experiment").get("kind"), str):
                 raise ScenarioError("every experiment needs a 'kind'")
             for key in ("t", "t_samples", "levels"):
                 if key not in exp:
@@ -255,22 +271,26 @@ class Scenario:
         except MetricError as err:
             raise ScenarioError(f"metric construction failed: {err}") from err
 
+    def _parse_coefficient(self, spec) -> CliffordPoly:
+        terms = _object(_object(spec, "deformation coefficient").get("terms", {}), "terms")
+        return CliffordPoly(self.structure.dual_frame, 2, {
+            _parse_key_tuple(slot_key): _parse_fourier(self.geometry, self.box, fdata)
+            for slot_key, fdata in terms.items()
+        })
+
     def _build_deformation(self, spec) -> Beltrami | None:
         if not spec:
             return None
         coeffs: Dict[Tuple[int, int], CliffordPoly] = {}
-        for order_key, poly_spec in spec.get("coefficients", {}).items():
-            okey = _parse_key_tuple(order_key)
+        coefficients = _object(spec.get("coefficients", {}), "deformation.coefficients")
+        for order_key, poly_spec in coefficients.items():
+            okey = _parse_block("deformation", lambda: _parse_key_tuple(order_key))
             if len(okey) != 2:
                 raise ScenarioError(f"bad deformation order key {order_key!r}")
-            try:
-                terms = {
-                    _parse_key_tuple(slot_key): _parse_fourier(self.geometry, self.box, fdata)
-                    for slot_key, fdata in poly_spec.get("terms", {}).items()
-                }
-                coeffs[okey] = CliffordPoly(self.structure.dual_frame, 2, terms)
-            except ValueError as err:
-                raise ScenarioError(f"bad deformation coefficient {order_key!r}: {err}") from err
+            coeffs[okey] = _parse_block(
+                f"deformation coefficient {order_key!r}",
+                lambda: self._parse_coefficient(poly_spec),
+            )
         try:
             series = Beltrami(self.structure, coeffs)
         except DeformationError as err:

@@ -112,6 +112,27 @@ def test_sup_norm_grids_only_the_axes_eps_varies_on(n, monkeypatch):
         assert evaluated.pop() == (4 * s.box.K + 1) ** axes
 
 
+def test_sup_norm_builds_only_the_eps_matrix(monkeypatch):
+    """The sup-norm reads [eps] alone: eps*, eps eps* and the sheared
+    frames are built on first use, and it uses none of them."""
+    s = GCStructure.complex_structure(2, TruncationBox(1))
+    f = FourierScalar(s.geometry, s.box, {(1, 0, 0, 0): 0.2, (0, 0, 0, 0): 0.1})
+    maps = FrameMaps(s, CliffordPoly(s.dual_frame, 2, {(0, 3): f}))
+    products = []
+    real = FourierMatrix.matmul
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(FourierMatrix, "matmul", counted)
+    maps.sup_norm()
+    assert products == []
+    lazy = ("eps_star_matrix", "eps_eps_star", "frame", "dual", "xi", "eta")
+    assert not set(lazy) & set(vars(maps))
+    assert maps.eta is maps.eta and products
+
+
 def test_frame_blocks_zero_deformation(t2):
     eps = CliffordPoly.zero(t2.dual_frame, 2)
     fb = frame_block_matrices(t2, eps)
@@ -463,6 +484,21 @@ def test_mc_expand_matches_verify(t4):
     report = maurer_cartan_verify(series)
     assert report["integrable"]
     assert report["worst"] < 1e-9
+
+
+def test_mc_expand_leaves_no_noise_slots():
+    """Every slot of an expanded coefficient carries weight: the raising
+    operator is exactly zero off its blocks, so no float noise leaks into
+    slots the recursion never fills."""
+    s = GCStructure.complex_structure(2, TruncationBox(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    e10 = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.mode(s.geometry, s.box, (1, 0, 0, 0), 0.3)})
+    e01 = CliffordPoly(s.dual_frame, 2, {(0, 3): FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 0.25)})
+    series = maurer_cartan_expand(s, m, {(1, 0): e10, (0, 1): e01}, 3)
+    assert (1, 1) in series.coefficients
+    for key, poly in series.coefficients.items():
+        for slot, f in poly.terms():
+            assert f.norm() >= 1e-15 * poly.norm(), (key, slot, f.norm())
 
 
 def test_mc_expand_rejects_nonclosed_first_order(t4):

@@ -374,9 +374,10 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
-    # every mode of the box, each read at its representative
-    batched = alg._spectra.vals[0][alg._spectra.rep] <= alg._spectra.cutoff
-    assert [int(np.sum(v <= cutoff)) for v in vals] == batched.sum(axis=1).tolist()
+    # every mode of the box, each read at its representative, over every block
+    sp = alg._spectra
+    batched = sum(np.sum(v[sp.rep] <= sp.cutoff, axis=1) for v in sp.vals)
+    assert [int(np.sum(v <= cutoff)) for v in vals] == batched.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -908,11 +909,16 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
     assert sp.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
     d = _stack_linear(alg._const, alg._slopes, alg.modes)
     assert np.array_equal(d[::-1], -d)
-    lap = d @ d.conj().swapaxes(-1, -2) + d.conj().swapaxes(-1, -2) @ d
-    full = [np.linalg.eigh((lap + lap.conj().swapaxes(-1, -2)) / 2)]
-    assert len(sp.vals[0]) == count // 2 + 1
-    assert np.array_equal(sp.vals[0][sp.rep], full[0][0])
-    assert np.array_equal(sp.vecs[0][sp.rep], full[0][1])
+    lb = hodge._LevelBasis(alg.structure, alg.metric, alg.structure.box)
+    full = [
+        np.linalg.eigh((block + block.conj().swapaxes(-1, -2)) / 2)
+        for block in hodge._laplacian_blocks(lb, d, "dbar")
+    ]
+    levels = [lb.level_slices[k] for k in lb.levels]
+    for vals, vecs, (full_vals, full_vecs) in zip(sp.vals, sp.vecs, full):
+        assert len(vals) == count // 2 + 1
+        assert np.array_equal(vals[sp.rep], full_vals)
+        assert np.array_equal(vecs[sp.rep], full_vecs)
 
     rng = np.random.default_rng(43)
     s = alg.structure
@@ -922,9 +928,59 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
         modes, coords = alg._coords(poly)
         index = hodge._mode_positions(s.box, s.dim, modes)
         for method, weights in ((alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)):
-            rows = _apply_full(full, [slice(0, alg.size)], index, coords, weights)
+            rows = _apply_full(full, levels, index, coords, weights)
             got, want = method(poly), alg._poly(modes, rows, degree)
             assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
+
+
+def _algebroid_structures():
+    """Complex, twisted complex, symplectic and B-transformed T^4 at K=1."""
+    om = np.zeros((4, 4))
+    om[0, 1] = om[2, 3] = 1.0
+    b = np.zeros((4, 4))
+    b[0, 2] = 0.5
+    return {
+        "complex": _case(2, 1)[0],
+        "twisted": _case(2, 1, twisted=True)[0],
+        "symplectic": GCStructure.symplectic_structure(om - om.T, TruncationBox(1)),
+        "b_transform": _case(2, 1)[0].b_transform(b - b.T),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_algebroid_structures()))
+def test_algebroid_spectra_equal_the_dbar_package(name):
+    """Under P -> P . rho0 d_L is dbar: the algebroid differential is d's
+    raising blocks, exactly zero elsewhere, and its spectra are bitwise
+    those of the context's dbar package."""
+    from gentorus.deformation import AlgebroidHodge
+
+    s = _algebroid_structures()[name]
+    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+    alg = AlgebroidHodge(s, m)
+    lowered = ~s.shift_mask(+1)
+    assert not alg._const[lowered].any()
+    assert not alg._slopes[:, lowered].any()
+    pk = HodgeContext(s, m).package("dbar")
+    assert np.array_equal(alg._spectra.rep, pk._spectra.rep)
+    assert len(alg._spectra.vals) == len(pk.vals) == s.dim + 1
+    for got, want in zip(alg._spectra.vals + alg._spectra.vecs, pk.vals + pk.vecs):
+        assert np.array_equal(got, want)
+
+
+def test_algebroid_package_makes_no_dL_calls(monkeypatch):
+    """The algebroid operator comes from d's assembly, not from d_L probes."""
+    from gentorus import calculus, deformation
+
+    calls = []
+
+    def counting(*args, _real=calculus.lie_derivation_dL, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "lie_derivation_dL", counting)
+    monkeypatch.setattr(deformation, "lie_derivation_dL", counting)
+    deformation.AlgebroidHodge(*_case(2, 1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("twisted, rows", [(False, 41), (True, 81)], ids=["untwisted", "twisted"])

@@ -240,6 +240,18 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         (("deformation",), {**_EXPANDED, "order": 1.9}),
         (("deformation",), {**_EXPANDED, "order": -1}),
         (("deformation",), {**_EXPANDED, "order": True}),
+        (("torus",), 5),
+        (("experiments",), 5),
+        (("experiments",), [5]),
+        (("experiments",), [{"kind": []}]),
+        (("deformation",), 5),
+        (("deformation", "coefficients"), [1]),
+        (("deformation", "coefficients", "1,0"), 5),
+        (("deformation", "coefficients", "1,0", "terms"), 5),
+        (("deformation", "coefficients"), {"x": {"terms": {"0,1": 0.1}}}),
+        (("name",), 5),
+        (("output",), 5),
+        (("output",), {"formats": ["pdf"]}),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
@@ -248,12 +260,16 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         "scan-order-fraction", "scan-order-negative", "criterion-seed-fraction",
         "criterion-seed-negative", "extend-level-string", "extend-sigma00-fraction",
         "scan-levels-fraction", "scan-levels-scalar", "expand-order-fraction",
-        "expand-order-negative", "expand-order-bool",
+        "expand-order-negative", "expand-order-bool", "torus-scalar", "experiments-scalar",
+        "experiment-scalar", "experiment-kind-list", "deformation-scalar", "coefficients-list",
+        "coefficient-scalar", "terms-scalar", "order-key-text", "name-scalar", "output-scalar",
+        "output-format",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
-    """Values the torus, Fourier, polynomial and series constructors refuse
-    are config errors: exit 1 with a message, no traceback."""
+    """Values the torus, Fourier, polynomial and series constructors refuse,
+    and blocks of the wrong JSON type, are config errors: exit 1 with a
+    message, no traceback."""
     config = _deformation_config()
     assert run_scenario(config)[0]["summary"]["status"] == "pass"
     target = config
@@ -318,6 +334,10 @@ _BLOCK_FIELDS = [
     ("tolerances",), ("tolerances", "default"), ("structure",), ("structure", "type"),
     ("structure", "H"), ("structure", "jcx"), ("structure", "omega"), ("structure", "base"),
     ("structure", "B"), ("metric",), ("metric", "g"), ("metric", "b"),
+    ("name",), ("output",), ("torus",), ("experiments",), ("deformation",),
+    ("deformation", "coefficients"), ("deformation", "coefficients", "1,0"),
+    ("deformation", "coefficients", "1,0", "terms"),
+    ("deformation", "coefficients", "1,0", "terms", "0,1"),
 ]
 _BLOCK_STRUCTURES = {
     "complex": {"type": "complex"},
@@ -330,14 +350,16 @@ _BLOCK_STRUCTURES = {
 @given(kind=st.sampled_from(sorted(_BLOCK_STRUCTURES)), field=st.sampled_from(_BLOCK_FIELDS),
        value=_JSON)
 def test_cli_exit_codes_for_arbitrary_json_in_parsed_blocks(kind, field, value):
-    """Any JSON value in the tolerance, structure, twist or metric fields
-    runs or fails with an exit code in {0, 1, 2}; no exception leaves main."""
+    """Any JSON value in the name, output, torus, experiments, tolerance,
+    structure, twist, metric or deformation fields runs or fails with an
+    exit code in {0, 1, 2}; no exception leaves main."""
     config = {
         "name": "fuzz",
         "torus": {"n": 1, "K": 1},
         "tolerances": {"default": 1e-9},
         "structure": json.loads(json.dumps(_BLOCK_STRUCTURES[kind])),
         "metric": {"g": [[1, 0], [0, 1]]},
+        "deformation": {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}},
         "experiments": [{"kind": "hodge-table"}],
     }
     target = config
