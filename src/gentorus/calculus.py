@@ -3,7 +3,8 @@
 The twisted differential d sigma - H ^ sigma splits, on a structure with
 involutive eigenbundle, into the level-lowering and level-raising pieces
 (projections onto adjacent levels).  All three act mode by mode as
-C + 2 pi i sum_a k_a A_a, one product over a spinor's modes.  The module
+C + 2 pi i sum_a k_a A_a, one product over a spinor's modes, with the C and
+A_a that the structure builds once (``GCStructure.differentials``).  The module
 also carries the Lie algebroid differential on frame polynomials and the
 Schouten bracket that extends the twisted Courant bracket to them.
 """
@@ -13,18 +14,14 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .fourier import FourierScalar
 from .spinor import (
     CliffordPoly,
     CourantVector,
     Spinor,
     _stack_linear,
-    clifford_generators,
     courant_bracket,
     pairing,
-    wedge_matrix,
 )
 from .structure import GCStructure
 
@@ -33,38 +30,19 @@ from .structure import GCStructure
 SPAN_TOL = 1e-9
 
 
-def d_matrices(structure: GCStructure) -> Tuple[np.ndarray, np.ndarray]:
-    """C and the slopes A_a with d_H = C + 2 pi i sum_a k_a A_a at mode k.
-
-    On the monomial basis C = -H ^ (the twist is constant) and A_a = dx^a ^.
-    """
-    dim = structure.dim
-    return -wedge_matrix(structure.twist).constant_values(), clifford_generators(dim)[dim:]
-
-
 def twisted_d(sigma: Spinor, structure: GCStructure) -> Spinor:
     """d_H sigma = d sigma - H ^ sigma."""
-    return sigma.map_modes(_stack_linear(*d_matrices(structure), sigma.modes))
-
-
-def _shifted_part(sigma: Spinor, structure: GCStructure, shift: int) -> Spinor:
-    """The part of d_H that maps each level k to level k + shift: the level
-    blocks of C and of the A_a masked in the frame basis."""
-    const, slopes = d_matrices(structure)
-    words, coords = structure._level_matrix, structure._level_inverse
-    frame = coords @ np.concatenate([const[None], slopes]) @ words
-    parts = words @ (structure.shift_mask(shift) * frame) @ coords
-    return sigma.map_modes(_stack_linear(parts[0], parts[1:], sigma.modes))
+    return sigma.map_modes(_stack_linear(*structure.differentials["d"], sigma.modes))
 
 
 def del_op(sigma: Spinor, structure: GCStructure) -> Spinor:
     """Level-lowering component of the twisted differential."""
-    return _shifted_part(sigma, structure, -1)
+    return sigma.map_modes(_stack_linear(*structure.differentials["del"], sigma.modes))
 
 
 def delbar_op(sigma: Spinor, structure: GCStructure) -> Spinor:
     """Level-raising component of the twisted differential."""
-    return _shifted_part(sigma, structure, +1)
+    return sigma.map_modes(_stack_linear(*structure.differentials["dbar"], sigma.modes))
 
 
 def dolbeault_split(

@@ -17,22 +17,27 @@ import os
 import sys
 from pathlib import Path
 
-from .report import emit_report, load_report, report_to_table, reports_equal
+from .report import emit_report, report_to_table, reports_equal
 from .scenario import ScenarioError, _object, exit_code_for, run_scenario
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str):
+    """The JSON document in the file ``path``; a ScenarioError names ``what``
+    it was meant to be when the file cannot be read or parsed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ScenarioError(f"cannot read config {path}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"cannot read {what} {path}: {err}") from err
     try:
-        config = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(
-            f"config {path} is not valid JSON (line {err.lineno}, col {err.colno}): {err.msg}"
+            f"{what} {path} is not valid JSON (line {err.lineno}, col {err.colno}): {err.msg}"
         ) from err
-    return _object(config, "config")
+
+
+def _load_config(path: str) -> dict:
+    return _object(_load_json(path, "config"), "config")
 
 
 def _cmd_run(args) -> int:
@@ -73,14 +78,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    expected = load_report(Path(args.expected).read_text(encoding="utf-8"))
+    expected = _object(_load_json(args.expected, "expected report"), "expected report")
+    want_exps = expected.get("experiments", [])
+    if not isinstance(want_exps, list):
+        raise ScenarioError(f"expected report {args.expected} has no 'experiments' list")
     report, _ = run_scenario(config)
     if reports_equal(report, expected):
         print("verify: reports match")
         return 0
     print("verify: reports differ", file=sys.stderr)
     got_exps = report.get("experiments", [])
-    want_exps = expected.get("experiments", [])
     if len(got_exps) != len(want_exps):
         print(
             f"  experiment count {len(got_exps)} != {len(want_exps)}", file=sys.stderr

@@ -657,16 +657,8 @@ class DeformedStructure:
         pinv = np.linalg.inv(p)
         dual_vals = conj_vals @ pinv.T
 
-        frame = [
-            CourantVector.constant(geometry, box, xi_vals[:dim, i], xi_vals[dim:, i])
-            for i in range(dim)
-        ]
-        dual = [
-            CourantVector.constant(geometry, box, dual_vals[:dim, i], dual_vals[dim:, i])
-            for i in range(dim)
-        ]
         self.structure = GCStructure(
-            geometry, box, frame, dual, twist=structure.twist,
+            geometry, box, xi_vals, dual_vals, twist=structure.twist,
             label=f"{structure.label}+eps", tol=1e-9,
         )
 

@@ -3,7 +3,7 @@
 Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
-``calculus.d_matrices`` changed to that basis, so the operators are
+``GCStructure.differentials["d"]`` changed to that basis, so the operators are
 assembled for all modes at once and kept as arrays stacked over the modes.  Adjoints are
 conjugate transposes in that basis (exact on the truncation).  The
 Laplacians are assembled per diagonal block from products of the level
@@ -44,7 +44,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
-from .calculus import d_matrices
 from .fourier import TruncationBox
 from .metric import GeneralizedMetric
 from .spinor import Spinor, _stack_linear
@@ -272,8 +271,8 @@ class _LevelBasis:
 
 def _level_d(structure: GCStructure, lb: _LevelBasis) -> Tuple[np.ndarray, np.ndarray]:
     """C and the slopes A_a of d_H = C + 2 pi i sum_a k_a A_a in the level
-    basis ``lb``: those of ``calculus.d_matrices`` changed to that basis."""
-    const, slopes = d_matrices(structure)
+    basis ``lb``: those of ``structure.differentials["d"]`` changed to that basis."""
+    const, slopes = structure.differentials["d"]
     return lb.basis_inv @ const @ lb.basis, lb.basis_inv @ slopes @ lb.basis
 
 

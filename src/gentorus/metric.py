@@ -21,8 +21,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .fourier import TorusGeometry, TruncationBox
-from .spinor import Spinor, constant_clifford_matrix, monomial_list
-from .structure import GCStructure, natural_pairing_matrix, _vector_from_values
+from .spinor import CourantVector, Spinor, constant_clifford_matrix, monomial_list
+from .structure import GCStructure, natural_pairing_matrix
 
 
 class MetricError(ValueError):
@@ -99,7 +99,9 @@ class GeneralizedMetric:
             )
 
         self._cplus_values = cplus_values
-        self.cplus = [_vector_from_values(geometry, box, cplus_values[:, i]) for i in range(dim)]
+        self.cplus = [
+            CourantVector.constant(geometry, box, v[:dim], v[dim:]) for v in cplus_values.T
+        ]
         self.star_matrix = star
         self.bi_gram = gram
 

@@ -99,14 +99,23 @@ def _parse_fourier(geometry, box, data) -> FourierScalar:
         data = data.get("modes", [])
     coeffs = {}
     for item in data:
-        mode = tuple(int(k) for k in item["k"])
+        mode = _integer_tuple(item["k"], "mode 'k'")
         coeffs[mode] = coeffs.get(mode, 0.0) + _complex_from(item["c"])
     return FourierScalar(geometry, box, coeffs)
 
 
+def _integer_tuple(values, name: str) -> Tuple[int, ...]:
+    """A list of integers from the config, refused rather than truncated."""
+    if not isinstance(values, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in values
+    ):
+        raise ScenarioError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def _parse_key_tuple(text) -> Tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+        return _integer_tuple(text, "key")
     return tuple(int(v) for v in str(text).split(",") if v != "")
 
 
@@ -224,7 +233,7 @@ class Scenario:
             return None
         comps = {}
         for item in spec:
-            key = tuple(int(i) for i in _object(item, "H entry")["indices"])
+            key = _integer_tuple(_object(item, "H entry")["indices"], "H 'indices'")
             comps[key] = FourierScalar.constant(
                 self.geometry, self.box, _complex_from(item["c"])
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -27,10 +27,11 @@ from .fourier import FourierMatrix, FourierScalar, TorusGeometry, TruncationBox
 from .spinor import (
     CourantVector,
     Spinor,
+    clifford_generators,
     constant_clifford_matrix,
-    courant_bracket,
-    pairing,
+    sort_monomial,
     wedge,
+    wedge_matrix,
 )
 
 DEFAULT_TOL = 1e-12
@@ -50,17 +51,6 @@ def natural_pairing_matrix(dim: int) -> np.ndarray:
     q[:dim, dim:] = np.eye(dim)
     q[dim:, :dim] = np.eye(dim)
     return q
-
-
-def _vec(v: CourantVector) -> np.ndarray:
-    return v.constant_values()
-
-
-def _vector_from_values(
-    geometry: TorusGeometry, box: TruncationBox, values: np.ndarray
-) -> CourantVector:
-    dim = geometry.dim
-    return CourantVector.constant(geometry, box, values[:dim], values[dim:])
 
 
 def wedge_exponential(b: Spinor) -> Spinor:
@@ -92,6 +82,13 @@ def two_form_spinor(
 class GCStructure:
     """A validated constant generalized complex structure.
 
+    The constructor takes the frames as matrices: ``frame`` and
+    ``dual_frame`` are (4n, 2n) complex arrays whose column i holds section
+    i's tangent then cotangent components.  Everything else is built from
+    them once: the sections, J, the Clifford matrices of the frames, rho0,
+    the level basis, the structure constants, the validation residuals and
+    the matrices of d_H and of its level parts.
+
     Attributes
     ----------
     frame : tuple of CourantVector
@@ -105,14 +102,20 @@ class GCStructure:
         Constant closed 3-form H (possibly zero).
     jmatrix : ndarray
         The real 4n x 4n endomorphism.
+    structure_constants : ndarray
+        c[i, j, k] = <l^k, [l_i, l_j]_H>.
+    differentials : dict
+        ``"d"``, ``"del"`` and ``"dbar"`` to the pair (C, A) with the
+        operator C + 2 pi i sum_a k_a A_a at mode k on the monomial basis:
+        d_H, and its level-lowering and level-raising parts.
     """
 
     def __init__(
         self,
         geometry: TorusGeometry,
         box: TruncationBox,
-        frame: Sequence[CourantVector],
-        dual_frame: Sequence[CourantVector],
+        frame: np.ndarray,
+        dual_frame: np.ndarray,
         twist: Spinor | None = None,
         label: str = "custom",
         tol: float = DEFAULT_TOL,
@@ -121,25 +124,29 @@ class GCStructure:
         self.box = box
         self.n = geometry.n
         self.dim = geometry.dim
-        self.frame = tuple(frame)
-        self.dual_frame = tuple(dual_frame)
         self.label = label
         if twist is None:
             twist = Spinor.zero(geometry, box)
         self.twist = twist
 
-        if len(self.frame) != self.dim or len(self.dual_frame) != self.dim:
-            raise StructureError("frames must have 2n elements each")
-
-        self._frame_vals = np.column_stack([_vec(v) for v in self.frame])
-        self._dual_vals = np.column_stack([_vec(v) for v in self.dual_frame])
+        # + 0.0 turns negative zeros positive, as the sections' dict coefficients
+        # hold them, so the matrices and the sections agree bit for bit
+        self._frame_vals = np.asarray(frame, dtype=complex) + 0.0
+        self._dual_vals = np.asarray(dual_frame, dtype=complex) + 0.0
+        shape = (2 * self.dim, self.dim)
+        if self._frame_vals.shape != shape or self._dual_vals.shape != shape:
+            raise StructureError(
+                f"frames must have 2n elements each: expected two {shape} matrices, "
+                f"got {self._frame_vals.shape} and {self._dual_vals.shape}"
+            )
+        degrees = sorted({len(mono) for mono in twist.comps} - {3})
+        if degrees:
+            raise StructureError(f"twist must be a 3-form, got components of degree {degrees}")
+        self.frame = self._sections(self._frame_vals)
+        self.dual_frame = self._sections(self._dual_vals)
         self.jmatrix = self._build_jmatrix()
-        self._frame_cliff = [
-            constant_clifford_matrix(_vec(v), self.dim) for v in self.frame
-        ]
-        self._dual_cliff = [
-            constant_clifford_matrix(_vec(v), self.dim) for v in self.dual_frame
-        ]
+        self._frame_cliff = [constant_clifford_matrix(v, self.dim) for v in self._frame_vals.T]
+        self._dual_cliff = [constant_clifford_matrix(v, self.dim) for v in self._dual_vals.T]
 
         self.rho0 = self._canonical_spinor()
         self._rho0_vec = self.rho0.stack.constant_values()[:, 0]
@@ -157,6 +164,7 @@ class GCStructure:
                 f"structure '{label}' failed validation: " + detail,
                 self.validation,
             )
+        self.differentials = self._build_differentials()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -215,46 +223,61 @@ class GCStructure:
             slices[k] = slice(start, col)
         return columns, slices
 
+    def _sections(self, values: np.ndarray) -> Tuple[CourantVector, ...]:
+        """The constant sections whose components are the columns of ``values``."""
+        dim = self.dim
+        return tuple(
+            CourantVector.constant(self.geometry, self.box, v[:dim], v[dim:]) for v in values.T
+        )
+
+    def _twist_tensor(self) -> np.ndarray:
+        """H_{klm}: the twist's constant coefficients as an antisymmetric tensor."""
+        h = np.zeros((self.dim,) * 3, dtype=complex)
+        for mono, f in self.twist.comps.items():
+            for perm in itertools.permutations(mono):
+                h[perm] = sort_monomial(perm)[1] * f.integrate()
+        return h
+
     def _structure_constants(self) -> np.ndarray:
-        c = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        self._bracket_offframe = 0.0
-        self._bracket_offframe_pair = None
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                br = courant_bracket(self.frame[i], self.frame[j], H=self.twist)
-                for k in range(self.dim):
-                    coeff = pairing(self.dual_frame[k], br).integrate()
-                    c[i, j, k] = coeff
-                    c[j, i, k] = -coeff
-                    off = abs(pairing(self.frame[k], br).integrate())
-                    if off > self._bracket_offframe:
-                        self._bracket_offframe = off
-                        self._bracket_offframe_pair = (i, j)
+        """c[i, j, k] = <l^k, [l_i, l_j]_H> for constant frames.
+
+        Every Lie and d term of the twisted Courant bracket of constant
+        sections vanishes, so [l_i, l_j]_H is the 1-form i_{X_j} i_{X_i} H,
+        sum_{k,l} X_i^k X_j^l H_{klm}, with X the tangent parts of the frame.
+        Paired with the dual frame it gives c; paired with the frame, its
+        mass off the conjugate bundle, which is zero exactly when L is
+        involutive (``integrability``, with the first worst pair i < j).
+        """
+        dim = self.dim
+        tangent = self._frame_vals[:dim]
+        rows, cols = np.triu_indices(dim, 1)  # the pairs i < j in row order
+        bracket = np.einsum(
+            "kp,lp,klm->pm", tangent[:, rows], tangent[:, cols], self._twist_tensor()
+        )
+        c = np.zeros((dim, dim, dim), dtype=complex)
+        c[rows, cols] = bracket @ self._dual_vals[:dim] + 0.0
+        c[cols, rows] = -c[rows, cols]
+        off = np.abs(bracket @ tangent).max(axis=1)
+        worst = int(np.argmax(off))
+        self._bracket_offframe = float(off[worst])
+        self._bracket_offframe_pair = (
+            (int(rows[worst]), int(cols[worst])) if off[worst] > 0 else None
+        )
         return c
 
     def _residuals(self) -> Dict[str, float]:
         q = natural_pairing_matrix(self.dim)
         j = self.jmatrix
+        frame, dual = self._frame_vals, self._dual_vals
         res: Dict[str, float] = {}
         res["j_squared"] = float(np.abs(j @ j + np.eye(2 * self.dim)).max())
         res["j_real"] = float(np.abs(j.imag).max()) if np.iscomplexobj(j) else 0.0
         res["pairing_preserved"] = float(np.abs(j.T @ q @ j - q).max())
-        iso = 0.0
-        dual = 0.0
-        for i in range(self.dim):
-            for k in range(self.dim):
-                iso = max(iso, abs(pairing(self.frame[i], self.frame[k]).integrate()))
-                iso = max(
-                    iso, abs(pairing(self.dual_frame[i], self.dual_frame[k]).integrate())
-                )
-                want = 1.0 if i == k else 0.0
-                dual = max(
-                    dual,
-                    abs(pairing(self.dual_frame[i], self.frame[k]).integrate() - want),
-                )
-        res["isotropy"] = float(iso)
-        res["duality"] = float(dual)
-        res["integrability"] = float(self._bracket_offframe)
+        res["isotropy"] = float(
+            max(np.abs(frame.T @ q @ frame).max(), np.abs(dual.T @ q @ dual).max())
+        )
+        res["duality"] = float(np.abs(dual.T @ q @ frame - np.eye(self.dim)).max())
+        res["integrability"] = self._bracket_offframe
         eig = 0.0
         for i in range(self.dim):
             eig = max(
@@ -276,6 +299,24 @@ class GCStructure:
         res["twist_real"] = 0.0 if all(f.is_real() for f in self.twist.comps.values()) else 1.0
         res["level_basis_rank"] = 0.0 if np.linalg.matrix_rank(self._level_matrix) == 2 ** self.dim else 1.0
         return res
+
+    def _build_differentials(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """C and the slopes A_a of d_H = C + 2 pi i sum_a k_a A_a at mode k,
+        and of its parts that lower (del) and raise (dbar) the level by one.
+
+        On the monomial basis C = -H ^ (the twist is constant) and
+        A_a = dx^a ^.  The parts are the level blocks of C and of the A_a,
+        masked in the frame basis.
+        """
+        const = -wedge_matrix(self.twist).constant_values()
+        slopes = clifford_generators(self.dim)[self.dim:]
+        out = {"d": (const, slopes)}
+        words, coords = self._level_matrix, self._level_inverse
+        frame = coords @ np.concatenate([const[None], slopes]) @ words
+        for name, shift in (("del", -1), ("dbar", 1)):
+            parts = words @ (self.shift_mask(shift) * frame) @ coords
+            out[name] = (parts[0], parts[1:])
+        return out
 
     # ------------------------------------------------------------------
     # named constructors
@@ -299,28 +340,13 @@ class GCStructure:
         geometry = TorusGeometry(n)
         dim = geometry.dim
         if jcx is None:
-            frame: List[CourantVector] = []
-            dual: List[CourantVector] = []
+            frame = np.zeros((2 * dim, dim), dtype=complex)
+            dual = np.zeros((2 * dim, dim), dtype=complex)
             for j in range(n):
-                dz_cot = [0.0] * dim
-                dz_cot[j] = 1.0
-                dz_cot[n + j] = 1.0j
-                frame.append(CourantVector.constant(geometry, box, [0.0] * dim, dz_cot))
-            for j in range(n):
-                dzb_tan = [0.0] * dim
-                dzb_tan[j] = 0.5
-                dzb_tan[n + j] = 0.5j
-                frame.append(CourantVector.constant(geometry, box, dzb_tan, [0.0] * dim))
-            for j in range(n):
-                dz_tan = [0.0] * dim
-                dz_tan[j] = 0.5
-                dz_tan[n + j] = -0.5j
-                dual.append(CourantVector.constant(geometry, box, dz_tan, [0.0] * dim))
-            for j in range(n):
-                dzb_cot = [0.0] * dim
-                dzb_cot[j] = 1.0
-                dzb_cot[n + j] = -1.0j
-                dual.append(CourantVector.constant(geometry, box, [0.0] * dim, dzb_cot))
+                frame[dim + j, j], frame[dim + n + j, j] = 1.0, 1.0j  # dz^j
+                frame[j, n + j], frame[n + j, n + j] = 0.5, 0.5j  # d/dzbar^j
+                dual[j, j], dual[n + j, j] = 0.5, -0.5j  # d/dz^j
+                dual[dim + j, n + j], dual[dim + n + j, n + j] = 1.0, -1.0j  # dzbar^j
             return cls(geometry, box, frame, dual, twist, label=f"complex(T{dim})", tol=tol)
 
         jcx = np.asarray(jcx, dtype=float)
@@ -349,24 +375,15 @@ class GCStructure:
         if abs(np.linalg.det(omega)) < 1e-12:
             raise StructureError("omega must be nondegenerate")
         geometry = TorusGeometry(dim // 2)
-        frame = []
-        for j in range(dim):
-            tan = [0.0] * dim
-            tan[j] = 1.0
-            cot = [-1j * omega[j, k] for k in range(dim)]
-            frame.append(CourantVector.constant(geometry, box, tan, cot))
+        frame = np.concatenate([np.eye(dim), -1j * omega.T])
         om_inv = np.linalg.inv(omega)
-        dual = []
+        dual = np.zeros((2 * dim, dim), dtype=complex)
         for i in range(dim):
-            tan = [0.0] * dim
-            cot = [0.0] * dim
-            values = np.zeros(2 * dim, dtype=complex)
             for a in range(dim):
                 coeff = om_inv[i, a] / 2j
-                values[a] += coeff
+                dual[a, i] += coeff
                 for k in range(dim):
-                    values[dim + k] += coeff * 1j * omega[a, k]
-            dual.append(_vector_from_values(geometry, box, values))
+                    dual[dim + k, i] += coeff * 1j * omega[a, k]
         return cls(geometry, box, frame, dual, twist, label=f"symplectic(T{dim})", tol=tol)
 
     @classmethod
@@ -386,21 +403,16 @@ class GCStructure:
         plus_cols = [i for i, v in enumerate(vals) if v.imag > 0.5]
         if len(plus_cols) != dim:
             raise StructureError("+i eigenspace does not have dimension 2n")
-        frame_vals = vecs[:, plus_cols]
         # deterministic normalization: largest component real positive
-        frame = []
-        for i in range(dim):
-            v = frame_vals[:, i]
+        columns = []
+        for v in vecs[:, plus_cols].T:
             pivot = np.argmax(np.abs(v))
-            v = v * (abs(v[pivot]) / v[pivot])
-            frame.append(_vector_from_values(geometry, box, v))
+            columns.append(v * (abs(v[pivot]) / v[pivot]))
+        frame = np.column_stack(columns) + 0.0
         q = natural_pairing_matrix(dim)
-        conj_vals = np.column_stack([_vec(v).conj() for v in frame])
-        p = conj_vals.T @ q @ np.column_stack([_vec(v) for v in frame])
-        pinv = np.linalg.inv(p)
-        dual = []
-        for i in range(dim):
-            dual.append(_vector_from_values(geometry, box, conj_vals @ pinv[i, :]))
+        conj_vals = frame.conj()
+        pinv = np.linalg.inv(conj_vals.T @ q @ frame)
+        dual = np.column_stack([conj_vals @ pinv[i, :] for i in range(dim)])
         return cls(geometry, box, frame, dual, twist, label=label, tol=tol)
 
     def b_transform(self, bmatrix: np.ndarray, tol: float = DEFAULT_TOL) -> "GCStructure":
@@ -416,19 +428,11 @@ class GCStructure:
             raise StructureError("B must be an antisymmetric 2n x 2n matrix")
         tmat = np.eye(2 * dim)
         tmat[dim:, :dim] = bmatrix.T  # (i_X B)_k = sum_j X^j B_{jk}
-        frame = [
-            _vector_from_values(self.geometry, self.box, tmat @ _vec(v))
-            for v in self.frame
-        ]
-        dual = [
-            _vector_from_values(self.geometry, self.box, tmat @ _vec(v))
-            for v in self.dual_frame
-        ]
         return GCStructure(
             self.geometry,
             self.box,
-            frame,
-            dual,
+            np.column_stack([tmat @ v for v in self._frame_vals.T]),
+            np.column_stack([tmat @ v for v in self._dual_vals.T]),
             twist=self.twist,
             label=f"{self.label}+b",
             tol=tol,
@@ -519,19 +523,11 @@ class GCStructure:
 
     def rebox(self, box: TruncationBox) -> "GCStructure":
         """The same structure with its data re-homed in another box."""
-        def move(v: CourantVector) -> CourantVector:
-            return CourantVector(
-                self.geometry,
-                box,
-                [f.embed(box) for f in v.tangent],
-                [f.embed(box) for f in v.cotangent],
-            )
-
         return GCStructure(
             self.geometry,
             box,
-            [move(v) for v in self.frame],
-            [move(v) for v in self.dual_frame],
+            self._frame_vals,
+            self._dual_vals,
             twist=self.twist.embed(box),
             label=self.label,
         )

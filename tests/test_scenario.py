@@ -1,6 +1,9 @@
 """Scenario runner, report determinism, CLI behavior."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from gentorus.scenario import (
     MAX_SAMPLES,
     Scenario,
     ScenarioError,
+    _parse_key_tuple,
     exit_code_for,
     run_scenario,
 )
@@ -252,6 +256,15 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         (("name",), 5),
         (("output",), 5),
         (("output",), {"formats": ["pdf"]}),
+        (
+            ("deformation", "coefficients", "1,0", "terms", "0,1"),
+            {"modes": [{"k": [1.7, 0], "c": 0.1}]},
+        ),
+        (
+            ("deformation", "coefficients", "1,0", "terms", "0,1"),
+            {"modes": [{"k": [True, 0], "c": 0.1}]},
+        ),
+        (("structure",), {"type": "complex", "H": [{"indices": [0, 1.5], "c": 1.0}]}),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
@@ -263,7 +276,7 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         "expand-order-negative", "expand-order-bool", "torus-scalar", "experiments-scalar",
         "experiment-scalar", "experiment-kind-list", "deformation-scalar", "coefficients-list",
         "coefficient-scalar", "terms-scalar", "order-key-text", "name-scalar", "output-scalar",
-        "output-format",
+        "output-format", "mode-fraction", "mode-bool", "twist-index-fraction",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
@@ -308,8 +321,12 @@ def test_torus_n_and_K_must_be_integers(key, value, tmp_path, capsys):
         (("structure", "jcx"), "x"),
         (("structure", "H"), [{"c": 1.0}]),
         (("metric", "g"), [[10 ** 400, 0], [0, 1]]),
+        (("structure", "H"), [{"indices": [0, 1], "c": 1.0}]),
+        (("structure", "H"), [{"indices": [0], "c": 1.0}]),
+        (("structure", "H"), [{"indices": [], "c": 1.0}]),
     ],
-    ids=["tolerance-string", "jcx-string", "twist-without-indices", "g-beyond-float"],
+    ids=["tolerance-string", "jcx-string", "twist-without-indices", "g-beyond-float",
+         "twist-2-form", "twist-1-form", "twist-0-form"],
 )
 def test_cli_rejects_malformed_blocks_without_traceback(path, value, tmp_path, capsys):
     """A value the tolerance, structure, twist or metric block cannot be
@@ -323,6 +340,85 @@ def test_cli_rejects_malformed_blocks_without_traceback(path, value, tmp_path, c
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _t4_config(twist):
+    return {
+        "name": "t4-twist",
+        "torus": {"n": 2, "K": 1},
+        "structure": {"type": "complex", "H": twist},
+        "experiments": [{"kind": "hodge-table"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0, 1], "twist must be a 3-form"),
+        ([0, 1, 2, 3], "twist must be a 3-form"),
+        ([0, 1, 2.5], "H 'indices' must be a list of integers"),
+        ([0, 1, True], "H 'indices' must be a list of integers"),
+    ],
+    ids=["2-form", "4-form", "index-fraction", "index-bool"],
+)
+def test_twist_must_be_a_3_form_with_integer_indices(indices, message, tmp_path, capsys):
+    """The closed-form Courant bracket reads H as a 3-form tensor: any other
+    degree, or an index that is not an integer, is a config error, exit 1;
+    it is not run as a truncated or mistyped twist."""
+    config = _t4_config([{"indices": indices, "c": 1.0}])
+    with pytest.raises(ScenarioError, match=message):
+        Scenario(config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # the same block with a 3-form is accepted
+    assert Scenario(_t4_config([{"indices": [0, 1, 2], "c": 1.0}])).structure.twist.comps
+
+
+def test_key_tuples_are_integers():
+    """A slot or order key given as a list is refused, not truncated."""
+    assert _parse_key_tuple([1, 0]) == (1, 0)
+    assert _parse_key_tuple("0,1") == (0, 1)
+    for key in ([1.7, 0], [True, 0], ["1", 0]):
+        with pytest.raises(ScenarioError, match="must be a list of integers"):
+            _parse_key_tuple(key)
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "not-json", "not-an-object", "experiments-scalar"]
+)
+def test_verify_rejects_a_bad_expected_report(kind, tmp_path, capsys):
+    """An expected report that is missing, unreadable, not JSON, not a JSON
+    object or without an experiments list is an operational error: exit 1
+    with a message."""
+    expected = tmp_path / "expected.json"
+    if kind == "directory":
+        expected.mkdir()
+    elif kind == "not-json":
+        expected.write_text("{not json")
+    elif kind == "not-an-object":
+        expected.write_text("[1, 2]")
+    elif kind == "experiments-scalar":
+        expected.write_text('{"experiments": 5}')
+    assert main(["verify", str(SCENARIOS / "t2_complex_identity.json"), str(expected)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_dash_m_verifies_a_shipped_scenario():
+    """``python -m gentorus`` is the command line: it verifies a shipped
+    scenario against its golden."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "gentorus", "verify",
+         str(SCENARIOS / "t2_complex_identity.json"), str(GOLDENS / "t2-complex-identity.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verify: reports match" in done.stdout
 
 
 _JSON = st.recursive(

@@ -175,11 +175,11 @@ def test_nonintegrable_rejected():
     # a generic rotation of the complex structure breaks the frame pairing
     geometry = TorusGeometry(1)
     s = GCStructure.complex_structure(1, BOX)
-    frame = list(s.frame)
+    frame = s._frame_vals.copy()
     # corrupt one frame vector: no longer isotropic/dual
-    frame[0] = frame[0].add(s.dual_frame[0].scale(0.3))
+    frame[:, 0] += 0.3 * s._dual_vals[:, 0]
     with pytest.raises(StructureError):
-        GCStructure(geometry, BOX, frame, list(s.dual_frame))
+        GCStructure(geometry, BOX, frame, s._dual_vals)
 
 
 def test_level_projection_recombines(t2_complex):
