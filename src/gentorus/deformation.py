@@ -25,6 +25,7 @@ of eps's action matrix.
 from __future__ import annotations
 
 import math
+import time
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -190,7 +191,9 @@ class FrameMaps:
 class Beltrami:
     """Doubly indexed family eps_{ij} of deformation 2-polynomials.
 
-    eps(t) = sum over i + j >= 1 of t^i conj(t)^j eps_ij.
+    eps(t) = sum over i + j >= 1 of t^i conj(t)^j eps_ij.  The coefficients
+    are fixed at construction, so the Maurer-Cartan residuals are computed
+    once per series (``maurer_cartan_residuals``).
     """
 
     def __init__(self, structure: GCStructure, coefficients: Dict[OrderKey, CliffordPoly]):
@@ -223,6 +226,30 @@ class Beltrami:
                     if mode != zero_mode:
                         return False
         return True
+
+    @cached_property
+    def maurer_cartan_residuals(self) -> Dict:
+        """Order-by-order residuals of d_L eps = (1/2)[eps, eps], each
+        relative to max(1, |eps_ij|), their worst, and the worst first-order
+        |d_L eps_ij|; ``maurer_cartan_verify`` judges them."""
+        s = self.structure
+        residuals: Dict[str, float] = {}
+        worst = 0.0
+        closed_defect = 0.0
+        for (i, j), poly in sorted(self.coefficients.items()):
+            lhs = lie_derivation_dL(poly, s)
+            rhs = CliffordPoly.zero(s.dual_frame, 3)
+            for (a, b), pa in self.coefficients.items():
+                c, d = i - a, j - b
+                if (c, d) in self.coefficients and c + d >= 1:
+                    rhs = rhs.add(schouten_bracket(pa, self.coefficients[(c, d)], s))
+            resid = lhs.add(rhs.scale(-0.5)).norm()
+            scale = max(1.0, poly.norm())
+            residuals[f"{i},{j}"] = resid / scale
+            worst = max(worst, resid / scale)
+            if i + j == 1:
+                closed_defect = max(closed_defect, lhs.norm() / scale)
+        return {"residuals": residuals, "worst": worst, "first_order_closed": closed_defect}
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +341,14 @@ class AlgebroidHodge:
 
 
 def maurer_cartan_verify(series: Beltrami, tol: float = 1e-9) -> Dict:
-    """Order-by-order Maurer-Cartan residuals d_L eps = (1/2)[eps, eps]."""
-    s = series.structure
-    residuals: Dict[str, float] = {}
-    worst = 0.0
-    closed_defect = 0.0
-    for (i, j), poly in sorted(series.coefficients.items()):
-        lhs = lie_derivation_dL(poly, s)
-        rhs = CliffordPoly.zero(s.dual_frame, 3)
-        for (a, b), pa in series.coefficients.items():
-            c, d = i - a, j - b
-            if (c, d) in series.coefficients and c + d >= 1:
-                rhs = rhs.add(schouten_bracket(pa, series.coefficients[(c, d)], s))
-        resid = lhs.add(rhs.scale(-0.5)).norm()
-        scale = max(1.0, poly.norm())
-        residuals[f"{i},{j}"] = resid / scale
-        worst = max(worst, resid / scale)
-        if i + j == 1:
-            closed_defect = max(closed_defect, lhs.norm() / scale)
+    """Order-by-order Maurer-Cartan residuals d_L eps = (1/2)[eps, eps],
+    computed once per series and judged against ``tol`` on every call."""
+    mc = series.maurer_cartan_residuals
     return {
-        "residuals": residuals,
-        "worst": worst,
-        "first_order_closed": closed_defect,
-        "integrable": worst <= tol,
+        "residuals": dict(mc["residuals"]),
+        "worst": mc["worst"],
+        "first_order_closed": mc["first_order_closed"],
+        "integrable": mc["worst"] <= tol,
     }
 
 
@@ -485,12 +497,17 @@ class Transport:
         return self._substitute(self.forward_words, sigma)
 
     def inverse(self, sigma: Spinor) -> Spinor:
+        return sigma.map_modes(np.linalg.inv(self.constant_matrix(self.forward_words)))
+
+    def constant_matrix(self, words: FourierMatrix) -> np.ndarray:
+        """The one matrix by which the substitution by ``words`` (a word
+        matrix of this transport) maps every mode's coefficient column, for a
+        constant eps: the words' mode-zero values times the frame-coordinate map."""
         if not self._constant:
             raise DeformationError(
-                "transport inverse requires a constant-coefficient deformation"
+                "the transport's constant matrices require a constant-coefficient deformation"
             )
-        inverse = np.linalg.inv(self.forward_words.constant_values())
-        return sigma.map_modes(self.structure._level_matrix @ inverse)
+        return words.constant_values() @ self.structure._level_inverse
 
     def factorwise(self, images: FourierMatrix, sigma: Spinor) -> Spinor:
         """Apply a frame endomorphism to every Clifford factor, vacuum fixed."""
@@ -1009,6 +1026,30 @@ def extend_closed_form(
 # ---------------------------------------------------------------------------
 
 
+def _stack_extensions(
+    structure: GCStructure, extensions: Sequence[ExtensionSeries]
+) -> Tuple[List[OrderKey], np.ndarray, np.ndarray]:
+    """The coefficient rows of a level's extensions on the union of their
+    supports: the orders, the union's box mode indices (P,) in ascending
+    order, and rows (E, orders, P, N) that are zero where an extension has
+    no coefficient at an order or a mode."""
+
+    def box_index(sigma):
+        return _mode_positions(structure.box, structure.dim, sigma.modes)
+
+    coeffs = [ext.coefficients for ext in extensions]
+    orders = sorted({key for c in coeffs for key in c})
+    index = np.flatnonzero(np.bincount(
+        np.concatenate([box_index(sig) for c in coeffs for sig in c.values()])
+    ))
+    rows = np.zeros((len(coeffs), len(orders), len(index), 2 ** structure.dim), dtype=complex)
+    for e, c in enumerate(coeffs):
+        for o, key in enumerate(orders):
+            if key in c:
+                rows[e, o, np.searchsorted(index, box_index(c[key]))] = c[key].rows
+    return orders, index, rows
+
+
 def hodge_number_scan(
     context: HodgeContext,
     series: Beltrami,
@@ -1020,25 +1061,43 @@ def hodge_number_scan(
     """Kernel dimensions of the deformed raising Laplacian across samples,
     plus the rank of the harmonic transport map at each level.
 
-    For each sample t the deformed structure is built at eps(t) (constant
-    deformations only), its raising-kernel dimensions recorded, and the
-    extended harmonic basis transported and projected onto the deformed
-    harmonics; constancy verdicts compare every row to t = 0.  Rows come in
-    the given sample order.
+    Every harmonic basis element of a level is extended to ``order``, and
+    the extensions are stacked once: their coefficient rows on the union of
+    their supports, per order.  For each sample t the deformed structure is
+    built at eps(t) (constant deformations only) and its raising-kernel
+    dimensions recorded.  Then each level is one pass: the rows summed with
+    weights t^p conj(t)^q are the E extended harmonics at t, an (E, P, N)
+    block; forward o undress, which for a constant eps is one matrix at
+    every mode, maps them into the deformed level basis; one batched apply
+    projects them onto the deformed harmonics; and the E x H Gram matrix
+    against the deformed harmonic basis, whose rank is the injectivity
+    rank, is a plain conjugate inner product of coordinate rows, since the
+    level basis is Born-Infeld orthonormal.  Constancy verdicts compare
+    every row to t = 0.  Rows come in the given sample order.
+    ``extensions`` counts the extended harmonics over all the levels, and
+    ``phases`` holds the wall seconds of the extensions, of the deformed
+    structures and packages, and of the images; neither is part of any report.
     """
     structure = context.structure
     if not series.is_constant():
         raise DeformationError("the scan needs deformed-side packages: constant deformations only")
     if levels is None:
         levels = list(structure.levels())
-    base_dims = {k: context.package("dbar").kernel_dimension(k) for k in levels}
-
-    extensions: Dict[int, List[ExtensionSeries]] = {}
+    phases = dict.fromkeys(("extension", "deformed", "image"), 0.0)
+    started = time.monotonic()
+    pk = context.package("dbar")
+    base_dims = {k: pk.kernel_dimension(k) for k in levels}
+    stacks = {}
+    extensions = 0
     for k in levels:
-        extensions[k] = [
+        exts = [
             extend_closed_form(context, series, sig, order, variant="standard", tol=tol)
-            for sig in context.package("dbar").harmonic_basis(k)
+            for sig in pk.harmonic_basis(k)
         ]
+        extensions += len(exts)
+        if exts:
+            stacks[k] = _stack_extensions(structure, exts)
+    phases["extension"] = time.monotonic() - started
 
     def sample_row(t: complex) -> Dict:
         t = complex(t)
@@ -1046,23 +1105,38 @@ def hodge_number_scan(
         if eps_t.is_zero():
             return {"t": t, "dims": dict(base_dims),
                     "injectivity_rank": {k: base_dims[k] for k in levels}}
+        started = time.monotonic()
         ds = DeformedStructure(structure, eps_t)
-        ctx_t = ds.context
-        pk_t = ctx_t.package("dbar")
+        pk_t = ds.context.package("dbar")
         dims = {k: pk_t.kernel_dimension(k) for k in levels}
-        ranks = {}
+        phases["deformed"] += time.monotonic() - started
+        started = time.monotonic()
         transport = ds.transport
+        # forward o undress into the deformed level basis, one matrix at every mode
+        step = (
+            pk_t.level_basis.basis_inv
+            @ transport.constant_matrix(transport.forward_words)
+            @ transport.constant_matrix(transport._undress_words)
+        )
+        ranks = {}
         for k in levels:
-            images = []
-            harm_basis = pk_t.harmonic_basis(k)
-            for ext in extensions[k]:
-                sigma_t = transport.undress(ext.dressed_at(t))
-                image = pk_t.harmonic(transport.forward(sigma_t))
-                images.append([ctx_t.bi_inner(image, h) for h in harm_basis])
-            if images and harm_basis:
-                ranks[k] = int(_rank(np.asarray(images, dtype=complex)))
-            else:
+            h_index, h_rows = pk_t.harmonic_basis_rows(k)
+            if k not in stacks or not len(h_index):
                 ranks[k] = 0
+                continue
+            orders, index, coeffs = stacks[k]
+            weights = np.array([t ** p * t.conjugate() ** q for p, q in orders])
+            block = np.tensordot(weights, coeffs, axes=(0, 1)) @ step.T
+            count, width = block.shape[0], len(index)
+            image = pk_t.harmonic_rows(
+                np.tile(index, count), block.reshape(count * width, -1)
+            ).reshape(block.shape)
+            # each deformed harmonic pairs only with the image at its own mode
+            slot = np.minimum(np.searchsorted(index, h_index), width - 1)
+            shared = index[slot] == h_index
+            gram = np.einsum("ehn,hn->eh", image[:, slot], h_rows.conj()) * shared
+            ranks[k] = int(_rank(gram))
+        phases["image"] += time.monotonic() - started
         return {"t": t, "dims": dims, "injectivity_rank": ranks}
 
     rows = [sample_row(t) for t in t_samples]
@@ -1075,4 +1149,6 @@ def hodge_number_scan(
         "base_dims": base_dims,
         "rows": rows,
         "constant": constant,
+        "extensions": extensions,
+        "phases": phases,
     }

@@ -20,6 +20,7 @@ the entrywise scalar products.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
@@ -86,18 +87,7 @@ class TruncationBox:
 
     def modes(self, geometry: TorusGeometry) -> Iterator[Mode]:
         """All admissible modes in lexicographic order."""
-        rng = range(-self.K, self.K + 1)
-
-        def rec(prefix, depth):
-            if depth == geometry.dim:
-                yield tuple(prefix)
-                return
-            for k in rng:
-                prefix.append(k)
-                yield from rec(prefix, depth + 1)
-                prefix.pop()
-
-        yield from rec([], 0)
+        return itertools.product(range(-self.K, self.K + 1), repeat=geometry.dim)
 
     def __eq__(self, other) -> bool:
         return (

@@ -451,6 +451,13 @@ class HodgePackage:
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
+        lb = self.level_basis
+        index, rows = self.harmonic_basis_rows(level)
+        return [lb.spinor([lb.modes[i]], row[None]) for i, row in zip(index, rows)]
+
+    def harmonic_basis_rows(self, level: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
+        """``harmonic_basis`` as level-basis coordinates: each spinor's box
+        mode index and its one coordinate row, in the same order."""
         lb, rep = self.level_basis, self._spectra.rep
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
@@ -465,8 +472,7 @@ class HodgePackage:
         # mode by mode, then block by block, then eigenvector by eigenvector
         index = np.concatenate(index)
         order = np.argsort(index, kind="stable")
-        rows = np.concatenate(rows)[order]
-        return [lb.spinor([lb.modes[i]], row[None]) for i, row in zip(index[order], rows)]
+        return index[order], np.concatenate(rows)[order]
 
     def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
         lb = self.level_basis
@@ -478,6 +484,11 @@ class HodgePackage:
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
         return self._apply_spectral(sigma, self._spectra.harmonic_weights)
+
+    def harmonic_rows(self, index: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Projection onto the kernel of level-basis coordinate rows, row i
+        at box mode ``index[i]``; rows at the same mode are projected alike."""
+        return self._spectra.apply(index, coords, self._spectra.harmonic_weights)
 
     def green(self, sigma: Spinor) -> Spinor:
         """Pseudo-inverse on the kernel complement."""

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .fourier import TorusGeometry, TruncationBox
+from .fourier import TorusGeometry, TruncationBox, _mode_keys
 from .spinor import CourantVector, Spinor, constant_clifford_matrix, monomial_list
 from .structure import GCStructure, natural_pairing_matrix
 
@@ -272,12 +272,17 @@ class GeneralizedMetric:
         """Born-Infeld inner product, linear in alpha, conjugate-linear in beta.
 
         Modes pair only with themselves, so beta is read at alpha's modes.
+        Both supports are sorted and distinct, so beta's rows are matched to
+        alpha's modes by their integer keys.
         """
-        _, slot = np.unique(np.concatenate([alpha.modes, beta.modes]), axis=0, return_inverse=True)
-        slot = slot.reshape(-1)
-        b = np.zeros((len(slot), beta.rows.shape[1]), dtype=complex)
-        b[slot[len(alpha.modes):]] = beta.rows
-        return complex(np.sum((alpha.rows @ self.bi_gram) * b[slot[: len(alpha.modes)]].conj()))
+        box = max(alpha.box, beta.box, key=lambda b: b.K)
+        keys_a, keys_b = _mode_keys(box, alpha.modes), _mode_keys(box, beta.modes)
+        slot = np.searchsorted(keys_a, keys_b)
+        shared = slot < len(keys_a)
+        shared[shared] = keys_a[slot[shared]] == keys_b[shared]
+        b = np.zeros(alpha.rows.shape, dtype=complex)
+        b[slot[shared]] = beta.rows[shared]
+        return complex(np.sum((alpha.rows @ self.bi_gram) * b.conj()))
 
     def bi_norm(self, alpha: Spinor) -> float:
         val = self.bi_inner(alpha, alpha)

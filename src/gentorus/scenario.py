@@ -49,6 +49,19 @@ MAX_ORDER = 10  # an experiment's order and the deformation block's
 MAX_SAMPLES = 1000  # random samples of a criterion or an identity suite
 MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 
+# the keys a config may hold, and the keys of each experiment kind besides
+# "kind"; any other key is refused, so a misspelt one is not silently ignored
+CONFIG_KEYS = (
+    "name", "torus", "structure", "metric", "deformation", "experiments", "tolerances", "output",
+)
+EXPERIMENT_KEYS = {
+    "identity-suite": ("seed", "samples"),
+    "hodge-table": (),
+    "criterion": ("t", "samples", "seed"),
+    "extend": ("level", "sigma00", "order", "variant", "t_samples"),
+    "scan": ("t_samples", "levels", "order"),
+}
+
 
 class ScenarioError(ValueError):
     """Configuration parse or validation failure."""
@@ -145,6 +158,9 @@ class Scenario:
 
     def __init__(self, config: Dict):
         self.config = _object(config, "config")
+        for key in config:
+            if key not in CONFIG_KEYS:
+                raise ScenarioError(f"unknown config key {key!r}; expected one of {CONFIG_KEYS}")
         if not isinstance(config.get("name", ""), str):
             raise ScenarioError(f"'name' must be a string, got {config['name']!r}")
         _check_output(_object(config.get("output", {}), "output"))
@@ -192,8 +208,18 @@ class Scenario:
         if not isinstance(self.experiments, list):
             raise ScenarioError(f"'experiments' must be a list, got {self.experiments!r}")
         for exp in self.experiments:
-            if not isinstance(_object(exp, "experiment").get("kind"), str):
+            kind = _object(exp, "experiment").get("kind")
+            if not isinstance(kind, str):
                 raise ScenarioError("every experiment needs a 'kind'")
+            # an unknown kind is reported by the runner as that experiment's error
+            if kind in EXPERIMENT_KEYS:
+                allowed = ("kind",) + EXPERIMENT_KEYS[kind]
+                for key in exp:
+                    if key not in allowed:
+                        raise ScenarioError(
+                            f"unknown key {key!r} in a {kind!r} experiment; "
+                            f"expected one of {allowed}"
+                        )
             for key in ("t", "t_samples", "levels"):
                 if key not in exp:
                     continue
@@ -206,9 +232,9 @@ class Scenario:
                         f"experiment {key!r} has {len(exp[key])} entries, "
                         f"more than {MAX_LIST_LENGTH}"
                     )
-            if exp["kind"] == "criterion" and exp.get("t") == []:
+            if kind == "criterion" and exp.get("t") == []:
                 raise ScenarioError("criterion experiment needs at least one 't'")
-            if exp["kind"] in ("criterion", "identity-suite") and "samples" in exp:
+            if "samples" in exp:
                 _check_integer("samples", exp["samples"], 1, MAX_SAMPLES)
             if "order" in exp:
                 _check_integer("order", exp["order"], 0, MAX_ORDER)
@@ -329,8 +355,10 @@ class Runner:
         self.scenario = scenario
         self.fail_fast = fail_fast
         self._context: HodgeContext | None = None
-        # wall seconds of each suite of the running identity-suite experiment
-        self._suite_times: Dict[str, float] = {}
+        # the running experiment's entries for the timings sidecar beyond
+        # its wall time: an identity-suite's per-suite seconds, a scan's
+        # sample and extension counts and phase seconds
+        self._timing_details: Dict = {}
 
     @property
     def context(self) -> HodgeContext:
@@ -365,10 +393,11 @@ class Runner:
             ("hodge", lambda: hodge_suite(self.context, seed=seed)),
         )
         entries = []
+        times = self._timing_details["suites"] = {}
         for name, suite in suites:
             started = time.monotonic()
             entries.extend(suite())
-            self._suite_times[name] = time.monotonic() - started
+            times[name] = time.monotonic() - started
         return {"entries": entries, "status": _status_from_entries(entries)}
 
     def _run_hodge_table(self, exp: Dict) -> Dict:
@@ -509,6 +538,9 @@ class Runner:
             self.context, series, t_samples, levels=levels, order=order,
             tol=self.scenario.tolerance,
         )
+        self._timing_details.update(
+            samples=len(t_samples), extensions=report["extensions"], phases=report["phases"]
+        )
         rows = []
         for row in report["rows"]:
             t = row["t"]
@@ -561,7 +593,7 @@ class Runner:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
             counts_before = self._check_counts()
-            self._suite_times = {}
+            self._timing_details = {}
             started = time.monotonic()
             try:
                 handler = handlers.get(kind)
@@ -600,8 +632,7 @@ class Runner:
                 },
                 "modes": self._mode_counts(),
             }
-            if kind == "identity-suite":
-                timing["suites"] = self._suite_times
+            timing.update(self._timing_details)
             timings.append(timing)
             counts[record["status"]] += 1
             report["experiments"].append(record)

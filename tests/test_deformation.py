@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gentorus import deformation
 from gentorus.calculus import lie_derivation_dL, schouten_bracket, twisted_d
 from gentorus.deformation import (
     Beltrami,
@@ -484,6 +485,32 @@ def test_mc_expand_matches_verify(t4):
     report = maurer_cartan_verify(series)
     assert report["integrable"]
     assert report["worst"] < 1e-9
+
+
+def test_mc_residuals_are_computed_once_per_series(t4, monkeypatch):
+    """The Maurer-Cartan residuals are computed on the first verification of
+    a series and read back by every later one, each judged against its own
+    tolerance; every call returns its own residual dict."""
+    m = GeneralizedMetric.from_tensors(t4.geometry, t4.box, np.eye(4))
+    f1 = FourierScalar.mode(t4.geometry, t4.box, (1, 0, 0, 0), 0.3)
+    f2 = FourierScalar.mode(t4.geometry, t4.box, (0, 1, 0, 0), 0.25)
+    e10 = CliffordPoly(t4.dual_frame, 2, {(0, 2): f1})
+    e01 = CliffordPoly(t4.dual_frame, 2, {(0, 3): f2})
+    series = maurer_cartan_expand(t4, m, {(1, 0): e10, (0, 1): e01}, 3)
+    calls = []
+    monkeypatch.setattr(
+        deformation, "lie_derivation_dL",
+        lambda poly, s: calls.append(poly) or lie_derivation_dL(poly, s),
+    )
+    first = maurer_cartan_verify(series)
+    assert len(calls) == len(series.coefficients)
+    assert first["integrable"] and first["worst"] > 0.0
+    strict = maurer_cartan_verify(series, tol=first["worst"] / 2)
+    assert len(calls) == len(series.coefficients)
+    assert not strict["integrable"]
+    assert strict["residuals"] == first["residuals"]
+    first["residuals"].clear()
+    assert maurer_cartan_verify(series)["residuals"] == strict["residuals"]
 
 
 def test_mc_expand_leaves_no_noise_slots():

@@ -1399,3 +1399,53 @@ def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
             + diagnostics._green_commutation(ctx) + diagnostics._star_conjugation(ctx)
         )
         assert got == want
+
+
+# ----------------------------------------------------------------------
+# the Born-Infeld inner product and the box's mode order
+# ----------------------------------------------------------------------
+
+
+def ref_bi_inner(metric, alpha, beta):
+    """bi_inner as it was: beta read at alpha's modes through np.unique."""
+    _, slot = np.unique(np.concatenate([alpha.modes, beta.modes]), axis=0, return_inverse=True)
+    slot = slot.reshape(-1)
+    b = np.zeros((len(slot), beta.rows.shape[1]), dtype=complex)
+    b[slot[len(alpha.modes):]] = beta.rows
+    return complex(np.sum((alpha.rows @ metric.bi_gram) * b[slot[: len(alpha.modes)]].conj()))
+
+
+def test_bi_inner_matches_the_unique_formula_bitwise(case):
+    """Matching beta's rows to alpha's modes by their keys gathers the same
+    rows, so every product and sum is the same: overlapping supports,
+    disjoint ones (only mode zero against only nonzero modes) and empty
+    ones give bitwise the old values."""
+    s, m, _ = case
+    zero = Spinor.zero(s.geometry, s.box)
+    rng = np.random.default_rng(7)
+    spinors = [
+        random_spinor(rng, s.geometry, s.box, max_mode=s.box.K, terms=3) for _ in range(4)
+    ]
+    constant = random_spinor(rng, s.geometry, s.box, max_mode=0)
+    live = spinors[0].modes.any(axis=1)
+    varying = Spinor.from_modes(s.geometry, s.box, spinors[0].modes[live], spinors[0].rows[live])
+    assert not set(map(tuple, constant.modes)) & set(map(tuple, varying.modes))
+    overlapping = [(a, b) for a in spinors for b in spinors]
+    pairs = overlapping + [
+        (constant, varying), (varying, constant), (zero, spinors[1]), (spinors[1], zero),
+        (zero, zero), (constant, spinors[2]),
+    ]
+    for a, b in pairs:
+        assert m.bi_inner(a, b) == ref_bi_inner(m, a, b)
+    assert m.bi_inner(constant, varying) == 0
+
+
+@pytest.mark.parametrize("n, K", [(1, 0), (1, 2), (2, 1), (3, 1)])
+def test_box_modes_run_lexicographically(n, K):
+    """The box's modes are the lexicographic product order that
+    ``_mode_positions`` indexes."""
+    geometry = TorusGeometry(n)
+    modes = list(TruncationBox(K).modes(geometry))
+    assert modes == sorted(itertools.product(range(-K, K + 1), repeat=geometry.dim))
+    assert all(isinstance(mode, tuple) for mode in modes)
+    assert len(modes) == (2 * K + 1) ** geometry.dim

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gentorus.cli import main
@@ -21,6 +21,8 @@ from gentorus.report import (
     reports_equal,
 )
 from gentorus.scenario import (
+    CONFIG_KEYS,
+    EXPERIMENT_KEYS,
     MAX_LIST_LENGTH,
     MAX_ORDER,
     MAX_SAMPLES,
@@ -713,6 +715,78 @@ def test_timings_sidecar_times_each_identity_suite():
     assert "suites" not in timings[1]
     assert '"suites"' not in report_to_json(report)
     assert '"clifford"' not in report_to_json(report)
+
+
+def test_timings_sidecar_gives_the_scan_phases():
+    """A scan entry of the sidecar gives its sample and extension counts and
+    the wall seconds of its extension, deformed-context and image phases,
+    none of which is in the report; other entries have none of these keys."""
+    config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
+    report, timings = run_scenario(config)
+    criterion, scan = timings
+    assert scan["samples"] == 4
+    assert scan["extensions"] == 4  # T^2 harmonics at levels -1, 0, 1: 1 + 2 + 1
+    assert list(scan["phases"]) == ["extension", "deformed", "image"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in scan["phases"].values())
+    assert sum(scan["phases"].values()) <= scan["wall_time_s"]
+    assert not {"samples", "extensions", "phases", "suites"} & set(criterion)
+    text = report_to_json(report)
+    assert '"phases"' not in text and '"extensions"' not in text
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [((), "twist"), ((), "strucure_typo"), (("experiments", 1), "levles")],
+    ids=["top-level-twist", "top-level-typo", "scan-levles"],
+)
+def test_unknown_config_keys_are_refused(path, key, tmp_path, capsys):
+    """A key the schema does not know, at the top level or in an experiment
+    of a known kind, is a config error naming the key, exit 1: it is not
+    silently ignored."""
+    config = json.loads((SCENARIOS / "t2_criterion_scan.json").read_text())
+    target = config
+    for step in path:
+        target = target[step]
+    target[key] = [0]
+    with pytest.raises(ScenarioError, match=f"unknown (config )?key '{key}'"):
+        Scenario(config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([None] + sorted(EXPERIMENT_KEYS)),
+    key=st.text(max_size=6),
+    value=_JSON,
+)
+def test_any_unknown_key_exits_1(kind, key, value, tmp_path_factory):
+    """Any key outside the closed set, at the top level (kind None) or in
+    an experiment of a known kind, ends the run with exit 1 whatever its
+    value."""
+    config = minimal_config()
+    if kind is None:
+        assume(key not in CONFIG_KEYS)
+        config[key] = value
+    else:
+        assume(key not in ("kind",) + EXPERIMENT_KEYS[kind])
+        config["experiments"] = [{"kind": kind, key: value}]
+    path = tmp_path_factory.mktemp("unknown") / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(SCENARIOS.glob("*.json")) + sorted(BENCH_CONFIGS.glob("**/*.json")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_shipped_config_parses(path):
+    """Every shipped scenario and benchmark config uses only known keys."""
+    Scenario(json.loads(path.read_text()))
 
 
 def test_emit_report_identical_bytes(tmp_path):
