@@ -5,16 +5,18 @@ involutive eigenbundle, into the level-lowering and level-raising pieces
 (projections onto adjacent levels).  All three act mode by mode as
 C + 2 pi i sum_a k_a A_a, one product over a spinor's modes, with the C and
 A_a that the structure builds once (``GCStructure.differentials``).  The module
-also carries the Lie algebroid differential on frame polynomials and the
-Schouten bracket that extends the twisted Courant bracket to them.
+also carries the Lie algebroid differential on frame polynomials (the
+raising part in frame coordinates) and the Schouten bracket that extends
+the twisted Courant bracket to them, on the FourierScalar ring.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Tuple
 
-from .fourier import FourierScalar
+import numpy as np
+
+from .fourier import FourierMatrix, FourierScalar
 from .spinor import (
     CliffordPoly,
     CourantVector,
@@ -22,6 +24,7 @@ from .spinor import (
     _stack_linear,
     courant_bracket,
     pairing,
+    sort_monomial,
 )
 from .structure import GCStructure
 
@@ -67,62 +70,27 @@ def dolbeault_split(
     return lower, upper
 
 
-def anchor_derivative(
-    v: CourantVector, f: FourierScalar
-) -> FourierScalar:
-    """Directional derivative of f along the tangent projection of v.
-
-    Frames are constant, so only constant tangent components appear.
-    """
-    vals = v.constant_values()
-    dim = v.geometry.dim
-    out = FourierScalar.zero(f.geometry, f.box)
-    for a in range(dim):
-        c = vals[a]
-        if c != 0:
-            out = out.add(f.derive(a).scale(c))
-    return out
-
-
 def lie_derivation_dL(a: CliffordPoly, structure: GCStructure) -> CliffordPoly:
     """Lie algebroid differential on polynomials over the dual frame.
 
     (d_L a)(x_0, .., x_k) = sum_i (-1)^i p(x_i) a(.., x_i omitted, ..)
-                          + sum_{i<j} (-1)^{i+j} a([x_i, x_j]_H, ..),
-    evaluated on the structure frame, with the bracket reduced to the
-    structure constants.
+                          + sum_{i<j} (-1)^{i+j} a([x_i, x_j]_H, ..).
+    Under P -> P . rho0 it is dbar in frame coordinates: at mode k the
+    degree (p + 1, p) block of C + 2 pi i sum_a k_a A_a, the pair
+    ``differentials["dL"]``, applied to the coefficient row in one product
+    over the modes; as for any map between keys, no dropped mass is carried.
     """
     if a.frame != structure.dual_frame:
         raise ValueError("polynomial must live over the structure's dual frame")
-    dim = structure.dim
-    p = a.degree
-    out: Dict[Tuple[int, ...], FourierScalar] = {}
-    c = structure.structure_constants
-    for args in itertools.combinations(range(dim), p + 1):
-        val = FourierScalar.zero(structure.geometry, structure.box)
-        for i, xi in enumerate(args):
-            rest = args[:i] + args[i + 1 :]
-            coeff = a.coefficient(rest)
-            if not coeff.is_zero():
-                term = anchor_derivative(structure.frame[xi], coeff)
-                if i % 2:
-                    term = term.scale(-1)
-                val = val.add(term)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                rest = tuple(x for t, x in enumerate(args) if t not in (i, j))
-                sign = -1 if (i + j) % 2 else 1
-                for k in range(dim):
-                    ck = c[args[i], args[j], k]
-                    if ck == 0:
-                        continue
-                    coeff = a.coefficient((k,) + rest)
-                    if coeff.is_zero():
-                        continue
-                    val = val.add(coeff.scale(sign * ck))
-        if not val.is_zero():
-            out[args] = val
-    return CliffordPoly(structure.dual_frame, p + 1, out)
+    rows, cols = structure.degree_slice(a.degree + 1), structure.degree_slice(a.degree)
+    const, slopes = structure.differentials["dL"]
+    s = a.stack
+    ops = _stack_linear(const[rows, cols], slopes[:, rows, cols], s.modes)
+    image = np.einsum("mij,mj->mi", ops, s.coeffs[:, 0])
+    return CliffordPoly.from_stack(
+        structure.dual_frame, a.degree + 1,
+        FourierMatrix(s.geometry, s.box, s.modes, image[:, None, :]),
+    )
 
 
 def _expand_in_dual_frame(
@@ -156,12 +124,15 @@ def schouten_bracket(
     p, q = a.degree, b.degree
     if p == 0 or q == 0:
         raise ValueError("bracket needs positive-degree arguments")
-    out = CliffordPoly.zero(structure.dual_frame, p + q - 1)
+    # summed per key on the ring and stacked once: a stacked polynomial per
+    # term would build a FourierMatrix in the innermost loop
+    out: Dict[Tuple[int, ...], FourierScalar] = {}
     H = structure.twist
+    terms_b = list(b.terms())
     for key_a, f in a.terms():
         secs_a = [structure.dual_frame[i] for i in key_a]
         secs_a[0] = secs_a[0].scale_scalar(f, policy=policy)
-        for key_b, g in b.terms():
+        for key_b, g in terms_b:
             secs_b = [structure.dual_frame[i] for i in key_b]
             secs_b[0] = secs_b[0].scale_scalar(g, policy=policy)
             for alpha in range(p):
@@ -183,17 +154,14 @@ def schouten_bracket(
                     if beta != 0:
                         carry = g if carry is None else carry.mul(g, policy=policy)
                     for k, ck in enumerate(coeffs):
-                        if ck.is_zero():
+                        sorted_sign = sort_monomial((k,) + rest_a + rest_b)
+                        if ck.is_zero() or sorted_sign is None:
                             continue
+                        key, key_sign = sorted_sign
                         val = ck if carry is None else ck.mul(carry, policy=policy)
-                        out = out.add(
-                            CliffordPoly(
-                                structure.dual_frame,
-                                p + q - 1,
-                                {(k,) + rest_a + rest_b: val.scale(sign)},
-                            )
-                        )
-    return out
+                        term = val.scale(sign).scale(key_sign)
+                        out[key] = out[key].add(term) if key in out else term
+    return CliffordPoly(structure.dual_frame, p + q - 1, out)
 
 
 def maurer_cartan_residual(

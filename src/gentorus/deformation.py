@@ -109,7 +109,8 @@ class FrameMaps:
     """Matrix forms of a deformation and its conjugate, and the frames they
     shear.
 
-    ``eps_matrix`` M satisfies eps(l_p) = sum_i M[i, p] l^i and
+    ``eps_matrix`` M, the antisymmetric scatter of eps's coefficient row
+    (M[i, p] = eps_ip = -M[p, i]), satisfies eps(l_p) = sum_i M[i, p] l^i and
     ``eps_star_matrix`` N satisfies eps*(l^p) = sum_i N[i, p] l_i; the
     composite eps eps* acts on the dual frame by E = M N.  A list of
     sections is a (4n, 2n) stack whose column i holds the (tangent,
@@ -125,10 +126,16 @@ class FrameMaps:
             raise DeformationError("deformation must be a 2-polynomial over the dual frame")
         self.structure = structure
         self.eps = eps
-        slots = range(structure.dim)
-        self.eps_matrix = FourierMatrix.from_scalars(
-            [[eps.coefficient((i, p)) for p in slots] for i in slots]
-        )
+        # eps's keys (i, p), i < p, run as the upper triangle does, row by
+        # row; 0.0 - c keeps the zeros positive, as the dict ring's sums did
+        s, dim = eps.stack, structure.dim
+        i, p = np.triu_indices(dim, 1)
+        values = np.zeros((len(s.modes), dim, dim), dtype=complex)
+        values[:, i, p] = s.coeffs[:, 0]
+        values[:, p, i] = 0.0 - s.coeffs[:, 0]
+        dropped = np.zeros((dim, dim))
+        dropped[i, p] = dropped[p, i] = s.dropped_mass[0]
+        self.eps_matrix = FourierMatrix._from_sorted(s.geometry, s.box, s.modes, values, dropped)
 
     @cached_property
     def eps_star_matrix(self) -> FourierMatrix:
@@ -193,11 +200,19 @@ class Beltrami:
 
     eps(t) = sum over i + j >= 1 of t^i conj(t)^j eps_ij.  The coefficients
     are fixed at construction, so the Maurer-Cartan residuals are computed
-    once per series (``maurer_cartan_residuals``).
+    once per series (``maurer_cartan_residuals``).  ``cut_order`` is the
+    order at which :func:`maurer_cartan_expand` cut the series, None for a
+    series given in full.
     """
 
-    def __init__(self, structure: GCStructure, coefficients: Dict[OrderKey, CliffordPoly]):
+    def __init__(
+        self,
+        structure: GCStructure,
+        coefficients: Dict[OrderKey, CliffordPoly],
+        cut_order: int | None = None,
+    ):
         self.structure = structure
+        self.cut_order = cut_order
         self.coefficients: Dict[OrderKey, CliffordPoly] = {}
         for key, poly in coefficients.items():
             key = (int(key[0]), int(key[1]))
@@ -219,37 +234,54 @@ class Beltrami:
         return out
 
     def is_constant(self) -> bool:
-        zero_mode = (0,) * self.structure.dim
-        for poly in self.coefficients.values():
-            for _, f in poly.terms():
-                for mode in f.support():
-                    if mode != zero_mode:
-                        return False
-        return True
+        return not any(poly.stack.modes.any() for poly in self.coefficients.values())
 
     @cached_property
     def maurer_cartan_residuals(self) -> Dict:
-        """Order-by-order residuals of d_L eps = (1/2)[eps, eps], each
-        relative to max(1, |eps_ij|), their worst, and the worst first-order
-        |d_L eps_ij|; ``maurer_cartan_verify`` judges them."""
+        """Residuals of d_L eps = (1/2)[eps, eps] at every order (i, j) with
+        i + j <= 2 ``order``, where the brackets of the coefficients can
+        land, an absent coefficient taken as zero; each is relative to
+        max(1, |eps_ij|).  ``worst`` is the worst up to the cut order (every
+        order for a series given in full), ``truncation`` holds the orders
+        above it, and ``first_order_closed`` is the worst first-order
+        |d_L eps_ij|.  ``maurer_cartan_verify`` judges them."""
         s = self.structure
+        coeffs = self.coefficients
+        zero = CliffordPoly.zero(s.dual_frame, 3)
+        cut = 2 * self.order if self.cut_order is None else self.cut_order
         residuals: Dict[str, float] = {}
+        truncation: Dict[str, float] = {}
         worst = 0.0
         closed_defect = 0.0
-        for (i, j), poly in sorted(self.coefficients.items()):
-            lhs = lie_derivation_dL(poly, s)
-            rhs = CliffordPoly.zero(s.dual_frame, 3)
-            for (a, b), pa in self.coefficients.items():
-                c, d = i - a, j - b
-                if (c, d) in self.coefficients and c + d >= 1:
-                    rhs = rhs.add(schouten_bracket(pa, self.coefficients[(c, d)], s))
-            resid = lhs.add(rhs.scale(-0.5)).norm()
-            scale = max(1.0, poly.norm())
-            residuals[f"{i},{j}"] = resid / scale
-            worst = max(worst, resid / scale)
-            if i + j == 1:
-                closed_defect = max(closed_defect, lhs.norm() / scale)
-        return {"residuals": residuals, "worst": worst, "first_order_closed": closed_defect}
+        for total in range(1, 2 * self.order + 1):
+            # above the cut the brackets may leave the box; what stays is kept
+            policy = "drop" if total > cut else None
+            for i in range(total, -1, -1):
+                j = total - i
+                poly = coeffs.get((i, j))
+                # d_L runs only on the coefficients that are there
+                lhs = zero if poly is None else lie_derivation_dL(poly, s)
+                rhs = zero
+                for (a, b), pa in coeffs.items():
+                    if (i - a, j - b) in coeffs:
+                        rhs = rhs.add(
+                            schouten_bracket(pa, coeffs[(i - a, j - b)], s, policy=policy)
+                        )
+                scale = 1.0 if poly is None else max(1.0, poly.norm())
+                resid = lhs.add(rhs.scale(-0.5)).norm() / scale
+                residuals[f"{i},{j}"] = resid
+                if total > cut:
+                    truncation[f"{i},{j}"] = resid
+                else:
+                    worst = max(worst, resid)
+                if total == 1 and poly is not None:
+                    closed_defect = max(closed_defect, lhs.norm() / scale)
+        return {
+            "residuals": residuals,
+            "worst": worst,
+            "first_order_closed": closed_defect,
+            "truncation": truncation,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +302,16 @@ class AlgebroidHodge:
     chunks.  When C is exactly zero the differential is odd in k, so the
     Laplacians at +-k are bitwise equal and only the first half of the box,
     mode 0 included, is decomposed; otherwise every mode is.  A
-    polynomial's coefficients enter as the rows of a
-    :class:`~gentorus.fourier.FourierMatrix` over the ``monomial_list``
-    keys, so the projector, Green operator and adjoint each act by one
-    batched product.
+    polynomial's coefficient rows are placed in its degree's slice of the
+    ``monomial_list`` keys, so the projector, Green operator and adjoint
+    each act by one batched product, and the result's rows are read back
+    from its degree's slice: no scalar is built on the way.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         self.structure = structure
         self.metric = metric
-
-        self.keys = monomial_list(structure.dim)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        self.size = len(self.keys)
+        self.size = 2 ** structure.dim
 
         # the context's orthonormal level basis, which holds the degree-d
         # words at level d - n in key order, in poly coordinates
@@ -306,22 +335,20 @@ class AlgebroidHodge:
     # poly <-> per-mode coordinate rows ---------------------------------
 
     def _coords(self, poly: CliffordPoly) -> Tuple[np.ndarray, np.ndarray]:
-        """poly's modes and its coordinate rows, one row per mode."""
-        s = self.structure
-        row = FourierMatrix.from_entries(
-            s.geometry, s.box, (1, self.size),
-            (((0, self.index[key]), f) for key, f in poly.coeffs.items()),
-        )
-        return row.modes, row.coeffs[:, 0] @ self.poly_basis_inv.T
+        """poly's modes and its coordinate rows, one row per mode: its
+        coefficient rows placed in its degree's slice of the keys."""
+        s = poly.stack
+        rows = np.zeros((len(s.modes), self.size), dtype=complex)
+        rows[:, self.structure.degree_slice(poly.degree)] = s.coeffs[:, 0]
+        return s.modes, rows @ self.poly_basis_inv.T
 
     def _poly(self, modes, coords: np.ndarray, degree: int) -> CliffordPoly:
         """The degree-``degree`` polynomial with coordinate rows ``coords``."""
-        rows = coords @ self.poly_basis.T
-        rows[:, [len(key) != degree for key in self.keys]] = 0.0
+        rows = (coords @ self.poly_basis.T)[:, self.structure.degree_slice(degree)]
         s = self.structure
-        row = FourierMatrix(s.geometry, s.box, modes, rows[:, None, :])
-        live = np.flatnonzero(row.coeffs.any(axis=(0, 1)))
-        return CliffordPoly(s.dual_frame, degree, {self.keys[j]: row[0, j] for j in live})
+        return CliffordPoly.from_stack(
+            s.dual_frame, degree, FourierMatrix(s.geometry, s.box, modes, rows[:, None, :])
+        )
 
     def _spectral(self, poly: CliffordPoly, weights) -> CliffordPoly:
         modes, coords = self._coords(poly)
@@ -342,13 +369,23 @@ class AlgebroidHodge:
 
 def maurer_cartan_verify(series: Beltrami, tol: float = 1e-9) -> Dict:
     """Order-by-order Maurer-Cartan residuals d_L eps = (1/2)[eps, eps],
-    computed once per series and judged against ``tol`` on every call."""
+    computed once per series and judged against ``tol`` on every call.
+
+    ``integrable`` judges every order up to the series' cut order.  Above
+    it a cut series is exact only to the size of what was cut:
+    ``truncation`` is the first order there whose residual exceeds ``tol``,
+    with that residual, or None, and it does not decide ``integrable``.
+    """
     mc = series.maurer_cartan_residuals
+    unmatched = [(key, r) for key, r in mc["truncation"].items() if r > tol]
     return {
         "residuals": dict(mc["residuals"]),
         "worst": mc["worst"],
         "first_order_closed": mc["first_order_closed"],
         "integrable": mc["worst"] <= tol,
+        "truncation": (
+            {"order": unmatched[0][0], "residual": unmatched[0][1]} if unmatched else None
+        ),
     }
 
 
@@ -407,7 +444,7 @@ def maurer_cartan_expand(
                 )
             if not sol.is_zero(1e-16):
                 coeffs[(i, j)] = sol
-    return Beltrami(structure, coeffs)
+    return Beltrami(structure, coeffs, cut_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +534,15 @@ class Transport:
         return self._substitute(self.forward_words, sigma)
 
     def inverse(self, sigma: Spinor) -> Spinor:
-        return sigma.map_modes(np.linalg.inv(self.constant_matrix(self.forward_words)))
-
-    def constant_matrix(self, words: FourierMatrix) -> np.ndarray:
-        """The one matrix by which the substitution by ``words`` (a word
-        matrix of this transport) maps every mode's coefficient column, for a
-        constant eps: the words' mode-zero values times the frame-coordinate map."""
+        """For a constant eps, the inverse of the one matrix by which forward
+        maps every mode's coefficient column: the forward words' mode-zero
+        values times the frame-coordinate map."""
         if not self._constant:
             raise DeformationError(
-                "the transport's constant matrices require a constant-coefficient deformation"
+                "the transport's inverse requires a constant-coefficient deformation"
             )
-        return words.constant_values() @ self.structure._level_inverse
+        forward = self.forward_words.constant_values() @ self.structure._level_inverse
+        return sigma.map_modes(np.linalg.inv(forward))
 
     def factorwise(self, images: FourierMatrix, sigma: Spinor) -> Spinor:
         """Apply a frame endomorphism to every Clifford factor, vacuum fixed."""
@@ -650,7 +685,8 @@ class DeformedStructure:
 
     Frames are (1+eps)(l_i) with pairing-normalized duals inside the
     conjugate span; the canonical generator is exp(eps) . rho0 up to
-    normalization (cross-checked).  Carries its own compatible metric and
+    normalization (cross-checked), and ``ratio`` is that normalization:
+    exp(eps) . rho0 = ratio rho0'.  Carries its own compatible metric and
     Hodge context for the deformed side.
     """
 
@@ -683,8 +719,8 @@ class DeformedStructure:
         target = self.transport.exp_rho0.stack.constant_values()[:, 0]
         got = self.structure._rho0_vec
         pivot = np.argmax(np.abs(target))
-        ratio = target[pivot] / got[pivot]
-        self.canonical_residual = float(np.abs(target - ratio * got).max())
+        self.ratio = target[pivot] / got[pivot]
+        self.canonical_residual = float(np.abs(target - self.ratio * got).max())
         if self.canonical_residual > tol * max(1.0, np.abs(target).max()):
             raise DeformationError(
                 f"deformed canonical generator mismatch ({self.canonical_residual:.3e})"
@@ -1090,10 +1126,13 @@ def hodge_number_scan(
     stacks = {}
     extensions = 0
     for k in levels:
-        exts = [
-            extend_closed_form(context, series, sig, order, variant="standard", tol=tol)
-            for sig in pk.harmonic_basis(k)
-        ]
+        try:
+            exts = [
+                extend_closed_form(context, series, sig, order, variant="standard", tol=tol)
+                for sig in pk.harmonic_basis(k)
+            ]
+        except ObstructionError as err:
+            raise ObstructionError(f"extending the level {k} harmonics: {err}", err.data) from err
         extensions += len(exts)
         if exts:
             stacks[k] = _stack_extensions(structure, exts)
@@ -1111,12 +1150,12 @@ def hodge_number_scan(
         dims = {k: pk_t.kernel_dimension(k) for k in levels}
         phases["deformed"] += time.monotonic() - started
         started = time.monotonic()
-        transport = ds.transport
-        # forward o undress into the deformed level basis, one matrix at every mode
-        step = (
-            pk_t.level_basis.basis_inv
-            @ transport.constant_matrix(transport.forward_words)
-            @ transport.constant_matrix(transport._undress_words)
+        # forward o undress into the deformed level basis, one matrix at every
+        # mode: it sends the frame word l^I . rho0 to the deformed frame word
+        # on exp(eps) . rho0 = ratio rho0', so in frame coordinates it is
+        # ratio times the deformed level matrix times the undeformed inverse
+        step = ds.ratio * (
+            pk_t.level_basis.basis_inv @ ds.structure._level_matrix @ structure._level_inverse
         )
         ranks = {}
         for k in levels:

@@ -49,8 +49,9 @@ MAX_ORDER = 10  # an experiment's order and the deformation block's
 MAX_SAMPLES = 1000  # random samples of a criterion or an identity suite
 MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 
-# the keys a config may hold, and the keys of each experiment kind besides
-# "kind"; any other key is refused, so a misspelt one is not silently ignored
+# the keys a config may hold, the keys of each experiment kind besides
+# "kind", of each structure type and of each nested block; any other key is
+# refused, so a misspelt one is not silently ignored
 CONFIG_KEYS = (
     "name", "torus", "structure", "metric", "deformation", "experiments", "tolerances", "output",
 )
@@ -60,6 +61,22 @@ EXPERIMENT_KEYS = {
     "criterion": ("t", "samples", "seed"),
     "extend": ("level", "sigma00", "order", "variant", "t_samples"),
     "scan": ("t_samples", "levels", "order"),
+}
+STRUCTURE_KEYS = {
+    "complex": ("type", "H", "jcx"),
+    "symplectic": ("type", "H", "omega"),
+    "b_transform": ("type", "base", "B"),
+}
+BLOCK_KEYS = {
+    "torus": ("n", "K", "policy"),
+    "metric": ("g", "b"),
+    "deformation": ("coefficients", "expand", "order"),
+    "deformation coefficient": ("terms",),
+    "Fourier series": ("modes",),
+    "Fourier mode": ("k", "c"),
+    "H entry": ("indices", "c"),
+    "tolerances": ("default",),
+    "output": ("dir", "formats"),
 }
 
 
@@ -82,6 +99,19 @@ def _object(value, name: str) -> Dict:
     """A config block that must be a JSON object."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{name!r} must be an object, got {value!r}")
+    return value
+
+
+def _check_keys(block: Dict, allowed: Tuple[str, ...], where: str) -> None:
+    """Refuse a key of a config block that its schema does not know."""
+    for key in block:
+        if key not in allowed:
+            raise ScenarioError(f"unknown key {key!r} in {where}; expected one of {allowed}")
+
+
+def _block(value, name: str) -> Dict:
+    """A nested config block: a JSON object with the keys of ``BLOCK_KEYS[name]``."""
+    _check_keys(_object(value, name), BLOCK_KEYS[name], f"the {name} block")
     return value
 
 
@@ -109,10 +139,10 @@ def _parse_fourier(geometry, box, data) -> FourierScalar:
     ):
         return FourierScalar.constant(geometry, box, _complex_from(data))
     if isinstance(data, dict):
-        data = data.get("modes", [])
+        data = _block(data, "Fourier series").get("modes", [])
     coeffs = {}
     for item in data:
-        mode = _integer_tuple(item["k"], "mode 'k'")
+        mode = _integer_tuple(_block(item, "Fourier mode")["k"], "mode 'k'")
         coeffs[mode] = coeffs.get(mode, 0.0) + _complex_from(item["c"])
     return FourierScalar(geometry, box, coeffs)
 
@@ -158,13 +188,11 @@ class Scenario:
 
     def __init__(self, config: Dict):
         self.config = _object(config, "config")
-        for key in config:
-            if key not in CONFIG_KEYS:
-                raise ScenarioError(f"unknown config key {key!r}; expected one of {CONFIG_KEYS}")
+        _check_keys(config, CONFIG_KEYS, "the config")
         if not isinstance(config.get("name", ""), str):
             raise ScenarioError(f"'name' must be a string, got {config['name']!r}")
-        _check_output(_object(config.get("output", {}), "output"))
-        torus = _object(config.get("torus") or {}, "torus")
+        _check_output(_block(config.get("output", {}), "output"))
+        torus = _block(config.get("torus") or {}, "torus")
         if "n" not in torus or "K" not in torus:
             raise ScenarioError("config requires torus.n and torus.K")
         _check_integer("torus.n", torus["n"], 1)
@@ -178,10 +206,10 @@ class Scenario:
         self._check_experiments()
         deformation = config.get("deformation")
         if deformation:
-            _object(deformation, "deformation")
+            _block(deformation, "deformation")
             _check_integer("order", deformation.get("order", 2), 1, MAX_ORDER)
         self.tolerance = _parse_block("tolerances", lambda: float(
-            _object(config.get("tolerances", {}), "tolerances").get("default", DEFAULT_TOLERANCE)
+            _block(config.get("tolerances", {}), "tolerances").get("default", DEFAULT_TOLERANCE)
         ))
         self.structure = _parse_block(
             "structure", lambda: self._build_structure(config.get("structure"))
@@ -213,13 +241,7 @@ class Scenario:
                 raise ScenarioError("every experiment needs a 'kind'")
             # an unknown kind is reported by the runner as that experiment's error
             if kind in EXPERIMENT_KEYS:
-                allowed = ("kind",) + EXPERIMENT_KEYS[kind]
-                for key in exp:
-                    if key not in allowed:
-                        raise ScenarioError(
-                            f"unknown key {key!r} in a {kind!r} experiment; "
-                            f"expected one of {allowed}"
-                        )
+                _check_keys(exp, ("kind",) + EXPERIMENT_KEYS[kind], f"a {kind!r} experiment")
             for key in ("t", "t_samples", "levels"):
                 if key not in exp:
                     continue
@@ -259,7 +281,7 @@ class Scenario:
             return None
         comps = {}
         for item in spec:
-            key = _integer_tuple(_object(item, "H entry")["indices"], "H 'indices'")
+            key = _integer_tuple(_block(item, "H entry")["indices"], "H 'indices'")
             comps[key] = FourierScalar.constant(
                 self.geometry, self.box, _complex_from(item["c"])
             )
@@ -269,6 +291,8 @@ class Scenario:
         if not spec:
             raise ScenarioError("config requires a structure block")
         kind = _object(spec, "structure").get("type")
+        if kind in STRUCTURE_KEYS:
+            _check_keys(spec, STRUCTURE_KEYS[kind], f"a {kind!r} structure")
         twist = self._parse_twist(spec.get("H"))
         try:
             if kind == "complex":
@@ -296,7 +320,7 @@ class Scenario:
         g = np.eye(dim)
         b = np.zeros((dim, dim))
         if spec:
-            _object(spec, "metric")
+            _block(spec, "metric")
             if "g" in spec:
                 g = np.asarray(spec["g"], dtype=float)
             if "b" in spec and spec["b"] is not None:
@@ -307,7 +331,7 @@ class Scenario:
             raise ScenarioError(f"metric construction failed: {err}") from err
 
     def _parse_coefficient(self, spec) -> CliffordPoly:
-        terms = _object(_object(spec, "deformation coefficient").get("terms", {}), "terms")
+        terms = _object(_block(spec, "deformation coefficient").get("terms", {}), "terms")
         return CliffordPoly(self.structure.dual_frame, 2, {
             _parse_key_tuple(slot_key): _parse_fourier(self.geometry, self.box, fdata)
             for slot_key, fdata in terms.items()
@@ -547,7 +571,7 @@ class Runner:
             for k in report["levels"]:
                 rows.append(
                     {
-                        "t": round12(abs(t)) if t.imag == 0 else str(t),
+                        "t": round12(t.real) if t.imag == 0 else str(t),
                         "level": k,
                         "dimension": row["dims"][k],
                         "injectivity_rank": row["injectivity_rank"][k],

@@ -21,7 +21,8 @@ product over the modes (:meth:`Spinor.map_modes`), and a product with
 varying coefficients (wedge, contraction, Clifford action) is one
 ``FourierMatrix.matmul`` of the operand's action matrix, built from its
 coefficients and the constant matrices of :func:`clifford_generators`, with
-the spinor's column.
+the spinor's column.  A frame polynomial (:class:`CliffordPoly`) is one
+``FourierMatrix`` row over the slot keys of its degree.
 """
 
 from __future__ import annotations
@@ -514,11 +515,14 @@ def courant_bracket(
 class CliffordPoly:
     """Antisymmetric polynomial over an ordered frame of T + T* sections.
 
-    Stored as a map from strictly increasing slot-index tuples to
-    FourierScalar coefficients; every slot is resolved to a frame
-    :class:`CourantVector`.  The coefficient convention follows the
-    evaluation rule  a(l_{j1}, ..., l_{jp}) = a_{j1...jp}  with the full
-    antisymmetric extension to unordered tuples.
+    Stored as one :class:`~gentorus.fourier.FourierMatrix` row, ``stack``,
+    over ``keys``, the degree's strictly increasing slot-index tuples in
+    ``itertools.combinations`` order; the constructor takes a dict from
+    slot tuples to FourierScalar coefficients, and ``coeffs``, ``terms`` and
+    ``coefficient`` read the row back as such scalars.  Every slot is
+    resolved to a frame :class:`CourantVector`.  The coefficient convention
+    follows the evaluation rule  a(l_{j1}, ..., l_{jp}) = a_{j1...jp}  with
+    the full antisymmetric extension to unordered tuples.
     """
 
     def __init__(
@@ -551,10 +555,22 @@ class CliffordPoly:
                 skey, sign = sorted_sign
                 term = f.scale(sign)
                 clean[skey] = clean[skey].add(term) if skey in clean else term
-        self.coeffs = {
-            k: f for k, f in clean.items() if not f.is_zero() or f.dropped_mass > 0
-        }
+        column = {key: j for j, key in enumerate(self.keys)}
+        self.stack = FourierMatrix.from_entries(
+            self.geometry, self.box, (1, len(column)),
+            (((0, column[key]), f) for key, f in clean.items()),
+        )
         self._matrix: FourierMatrix | None = None  # the action matrix, built on first use
+
+    @classmethod
+    def from_stack(
+        cls, frame: Sequence[CourantVector], degree: int, stack: FourierMatrix
+    ) -> "CliffordPoly":
+        """The degree-``degree`` polynomial whose coefficient row is ``stack``."""
+        out = cls.__new__(cls)
+        out.frame, out.geometry, out.box = tuple(frame), stack.geometry, stack.box
+        out.degree, out.stack, out._matrix = int(degree), stack, None
+        return out
 
     @classmethod
     def zero(cls, frame: Sequence[CourantVector], degree: int) -> "CliffordPoly":
@@ -572,18 +588,29 @@ class CliffordPoly:
             {tuple(key): FourierScalar.constant(geom, box, c)},
         )
 
+    @property
+    def keys(self) -> List[Tuple[int, ...]]:
+        """The slot keys of the degree, one per column of ``stack``."""
+        return list(itertools.combinations(range(len(self.frame)), self.degree))
+
+    def _live(self) -> np.ndarray:
+        """The columns with a nonzero coefficient or dropped mass."""
+        s = self.stack
+        return np.flatnonzero(np.any(s.coeffs[:, 0], axis=0) | (s.dropped_mass[0] > 0))
+
+    @property
+    def coeffs(self) -> Dict[Tuple[int, ...], FourierScalar]:
+        """The keys with a nonzero coefficient or dropped mass, as scalars."""
+        keys = self.keys
+        return {keys[j]: self.stack[0, j] for j in self._live()}
+
     def add(self, other: "CliffordPoly") -> "CliffordPoly":
         if other.degree != self.degree or len(other.frame) != len(self.frame):
             raise ValueError("cannot add polynomials of different shapes")
-        out = dict(self.coeffs)
-        for k, f in other.coeffs.items():
-            out[k] = out[k].add(f) if k in out else f
-        return CliffordPoly(self.frame, self.degree, out)
+        return CliffordPoly.from_stack(self.frame, self.degree, self.stack.add(other.stack))
 
     def scale(self, c) -> "CliffordPoly":
-        return CliffordPoly(
-            self.frame, self.degree, {k: f.scale(c) for k, f in self.coeffs.items()}
-        )
+        return CliffordPoly.from_stack(self.frame, self.degree, self.stack.scale(c))
 
     def __add__(self, other):
         return self.add(other)
@@ -598,20 +625,22 @@ class CliffordPoly:
         return self.scale(c)
 
     def norm(self) -> float:
-        return math.sqrt(sum(f.norm() ** 2 for f in self.coeffs.values()))
+        """The root sum of the keys' squared norms, each summed as FourierScalar.norm sums."""
+        columns = self.stack.coeffs[:, 0].T.tolist()
+        return math.sqrt(sum(math.sqrt(sum(abs(c) ** 2 for c in col)) ** 2 for col in columns))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(f.is_zero(tol) for f in self.coeffs.values())
+        if tol == 0.0:
+            return not len(self.stack.modes)
+        return bool(np.abs(self.stack.coeffs).max(initial=0.0) <= tol)
 
     def coefficient(self, key: Sequence[int]) -> FourierScalar:
         """Fully antisymmetric coefficient a_{j1...jp} for any index tuple."""
         sorted_sign = sort_monomial(tuple(int(i) for i in key))
-        if sorted_sign is None:
+        keys = self.keys
+        if sorted_sign is None or sorted_sign[0] not in keys:
             return FourierScalar.zero(self.geometry, self.box)
-        skey, sign = sorted_sign
-        if skey not in self.coeffs:
-            return FourierScalar.zero(self.geometry, self.box)
-        return self.coeffs[skey].scale(sign)
+        return self.stack[0, keys.index(sorted_sign[0])].scale(sorted_sign[1])
 
     def act(self, sigma: Spinor, policy: str | None = None) -> Spinor:
         """Iterated Clifford action, slots applied in increasing tuple order.
@@ -626,12 +655,10 @@ class CliffordPoly:
             dim = self.geometry.dim
             slots = [constant_clifford_matrix(v.constant_values(), dim) for v in self.frame]
             eye = np.eye(2 ** dim)
-            words = [
-                functools.reduce(np.matmul, [slots[i] for i in key], eye) for key in self.coeffs
-            ]
-            weights = FourierMatrix.from_entries(
-                self.geometry, self.box, (1, len(words)),
-                (((0, w), f) for w, f in enumerate(self.coeffs.values())),
+            keys, live, s = self.keys, self._live(), self.stack
+            words = [functools.reduce(np.matmul, [slots[i] for i in keys[j]], eye) for j in live]
+            weights = FourierMatrix._from_sorted(
+                self.geometry, self.box, s.modes, s.coeffs[:, :, live], s.dropped_mass[:, live]
             )
             self._matrix = _action(weights, np.array(words).reshape((-1,) + eye.shape))
         return Spinor.from_stack(self._matrix.matmul(sigma.stack, policy=policy))
@@ -645,21 +672,17 @@ class CliffordPoly:
         """
         if other.frame != self.frame:
             raise ValueError("wedge needs a common frame")
-        out = CliffordPoly.zero(self.frame, self.degree + other.degree)
-        for ka, fa in self.coeffs.items():
-            for kb, fb in other.coeffs.items():
+        out: Dict[Tuple[int, ...], FourierScalar] = {}
+        terms_b = list(other.terms())
+        for ka, fa in self.terms():
+            for kb, fb in terms_b:
                 sorted_sign = sort_monomial(ka + kb)
                 if sorted_sign is None:
                     continue
                 key, sign = sorted_sign
-                out = out.add(
-                    CliffordPoly(
-                        self.frame,
-                        out.degree,
-                        {key: fa.mul(fb, policy=policy).scale(sign)},
-                    )
-                )
-        return out
+                term = fa.mul(fb, policy=policy).scale(sign)
+                out[key] = out[key].add(term) if key in out else term
+        return CliffordPoly(self.frame, self.degree + other.degree, out)
 
     def terms(self) -> Iterable[Tuple[Tuple[int, ...], FourierScalar]]:
         return self.coeffs.items()
@@ -691,7 +714,7 @@ class CliffordPoly:
         return out
 
     def __repr__(self) -> str:
-        return f"CliffordPoly(degree={self.degree}, terms={len(self.coeffs)})"
+        return f"CliffordPoly(degree={self.degree}, terms={len(self._live())})"
 
 
 def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:

@@ -107,7 +107,8 @@ class GCStructure:
     differentials : dict
         ``"d"``, ``"del"`` and ``"dbar"`` to the pair (C, A) with the
         operator C + 2 pi i sum_a k_a A_a at mode k on the monomial basis:
-        d_H, and its level-lowering and level-raising parts.
+        d_H, and its level-lowering and level-raising parts; ``"dL"`` to the
+        raising pair in frame coordinates, which is d_L.
     """
 
     def __init__(
@@ -306,16 +307,19 @@ class GCStructure:
 
         On the monomial basis C = -H ^ (the twist is constant) and
         A_a = dx^a ^.  The parts are the level blocks of C and of the A_a,
-        masked in the frame basis.
+        masked in the frame basis; ``"dL"`` is the raising part in frame
+        coordinates, which P -> P . rho0 identifies with d_L.
         """
         const = -wedge_matrix(self.twist).constant_values()
         slopes = clifford_generators(self.dim)[self.dim:]
         out = {"d": (const, slopes)}
         words, coords = self._level_matrix, self._level_inverse
         frame = coords @ np.concatenate([const[None], slopes]) @ words
-        for name, shift in (("del", -1), ("dbar", 1)):
-            parts = words @ (self.shift_mask(shift) * frame) @ coords
+        raising = self.shift_mask(+1) * frame
+        for name, part in (("del", self.shift_mask(-1) * frame), ("dbar", raising)):
+            parts = words @ part @ coords
             out[name] = (parts[0], parts[1:])
+        out["dL"] = (raising[0], raising[1:])
         return out
 
     # ------------------------------------------------------------------
@@ -461,6 +465,10 @@ class GCStructure:
         """
         coords = sigma.rows @ self._level_inverse.T
         return FourierMatrix(self.geometry, self.box, sigma.modes, coords[:, :, None])
+
+    def degree_slice(self, degree: int) -> slice:
+        """Frame coordinates of the degree-``degree`` words: level degree - n."""
+        return self._level_slices.get(degree - self.n, slice(0, 0))
 
     def shift_mask(self, shift: int) -> np.ndarray:
         """Entries of a matrix on the frame basis that map level k to level k + shift."""

@@ -513,6 +513,64 @@ def test_mc_residuals_are_computed_once_per_series(t4, monkeypatch):
     assert maurer_cartan_verify(series)["residuals"] == strict["residuals"]
 
 
+def _pair_series(policy="drop"):
+    """Complex T^4 K=2 with eps = t (0.3 e^{2 pi i x0} on slot (0, 2) plus
+    0.3 e^{2 pi i x1} on slot (0, 3)): d_L eps_10 = 0, [eps_10, eps_10] != 0."""
+    s = GCStructure.complex_structure(2, TruncationBox(2, policy))
+    e10 = CliffordPoly(s.dual_frame, 2, {
+        (0, 2): FourierScalar.mode(s.geometry, s.box, (1, 0, 0, 0), 0.3),
+        (0, 3): FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 0.3),
+    })
+    return s, Beltrami(s, {(1, 0): e10})
+
+
+def test_mc_checks_the_orders_without_a_coefficient(monkeypatch):
+    """eps = t eps_1 is checked at every order up to 2: at (2, 0) the
+    equation reads 0 = 1/2 [eps_1, eps_1], which fails, though eps_1 is
+    d_L-closed; d_L runs on the one coefficient only."""
+    s, series = _pair_series()
+    calls = []
+    monkeypatch.setattr(
+        deformation, "lie_derivation_dL",
+        lambda poly, st: calls.append(poly) or lie_derivation_dL(poly, st),
+    )
+    report = maurer_cartan_verify(series)
+    assert len(calls) == 1
+    assert sorted(report["residuals"]) == ["0,1", "0,2", "1,0", "1,1", "2,0"]
+    assert report["first_order_closed"] < 1e-15
+    half_bracket = 0.5 * schouten_bracket(series.coefficients[(1, 0)],
+                                          series.coefficients[(1, 0)], s).norm()
+    assert report["residuals"]["2,0"] == pytest.approx(half_bracket, rel=1e-12)
+    assert report["residuals"]["2,0"] == pytest.approx(0.09 * np.pi, rel=1e-9)
+    assert report["worst"] == report["residuals"]["2,0"]
+    assert not report["integrable"] and report["truncation"] is None
+    for key in ("1,0", "0,1", "1,1", "0,2"):
+        assert report["residuals"][key] < 1e-15
+
+
+def test_mc_orders_above_the_cut_are_truncation():
+    """An expansion cut at order 3 is judged through order 3; above it the
+    first unmatched order is reported with its residual, the size of what
+    was cut, and does not decide integrability."""
+    s = GCStructure.complex_structure(2, TruncationBox(3, "drop"))
+    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    e10 = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.mode(s.geometry, s.box, (1, 0, 0, 0), 0.3)})
+    e01 = CliffordPoly(s.dual_frame, 2, {(0, 3): FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 0.25)})
+    series = maurer_cartan_expand(s, m, {(1, 0): e10, (0, 1): e01}, 3)
+    assert series.cut_order == 3 and series.order == 3
+    report = maurer_cartan_verify(series)
+    assert report["integrable"] and report["worst"] < 1e-15
+    assert len(report["residuals"]) == sum(total + 1 for total in range(1, 7))
+    trunc = report["truncation"]
+    assert trunc["order"] == "1,3"
+    assert trunc["residual"] == report["residuals"]["1,3"] == pytest.approx(2.945e-3, rel=1e-3)
+    assert maurer_cartan_verify(series, tol=1e-2)["truncation"] is None
+    # given in full, the same coefficients are judged at every order
+    full = maurer_cartan_verify(Beltrami(s, series.coefficients))
+    assert not full["integrable"] and full["truncation"] is None
+    assert full["worst"] == full["residuals"]["1,3"]
+
+
 def test_mc_expand_leaves_no_noise_slots():
     """Every slot of an expanded coefficient carries weight: the raising
     operator is exactly zero off its blocks, so no float noise leaks into

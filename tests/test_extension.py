@@ -248,12 +248,14 @@ def test_scan_constancy_and_ranks(t2k1):
 
 
 def test_scan_builds_one_transport_per_sample(t2k1, monkeypatch):
-    """Each nonzero sample t builds one transport, shared by the deformed
-    structure, the forward map and the undressing of every extension, and
-    computes the inverse-dressing images once; t = 0 builds none."""
+    """Each nonzero sample t builds one transport, the deformed structure's,
+    and no word matrix: forward o undress is the canonical-generator ratio
+    times the deformed level matrix times the undeformed inverse, so the
+    inverse-dressing images are never computed; t = 0 builds none."""
     s, m, ctx = t2k1
-    calls = {"init": 0, "images": 0}
+    calls = {"init": 0, "images": 0, "words": 0}
     init, images = Transport.__init__, Transport.images_inverse_one_minus_epseps
+    words = Transport.word_matrix
 
     def counted_init(self, *args, **kwargs):
         calls["init"] += 1
@@ -263,11 +265,16 @@ def test_scan_builds_one_transport_per_sample(t2k1, monkeypatch):
         calls["images"] += 1
         return images(self)
 
+    def counted_words(self, *args, **kwargs):
+        calls["words"] += 1
+        return words(self, *args, **kwargs)
+
     monkeypatch.setattr(Transport, "__init__", counted_init)
     monkeypatch.setattr(Transport, "images_inverse_one_minus_epseps", counted_images)
+    monkeypatch.setattr(Transport, "word_matrix", counted_words)
     report = hodge_number_scan(ctx, constant_series(s, 0.3), [0.0, 0.05, 0.1, 0.15], order=2)
     assert all(row["injectivity_rank"] == {-1: 1, 0: 2, 1: 1} for row in report["rows"])
-    assert calls == {"init": 3, "images": 3}
+    assert calls == {"init": 3, "images": 0, "words": 0}
 
 
 def test_scan_t4(t2k1):

@@ -20,6 +20,7 @@ from gentorus.spinor import (
     CliffordPoly,
     Spinor,
     constant_clifford_matrix,
+    monomial_index,
     monomial_list,
     random_spinor,
     wedge,
@@ -353,10 +354,11 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
 
         probe = np.zeros((alg.size, alg.size), dtype=complex)
         phase = FourierScalar.mode(s.geometry, s.box, mode)
-        for j, key in enumerate(alg.keys):
+        index = monomial_index(s.dim)
+        for j, key in enumerate(monomial_list(s.dim)):
             image = lie_derivation_dL(CliffordPoly(s.dual_frame, len(key), {key: phase}), s)
             for ikey, f in image.terms():
-                probe[alg.index[ikey], j] = f.coefficient(mode)
+                probe[index[ikey], j] = f.coefficient(mode)
         ref = alg.poly_basis_inv @ probe @ alg.poly_basis
         assert np.abs(stacked[i] - ref).max() < 1e-12
 

@@ -7,7 +7,8 @@ multi-mode random inputs; kernel counts and harmonic bases must be equal.
 Fourier matrices are checked the same way against the entrywise
 object-array products and Neumann series they replaced, and the spinor
 products (wedge, contraction, Clifford action, d and the transport) against
-the loops over coefficient dicts they replaced.
+the loops over coefficient dicts they replaced; frame polynomials and d_L
+are checked against the dict ring.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gentorus import diagnostics
-from gentorus.calculus import del_op, delbar_op, twisted_d
+from gentorus.calculus import del_op, delbar_op, lie_derivation_dL, twisted_d
 from gentorus.deformation import (
     AlgebroidHodge,
     DeformationError,
@@ -341,17 +342,19 @@ def test_transport_matches_per_mode(case):
 
 def ref_poly_coords(alg, poly):
     per_mode = {}
+    index = monomial_index(alg.structure.dim)
     for key, f in poly.terms():
         for mode, c in f.coeffs.items():
-            per_mode.setdefault(mode, np.zeros(alg.size, dtype=complex))[alg.index[key]] += c
+            per_mode.setdefault(mode, np.zeros(alg.size, dtype=complex))[index[key]] += c
     return {mode: alg.poly_basis_inv @ v for mode, v in per_mode.items()}
 
 
 def ref_poly(alg, vectors, degree):
     s = alg.structure
-    keep = np.array([len(key) == degree for key in alg.keys])
+    keys = monomial_list(s.dim)
+    keep = np.array([len(key) == degree for key in keys])
     raw = {mode: (alg.poly_basis @ v) * keep for mode, v in vectors.items()}
-    return CliffordPoly(s.dual_frame, degree, ref_terms(s.geometry, s.box, raw, alg.keys))
+    return CliffordPoly(s.dual_frame, degree, ref_terms(s.geometry, s.box, raw, keys))
 
 
 def test_algebroid_maps_match_per_mode(case):
@@ -1114,6 +1117,225 @@ def test_transport_makes_no_scalar_products_or_entry_views(monkeypatch):
             tr.inverse(sigma)
         assert counts == {"mul": 0, "entry": 0}
     assert not Transport(s, varying)._constant
+
+
+# ----------------------------------------------------------------------
+# frame polynomials: the dict ring they replaced
+# ----------------------------------------------------------------------
+#
+# A polynomial's coefficients are one stack row over its degree's keys, and
+# d_L is the frame-coordinate dbar block.  The references below are the
+# dict-ring code: a polynomial as a dict from keys to FourierScalars, and d_L
+# as the anchor derivatives plus the structure-constant sums.
+
+
+def ref_anchor_derivative(v, f):
+    """Directional derivative of f along the tangent projection of v.
+
+    Frames are constant, so only constant tangent components appear.
+    """
+    vals = v.constant_values()
+    out = FourierScalar.zero(f.geometry, f.box)
+    for a in range(v.geometry.dim):
+        c = vals[a]
+        if c != 0:
+            out = out.add(f.derive(a).scale(c))
+    return out
+
+
+def ref_lie_derivation_dL(a, structure):
+    """(d_L a)(x_0, .., x_k) = sum_i (-1)^i p(x_i) a(.., x_i omitted, ..)
+    + sum_{i<j} (-1)^{i+j} a([x_i, x_j]_H, ..), on the structure frame."""
+    dim = structure.dim
+    p = a.degree
+    out = {}
+    c = structure.structure_constants
+    for args in itertools.combinations(range(dim), p + 1):
+        val = FourierScalar.zero(structure.geometry, structure.box)
+        for i, xi in enumerate(args):
+            rest = args[:i] + args[i + 1:]
+            coeff = a.coefficient(rest)
+            if not coeff.is_zero():
+                term = ref_anchor_derivative(structure.frame[xi], coeff)
+                if i % 2:
+                    term = term.scale(-1)
+                val = val.add(term)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                rest = tuple(x for t, x in enumerate(args) if t not in (i, j))
+                sign = -1 if (i + j) % 2 else 1
+                for k in range(dim):
+                    ck = c[args[i], args[j], k]
+                    if ck == 0:
+                        continue
+                    coeff = a.coefficient((k,) + rest)
+                    if coeff.is_zero():
+                        continue
+                    val = val.add(coeff.scale(sign * ck))
+        if not val.is_zero():
+            out[args] = val
+    return CliffordPoly(structure.dual_frame, p + 1, out)
+
+
+def _twisted(n, K, mono):
+    box = TruncationBox(K)
+    return GCStructure.complex_structure(
+        n, box, twist=Spinor.constant_form(TorusGeometry(n), box, mono, 1.0)
+    )
+
+
+# complex, twisted complex (H = dx0 dx1 dx2), symplectic and B-transformed
+# T^4; complex T^6 and two twisted complex T^6
+DL_CASES = {
+    "t4-complex": lambda: GCStructure.complex_structure(2, TruncationBox(2)),
+    "t4-twisted": lambda: _twisted(2, 2, (0, 1, 2)),
+    "t4-symplectic": lambda: GCStructure.symplectic_structure(_OMEGA, TruncationBox(2)),
+    "t4-b-transform": lambda: GCStructure.complex_structure(2, TruncationBox(2)).b_transform(_B),
+    "t6-complex": lambda: GCStructure.complex_structure(3, TruncationBox(1)),
+    "t6-twisted-013": lambda: _twisted(3, 1, (0, 1, 3)),
+    "t6-twisted-245": lambda: _twisted(3, 1, (2, 4, 5)),
+}
+
+
+def _random_poly(rng, s, degree, terms=3):
+    return CliffordPoly(s.dual_frame, degree, {
+        key: random_fourier_scalar(rng, s.geometry, s.box, terms=terms)
+        for key in itertools.combinations(range(s.dim), degree)
+    })
+
+
+@pytest.mark.parametrize("name", DL_CASES)
+def test_dL_matches_the_dict_ring(name):
+    """The assembled d_L against the anchor-derivative and structure-constant
+    loop at every degree, on random multi-mode polynomials: 1e-14 relative."""
+    s = DL_CASES[name]()
+    rng = np.random.default_rng(151)
+    for degree in range(s.dim + 1):
+        poly = _random_poly(rng, s, degree)
+        got, want = lie_derivation_dL(poly, s), ref_lie_derivation_dL(poly, s)
+        assert got.degree == want.degree == degree + 1
+        assert (got - want).norm() <= 1e-14 * max(1.0, want.norm())
+        if degree == s.dim:
+            assert got.is_zero() and want.is_zero()
+
+
+def test_dL_matches_the_dict_ring_on_unit_mode_terms():
+    """Each of the 24 single terms 0.3 e^{2 pi i x_a} on one of the six slots
+    of complex T^4: the frame-coordinate operator must sit between the
+    polynomial's coefficients and the frame words, not between components."""
+    s = DL_CASES["t4-complex"]()
+    for key in itertools.combinations(range(4), 2):
+        for axis in range(4):
+            mode = tuple(int(a == axis) for a in range(4))
+            f = FourierScalar.mode(s.geometry, s.box, mode, 0.3)
+            poly = CliffordPoly(s.dual_frame, 2, {key: f})
+            got, want = lie_derivation_dL(poly, s), ref_lie_derivation_dL(poly, s)
+            assert (got - want).norm() <= 1e-15 * max(1.0, want.norm()), (key, mode)
+
+
+def test_poly_stack_matches_the_dict_ring():
+    """The stack row holds the dict's coefficients: the read views, add,
+    scale, norm, coefficient and the Clifford action against the dict-ring
+    versions, with dropped mass carried through the views, add and scale."""
+    s = GCStructure.complex_structure(2, TruncationBox(2, "drop"))
+    g, box = s.geometry, s.box
+    rng = np.random.default_rng(157)
+    keys = list(itertools.combinations(range(4), 2))
+    # keys out of order, one given reversed, one with dropped mass alone
+    terms = {
+        (1, 3): random_fourier_scalar(rng, g, box, terms=4),
+        (2, 0): random_fourier_scalar(rng, g, box, terms=4),
+        (0, 1): random_fourier_scalar(rng, g, box, terms=4),
+        (2, 3): FourierScalar(g, box, {}, dropped_mass=0.25),
+    }
+    a = CliffordPoly(s.dual_frame, 2, terms)
+    want = {(1, 3): terms[(1, 3)], (0, 2): terms[(2, 0)].scale(-1), (0, 1): terms[(0, 1)],
+            (2, 3): terms[(2, 3)]}
+    assert a.keys == keys and a.stack.shape == (1, 6)
+    assert list(a.coeffs) == sorted(want)
+    for key, f in a.terms():
+        assert f.coeffs == want[key].coeffs and f.dropped_mass == want[key].dropped_mass
+    for key in itertools.product(range(5), repeat=2):
+        sorted_sign = sort_monomial(key)
+        ref = FourierScalar.zero(g, box)
+        if sorted_sign is not None and sorted_sign[0] in want:
+            ref = want[sorted_sign[0]].scale(sorted_sign[1])
+        got = a.coefficient(key)
+        assert got.coeffs == ref.coeffs and got.dropped_mass == ref.dropped_mass
+    assert a.coefficient((0, 1, 2)).is_zero()
+
+    b = _random_poly(rng, s, 2, terms=2)
+    summed = a.add(b)
+    for key in keys:
+        ref = want[key].add(b.coefficient(key)) if key in want else b.coefficient(key)
+        assert summed.coefficient(key).coeffs == ref.coeffs
+        assert summed.coefficient(key).dropped_mass == pytest.approx(ref.dropped_mass)
+    # a real factor scales bitwise; numpy's complex product may differ from
+    # Python's in the last bit
+    for c in (-0.5, 0.0, 0.3 - 0.4j):
+        scaled = a.scale(c)
+        for key, f in want.items():
+            ref, got = f.scale(c), scaled.coefficient(key)
+            assert got.dropped_mass == ref.dropped_mass
+            if isinstance(c, float):
+                assert got.coeffs == ref.coeffs
+            for mode, value in ref.coeffs.items():
+                assert abs(got.coefficient(mode) - value) <= 1e-15 * abs(value)
+    ref_norm = math.sqrt(sum(f.norm() ** 2 for f in want.values()))
+    assert a.norm() == pytest.approx(ref_norm, rel=1e-15)
+    assert a.is_zero(1e3) and not a.is_zero(1e-3) and not a.is_zero()
+    assert CliffordPoly(s.dual_frame, 2, {(2, 3): terms[(2, 3)]}).is_zero()
+
+    for sigma in _spinors(s, 163, count=2):
+        _assert_close(a.act(sigma), ref_act(a, sigma))
+        _assert_close(b.act(sigma), ref_act(b, sigma))
+
+
+@pytest.mark.parametrize("name", ["t4-complex", "t4-symplectic", "t6-twisted-013"])
+def test_eps_matrix_scatter_matches_the_coefficient_entries(name):
+    """[eps] is the antisymmetric scatter of eps's row: bitwise the matrix of
+    the entries eps.coefficient((i, p)), dropped mass included."""
+    s = DL_CASES[name]()
+    rng = np.random.default_rng(167)
+    eps = _random_poly(rng, s, 2, terms=3)
+    eps = eps.add(CliffordPoly(s.dual_frame, 2, {(0, 1): FourierScalar(s.geometry, s.box, {}, 0.5)}))
+    slots = range(s.dim)
+    want = FourierMatrix.from_scalars([[eps.coefficient((i, p)) for p in slots] for i in slots])
+    got = FrameMaps(s, eps).eps_matrix
+    assert np.array_equal(got.modes, want.modes)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got.dropped_mass, want.dropped_mass)
+
+
+def test_algebroid_maps_and_eps_matrix_build_no_scalars(monkeypatch):
+    """AlgebroidHodge.harmonic, green and dL_adjoint, d_L and
+    FrameMaps.eps_matrix read and write coefficient stacks: they construct
+    no FourierScalar."""
+    s = DL_CASES["t4-twisted"]()
+    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+    alg = AlgebroidHodge(s, m)
+    rng = np.random.default_rng(173)
+    polys = [_random_poly(rng, s, degree) for degree in (1, 2, 3)]
+    built = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FourierScalar, "__init__", counted(FourierScalar.__init__))
+    monkeypatch.setattr(FourierScalar, "_from_clean", classmethod(counted(
+        FourierScalar._from_clean.__func__
+    )))
+    for poly in polys:
+        for out in (alg.harmonic(poly), alg.green(poly), alg.dL_adjoint(poly),
+                    lie_derivation_dL(poly, s)):
+            assert isinstance(out, CliffordPoly)
+    FrameMaps(s, polys[1])
+    assert built == []
+    polys[0].coefficient((0,))
+    assert built
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from gentorus import deformation
 from gentorus.deformation import DeformedStructure, extend_closed_form, hodge_number_scan
 from gentorus.hodge import HodgeContext, _rank
-from gentorus.scenario import Scenario
+from gentorus.scenario import Scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,3 +124,27 @@ def test_stacked_scan_matches_the_per_extension_loop(case, monkeypatch):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
+
+
+def test_scan_finding_names_the_level_being_extended():
+    """On twisted complex T^4 the level -2 harmonics cannot be extended (the
+    class check S_upper fails at level -1): the finding names the level
+    whose harmonics were being extended as well as the failed check."""
+    config = _twisted_t4()
+    config["experiments"] = [{"kind": "scan", "t_samples": [0.1]}]
+    report, _ = run_scenario(config)
+    (record,) = report["experiments"]
+    assert record["status"] == "finding"
+    assert record["findings"] == [
+        "extending the level -2 harmonics: class condition S_upper fails at level -1"
+    ]
+
+
+def test_scan_labels_a_real_sample_by_its_value():
+    """A negative real t is reported as itself, as the criterion labels it,
+    not as its absolute value."""
+    config = _config("scenarios/t2_criterion_scan.json")
+    config["experiments"] = [{"kind": "scan", "t_samples": [-0.1, 0.1, 0.0], "order": 2}]
+    report, _ = run_scenario(config)
+    rows = report["experiments"][0]["tables"]["rows"]
+    assert [row["t"] for row in rows] == [-0.1] * 3 + [0.1] * 3 + [0.0] * 3

@@ -21,11 +21,13 @@ from gentorus.report import (
     reports_equal,
 )
 from gentorus.scenario import (
+    BLOCK_KEYS,
     CONFIG_KEYS,
     EXPERIMENT_KEYS,
     MAX_LIST_LENGTH,
     MAX_ORDER,
     MAX_SAMPLES,
+    STRUCTURE_KEYS,
     Scenario,
     ScenarioError,
     _parse_key_tuple,
@@ -174,6 +176,19 @@ def test_cli_negative_control_exit_code():
     config_path = SCENARIOS / "t4_negative_control.json"
     code = main(["run", str(config_path)])
     assert code == 2
+
+
+def test_mc_negative_control_ends_as_a_finding():
+    """eps = t (0.3 e^{2 pi i x0} on slot "0,2" + 0.3 e^{2 pi i x1} on slot
+    "0,3") is d_L-closed, but 1/2 [eps_1, eps_1] != 0 at order (2, 0): the
+    extension's Maurer-Cartan gate stops it, exit 2."""
+    config = json.loads((SCENARIOS / "t4_mc_negative_control.json").read_text())
+    report, _ = run_scenario(config)
+    (record,) = report["experiments"]
+    assert record["status"] == "finding"
+    assert record["findings"] == ["deformation series fails the Maurer-Cartan equation"]
+    assert record["data"]["worst_residual"] == pytest.approx(0.09 * 3.141592653589793)
+    assert exit_code_for(report) == 2
 
 
 @pytest.mark.parametrize(
@@ -532,7 +547,7 @@ def test_config_sizes_are_bounded_before_anything_is_built(
 
 def test_shipped_and_benchmark_configs_are_within_the_size_bounds():
     paths = sorted(SCENARIOS.glob("*.json")) + sorted(BENCH_CONFIGS.glob("*/*.json"))
-    assert len(paths) == 13
+    assert len(paths) == 14
     for path in paths:
         Scenario(json.loads(path.read_text()))
 
@@ -757,23 +772,101 @@ def test_unknown_config_keys_are_refused(path, key, tmp_path, capsys):
     assert err.startswith("error: ") and key in err
 
 
-@settings(max_examples=40, deadline=None)
+def _nested_config():
+    """minimal_config with every nested block: a b_transform structure over
+    a complex base, a deformation with a mode list, tolerances and output."""
+    config = minimal_config()
+    config.update(
+        structure={"type": "b_transform", "base": {"type": "complex"}, "B": [[0, 0.5], [-0.5, 0]]},
+        deformation={"coefficients": {"1,0": {"terms": {"0,1": {"modes": [{"k": [0, 0], "c": 0.1}]}}}}},
+        tolerances={"default": 1e-9},
+        output={"formats": ["json"]},
+    )
+    return config
+
+
+# each nested block of _nested_config: its path and the keys it may hold
+_NESTED_BLOCKS = {
+    "torus": (("torus",), BLOCK_KEYS["torus"]),
+    "structure": (("structure",), STRUCTURE_KEYS["b_transform"]),
+    "base": (("structure", "base"), STRUCTURE_KEYS["complex"]),
+    "metric": (("metric",), BLOCK_KEYS["metric"]),
+    "deformation": (("deformation",), BLOCK_KEYS["deformation"]),
+    "coefficient": (("deformation", "coefficients", "1,0"), BLOCK_KEYS["deformation coefficient"]),
+    "series": (("deformation", "coefficients", "1,0", "terms", "0,1"), BLOCK_KEYS["Fourier series"]),
+    "mode": (("deformation", "coefficients", "1,0", "terms", "0,1", "modes", 0),
+             BLOCK_KEYS["Fourier mode"]),
+    "tolerances": (("tolerances",), BLOCK_KEYS["tolerances"]),
+    "output": (("output",), BLOCK_KEYS["output"]),
+}
+
+
+def _nested_block(config, name):
+    target = config
+    for step in _NESTED_BLOCKS[name][0]:
+        target = target[step]
+    return target
+
+
+def test_the_nested_config_parses():
+    """Every nested block of the fuzzed config holds known keys only."""
+    Scenario(_nested_config())
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_BLOCKS))
+def test_unknown_nested_keys_are_refused(name, tmp_path, capsys):
+    """A misspelt key in a nested block, for example
+    "torus": {"n": 1, "K": 1, "polcy": "drop"}, is a config error naming
+    the key, exit 1: it is not silently ignored."""
+    config = _nested_config()
+    _nested_block(config, name)["polcy"] = "drop"
+    with pytest.raises(ScenarioError, match="unknown key 'polcy'"):
+        Scenario(config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "polcy" in err
+
+
+def test_structure_keys_follow_the_type():
+    """A key of another structure type is refused: an omega on a complex
+    structure, a twist on a b_transform (its base carries the twist), and
+    a misspelt key in a twist entry."""
+    config = minimal_config()
+    config["structure"] = {"type": "complex", "omega": [[0, 1], [-1, 0]]}
+    with pytest.raises(ScenarioError, match="unknown key 'omega' in a 'complex' structure"):
+        Scenario(config)
+    config["structure"] = {"type": "b_transform", "base": {"type": "complex"},
+                           "B": [[0, 0.5], [-0.5, 0]], "H": []}
+    with pytest.raises(ScenarioError, match="unknown key 'H' in a 'b_transform' structure"):
+        Scenario(config)
+    config = json.loads((SCENARIOS / "t4_negative_control.json").read_text())
+    config["structure"]["H"] = [{"indices": [0, 1, 2], "c": 1.0, "cc": 2.0}]
+    with pytest.raises(ScenarioError, match="unknown key 'cc' in the H entry block"):
+        Scenario(config)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from([None] + sorted(EXPERIMENT_KEYS)),
+    kind=st.sampled_from([None] + sorted(EXPERIMENT_KEYS) + sorted(_NESTED_BLOCKS)),
     key=st.text(max_size=6),
     value=_JSON,
 )
 def test_any_unknown_key_exits_1(kind, key, value, tmp_path_factory):
-    """Any key outside the closed set, at the top level (kind None) or in
-    an experiment of a known kind, ends the run with exit 1 whatever its
-    value."""
-    config = minimal_config()
+    """Any key outside the closed set, at the top level (kind None), in an
+    experiment of a known kind or in a nested block, ends the run with
+    exit 1 whatever its value."""
+    config = _nested_config()
     if kind is None:
         assume(key not in CONFIG_KEYS)
         config[key] = value
-    else:
+    elif kind in EXPERIMENT_KEYS:
         assume(key not in ("kind",) + EXPERIMENT_KEYS[kind])
         config["experiments"] = [{"kind": kind, key: value}]
+    else:
+        assume(key not in _NESTED_BLOCKS[kind][1])
+        _nested_block(config, kind)[key] = value
     path = tmp_path_factory.mktemp("unknown") / "bad.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path)]) == 1

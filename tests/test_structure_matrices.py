@@ -255,8 +255,9 @@ def _residuals(frame, dual, twist, jmatrix, level, frame_cliff, rho0, offframe):
 
 
 def _differentials(structure, twist):
-    """d as C = -H ^ and A_a = dx^a ^, and its level parts as the masked
-    level blocks of C and of the A_a."""
+    """d as C = -H ^ and A_a = dx^a ^, its level parts as the masked
+    level blocks of C and of the A_a, and d_L as the masked raising blocks
+    in frame coordinates."""
     dim = structure.dim
     zero = Spinor.zero(structure.geometry, structure.box)
     const = -wedge_matrix(zero if twist is None else twist).constant_values()
@@ -267,6 +268,8 @@ def _differentials(structure, twist):
     for name, shift in (("del", -1), ("dbar", 1)):
         parts = words @ (structure.shift_mask(shift) * frame) @ coords
         out[name] = (parts[0], parts[1:])
+    raising = structure.shift_mask(+1) * frame
+    out["dL"] = (raising[0], raising[1:])
     return out
 
 
