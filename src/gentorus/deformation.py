@@ -248,6 +248,9 @@ class Beltrami:
         s = self.structure
         coeffs = self.coefficients
         zero = CliffordPoly.zero(s.dual_frame, 3)
+        # the brackets are 3-polynomials, zero on T^2: none is formed there,
+        # so no product of coefficients can leave a strict box for nothing
+        brackets = coeffs if s.dim >= 3 else {}
         cut = 2 * self.order if self.cut_order is None else self.cut_order
         residuals: Dict[str, float] = {}
         truncation: Dict[str, float] = {}
@@ -262,7 +265,7 @@ class Beltrami:
                 # d_L runs only on the coefficients that are there
                 lhs = zero if poly is None else lie_derivation_dL(poly, s)
                 rhs = zero
-                for (a, b), pa in coeffs.items():
+                for (a, b), pa in brackets.items():
                     if (i - a, j - b) in coeffs:
                         rhs = rhs.add(
                             schouten_bracket(pa, coeffs[(i - a, j - b)], s, policy=policy)

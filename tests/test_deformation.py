@@ -21,7 +21,7 @@ from gentorus.deformation import (
     maurer_cartan_expand,
     maurer_cartan_verify,
 )
-from gentorus.fourier import FourierMatrix, FourierScalar, TruncationBox
+from gentorus.fourier import FourierMatrix, FourierScalar, TruncationBox, TruncationError
 from gentorus.hodge import ObstructionError
 from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
@@ -546,6 +546,22 @@ def test_mc_checks_the_orders_without_a_coefficient(monkeypatch):
     assert not report["integrable"] and report["truncation"] is None
     for key in ("1,0", "0,1", "1,1", "0,2"):
         assert report["residuals"][key] < 1e-15
+
+
+def test_mc_check_on_t2_forms_no_bracket(monkeypatch):
+    """On T^2 a bracket of 2-polynomials has degree 3 > 2 and is zero, so the
+    check of order (2, 0) forms no product: eps at the edge mode of a
+    strict K=1 box is integrable, though eps eps would leave the box."""
+    s = GCStructure.complex_structure(1, TruncationBox(1))
+    eps = CliffordPoly(s.dual_frame, 2, {(0, 1): FourierScalar.mode(s.geometry, s.box, (1, 0), 0.2)})
+    with pytest.raises(TruncationError):
+        schouten_bracket(eps, eps, s)
+    calls = []
+    mul = FourierScalar.mul
+    monkeypatch.setattr(FourierScalar, "mul", lambda *a, **k: calls.append(1) or mul(*a, **k))
+    report = maurer_cartan_verify(Beltrami(s, {(1, 0): eps}))
+    assert report["integrable"] and sorted(report["residuals"]) == ["0,1", "0,2", "1,0", "1,1", "2,0"]
+    assert calls == []
 
 
 def test_mc_orders_above_the_cut_are_truncation():
