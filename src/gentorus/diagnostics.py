@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -20,7 +20,13 @@ from .calculus import (
     schouten_bracket,
     twisted_d,
 )
-from .fourier import FourierMatrix, TorusGeometry, TruncationBox
+from .fourier import (
+    TorusGeometry,
+    TruncationBox,
+    _mode_keys,
+    _runs_within_chunk,
+    _stack_products,
+)
 from .hodge import (
     CHECK_KINDS,
     MODE_CHUNK,
@@ -32,7 +38,6 @@ from .hodge import (
 )
 from .spinor import (
     CliffordPoly,
-    _action,
     clifford_generators,
     random_fourier_scalar,
     random_spinor,
@@ -63,13 +68,15 @@ def clifford_suite(
     Every floating-point operation is the one the per-sample products of
     :func:`~gentorus.spinor.clifford_act` and :func:`~gentorus.spinor.pairing`
     perform, so the residuals are bitwise those of a loop over the samples.
-    The constant half is one stack over all its samples: each sample's
-    products are the same one-mode gemv slices, and its pairing the same
-    Python complex sum.  The Fourier half stays per sample, its draws made
-    straight into mode stacks and each section's action matrix built once;
-    it is not batched, because the mode sets differ per sample and a
-    product computed at another shape, such as a one-column product inside
-    a wider one (gemv against gemm), changes bits.
+    Each half is stacked over its samples.  The constant half is one stack:
+    each sample's products are the same one-mode gemv slices, and its
+    pairing the same Python complex sum.  The Fourier half draws every
+    sample first, then forms its products as stacks over runs of samples
+    with :func:`~gentorus.fourier._stack_products`, the summation
+    ``FourierMatrix.matmul`` uses: the mode sets differ per sample, so each
+    pair-product GEMM keeps its own column count, samples of equal count
+    share a batched matmul with rows padded, and each sample's products are
+    summed into its modes in the order its own product sums them.
 
     The Fourier half needs a no-truncation regime: small boxes are embedded
     in one wide enough for the triple products.
@@ -115,20 +122,149 @@ def _clifford_fourier(
     rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, samples: int
 ) -> float:
     """The worst relative Clifford residual over triples with modes up to
-    K // 3, one sample at a time."""
+    K // 3.
+
+    All samples are drawn first, in the per-sample order: a, b, then the
+    spinor.  Their products are then stacks over runs of samples (see
+    :class:`_Stacks`), each run's largest stack within ``PAIR_CHUNK``
+    entries, and every residual is bitwise that of the sample alone.
+    """
     mm = max(1, box.K // 3)
-    worst = 0.0
+    dim, size = geometry.dim, 2 ** geometry.dim
+    a_cells, b_cells, pair_cells, sigma_cells, norms = [], [], [], [], []
     for _ in range(samples):
         a = _fourier_section(rng, geometry, mm)
         b = _fourier_section(rng, geometry, mm)
-        spinor = random_spinor(rng, geometry, box, max_mode=mm).stack
-        ma, mb = _section_action(geometry, box, a), _section_action(geometry, box, b)
-        lhs = ma.matmul(mb.matmul(spinor)) + mb.matmul(ma.matmul(spinor))
-        g = _row_stack(geometry, box, [(m, 0, c) for m, c in _pairing(a, b).items()], 1)
-        rhs = spinor.matmul(g)
-        scale = max(1.0, _section_norm(a) * _section_norm(b) * spinor.norm())
-        worst = max(worst, (lhs - rhs).norm() / scale)
+        a_cells.append([(m, 0, j, c) for j, (m, c) in enumerate(a)])
+        b_cells.append([(m, 0, j, c) for j, (m, c) in enumerate(b)])
+        pair_cells.append([(m, 0, 0, c) for m, c in _pairing(a, b).items()])
+        # random_spinor's draws: one term per component
+        sigma_cells.append([
+            (m, row, 0, c)
+            for row in range(size)
+            for m, c in random_terms(rng, dim, mm, 1).items()
+        ])
+        norms.append(_section_norm(a) * _section_norm(b))
+    # each sample's a.(b.sigma) takes at most P_a P_b P_sigma N entries
+    cost = np.array([
+        len({c[0] for c in ca}) * len({c[0] for c in cb}) * len({c[0] for c in cs}) * size
+        for ca, cb, cs in zip(a_cells, b_cells, sigma_cells)
+    ])
+    generators = clifford_generators(dim).reshape(2 * dim, -1)
+    worst = 0.0
+    for run in _runs_within_chunk(cost):
+        count = run.stop - run.start
+        weights = _row_stacks(box, dim, b_cells[run] + a_cells[run], (1, 2 * dim))
+        # exact: each entry of an action matrix is one +-1 times one component
+        actions = weights._replace(
+            coeffs=(weights.coeffs[:, 0] @ generators).reshape(-1, size, size)
+        )
+        sigma = _row_stacks(box, dim, sigma_cells[run], (size, 1))
+        scales = np.maximum(1.0, np.array(norms[run]) * _norms(sigma))
+        b_acts, a_acts = _split(actions, count)
+        # b.sigma and a.sigma, then a.(b.sigma) and b.(a.sigma)
+        once = _products(actions, _join(sigma, sigma))
+        ab, ba = _split(_products(_join(a_acts, b_acts), once), count)
+        rhs = _products(sigma, _row_stacks(box, dim, pair_cells[run], (1, 1)))
+        diff = _sum(_sum(ab, ba), rhs._replace(coeffs=rhs.coeffs * complex(-1)))
+        worst = max(worst, *(_norms(diff) / scales).tolist())
     return worst
+
+
+class _Stacks(NamedTuple):
+    """One Fourier stack per sample, held end to end: the coefficient
+    matrices (T, rows, cols), their mode keys (T,) (see
+    :func:`~gentorus.fourier._mode_keys`), ascending within each sample, and
+    each sample's number of matrices (S,).  As in a ``FourierMatrix``, no
+    matrix is all zero."""
+
+    coeffs: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
+
+
+def _owners(stacks: _Stacks) -> np.ndarray:
+    return np.repeat(np.arange(len(stacks.counts)), stacks.counts)
+
+
+def _without_zeros(stacks: _Stacks) -> _Stacks:
+    """The stacks less their all-zero matrices."""
+    live = stacks.coeffs.any(axis=(1, 2))
+    if live.all():
+        return stacks
+    counts = np.bincount(_owners(stacks)[live], minlength=len(stacks.counts))
+    return _Stacks(stacks.coeffs[live], stacks.keys[live], counts)
+
+
+def _split(stacks: _Stacks, count: int) -> Tuple[_Stacks, _Stacks]:
+    """The first ``count`` samples' stacks and the rest's."""
+    cut = int(stacks.counts[:count].sum())
+    return (
+        _Stacks(stacks.coeffs[:cut], stacks.keys[:cut], stacks.counts[:count]),
+        _Stacks(stacks.coeffs[cut:], stacks.keys[cut:], stacks.counts[count:]),
+    )
+
+
+def _join(first: _Stacks, second: _Stacks) -> _Stacks:
+    """The samples of ``first``, then those of ``second``."""
+    return _Stacks(*(np.concatenate(pair) for pair in zip(first, second)))
+
+
+def _row_stacks(
+    box: TruncationBox, dim: int, cells: List[List[Tuple]], shape: Tuple[int, int]
+) -> _Stacks:
+    """Per sample, the stack of the given shape with coefficient c at (mode,
+    i, j) for each of its (mode, i, j, c) cells, no two at one place and
+    every mode in the box: a section's components as ``clifford_matrix``
+    weighs them, a scalar, or a spinor as ``random_spinor`` stacks it."""
+    modes, at, counts = [], [], []
+    for sample in cells:
+        distinct = sorted({cell[0] for cell in sample})
+        row = {m: len(modes) + p for p, m in enumerate(distinct)}
+        modes.extend(distinct)
+        at.extend((row[m], i, j, c) for m, i, j, c in sample)
+        counts.append(len(distinct))
+    coeffs = np.zeros((len(modes),) + shape, dtype=complex)
+    if at:
+        p, i, j, c = zip(*at)
+        coeffs[p, i, j] = c
+    keys = _mode_keys(box, np.array(modes, dtype=np.int64).reshape(-1, dim))
+    return _without_zeros(_Stacks(coeffs, keys, np.array(counts)))
+
+
+def _products(left: _Stacks, right: _Stacks) -> _Stacks:
+    """Per sample, the product of its two stacks as ``FourierMatrix.matmul``
+    forms it inside the box."""
+    sums, p, q, owner = _stack_products(
+        left.coeffs, left.keys, left.counts, right.coeffs, right.keys, right.counts
+    )
+    counts = np.bincount(owner, minlength=len(left.counts))
+    return _without_zeros(_Stacks(sums, left.keys[p] + right.keys[q], counts))
+
+
+def _sum(first: _Stacks, second: _Stacks) -> _Stacks:
+    """Per sample, the sum of its two stacks as ``FourierMatrix.add`` forms
+    it: both stacks' matrices sorted stably by mode, those at one mode
+    summed by ``reduceat``."""
+    owner = np.concatenate([_owners(first), _owners(second)])
+    keys = np.concatenate([first.keys, second.keys])
+    order = np.lexsort((keys, owner))
+    owner, keys = owner[order], keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])))
+    )
+    coeffs = np.add.reduceat(np.concatenate([first.coeffs, second.coeffs])[order], starts, axis=0)
+    counts = np.bincount(owner[starts], minlength=len(first.counts))
+    return _without_zeros(_Stacks(coeffs, keys[starts], counts))
+
+
+def _norms(stacks: _Stacks) -> np.ndarray:
+    """Per sample, ``FourierMatrix.norm``: the root of one sum over the
+    sample's contiguous squared magnitudes, whose pairwise order a sum over
+    a longer run would change."""
+    squares = np.abs(stacks.coeffs) ** 2
+    ends = np.cumsum(stacks.counts).tolist()
+    return np.sqrt([np.sum(squares[end - n:end]) for end, n in zip(ends, stacks.counts.tolist())])
 
 
 # A section drawn for the Clifford suite is its 4n components (tangent, then
@@ -148,32 +284,6 @@ def _fourier_section(
         next(iter(random_terms(rng, geometry.dim, max_mode, 1).items()))
         for _ in range(2 * geometry.dim)
     ]
-
-
-def _row_stack(
-    geometry: TorusGeometry, box: TruncationBox, cells: List[Tuple], cols: int
-) -> FourierMatrix:
-    """The one-row stack with coefficient c at (mode, column j) for each
-    (mode, j, c) cell, no two cells at one place and every mode in the box:
-    a section's components, as ``clifford_matrix`` weighs them, or a scalar."""
-    modes = sorted({m for m, _, _ in cells})
-    at = {m: p for p, m in enumerate(modes)}
-    coeffs = np.zeros((len(modes), 1, cols), dtype=complex)
-    for m, j, c in cells:
-        coeffs[at[m], 0, j] = c
-    return FourierMatrix._from_sorted(
-        geometry, box, np.array(modes, dtype=np.int64).reshape(-1, geometry.dim), coeffs,
-        np.zeros((1, cols)),
-    )
-
-
-def _section_action(
-    geometry: TorusGeometry, box: TruncationBox, section: List[Tuple]
-) -> FourierMatrix:
-    """The matrix of a section's Clifford action, as ``clifford_matrix`` builds it."""
-    cells = [(m, j, c) for j, (m, c) in enumerate(section)]
-    weights = _row_stack(geometry, box, cells, len(section))
-    return _action(weights, clifford_generators(geometry.dim))
 
 
 def _section_norm(section: List[Tuple]) -> float:

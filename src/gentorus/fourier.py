@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -367,16 +367,157 @@ def _live(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.any(a, axis=0)[:, :, None] & np.any(b, axis=0)[None, :, :]
 
 
-def _pair_products(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """The products a[p] @ b[q] of every pair of coefficient matrices of two
-    stacks, A's modes in chunks of at most ``PAIR_CHUNK`` complex entries:
-    yields (lo, pairs) with pairs[p - lo, q] = a[p] @ b[q], one GEMM each."""
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each sample's run starts, for runs of the given lengths."""
+    return np.cumsum(counts) - counts
+
+
+def _runs_within_chunk(cost: np.ndarray) -> List[slice]:
+    """Consecutive runs of items whose costs sum to at most ``PAIR_CHUNK``,
+    an item above it on its own."""
+    if cost.sum() <= PAIR_CHUNK:
+        return [slice(0, len(cost))]
+    out, lo, total = [], 0, 0
+    for i, c in enumerate(cost.tolist()):
+        if i > lo and total + c > PAIR_CHUNK:
+            out.append(slice(lo, i))
+            lo, total = i, 0
+        total += c
+    out.append(slice(lo, len(cost)))
+    return out
+
+
+def _stack_pairs(
+    a: np.ndarray, a_counts: np.ndarray, b: np.ndarray, b_counts: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The products a[p] @ b[q] of every pair of coefficient matrices of each
+    sample of a batch of stack pairs.
+
+    Sample s holds the a_counts[s] matrices of A and the b_counts[s] of B
+    that follow those of the samples before it.  Pairs are numbered sample
+    by sample, (p, q) in row-major order; yields (pairs, products) with
+    products[i] the product of pair pairs[i].
+
+    Each sample's A matrices go in chunks of at most ``PAIR_CHUNK`` complex
+    entries of products, and chunk r of every sample comes before chunk
+    r + 1 of any.  A chunk's products are one GEMM of its rows against
+    b_wide, B's matrices side by side.  The chunks of a round whose b_wide
+    are equally wide share one batched matmul, rows padded to the longest
+    chunk, in batches of at most ``PAIR_CHUNK`` padded entries.  Neither
+    moves a bit of a product: a slice of a batched matmul is the 2-D
+    product of its shape, and rows added to the left factor leave the other
+    rows alone, while a wider right factor would change them.
+    """
     (rows, inner), cols = a.shape[1:], b.shape[2]
-    b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
-    step = max(1, PAIR_CHUNK // max(1, len(b) * rows * cols))
-    for lo in range(0, len(a), step):
-        prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, len(b), cols)
-        yield lo, prod.transpose(0, 2, 1, 3)
+    if len(a_counts) == 1:
+        # one sample: its chunks in turn
+        width = len(b)
+        step = max(1, PAIR_CHUNK // max(1, width * rows * cols))
+        b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
+        for lo in range(0, len(a) if width else 0, step):
+            prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, width, cols)
+            pairs = slice(lo * width, (lo + len(prod)) * width)
+            yield pairs, prod.transpose(0, 2, 1, 3).reshape(-1, rows, cols)
+        return
+    a_counts = np.asarray(a_counts, dtype=np.int64)
+    b_counts = np.asarray(b_counts, dtype=np.int64)
+    step = np.maximum(1, PAIR_CHUNK // np.maximum(1, b_counts * rows * cols))
+    a_start, b_start = _starts(a_counts), _starts(b_counts)
+    pair_start = _starts(a_counts * b_counts)
+    chunks = np.where(b_counts > 0, -(-a_counts // step), 0)
+    for r in range(int(chunks.max(initial=0))):
+        s = np.flatnonzero(chunks > r)
+        lo = r * step[s]
+        m = np.minimum(step[s], a_counts[s] - lo)
+        widths, group = np.unique(b_counts[s], return_inverse=True)
+        longest = np.zeros(len(widths), dtype=np.int64)
+        np.maximum.at(longest, group, m)
+        cost = longest[group] * rows * widths[group] * cols
+        for batch in _runs_within_chunk(cost):
+            pairs, products = [], []
+            for g in np.unique(group[batch]):
+                sel = np.flatnonzero(group[batch] == g) + batch.start
+                su, lu, mu, w = s[sel], lo[sel], m[sel], widths[g]
+                j = np.arange(mu.max())
+                valid = j < mu[:, None]
+                rows_at = a_start[su, None] + lu[:, None] + np.where(valid, j, 0)
+                b_wide = b[b_start[su, None] + np.arange(w)].transpose(0, 2, 1, 3)
+                prod = a[rows_at].reshape(len(su), -1, inner) @ b_wide.reshape(len(su), inner, -1)
+                prod = prod.reshape(len(su), len(j), rows, w, cols).transpose(0, 1, 3, 2, 4)
+                prod = prod.reshape(-1, w, rows, cols)
+                first = (pair_start[su, None] + (lu[:, None] + j) * w).ravel()
+                if not valid.all():
+                    valid = valid.ravel()
+                    prod, first = prod[valid], first[valid]
+                products.append(prod.reshape(-1, rows, cols))
+                pairs.append((first[:, None] + np.arange(w)).ravel())
+            if len(pairs) == 1:
+                yield pairs[0], products[0]
+            else:
+                yield np.concatenate(pairs), np.concatenate(products)
+
+
+def _stack_products(
+    a: np.ndarray,
+    a_keys: np.ndarray,
+    a_counts: np.ndarray,
+    b: np.ndarray,
+    b_keys: np.ndarray,
+    b_counts: np.ndarray,
+    keep: np.ndarray | None = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair products of each sample of a batch (see :func:`_stack_pairs`)
+    summed into their output modes, those of pairs that the mask ``keep``
+    over the pairs rejects left out.
+
+    The key of pair (p, q) is a_keys[p] + b_keys[q], mode keys as
+    :func:`_mode_keys` makes them.  Returns (sums, p, q, owner): sample by
+    sample, its distinct keys in ascending order, each with the sum of its
+    products, the first pair (p, q) with that key, and the sample.  A key's
+    products are summed by :func:`_add_rows` per chunk of
+    :func:`_stack_pairs` in pair order, and the chunk sums added in chunk
+    order, so each sample's sums are bitwise those of its product alone.
+    """
+    a_counts = np.asarray(a_counts, dtype=np.int64)
+    b_counts = np.asarray(b_counts, dtype=np.int64)
+    (rows, _), cols = a.shape[1:], b.shape[2]
+    if len(a_counts) == 1:
+        p, q = np.divmod(np.arange(a_counts[0] * b_counts[0]), b_counts[0])
+        owner = np.zeros(len(p), dtype=np.intp)
+        keys = a_keys[p] + b_keys[q]
+    else:
+        counts = a_counts * b_counts
+        owner = np.repeat(np.arange(len(counts)), counts)
+        p, q = np.divmod(np.arange(len(owner)) - _starts(counts)[owner], b_counts[owner])
+        p += _starts(a_counts)[owner]
+        q += _starts(b_counts)[owner]
+        # offset each sample's keys past the one before: one sort then
+        # orders the pairs by sample, then by mode
+        keys = a_keys[p] + b_keys[q]
+        low = int(keys.min(initial=0))
+        span = int(keys.max(initial=0)) - low + 1
+        if len(counts) * span < 2 ** 62:
+            keys = owner * span + (keys - low)
+        else:
+            keys = owner * len(keys) + np.unique(keys, return_inverse=True)[1]
+    if keep is not None:
+        p, q, owner, keys = p[keep], q[keep], owner[keep], keys[keep]
+    if (keys[1:] > keys[:-1]).all():
+        first = slot = np.arange(len(keys))
+    else:
+        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    if keep is not None:
+        full = np.zeros(len(keep), dtype=np.intp)
+        full[keep] = slot
+        slot = full
+    out = np.zeros((len(first), rows, cols), dtype=complex)
+    for pairs, products in _stack_pairs(a, a_counts, b, b_counts):
+        slots = slot[pairs]
+        if keep is not None:
+            kept = keep[pairs]
+            slots, products = slots[kept], products[kept]
+        _add_rows(out, slots, products)
+    return out, p[first], q[first], owner[first]
 
 
 class FourierMatrix:
@@ -573,15 +714,14 @@ class FourierMatrix:
             # general path, which raises or drops it
             modes = (self.modes[:, None] + other.modes).reshape(-1, self.geometry.dim)
             if np.abs(modes).max() <= K:
-                out = np.zeros((len(a), len(b), rows, cols), dtype=complex)
-                for lo, pairs in _pair_products(a, b):
-                    out[lo:lo + len(pairs)] += pairs
-                return FourierMatrix._from_sorted(
-                    self.geometry, self.box, modes, out.reshape(-1, rows, cols), dropped
-                )
+                out = np.zeros((len(a) * len(b), rows, cols), dtype=complex)
+                for pairs, products in _stack_pairs(a, [len(a)], b, [len(b)]):
+                    out[pairs] += products
+                return FourierMatrix._from_sorted(self.geometry, self.box, modes, out, dropped)
 
         # every pair of modes, keyed by the mode of its product
-        keys = _mode_keys(self.box, self.modes)[:, None] + _mode_keys(self.box, other.modes)
+        ka, kb = _mode_keys(self.box, self.modes), _mode_keys(self.box, other.modes)
+        keys = ka[:, None] + kb
         inside = np.ones(keys.shape, dtype=bool)
         for axis in range(self.geometry.dim):
             inside &= np.abs(self.modes[:, axis, None] + other.modes[:, axis]) <= K
@@ -594,20 +734,10 @@ class FourierMatrix:
                 p, q = np.unravel_index(np.argmax(hit), hit.shape)
                 raise TruncationError(tuple(int(k) for k in self.modes[p] + other.modes[q]))
 
-        # one product over all mode pairs, A's modes taken in chunks
-        pi, qi = np.nonzero(inside)
-        pair_keys = keys[pi, qi]
-        if (pair_keys[1:] > pair_keys[:-1]).all():
-            # one side has one mode: its shifts keep the other side's order
-            first = slot = np.arange(len(pair_keys))
-        else:
-            _, first, slot = np.unique(pair_keys, return_index=True, return_inverse=True)
-        out = np.zeros((len(first), rows, cols), dtype=complex)
-        done = 0
-        for lo, pairs in _pair_products(a, b):
-            pairs = pairs[inside[lo:lo + len(pairs)]]
-            _add_rows(out, slot[done:done + len(pairs)], pairs)
-            done += len(pairs)
+        # the products of the pairs inside the box, summed by output mode
+        out, p, q, _ = _stack_products(
+            a, ka, [len(a)], b, kb, [len(b)], None if inside.all() else inside.ravel()
+        )
 
         live = _live(a, b) if policy == "drop" and escaped.any() else None
         if live is not None and live.any():
@@ -628,7 +758,7 @@ class FourierMatrix:
                 lost[g[starts]] += np.add.reduceat(terms, starts, axis=0)
             np.add.at(dropped, (i, j), np.sum(lost.real ** 2 + lost.imag ** 2, axis=0))
         return FourierMatrix._from_sorted(
-            self.geometry, self.box, self.modes[pi[first]] + other.modes[qi[first]], out, dropped
+            self.geometry, self.box, self.modes[p] + other.modes[q], out, dropped
         )
 
     def conj(self) -> "FourierMatrix":

@@ -8,6 +8,8 @@ judged against.  Complex numbers are [re, im] pairs throughout the schema.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from typing import Dict, List, Tuple
 
@@ -48,6 +50,18 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_ORDER = 10  # an experiment's order and the deformation block's
 MAX_SAMPLES = 1000  # random samples of a criterion or an identity suite
 MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
+
+# bytes that a config's largest arrays may take, as _estimated_bytes counts
+# them; a config above it is refused before anything is built
+MEMORY_BUDGET = 4 * 2 ** 30
+# complex (R, N, N) stacks over the representative modes that a Hodge
+# context and the experiments using it hold at once, in units of its d
+# stack: tracemalloc peaks of 5-7 d stacks for hodge-table and 11-14 for
+# identity-suite on complex T^4 K=2, K=3 and T^6 K=1
+HODGE_STACKS = 16
+# the experiments that build a Hodge context; an expanded deformation
+# builds the algebroid's, of the same size
+HODGE_KINDS = ("identity-suite", "hodge-table", "extend", "scan")
 
 # the keys a config may hold, the keys of each experiment kind besides
 # "kind", of each structure type and of each nested block; any other key is
@@ -174,6 +188,46 @@ def _check_integer(key: str, value, low: int, high: int | None = None) -> None:
         raise ScenarioError(f"{key!r} must be an integer {bound}, got {value!r}")
 
 
+def _check_tolerance(value) -> float:
+    """The default tolerance: a finite real number > 0, not a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ScenarioError(
+            f"'tolerances.default' must be a finite number > 0, got {value!r}"
+        )
+    return float(value)
+
+
+def _twisted(spec) -> bool:
+    """Whether a structure block, or the base it transforms, sets a twist H."""
+    if not isinstance(spec, dict):
+        return False
+    return bool(spec.get("H")) or _twisted(spec.get("base"))
+
+
+def _estimated_bytes(n: int, K: int, twisted: bool, hodge: bool) -> float:
+    """The bytes of a config's largest arrays, with N = 4^n spinor
+    components: the structure's 4n complex (N, N) Clifford generators and
+    the (N, N, N) wedge words with their complex copy, and when a Hodge
+    context is built, ``HODGE_STACKS`` complex d stacks over its R
+    representative modes (R = P // 2 + 1 of the P box modes, every mode
+    when twisted).  Counted in floats, so that a huge n or K reads as
+    infinite rather than being raised to its power exactly."""
+    try:
+        size = 4.0 ** n
+        total = 4 * n * size ** 2 * 16 + 3 * size ** 3 * 8
+        if hodge:
+            modes = (2.0 * K + 1) ** (2 * n)
+            reps = modes if twisted else modes // 2 + 1
+            total += HODGE_STACKS * reps * size ** 2 * 16
+    except OverflowError:
+        return math.inf
+    return total
+
+
 def _check_output(output: Dict) -> None:
     """The output block: a directory name and a list of report formats."""
     if not isinstance(output.get("dir", ""), str):
@@ -208,9 +262,10 @@ class Scenario:
         if deformation:
             _block(deformation, "deformation")
             _check_integer("order", deformation.get("order", 2), 1, MAX_ORDER)
-        self.tolerance = _parse_block("tolerances", lambda: float(
+        self._check_size(deformation)
+        self.tolerance = _check_tolerance(
             _block(config.get("tolerances", {}), "tolerances").get("default", DEFAULT_TOLERANCE)
-        ))
+        )
         self.structure = _parse_block(
             "structure", lambda: self._build_structure(config.get("structure"))
         )
@@ -267,6 +322,20 @@ class Scenario:
                 _check_integer("level", exp["level"], -n, n)
             for k in exp.get("levels", []):
                 _check_integer("levels", k, -n, n)
+
+    def _check_size(self, deformation) -> None:
+        """Refuse a config whose largest arrays would pass ``MEMORY_BUDGET``."""
+        hodge = bool(deformation and deformation.get("expand")) or any(
+            exp.get("kind") in HODGE_KINDS for exp in self.experiments
+        )
+        need = _estimated_bytes(
+            self.geometry.n, self.box.K, _twisted(self.config.get("structure")), hodge
+        )
+        if need > MEMORY_BUDGET:
+            raise ScenarioError(
+                f"torus n={self.geometry.n}, K={self.box.K} needs about {need / 2 ** 30:.3g} GiB "
+                f"for its largest arrays, more than the {MEMORY_BUDGET / 2 ** 30:.3g} GiB budget"
+            )
 
     def sup_norm(self, t: complex) -> float:
         """Grid sup-norm of the deformation at sample t, computed once per t."""

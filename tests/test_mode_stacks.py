@@ -670,6 +670,75 @@ def test_one_mode_product_stores_no_cancelled_mode(space):
     _assert_stack_matches(kept, _entries(geometry, box, [[g]]))
 
 
+def ref_mode_sums(x, y, chunk):
+    """One in-box product summed into its output modes the way the
+    per-stack products did before they were stacked over samples: A's modes
+    in chunks, one GEMM against B's matrices side by side per chunk, and
+    per chunk the products of each output mode summed by ``reduceat`` in
+    pair order and added to the running sums.  Returns the modes and sums,
+    all-zero sums kept."""
+    a, b = x.coeffs, y.coeffs
+    (rows, inner), cols = a.shape[1:], b.shape[2]
+    keys = (x.modes @ [5, 1])[:, None] + (y.modes @ [5, 1])
+    pi, qi = np.divmod(np.arange(keys.size), len(b))
+    pair_keys = keys.ravel()
+    _, first, slot = np.unique(pair_keys, return_index=True, return_inverse=True)
+    out = np.zeros((len(first), rows, cols), dtype=complex)
+    b_wide = b.transpose(1, 0, 2).reshape(inner, -1)
+    step, done = max(1, chunk // max(1, len(b) * rows * cols)), 0
+    for lo in range(0, len(a), step):
+        prod = (a[lo:lo + step].reshape(-1, inner) @ b_wide).reshape(-1, rows, len(b), cols)
+        values = prod.transpose(0, 2, 1, 3).reshape(-1, rows, cols)
+        slots = slot[done:done + len(values)]
+        order = np.argsort(slots, kind="stable")
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(slots[order]) != 0)))
+        out[slots[order[starts]]] += np.add.reduceat(values[order], starts, axis=0)
+        done += len(values)
+    return x.modes[pi[first]] + y.modes[qi[first]], out
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 80, 1])
+def test_stacked_products_match_per_stack_reference(monkeypatch, chunk):
+    """Products stacked over samples equal, bit for bit, each sample's
+    product summed as before: samples with one mode or many on either side,
+    one with no modes, equal and unequal right-factor widths in one batch,
+    and with a small ``PAIR_CHUNK`` several chunks per sample, rows padded
+    to the longest chunk and batches split.  Modes in [-1, 1]^2 make many
+    pairs share an output mode, within a chunk and across chunks."""
+    import gentorus.fourier as fourier
+
+    monkeypatch.setattr(fourier, "PAIR_CHUNK", chunk)
+    geometry, box = TorusGeometry(1), TruncationBox(2)
+    rng = np.random.default_rng(61)
+
+    def stack(modes, rows, cols):
+        modes = rng.integers(-1, 2, size=(modes, geometry.dim))
+        coeffs = rng.normal(size=(len(modes), rows, cols)) + 1j * rng.normal(size=(len(modes), rows, cols))
+        return FourierMatrix(geometry, box, modes, coeffs)
+
+    for rows, inner, cols in ((4, 4, 1), (2, 5, 2), (4, 1, 1)):
+        sizes = [(1, 1), (1, 6), (6, 1), (9, 12), (3, 12), (12, 3), (0, 4), (7, 9)]
+        lefts = [stack(p, rows, inner) for p, _ in sizes]
+        rights = [stack(q, inner, cols) for _, q in sizes]
+        sums, p, q, owner = fourier._stack_products(
+            np.concatenate([x.coeffs for x in lefts]),
+            np.concatenate([fourier._mode_keys(box, x.modes) for x in lefts]),
+            [len(x.modes) for x in lefts],
+            np.concatenate([y.coeffs for y in rights]),
+            np.concatenate([fourier._mode_keys(box, y.modes) for y in rights]),
+            [len(y.modes) for y in rights],
+        )
+        modes = np.concatenate([x.modes for x in lefts])[p] + np.concatenate([y.modes for y in rights])[q]
+        for s, (x, y) in enumerate(zip(lefts, rights)):
+            want_modes, want = ref_mode_sums(x, y, chunk)
+            assert np.array_equal(modes[owner == s], want_modes)
+            assert sums[owner == s].tobytes() == want.tobytes()
+            product = x.matmul(y)
+            live = want.any(axis=(1, 2))
+            assert np.array_equal(product.modes, want_modes[live])
+            assert product.coeffs.tobytes() == want[live].tobytes()
+
+
 def _scaled(entries, c):
     out = np.empty(entries.shape, dtype=object)
     for idx in np.ndindex(*entries.shape):
@@ -1455,11 +1524,13 @@ def test_clifford_suite_property(n, K, policy, seed, samples):
 
 
 def test_clifford_suite_products_and_conversions(monkeypatch):
-    """On T^2 K=1 with 100 samples the suite takes five Fourier products per
-    Fourier sample (four for a.b.sigma + b.a.sigma, one for <a, b> sigma)
-    and none for the constant half, and converts no scalar to a stack."""
-    counts = {"matmul": 0, "from_entries": 0}
+    """On T^2 K=1 with 100 samples the Fourier half is one run of stacks:
+    three stacked products (b.sigma with a.sigma, a.(b.sigma) with
+    b.(a.sigma), and <a, b> sigma), no ``FourierMatrix`` product, and no
+    scalar converted to a stack."""
+    counts = {"matmul": 0, "from_entries": 0, "stacked": 0}
     matmul, from_entries = FourierMatrix.matmul, FourierMatrix.from_entries.__func__
+    stacked = diagnostics._stack_products
 
     def counted_matmul(self, other, policy=None):
         counts["matmul"] += 1
@@ -1469,10 +1540,60 @@ def test_clifford_suite_products_and_conversions(monkeypatch):
         counts["from_entries"] += 1
         return from_entries(cls, *args, **kwargs)
 
+    def counted_stacked(*args):
+        counts["stacked"] += 1
+        return stacked(*args)
+
     monkeypatch.setattr(FourierMatrix, "matmul", counted_matmul)
     monkeypatch.setattr(FourierMatrix, "from_entries", classmethod(counted_from_entries))
+    monkeypatch.setattr(diagnostics, "_stack_products", counted_stacked)
     clifford_suite(TorusGeometry(1), TruncationBox(1), seed=0, samples=100)
-    assert counts == {"matmul": 500, "from_entries": 0}
+    assert counts == {"matmul": 0, "from_entries": 0, "stacked": 3}
+
+
+class _PinnedModes:
+    """A generator for the Fourier half whose mode draws read 0 in chosen
+    parts of chosen samples, so that their stacks have one mode: ``pins``
+    maps a sample to "sections" (a and b), "spinor" or "all".  Every draw
+    still advances the wrapped generator, and the reference and the stacked
+    half make the same calls, so both see the same triples."""
+
+    def __init__(self, seed, dim, pins):
+        self.rng = np.random.default_rng(seed)
+        self.section_calls = 2 * (2 * dim) * dim
+        self.per_sample = self.section_calls + 2 ** dim * dim
+        self.pins, self.calls = pins, 0
+
+    def integers(self, low, high):
+        sample, at = divmod(self.calls, self.per_sample)
+        self.calls += 1
+        value = self.rng.integers(low, high)
+        part = "sections" if at < self.section_calls else "spinor"
+        return 0 if self.pins.get(sample) in (part, "all") else value
+
+    def normal(self):
+        return self.rng.normal()
+
+
+@pytest.mark.parametrize("n, K", [(1, 3), (1, 7), (2, 3), (2, 6)])
+def test_clifford_fourier_half_matches_reference_on_every_shape(n, K):
+    """One run of stacks that holds every product shape at once: one-mode
+    spinors (b.sigma is a gemv), one-mode sections (a one-mode <a, b> and
+    one-mode actions), both, and free samples with multi-mode factors on
+    both sides; also each kind alone as a single sample.  The residual is
+    bitwise the per-sample reference's.  At n=2, K=6 the modes reach 2."""
+    geometry, box = TorusGeometry(n), TruncationBox(K)
+    kinds = ["spinor", "sections", "all", None]
+    pins = {s: kinds[s % 4] for s in range(12)}
+    cases = [(seed, pins, 12) for seed in range(3)]
+    cases += [(seed, {0: kind}, 1) for seed in range(2) for kind in kinds]
+    for seed, pinned, samples in cases:
+        rng, ref_rng = _PinnedModes(seed, geometry.dim, pinned), _PinnedModes(seed, geometry.dim, pinned)
+        got = diagnostics._clifford_fourier(rng, geometry, box, samples)
+        want = _ref_clifford_half(ref_rng, geometry, box, samples, False)
+        assert got == want
+        assert rng.calls == ref_rng.calls
+        assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
 
 
 def _hodge_case(name):

@@ -282,6 +282,12 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
             {"modes": [{"k": [True, 0], "c": 0.1}]},
         ),
         (("structure",), {"type": "complex", "H": [{"indices": [0, 1.5], "c": 1.0}]}),
+        (("tolerances",), {"default": float("nan")}),
+        (("tolerances",), {"default": float("inf")}),
+        (("tolerances",), {"default": -1}),
+        (("tolerances",), {"default": 0}),
+        (("tolerances",), {"default": True}),
+        (("tolerances",), {"default": "1e-9"}),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
@@ -294,6 +300,8 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         "experiment-scalar", "experiment-kind-list", "deformation-scalar", "coefficients-list",
         "coefficient-scalar", "terms-scalar", "order-key-text", "name-scalar", "output-scalar",
         "output-format", "mode-fraction", "mode-bool", "twist-index-fraction",
+        "tolerance-nan", "tolerance-inf", "tolerance-negative", "tolerance-zero",
+        "tolerance-bool", "tolerance-string-number",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
@@ -310,6 +318,53 @@ def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_pa
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_cli_tolerance_must_be_a_finite_positive_number(value, tmp_path, capsys):
+    """``--tolerance`` is checked as ``tolerances.default`` is: a value that
+    is not finite and > 0 is a config error naming it, exit 1, and no
+    report is written."""
+    out = tmp_path / "out"
+    code = main([
+        "run", str(SCENARIOS / "t2_criterion_scan.json"), "--tolerance", value,
+        "--format", "json", "--out", str(out),
+    ])
+    assert code == 1
+    assert "'tolerances.default' must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, K, experiments",
+    [
+        (3, 6, [{"kind": "hodge-table"}]), (12, 0, []), (5, 0, []),
+        (4, 1, [{"kind": "hodge-table"}]), (10 ** 6, 0, []), (1, 10 ** 400, [{"kind": "scan"}]),
+    ],
+)
+def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path, capsys):
+    """A config whose largest arrays would pass the memory budget is refused
+    with its estimate, exit 1, before the structure is built."""
+    config = minimal_config()
+    config["torus"] = {"n": n, "K": K}
+    config["experiments"] = experiments
+    with pytest.raises(ScenarioError, match=r"needs about .* GiB .* budget"):
+        Scenario(config)
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
+    """Complex T^6 K=1 with a hodge-table stays within the budget; the same
+    box twisted, or at K=2, counts every mode or more and is refused."""
+    from gentorus.scenario import MEMORY_BUDGET, _estimated_bytes
+
+    assert _estimated_bytes(3, 1, False, True) < MEMORY_BUDGET
+    assert _estimated_bytes(3, 1, True, True) > _estimated_bytes(3, 1, False, True)
+    assert _estimated_bytes(3, 2, False, True) > MEMORY_BUDGET
+    assert _estimated_bytes(3, 3, False, False) < MEMORY_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -987,3 +1042,25 @@ def test_fail_fast_stops_early():
     assert len(full["experiments"]) == 2
     stopped, _ = run_scenario(config, fail_fast=True)
     assert len(stopped["experiments"]) == 1
+
+
+def test_report_digests_tool_hashes_the_canonical_report():
+    """``tools/report_digests.py`` names every shipped scenario and every
+    benchmark config at seeds 0 and 1, and the digest it prints for a
+    scenario is the sha256 of the golden report, byte for byte."""
+    import hashlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "tools" / "report_digests.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _ in tool.configs()]
+    assert names[:len(list(SCENARIOS.glob("*.json")))] == [
+        f"scenarios/{p.name}" for p in sorted(SCENARIOS.glob("*.json"))
+    ]
+    assert "perfbench/configs/t4-hodge/t4_hodge.json@seed1" in names
+    path = SCENARIOS / "t2_complex_identity.json"
+    golden = GOLDENS / "t2-complex-identity.json"
+    assert tool.digest(json.loads(path.read_text())) == hashlib.sha256(golden.read_bytes()).hexdigest()

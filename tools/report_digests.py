@@ -1,0 +1,58 @@
+"""Print ``name sha256`` for the canonical report of every shipped scenario
+and every benchmark config, to check that a change leaves reports
+byte-identical:
+
+    python3 tools/report_digests.py > digests.txt
+
+The names are ``scenarios/<file>`` for each ``scenarios/*.json`` and
+``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
+seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it.
+The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
+``gentorus run --format json`` writes.  Nothing is written under
+``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1)
+
+sys.dont_write_bytecode = True  # import perfbench/workloads.py without a cache there
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from gentorus.report import report_to_json  # noqa: E402
+from gentorus.scenario import run_scenario  # noqa: E402
+
+
+def digest(config: Dict) -> str:
+    """The sha256 of a config's canonical report."""
+    return hashlib.sha256(report_to_json(run_scenario(config)[0]).encode("utf-8")).hexdigest()
+
+
+def configs() -> Iterator[Tuple[str, Dict]]:
+    """(name, config) of every shipped scenario, then every benchmark config
+    at each seed."""
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        yield f"scenarios/{path.name}", json.loads(path.read_text(encoding="utf-8"))
+    for name in workloads.NAMES:
+        paths = workloads.config_paths(name)
+        for seed in SEEDS:
+            for path, config in zip(paths, workloads.configs(name, seed)):
+                yield f"perfbench/configs/{name}/{path.name}@seed{seed}", config
+
+
+def main() -> int:
+    for name, config in configs():
+        print(name, digest(config), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
