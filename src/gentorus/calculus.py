@@ -164,10 +164,8 @@ def schouten_bracket(
     return CliffordPoly(structure.dual_frame, p + q - 1, out)
 
 
-def maurer_cartan_residual(
-    eps: CliffordPoly, structure: GCStructure, policy: str | None = None
-) -> CliffordPoly:
+def maurer_cartan_residual(eps: CliffordPoly, structure: GCStructure) -> CliffordPoly:
     """d_L eps - (1/2)[eps, eps], the integrability defect of a deformation."""
     dl = lie_derivation_dL(eps, structure)
-    br = schouten_bracket(eps, eps, structure, policy=policy)
+    br = schouten_bracket(eps, eps, structure)
     return dl.add(br.scale(-0.5))

@@ -65,18 +65,10 @@ def clifford_suite(
     random triples: ``samples`` with constant sections a, b and a constant
     spinor, then ``samples`` whose factors carry modes up to K // 3.
 
-    Every floating-point operation is the one the per-sample products of
-    :func:`~gentorus.spinor.clifford_act` and :func:`~gentorus.spinor.pairing`
-    perform, so the residuals are bitwise those of a loop over the samples.
-    Each half is stacked over its samples.  The constant half is one stack:
-    each sample's products are the same one-mode gemv slices, and its
-    pairing the same Python complex sum.  The Fourier half draws every
-    sample first, then forms its products as stacks over runs of samples
-    with :func:`~gentorus.fourier._stack_products`, the summation
-    ``FourierMatrix.matmul`` uses: the mode sets differ per sample, so each
-    pair-product GEMM keeps its own column count, samples of equal count
-    share a batched matmul with rows padded, and each sample's products are
-    summed into its modes in the order its own product sums them.
+    A constant triple is a Fourier triple drawn with max mode 0, so both
+    halves are one pass of :func:`_clifford_relation` over 2S samples on
+    one generator, the constant samples first.  Each entry is the worst
+    residual of its half.
 
     The Fourier half needs a no-truncation regime: small boxes are embedded
     in one wide enough for the triple products.
@@ -84,55 +76,33 @@ def clifford_suite(
     rng = np.random.default_rng(seed)
     if box.K < 3:
         box = TruncationBox(3, policy="strict")
+    resid = _clifford_relation(rng, geometry, box, [0] * samples + [max(1, box.K // 3)] * samples)
     return [
-        entry("clifford_relation_constant", _clifford_constant(rng, geometry, box, samples), 1e-12),
-        entry("clifford_relation_fourier", _clifford_fourier(rng, geometry, box, samples), 1e-9),
+        entry("clifford_relation_constant", resid[:samples].max(initial=0.0), 1e-12),
+        entry("clifford_relation_fourier", resid[samples:].max(initial=0.0), 1e-9),
     ]
 
 
-def _clifford_constant(
-    rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, samples: int
-) -> float:
-    """The worst relative Clifford residual over constant triples, drawn
-    into one stack: sections (S, 2, 4n) and spinors (S, N, 1)."""
-    generators = clifford_generators(geometry.dim)
-    size = generators.shape[1]
-    sections = np.empty((samples, 2, len(generators)), dtype=complex)
-    sigma = np.empty((samples, size, 1), dtype=complex)
-    pairings = np.empty((samples, 1, 1), dtype=complex)
-    scales = np.empty(samples)
-    zero = (0,) * geometry.dim
-    for s in range(samples):
-        a = _constant_section(rng, geometry)
-        b = _constant_section(rng, geometry)
-        spinor = random_spinor(rng, geometry, box, max_mode=0)
-        sections[s] = [c for _, c in a], [c for _, c in b]
-        sigma[s] = spinor.stack.coeffs[0]
-        pairings[s] = _pairing(a, b)[zero]
-        scales[s] = max(1.0, _section_norm(a) * _section_norm(b) * spinor.norm())
-    # exact: each entry of an action matrix is one +-1 times one component
-    actions = (sections @ generators.reshape(len(generators), -1)).reshape(-1, 2, size, size)
-    ma, mb = actions[:, 0], actions[:, 1]
-    lhs = ma @ (mb @ sigma) + mb @ (ma @ sigma)
-    resid = np.sqrt(np.sum(np.abs(lhs - sigma @ pairings) ** 2, axis=(1, 2)))
-    return float((resid / scales).max(initial=0.0))
-
-
-def _clifford_fourier(
-    rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, samples: int
-) -> float:
-    """The worst relative Clifford residual over triples with modes up to
-    K // 3.
+def _clifford_relation(
+    rng: np.random.Generator, geometry: TorusGeometry, box: TruncationBox, max_modes: List[int]
+) -> np.ndarray:
+    """The relative Clifford residual of one random triple per entry of
+    ``max_modes``: sample i's factors carry modes up to ``max_modes[i]``.
 
     All samples are drawn first, in the per-sample order: a, b, then the
     spinor.  Their products are then stacks over runs of samples (see
     :class:`_Stacks`), each run's largest stack within ``PAIR_CHUNK``
-    entries, and every residual is bitwise that of the sample alone.
+    entries, formed with :func:`~gentorus.fourier._stack_products`, the
+    summation ``FourierMatrix.matmul`` uses: each pair-product GEMM keeps
+    its own column count, samples of equal count share a batched matmul
+    with rows padded, and each sample's products are summed into its modes
+    in the order its own product sums them.  So every residual is bitwise
+    the one :func:`~gentorus.spinor.clifford_act` and
+    :func:`~gentorus.spinor.pairing` give for the sample alone.
     """
-    mm = max(1, box.K // 3)
     dim, size = geometry.dim, 2 ** geometry.dim
     a_cells, b_cells, pair_cells, sigma_cells, norms = [], [], [], [], []
-    for _ in range(samples):
+    for mm in max_modes:
         a = _fourier_section(rng, geometry, mm)
         b = _fourier_section(rng, geometry, mm)
         a_cells.append([(m, 0, j, c) for j, (m, c) in enumerate(a)])
@@ -151,7 +121,7 @@ def _clifford_fourier(
         for ca, cb, cs in zip(a_cells, b_cells, sigma_cells)
     ])
     generators = clifford_generators(dim).reshape(2 * dim, -1)
-    worst = 0.0
+    resid = np.zeros(len(max_modes))
     for run in _runs_within_chunk(cost):
         count = run.stop - run.start
         weights = _row_stacks(box, dim, b_cells[run] + a_cells[run], (1, 2 * dim))
@@ -167,8 +137,8 @@ def _clifford_fourier(
         ab, ba = _split(_products(_join(a_acts, b_acts), once), count)
         rhs = _products(sigma, _row_stacks(box, dim, pair_cells[run], (1, 1)))
         diff = _sum(_sum(ab, ba), rhs._replace(coeffs=rhs.coeffs * complex(-1)))
-        worst = max(worst, *(_norms(diff) / scales).tolist())
-    return worst
+        resid[run] = _norms(diff) / scales
+    return resid
 
 
 class _Stacks(NamedTuple):
@@ -270,11 +240,6 @@ def _norms(stacks: _Stacks) -> np.ndarray:
 # A section drawn for the Clifford suite is its 4n components (tangent, then
 # cotangent) as one (mode, coefficient) term each, as random_courant_vector
 # draws them.
-
-
-def _constant_section(rng: np.random.Generator, geometry: TorusGeometry) -> List[Tuple]:
-    zero = (0,) * geometry.dim
-    return [(zero, complex(rng.normal(), rng.normal())) for _ in range(2 * geometry.dim)]
 
 
 def _fourier_section(

@@ -139,12 +139,24 @@ def round12(x) -> float:
     return float(f"{f:.12g}")
 
 
+def _finite_real(value) -> bool:
+    """A JSON number that is finite as a float: not a bool, NaN, infinity
+    or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
+    """A config number: a finite real, or an [re, im] pair of them."""
+    if _finite_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_finite_real, value)):
         return complex(value[0], value[1])
-    raise ScenarioError(f"expected a number or [re, im] pair, got {value!r}")
+    raise ScenarioError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _parse_fourier(geometry, box, data) -> FourierScalar:
@@ -278,7 +290,12 @@ class Scenario:
             for exp in self.experiments:
                 for key in ("t", "t_samples"):
                     for t in exp.get(key, []):
-                        sup = self.sup_norm(_complex_from(t))
+                        try:
+                            sup = self.sup_norm(_complex_from(t))
+                        except OverflowError as err:
+                            raise ScenarioError(
+                                f"sample t={t} overflows the deformation: {err}"
+                            ) from err
                         if sup >= 1.0:
                             raise ScenarioError(
                                 f"sample t={t} puts the deformation sup-norm at "

@@ -181,9 +181,9 @@ class Spinor:
     def scale(self, c) -> "Spinor":
         return Spinor.from_stack(self.stack.scale(c))
 
-    def scale_scalar(self, g: FourierScalar, policy: str | None = None) -> "Spinor":
+    def scale_scalar(self, g: FourierScalar) -> "Spinor":
         """g sigma: one product of the column with the 1 x 1 stack of g."""
-        return Spinor.from_stack(self.stack.matmul(FourierMatrix.from_scalars([[g]]), policy=policy))
+        return Spinor.from_stack(self.stack.matmul(FourierMatrix.from_scalars([[g]])))
 
     def __add__(self, other: "Spinor") -> "Spinor":
         return self.add(other)
@@ -264,9 +264,9 @@ def wedge_matrix(form: Spinor) -> FourierMatrix:
     return _action(form.stack.T, _wedge_words(form.geometry.dim))
 
 
-def wedge(a: Spinor, b: Spinor, policy: str | None = None) -> Spinor:
+def wedge(a: Spinor, b: Spinor) -> Spinor:
     """Exterior product a ^ b."""
-    return Spinor.from_stack(wedge_matrix(a).matmul(b.stack, policy=policy))
+    return Spinor.from_stack(wedge_matrix(a).matmul(b.stack))
 
 
 def form_reversal(a: Spinor) -> Spinor:
@@ -411,25 +411,23 @@ def clifford_matrix(a: CourantVector) -> FourierMatrix:
     return _action(weights, clifford_generators(a.geometry.dim))
 
 
-def contract(a: CourantVector, sigma: Spinor, policy: str | None = None) -> Spinor:
+def contract(a: CourantVector, sigma: Spinor) -> Spinor:
     """Interior product i_X sigma by the tangent part of a."""
     dim = a.geometry.dim
     action = _action(FourierMatrix.from_scalars([a.tangent]), clifford_generators(dim)[:dim])
-    return Spinor.from_stack(action.matmul(sigma.stack, policy=policy))
+    return Spinor.from_stack(action.matmul(sigma.stack))
 
 
-def clifford_act(a: CourantVector, sigma: Spinor, policy: str | None = None) -> Spinor:
+def clifford_act(a: CourantVector, sigma: Spinor) -> Spinor:
     """Clifford action (X + xi) . sigma = i_X sigma + xi ^ sigma."""
-    return Spinor.from_stack(clifford_matrix(a).matmul(sigma.stack, policy=policy))
+    return Spinor.from_stack(clifford_matrix(a).matmul(sigma.stack))
 
 
-def clifford_act_many(
-    vectors: Sequence[CourantVector], sigma: Spinor, policy: str | None = None
-) -> Spinor:
+def clifford_act_many(vectors: Sequence[CourantVector], sigma: Spinor) -> Spinor:
     """Iterated action v1 . v2 . ... . vk . sigma (rightmost acts first)."""
     out = sigma
     for v in reversed(vectors):
-        out = clifford_act(v, out, policy=policy)
+        out = clifford_act(v, out)
     return out
 
 
@@ -663,7 +661,7 @@ class CliffordPoly:
             self._matrix = _action(weights, np.array(words).reshape((-1,) + eye.shape))
         return Spinor.from_stack(self._matrix.matmul(sigma.stack, policy=policy))
 
-    def wedge(self, other: "CliffordPoly", policy: str | None = None) -> "CliffordPoly":
+    def wedge(self, other: "CliffordPoly") -> "CliffordPoly":
         """Exterior product over a common frame.
 
         For polynomials over an isotropic frame the Clifford product of the
@@ -680,15 +678,16 @@ class CliffordPoly:
                 if sorted_sign is None:
                     continue
                 key, sign = sorted_sign
-                term = fa.mul(fb, policy=policy).scale(sign)
+                term = fa.mul(fb).scale(sign)
                 out[key] = out[key].add(term) if key in out else term
         return CliffordPoly(self.frame, self.degree + other.degree, out)
 
     def terms(self) -> Iterable[Tuple[Tuple[int, ...], FourierScalar]]:
         return self.coeffs.items()
 
-    def partial_eval(self, v: CourantVector, argument_duals: Sequence[CourantVector],
-                     policy: str | None = None) -> CourantVector:
+    def partial_eval(
+        self, v: CourantVector, argument_duals: Sequence[CourantVector]
+    ) -> CourantVector:
         """Clifford partial evaluation a(v) for degree-2 polynomials.
 
         For eps = (1/2) eps_{ij} f^i f^j over an isotropic frame {f^i} whose
@@ -702,15 +701,14 @@ class CliffordPoly:
             raise ValueError("partial evaluation implemented for degree 2 only")
         out = CourantVector.zero(self.geometry, self.box)
         for p, dual in enumerate(argument_duals):
-            cp = pairing(dual, v, policy=policy)
+            cp = pairing(dual, v)
             if cp.is_zero():
                 continue
             for i in range(len(self.frame)):
                 cf = self.coefficient((i, p))
                 if cf.is_zero():
                     continue
-                out = out.add(self.frame[i].scale_scalar(cf.mul(cp, policy=policy),
-                                                         policy=policy))
+                out = out.add(self.frame[i].scale_scalar(cf.mul(cp)))
         return out
 
     def __repr__(self) -> str:
@@ -793,10 +791,16 @@ def random_terms(
 ) -> Dict[Tuple[int, ...], complex]:
     """The mode -> coefficient draws of one random scalar: per term, its
     mode's dim integers in [-max_mode, max_mode], then a complex normal;
-    repeated modes are summed in draw order."""
+    repeated modes are summed in draw order.  At max mode 0 the mode is
+    zero and not drawn, as ``rng.integers(0, 1)`` returns 0 and leaves the
+    generator where it was."""
     coeffs: Dict[Tuple[int, ...], complex] = {}
+    zero = (0,) * dim
     for _ in range(terms):
-        mode = tuple(int(rng.integers(-max_mode, max_mode + 1)) for _ in range(dim))
+        mode = (
+            tuple(int(rng.integers(-max_mode, max_mode + 1)) for _ in range(dim))
+            if max_mode else zero
+        )
         coeffs[mode] = coeffs.get(mode, 0.0) + complex(rng.normal(), rng.normal())
     return coeffs
 
@@ -842,12 +846,9 @@ def random_courant_vector(
     geometry: TorusGeometry,
     box: TruncationBox,
     max_mode: int | None = None,
-    constant: bool = False,
 ) -> CourantVector:
-    if constant:
-        tan = [complex(rng.normal(), rng.normal()) for _ in range(geometry.dim)]
-        cot = [complex(rng.normal(), rng.normal()) for _ in range(geometry.dim)]
-        return CourantVector.constant(geometry, box, tan, cot)
+    """A random section: one one-term :func:`random_fourier_scalar` per
+    component, tangent then cotangent; constant at max mode 0."""
     tan = [random_fourier_scalar(rng, geometry, box, max_mode, 1) for _ in range(geometry.dim)]
     cot = [random_fourier_scalar(rng, geometry, box, max_mode, 1) for _ in range(geometry.dim)]
     return CourantVector(geometry, box, tan, cot)

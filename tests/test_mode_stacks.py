@@ -28,7 +28,7 @@ from gentorus.deformation import (
     Transport,
     _neumann_inverse,
 )
-from gentorus.diagnostics import _clifford_constant, clifford_suite, entry
+from gentorus.diagnostics import _clifford_relation, clifford_suite, entry
 from gentorus.fourier import (
     FourierMatrix,
     FourierScalar,
@@ -62,6 +62,7 @@ from gentorus.spinor import (
     random_courant_vector,
     random_fourier_scalar,
     random_spinor,
+    random_terms,
     sort_monomial,
     wedge,
 )
@@ -1427,12 +1428,8 @@ def _ref_clifford_half(rng, geometry, box, samples, constant):
     mm = 0 if constant else max(1, box.K // 3)
     worst = 0.0
     for _ in range(samples):
-        if constant:
-            a = random_courant_vector(rng, geometry, box, constant=True)
-            b = random_courant_vector(rng, geometry, box, constant=True)
-        else:
-            a = random_courant_vector(rng, geometry, box, max_mode=mm)
-            b = random_courant_vector(rng, geometry, box, max_mode=mm)
+        a = random_courant_vector(rng, geometry, box, max_mode=mm)
+        b = random_courant_vector(rng, geometry, box, max_mode=mm)
         sigma = ref_random_spinor(rng, geometry, box, max_mode=mm)
         lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
         rhs = sigma.scale_scalar(pairing(a, b))
@@ -1488,12 +1485,13 @@ def _seeds_and_samples(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("K", [0, 1, 5])
 def test_clifford_constant_half_matches_per_sample_reference(n, K):
-    """The constant half, one stack over its samples, equals the per-sample
-    products exactly, and leaves the generator where they leave it."""
+    """The constant half, stacked samples of max mode 0, equals the
+    per-sample products exactly, and leaves the generator where they leave
+    it."""
     geometry, box = TorusGeometry(n), _suite_box(K)
     for seed, samples in [(seed, s) for seed in range(5) for s in (1, 7)] + [(0, 100)]:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _clifford_constant(rng, geometry, box, samples)
+        got = _clifford_relation(rng, geometry, box, [0] * samples).max()
         assert got == _ref_clifford_half(ref_rng, geometry, box, samples, True)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -1589,11 +1587,40 @@ def test_clifford_fourier_half_matches_reference_on_every_shape(n, K):
     cases += [(seed, {0: kind}, 1) for seed in range(2) for kind in kinds]
     for seed, pinned, samples in cases:
         rng, ref_rng = _PinnedModes(seed, geometry.dim, pinned), _PinnedModes(seed, geometry.dim, pinned)
-        got = diagnostics._clifford_fourier(rng, geometry, box, samples)
+        got = _clifford_relation(rng, geometry, box, [max(1, K // 3)] * samples).max()
         want = _ref_clifford_half(ref_rng, geometry, box, samples, False)
         assert got == want
         assert rng.calls == ref_rng.calls
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+
+
+def test_clifford_relation_interleaves_constant_and_fourier_samples():
+    """Constant and Fourier samples alternating in one pass on T^4 K=6:
+    each residual is bitwise the per-sample reference's, drawn one sample
+    at a time in the same order, and the generator ends where it does."""
+    geometry, box = TorusGeometry(2), TruncationBox(6)
+    max_modes = [0, 2, 2, 0, 0, 2, 0, 2, 2, 2, 0]
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _clifford_relation(rng, geometry, box, max_modes)
+        want = [_ref_clifford_half(ref_rng, geometry, box, 1, mm == 0) for mm in max_modes]
+        assert got.tolist() == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_random_terms_at_max_mode_zero_draws_no_modes(dim, terms):
+    """At max mode 0 the skipped mode draws change nothing: the same
+    coefficients, and the generator where the per-draw loop leaves it."""
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = {}
+        for _ in range(terms):
+            mode = tuple(int(ref_rng.integers(0, 1)) for _ in range(dim))
+            want[mode] = want.get(mode, 0.0) + complex(ref_rng.normal(), ref_rng.normal())
+        assert list(random_terms(rng, dim, 0, terms).items()) == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _hodge_case(name):

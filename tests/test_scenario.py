@@ -288,6 +288,14 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         (("tolerances",), {"default": 0}),
         (("tolerances",), {"default": True}),
         (("tolerances",), {"default": "1e-9"}),
+        (("experiments",), [{"kind": "criterion", "t": [float("nan")]}]),
+        (("experiments",), [{"kind": "scan", "t_samples": [float("nan")]}]),
+        (("deformation", "coefficients", "1,0", "terms", "0,1"), float("nan")),
+        (("deformation", "coefficients", "1,0", "terms", "0,1"), float("inf")),
+        (("experiments",), [{"kind": "criterion", "t": [float("inf")]}]),
+        (("experiments",), [{"kind": "criterion", "t": [True]}]),
+        (("experiments",), [{"kind": "criterion", "t": [10 ** 400]}]),
+        (("experiments",), [{"kind": "criterion", "t": [[0.1, float("nan")]]}]),
     ],
     ids=[
         "n-zero", "K-negative", "policy", "mode-outside-box", "order-0,0", "slot-arity",
@@ -301,7 +309,8 @@ _EXPANDED = {"coefficients": {"1,0": {"terms": {"0,1": 0.1}}}, "expand": True, "
         "coefficient-scalar", "terms-scalar", "order-key-text", "name-scalar", "output-scalar",
         "output-format", "mode-fraction", "mode-bool", "twist-index-fraction",
         "tolerance-nan", "tolerance-inf", "tolerance-negative", "tolerance-zero",
-        "tolerance-bool", "tolerance-string-number",
+        "tolerance-bool", "tolerance-string-number", "t-nan", "t-samples-nan", "term-nan",
+        "term-inf", "t-inf", "t-bool", "t-huge-int", "t-pair-nan",
     ],
 )
 def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_path, capsys):
@@ -318,6 +327,16 @@ def test_cli_rejects_bad_constructor_input_without_traceback(path, value, tmp_pa
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sample_t_that_overflows_the_deformation_is_a_config_error():
+    """A sample t whose square overflows the second-order term is refused
+    with a message naming it."""
+    config = _deformation_config()
+    config["deformation"]["coefficients"]["2,0"] = {"terms": {"0,1": 0.1}}
+    config["experiments"] = [{"kind": "criterion", "t": [1e200]}]
+    with pytest.raises(ScenarioError, match=r"sample t=1e\+200 overflows the deformation"):
+        Scenario(config)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])

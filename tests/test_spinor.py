@@ -62,8 +62,8 @@ def test_clifford_relation_constant(geometry):
     rng = np.random.default_rng(5)
     box = TruncationBox(2)
     for _ in range(100):
-        a = random_courant_vector(rng, geometry, box, constant=True)
-        b = random_courant_vector(rng, geometry, box, constant=True)
+        a = random_courant_vector(rng, geometry, box, max_mode=0)
+        b = random_courant_vector(rng, geometry, box, max_mode=0)
         sigma = random_spinor(rng, geometry, box, max_mode=0)
         lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
         rhs = sigma.scale_scalar(pairing(a, b))
@@ -153,7 +153,7 @@ def test_courant_bracket_function_coefficients():
 
 def test_reversal_returns_reversed_composition():
     rng = np.random.default_rng(23)
-    vecs = [random_courant_vector(rng, T2, BOX, constant=True) for _ in range(3)]
+    vecs = [random_courant_vector(rng, T2, BOX, max_mode=0) for _ in range(3)]
     assert reversal(vecs[:1]) == vecs[:1]
     assert reversal(vecs[:2]) == [vecs[1], vecs[0]]
     assert reversal(vecs) == [vecs[2], vecs[1], vecs[0]]

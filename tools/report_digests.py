@@ -4,9 +4,11 @@ byte-identical:
 
     python3 tools/report_digests.py > digests.txt
 
-The names are ``scenarios/<file>`` for each ``scenarios/*.json`` and
+The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
-seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it.
+seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
+and ``inline/<name>`` for the identity suites of ``INLINE``, which run the
+T^4 and T^6 paths that no shipped or benchmark config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
 ``perfbench/``.
@@ -31,6 +33,35 @@ from gentorus.report import report_to_json  # noqa: E402
 from gentorus.scenario import run_scenario  # noqa: E402
 
 
+_B = [[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 0, 0.3], [0, 0, -0.3, 0]]
+_OMEGA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+def _identity(name: str, n: int, K: int, samples: int, structure: Dict, metric=None) -> Dict:
+    config = {
+        "name": name,
+        "torus": {"n": n, "K": K},
+        "structure": structure,
+        "experiments": [{"kind": "identity-suite", "seed": 0, "samples": samples}],
+    }
+    if metric:
+        config["metric"] = metric
+    return config
+
+
+# identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s), timed
+# on a 2-vCPU x86-64 host
+INLINE = [
+    _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
+    _identity("t4-twisted-identity", 2, 1, 20,
+              {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}),
+    _identity("t4-symplectic-identity", 2, 1, 20, {"type": "symplectic", "omega": _OMEGA}),
+    _identity("t4-b-transform-identity", 2, 1, 20,
+              {"type": "b_transform", "base": {"type": "complex"}, "B": _B}, {"b": _B}),
+    _identity("t6-complex-identity", 3, 0, 2, {"type": "complex"}),
+]
+
+
 def digest(config: Dict) -> str:
     """The sha256 of a config's canonical report."""
     return hashlib.sha256(report_to_json(run_scenario(config)[0]).encode("utf-8")).hexdigest()
@@ -38,7 +69,7 @@ def digest(config: Dict) -> str:
 
 def configs() -> Iterator[Tuple[str, Dict]]:
     """(name, config) of every shipped scenario, then every benchmark config
-    at each seed."""
+    at each seed, then the ``INLINE`` identity suites."""
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         yield f"scenarios/{path.name}", json.loads(path.read_text(encoding="utf-8"))
     for name in workloads.NAMES:
@@ -46,6 +77,8 @@ def configs() -> Iterator[Tuple[str, Dict]]:
         for seed in SEEDS:
             for path, config in zip(paths, workloads.configs(name, seed)):
                 yield f"perfbench/configs/{name}/{path.name}@seed{seed}", config
+    for config in INLINE:
+        yield f"inline/{config['name']}", config
 
 
 def main() -> int:
