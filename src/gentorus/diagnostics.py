@@ -33,6 +33,7 @@ from .hodge import (
     HodgeContext,
     _adjoint,
     _basis_rank,
+    _chunks,
     _null_basis,
     _range_basis,
 )
@@ -215,14 +216,14 @@ def _products(left: _Stacks, right: _Stacks) -> _Stacks:
 def _sum(first: _Stacks, second: _Stacks) -> _Stacks:
     """Per sample, the sum of its two stacks as ``FourierMatrix.add`` forms
     it: both stacks' matrices sorted stably by mode, those at one mode
-    summed by ``reduceat``."""
+    summed by ``reduceat``.  Two empty stacks sum to an empty one."""
     owner = np.concatenate([_owners(first), _owners(second)])
     keys = np.concatenate([first.keys, second.keys])
     order = np.lexsort((keys, owner))
     owner, keys = owner[order], keys[order]
     starts = np.flatnonzero(
         np.concatenate(([True], (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])))
-    )
+    )[: len(keys)]
     coeffs = np.add.reduceat(np.concatenate([first.coeffs, second.coeffs])[order], starts, axis=0)
     counts = np.bincount(owner[starts], minlength=len(first.counts))
     return _without_zeros(_Stacks(coeffs, keys[starts], counts))
@@ -343,17 +344,15 @@ def _rep_chunks(ctx: HodgeContext):
     """The context's representative modes, MODE_CHUNK at a time.
 
     The per-mode terms of the Hodge diagnostics are stacked products over
-    these slices.  A mirrored mode's terms are bitwise its representative's:
-    its del and dbar are negated, its Laplacians and Green matrices equal,
-    products of negated factors are exact, and the SVD is unchanged by sign
-    flips of rows or columns.  A stacked product equals its per-mode one
-    slice by slice.  So a worst case over the representatives is the worst
-    case over the box, and a count weights each representative by
-    ``ctx.weight``.
+    these slices, d built for each slice alone.  A mirrored mode's terms
+    are bitwise its representative's: its del and dbar are negated, its
+    Laplacians and Green matrices equal, products of negated factors are
+    exact, and the SVD is unchanged by sign flips of rows or columns.  A
+    stacked product equals its per-mode one slice by slice.  So a worst
+    case over the representatives is the worst case over the box, and a
+    count weights each representative by ``ctx.weight``.
     """
-    count = len(ctx.weight)
-    for start in range(0, count, MODE_CHUNK):
-        yield slice(start, min(start + MODE_CHUNK, count))
+    return _chunks(len(ctx.weight), MODE_CHUNK)
 
 
 def _worst(values: np.ndarray) -> np.ndarray:
@@ -499,14 +498,13 @@ def _kaehler_diagnostic(ctx: HodgeContext) -> List[Dict]:
     except Exception:
         return [entry("kaehler_partner_integrable", 1.0, float("inf"))]
     worst = 0.0
-    every = slice(None)
-    laps = zip(*(ctx._laplacian(kind, every) for kind in ("d", "del", "dbar")))
-    for ld, ldel, ldbar in laps:
-        scale = max(1.0, np.abs(ld).max())
+    for sel in _rep_chunks(ctx):
+        ld, ldel, ldbar = (ctx._laplacian(kind, sel) for kind in ("d", "del", "dbar"))
+        scale = np.maximum(1.0, _worst(ld))
         worst = max(
             worst,
-            float(np.abs(ld - 2 * ldel).max()) / scale,
-            float(np.abs(ld - 2 * ldbar).max()) / scale,
+            float((_worst(ld - 2 * ldel) / scale).max()),
+            float((_worst(ld - 2 * ldbar) / scale).max()),
         )
     return [entry("kaehler_laplacian_identity", worst, 1e-9)]
 

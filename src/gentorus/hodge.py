@@ -3,29 +3,36 @@
 Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
-``GCStructure.differentials["d"]`` changed to that basis, so the operators are
-assembled for all modes at once and kept as arrays stacked over the modes.  Adjoints are
-conjugate transposes in that basis (exact on the truncation).  The
-Laplacians are assembled per diagonal block from products of the level
-blocks of d (one block per level; the whole matrix for the level-mixing d
-Laplacian), so their entries off the blocks are exact zeros, and each block
-is eigendecomposed by batched ``eigh`` over chunks of modes, the kernel
-split off by a relative cutoff; the Green operator is the pseudo-inverse on
-the kernel complement.  The class checks (the ddbar-lemma and the
-solvability classes) slice level blocks from the same stacks and decide
-every numerical rank by a batched SVD, or by the vector norm for a stack
-of single rows or columns.  A basis carries its rank in its nonzero
-columns.  Checks are asked in batches: within a batch each matrix they
-decompose (a level block of d, or dbar del on a level) gets one SVD that
-gives both its range and its null space, and the decompositions are
-dropped once the batch has passed their levels and freed when it returns.
-Each (kind, level) is decided once per context.  A spinor enters and leaves as
-the coefficient rows of its mode stack, so every operator, projector and
-Green operator acts by one product batched over its modes.  The
-Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar complex
-in polynomial coordinates (P maps to P . rho0), so it holds no operator of
-its own: its differential is the raising blocks of ``_level_d``, and its
-Laplacian blocks come from ``_laplacian_blocks`` and ``_ModeSpectra``.
+``GCStructure.differentials["d"]`` changed to that basis.  A context keeps
+only C, the A_a and the box's modes: each reader builds d at exactly the
+modes it asks for (``_stack_linear``), a chunk of MODE_CHUNK modes, the
+modes of a spinor, or one level block at the representative modes, and
+these are bitwise the rows and blocks of a stack over the whole box, which
+is never held.  Adjoints are conjugate transposes in that basis (exact on
+the truncation).  The Laplacians are assembled per diagonal block from
+products of the level blocks of d (one block per level; the whole matrix
+for the level-mixing d Laplacian), so their entries off the blocks are
+exact zeros, and each block is eigendecomposed by batched ``eigh``, one
+chunk of modes at a time, the kernel split off by a relative cutoff; the
+Green operator is the pseudo-inverse on the kernel complement.  The class
+checks (the ddbar-lemma and the solvability classes) build the level
+blocks of d they need and decide every numerical rank by a batched SVD,
+or by the vector norm for a stack of single rows or columns; a span's
+containment in another is read from its residual off that span.  A
+basis carries its rank in its nonzero columns.  Checks are asked in
+batches: within a batch each matrix they decompose (a level block of d,
+or dbar del on a level) gets one SVD that gives both its range and its
+null space, and the decompositions are dropped once the batch has passed
+their levels and freed when it returns.  Each (kind, level) is decided
+once per context.  A spinor enters and leaves as the coefficient rows of
+its mode stack, so every operator, projector and Green operator acts by
+one product batched over its modes.  The Lie-algebroid complex
+(``deformation.AlgebroidHodge``) is the dbar complex in polynomial
+coordinates (P maps to P . rho0), so it holds no operator of its own: its
+differential is the raising blocks of ``_level_d``, and its Laplacian
+blocks come from ``_laplacian_blocks`` and ``_ModeSpectra``.  What a
+context holds over the modes is the packages' eigenvalues and
+eigenvectors, at the representative modes.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -40,7 +47,7 @@ context, whose C is not exactly zero, decomposes every mode.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -53,7 +60,7 @@ KINDS = ("d", "del", "dbar", "bc", "aeppli")
 
 RANK_CUTOFF = 1e-9
 
-MODE_CHUNK = 256  # modes per batched eigh or |d| scan; bounds their transient stacks
+MODE_CHUNK = 256  # modes per d build and per batched eigh; bounds their transient stacks
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 
@@ -167,8 +174,16 @@ def _basis_rank(basis: np.ndarray) -> np.ndarray:
 
 
 def _contained(sub: np.ndarray, sup: np.ndarray, floor=0.0) -> np.ndarray:
-    """Per matrix, column span of sub contained in that of the basis sup."""
-    return _rank(np.concatenate([sup, sub], axis=-1), floor) == _basis_rank(sup)
+    """Per matrix, column span of the basis sub contained in that of the basis sup.
+
+    Both are bases as ``_range_basis`` gives them, unit or zero columns, so
+    the residual of sub off span(sup), sub - sup (sup^H sub), is small
+    relative to each column: it is contained when no residual column's norm
+    exceeds max(RANK_CUTOFF, floor).  Two products, and no SVD.
+    """
+    resid = sub - sup @ (_adjoint(sup) @ sub)
+    worst = np.linalg.norm(resid, axis=-2).max(axis=-1, initial=0.0)
+    return worst <= np.maximum(RANK_CUTOFF, floor)
 
 
 def _intersection_dim(a: np.ndarray, b: np.ndarray, floor=0.0) -> np.ndarray:
@@ -194,6 +209,12 @@ def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
         mode = tuple(int(v) for v in k[np.argmax(outside)])
         raise ValueError(f"spinor mode {mode} outside the context box")
     return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
+
+
+def _chunks(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of ``size`` items covering range(count), the last ragged."""
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
 
 
 def _mode_mirror(count: int, odd: bool) -> np.ndarray:
@@ -353,8 +374,7 @@ class _ModeSpectra:
         sizes = [b.stop - b.start for b in blocks]
         self.vals = [np.empty((count, n)) for n in sizes]
         self.vecs = [np.empty((count, n, n), dtype=complex) for n in sizes]
-        for start in range(0, count, MODE_CHUNK):
-            sel = slice(start, min(start + MODE_CHUNK, count))
+        for sel in _chunks(count, MODE_CHUNK):
             for vals, vecs, block in zip(self.vals, self.vecs, laplacian(sel)):
                 vals[sel], vecs[sel] = np.linalg.eigh((block + _adjoint(block)) / 2)
         self.radius = max(float(v.max()) for v in self.vals)
@@ -502,7 +522,8 @@ class HodgePackage:
 
 
 class HodgeContext:
-    """Operator matrices on a Born-Infeld-orthonormal level basis, stacked over modes."""
+    """Operators on a Born-Infeld-orthonormal level basis, built per mode
+    from C and the A_a at the modes asked for."""
 
     OPERATOR_NAMES = (
         "d", "del", "dbar", "d_adj", "del_adj", "dbar_adj",
@@ -522,18 +543,17 @@ class HodgeContext:
 
         self._packages: Dict[str, HodgePackage] = {}
 
-        # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
-        const, slopes = _level_d(structure, lb)
-        d = _stack_linear(const, slopes, self.modes)
+        # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis; it
+        # is built from C and the A_a at the modes each reader asks for
+        self._const, self._slopes = _level_d(structure, lb)
+        self._mode_array = np.array(self.modes, dtype=int).reshape(-1, self.geometry.dim)
         # untwisted, d is odd in k: the packages and the class checks decide
         # the representatives, the first len(weight) modes, and weight each
         # by the modes it stands for
-        self.rep = _mode_mirror(len(self.modes), not const.any())
+        self.rep = _mode_mirror(len(self.modes), not self._const.any())
         self.weight = np.bincount(self.rep)
         self._reps = slice(0, len(self.weight))
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
-        # del, dbar and deldbar are stacked on first use: packages need d alone
-        self._stacks = {"d": d}
         self._checks: Dict[Tuple[str, int], Dict] = {}
         # while ``class_checks`` runs, the decompositions its checks share:
         # key -> (the highest level they involve, value); None between batches
@@ -545,27 +565,31 @@ class HodgeContext:
     # matrix assembly
     # ------------------------------------------------------------------
 
+    def _d(self, sel) -> np.ndarray:
+        """d at the box modes picked by ``sel`` (index, slice or indices),
+        built from C and the A_a: bitwise the rows of a whole-box stack."""
+        modes = self._mode_array[sel]
+        d = _stack_linear(self._const, self._slopes, modes)
+        return d.reshape(modes.shape[:-1] + d.shape[-2:])
+
     def _op(self, name: str, sel) -> np.ndarray:
         """d, del, dbar or deldbar at the modes picked by ``sel`` (index, slice or indices)."""
         if name == "deldbar":
             return self._op("del", sel) @ self._op("dbar", sel)
-        d = self._stacks["d"][sel]
-        if name == "d":
-            return d
-        if name not in self._masks:
+        if name != "d" and name not in self._masks:
             raise ValueError(f"unknown operator {name!r}")
-        return np.where(self._masks[name], d, 0.0)
+        d = self._d(sel)
+        return d if name == "d" else np.where(self._masks[name], d, 0.0)
 
     def _stack(self, name: str) -> np.ndarray:
-        """``name`` at every mode, built on first use and kept."""
-        if name not in self._stacks:
-            self._stacks[name] = self._op(name, slice(None))
-        return self._stacks[name]
+        """``name`` at every mode of the box, built anew on each call; no
+        library path reads it, since it is O(box)."""
+        return self._op(name, slice(None))
 
     def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
         if name.endswith("_adj"):
             return _adjoint(self.operator_matrix(name[:-4], mode))
-        return self._stack(name)[self.level_basis.position(mode)]
+        return self._op(name, self.level_basis.position(mode))
 
     def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
         return self._laplacian(kind, self.level_basis.position(mode))
@@ -588,7 +612,7 @@ class HodgeContext:
 
     def _laplacian_blocks(self, kind: str, sel) -> List[np.ndarray]:
         """The diagonal blocks of the ``kind`` Laplacian at the modes picked by ``sel``."""
-        return _laplacian_blocks(self.level_basis, self._stacks["d"][sel], kind)
+        return _laplacian_blocks(self.level_basis, self._d(sel), kind)
 
     # ------------------------------------------------------------------
     # spinor transport
@@ -615,13 +639,16 @@ class HodgeContext:
         """Operator-norm residual of (harmonic + laplacian o green - 1) for the
         ``kind`` package, worst mode: worst representative, since a mode and
         its mirror have bitwise-equal Laplacians."""
-        sp, reps = self.package(kind)._spectra, self._reps
-        resid = (
-            sp.matrix(reps, sp.harmonic_weights)
-            + self._laplacian(kind, reps) @ sp.matrix(reps, sp.green_weights)
-            - np.eye(self.size)
-        )
-        return float(np.linalg.norm(resid, 2, axis=(1, 2)).max())
+        sp = self.package(kind)._spectra
+        worst = 0.0
+        for sel in _chunks(len(self.weight), MODE_CHUNK):
+            resid = (
+                sp.matrix(sel, sp.harmonic_weights)
+                + self._laplacian(kind, sel) @ sp.matrix(sel, sp.green_weights)
+                - np.eye(self.size)
+            )
+            worst = max(worst, float(np.linalg.norm(resid, 2, axis=(1, 2)).max()))
+        return worst
 
     def bi_inner(self, a: Spinor, b: Spinor) -> complex:
         return self.metric.bi_inner(a, b)
@@ -730,9 +757,9 @@ class HodgeContext:
         S/B families quantify over phi in the level above k with
         dbar(del phi) = 0 (plain) or dbar phi = 0 (calligraphic); the B
         variants additionally demand a del-exact solution.  Every verdict
-        is decided per representative mode, on level blocks sliced from the
-        stacked d, by batched SVDs; ``holds`` requires it at every one, and
-        ``dims`` sums the ranks over the modes, each representative weighted
+        is decided per representative mode, on level blocks of d built at
+        the representatives, by batched SVDs and projections; ``holds``
+        requires it at every one, and ``dims`` sums the ranks over the modes, each representative weighted
         by the modes it stands for (a level block at -k is minus the one at
         k, with the same rank and span).  A basis carries its rank in its
         nonzero columns, so a rank question costs one SVD.  Outside ``class_checks``
@@ -752,19 +779,21 @@ class HodgeContext:
 
     def _block(self, row_level: int, col_level: int) -> np.ndarray:
         """The level block of d at every representative mode: del one level
-        down, dbar one up."""
-        return self._stack("d")[self._reps, self._level(row_level), self._level(col_level)]
+        down, dbar one up.  Built from the same block of C and the A_a, so
+        bitwise that block of d, and no larger."""
+        rows, cols = self._level(row_level), self._level(col_level)
+        return _stack_linear(
+            self._const[rows, cols], self._slopes[:, rows, cols], self._mode_array[self._reps]
+        )
 
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per representative mode, the operator scale and the absolute rank
         floor tied to it."""
         if self._scale is None:
-            # by chunks of modes: a whole |d| stack would raise the peak memory
-            d = self._stack("d")[self._reps]
-            self._scale = np.maximum(1.0, np.concatenate([
-                np.abs(d[start:start + MODE_CHUNK]).max(axis=(1, 2))
-                for start in range(0, len(d), MODE_CHUNK)
-            ]))
+            chunks = _chunks(len(self.weight), MODE_CHUNK)
+            self._scale = np.maximum(1.0, np.concatenate(
+                [np.abs(self._d(sel)).max(axis=(1, 2)) for sel in chunks]
+            ))
         return self._scale, RANK_CUTOFF * self._scale
 
     def _shared(self, key: Hashable, level: int, compute: Callable[[], object]):
@@ -820,7 +849,7 @@ class HodgeContext:
             # del dbar on level k: only its rank is asked
             d3 = _rank(self._block(k, k + 1) @ self._block(k + 1, k), floor * scale)
             holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
-        elif self._block(k, k + 1).shape[-1] == 0:
+        elif self._level(k + 1).stop == self._level(k + 1).start:
             # no level above k: nothing to check
             holds, candidates, target = True, 0, 0
         else:

@@ -55,9 +55,12 @@ MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 # them; a config above it is refused before anything is built
 MEMORY_BUDGET = 4 * 2 ** 30
 # complex (R, N, N) stacks over the representative modes that a Hodge
-# context and the experiments using it hold at once, in units of its d
-# stack: tracemalloc peaks of 5-7 d stacks for hodge-table and 11-14 for
-# identity-suite on complex T^4 K=2, K=3 and T^6 K=1
+# context and the experiments using it hold at once, in units of one d
+# stack over them.  A context holds no d stack; tracemalloc peaks on
+# complex T^4 K=2, K=3 and T^6 K=1 are 5.5, 3.1 and 4.8 such stacks for
+# hodge-table (in the d package's eigenvector build) and 14.8, 6.2 and
+# 11.9 for identity-suite with 2 samples.  T^4 K=2 reads highest: one
+# MODE_CHUNK there holds 256 of its 313 representatives.
 HODGE_STACKS = 16
 # the experiments that build a Hodge context; an expanded deformation
 # builds the algebroid's, of the same size

@@ -1002,3 +1002,132 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, mon
         monkeypatch.setattr(np.linalg, name, counting)
     hodge_table(ctx)
     assert stacks and set(stacks) == {rows}
+
+
+# ----------------------------------------------------------------------
+# d built from C and the A_a at the modes asked for, never over the box
+# ----------------------------------------------------------------------
+
+
+ASSEMBLY_CASES = {
+    f"{name}-K{K}": functools.partial(build, 2, K)
+    for name, build in (
+        ("complex", _case),
+        ("twisted", lambda n, K: _case(n, K, twisted=True)),
+        ("symplectic", _symplectic_case),
+        ("b-transform", _sheared_case),
+    )
+    for K in (1, 2)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, monkeypatch):
+    """Every level block at the representatives, every chunk of d, of its
+    masked operators and of its Laplacian blocks, d at scattered modes and
+    at one mode, and the rank floors equal the slices of the whole-box
+    ``_stack_linear`` stack bitwise, over ragged chunks of 7 modes."""
+    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    ctx = HodgeContext(*ASSEMBLY_CASES[name]())
+    whole = hodge._stack_linear(ctx._const, ctx._slopes, ctx.modes)
+    reps = ctx._reps
+
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    n = ctx.structure.n
+    for r in range(-n - 1, n + 2):
+        for c in range(-n - 1, n + 2):
+            want = whole[reps][:, ctx._level(r), ctx._level(c)]
+            assert same(ctx._block(r, c), want), (r, c)
+
+    chunks = list(hodge._chunks(len(ctx.weight), hodge.MODE_CHUNK))
+    assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(ctx.weight)
+    masked = {key: np.where(mask, whole, 0.0) for key, mask in ctx._masks.items()}
+    masked["d"] = whole
+    masked["deldbar"] = masked["del"] @ masked["dbar"]
+    for sel in chunks:
+        for op, stack in masked.items():
+            assert same(ctx._op(op, sel), stack[sel]), op
+        for kind in KINDS:
+            want = hodge._laplacian_blocks(ctx.level_basis, whole[sel], kind)
+            got = ctx._laplacian_blocks(kind, sel)
+            assert all(same(g, w) for g, w in zip(got, want)) and len(got) == len(want), kind
+
+    scattered = np.random.default_rng(3).permutation(len(ctx.modes))[:11]
+    assert same(ctx._op("d", scattered), whole[scattered])
+    for i in (0, len(ctx.modes) // 3, len(ctx.modes) - 1):
+        assert same(ctx.operator_matrix("d", ctx.modes[i]), whole[i])
+        assert same(ctx.operator_matrix("deldbar", ctx.modes[i]), masked["deldbar"][i])
+    assert same(ctx._stack("dbar"), masked["dbar"])
+    assert same(ctx._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
+
+
+def _arrays(value):
+    """The numpy arrays held by an attribute, through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
+    """After hodge_table on T^4 K=2 (625 modes), what the context and its
+    packages hold over the whole box is per-mode indices and scalars (the
+    mirror map, the modes, the rank scale), never a stack of per-mode
+    matrices; the packages' representative spectra are the exception, and
+    they cover the box only when it is twisted."""
+    ctx = HodgeContext(*_case(2, 2, twisted))
+    hodge_table(ctx)
+    count = len(ctx.modes)
+    holders = [ctx, ctx.level_basis]
+    for pk in ctx._packages.values():
+        holders += [pk, pk._spectra]
+    assert len(holders) == 2 + 2 * 4
+    box_wide = set()
+    for holder in holders:
+        for attr, value in vars(holder).items():
+            if holder is not ctx and attr in ("vals", "vecs"):
+                continue
+            for a in _arrays(value):
+                if a.ndim and len(a) == count:
+                    box_wide.add(attr)
+                    assert a.ndim <= 2 and not np.iscomplexobj(a), attr
+    assert box_wide == ({"rep", "_mode_array", "_scale", "weight"} if twisted else {"rep", "_mode_array"})
+
+
+def _traced_peak(run) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hodge_context_and_class_checks_peak_below_one_box_d_stack():
+    """Building a context on complex T^4 K=2 and deciding hodge_table's 25
+    class checks peaks below one whole-box d stack (0.7 of one; a context
+    that kept d over the box held a whole one from the start)."""
+    s, m = _case(2, 2)
+    questions = [(kind, k) for k in s.levels() for kind in CHECK_KINDS]
+    stack = len(list(s.box.modes(s.geometry))) * 16 * 16 * 16
+    assert _traced_peak(lambda: HodgeContext(s, m).class_checks(questions)) < stack
+
+
+def test_hodge_table_peaks_below_two_box_d_stacks():
+    """hodge_table on complex T^4 K=3, context included, peaks below two
+    whole-box d stacks (1.5 of them, in the d package's own eigenvector
+    build; 2.4 when d was kept over the box).  At K=2 one MODE_CHUNK holds
+    256 of the 313 representatives, so that build's chunk-sized temporaries
+    lift the peak to 2.7 stacks there."""
+    s, m = _case(2, 3)
+    stack = len(list(s.box.modes(s.geometry))) * 16 * 16 * 16
+    assert _traced_peak(lambda: hodge_table(HodgeContext(s, m))) < 2 * stack

@@ -1521,6 +1521,16 @@ def test_clifford_suite_property(n, K, policy, seed, samples):
     )
 
 
+@pytest.mark.parametrize("n, K", [(1, 1), (2, 4)])
+def test_clifford_suite_without_samples_reads_zero(n, K):
+    """With no samples both entries read the per-sample loop's 0: summing
+    the empty stacks of an empty run gives an empty stack."""
+    geometry, box = TorusGeometry(n), TruncationBox(K)
+    got = clifford_suite(geometry, box, 0, 0)
+    assert got == ref_clifford_suite(geometry, box, 0, 0)
+    assert [e["value"] for e in got] == [0.0, 0.0]
+
+
 def test_clifford_suite_products_and_conversions(monkeypatch):
     """On T^2 K=1 with 100 samples the Fourier half is one run of stacks:
     three stacked products (b.sigma with a.sigma, a.(b.sigma) with
