@@ -43,7 +43,7 @@ from .hodge import (
     ObstructionError,
     _LevelBasis,
     _ModeSpectra,
-    _laplacian_blocks,
+    _laplacian_source,
     _level_d,
     _mode_mirror,
     _mode_positions,
@@ -302,9 +302,11 @@ class AlgebroidHodge:
     are the raising blocks of those of d_H in the level basis
     (``hodge._level_d``), and the Laplacians are the dbar Laplacian's level
     blocks (``hodge._laplacian_blocks``), eigendecomposed in stacked
-    chunks.  When C is exactly zero the differential is odd in k, so the
-    Laplacians at +-k are bitwise equal and only the first half of the box,
-    mode 0 included, is decomposed; otherwise every mode is.  A
+    chunks by ``hodge._ModeSpectra``, which keeps the eigenvalues and
+    builds eigenvectors at the representatives read.  When C is exactly
+    zero the differential is odd in k, so the Laplacians at +-k are bitwise
+    equal and only the first half of the box, mode 0 included, is
+    decomposed; otherwise every mode is.  A
     polynomial's coefficient rows are placed in its degree's slice of the
     ``monomial_list`` keys, so the projector, Green operator and adjoint
     each act by one batched product, and the result's rows are read back
@@ -328,8 +330,8 @@ class AlgebroidHodge:
         self._const = np.where(raising, const, 0)
         self._slopes = np.where(raising, slopes, 0)
         self._spectra = _ModeSpectra(
-            lambda sel: _laplacian_blocks(
-                lb, _stack_linear(self._const, self._slopes, self.modes[sel]), "dbar"
+            _laplacian_source(
+                lb, self._const, self._slopes, np.array(self.modes).reshape(-1, lb.dim), "dbar"
             ),
             _mode_mirror(len(self.modes), not self._const.any()),
             [lb.level_slices[k] for k in lb.levels],

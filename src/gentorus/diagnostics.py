@@ -525,8 +525,12 @@ def hodge_suite(ctx: HodgeContext, seed: int = 0) -> List[Dict]:
 def hodge_table(ctx: HodgeContext) -> Dict:
     """Kernel dimensions per kind and level plus class-check verdicts.
 
-    The class checks go first, as one batch: their decompositions are freed
-    before the packages' eigenvectors are built.
+    The class checks go first, as one batch, and their decompositions are
+    freed before the packages are built.  The packages are read through
+    ``kernel_dimensions`` alone: the blockwise kinds count eigenvalues, and
+    the level-mixing ``d`` builds eigenvectors only at the modes that have
+    a kernel, once for all the levels, and keeps none, so the packages end
+    up holding their eigenvalues alone.
     """
     levels = list(ctx.structure.levels())
     questions = [(kind, k) for k in levels for kind in CHECK_KINDS]
@@ -534,7 +538,7 @@ def hodge_table(ctx: HodgeContext) -> Dict:
     for (kind, k), check in zip(questions, ctx.class_checks(questions)):
         checks[str(k)][kind] = check["holds"]
     dims = {
-        kind: {str(k): ctx.package(kind).kernel_dimension(k) for k in levels}
+        kind: {str(k): n for k, n in ctx.package(kind).kernel_dimensions().items()}
         for kind in ("dbar", "bc", "aeppli", "d")
     }
     return {"kernel_dimensions": dims, "class_checks": checks}

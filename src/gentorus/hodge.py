@@ -31,8 +31,12 @@ one product batched over its modes.  The Lie-algebroid complex
 coordinates (P maps to P . rho0), so it holds no operator of its own: its
 differential is the raising blocks of ``_level_d``, and its Laplacian
 blocks come from ``_laplacian_blocks`` and ``_ModeSpectra``.  What a
-context holds over the modes is the packages' eigenvalues and
-eigenvectors, at the representative modes.
+context holds over the modes is the packages' eigenvalues at the
+representative modes (and their eigenvectors when one chunk covers them).
+A package builds eigenvectors again, by the same batched ``eigh``, at the
+representatives a reader asks for: bitwise those of the first pass, kept
+for the projector, Green operator and harmonic basis, and dropped after
+the level content of the ``d`` kernel is counted.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -348,8 +352,18 @@ def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndar
     return out
 
 
+def _laplacian_source(lb: _LevelBasis, const: np.ndarray, slopes: np.ndarray,
+                      modes: np.ndarray, kind: str) -> Callable[[object], List[np.ndarray]]:
+    """The function of ``sel`` (a slice or an index array) that returns the
+    diagonal blocks of the ``kind`` Laplacian of d = C + 2 pi i sum_a k_a A_a
+    at the modes ``modes[sel]``.  It holds C, the A_a and the modes, never a
+    context, so spectra that keep it keep no context alive."""
+    return lambda sel: _laplacian_blocks(lb, _stack_linear(const, slopes, modes[sel]), kind)
+
+
 class _ModeSpectra:
-    """Eigendecomposed per-mode Hermitian Laplacians, by diagonal block.
+    """Eigenvalues of per-mode Hermitian Laplacians, by diagonal block, and
+    their eigenvectors at the representatives a reader asks for.
 
     Only the representative modes are decomposed: ``rep`` (from
     ``_mode_mirror``) maps each mode of the box to the mode whose spectra
@@ -357,28 +371,81 @@ class _ModeSpectra:
     stands for.  An untwisted operator pairs k with -k, so R = M // 2 + 1 of
     the M modes are decomposed; a twisted one decomposes every mode.
     ``laplacian(sel)`` returns the diagonal blocks of the Laplacians of the
-    modes in the slice ``sel``, one (m, n_b, n_b) stack per slice of
-    ``blocks``; the Laplacian is zero off these blocks.  It is called on
-    MODE_CHUNK representatives at a time, so no whole stack exists at once,
-    and each block of a chunk goes to one batched ``eigh``.  ``vals[b]`` is
-    (R, n_b) and ``vecs[b]`` is (R, n_b, n_b) for ``blocks[b]``; every
-    reader indexes them through ``rep``.  Eigenvalues up to RANK_CUTOFF
-    times the spectral radius count as kernel.
+    representatives picked by ``sel`` (a slice or an index array), one
+    (m, n_b, n_b) stack per slice of ``blocks``; the Laplacian is zero off
+    these blocks.  The first pass calls it on MODE_CHUNK representatives at
+    a time and gives each block of a chunk to one batched ``eigh``, of which
+    it keeps the eigenvalues alone: ``vals[b]`` is (R, n_b) for
+    ``blocks[b]``.  Eigenvalues up to RANK_CUTOFF times the spectral radius
+    count as kernel.
+
+    Eigenvectors are built again by ``eigh`` at the representatives a
+    reader asks for (``decompose``).  Batched ``eigh`` gives each matrix
+    bitwise the same result in any sub-batch, so they are bitwise those of
+    the first pass.  ``vectors`` keeps those it builds, in the order they
+    were first asked for, for the next read: ``_slot[r]`` is representative
+    r's row in ``_held``, -1 before r is asked for, and ``_slot`` is None
+    until the first read, so spectra never read hold nothing over the modes
+    but ``vals``.  When one chunk covers every representative, the pass
+    keeps that chunk's vectors instead: dropping them would lower no peak,
+    and every read would rebuild them.  Every reader indexes through
+    ``rep``.  ``vecs``, every representative's eigenvectors, is a whole
+    rebuild that no library path reads.
     """
 
     def __init__(self, laplacian, rep: np.ndarray, blocks: List[slice]):
+        self._laplacian = laplacian
         self.blocks = blocks
         self.rep = rep
         self.weight = np.bincount(rep)
         count = len(self.weight)
-        sizes = [b.stop - b.start for b in blocks]
-        self.vals = [np.empty((count, n)) for n in sizes]
-        self.vecs = [np.empty((count, n, n), dtype=complex) for n in sizes]
+        self.vals = [np.empty((count, b.stop - b.start)) for b in blocks]
+        first: List[np.ndarray] = []  # the vectors kept when one chunk covers every representative
         for sel in _chunks(count, MODE_CHUNK):
-            for vals, vecs, block in zip(self.vals, self.vecs, laplacian(sel)):
-                vals[sel], vecs[sel] = np.linalg.eigh((block + _adjoint(block)) / 2)
+            for vals, block in zip(self.vals, laplacian(sel)):
+                vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
+                if count <= MODE_CHUNK:
+                    first.append(vecs)
+                del vecs  # otherwise freed before the next eigh
         self.radius = max(float(v.max()) for v in self.vals)
         self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
+        self._slot: np.ndarray | None = np.arange(count) if first else None
+        self._held: List[np.ndarray] = first
+
+    def decompose(self, reps: np.ndarray) -> List[np.ndarray]:
+        """The eigenvectors at the representatives ``reps``, a nonempty
+        index array: one (len(reps), n_b, n_b) stack per block, by batched
+        ``eigh`` over MODE_CHUNK of them at a time.  Nothing is kept."""
+        parts: List[List[np.ndarray]] = [[] for _ in self.blocks]
+        for sel in _chunks(len(reps), MODE_CHUNK):
+            for part, block in zip(parts, self._laplacian(reps[sel])):
+                part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
+        return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
+
+    @property
+    def vecs(self) -> List[np.ndarray]:
+        """Every representative's eigenvectors, (R, n_b, n_b) per block,
+        built anew on each call; no library path reads it, since it is O(box)."""
+        return self.decompose(np.arange(len(self.weight)))
+
+    def vectors(self, reps) -> List[np.ndarray]:
+        """The eigenvectors at the representatives ``reps`` (an index or an
+        index array), one stack per block.  Those not yet held are
+        decomposed once and kept."""
+        if self._slot is None:
+            self._slot = np.full(len(self.weight), -1)
+            self._held = [np.empty((0, b.stop - b.start, b.stop - b.start), complex)
+                          for b in self.blocks]
+        slots = self._slot[reps]
+        missing = slots < 0
+        if missing.any():
+            new = np.zeros(len(self.weight), dtype=bool)
+            new[np.asarray(reps)[missing]] = True
+            new = np.flatnonzero(new)
+            self._slot[new] = np.arange(len(self._held[0]), len(self._held[0]) + len(new))
+            self._held = [np.concatenate([held, v]) for held, v in zip(self._held, self.decompose(new))]
+            slots = self._slot[reps]
+        return [held[slots] for held in self._held]
 
     def harmonic_weights(self, vals: np.ndarray) -> np.ndarray:
         return (vals <= self.cutoff).astype(float)
@@ -391,8 +458,7 @@ class _ModeSpectra:
         """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
         out = np.zeros_like(coords)
         index = self.rep[index]
-        for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
-            v = vecs[index]
+        for vals, v, b in zip(self.vals, self.vectors(index), self.blocks):
             inner = weights(vals[index])[..., None] * (_adjoint(v) @ coords[:, b, None])
             out[:, b] = (v @ inner)[..., 0]
         return out
@@ -401,9 +467,8 @@ class _ModeSpectra:
         """weights(L) at the modes picked by ``sel`` (an index or a slice)."""
         sel = self.rep[sel]
         size = self.blocks[-1].stop
-        out = np.zeros(self.vals[0][sel].shape[:-1] + (size, size), dtype=complex)
-        for vals, vecs, b in zip(self.vals, self.vecs, self.blocks):
-            v = vecs[sel]
+        out = np.zeros(np.shape(sel) + (size, size), dtype=complex)
+        for vals, v, b in zip(self.vals, self.vectors(sel), self.blocks):
             out[..., b, b] = (v * weights(vals[sel])[..., None, :]) @ _adjoint(v)
         return out
 
@@ -414,9 +479,15 @@ class HodgePackage:
     Most Laplacians preserve the level grading and are eigendecomposed per
     level block; the full twisted-d Laplacian mixes levels by +-2 away from
     the generalized Kaehler case, so that kind decomposes whole per-mode
-    matrices.  ``vals`` and ``vecs`` hold the context's representative
-    modes only; every count over the modes weights a representative by the
-    modes it stands for.
+    matrices.  ``vals`` holds the eigenvalues at the context's
+    representative modes; every count over the modes weights a
+    representative by the modes it stands for.  The eigenvectors are built
+    at the representatives a reader asks for (``_ModeSpectra.vectors``):
+    the projector, the Green operator and the harmonic basis keep them for
+    the next read, and the level content of the ``d`` kernel builds them at
+    the modes that have a kernel and keeps none.  The package holds the
+    context's level basis and its C, A_a and modes, never the context, so
+    the two form no reference cycle.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
@@ -427,11 +498,11 @@ class HodgePackage:
         self.blockwise = kind != "d"
         self._levels = lb.levels if self.blockwise else [None]
         self._spectra = sp = _ModeSpectra(
-            lambda sel: context._laplacian_blocks(kind, sel),
+            _laplacian_source(lb, context._const, context._slopes, context._mode_array, kind),
             context.rep,
             context._laplacian_slices(kind),
         )
-        self.vals, self.vecs = self._spectra.vals, self._spectra.vecs
+        self.vals = sp.vals
         self.spectral_radius = self._spectra.radius
         self.cutoff = self._spectra.cutoff
 
@@ -456,18 +527,38 @@ class HodgePackage:
         if self.blockwise:
             kernel = self.vals[self._levels.index(level)][sel] <= self.cutoff
             return int(np.sum(kernel, axis=1) @ weight)
-        # level content of a level-mixing kernel: rank of the projected basis
-        kernel = self.vals[0][sel] <= self.cutoff
-        vecs = self.vecs[0][sel]
-        total = 0
-        for i in np.flatnonzero(kernel.any(axis=1)):
-            s = np.linalg.svd(vecs[i][lb.level_slices[level]][:, kernel[i]], compute_uv=False)
-            if s[0] > RANK_CUTOFF:
-                total += int(weight[i]) * int(np.sum(s > RANK_CUTOFF * s[0]))
-        return total
+        return self._level_content(sel, weight)[level]
 
     def kernel_dimensions(self) -> Dict[int, int]:
-        return {k: self.kernel_dimension(k) for k in self.level_basis.levels}
+        if self.blockwise:
+            return {k: self.kernel_dimension(k) for k in self.level_basis.levels}
+        return self._level_content(slice(None), self._spectra.weight)
+
+    def _level_content(self, sel, weight: np.ndarray) -> Dict[int, int]:
+        """Per level, the dimension of the level content of the level-mixing
+        kernel at the representatives picked by ``sel``, each weighted by
+        ``weight``: the rank of the kernel basis projected to the level.
+        The eigenvectors are built at the modes that have a kernel, once
+        for all the levels, and dropped."""
+        lb, sp = self.level_basis, self._spectra
+        kernel = self.vals[0][sel] <= self.cutoff
+        rows = np.flatnonzero(kernel.any(axis=1))
+        counts = dict.fromkeys(lb.levels, 0)
+        if not len(rows):
+            return counts
+        vecs = sp.decompose(np.arange(len(sp.weight))[sel][rows])[0]
+        for i, v in zip(rows, vecs):
+            for level in lb.levels:
+                s = np.linalg.svd(v[lb.level_slices[level]][:, kernel[i]], compute_uv=False)
+                if s[0] > RANK_CUTOFF:
+                    counts[level] += int(weight[i]) * int(np.sum(s > RANK_CUTOFF * s[0]))
+        return counts
+
+    @property
+    def vecs(self) -> List[np.ndarray]:
+        """Every representative's eigenvectors, per block: a whole rebuild
+        (``_ModeSpectra.vecs``) that no library path reads."""
+        return self._spectra.vecs
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -478,15 +569,15 @@ class HodgePackage:
     def harmonic_basis_rows(self, level: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
         """``harmonic_basis`` as level-basis coordinates: each spinor's box
         mode index and its one coordinate row, in the same order."""
-        lb, rep = self.level_basis, self._spectra.rep
+        lb, sp = self.level_basis, self._spectra
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
-        for key, vals, vecs, sl in zip(self._levels, self.vals, self.vecs, self._spectra.blocks):
+        for b, (key, vals, sl) in enumerate(zip(self._levels, self.vals, sp.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            modes, cols = np.nonzero(vals[rep] <= self.cutoff)
+            modes, cols = np.nonzero(vals[sp.rep] <= self.cutoff)
             coords = np.zeros((len(modes), lb.size), dtype=complex)
-            coords[:, sl] = vecs[rep[modes], :, cols]
+            coords[:, sl] = sp.vectors(sp.rep[modes])[b][np.arange(len(modes)), :, cols]
             index.append(modes)
             rows.append(coords)
         # mode by mode, then block by block, then eigenvector by eigenvector

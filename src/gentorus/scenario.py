@@ -55,16 +55,18 @@ MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 # them; a config above it is refused before anything is built
 MEMORY_BUDGET = 4 * 2 ** 30
 # complex (R, N, N) stacks over the representative modes that a Hodge
-# context and the experiments using it hold at once, in units of one d
-# stack over them.  A context holds no d stack; tracemalloc peaks on
-# complex T^4 K=2, K=3 and T^6 K=1 are 5.5, 3.1 and 4.8 such stacks for
-# hodge-table (in the d package's eigenvector build) and 14.8, 6.2 and
-# 11.9 for identity-suite with 2 samples.  T^4 K=2 reads highest: one
-# MODE_CHUNK there holds 256 of its 313 representatives.
-HODGE_STACKS = 16
-# the experiments that build a Hodge context; an expanded deformation
-# builds the algebroid's, of the same size
-HODGE_KINDS = ("identity-suite", "hodge-table", "extend", "scan")
+# context and the experiment using it hold at once, in units of one d stack
+# over them, per experiment kind; "expand" is the algebroid package of an
+# expanded deformation, of the same size.  A context holds no d stack, and
+# its packages hold their eigenvalues and the eigenvectors of the
+# representatives read so far.  tracemalloc peaks on complex T^4 K=2, K=3
+# and T^6 K=1 are 3.5, 1.3 and 2.9 such stacks for hodge-table, in the d
+# package's Laplacian build (T^4 K=2 reads highest: one MODE_CHUNK there
+# holds 256 of its 313 representatives), and 14.7 and 11.6 for
+# identity-suite with 2 samples on T^4 K=2 and T^6 K=1, whose identities
+# read every representative's eigenvectors.  extend, scan and expand keep
+# the identity suite's bound.
+HODGE_STACKS = {"identity-suite": 16, "hodge-table": 4, "extend": 16, "scan": 16, "expand": 16}
 
 # the keys a config may hold, the keys of each experiment kind besides
 # "kind", of each structure type and of each nested block; any other key is
@@ -223,21 +225,21 @@ def _twisted(spec) -> bool:
     return bool(spec.get("H")) or _twisted(spec.get("base"))
 
 
-def _estimated_bytes(n: int, K: int, twisted: bool, hodge: bool) -> float:
+def _estimated_bytes(n: int, K: int, twisted: bool, stacks: float) -> float:
     """The bytes of a config's largest arrays, with N = 4^n spinor
     components: the structure's 4n complex (N, N) Clifford generators and
-    the (N, N, N) wedge words with their complex copy, and when a Hodge
-    context is built, ``HODGE_STACKS`` complex d stacks over its R
-    representative modes (R = P // 2 + 1 of the P box modes, every mode
-    when twisted).  Counted in floats, so that a huge n or K reads as
+    the (N, N, N) wedge words with their complex copy, and ``stacks``
+    complex d stacks over the R representative modes of a Hodge context
+    (R = P // 2 + 1 of the P box modes, every mode when twisted), 0 when
+    none is built.  Counted in floats, so that a huge n or K reads as
     infinite rather than being raised to its power exactly."""
     try:
         size = 4.0 ** n
         total = 4 * n * size ** 2 * 16 + 3 * size ** 3 * 8
-        if hodge:
+        if stacks:
             modes = (2.0 * K + 1) ** (2 * n)
             reps = modes if twisted else modes // 2 + 1
-            total += HODGE_STACKS * reps * size ** 2 * 16
+            total += stacks * reps * size ** 2 * 16
     except OverflowError:
         return math.inf
     return total
@@ -345,11 +347,12 @@ class Scenario:
 
     def _check_size(self, deformation) -> None:
         """Refuse a config whose largest arrays would pass ``MEMORY_BUDGET``."""
-        hodge = bool(deformation and deformation.get("expand")) or any(
-            exp.get("kind") in HODGE_KINDS for exp in self.experiments
-        )
+        kinds = [exp.get("kind") for exp in self.experiments]
+        if deformation and deformation.get("expand"):
+            kinds.append("expand")
+        stacks = max((HODGE_STACKS[kind] for kind in kinds if kind in HODGE_STACKS), default=0)
         need = _estimated_bytes(
-            self.geometry.n, self.box.K, _twisted(self.config.get("structure")), hodge
+            self.geometry.n, self.box.K, _twisted(self.config.get("structure")), stacks
         )
         if need > MEMORY_BUDGET:
             raise ScenarioError(

@@ -306,11 +306,16 @@ class GCStructure:
         and of its parts that lower (del) and raise (dbar) the level by one.
 
         On the monomial basis C = -H ^ (the twist is constant) and
-        A_a = dx^a ^.  The parts are the level blocks of C and of the A_a,
+        A_a = dx^a ^.  Without a twist no wedge matrix is built: C is the
+        negated zero matrix, all -0.0, bitwise what the wedge by a zero
+        form gives.  The parts are the level blocks of C and of the A_a,
         masked in the frame basis; ``"dL"`` is the raising part in frame
         coordinates, which P -> P . rho0 identifies with d_L.
         """
-        const = -wedge_matrix(self.twist).constant_values()
+        if self.twist.is_zero():
+            const = -np.zeros((2 ** self.dim,) * 2, dtype=complex)
+        else:
+            const = -wedge_matrix(self.twist).constant_values()
         slopes = clifford_generators(self.dim)[self.dim:]
         out = {"d": (const, slopes)}
         words, coords = self._level_matrix, self._level_inverse

@@ -988,8 +988,9 @@ def test_algebroid_package_makes_no_dL_calls(monkeypatch):
 @pytest.mark.parametrize("twisted, rows", [(False, 41), (True, 81)], ids=["untwisted", "twisted"])
 def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, monkeypatch):
     """On T^4 K=1 (81 modes) every mode stack that hodge_table hands to
-    svd or eigh holds the 41 representatives when untwisted, and all 81
-    modes when twisted."""
+    svd or eigh holds at most the 41 representatives when untwisted, and
+    all 81 modes when twisted.  The package builds hold all of them; the
+    level content of the d kernel decomposes only the modes with a kernel."""
     ctx = HodgeContext(*_case(2, 1, twisted))
     stacks = []
     for name in ("svd", "eigh"):
@@ -1000,8 +1001,12 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, mon
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    for kind in ("dbar", "bc", "aeppli", "d"):
+        ctx.package(kind)
+    builds = list(stacks)
     hodge_table(ctx)
-    assert stacks and set(stacks) == {rows}
+    assert builds and set(builds) == {rows}
+    assert len(stacks) > len(builds) and max(stacks) == rows
 
 
 # ----------------------------------------------------------------------
@@ -1131,3 +1136,139 @@ def test_hodge_table_peaks_below_two_box_d_stacks():
     s, m = _case(2, 3)
     stack = len(list(s.box.modes(s.geometry))) * 16 * 16 * 16
     assert _traced_peak(lambda: hodge_table(HodgeContext(s, m))) < 2 * stack
+
+
+def test_packages_hold_their_eigenvalues_alone_after_hodge_table():
+    """After hodge_table on complex T^4 K=2 the four packages hold less than
+    half a d stack over the 313 representatives (their eigenvalues, about
+    an eighth of one; two such stacks of eigenvectors when every package
+    kept its own): the blockwise kernel counts read eigenvalues alone, and
+    the d kernel's eigenvectors are built at its kernel modes and dropped."""
+    import gc
+    import tracemalloc
+
+    s, m = _case(2, 2)
+    stack = (len(list(s.box.modes(s.geometry))) // 2 + 1) * 16 * 16 * 16
+    tracemalloc.start()
+    try:
+        ctx = HodgeContext(s, m)
+        hodge_table(ctx)
+        gc.collect()
+        with_packages = tracemalloc.get_traced_memory()[0]
+        ctx._packages.clear()
+        gc.collect()
+        held = with_packages - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 0.5 * stack
+
+
+ON_DEMAND_CASES = {
+    "complex": lambda: _case(2, 1),
+    "twisted": lambda: _case(2, 1, twisted=True),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(ON_DEMAND_CASES))
+def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkeypatch):
+    """Eigenvectors built at the representatives asked for, one at a time,
+    scattered and repeated, in ragged chunks of 7 modes, with and without
+    being kept, are bitwise those of one eigh over the whole box, and so
+    are those that the first pass keeps when one chunk of 256 covers the
+    representatives."""
+    monkeypatch.setattr(hodge, "MODE_CHUNK", chunk)
+    ctx = HodgeContext(*ON_DEMAND_CASES[name]())
+    sp = ctx.package(kind)._spectra
+    full = _full_box_spectra(ctx, kind)
+    count = len(sp.weight)
+
+    def same(got, reps):
+        return len(got) == len(full) and all(
+            g.shape == v[reps].shape and g.tobytes() == v[reps].tobytes()
+            for g, (_, v) in zip(got, full)
+        )
+
+    for r in (count - 1, 0, count // 2, 0):
+        assert same(sp.vectors(r), r)
+    scattered = np.random.default_rng(5).permutation(count)[:19]
+    assert same(sp.vectors(np.concatenate([scattered, scattered[:3]])),
+                np.concatenate([scattered, scattered[:3]]))
+    assert same(sp.decompose(scattered), scattered)
+    assert same(sp.vectors(np.arange(count)), np.arange(count))
+    assert same(sp.vecs, np.arange(count))
+    assert len(sp._held[0]) == count
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, chunk, monkeypatch):
+    """Green and harmonic reads at one mode at a time, repeated, at k and at
+    -k, hand each representative to eigh once per package: one matrix per
+    block, the first time it is read.  When one chunk of 256 covers the 41
+    or 81 representatives of T^4 K=1, the first pass keeps its vectors and
+    no read decomposes."""
+    monkeypatch.setattr(hodge, "MODE_CHUNK", chunk)
+    ctx = HodgeContext(*_case(2, 1, twisted))
+    lb = ctx.level_basis
+    packages = {kind: ctx.package(kind) for kind in ("dbar", "bc", "d")}
+    decomposed = []
+
+    def counting(a, *args, _real=np.linalg.eigh, **kwargs):
+        decomposed.append(len(a) if np.ndim(a) > 2 else 1)
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rng = np.random.default_rng(7)
+    positions = [1, 2, len(ctx.modes) - 2, 40, 1, 2, 40]
+    for kind, pk in packages.items():
+        decomposed.clear()
+        first = {}
+        for _ in range(3):
+            for i in positions:
+                sigma = lb.spinor([ctx.modes[i]], rng.normal(size=(1, lb.size)) + 0j)
+                pk.green(sigma)
+                pk.harmonic(sigma)
+                first.setdefault(i, pk.green_matrix(ctx.modes[i]))
+                assert np.array_equal(pk.green_matrix(ctx.modes[i]), first[i])
+        reps = {int(ctx.rep[i]) for i in positions} if chunk < len(ctx.weight) else set()
+        assert sum(decomposed) == len(reps) * len(pk._spectra.blocks), kind
+
+
+def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(monkeypatch):
+    """The packages' Laplacian source holds d's C, A_a and modes, not the
+    context, so a context whose packages have built and kept eigenvectors is
+    freed without the cyclic collector, and so is an algebroid package; a
+    package kept alone still works."""
+    import gc
+
+    from gentorus.deformation import AlgebroidHodge
+
+    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    s, m = _case(2, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = HodgeContext(s, m)
+        lb = ctx.level_basis
+        sigma = lb.spinor([ctx.modes[5]], np.arange(lb.size)[None] + 1j)
+        pk = ctx.package("bc")
+        green = pk.green(sigma)
+        ctx.package("d").kernel_dimensions()
+        ctx.package("d").harmonic(sigma)
+        assert len(pk._spectra._held[0]) == 1
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+        assert (pk.green(sigma) - green).norm() == 0.0
+
+        alg = AlgebroidHodge(s, m)
+        poly = CliffordPoly(s.dual_frame, 1, {(0,): FourierScalar(s.geometry, s.box, {(1, 0, 0, 0): 0.5})})
+        alg.green(poly)
+        assert len(alg._spectra._held[0]) == 1
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -376,14 +376,39 @@ def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path,
 
 
 def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
-    """Complex T^6 K=1 with a hodge-table stays within the budget; the same
-    box twisted, or at K=2, counts every mode or more and is refused."""
-    from gentorus.scenario import MEMORY_BUDGET, _estimated_bytes
+    """Complex T^6 K=1 with a hodge-table stays within the budget, and so
+    does K=2, since a hodge-table's packages keep their eigenvalues alone;
+    an identity suite at K=2, which reads every representative's
+    eigenvectors, is still refused.  The same box twisted counts every mode."""
+    from gentorus.scenario import HODGE_STACKS, MEMORY_BUDGET, _estimated_bytes
 
-    assert _estimated_bytes(3, 1, False, True) < MEMORY_BUDGET
-    assert _estimated_bytes(3, 1, True, True) > _estimated_bytes(3, 1, False, True)
-    assert _estimated_bytes(3, 2, False, True) > MEMORY_BUDGET
-    assert _estimated_bytes(3, 3, False, False) < MEMORY_BUDGET
+    table, suite = HODGE_STACKS["hodge-table"], HODGE_STACKS["identity-suite"]
+    assert _estimated_bytes(3, 1, False, table) < MEMORY_BUDGET
+    assert _estimated_bytes(3, 1, True, table) > _estimated_bytes(3, 1, False, table)
+    assert _estimated_bytes(3, 2, False, table) < MEMORY_BUDGET
+    assert _estimated_bytes(3, 2, False, suite) > MEMORY_BUDGET
+    assert _estimated_bytes(3, 3, False, 0) < MEMORY_BUDGET
+
+
+@pytest.mark.parametrize(
+    "kinds, admitted",
+    [(["hodge-table"], True), (["identity-suite"], False), (["hodge-table", "scan"], False)],
+)
+def test_t6_k2_admits_a_hodge_table_alone(kinds, admitted):
+    """The estimate takes the largest bound of the config's experiment
+    kinds: complex T^6 K=2 parses with a hodge-table and is refused as soon
+    as an experiment that reads every eigenvector joins it."""
+    config = minimal_config()
+    config["torus"] = {"n": 3, "K": 2}
+    del config["metric"]
+    config["experiments"] = [
+        {"kind": kind, **({"seed": 0} if kind == "identity-suite" else {})} for kind in kinds
+    ]
+    if admitted:
+        assert Scenario(config).box.K == 2
+    else:
+        with pytest.raises(ScenarioError, match=r"needs about .* GiB .* budget"):
+            Scenario(config)
 
 
 @pytest.mark.parametrize(

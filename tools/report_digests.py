@@ -7,8 +7,9 @@ byte-identical:
 The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
 seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
-and ``inline/<name>`` for the identity suites of ``INLINE``, which run the
-T^4 and T^6 paths that no shipped or benchmark config reaches.
+and ``inline/<name>`` for the identity suites and Hodge tables of
+``INLINE``, which run the T^4 and T^6 paths that no shipped or benchmark
+config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
 ``perfbench/``.
@@ -37,28 +38,42 @@ _B = [[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 0, 0.3], [0, 0, -0.3, 0]]
 _OMEGA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
-def _identity(name: str, n: int, K: int, samples: int, structure: Dict, metric=None) -> Dict:
+_TWISTED = {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}
+
+
+def _config(name: str, n: int, K: int, experiment: Dict, structure: Dict, metric=None) -> Dict:
     config = {
         "name": name,
         "torus": {"n": n, "K": K},
         "structure": structure,
-        "experiments": [{"kind": "identity-suite", "seed": 0, "samples": samples}],
+        "experiments": [experiment],
     }
     if metric:
         config["metric"] = metric
     return config
 
 
-# identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s), timed
-# on a 2-vCPU x86-64 host
+def _identity(name: str, n: int, K: int, samples: int, structure: Dict, metric=None) -> Dict:
+    experiment = {"kind": "identity-suite", "seed": 0, "samples": samples}
+    return _config(name, n, K, experiment, structure, metric)
+
+
+def _hodge_table(name: str, n: int, K: int, structure: Dict) -> Dict:
+    return _config(name, n, K, {"kind": "hodge-table"}, structure)
+
+
+# identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s), and
+# hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), and on
+# T^6 K=1 (1-2 s), timed on a 2-vCPU x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
-    _identity("t4-twisted-identity", 2, 1, 20,
-              {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}),
+    _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
     _identity("t4-symplectic-identity", 2, 1, 20, {"type": "symplectic", "omega": _OMEGA}),
     _identity("t4-b-transform-identity", 2, 1, 20,
               {"type": "b_transform", "base": {"type": "complex"}, "B": _B}, {"b": _B}),
     _identity("t6-complex-identity", 3, 0, 2, {"type": "complex"}),
+    _hodge_table("t4-twisted-hodge", 2, 2, _TWISTED),
+    _hodge_table("t6-complex-hodge", 3, 1, {"type": "complex"}),
 ]
 
 
