@@ -351,6 +351,17 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
+def _unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of 1-D
+    integer keys from one stable sort, without the ``numpy.ma`` import that
+    the first ``np.unique`` call in a process makes."""
+    order = np.argsort(keys, kind="stable")
+    starts = _group_starts(keys[order])
+    slot = np.empty(len(keys), dtype=np.intp)
+    slot[order] = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
+    return keys[order[starts]], order[starts], slot
+
+
 def _add_rows(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
     """out[slots[i]] += values[i], repeated slots summed."""
     if (slots[1:] > slots[:-1]).all():
@@ -429,13 +440,13 @@ def _stack_pairs(
         s = np.flatnonzero(chunks > r)
         lo = r * step[s]
         m = np.minimum(step[s], a_counts[s] - lo)
-        widths, group = np.unique(b_counts[s], return_inverse=True)
+        widths, _, group = _unique(b_counts[s])
         longest = np.zeros(len(widths), dtype=np.int64)
         np.maximum.at(longest, group, m)
         cost = longest[group] * rows * widths[group] * cols
         for batch in _runs_within_chunk(cost):
             pairs, products = [], []
-            for g in np.unique(group[batch]):
+            for g in _unique(group[batch])[0]:
                 sel = np.flatnonzero(group[batch] == g) + batch.start
                 su, lu, mu, w = s[sel], lo[sel], m[sel], widths[g]
                 j = np.arange(mu.max())
@@ -499,13 +510,13 @@ def _stack_products(
         if len(counts) * span < 2 ** 62:
             keys = owner * span + (keys - low)
         else:
-            keys = owner * len(keys) + np.unique(keys, return_inverse=True)[1]
+            keys = owner * len(keys) + _unique(keys)[2]
     if keep is not None:
         p, q, owner, keys = p[keep], q[keep], owner[keep], keys[keep]
     if (keys[1:] > keys[:-1]).all():
         first = slot = np.arange(len(keys))
     else:
-        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, slot = _unique(keys)
     if keep is not None:
         full = np.zeros(len(keep), dtype=np.intp)
         full[keep] = slot

@@ -228,14 +228,14 @@ def _twisted(spec) -> bool:
 def _estimated_bytes(n: int, K: int, twisted: bool, stacks: float) -> float:
     """The bytes of a config's largest arrays, with N = 4^n spinor
     components: the structure's 4n complex (N, N) Clifford generators and
-    the (N, N, N) wedge words with their complex copy, and ``stacks``
-    complex d stacks over the R representative modes of a Hodge context
-    (R = P // 2 + 1 of the P box modes, every mode when twisted), 0 when
-    none is built.  Counted in floats, so that a huge n or K reads as
-    infinite rather than being raised to its power exactly."""
+    the full SVD of its (2n N, N) frame action, four of its complex (2n N,
+    2n N) U, and ``stacks`` complex d stacks over the R representative modes
+    of a Hodge context (R = P // 2 + 1 of the P box modes, every mode when
+    twisted), 0 when none is built.  Counted in floats, so that a huge n or
+    K reads as infinite rather than being raised to its power exactly."""
     try:
         size = 4.0 ** n
-        total = 4 * n * size ** 2 * 16 + 3 * size ** 3 * 8
+        total = 4 * n * size ** 2 * 16 + 4 * (2 * n * size) ** 2 * 16
         if stacks:
             modes = (2.0 * K + 1) ** (2 * n)
             reps = modes if twisted else modes // 2 + 1

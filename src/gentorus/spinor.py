@@ -207,10 +207,8 @@ class Spinor:
     @property
     def comps(self) -> Dict[Monomial, FourierScalar]:
         """The components with a nonzero coefficient or dropped mass, as scalars."""
-        s = self.stack
-        live = np.any(s.coeffs[:, :, 0], axis=0) | (s.dropped_mass[:, 0] > 0)
-        keys = monomial_list(s.geometry.dim)
-        return {keys[j]: s[j, 0] for j in np.flatnonzero(live)}
+        keys = monomial_list(self.geometry.dim)
+        return {keys[j]: self.stack[j, 0] for j in _live_columns(self.stack.T)}
 
     def coefficient(self, mono: Sequence[int]) -> FourierScalar:
         j = monomial_index(self.geometry.dim).get(tuple(int(i) for i in mono))
@@ -241,6 +239,11 @@ class Spinor:
         return "Spinor({" + ", ".join(parts) + "})"
 
 
+def _live_columns(row: FourierMatrix) -> np.ndarray:
+    """The columns of a one-row stack with a nonzero coefficient or dropped mass."""
+    return np.flatnonzero(np.any(row.coeffs[:, 0], axis=0) | (row.dropped_mass[0] > 0))
+
+
 def _action(weights: FourierMatrix, matrices: np.ndarray) -> FourierMatrix:
     """sum_j weights[0, j] matrices[j]: constant matrices with the
     Fourier-series weights of a one-row matrix.
@@ -259,9 +262,24 @@ def _action(weights: FourierMatrix, matrices: np.ndarray) -> FourierMatrix:
     )
 
 
+def _word_action(row: FourierMatrix, keys: Sequence[Monomial], gens: np.ndarray) -> FourierMatrix:
+    """sum_j row[0, j] g[keys[j][0]] ... g[keys[j][-1]] over the live columns
+    j of a one-row stack (see :func:`_action`), g the constant (N, N)
+    matrices ``gens``: a word is built only where a column carries a weight."""
+    live, eye = _live_columns(row), np.eye(gens.shape[1])
+    words = [functools.reduce(np.matmul, [gens[i] for i in keys[j]], eye) for j in live]
+    weights = FourierMatrix._from_sorted(
+        row.geometry, row.box, row.modes, row.coeffs[:, :, live], row.dropped_mass[:, live]
+    )
+    return _action(weights, np.array(words).reshape((-1,) + eye.shape))
+
+
 def wedge_matrix(form: Spinor) -> FourierMatrix:
-    """The matrix of the left wedge product by ``form`` on the monomial basis."""
-    return _action(form.stack.T, _wedge_words(form.geometry.dim))
+    """The matrix of the left wedge product by ``form`` on the monomial basis:
+    the weights of its live monomials dx^I on their words dx^I ^, each a
+    product of the wedge generators."""
+    dim = form.geometry.dim
+    return _word_action(form.stack.T, monomial_list(dim), clifford_generators(dim)[dim:])
 
 
 def wedge(a: Spinor, b: Spinor) -> Spinor:
@@ -591,16 +609,11 @@ class CliffordPoly:
         """The slot keys of the degree, one per column of ``stack``."""
         return list(itertools.combinations(range(len(self.frame)), self.degree))
 
-    def _live(self) -> np.ndarray:
-        """The columns with a nonzero coefficient or dropped mass."""
-        s = self.stack
-        return np.flatnonzero(np.any(s.coeffs[:, 0], axis=0) | (s.dropped_mass[0] > 0))
-
     @property
     def coeffs(self) -> Dict[Tuple[int, ...], FourierScalar]:
         """The keys with a nonzero coefficient or dropped mass, as scalars."""
         keys = self.keys
-        return {keys[j]: self.stack[0, j] for j in self._live()}
+        return {keys[j]: self.stack[0, j] for j in _live_columns(self.stack)}
 
     def add(self, other: "CliffordPoly") -> "CliffordPoly":
         if other.degree != self.degree or len(other.frame) != len(self.frame):
@@ -652,13 +665,7 @@ class CliffordPoly:
                 raise ValueError("the Clifford action needs a constant frame")
             dim = self.geometry.dim
             slots = [constant_clifford_matrix(v.constant_values(), dim) for v in self.frame]
-            eye = np.eye(2 ** dim)
-            keys, live, s = self.keys, self._live(), self.stack
-            words = [functools.reduce(np.matmul, [slots[i] for i in keys[j]], eye) for j in live]
-            weights = FourierMatrix._from_sorted(
-                self.geometry, self.box, s.modes, s.coeffs[:, :, live], s.dropped_mass[:, live]
-            )
-            self._matrix = _action(weights, np.array(words).reshape((-1,) + eye.shape))
+            self._matrix = _word_action(self.stack, self.keys, np.array(slots))
         return Spinor.from_stack(self._matrix.matmul(sigma.stack, policy=policy))
 
     def wedge(self, other: "CliffordPoly") -> "CliffordPoly":
@@ -712,7 +719,7 @@ class CliffordPoly:
         return out
 
     def __repr__(self) -> str:
-        return f"CliffordPoly(degree={self.degree}, terms={len(self._live())})"
+        return f"CliffordPoly(degree={self.degree}, terms={len(_live_columns(self.stack))})"
 
 
 def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:
@@ -723,7 +730,6 @@ def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:
 _MONOMIAL_CACHE: Dict[int, List[Monomial]] = {}
 _MONOMIAL_INDEX_CACHE: Dict[int, Dict[Monomial, int]] = {}
 _GENERATOR_CACHE: Dict[int, np.ndarray] = {}
-_WEDGE_CACHE: Dict[int, np.ndarray] = {}
 
 
 def monomial_list(dim: int) -> List[Monomial]:
@@ -761,21 +767,6 @@ def clifford_generators(dim: int) -> np.ndarray:
                     out[dim + j, idx[merged[0]], col] = merged[1]
         _GENERATOR_CACHE[dim] = out
     return _GENERATOR_CACHE[dim]
-
-
-def _wedge_words(dim: int) -> np.ndarray:
-    """The (N, N, N) matrices of the left wedge by each monomial, in
-    :func:`monomial_list` order."""
-    if dim not in _WEDGE_CACHE:
-        wedges = clifford_generators(dim)[dim:]
-        words = []
-        for mono in monomial_list(dim):
-            word = np.eye(2 ** dim)
-            for j in mono:
-                word = word @ wedges[j]
-            words.append(word)
-        _WEDGE_CACHE[dim] = np.array(words)
-    return _WEDGE_CACHE[dim]
 
 
 def constant_clifford_matrix(values: np.ndarray, dim: int) -> np.ndarray:

@@ -294,8 +294,8 @@ class GCStructure:
         for i in range(self.dim):
             kill = max(kill, float(np.abs(self._frame_cliff[i] @ self._rho0_vec).max()))
         res["annihilator"] = kill
-        res["twist_closed"] = 0.0 if self.twist.is_zero() else float(
-            np.max([f.derive(a).norm() for f in self.twist.comps.values() for a in range(self.dim)] or [0.0])
+        res["twist_closed"] = max(
+            (f.derive(a).norm() for f in self.twist.comps.values() for a in range(self.dim)), default=0.0
         )
         res["twist_real"] = 0.0 if all(f.is_real() for f in self.twist.comps.values()) else 1.0
         res["level_basis_rank"] = 0.0 if np.linalg.matrix_rank(self._level_matrix) == 2 ** self.dim else 1.0
@@ -306,16 +306,11 @@ class GCStructure:
         and of its parts that lower (del) and raise (dbar) the level by one.
 
         On the monomial basis C = -H ^ (the twist is constant) and
-        A_a = dx^a ^.  Without a twist no wedge matrix is built: C is the
-        negated zero matrix, all -0.0, bitwise what the wedge by a zero
-        form gives.  The parts are the level blocks of C and of the A_a,
+        A_a = dx^a ^.  The parts are the level blocks of C and of the A_a,
         masked in the frame basis; ``"dL"`` is the raising part in frame
         coordinates, which P -> P . rho0 identifies with d_L.
         """
-        if self.twist.is_zero():
-            const = -np.zeros((2 ** self.dim,) * 2, dtype=complex)
-        else:
-            const = -wedge_matrix(self.twist).constant_values()
+        const = -wedge_matrix(self.twist).constant_values()
         slopes = clifford_generators(self.dim)[self.dim:]
         out = {"d": (const, slopes)}
         words, coords = self._level_matrix, self._level_inverse

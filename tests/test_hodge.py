@@ -22,8 +22,10 @@ from gentorus.spinor import (
     constant_clifford_matrix,
     monomial_index,
     monomial_list,
+    random_fourier_scalar,
     random_spinor,
-    wedge,
+    sort_monomial,
+    wedge_matrix,
 )
 from gentorus.structure import GCStructure
 
@@ -43,14 +45,27 @@ def mode_vector(sigma, mode):
     return np.array([sigma.coefficient(m).coefficient(mode) for m in monomial_list(sigma.geometry.dim)])
 
 
-def wedge_matrix_reference(form, box):
-    """Left wedge by ``form`` on the monomial basis, column by column."""
-    size = 2 ** form.geometry.dim
-    out = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        unit = spinor_from_constant_vector(form.geometry, box, np.eye(size)[:, j])
-        out[:, j] = mode_vector(wedge(form, unit), (0,) * form.geometry.dim)
-    return out
+def wedge_matrix_reference(form):
+    """Left wedge by ``form`` on the monomial basis from monomial signs alone:
+    dx^I ^ dx^J = sign dx^{I u J} for disjoint I and J, with the sign of
+    the sorting permutation.  Returns the (N, N) coefficient matrix at each
+    mode and the dropped mass of each entry, that of the one dx^I that
+    reaches it."""
+    dim = form.geometry.dim
+    index, size = monomial_index(dim), 2 ** dim
+    mats, mass = {}, np.zeros((size, size))
+    for mono, f in form.comps.items():
+        for source in monomial_list(dim):
+            merged = sort_monomial(mono + source)
+            if merged is None:
+                continue
+            row, col = index[merged[0]], index[source]
+            mass[row, col] = f.dropped_mass
+            for mode, c in f.coeffs.items():
+                mats.setdefault(mode, np.zeros((size, size), dtype=complex))[row, col] = (
+                    c if merged[1] > 0 else -c
+                )
+    return mats, mass
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +341,35 @@ def _case(n, K, twisted=False, g_scale=1.0):
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
 
 
+@pytest.mark.parametrize("policy", ["strict", "drop"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_matrix_equals_the_sign_reference(n, policy):
+    """The wedge by random forms, about half their monomials live, equals
+    the monomial-sign reference bit for bit in its nonzero entries and its
+    dropped mass; the wedge by a zero form, negated at mode zero, is all
+    -0.0, the C of an untwisted d."""
+    geometry, rng = TorusGeometry(n), np.random.default_rng(n)
+    dropped = 0.0
+    for K in (0, 1, 2):
+        box = TruncationBox(K, policy=policy)
+        for _ in range(4):
+            form = random_spinor(rng, geometry, box, terms=2)
+            if policy == "drop":
+                form = form.scale_scalar(random_fourier_scalar(rng, geometry, box))
+            form = Spinor(geometry, box, {m: f for m, f in form.comps.items() if rng.random() < 0.5})
+            got = wedge_matrix(form)
+            mats, mass = wedge_matrix_reference(form)
+            assert sorted(map(tuple, got.modes.tolist())) == sorted(mats)
+            for mode, coeffs in zip(got.modes.tolist(), got.coeffs):
+                assert np.array_equal(coeffs, mats[tuple(mode)])
+            assert np.array_equal(got.dropped_mass, mass)
+            dropped += mass.sum()
+    assert (dropped > 0) == (policy == "drop")
+    zero = -wedge_matrix(Spinor.zero(geometry, box)).constant_values()
+    assert zero.shape == (4 ** n, 4 ** n) and zero.dtype == complex and not zero.any()
+    assert np.signbit(zero.real).all() and np.signbit(zero.imag).all()
+
+
 @pytest.mark.parametrize(
     "n, K, twisted", [(1, 0, False), (1, 1, False), (2, 1, False), (2, 1, True)]
 )
@@ -343,7 +387,7 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     ctx = HodgeContext(s, m)
     alg = AlgebroidHodge(s, m)
     stacked = hodge._stack_linear(alg._const, alg._slopes, alg.modes)
-    wedge_twist = wedge_matrix_reference(s.twist, s.box)
+    wedge_twist = wedge_matrix_reference(s.twist)[0].get((0,) * s.dim, 0)
     wedge_axis = [constant_clifford_matrix(np.eye(2 * s.dim)[s.dim + a], s.dim) for a in range(s.dim)]
     for i, mode in enumerate(ctx.modes):
         dmono = -wedge_twist + 2j * math.pi * sum(

@@ -134,18 +134,20 @@ def ref_map(sigma, per_mode):
     return ref_spinor(sigma.geometry, sigma.box, vectors)
 
 
-def ref_spectral(spectra, index, coords, weights):
-    """weights(L) at box mode ``index``, from its representative's spectra."""
+def ref_spectral(spectra, all_vecs, index, coords, weights):
+    """weights(L) at box mode ``index``, from its representative's spectra;
+    ``all_vecs`` is ``spectra.vecs``, read once by the caller."""
     out = np.zeros_like(coords)
     index = spectra.rep[index]
-    for vals, vecs, b in zip(spectra.vals, spectra.vecs, spectra.blocks):
+    for vals, vecs, b in zip(spectra.vals, all_vecs, spectra.blocks):
         v = vecs[index]
         out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
     return out
 
 
-def ref_kernel_dimension(ctx, pk, level, indices):
-    """The kernel dimension summed over box modes ``indices``, one mode at a time."""
+def ref_kernel_dimension(ctx, pk, vecs, level, indices):
+    """The kernel dimension summed over box modes ``indices``, one mode at a
+    time; ``vecs`` is ``pk.vecs``, read once by the caller."""
     rep = pk._spectra.rep
     if pk.blockwise:
         vals = pk.vals[pk._levels.index(level)]
@@ -153,7 +155,7 @@ def ref_kernel_dimension(ctx, pk, level, indices):
     total = 0
     sl = ctx.level_slices[level]
     for i in rep[list(indices)]:
-        kern = pk.vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
+        kern = vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
         if kern.shape[1] == 0:
             continue
         s = np.linalg.svd(kern[sl, :], compute_uv=False)
@@ -162,10 +164,12 @@ def ref_kernel_dimension(ctx, pk, level, indices):
     return total
 
 
-def ref_harmonic_basis(ctx, pk, level):
+def ref_harmonic_basis(ctx, pk, all_vecs, level):
+    """The kernel spinors mode by mode; ``all_vecs`` is ``pk.vecs``, read
+    once by the caller."""
     out = []
     for i, mode in zip(pk._spectra.rep, ctx.modes):
-        for key, vals, vecs, sl in zip(pk._levels, pk.vals, pk.vecs, pk._spectra.blocks):
+        for key, vals, vecs, sl in zip(pk._levels, pk.vals, all_vecs, pk._spectra.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue
             for j in np.flatnonzero(vals[i] <= pk.cutoff):
@@ -227,6 +231,7 @@ def test_spectral_maps_match_per_mode(case, kind):
     s, _, ctx = case
     pk = ctx.package(kind)
     sp = pk._spectra
+    vecs = sp.vecs
     maps = [
         (pk.harmonic, sp.harmonic_weights),
         (pk.green, sp.green_weights),
@@ -237,7 +242,7 @@ def test_spectral_maps_match_per_mode(case, kind):
             want = ref_map(
                 sigma,
                 lambda mode, v: ctx.basis
-                @ ref_spectral(sp, ctx.modes.index(mode), ctx.basis_inv @ v, weights),
+                @ ref_spectral(sp, vecs, ctx.modes.index(mode), ctx.basis_inv @ v, weights),
             )
             _assert_close(method(sigma), want)
 
@@ -252,13 +257,14 @@ def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch)
         median = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
         monkeypatch.setattr(pk, "cutoff", median)
     everywhere = range(len(ctx.modes))
+    vecs = pk.vecs
     for k in s.levels():
-        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, k, everywhere)
+        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, vecs, k, everywhere)
         for i, mode in enumerate(ctx.modes):
-            assert pk.kernel_dimension(k, mode) == ref_kernel_dimension(ctx, pk, k, [i])
+            assert pk.kernel_dimension(k, mode) == ref_kernel_dimension(ctx, pk, vecs, k, [i])
     for level in [None, *s.levels()]:
         got = pk.harmonic_basis(level)
-        want = ref_harmonic_basis(ctx, pk, level)
+        want = ref_harmonic_basis(ctx, pk, vecs, level)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert {m: f.coeffs for m, f in a.comps.items()} == {
@@ -362,6 +368,7 @@ def test_algebroid_maps_match_per_mode(case):
     s, m, _ = case
     alg = AlgebroidHodge(s, m)
     sp = alg._spectra
+    vecs = sp.vecs
     rng = np.random.default_rng(31)
     for degree in range(1, s.dim + 1):
         terms = {
@@ -372,7 +379,7 @@ def test_algebroid_maps_match_per_mode(case):
         coords = ref_poly_coords(alg, poly)
         for method, weights in [(alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)]:
             vectors = {
-                mode: ref_spectral(sp, alg.modes.index(mode), c, weights)
+                mode: ref_spectral(sp, vecs, alg.modes.index(mode), c, weights)
                 for mode, c in coords.items()
             }
             got, want = method(poly), ref_poly(alg, vectors, degree)

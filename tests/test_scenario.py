@@ -537,6 +537,27 @@ def test_python_dash_m_verifies_a_shipped_scenario():
     assert "verify: reports match" in done.stdout
 
 
+def test_a_shipped_run_never_imports_numpy_ma():
+    """A shipped identity suite, whose Clifford half groups pair products by
+    mode, runs without importing ``numpy.ma``: the first ``np.unique`` call
+    in a process imports it, 12-15 ms on every fresh run."""
+    code = (
+        "import json, sys\n"
+        "from gentorus.scenario import run_scenario\n"
+        f"run_scenario(json.loads(open({str(SCENARIOS / 't2_complex_identity.json')!r}).read()))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
