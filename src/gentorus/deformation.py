@@ -43,9 +43,6 @@ from .hodge import (
     ObstructionError,
     _LevelBasis,
     _ModeSpectra,
-    _laplacian_source,
-    _level_d,
-    _mode_mirror,
     _mode_positions,
     _rank,
 )
@@ -163,11 +160,11 @@ class FrameMaps:
 
     @cached_property
     def xi(self) -> FourierMatrix:
-        return self.frame + self.dual_image(self.eps_matrix, into_frame=False)
+        return self.frame + self.dual.matmul(self.eps_matrix)
 
     @cached_property
     def eta(self) -> FourierMatrix:
-        return self.dual + self.dual_image(self.eps_star_matrix, into_frame=True)
+        return self.dual + self.frame.matmul(self.eps_star_matrix)
 
     def sup_norm(self) -> float:
         """Grid estimate of the sup over the torus of the 2-norm of eps.
@@ -188,11 +185,6 @@ class FrameMaps:
         pts[:, active] = np.stack([g.ravel() for g in grids], axis=-1)
         vals = self.eps_matrix.evaluate(pts)
         return float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max())
-
-    def dual_image(self, matrix: FourierMatrix, into_frame: bool) -> FourierMatrix:
-        """Images of the dual frame under a matrix (into L when into_frame),
-        as a stack of sections."""
-        return (self.frame if into_frame else self.dual).matmul(matrix)
 
 
 class Beltrami:
@@ -300,15 +292,16 @@ class AlgebroidHodge:
     Under that map d_L is dbar, the level-raising part of d_H, so the
     differential at mode k is C + 2 pi i sum_a k_a A_a, where C and the A_a
     are the raising blocks of those of d_H in the level basis
-    (``hodge._level_d``), and the Laplacians are the dbar Laplacian's level
-    blocks (``hodge._laplacian_blocks``), eigendecomposed in stacked
-    chunks by ``hodge._ModeSpectra``, which keeps the eigenvalues and
-    builds eigenvectors at the representatives read.  When C is exactly
-    zero the differential is odd in k, so the Laplacians at +-k are bitwise
-    equal and only the first half of the box, mode 0 included, is
-    decomposed; otherwise every mode is.  A
-    polynomial's coefficient rows are placed in its degree's slice of the
-    ``monomial_list`` keys, so the projector, Green operator and adjoint
+    (``hodge._LevelBasis``); they are kept for ``dL_adjoint`` alone.  The
+    Laplacians are the dbar Laplacian's level blocks, which read only the
+    raising blocks of d, eigendecomposed in stacked chunks by
+    ``hodge._ModeSpectra(lb, "dbar")``, which keeps the eigenvalues and
+    builds eigenvectors at the representatives read: bitwise the spectra of
+    the context's dbar package.  When C is exactly zero the differential is
+    odd in k, so the Laplacians at +-k are bitwise equal and only the first
+    half of the box, mode 0 included, is decomposed; otherwise every mode
+    is.  A polynomial's coefficient rows are placed in its degree's slice of
+    the ``monomial_list`` keys, so the projector, Green operator and adjoint
     each act by one batched product, and the result's rows are read back
     from its degree's slice: no scalar is built on the way.
     """
@@ -316,26 +309,17 @@ class AlgebroidHodge:
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         self.structure = structure
         self.metric = metric
-        self.size = 2 ** structure.dim
 
         # the context's orthonormal level basis, which holds the degree-d
         # words at level d - n in key order, in poly coordinates
-        lb = _LevelBasis(structure, metric, structure.box)
+        self.level_basis = lb = _LevelBasis(structure, metric)
         self.poly_basis = np.linalg.solve(structure._level_matrix, lb.basis)
         self.poly_basis_inv = np.linalg.inv(self.poly_basis)
 
-        self.modes = lb.modes
         raising = structure.shift_mask(+1)
-        const, slopes = _level_d(structure, lb)
-        self._const = np.where(raising, const, 0)
-        self._slopes = np.where(raising, slopes, 0)
-        self._spectra = _ModeSpectra(
-            _laplacian_source(
-                lb, self._const, self._slopes, np.array(self.modes).reshape(-1, lb.dim), "dbar"
-            ),
-            _mode_mirror(len(self.modes), not self._const.any()),
-            [lb.level_slices[k] for k in lb.levels],
-        )
+        self._const = np.where(raising, lb.const, 0)
+        self._slopes = np.where(raising, lb.slopes, 0)
+        self._spectra = _ModeSpectra(lb, "dbar")
 
     # poly <-> per-mode coordinate rows ---------------------------------
 
@@ -343,7 +327,7 @@ class AlgebroidHodge:
         """poly's modes and its coordinate rows, one row per mode: its
         coefficient rows placed in its degree's slice of the keys."""
         s = poly.stack
-        rows = np.zeros((len(s.modes), self.size), dtype=complex)
+        rows = np.zeros((len(s.modes), self.level_basis.size), dtype=complex)
         rows[:, self.structure.degree_slice(poly.degree)] = s.coeffs[:, 0]
         return s.modes, rows @ self.poly_basis_inv.T
 
@@ -357,7 +341,7 @@ class AlgebroidHodge:
 
     def _spectral(self, poly: CliffordPoly, weights) -> CliffordPoly:
         modes, coords = self._coords(poly)
-        index = _mode_positions(self.structure.box, self.structure.dim, modes)
+        index = self.level_basis.positions(modes)
         return self._poly(modes, self._spectra.apply(index, coords, weights), poly.degree)
 
     def harmonic(self, poly: CliffordPoly) -> CliffordPoly:
@@ -523,7 +507,7 @@ class Transport:
     @cached_property
     def forward_words(self) -> FourierMatrix:
         """The word matrix of the forward map."""
-        return self.word_matrix(self._one_plus_eps_star_images(), self.exp_rho0)
+        return self.word_matrix(self.maps.eta, self.exp_rho0)
 
     @cached_property
     def _dress_words(self) -> FourierMatrix:
@@ -563,25 +547,25 @@ class Transport:
 
     # -- frame endomorphism images ---------------------------------------
 
-    def _one_plus_eps_star_images(self) -> FourierMatrix:
-        return self.maps.eta
+    # each returns the images of the dual frame as a stack of sections: the
+    # frame (into L) or the dual frame times a matrix
 
     def images_one_minus_epseps(self) -> FourierMatrix:
         s = self.structure
         ident = FourierMatrix.identity(s.geometry, s.box, s.dim)
-        return self.maps.dual_image(ident - self.maps.eps_eps_star, into_frame=False)
+        return self.maps.dual.matmul(ident - self.maps.eps_eps_star)
 
     def images_inverse_one_minus_epseps(self) -> FourierMatrix:
-        return self.maps.dual_image(_neumann_inverse(self.maps.eps_eps_star), into_frame=False)
+        return self.maps.dual.matmul(_neumann_inverse(self.maps.eps_eps_star))
 
     def images_one_plus_star_minus_epseps(self) -> FourierMatrix:
-        return self.maps.eta - self.maps.dual_image(self.maps.eps_eps_star, into_frame=False)
+        return self.maps.eta - self.maps.dual.matmul(self.maps.eps_eps_star)
 
     def images_inverse_combo(self) -> FourierMatrix:
         """(-eps* (1 - eps eps*)^{-1} + (1 - eps eps*)^{-1}) on the dual frame."""
         inv = _neumann_inverse(self.maps.eps_eps_star)
-        return self.maps.dual_image(inv, into_frame=False) - self.maps.dual_image(
-            self.maps.eps_star_matrix.matmul(inv), into_frame=True
+        return self.maps.dual.matmul(inv) - self.maps.frame.matmul(
+            self.maps.eps_star_matrix.matmul(inv)
         )
 
 
@@ -731,24 +715,10 @@ class DeformedStructure:
                 f"deformed canonical generator mismatch ({self.canonical_residual:.3e})"
             )
         self.metric = GeneralizedMetric.compatible_with(self.structure)
-        self._context: HodgeContext | None = None
 
-    @property
+    @cached_property
     def context(self) -> HodgeContext:
-        if self._context is None:
-            self._context = HodgeContext(self.structure, self.metric)
-        return self._context
-
-    def delbar(self, sigma: Spinor) -> Spinor:
-        """Level-raising component of d_H in the deformed grading."""
-        return delbar_op(sigma, self.structure)
-
-
-def deformed_delbar(
-    structure: GCStructure, eps: CliffordPoly, sigma: Spinor
-) -> Spinor:
-    """Convenience: build the deformed structure and apply its raising part."""
-    return DeformedStructure(structure, eps).delbar(sigma)
+        return HodgeContext(self.structure, self.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -787,22 +757,25 @@ def holomorphy_residuals(
     deformed structure; identity: their exact relation through the
     transport of the Neumann-dressed rhs.
 
-    ``deformed``, when given, is the deformed structure of this eps, and
-    its transport is the one used.
+    ``deformed``, when given, is the deformed structure of this eps; a
+    constant eps without it gets its deformed structure built first.  The
+    deformed structure's transport is then the one used, so a call builds
+    one transport.
 
     A varying deformation yields only ``rhs_residual`` and ``scale``, which
     the ``criterion`` experiment does not report: for a varying eps it
     reports the norm gate and the frame blocks, and under the ``drop``
     policy it calls this function on no sample.
     """
+    if deformed is None and eps.stack.is_constant():
+        deformed = DeformedStructure(structure, eps)
     transport = deformed.transport if deformed is not None else Transport(structure, eps)
     out: Dict[str, float] = {}
     rhs = _criterion_rhs(transport, sigma)
     out["rhs_residual"] = rhs.norm()
     if transport._constant:
-        ds = deformed if deformed is not None else DeformedStructure(structure, eps)
         transported = transport.forward(sigma)
-        lhs = ds.delbar(transported)
+        lhs = delbar_op(transported, deformed.structure)
         out["lhs_residual"] = lhs.norm()
         undone = transport.undress(rhs)
         identity = lhs.add(transport.forward(undone).scale(-1))

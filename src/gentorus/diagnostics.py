@@ -34,7 +34,7 @@ from .hodge import (
     _adjoint,
     _basis_rank,
     _chunks,
-    _null_basis,
+    _range_and_null,
     _range_basis,
 )
 from .spinor import (
@@ -350,9 +350,9 @@ def _rep_chunks(ctx: HodgeContext):
     exact, and the SVD is unchanged by sign flips of rows or columns.  A
     stacked product equals its per-mode one slice by slice.  So a worst
     case over the representatives is the worst case over the box, and a
-    count weights each representative by ``ctx.weight``.
+    count weights each representative by ``ctx.level_basis.weight``.
     """
-    return _chunks(len(ctx.weight), MODE_CHUNK)
+    return _chunks(len(ctx.level_basis.weight), MODE_CHUNK)
 
 
 def _worst(values: np.ndarray) -> np.ndarray:
@@ -380,13 +380,14 @@ def _matrix_identities(ctx: HodgeContext) -> List[Dict]:
 def _adjointness(ctx: HodgeContext, rng: np.random.Generator, samples: int = 5) -> List[Dict]:
     worst = {"del": 0.0, "dbar": 0.0, "d": 0.0}
     mm = min(ctx.box.K, max(1, ctx.box.K // 2))
+    metric = ctx.metric
     for _ in range(samples):
         alpha = random_spinor(rng, ctx.geometry, ctx.box, max_mode=mm)
         beta = random_spinor(rng, ctx.geometry, ctx.box, max_mode=mm)
-        scale = max(1e-12, ctx.bi_norm(alpha) * ctx.bi_norm(beta))
+        scale = max(1e-12, metric.bi_norm(alpha) * metric.bi_norm(beta))
         for name in worst:
-            lhs = ctx.bi_inner(ctx.apply(name, alpha), beta)
-            rhs = ctx.bi_inner(alpha, ctx.apply(name + "_adj", beta))
+            lhs = metric.bi_inner(ctx.apply(name, alpha), beta)
+            rhs = metric.bi_inner(alpha, ctx.apply(name + "_adj", beta))
             worst[name] = max(worst[name], abs(lhs - rhs) / scale)
     return [entry(f"adjointness_{k}", v, 1e-9) for k, v in worst.items()]
 
@@ -420,15 +421,15 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
                 stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
                 second = _range_basis(_adjoint(t))
                 third = _range_basis(np.concatenate([dl, db], axis=2))
-            weight = ctx.weight[sel]
-            null = _null_basis(stack)
+            weight = ctx.level_basis.weight[sel]
+            null = _range_and_null(stack)[1]
             hmat = sp.matrix(sel, sp.harmonic_weights)
             hbasis = _range_basis(hmat)
             hdim = _basis_rank(hbasis)
             dim_mismatch += int(np.sum(weight * (hdim != _basis_rank(null))))
             containment = max(containment, float(np.abs(null - hmat @ null).max()))
             total = hdim + _basis_rank(second) + _basis_rank(third)
-            decomp_dim_defect += int(np.sum(weight * np.abs(total - ctx.size)))
+            decomp_dim_defect += int(np.sum(weight * np.abs(total - ctx.level_basis.size)))
             orth = max(
                 orth,
                 *(float(np.abs(_adjoint(a) @ b).max())
@@ -473,7 +474,8 @@ def _green_commutation(ctx: HodgeContext) -> List[Dict]:
 
 def _star_conjugation(ctx: HodgeContext) -> List[Dict]:
     """Adjoints agree with star-conjugation: dbar_adj = star del star^{-1}."""
-    star = ctx.basis_inv @ ctx.metric.star_matrix @ ctx.basis
+    lb = ctx.level_basis
+    star = lb.basis_inv @ ctx.metric.star_matrix @ lb.basis
     star_inv = np.linalg.inv(star)
     worst = 0.0
     worst_del = 0.0

@@ -3,18 +3,20 @@
 Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
-``GCStructure.differentials["d"]`` changed to that basis.  A context keeps
-only C, the A_a and the box's modes: each reader builds d at exactly the
-modes it asks for (``_stack_linear``), a chunk of MODE_CHUNK modes, the
-modes of a spinor, or one level block at the representative modes, and
-these are bitwise the rows and blocks of a stack over the whole box, which
-is never held.  Adjoints are conjugate transposes in that basis (exact on
-the truncation).  The Laplacians are assembled per diagonal block from
-products of the level blocks of d (one block per level; the whole matrix
-for the level-mixing d Laplacian), so their entries off the blocks are
-exact zeros, and each block is eigendecomposed by batched ``eigh``, one
-chunk of modes at a time, the kernel split off by a relative cutoff; the
-Green operator is the pseudo-inverse on the kernel complement.  The class
+``GCStructure.differentials["d"]`` changed to that basis.  One object per
+box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes
+and their representatives; contexts, packages and the algebroid read them
+there and copy none.  Each reader builds d at exactly the modes it asks for
+(``_LevelBasis.d``), a chunk of MODE_CHUNK modes, the modes of a spinor,
+or one level block at the representative modes, and these are bitwise the
+rows and blocks of a stack over the whole box, which is never held.
+Adjoints are conjugate transposes in that basis (exact on the truncation).
+The Laplacians are assembled per diagonal block from products of the level
+blocks of d (one block per level; the whole matrix for the level-mixing d
+Laplacian), so their entries off the blocks are exact zeros, and each
+block is eigendecomposed by batched ``eigh``, one chunk of modes at a
+time, the kernel split off by a relative cutoff; the Green operator is the
+pseudo-inverse on the kernel complement.  The class
 checks (the ddbar-lemma and the solvability classes) build the level
 blocks of d they need and decide every numerical rank by a batched SVD,
 or by the vector norm for a stack of single rows or columns; a span's
@@ -29,8 +31,8 @@ its mode stack, so every operator, projector and Green operator acts by
 one product batched over its modes.  The Lie-algebroid complex
 (``deformation.AlgebroidHodge``) is the dbar complex in polynomial
 coordinates (P maps to P . rho0), so it holds no operator of its own: its
-differential is the raising blocks of ``_level_d``, and its Laplacian
-blocks come from ``_laplacian_blocks`` and ``_ModeSpectra``.  What a
+differential is the raising blocks of the level basis's d, and its spectra
+are those of the dbar Laplacian, which reads only those blocks.  What a
 context holds over the modes is the packages' eigenvalues at the
 representative modes (and their eigenvectors when one chunk covers them).
 A package builds eigenvectors again, by the same batched ``eigh``, at the
@@ -158,11 +160,6 @@ def _range_and_null(mats: np.ndarray, floor=0.0) -> Tuple[np.ndarray, np.ndarray
     return u, null
 
 
-def _null_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
-    """Orthonormal null-space bases of a stack, (..., c, c), zero past the nullity."""
-    return _range_and_null(mats, floor)[1]
-
-
 def _trim(basis: np.ndarray) -> np.ndarray:
     """A basis stack without the columns that are zero at every matrix: its
     width becomes the widest rank (or nullity) over the stack.  A stack with
@@ -172,7 +169,7 @@ def _trim(basis: np.ndarray) -> np.ndarray:
 
 
 def _basis_rank(basis: np.ndarray) -> np.ndarray:
-    """Per matrix, the rank of a basis from ``_range_basis`` or ``_null_basis``:
+    """Per matrix, the rank of a basis from ``_range_basis`` or ``_range_and_null``:
     its count of nonzero columns."""
     return np.count_nonzero(basis.any(axis=-2), axis=-1)
 
@@ -238,19 +235,27 @@ def _mode_mirror(count: int, odd: bool) -> np.ndarray:
 
 
 class _LevelBasis:
-    """Level-basis coordinates of spinors, stacked over the modes of a box.
+    """The per-box data of the Hodge layer, and level-basis coordinates of
+    spinors stacked over the modes of the box.
 
     The constant basis is Born-Infeld orthonormal and aligned with the level
-    grading; ``level_slices[k]`` picks level k's columns.  A spinor's
-    coordinates are one row per mode of its support, and ``positions``
-    gives those modes' rows in the stacks over ``modes``.  Hodge packages
-    hold this rather than their context, so a context and its packages
-    form no reference cycle and are freed as soon as the context is dropped.
+    grading; ``level_slices[k]`` picks level k's columns.  ``modes`` holds
+    the box's modes, an (M, 2n) int array in lexicographic order, and a
+    spinor's coordinates are one row per mode of its support, which
+    ``positions`` finds among them.  ``const`` and ``slopes`` are C and the
+    A_a of d_H = C + 2 pi i sum_a k_a A_a in this basis, those of
+    ``structure.differentials["d"]`` changed to it, and ``d(sel)`` builds d
+    from them at the modes that ``sel`` picks.  ``rep`` and ``weight`` are
+    the mirror map of ``_mode_mirror`` and the number of modes each
+    representative stands for.  Contexts, packages and the algebroid read
+    these here and copy none of them.  It holds no context, so a context and
+    its packages form no reference cycle and are freed as soon as the
+    context is dropped.
     """
 
-    def __init__(self, structure: GCStructure, metric: GeneralizedMetric, box: TruncationBox):
+    def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
         self.geometry = structure.geometry
-        self.box = box
+        self.box = structure.box
         self.dim = structure.dim
         self.size = 2 ** structure.dim
         self.levels = list(structure.levels())
@@ -272,18 +277,39 @@ class _LevelBasis:
         residual = float(np.abs(gram - np.eye(self.size)).max())
         if residual > 1e-10:
             raise ValueError(f"level basis failed orthonormalization ({residual:.3e})")
-        self.modes: List[Tuple[int, ...]] = list(box.modes(self.geometry))
+        self.modes = np.array(list(self.box.modes(self.geometry)), dtype=int).reshape(-1, self.dim)
+
+        # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
+        const, slopes = structure.differentials["d"]
+        self.const = self.basis_inv @ const @ self.basis
+        self.slopes = self.basis_inv @ slopes @ self.basis
+        # untwisted, d is odd in k: the packages and the class checks decide
+        # the representatives, the first len(weight) modes, and weight each
+        # by the modes it stands for
+        self.rep = _mode_mirror(len(self.modes), not self.const.any())
+        self.weight = np.bincount(self.rep)
 
     def level(self, k: int) -> slice:
         """Coordinates of level k; empty outside [-n, n]."""
         return self.level_slices.get(k, slice(0, 0))
 
+    def blocks(self, kind: str) -> List[slice]:
+        """The diagonal blocks of the ``kind`` Laplacian: the levels, or the
+        whole matrix for the level-mixing ``d``."""
+        if kind == "d":
+            return [slice(0, self.size)]
+        return [self.level_slices[k] for k in self.levels]
+
+    def d(self, sel) -> np.ndarray:
+        """d at the box modes picked by ``sel`` (index, slice or indices),
+        built from C and the A_a: bitwise the rows of a whole-box stack."""
+        modes = self.modes[sel]
+        d = _stack_linear(self.const, self.slopes, modes)
+        return d.reshape(modes.shape[:-1] + d.shape[-2:])
+
     def positions(self, modes) -> np.ndarray:
         """Indices into the mode stacks; ValueError for a mode outside the box."""
         return _mode_positions(self.box, self.dim, modes)
-
-    def position(self, mode: Tuple[int, ...]) -> int:
-        return int(self.positions([mode])[0])
 
     def coords(self, sigma: Spinor) -> np.ndarray:
         """sigma's coordinate rows in the level basis, at ``sigma.modes``."""
@@ -292,13 +318,6 @@ class _LevelBasis:
     def spinor(self, modes, coords: np.ndarray) -> Spinor:
         """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
         return Spinor.from_modes(self.geometry, self.box, modes, coords @ self.basis.T)
-
-
-def _level_d(structure: GCStructure, lb: _LevelBasis) -> Tuple[np.ndarray, np.ndarray]:
-    """C and the slopes A_a of d_H = C + 2 pi i sum_a k_a A_a in the level
-    basis ``lb``: those of ``structure.differentials["d"]`` changed to that basis."""
-    const, slopes = structure.differentials["d"]
-    return lb.basis_inv @ const @ lb.basis, lb.basis_inv @ slopes @ lb.basis
 
 
 def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndarray]:
@@ -352,32 +371,24 @@ def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndar
     return out
 
 
-def _laplacian_source(lb: _LevelBasis, const: np.ndarray, slopes: np.ndarray,
-                      modes: np.ndarray, kind: str) -> Callable[[object], List[np.ndarray]]:
-    """The function of ``sel`` (a slice or an index array) that returns the
-    diagonal blocks of the ``kind`` Laplacian of d = C + 2 pi i sum_a k_a A_a
-    at the modes ``modes[sel]``.  It holds C, the A_a and the modes, never a
-    context, so spectra that keep it keep no context alive."""
-    return lambda sel: _laplacian_blocks(lb, _stack_linear(const, slopes, modes[sel]), kind)
-
-
 class _ModeSpectra:
-    """Eigenvalues of per-mode Hermitian Laplacians, by diagonal block, and
-    their eigenvectors at the representatives a reader asks for.
+    """Eigenvalues of the per-mode Hermitian ``kind`` Laplacians of d in the
+    level basis ``lb``, by diagonal block, and their eigenvectors at the
+    representatives a reader asks for.
 
-    Only the representative modes are decomposed: ``rep`` (from
+    Only the representative modes are decomposed: ``lb.rep`` (from
     ``_mode_mirror``) maps each mode of the box to the mode whose spectra
-    it shares, and ``weight[r]`` counts the modes that representative r
+    it shares, and ``lb.weight[r]`` counts the modes that representative r
     stands for.  An untwisted operator pairs k with -k, so R = M // 2 + 1 of
     the M modes are decomposed; a twisted one decomposes every mode.
-    ``laplacian(sel)`` returns the diagonal blocks of the Laplacians of the
-    representatives picked by ``sel`` (a slice or an index array), one
-    (m, n_b, n_b) stack per slice of ``blocks``; the Laplacian is zero off
-    these blocks.  The first pass calls it on MODE_CHUNK representatives at
-    a time and gives each block of a chunk to one batched ``eigh``, of which
-    it keeps the eigenvalues alone: ``vals[b]`` is (R, n_b) for
-    ``blocks[b]``.  Eigenvalues up to RANK_CUTOFF times the spectral radius
-    count as kernel.
+    ``_laplacian(sel)`` builds d at the representatives picked by ``sel``
+    (a slice or an index array) and returns the diagonal blocks of their
+    Laplacians, one (m, n_b, n_b) stack per slice of ``blocks``; the
+    Laplacian is zero off these blocks.  The first pass calls it on
+    MODE_CHUNK representatives at a time and gives each block of a chunk to
+    one batched ``eigh``, of which it keeps the eigenvalues alone:
+    ``vals[b]`` is (R, n_b) for ``blocks[b]``.  Eigenvalues up to
+    RANK_CUTOFF times the spectral radius count as kernel.
 
     Eigenvectors are built again by ``eigh`` at the representatives a
     reader asks for (``decompose``).  Batched ``eigh`` gives each matrix
@@ -389,20 +400,19 @@ class _ModeSpectra:
     but ``vals``.  When one chunk covers every representative, the pass
     keeps that chunk's vectors instead: dropping them would lower no peak,
     and every read would rebuild them.  Every reader indexes through
-    ``rep``.  ``vecs``, every representative's eigenvectors, is a whole
-    rebuild that no library path reads.
+    ``lb.rep``.  The spectra hold ``lb``, never a context, so spectra that
+    outlive their context keep none alive.
     """
 
-    def __init__(self, laplacian, rep: np.ndarray, blocks: List[slice]):
-        self._laplacian = laplacian
-        self.blocks = blocks
-        self.rep = rep
-        self.weight = np.bincount(rep)
-        count = len(self.weight)
-        self.vals = [np.empty((count, b.stop - b.start)) for b in blocks]
+    def __init__(self, lb: _LevelBasis, kind: str):
+        self.level_basis = lb
+        self.kind = kind
+        self.blocks = lb.blocks(kind)
+        count = len(lb.weight)
+        self.vals = [np.empty((count, b.stop - b.start)) for b in self.blocks]
         first: List[np.ndarray] = []  # the vectors kept when one chunk covers every representative
         for sel in _chunks(count, MODE_CHUNK):
-            for vals, block in zip(self.vals, laplacian(sel)):
+            for vals, block in zip(self.vals, self._laplacian(sel)):
                 vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
                 if count <= MODE_CHUNK:
                     first.append(vecs)
@@ -411,6 +421,9 @@ class _ModeSpectra:
         self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
         self._slot: np.ndarray | None = np.arange(count) if first else None
         self._held: List[np.ndarray] = first
+
+    def _laplacian(self, sel) -> List[np.ndarray]:
+        return _laplacian_blocks(self.level_basis, self.level_basis.d(sel), self.kind)
 
     def decompose(self, reps: np.ndarray) -> List[np.ndarray]:
         """The eigenvectors at the representatives ``reps``, a nonempty
@@ -422,24 +435,19 @@ class _ModeSpectra:
                 part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
         return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
 
-    @property
-    def vecs(self) -> List[np.ndarray]:
-        """Every representative's eigenvectors, (R, n_b, n_b) per block,
-        built anew on each call; no library path reads it, since it is O(box)."""
-        return self.decompose(np.arange(len(self.weight)))
-
     def vectors(self, reps) -> List[np.ndarray]:
         """The eigenvectors at the representatives ``reps`` (an index or an
         index array), one stack per block.  Those not yet held are
         decomposed once and kept."""
+        count = len(self.level_basis.weight)
         if self._slot is None:
-            self._slot = np.full(len(self.weight), -1)
+            self._slot = np.full(count, -1)
             self._held = [np.empty((0, b.stop - b.start, b.stop - b.start), complex)
                           for b in self.blocks]
         slots = self._slot[reps]
         missing = slots < 0
         if missing.any():
-            new = np.zeros(len(self.weight), dtype=bool)
+            new = np.zeros(count, dtype=bool)
             new[np.asarray(reps)[missing]] = True
             new = np.flatnonzero(new)
             self._slot[new] = np.arange(len(self._held[0]), len(self._held[0]) + len(new))
@@ -457,7 +465,7 @@ class _ModeSpectra:
     def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
         """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
         out = np.zeros_like(coords)
-        index = self.rep[index]
+        index = self.level_basis.rep[index]
         for vals, v, b in zip(self.vals, self.vectors(index), self.blocks):
             inner = weights(vals[index])[..., None] * (_adjoint(v) @ coords[:, b, None])
             out[:, b] = (v @ inner)[..., 0]
@@ -465,7 +473,7 @@ class _ModeSpectra:
 
     def matrix(self, sel, weights) -> np.ndarray:
         """weights(L) at the modes picked by ``sel`` (an index or a slice)."""
-        sel = self.rep[sel]
+        sel = self.level_basis.rep[sel]
         size = self.blocks[-1].stop
         out = np.zeros(np.shape(sel) + (size, size), dtype=complex)
         for vals, v, b in zip(self.vals, self.vectors(sel), self.blocks):
@@ -479,15 +487,16 @@ class HodgePackage:
     Most Laplacians preserve the level grading and are eigendecomposed per
     level block; the full twisted-d Laplacian mixes levels by +-2 away from
     the generalized Kaehler case, so that kind decomposes whole per-mode
-    matrices.  ``vals`` holds the eigenvalues at the context's
-    representative modes; every count over the modes weights a
-    representative by the modes it stands for.  The eigenvectors are built
-    at the representatives a reader asks for (``_ModeSpectra.vectors``):
-    the projector, the Green operator and the harmonic basis keep them for
-    the next read, and the level content of the ``d`` kernel builds them at
-    the modes that have a kernel and keeps none.  The package holds the
-    context's level basis and its C, A_a and modes, never the context, so
-    the two form no reference cycle.
+    matrices.  Its spectra (``_ModeSpectra``) hold the eigenvalues at the
+    representative modes and the one cutoff that every kernel count,
+    projector and Green operator reads; every count over the modes weights
+    a representative by the modes it stands for.  The eigenvectors are
+    built at the representatives a reader asks for
+    (``_ModeSpectra.vectors``): the projector, the Green operator and the
+    harmonic basis keep them for the next read, and the level content of
+    the ``d`` kernel builds them at the modes that have a kernel and keeps
+    none.  The package holds the context's level basis, never the context,
+    so the two form no reference cycle.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
@@ -497,19 +506,12 @@ class HodgePackage:
         self.kind = kind
         self.blockwise = kind != "d"
         self._levels = lb.levels if self.blockwise else [None]
-        self._spectra = sp = _ModeSpectra(
-            _laplacian_source(lb, context._const, context._slopes, context._mode_array, kind),
-            context.rep,
-            context._laplacian_slices(kind),
-        )
-        self.vals = sp.vals
-        self.spectral_radius = self._spectra.radius
-        self.cutoff = self._spectra.cutoff
+        self._spectra = sp = _ModeSpectra(lb, kind)
 
         self.warnings: List[str] = []
         gap = sum(
-            int(np.sum((v > self.cutoff) & (v <= 10 * self.cutoff), axis=1) @ sp.weight)
-            for v in self.vals
+            int(np.sum((v > sp.cutoff) & (v <= 10 * sp.cutoff), axis=1) @ lb.weight)
+            for v in sp.vals
         )
         if gap:
             self.warnings.append(
@@ -521,18 +523,18 @@ class HodgePackage:
     def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
         lb, sp = self.level_basis, self._spectra
         if mode is None:
-            sel, weight = slice(None), sp.weight
+            sel, weight = slice(None), lb.weight
         else:
-            sel, weight = sp.rep[lb.positions([mode])], np.ones(1, dtype=int)
+            sel, weight = lb.rep[lb.positions([mode])], np.ones(1, dtype=int)
         if self.blockwise:
-            kernel = self.vals[self._levels.index(level)][sel] <= self.cutoff
+            kernel = sp.vals[self._levels.index(level)][sel] <= sp.cutoff
             return int(np.sum(kernel, axis=1) @ weight)
         return self._level_content(sel, weight)[level]
 
     def kernel_dimensions(self) -> Dict[int, int]:
         if self.blockwise:
             return {k: self.kernel_dimension(k) for k in self.level_basis.levels}
-        return self._level_content(slice(None), self._spectra.weight)
+        return self._level_content(slice(None), self.level_basis.weight)
 
     def _level_content(self, sel, weight: np.ndarray) -> Dict[int, int]:
         """Per level, the dimension of the level content of the level-mixing
@@ -541,24 +543,18 @@ class HodgePackage:
         The eigenvectors are built at the modes that have a kernel, once
         for all the levels, and dropped."""
         lb, sp = self.level_basis, self._spectra
-        kernel = self.vals[0][sel] <= self.cutoff
+        kernel = sp.vals[0][sel] <= sp.cutoff
         rows = np.flatnonzero(kernel.any(axis=1))
         counts = dict.fromkeys(lb.levels, 0)
         if not len(rows):
             return counts
-        vecs = sp.decompose(np.arange(len(sp.weight))[sel][rows])[0]
+        vecs = sp.decompose(np.arange(len(lb.weight))[sel][rows])[0]
         for i, v in zip(rows, vecs):
             for level in lb.levels:
                 s = np.linalg.svd(v[lb.level_slices[level]][:, kernel[i]], compute_uv=False)
                 if s[0] > RANK_CUTOFF:
                     counts[level] += int(weight[i]) * int(np.sum(s > RANK_CUTOFF * s[0]))
         return counts
-
-    @property
-    def vecs(self) -> List[np.ndarray]:
-        """Every representative's eigenvectors, per block: a whole rebuild
-        (``_ModeSpectra.vecs``) that no library path reads."""
-        return self._spectra.vecs
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -572,12 +568,12 @@ class HodgePackage:
         lb, sp = self.level_basis, self._spectra
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
-        for b, (key, vals, sl) in enumerate(zip(self._levels, self.vals, sp.blocks)):
+        for b, (key, vals, sl) in enumerate(zip(self._levels, sp.vals, sp.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            modes, cols = np.nonzero(vals[sp.rep] <= self.cutoff)
+            modes, cols = np.nonzero(vals[lb.rep] <= sp.cutoff)
             coords = np.zeros((len(modes), lb.size), dtype=complex)
-            coords[:, sl] = sp.vectors(sp.rep[modes])[b][np.arange(len(modes)), :, cols]
+            coords[:, sl] = sp.vectors(lb.rep[modes])[b][np.arange(len(modes)), :, cols]
             index.append(modes)
             rows.append(coords)
         # mode by mode, then block by block, then eigenvector by eigenvector
@@ -609,7 +605,7 @@ class HodgePackage:
         return self._apply_spectral(sigma, lambda v: v)
 
     def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.level_basis.position(mode), self._spectra.green_weights)
+        return self._spectra.matrix(self.level_basis.positions([mode])[0], self._spectra.green_weights)
 
 
 class HodgeContext:
@@ -628,22 +624,9 @@ class HodgeContext:
         self.metric = metric
         self.box = structure.box
         self.geometry = structure.geometry
-        self.level_basis = lb = _LevelBasis(structure, metric, self.box)
-        self.size, self.modes = lb.size, lb.modes
-        self.basis, self.basis_inv, self.level_slices = lb.basis, lb.basis_inv, lb.level_slices
-
+        # the modes, d's C and A_a, and the representatives
+        self.level_basis = _LevelBasis(structure, metric)
         self._packages: Dict[str, HodgePackage] = {}
-
-        # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis; it
-        # is built from C and the A_a at the modes each reader asks for
-        self._const, self._slopes = _level_d(structure, lb)
-        self._mode_array = np.array(self.modes, dtype=int).reshape(-1, self.geometry.dim)
-        # untwisted, d is odd in k: the packages and the class checks decide
-        # the representatives, the first len(weight) modes, and weight each
-        # by the modes it stands for
-        self.rep = _mode_mirror(len(self.modes), not self._const.any())
-        self.weight = np.bincount(self.rep)
-        self._reps = slice(0, len(self.weight))
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
         self._checks: Dict[Tuple[str, int], Dict] = {}
         # while ``class_checks`` runs, the decompositions its checks share:
@@ -656,54 +639,29 @@ class HodgeContext:
     # matrix assembly
     # ------------------------------------------------------------------
 
-    def _d(self, sel) -> np.ndarray:
-        """d at the box modes picked by ``sel`` (index, slice or indices),
-        built from C and the A_a: bitwise the rows of a whole-box stack."""
-        modes = self._mode_array[sel]
-        d = _stack_linear(self._const, self._slopes, modes)
-        return d.reshape(modes.shape[:-1] + d.shape[-2:])
-
     def _op(self, name: str, sel) -> np.ndarray:
         """d, del, dbar or deldbar at the modes picked by ``sel`` (index, slice or indices)."""
         if name == "deldbar":
             return self._op("del", sel) @ self._op("dbar", sel)
         if name != "d" and name not in self._masks:
             raise ValueError(f"unknown operator {name!r}")
-        d = self._d(sel)
+        d = self.level_basis.d(sel)
         return d if name == "d" else np.where(self._masks[name], d, 0.0)
-
-    def _stack(self, name: str) -> np.ndarray:
-        """``name`` at every mode of the box, built anew on each call; no
-        library path reads it, since it is O(box)."""
-        return self._op(name, slice(None))
 
     def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
         if name.endswith("_adj"):
             return _adjoint(self.operator_matrix(name[:-4], mode))
-        return self._op(name, self.level_basis.position(mode))
-
-    def laplacian_matrix(self, kind: str, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._laplacian(kind, self.level_basis.position(mode))
-
-    def _laplacian_slices(self, kind: str) -> List[slice]:
-        """The diagonal blocks of the ``kind`` Laplacian: the levels, or the
-        whole matrix for the level-mixing ``d``."""
-        if kind == "d":
-            return [slice(0, self.size)]
-        return [self.level_slices[k] for k in self.level_basis.levels]
+        return self._op(name, self.level_basis.positions([mode])[0])
 
     def _laplacian(self, kind: str, sel) -> np.ndarray:
         """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice):
         its blocks placed on the diagonal."""
-        blocks = self._laplacian_blocks(kind, sel)
-        out = np.zeros(blocks[0].shape[:-2] + (self.size, self.size), dtype=complex)
-        for block, b in zip(blocks, self._laplacian_slices(kind)):
+        lb = self.level_basis
+        blocks = _laplacian_blocks(lb, lb.d(sel), kind)
+        out = np.zeros(blocks[0].shape[:-2] + (lb.size, lb.size), dtype=complex)
+        for block, b in zip(blocks, lb.blocks(kind)):
             out[..., b, b] = block
         return out
-
-    def _laplacian_blocks(self, kind: str, sel) -> List[np.ndarray]:
-        """The diagonal blocks of the ``kind`` Laplacian at the modes picked by ``sel``."""
-        return _laplacian_blocks(self.level_basis, self._d(sel), kind)
 
     # ------------------------------------------------------------------
     # spinor transport
@@ -730,22 +688,16 @@ class HodgeContext:
         """Operator-norm residual of (harmonic + laplacian o green - 1) for the
         ``kind`` package, worst mode: worst representative, since a mode and
         its mirror have bitwise-equal Laplacians."""
-        sp = self.package(kind)._spectra
+        lb, sp = self.level_basis, self.package(kind)._spectra
         worst = 0.0
-        for sel in _chunks(len(self.weight), MODE_CHUNK):
+        for sel in _chunks(len(lb.weight), MODE_CHUNK):
             resid = (
                 sp.matrix(sel, sp.harmonic_weights)
                 + self._laplacian(kind, sel) @ sp.matrix(sel, sp.green_weights)
-                - np.eye(self.size)
+                - np.eye(lb.size)
             )
             worst = max(worst, float(np.linalg.norm(resid, 2, axis=(1, 2)).max()))
         return worst
-
-    def bi_inner(self, a: Spinor, b: Spinor) -> complex:
-        return self.metric.bi_inner(a, b)
-
-    def bi_norm(self, a: Spinor) -> float:
-        return self.metric.bi_norm(a)
 
     # ------------------------------------------------------------------
     # solvers
@@ -812,10 +764,6 @@ class HodgeContext:
     # class checks
     # ------------------------------------------------------------------
 
-    def _level(self, k: int) -> slice:
-        """Coordinates of level k; empty outside [-n, n]."""
-        return self.level_basis.level(k)
-
     def class_checks(self, questions: Iterable[Tuple[str, int]]) -> List[Dict]:
         """Decide a batch of (kind, level) class checks; the verdicts in the order asked.
 
@@ -872,18 +820,19 @@ class HodgeContext:
         """The level block of d at every representative mode: del one level
         down, dbar one up.  Built from the same block of C and the A_a, so
         bitwise that block of d, and no larger."""
-        rows, cols = self._level(row_level), self._level(col_level)
+        lb = self.level_basis
+        rows, cols = lb.level(row_level), lb.level(col_level)
         return _stack_linear(
-            self._const[rows, cols], self._slopes[:, rows, cols], self._mode_array[self._reps]
+            lb.const[rows, cols], lb.slopes[:, rows, cols], lb.modes[: len(lb.weight)]
         )
 
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per representative mode, the operator scale and the absolute rank
         floor tied to it."""
         if self._scale is None:
-            chunks = _chunks(len(self.weight), MODE_CHUNK)
+            chunks = _chunks(len(self.level_basis.weight), MODE_CHUNK)
             self._scale = np.maximum(1.0, np.concatenate(
-                [np.abs(self._d(sel)).max(axis=(1, 2)) for sel in chunks]
+                [np.abs(self.level_basis.d(sel)).max(axis=(1, 2)) for sel in chunks]
             ))
         return self._scale, RANK_CUTOFF * self._scale
 
@@ -940,7 +889,7 @@ class HodgeContext:
             # del dbar on level k: only its rank is asked
             d3 = _rank(self._block(k, k + 1) @ self._block(k + 1, k), floor * scale)
             holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
-        elif self._level(k + 1).stop == self._level(k + 1).start:
+        elif k + 1 not in self.level_basis.level_slices:
             # no level above k: nothing to check
             holds, candidates, target = True, 0, 0
         else:
@@ -954,7 +903,7 @@ class HodgeContext:
             "level": k,
             "holds": bool(np.all(holds)),
             "dims": {
-                "candidates": int(np.sum(candidates * self.weight)),
-                "target": int(np.sum(target * self.weight)),
+                "candidates": int(np.sum(candidates * self.level_basis.weight)),
+                "target": int(np.sum(target * self.level_basis.weight)),
             },
         }

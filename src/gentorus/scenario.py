@@ -493,7 +493,7 @@ class Runner:
         context eigendecomposes and ranks: about half of them untwisted,
         every one twisted, none before the context exists."""
         box, dim = self.scenario.box, self.scenario.geometry.dim
-        decomposed = 0 if self._context is None else len(self._context.weight)
+        decomposed = 0 if self._context is None else len(self._context.level_basis.weight)
         return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed}
 
     # -- experiment implementations --------------------------------------

@@ -15,7 +15,6 @@ from gentorus.deformation import (
     Transport,
     bracket_del_action,
     criterion_rhs,
-    deformed_delbar,
     frame_block_matrices,
     holomorphy_residuals,
     maurer_cartan_expand,
@@ -377,13 +376,14 @@ def test_deformed_delbar_of_canonical_vanishes(t2):
     eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
     ds = DeformedStructure(t2, eps)
     tr = Transport(t2, eps)
-    assert ds.delbar(tr.exp_rho0).norm() < 1e-12
+    from gentorus.calculus import delbar_op
+    assert delbar_op(tr.exp_rho0, ds.structure).norm() < 1e-12
     # zero deformation reduces to the base raising operator
     zero = CliffordPoly.zero(t2.dual_frame, 2)
     rng = np.random.default_rng(321)
     sigma = random_spinor(rng, t2.geometry, t2.box, max_mode=1)
-    from gentorus.calculus import delbar_op
-    assert (deformed_delbar(t2, zero, sigma) - delbar_op(sigma, t2)).norm() < 1e-12
+    undeformed = DeformedStructure(t2, zero).structure
+    assert (delbar_op(sigma, undeformed) - delbar_op(sigma, t2)).norm() < 1e-12
 
 
 @pytest.mark.parametrize("c", [0.1, 0.3, 0.5])
@@ -460,6 +460,29 @@ def test_beltrami_deformed_holomorphy_on_seed(t2):
     res = holomorphy_residuals(t2, eps, t2.rho0)
     assert res["rhs_residual"] < 1e-12
     assert res["lhs_residual"] < 1e-12
+
+
+def test_holomorphy_residuals_builds_one_transport(t2, monkeypatch):
+    """A constant eps given without its deformed structure gets that
+    structure built first, and its transport is the one used: one Transport
+    per call (two when the criterion built its own beside it), and the same
+    residuals as when the deformed structure is passed in."""
+    calls = []
+    init = Transport.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transport, "__init__", counting)
+    eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
+    sigma = random_spinor(np.random.default_rng(5), t2.geometry, t2.box, max_mode=1)
+    res = holomorphy_residuals(t2, eps, sigma)
+    assert len(calls) == 1
+    ds = DeformedStructure(t2, eps)
+    calls.clear()
+    assert holomorphy_residuals(t2, eps, sigma, deformed=ds) == res
+    assert calls == []
 
 
 def test_mc_verify_constant_and_single_coefficient(t4):

@@ -68,6 +68,11 @@ def wedge_matrix_reference(form):
     return mats, mass
 
 
+def box_modes(ctx):
+    """The modes of a context's box, in order, as tuples."""
+    return [tuple(mode) for mode in ctx.level_basis.modes.tolist()]
+
+
 @pytest.fixture(scope="module")
 def t2ctx():
     s = GCStructure.complex_structure(1, BOX)
@@ -102,7 +107,7 @@ def brute_force_kernel_dims(ctx):
     size = 2 ** s.dim
     hmat = m.bi_gram.T  # inner(v, w) = w^dagger hmat v
     dims = {k: 0 for k in s.levels()}
-    for mode in ctx.modes:
+    for mode in box_modes(ctx):
         cols = np.zeros((size, size), dtype=complex)
         for j in range(size):
             unit = np.zeros(size)
@@ -137,7 +142,7 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
     assert pk.kernel_dimensions() == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
     # oscillatory modes contribute nothing
-    for mode in t2ctx.modes:
+    for mode in box_modes(t2ctx):
         if mode != (0, 0):
             for k in t2ctx.structure.levels():
                 assert pk.kernel_dimension(k, mode) == 0
@@ -191,9 +196,10 @@ def test_double_image_always_contained(t4ctx_twisted):
     and Ker(del) even where the full lemma fails (twisted background)."""
     from gentorus.hodge import _contained, _range_basis
     ctx = t4ctx_twisted
+    lb = ctx.level_basis
 
     def block(name, row_level, col_level):
-        return ctx._stack(name)[:, ctx._level(row_level), ctx._level(col_level)]
+        return ctx._op(name, slice(None))[:, lb.level(row_level), lb.level(col_level)]
 
     lemma_fails_somewhere = False
     for k in ctx.structure.levels():
@@ -254,7 +260,7 @@ def test_minimal_ddbar_solve_properties(fixture, request):
         x = ctx.solve_ddbar_minimal(y)
         resid = (ctx.apply("deldbar", x) - y).norm()
         assert resid < 1e-9 * max(1.0, y.norm())
-        assert ctx.bi_norm(x) <= ctx.bi_norm(w) * (1 + 1e-9)
+        assert ctx.metric.bi_norm(x) <= ctx.metric.bi_norm(w) * (1 + 1e-9)
         # orthogonal to the kernel of del dbar: sample random kernel elements
         for _ in range(20):
             v = random_spinor(rng, ctx.geometry, ctx.box, max_mode=1)
@@ -264,8 +270,8 @@ def test_minimal_ddbar_solve_properties(fixture, request):
             leak = ctx.apply("deldbar", kernel_elt).norm()
             if leak > 1e-8 * max(1.0, v.norm()):
                 continue
-            ip = abs(ctx.bi_inner(x, kernel_elt))
-            assert ip < 1e-9 * max(1.0, ctx.bi_norm(x) * ctx.bi_norm(kernel_elt))
+            ip = abs(ctx.metric.bi_inner(x, kernel_elt))
+            assert ip < 1e-9 * max(1.0, ctx.metric.bi_norm(x) * ctx.metric.bi_norm(kernel_elt))
 
 
 def test_minimal_ddbar_obstruction_raises(t2ctx):
@@ -314,7 +320,7 @@ def test_dbar_minimal_solve(t4ctx):
     tau = ctx.apply("dbar", w)
     x = ctx.solve_dbar_minimal(tau)
     assert (ctx.apply("dbar", x) - tau).norm() < 1e-9 * max(1.0, tau.norm())
-    assert ctx.bi_norm(x) <= ctx.bi_norm(w) * (1 + 1e-9)
+    assert ctx.metric.bi_norm(x) <= ctx.metric.bi_norm(w) * (1 + 1e-9)
 
 
 def test_spectral_gap_warning_band():
@@ -324,7 +330,24 @@ def test_spectral_gap_warning_band():
     ctx = HodgeContext(s, m)
     pk = ctx.package("dbar")
     assert pk.warnings == []  # flat spectrum has gaps >> cutoff
-    assert pk.cutoff < 1e-6 * pk.spectral_radius
+    assert pk._spectra.cutoff < 1e-6 * pk._spectra.radius
+
+
+def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff():
+    """The kernel counts, the harmonic basis and the harmonic projector all
+    read the spectra's one cutoff: moved to the median eigenvalue on
+    complex T^2 K=1, each finds 5, 10 and 5 kernel vectors over the box at
+    levels -1, 0 and 1 (1, 2 and 1 at the package's own cutoff)."""
+    ctx = HodgeContext(*_case(1, 1))
+    lb, pk = ctx.level_basis, ctx.package("dbar")
+    sp = pk._spectra
+    sp.cutoff = float(np.median(np.concatenate([v.ravel() for v in sp.vals])))
+    projector = sp.matrix(slice(None), sp.harmonic_weights)
+    for level, want in zip(lb.levels, (5, 10, 5)):
+        block = projector[:, lb.level_slices[level], lb.level_slices[level]]
+        assert int(np.linalg.matrix_rank(block).sum()) == want
+        assert pk.kernel_dimension(level) == want
+        assert len(pk.harmonic_basis(level)) == want
 
 
 def _reference_cutoff(spectra):
@@ -386,17 +409,18 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     s, m = _case(n, K, twisted)
     ctx = HodgeContext(s, m)
     alg = AlgebroidHodge(s, m)
-    stacked = hodge._stack_linear(alg._const, alg._slopes, alg.modes)
+    lb = ctx.level_basis
+    stacked = hodge._stack_linear(alg._const, alg._slopes, alg.level_basis.modes)
     wedge_twist = wedge_matrix_reference(s.twist)[0].get((0,) * s.dim, 0)
     wedge_axis = [constant_clifford_matrix(np.eye(2 * s.dim)[s.dim + a], s.dim) for a in range(s.dim)]
-    for i, mode in enumerate(ctx.modes):
+    for i, mode in enumerate(box_modes(ctx)):
         dmono = -wedge_twist + 2j * math.pi * sum(
             k * w for k, w in zip(mode, wedge_axis)
         )
-        ref = ctx.basis_inv @ dmono @ ctx.basis
+        ref = lb.basis_inv @ dmono @ lb.basis
         assert np.abs(ctx.operator_matrix("d", mode) - ref).max() < 1e-12
 
-        probe = np.zeros((alg.size, alg.size), dtype=complex)
+        probe = np.zeros((lb.size, lb.size), dtype=complex)
         phase = FourierScalar.mode(s.geometry, s.box, mode)
         index = monomial_index(s.dim)
         for j, key in enumerate(monomial_list(s.dim)):
@@ -409,10 +433,10 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     for kind in ("dbar", "bc", "aeppli"):
         pk = ctx.package(kind)
         eigs = {}
-        for mode in ctx.modes:
-            lap = ctx.laplacian_matrix(kind, mode)
+        for mode in box_modes(ctx):
+            lap = ctx._laplacian(kind, lb.positions([mode])[0])
             for k in s.levels():
-                block = lap[ctx.level_slices[k], ctx.level_slices[k]]
+                block = lap[lb.level_slices[k], lb.level_slices[k]]
                 eigs[mode, k] = np.linalg.eigh((block + block.conj().T) / 2)[0]
         cutoff = _reference_cutoff(eigs.values())
         for (mode, k), vals in eigs.items():
@@ -422,7 +446,7 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     cutoff = _reference_cutoff(vals)
     # every mode of the box, each read at its representative, over every block
     sp = alg._spectra
-    batched = sum(np.sum(v[sp.rep] <= sp.cutoff, axis=1) for v in sp.vals)
+    batched = sum(np.sum(v[alg.level_basis.rep] <= sp.cutoff, axis=1) for v in sp.vals)
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.tolist()
 
 
@@ -475,8 +499,9 @@ def _ref_intersection_dim(a, b, rel=RANK_CUTOFF, floor=0.0):
 def _ref_block(ctx, name, mode, row_level, col_level):
     mat = ctx.operator_matrix(name, mode)
     n = ctx.structure.n
-    rows = ctx.level_slices[row_level] if -n <= row_level <= n else slice(0, 0)
-    cols = ctx.level_slices[col_level] if -n <= col_level <= n else slice(0, 0)
+    lb = ctx.level_basis
+    rows = lb.level_slices[row_level] if -n <= row_level <= n else slice(0, 0)
+    cols = lb.level_slices[col_level] if -n <= col_level <= n else slice(0, 0)
     return mat[rows, cols]
 
 
@@ -484,7 +509,7 @@ def reference_class_check(ctx, kind, k):
     """The class check decided mode by mode, one small SVD at a time."""
     holds = True
     dims = {"candidates": 0, "target": 0}
-    for mode in ctx.modes:
+    for mode in box_modes(ctx):
         scale = max(1.0, float(np.abs(ctx.operator_matrix("d", mode)).max()))
         floor = RANK_CUTOFF * scale
 
@@ -777,10 +802,11 @@ def test_laplacian_is_zero_off_its_blocks_and_assembled_per_block(build):
     nothing for d, whose one block is the whole matrix), and the Laplacian
     assembled per level block equals them."""
     ctx = HodgeContext(*build())
+    lb = ctx.level_basis
     for kind in KINDS:
         full = _full_matrix_laplacian(ctx, kind)
-        off = np.ones((ctx.size, ctx.size), dtype=bool)
-        for b in ctx._laplacian_slices(kind):
+        off = np.ones((lb.size, lb.size), dtype=bool)
+        for b in lb.blocks(kind):
             off[b, b] = False
         assert not full[:, off].any(), kind
         blocks = ctx._laplacian(kind, slice(None))
@@ -818,15 +844,17 @@ def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
     bitwise the one at k; -k of mode i is mode P - 1 - i, so mode i is
     represented by min(i, P - 1 - i)."""
     ctx = mirrored
-    modes, count = ctx.modes, len(ctx.modes)
+    lb = ctx.level_basis
+    modes = box_modes(ctx)
+    count = len(modes)
     assert all(modes[count - 1 - i] == tuple(-k for k in mode) for i, mode in enumerate(modes))
-    d = ctx._stack("d")
+    d = lb.d(slice(None))
     assert np.array_equal(d[::-1], -d)
     for kind in KINDS:
-        for block in ctx._laplacian_blocks(kind, slice(None)):
+        for block in hodge._laplacian_blocks(lb, d, kind):
             assert np.array_equal(block[::-1], block), kind
-    assert ctx.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
-    assert ctx.weight.tolist() == [2] * (count // 2) + [1]
+    assert lb.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
+    assert lb.weight.tolist() == [2] * (count // 2) + [1]
 
 
 def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
@@ -834,18 +862,20 @@ def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
     from gentorus.deformation import AlgebroidHodge
 
     ctx = t4ctx_twisted
-    every = list(range(len(ctx.modes)))
-    assert ctx.rep.tolist() == every and ctx.weight.tolist() == [1] * len(every)
-    assert all(len(v) == len(every) for v in ctx.package("bc").vals)
+    lb = ctx.level_basis
+    every = list(range(len(lb.modes)))
+    assert lb.rep.tolist() == every and lb.weight.tolist() == [1] * len(every)
+    assert all(len(v) == len(every) for v in ctx.package("bc")._spectra.vals)
     alg = AlgebroidHodge(ctx.structure, ctx.metric)
-    assert alg._spectra.rep.tolist() == every
+    assert alg.level_basis.rep.tolist() == every
 
 
 def _full_box_spectra(ctx, kind):
     """Every mode's eigendecomposition, per diagonal block, by one eigh over the box."""
+    lb = ctx.level_basis
     return [
         np.linalg.eigh((block + block.conj().swapaxes(-1, -2)) / 2)
-        for block in ctx._laplacian_blocks(kind, slice(None))
+        for block in hodge._laplacian_blocks(lb, lb.d(slice(None)), kind)
     ]
 
 
@@ -867,15 +897,17 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
     decomposition of every mode."""
     ctx = mirrored
     lb, pk = ctx.level_basis, ctx.package(kind)
-    count = len(ctx.modes)
+    sp = pk._spectra
+    count = len(lb.modes)
     full = _full_box_spectra(ctx, kind)
-    blocks = ctx._laplacian_slices(kind)
-    for (vals, vecs), held_vals, held_vecs in zip(full, pk.vals, pk.vecs):
+    blocks = lb.blocks(kind)
+    every = sp.decompose(np.arange(len(lb.weight)))
+    for (vals, vecs), held_vals, held_vecs in zip(full, sp.vals, every):
         assert len(held_vals) == len(held_vecs) == count // 2 + 1
-        assert np.array_equal(held_vals[ctx.rep], vals)
-        assert np.array_equal(held_vecs[ctx.rep], vecs)
+        assert np.array_equal(held_vals[lb.rep], vals)
+        assert np.array_equal(held_vecs[lb.rep], vecs)
     cutoff = _reference_cutoff(vals for vals, _ in full)
-    assert pk.cutoff == cutoff
+    assert sp.cutoff == cutoff
 
     gap = sum(int(np.sum((vals > cutoff) & (vals <= 10 * cutoff))) for vals, _ in full)
     want = [f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"]
@@ -896,17 +928,17 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
 
     for level in lb.levels:
         assert pk.kernel_dimension(level) == kernel_dim(level, range(count))
-        for i, mode in enumerate(ctx.modes):
+        for i, mode in enumerate(box_modes(ctx)):
             assert pk.kernel_dimension(level, mode) == kernel_dim(level, [i])
 
     for level in [None, *lb.levels]:
         want = []
-        for i, mode in enumerate(ctx.modes):
+        for i, mode in enumerate(box_modes(ctx)):
             for key, (vals, vecs), b in zip(pk._levels, full, blocks):
                 if pk.blockwise and level is not None and key != level:
                     continue
                 for j in np.flatnonzero(vals[i] <= cutoff):
-                    row = np.zeros(ctx.size, dtype=complex)
+                    row = np.zeros(lb.size, dtype=complex)
                     row[b] = vecs[i][:, j]
                     want.append(lb.spinor([mode], row[None]))
         got = pk.harmonic_basis(level)
@@ -917,10 +949,9 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
             }
 
     rng = np.random.default_rng(41)
-    coords = rng.normal(size=(count, ctx.size)) + 1j * rng.normal(size=(count, ctx.size))
-    sigma = lb.spinor(ctx.modes, coords)
+    coords = rng.normal(size=(count, lb.size)) + 1j * rng.normal(size=(count, lb.size))
+    sigma = lb.spinor(lb.modes, coords)
     index = lb.positions(sigma.modes)
-    sp = pk._spectra
     for method, weights in ((pk.harmonic, sp.harmonic_weights), (pk.green, sp.green_weights)):
         want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights))
         got = method(sigma)
@@ -951,20 +982,21 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
     from gentorus.spinor import _stack_linear, random_fourier_scalar
 
     alg = AlgebroidHodge(*_case(2, 1))
-    sp, count = alg._spectra, len(alg.modes)
-    assert sp.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
-    d = _stack_linear(alg._const, alg._slopes, alg.modes)
+    lb = alg.level_basis
+    sp, count = alg._spectra, len(lb.modes)
+    assert lb.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
+    d = _stack_linear(alg._const, alg._slopes, lb.modes)
     assert np.array_equal(d[::-1], -d)
-    lb = hodge._LevelBasis(alg.structure, alg.metric, alg.structure.box)
     full = [
         np.linalg.eigh((block + block.conj().swapaxes(-1, -2)) / 2)
         for block in hodge._laplacian_blocks(lb, d, "dbar")
     ]
     levels = [lb.level_slices[k] for k in lb.levels]
-    for vals, vecs, (full_vals, full_vecs) in zip(sp.vals, sp.vecs, full):
+    every = sp.decompose(np.arange(len(lb.weight)))
+    for vals, vecs, (full_vals, full_vecs) in zip(sp.vals, every, full):
         assert len(vals) == count // 2 + 1
-        assert np.array_equal(vals[sp.rep], full_vals)
-        assert np.array_equal(vecs[sp.rep], full_vecs)
+        assert np.array_equal(vals[lb.rep], full_vals)
+        assert np.array_equal(vecs[lb.rep], full_vecs)
 
     rng = np.random.default_rng(43)
     s = alg.structure
@@ -1007,9 +1039,11 @@ def test_algebroid_spectra_equal_the_dbar_package(name):
     assert not alg._const[lowered].any()
     assert not alg._slopes[:, lowered].any()
     pk = HodgeContext(s, m).package("dbar")
-    assert np.array_equal(alg._spectra.rep, pk._spectra.rep)
-    assert len(alg._spectra.vals) == len(pk.vals) == s.dim + 1
-    for got, want in zip(alg._spectra.vals + alg._spectra.vecs, pk.vals + pk.vecs):
+    assert np.array_equal(alg.level_basis.rep, pk.level_basis.rep)
+    alg_sp, pk_sp = alg._spectra, pk._spectra
+    assert len(alg_sp.vals) == len(pk_sp.vals) == s.dim + 1
+    reps = np.arange(len(pk.level_basis.weight))
+    for got, want in zip(alg_sp.vals + alg_sp.decompose(reps), pk_sp.vals + pk_sp.decompose(reps)):
         assert np.array_equal(got, want)
 
 
@@ -1078,8 +1112,9 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     ``_stack_linear`` stack bitwise, over ragged chunks of 7 modes."""
     monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
     ctx = HodgeContext(*ASSEMBLY_CASES[name]())
-    whole = hodge._stack_linear(ctx._const, ctx._slopes, ctx.modes)
-    reps = ctx._reps
+    lb = ctx.level_basis
+    whole = hodge._stack_linear(lb.const, lb.slopes, lb.modes)
+    reps = slice(len(lb.weight))
 
     def same(got, want):
         return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -1087,11 +1122,11 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     n = ctx.structure.n
     for r in range(-n - 1, n + 2):
         for c in range(-n - 1, n + 2):
-            want = whole[reps][:, ctx._level(r), ctx._level(c)]
+            want = whole[reps][:, lb.level(r), lb.level(c)]
             assert same(ctx._block(r, c), want), (r, c)
 
-    chunks = list(hodge._chunks(len(ctx.weight), hodge.MODE_CHUNK))
-    assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(ctx.weight)
+    chunks = list(hodge._chunks(len(lb.weight), hodge.MODE_CHUNK))
+    assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(lb.weight)
     masked = {key: np.where(mask, whole, 0.0) for key, mask in ctx._masks.items()}
     masked["d"] = whole
     masked["deldbar"] = masked["del"] @ masked["dbar"]
@@ -1099,16 +1134,17 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
         for op, stack in masked.items():
             assert same(ctx._op(op, sel), stack[sel]), op
         for kind in KINDS:
-            want = hodge._laplacian_blocks(ctx.level_basis, whole[sel], kind)
-            got = ctx._laplacian_blocks(kind, sel)
+            want = hodge._laplacian_blocks(lb, whole[sel], kind)
+            got = hodge._laplacian_blocks(lb, lb.d(sel), kind)
             assert all(same(g, w) for g, w in zip(got, want)) and len(got) == len(want), kind
 
-    scattered = np.random.default_rng(3).permutation(len(ctx.modes))[:11]
+    modes = box_modes(ctx)
+    scattered = np.random.default_rng(3).permutation(len(modes))[:11]
     assert same(ctx._op("d", scattered), whole[scattered])
-    for i in (0, len(ctx.modes) // 3, len(ctx.modes) - 1):
-        assert same(ctx.operator_matrix("d", ctx.modes[i]), whole[i])
-        assert same(ctx.operator_matrix("deldbar", ctx.modes[i]), masked["deldbar"][i])
-    assert same(ctx._stack("dbar"), masked["dbar"])
+    for i in (0, len(modes) // 3, len(modes) - 1):
+        assert same(ctx.operator_matrix("d", modes[i]), whole[i])
+        assert same(ctx.operator_matrix("deldbar", modes[i]), masked["deldbar"][i])
+    assert same(ctx._op("dbar", slice(None)), masked["dbar"])
     assert same(ctx._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
 
 
@@ -1133,7 +1169,7 @@ def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
     they cover the box only when it is twisted."""
     ctx = HodgeContext(*_case(2, 2, twisted))
     hodge_table(ctx)
-    count = len(ctx.modes)
+    count = len(ctx.level_basis.modes)
     holders = [ctx, ctx.level_basis]
     for pk in ctx._packages.values():
         holders += [pk, pk._spectra]
@@ -1147,7 +1183,7 @@ def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
                 if a.ndim and len(a) == count:
                     box_wide.add(attr)
                     assert a.ndim <= 2 and not np.iscomplexobj(a), attr
-    assert box_wide == ({"rep", "_mode_array", "_scale", "weight"} if twisted else {"rep", "_mode_array"})
+    assert box_wide == ({"rep", "modes", "_scale", "weight"} if twisted else {"rep", "modes"})
 
 
 def _traced_peak(run) -> int:
@@ -1226,7 +1262,7 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     ctx = HodgeContext(*ON_DEMAND_CASES[name]())
     sp = ctx.package(kind)._spectra
     full = _full_box_spectra(ctx, kind)
-    count = len(sp.weight)
+    count = len(ctx.level_basis.weight)
 
     def same(got, reps):
         return len(got) == len(full) and all(
@@ -1241,7 +1277,7 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
                 np.concatenate([scattered, scattered[:3]]))
     assert same(sp.decompose(scattered), scattered)
     assert same(sp.vectors(np.arange(count)), np.arange(count))
-    assert same(sp.vecs, np.arange(count))
+    assert same(sp.decompose(np.arange(count)), np.arange(count))
     assert len(sp._held[0]) == count
 
 
@@ -1265,26 +1301,27 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     rng = np.random.default_rng(7)
-    positions = [1, 2, len(ctx.modes) - 2, 40, 1, 2, 40]
+    modes = box_modes(ctx)
+    positions = [1, 2, len(modes) - 2, 40, 1, 2, 40]
     for kind, pk in packages.items():
         decomposed.clear()
         first = {}
         for _ in range(3):
             for i in positions:
-                sigma = lb.spinor([ctx.modes[i]], rng.normal(size=(1, lb.size)) + 0j)
+                sigma = lb.spinor([modes[i]], rng.normal(size=(1, lb.size)) + 0j)
                 pk.green(sigma)
                 pk.harmonic(sigma)
-                first.setdefault(i, pk.green_matrix(ctx.modes[i]))
-                assert np.array_equal(pk.green_matrix(ctx.modes[i]), first[i])
-        reps = {int(ctx.rep[i]) for i in positions} if chunk < len(ctx.weight) else set()
+                first.setdefault(i, pk.green_matrix(modes[i]))
+                assert np.array_equal(pk.green_matrix(modes[i]), first[i])
+        reps = {int(lb.rep[i]) for i in positions} if chunk < len(lb.weight) else set()
         assert sum(decomposed) == len(reps) * len(pk._spectra.blocks), kind
 
 
 def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(monkeypatch):
-    """The packages' Laplacian source holds d's C, A_a and modes, not the
-    context, so a context whose packages have built and kept eigenvectors is
-    freed without the cyclic collector, and so is an algebroid package; a
-    package kept alone still works."""
+    """The packages' spectra hold the level basis, which holds d's C, A_a
+    and modes but not the context, so a context whose packages have built
+    and kept eigenvectors is freed without the cyclic collector, and so is
+    an algebroid package; a package kept alone still works."""
     import gc
 
     from gentorus.deformation import AlgebroidHodge
@@ -1296,7 +1333,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
     try:
         ctx = HodgeContext(s, m)
         lb = ctx.level_basis
-        sigma = lb.spinor([ctx.modes[5]], np.arange(lb.size)[None] + 1j)
+        sigma = lb.spinor(lb.modes[5:6], np.arange(lb.size)[None] + 1j)
         pk = ctx.package("bc")
         green = pk.green(sigma)
         ctx.package("d").kernel_dimensions()

@@ -41,8 +41,10 @@ from gentorus.hodge import (
     RANK_CUTOFF,
     HodgeContext,
     _adjoint,
+    _LevelBasis,
     _basis_rank,
-    _null_basis,
+    _mode_positions,
+    _range_and_null,
     _range_basis,
 )
 from gentorus.metric import GeneralizedMetric
@@ -134,11 +136,21 @@ def ref_map(sigma, per_mode):
     return ref_spinor(sigma.geometry, sigma.box, vectors)
 
 
+def every_vector(spectra):
+    """Every representative's eigenvectors, per block."""
+    return spectra.decompose(np.arange(len(spectra.level_basis.weight)))
+
+
+def box_modes(ctx):
+    """The modes of a context's box, in order, as tuples."""
+    return [tuple(mode) for mode in ctx.level_basis.modes.tolist()]
+
+
 def ref_spectral(spectra, all_vecs, index, coords, weights):
     """weights(L) at box mode ``index``, from its representative's spectra;
-    ``all_vecs`` is ``spectra.vecs``, read once by the caller."""
+    ``all_vecs`` is ``every_vector(spectra)``, read once by the caller."""
     out = np.zeros_like(coords)
-    index = spectra.rep[index]
+    index = spectra.level_basis.rep[index]
     for vals, vecs, b in zip(spectra.vals, all_vecs, spectra.blocks):
         v = vecs[index]
         out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
@@ -147,15 +159,15 @@ def ref_spectral(spectra, all_vecs, index, coords, weights):
 
 def ref_kernel_dimension(ctx, pk, vecs, level, indices):
     """The kernel dimension summed over box modes ``indices``, one mode at a
-    time; ``vecs`` is ``pk.vecs``, read once by the caller."""
-    rep = pk._spectra.rep
+    time; ``vecs`` is ``every_vector(pk._spectra)``, read once by the caller."""
+    rep, sp = pk.level_basis.rep, pk._spectra
     if pk.blockwise:
-        vals = pk.vals[pk._levels.index(level)]
-        return sum(int(np.sum(vals[rep[i]] <= pk.cutoff)) for i in indices)
+        vals = sp.vals[pk._levels.index(level)]
+        return sum(int(np.sum(vals[rep[i]] <= sp.cutoff)) for i in indices)
     total = 0
-    sl = ctx.level_slices[level]
+    sl = ctx.level_basis.level_slices[level]
     for i in rep[list(indices)]:
-        kern = vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
+        kern = vecs[0][i][:, sp.vals[0][i] <= sp.cutoff]
         if kern.shape[1] == 0:
             continue
         s = np.linalg.svd(kern[sl, :], compute_uv=False)
@@ -165,17 +177,18 @@ def ref_kernel_dimension(ctx, pk, vecs, level, indices):
 
 
 def ref_harmonic_basis(ctx, pk, all_vecs, level):
-    """The kernel spinors mode by mode; ``all_vecs`` is ``pk.vecs``, read
-    once by the caller."""
+    """The kernel spinors mode by mode; ``all_vecs`` is
+    ``every_vector(pk._spectra)``, read once by the caller."""
     out = []
-    for i, mode in zip(pk._spectra.rep, ctx.modes):
-        for key, vals, vecs, sl in zip(pk._levels, pk.vals, all_vecs, pk._spectra.blocks):
+    lb, sp = pk.level_basis, pk._spectra
+    for i, mode in zip(lb.rep, box_modes(ctx)):
+        for key, vals, vecs, sl in zip(pk._levels, sp.vals, all_vecs, sp.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue
-            for j in np.flatnonzero(vals[i] <= pk.cutoff):
-                coords = np.zeros(ctx.size, dtype=complex)
+            for j in np.flatnonzero(vals[i] <= sp.cutoff):
+                coords = np.zeros(lb.size, dtype=complex)
                 coords[sl] = vecs[i][:, j]
-                out.append(ref_spinor(ctx.geometry, ctx.box, {mode: ctx.basis @ coords}))
+                out.append(ref_spinor(ctx.geometry, ctx.box, {mode: lb.basis @ coords}))
     return out
 
 
@@ -190,11 +203,12 @@ def ref_frame_coordinates(s, sigma):
 
 def test_apply_matches_per_mode(case):
     s, _, ctx = case
+    lb = ctx.level_basis
     for name in ctx.OPERATOR_NAMES:
         for sigma in _spinors(s, 11):
             want = ref_map(
                 sigma,
-                lambda mode, v: ctx.basis @ (ctx.operator_matrix(name, mode) @ (ctx.basis_inv @ v)),
+                lambda mode, v: lb.basis @ (ctx.operator_matrix(name, mode) @ (lb.basis_inv @ v)),
             )
             _assert_close(ctx.apply(name, sigma), want)
 
@@ -229,9 +243,9 @@ def test_apply_rejects_modes_outside_the_box(case):
 @pytest.mark.parametrize("kind", ["dbar", "bc", "aeppli", "d"])
 def test_spectral_maps_match_per_mode(case, kind):
     s, _, ctx = case
-    pk = ctx.package(kind)
+    lb, pk = ctx.level_basis, ctx.package(kind)
     sp = pk._spectra
-    vecs = sp.vecs
+    vecs = every_vector(sp)
     maps = [
         (pk.harmonic, sp.harmonic_weights),
         (pk.green, sp.green_weights),
@@ -241,8 +255,8 @@ def test_spectral_maps_match_per_mode(case, kind):
         for sigma in _spinors(s, 13):
             want = ref_map(
                 sigma,
-                lambda mode, v: ctx.basis
-                @ ref_spectral(sp, vecs, ctx.modes.index(mode), ctx.basis_inv @ v, weights),
+                lambda mode, v: lb.basis
+                @ ref_spectral(sp, vecs, lb.positions([mode])[0], lb.basis_inv @ v, weights),
             )
             _assert_close(method(sigma), want)
 
@@ -254,13 +268,13 @@ def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch)
     pk = ctx.package(kind)
     if cutoff == "median":
         # kernels at many modes and in several blocks fix the basis order
-        median = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
-        monkeypatch.setattr(pk, "cutoff", median)
-    everywhere = range(len(ctx.modes))
-    vecs = pk.vecs
+        median = float(np.median(np.concatenate([v.ravel() for v in pk._spectra.vals])))
+        monkeypatch.setattr(pk._spectra, "cutoff", median)
+    everywhere = range(len(ctx.level_basis.modes))
+    vecs = every_vector(pk._spectra)
     for k in s.levels():
         assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, vecs, k, everywhere)
-        for i, mode in enumerate(ctx.modes):
+        for i, mode in enumerate(box_modes(ctx)):
             assert pk.kernel_dimension(k, mode) == ref_kernel_dimension(ctx, pk, vecs, k, [i])
     for level in [None, *s.levels()]:
         got = pk.harmonic_basis(level)
@@ -352,7 +366,7 @@ def ref_poly_coords(alg, poly):
     index = monomial_index(alg.structure.dim)
     for key, f in poly.terms():
         for mode, c in f.coeffs.items():
-            per_mode.setdefault(mode, np.zeros(alg.size, dtype=complex))[index[key]] += c
+            per_mode.setdefault(mode, np.zeros(alg.level_basis.size, dtype=complex))[index[key]] += c
     return {mode: alg.poly_basis_inv @ v for mode, v in per_mode.items()}
 
 
@@ -368,7 +382,7 @@ def test_algebroid_maps_match_per_mode(case):
     s, m, _ = case
     alg = AlgebroidHodge(s, m)
     sp = alg._spectra
-    vecs = sp.vecs
+    vecs = every_vector(sp)
     rng = np.random.default_rng(31)
     for degree in range(1, s.dim + 1):
         terms = {
@@ -379,7 +393,7 @@ def test_algebroid_maps_match_per_mode(case):
         coords = ref_poly_coords(alg, poly)
         for method, weights in [(alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)]:
             vectors = {
-                mode: ref_spectral(sp, vecs, alg.modes.index(mode), c, weights)
+                mode: ref_spectral(sp, vecs, alg.level_basis.positions([mode])[0], c, weights)
                 for mode, c in coords.items()
             }
             got, want = method(poly), ref_poly(alg, vectors, degree)
@@ -1038,7 +1052,7 @@ def test_transport_matches_dict_loops(policy_case):
         if isinstance(tr, type):
             assert tr is TruncationError and box.policy == "strict"
             continue
-        plus = tr._one_plus_eps_star_images()
+        plus = tr.maps.eta
         minus = tr.images_one_minus_epseps()
         for sigma in _spinors(s, 79, count=2):
             _compare(lambda: tr.forward(sigma), lambda: ref_factorwise(tr, plus, sigma, tr.exp_rho0),
@@ -1112,7 +1126,7 @@ def ref_frame_maps(s, eps):
     plain = ref_dual_image(s, inv, False)
     starred = ref_dual_image(s, eps_star.matmul(inv), True)
     images = {
-        "_one_plus_eps_star_images": plus,
+        "eta": plus,
         "images_one_minus_epseps": ref_dual_image(s, ident - epseps, False),
         "images_inverse_one_minus_epseps": plain,
         "images_one_plus_star_minus_epseps": [p.add(q.scale(-1)) for p, q in zip(plus, minus)],
@@ -1160,8 +1174,9 @@ def test_frame_maps_match_dict_ring(name):
         tr = Transport(s, eps)
         eps_star, images = ref_frame_maps(s, eps)
         _assert_same_stack(tr.maps.eps_star_matrix, eps_star, exact)
-        for method, want in images.items():
-            _assert_same_stack(getattr(tr, method)(), want, exact)
+        for name, want in images.items():
+            got = tr.maps.eta if name == "eta" else getattr(tr, name)()
+            _assert_same_stack(got, want, exact)
 
 
 def test_transport_makes_no_scalar_products_or_entry_views(monkeypatch):
@@ -1658,7 +1673,7 @@ def _hodge_case(name):
 
 def ref_matrix_identities(ctx):
     worst = {"del_squared": 0.0, "dbar_squared": 0.0, "anticommute": 0.0, "d_split": 0.0}
-    for mode in ctx.modes:
+    for mode in box_modes(ctx):
         dl = ctx.operator_matrix("del", mode)
         db = ctx.operator_matrix("dbar", mode)
         d = ctx.operator_matrix("d", mode)
@@ -1672,8 +1687,8 @@ def ref_matrix_identities(ctx):
 
 def ref_kernel_characterizations(ctx):
     out = []
-    size = ctx.size
-    dl, db, t = ctx._stack("del"), ctx._stack("dbar"), ctx._stack("deldbar")
+    size = ctx.level_basis.size
+    dl, db, t = (ctx._op(name, slice(None)) for name in ("del", "dbar", "deldbar"))
     for kind in ("bc", "aeppli"):
         pk = ctx.package(kind)
         if kind == "bc":
@@ -1684,7 +1699,7 @@ def ref_kernel_characterizations(ctx):
             stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
             second = _range_basis(_adjoint(t))
             third = _range_basis(np.concatenate([dl, db], axis=2))
-        null = _null_basis(stack)
+        null = _range_and_null(stack)[1]
         hmat = pk._spectra.matrix(slice(None), pk._spectra.harmonic_weights)
         hbasis = _range_basis(hmat)
         hdim = _basis_rank(hbasis)
@@ -1708,7 +1723,7 @@ def ref_green_commutation(ctx):
     bc = ctx.package("bc")
     ae = ctx.package("aeppli")
     every = slice(None)
-    laps = zip(ctx.modes, ctx._laplacian("bc", every), ctx._laplacian("aeppli", every))
+    laps = zip(box_modes(ctx), ctx._laplacian("bc", every), ctx._laplacian("aeppli", every))
     for mode, lbc, la in laps:
         dl = ctx.operator_matrix("del", mode)
         db = ctx.operator_matrix("dbar", mode)
@@ -1739,11 +1754,12 @@ def ref_green_commutation(ctx):
 
 
 def ref_star_conjugation(ctx):
-    star = ctx.basis_inv @ ctx.metric.star_matrix @ ctx.basis
+    lb = ctx.level_basis
+    star = lb.basis_inv @ ctx.metric.star_matrix @ lb.basis
     star_inv = np.linalg.inv(star)
     worst = 0.0
     worst_del = 0.0
-    for mode in ctx.modes:
+    for mode in box_modes(ctx):
         db_adj = ctx.operator_matrix("dbar_adj", mode)
         dl_adj = ctx.operator_matrix("del_adj", mode)
         dl = ctx.operator_matrix("del", mode)
@@ -1767,7 +1783,7 @@ def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
     show.  With MODE_CHUNK at 7 or 1 the chunks end mid-box and the values
     stay the same."""
     ctx = _hodge_case(name)
-    assert (len(ctx.weight) == len(ctx.modes)) == (name == "twisted")
+    assert (len(ctx.level_basis.weight) == len(ctx.level_basis.modes)) == (name == "twisted")
     if cutoff == "median":
         for kind in ("bc", "aeppli"):
             sp = ctx.package(kind)._spectra
@@ -1836,3 +1852,17 @@ def test_box_modes_run_lexicographically(n, K):
     assert modes == sorted(itertools.product(range(-K, K + 1), repeat=geometry.dim))
     assert all(isinstance(mode, tuple) for mode in modes)
     assert len(modes) == (2 * K + 1) ** geometry.dim
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_level_basis_modes_run_lexicographically(n, K):
+    """The level basis's (M, 2n) mode array is in the box's lexicographic
+    order: ``_mode_positions`` maps it to 0..M-1, and mode M - 1 - i is
+    minus mode i, which ``_mode_mirror`` relies on."""
+    box = TruncationBox(K)
+    s = GCStructure.complex_structure(n, box)
+    lb = _LevelBasis(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(2 * n)))
+    assert lb.modes.shape == ((2 * K + 1) ** (2 * n), 2 * n)
+    assert np.array_equal(_mode_positions(box, s.dim, lb.modes), np.arange(len(lb.modes)))
+    assert np.array_equal(lb.modes[::-1], -lb.modes)

@@ -56,7 +56,7 @@ def loop_scan(context, series, t_samples, levels=None, order=2, tol=1e-9):
             for ext in extensions[k]:
                 sigma_t = transport.undress(ext.dressed_at(t))
                 image = pk_t.harmonic(transport.forward(sigma_t))
-                images.append([ctx_t.bi_inner(image, h) for h in harm_basis])
+                images.append([ctx_t.metric.bi_inner(image, h) for h in harm_basis])
             if images and harm_basis:
                 grams[k] = np.asarray(images, dtype=complex)
                 ranks[k] = int(_rank(grams[k]))

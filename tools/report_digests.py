@@ -7,8 +7,8 @@ byte-identical:
 The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
 seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
-and ``inline/<name>`` for the identity suites and Hodge tables of
-``INLINE``, which run the T^4 and T^6 paths that no shipped or benchmark
+and ``inline/<name>`` for the identity suites, Hodge tables and expansion
+of ``INLINE``, which run the T^4 and T^6 paths that no shipped or benchmark
 config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
@@ -62,9 +62,20 @@ def _hodge_table(name: str, n: int, K: int, structure: Dict) -> Dict:
     return _config(name, n, K, {"kind": "hodge-table"}, structure)
 
 
-# identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s), and
+def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
+    """The ``t4-expand`` benchmark config on another structure: its two
+    first-order terms expanded to order 3 under ``drop``, then ``criterion``."""
+    config = json.loads((ROOT / "perfbench/configs/t4-expand/t4_expand.json").read_text("utf-8"))
+    config.update(name=name, structure=structure)
+    config["torus"] = {"n": n, "K": K, "policy": "drop"}
+    return config
+
+
+# identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s),
 # hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), and on
-# T^6 K=1 (1-2 s), timed on a 2-vCPU x86-64 host
+# T^6 K=1 (1-2 s), and a Maurer-Cartan expansion on twisted T^4 K=3, whose
+# higher orders go through the twisted algebroid's Green operator (0.15 s),
+# timed on a 2-vCPU x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
@@ -74,6 +85,7 @@ INLINE = [
     _identity("t6-complex-identity", 3, 0, 2, {"type": "complex"}),
     _hodge_table("t4-twisted-hodge", 2, 2, _TWISTED),
     _hodge_table("t6-complex-hodge", 3, 1, {"type": "complex"}),
+    _expand("t4-twisted-expand", 2, 3, _TWISTED),
 ]
 
 
@@ -84,7 +96,7 @@ def digest(config: Dict) -> str:
 
 def configs() -> Iterator[Tuple[str, Dict]]:
     """(name, config) of every shipped scenario, then every benchmark config
-    at each seed, then the ``INLINE`` identity suites."""
+    at each seed, then the ``INLINE`` configs."""
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         yield f"scenarios/{path.name}", json.loads(path.read_text(encoding="utf-8"))
     for name in workloads.NAMES:
