@@ -920,7 +920,7 @@ def extend_closed_form(
 
     class_checks: Dict[str, Dict] = {}
     if variant == "standard":
-        # one batch of the checks whose level exists; the others hold trivially
+        # the checks whose level exists; the others hold trivially
         wanted = {"B_lower": ("B_k", level - 1), "S_upper": ("S_k", level + 1)}
         asked = {name: q for name, q in wanted.items() if abs(q[1]) <= structure.n}
         verdicts = dict(zip(asked, context.class_checks(asked.values())))

@@ -527,8 +527,9 @@ def hodge_suite(ctx: HodgeContext, seed: int = 0) -> List[Dict]:
 def hodge_table(ctx: HodgeContext) -> Dict:
     """Kernel dimensions per kind and level plus class-check verdicts.
 
-    The class checks go first, as one batch, and their decompositions are
-    freed before the packages are built.  The packages are read through
+    The class checks go first.  They are decided from rank stacks that
+    the context keeps, one int per representative mode, and they hold no
+    basis when the packages are built.  The packages are read through
     ``kernel_dimensions`` alone: the blockwise kinds count eigenvalues, and
     the level-mixing ``d`` builds eigenvectors only at the modes that have
     a kernel, once for all the levels, and keeps none, so the packages end

@@ -8,7 +8,7 @@ box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes
 and their representatives; contexts, packages and the algebroid read them
 there and copy none.  Each reader builds d at exactly the modes it asks for
 (``_LevelBasis.d``), a chunk of MODE_CHUNK modes, the modes of a spinor,
-or one level block at the representative modes, and these are bitwise the
+or one level block at a chunk of representatives, and these are bitwise the
 rows and blocks of a stack over the whole box, which is never held.
 Adjoints are conjugate transposes in that basis (exact on the truncation).
 The Laplacians are assembled per diagonal block from products of the level
@@ -16,29 +16,27 @@ blocks of d (one block per level; the whole matrix for the level-mixing d
 Laplacian), so their entries off the blocks are exact zeros, and each
 block is eigendecomposed by batched ``eigh``, one chunk of modes at a
 time, the kernel split off by a relative cutoff; the Green operator is the
-pseudo-inverse on the kernel complement.  The class
-checks (the ddbar-lemma and the solvability classes) build the level
-blocks of d they need and decide every numerical rank by a batched SVD,
-or by the vector norm for a stack of single rows or columns; a span's
-containment in another is read from its residual off that span.  A
-basis carries its rank in its nonzero columns.  Checks are asked in
-batches: within a batch each matrix they decompose (a level block of d,
-or dbar del on a level) gets one SVD that gives both its range and its
-null space, and the decompositions are dropped once the batch has passed
-their levels and freed when it returns.  Each (kind, level) is decided
-once per context.  A spinor enters and leaves as the coefficient rows of
-its mode stack, so every operator, projector and Green operator acts by
-one product batched over its modes.  The Lie-algebroid complex
-(``deformation.AlgebroidHodge``) is the dbar complex in polynomial
-coordinates (P maps to P . rho0), so it holds no operator of its own: its
-differential is the raising blocks of the level basis's d, and its spectra
-are those of the dbar Laplacian, which reads only those blocks.  What a
-context holds over the modes is the packages' eigenvalues at the
-representative modes (and their eigenvectors when one chunk covers them).
-A package builds eigenvectors again, by the same batched ``eigh``, at the
-representatives a reader asks for: bitwise those of the first pass, kept
-for the projector, Green operator and harmonic basis, and dropped after
-the level content of the ``d`` kernel is counted.
+pseudo-inverse on the kernel complement.  The class checks (the
+ddbar-lemma and the solvability classes) are rank identities, as
+del^2 = dbar^2 = del dbar + dbar del = 0, so every verdict is decided
+from numerical ranks alone: of level blocks of d, of dbar del on a level,
+and of d's rows or columns of a level, built at MODE_CHUNK representatives
+at a time.  A rank is one values-only SVD per chunk, or the vector norm
+for a stack of single rows or columns; no basis is built.  A spinor enters
+and leaves as the coefficient rows of its mode stack, so every operator,
+projector and Green operator acts by one product batched over its modes.
+The Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar
+complex in polynomial coordinates (P maps to P . rho0), so it holds no
+operator of its own: its differential is the raising blocks of the level
+basis's d, and its spectra are those of the dbar Laplacian, which reads
+only those blocks.  What a context holds over the modes is the class
+checks' rank stacks, one int per representative mode and cut, and the
+packages' eigenvalues at the representative modes (and their eigenvectors
+when one chunk covers them).  A package builds eigenvectors again, by the
+same batched ``eigh``, at the representatives a reader asks for: bitwise
+those of the first pass, kept for the projector, Green operator and
+harmonic basis, and dropped after the level content of the ``d`` kernel
+is counted.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -53,7 +51,7 @@ context, whose C is not exactly zero, decomposes every mode.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -70,9 +68,9 @@ MODE_CHUNK = 256  # modes per d build and per batched eigh; bounds their transie
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 
-# HodgeContext.check_counts: class checks decided and served from the memo,
-# decompositions computed and reused within a batch of checks
-CHECK_COUNTERS = ("decided", "memo_hits", "decompositions_computed", "decompositions_reused")
+# HodgeContext.check_counts: class checks decided, and rank stacks computed
+# and served from the context's cache
+CHECK_COUNTERS = ("decided", "ranks_computed", "ranks_reused")
 
 
 class ObstructionError(ValueError):
@@ -95,28 +93,25 @@ def _cut(s: np.ndarray, floor) -> np.ndarray:
     return np.sum(s > bound, axis=-1)
 
 
-def _vector_values(mats: np.ndarray) -> np.ndarray:
-    """The singular values, (..., min(r, c)), of a stack of one-row or
-    one-column matrices: each vector's norm, and none for an empty matrix."""
-    rows, cols = mats.shape[-2:]
-    norms = np.linalg.norm(mats.reshape(mats.shape[:-2] + (rows * cols,)), axis=-1)
-    return norms[..., None][..., : min(rows, cols)]
-
-
 def _below(rank: np.ndarray, width: int) -> np.ndarray:
     """Per matrix, a (..., 1, width) mask of the columns before its rank."""
     return (np.arange(width) < rank[..., None])[..., None, :]
 
 
-def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
-    """Numerical rank of each matrix of an (..., r, c) stack.
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """The descending singular values, (..., min(r, c)), of each matrix of an
+    (..., r, c) stack.  A stack of single rows or columns takes no SVD: its
+    one singular value per matrix is the vector's norm (none when empty)."""
+    rows, cols = mats.shape[-2:]
+    if min(rows, cols) > 1:
+        return np.linalg.svd(mats, compute_uv=False)
+    norms = np.linalg.norm(mats.reshape(mats.shape[:-2] + (rows * cols,)), axis=-1)
+    return norms[..., None][..., : min(rows, cols)]
 
-    A stack of single rows or columns has one singular value per matrix,
-    its vector norm, so it takes no SVD.
-    """
-    if min(mats.shape[-2:]) <= 1:
-        return _cut(_vector_values(mats), floor)
-    return _cut(np.linalg.svd(mats, compute_uv=False), floor)
+
+def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
+    """Numerical rank of each matrix of an (..., r, c) stack."""
+    return _cut(_singular_values(mats), floor)
 
 
 def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
@@ -133,7 +128,7 @@ def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
         u, s = np.linalg.svd(mats, full_matrices=False)[:2]
         u *= _below(_cut(s, floor), s.shape[-1])
         return u
-    s = _vector_values(mats)
+    s = _singular_values(mats)
     kept = _below(_cut(s, floor), s.shape[-1])
     if cols == 1 and rows > 0:
         return np.divide(mats, s[..., None, :], out=np.zeros_like(mats), where=kept)
@@ -160,38 +155,10 @@ def _range_and_null(mats: np.ndarray, floor=0.0) -> Tuple[np.ndarray, np.ndarray
     return u, null
 
 
-def _trim(basis: np.ndarray) -> np.ndarray:
-    """A basis stack without the columns that are zero at every matrix: its
-    width becomes the widest rank (or nullity) over the stack.  A stack with
-    no such column is returned as it is, not copied."""
-    keep = basis.any(axis=tuple(range(basis.ndim - 1)))
-    return basis if keep.all() else basis[..., keep]
-
-
 def _basis_rank(basis: np.ndarray) -> np.ndarray:
     """Per matrix, the rank of a basis from ``_range_basis`` or ``_range_and_null``:
     its count of nonzero columns."""
     return np.count_nonzero(basis.any(axis=-2), axis=-1)
-
-
-def _contained(sub: np.ndarray, sup: np.ndarray, floor=0.0) -> np.ndarray:
-    """Per matrix, column span of the basis sub contained in that of the basis sup.
-
-    Both are bases as ``_range_basis`` gives them, unit or zero columns, so
-    the residual of sub off span(sup), sub - sup (sup^H sub), is small
-    relative to each column: it is contained when no residual column's norm
-    exceeds max(RANK_CUTOFF, floor).  Two products, and no SVD.
-    """
-    resid = sub - sup @ (_adjoint(sup) @ sub)
-    worst = np.linalg.norm(resid, axis=-2).max(axis=-1, initial=0.0)
-    return worst <= np.maximum(RANK_CUTOFF, floor)
-
-
-def _intersection_dim(a: np.ndarray, b: np.ndarray, floor=0.0) -> np.ndarray:
-    """Per matrix, the dimension of the intersection of the spans of two bases."""
-    da, db = _basis_rank(a), _basis_rank(b)
-    both = _rank(np.concatenate([a, b], axis=-1), floor)
-    return np.where((da == 0) | (db == 0), 0, da + db - both)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -628,10 +595,8 @@ class HodgeContext:
         self.level_basis = _LevelBasis(structure, metric)
         self._packages: Dict[str, HodgePackage] = {}
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
-        self._checks: Dict[Tuple[str, int], Dict] = {}
-        # while ``class_checks`` runs, the decompositions its checks share:
-        # key -> (the highest level they involve, value); None between batches
-        self._batch: Dict[Hashable, Tuple[int, object]] | None = None
+        # the class checks' rank stacks, by key (``_ranks``)
+        self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
 
@@ -765,29 +730,8 @@ class HodgeContext:
     # ------------------------------------------------------------------
 
     def class_checks(self, questions: Iterable[Tuple[str, int]]) -> List[Dict]:
-        """Decide a batch of (kind, level) class checks; the verdicts in the order asked.
-
-        Each question goes to ``class_check`` in ascending level order.  The
-        checks of the batch share their decompositions: each matrix they
-        decompose gets one SVD in the batch (``_shared``).  When the batch
-        moves on to level k it drops the decompositions whose levels all lie
-        below k, since no later level asks for them, and none is left on the
-        context when it returns.
-        """
-        questions = list(questions)
-        for kind, _ in questions:
-            if kind not in CHECK_KINDS:
-                raise ValueError(f"unknown class check {kind!r}")
-        verdicts: List[Dict] = [{}] * len(questions)
-        self._batch = {}
-        try:
-            for i in sorted(range(len(questions)), key=lambda i: questions[i][1]):
-                kind, k = questions[i]
-                self._batch = {key: v for key, v in self._batch.items() if v[0] >= k}
-                verdicts[i] = self.class_check(kind, k)
-        finally:
-            self._batch = None
-        return verdicts
+        """The verdicts of (kind, level) class checks, in the order asked."""
+        return [self.class_check(kind, k) for kind, k in questions]
 
     def class_check(self, kind: str, k: int) -> Dict:
         """Rank verdicts for the ddbar-lemma and the solvability classes.
@@ -795,36 +739,76 @@ class HodgeContext:
         Kinds: 'ddbar_lemma', 'B_k', 'S_k', 'Bcal_k', 'Scal_k'.  The two
         S/B families quantify over phi in the level above k with
         dbar(del phi) = 0 (plain) or dbar phi = 0 (calligraphic); the B
-        variants additionally demand a del-exact solution.  Every verdict
-        is decided per representative mode, on level blocks of d built at
-        the representatives, by batched SVDs and projections; ``holds``
-        requires it at every one, and ``dims`` sums the ranks over the modes, each representative weighted
-        by the modes it stands for (a level block at -k is minus the one at
-        k, with the same rank and span).  A basis carries its rank in its
-        nonzero columns, so a rank question costs one SVD.  Outside ``class_checks``
-        the check is a batch of one; within a batch it shares the batch's
-        decompositions.  The verdicts depend on the context alone, so each
-        (kind, k) is decided once; every call returns a fresh dict.
-        """
-        if self._batch is None:
-            return self.class_checks([(kind, k)])[0]
-        if (kind, k) in self._checks:
-            self.check_counts["memo_hits"] += 1
-        else:
-            self._checks[kind, k] = self._class_check(kind, k)
-            self.check_counts["decided"] += 1
-        check = self._checks[kind, k]
-        return {**check, "dims": dict(check["dims"])}
+        variants additionally demand a del-exact solution.
 
-    def _block(self, row_level: int, col_level: int) -> np.ndarray:
-        """The level block of d at every representative mode: del one level
-        down, dbar one up.  Built from the same block of C and the A_a, so
-        bitwise that block of d, and no larger."""
+        With del_j and dbar_j the level blocks (j - 1, j) and (j + 1, j) of
+        d, Q_j = dbar_{j-1} del_j (dbar del on level j), d's rows of level k
+        Row_k = [del_{k+1} | dbar_{k-1}], its columns of level j
+        Col_j = [del_j ; dbar_j], and M_k = [[del_{k+1}, dbar_{k-1}],
+        [dbar_{k+1}, 0]]; r the rank at the per-mode floor of ``_floor`` and
+        r_s at floor * scale.  As dim(im A cap ker B) = r(A) - r(BA) and
+        del^2 = dbar^2 = del dbar + dbar del = 0, each verdict is a rank
+        identity at every representative mode:
+
+        - ddbar_lemma: d1 = r(del_{k+1}) - r(Q_{k+1}), d2 = r(dbar_{k-1}) -
+          r(Q_{k-1}) and d3 = r_s(Q_k); it holds iff d1 = d2 = d3, with dims
+          d1 + d2 and 2 d3.
+        - S_k: candidates c = r(del_{k+1}) - r_s(Q_{k+1}), target
+          t = r(dbar_{k-1}); it holds iff r(Row_k) = t + r_s(Q_{k+1}).
+        - Scal_k: c = r(Col_{k+1}) - r(dbar_{k+1}), t = r(dbar_{k-1}); it
+          holds iff r(M_k) = t + r(dbar_{k+1}).
+        - B_k, Bcal_k: c as for S_k, Scal_k; t = r_s(Q_k), whose image lies
+          in the candidates, and it holds iff c = t.
+
+        With no level k + 1 the four S/B kinds hold, with dims 0 and 0.
+        ``dims`` sums c and t over the modes, each representative weighted
+        by the modes it stands for (a level block at -k is minus the one at
+        k).  Each rank stack is computed once per context (``_ranks``);
+        every call returns a fresh dict.
+        """
+        if kind not in CHECK_KINDS:
+            raise ValueError(f"unknown class check {kind!r}")
+        self.check_counts["decided"] += 1
+
+        def r(name: str, j: int, scaled: bool = False) -> np.ndarray:
+            return self._ranks((name, j))[:, int(scaled)]
+
+        if kind == "ddbar_lemma":
+            d1 = r("del", k + 1) - r("dbar del", k + 1)
+            d2 = r("dbar", k - 1) - r("dbar del", k - 1)
+            d3 = r("dbar del", k, scaled=True)
+            holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
+        elif k + 1 not in self.level_basis.level_slices:
+            # no level above k: nothing to check
+            holds, candidates, target = True, 0, 0
+        else:
+            plain = kind in ("S_k", "B_k")
+            # the rank by which the candidates' domain falls short of level k + 1
+            short = r("dbar del", k + 1, scaled=True) if plain else r("dbar", k + 1)
+            candidates = r("del" if plain else "col", k + 1) - short
+            if kind in ("B_k", "Bcal_k"):
+                target = r("dbar del", k, scaled=True)
+                holds = candidates == target
+            else:
+                target = r("dbar", k - 1)
+                holds = r("row" if plain else "M", k) == target + short
+        return {
+            "kind": kind,
+            "level": k,
+            "holds": bool(np.all(holds)),
+            "dims": {
+                "candidates": int(np.sum(candidates * self.level_basis.weight)),
+                "target": int(np.sum(target * self.level_basis.weight)),
+            },
+        }
+
+    def _block(self, row_level: int, col_level: int, sel: slice) -> np.ndarray:
+        """The level block of d at the representatives picked by ``sel``:
+        del one level down, dbar one up.  Built from the same block of C and
+        the A_a, so bitwise that block of d, and no larger."""
         lb = self.level_basis
         rows, cols = lb.level(row_level), lb.level(col_level)
-        return _stack_linear(
-            lb.const[rows, cols], lb.slopes[:, rows, cols], lb.modes[: len(lb.weight)]
-        )
+        return _stack_linear(lb.const[rows, cols], lb.slopes[:, rows, cols], lb.modes[sel])
 
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per representative mode, the operator scale and the absolute rank
@@ -836,74 +820,58 @@ class HodgeContext:
             ))
         return self._scale, RANK_CUTOFF * self._scale
 
-    def _shared(self, key: Hashable, level: int, compute: Callable[[], object]):
-        """``compute()``, once per batch of checks under ``key``; the batch
-        drops it when it moves past ``level``."""
-        if key in self._batch:
-            self.check_counts["decompositions_reused"] += 1
-        else:
-            self.check_counts["decompositions_computed"] += 1
-            self._batch[key] = (level, compute())
-        return self._batch[key][1]
+    def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
+        """The stack that a rank key names, at the representatives picked by
+        ``sel``: ("del", j), ("dbar", j), ("dbar del", j), ("row", k),
+        ("col", j) or ("M", k), in the notation of ``class_check``."""
+        name, j = key
 
-    def _decomposition(self, key: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        """The trimmed range and null-space bases of the matrix that ``key`` names.
+        def block(row_level, col_level):
+            return self._block(row_level, col_level, sel)
 
-        (r, c) names the level block of d from level c to level r, and
-        (k, k - 1, k) the product dbar del on level k,
-        block(k, k - 1) @ block(k - 1, k), whose floor is scaled by the
-        operator scale.
-        """
+        if name == "del":
+            return block(j - 1, j)
+        if name == "dbar":
+            return block(j + 1, j)
+        if name == "dbar del":
+            return block(j, j - 1) @ block(j - 1, j)
+        if name == "col":
+            return np.concatenate([block(j - 1, j), block(j + 1, j)], axis=-2)
+        row = np.concatenate([block(j, j + 1), block(j, j - 1)], axis=-1)
+        if name == "row":
+            return row
+        # M: d's rows of level j over dbar_{j+1} and an explicit zero block
+        below = block(j + 2, j + 1)
+        zero = np.zeros(below.shape[:-1] + (row.shape[-1] - below.shape[-1],), complex)
+        return np.concatenate([row, np.concatenate([below, zero], axis=-1)], axis=-2)
 
-        def compute():
-            scale, floor = self._floor()
-            mats = self._block(*key[:2])
-            if len(key) == 3:
-                mats, floor = mats @ self._block(*key[1:]), floor * scale
-            return tuple(_trim(basis) for basis in _range_and_null(mats, floor))
-
-        return self._shared(key, max(key), compute)
-
-    def _candidates(self, k: int, calligraphic: bool) -> np.ndarray:
-        """The span of del phi over phi in level k + 1 with dbar(del phi) = 0,
-        or with dbar phi = 0 (calligraphic)."""
-
-        def compute():
-            kernel = (k + 2, k + 1) if calligraphic else (k + 1, k, k + 1)
-            del_down = self._block(k, k + 1) @ self._decomposition(kernel)[1]
-            return _trim(_range_basis(del_down, self._floor()[1]))
-
-        return self._shared(("w_cal" if calligraphic else "w_plain", k), k, compute)
-
-    def _class_check(self, kind: str, k: int) -> Dict:
-        def span(key):
-            return self._decomposition(key)[0]
-
-        def null(key):
-            return self._decomposition(key)[1]
-
-        if kind == "ddbar_lemma":
-            scale, floor = self._floor()
-            d1 = _intersection_dim(span((k, k + 1)), null((k + 1, k)), RANK_CUTOFF)
-            d2 = _intersection_dim(span((k, k - 1)), null((k - 1, k)), RANK_CUTOFF)
-            # del dbar on level k: only its rank is asked
-            d3 = _rank(self._block(k, k + 1) @ self._block(k + 1, k), floor * scale)
-            holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
-        elif k + 1 not in self.level_basis.level_slices:
-            # no level above k: nothing to check
-            holds, candidates, target = True, 0, 0
-        else:
-            w = self._candidates(k, calligraphic=kind in ("Scal_k", "Bcal_k"))
-            # the range of dbar into level k, or of dbar del (del-exact solutions)
-            image = span((k, k - 1) if kind in ("S_k", "Scal_k") else (k, k - 1, k))
-            holds = _contained(w, image, RANK_CUTOFF)
-            candidates, target = _basis_rank(w), _basis_rank(image)
-        return {
-            "kind": kind,
-            "level": k,
-            "holds": bool(np.all(holds)),
-            "dims": {
-                "candidates": int(np.sum(candidates * self.level_basis.weight)),
-                "target": int(np.sum(target * self.level_basis.weight)),
-            },
-        }
+    def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
+        """Per representative mode, the ranks of the stack that ``key`` names
+        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
+        at floor * scale, both from one values-only SVD.  Computed once per
+        context, over MODE_CHUNK representatives at a time, and kept; a
+        stack with an empty half is kept as the stack of its other half."""
+        name, j = key
+        has = self.level_basis.level_slices.__contains__
+        if name == "M" and not has(j - 1):
+            name, j = "col", j + 1
+        elif name == "M" and not has(j + 2):
+            name = "row"
+        if name == "row" and not has(j - 1):
+            name, j = "del", j + 1
+        if name == "col" and not has(j + 1):
+            name = "del"
+        key = name, j
+        if key in self._rank_stacks:
+            self.check_counts["ranks_reused"] += 1
+            return self._rank_stacks[key]
+        self.check_counts["ranks_computed"] += 1
+        scale, floor = self._floor()
+        floors = np.stack([floor, floor * scale], axis=-1)
+        # int16, a quarter of int64: the stacks are held while packages build
+        ranks = np.empty(floors.shape, dtype=np.int16)
+        for sel in _chunks(len(scale), MODE_CHUNK):
+            values = _singular_values(self._rank_matrices(key, sel))
+            ranks[sel] = _cut(values[:, None], floors[sel])
+        self._rank_stacks[key] = ranks
+        return ranks

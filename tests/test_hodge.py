@@ -194,7 +194,6 @@ def test_symplectic_torus_class_checks_all_true():
 def test_double_image_always_contained(t4ctx_twisted):
     """Im(del dbar) sits inside Im(del) and Ker(dbar) and inside Im(dbar)
     and Ker(del) even where the full lemma fails (twisted background)."""
-    from gentorus.hodge import _contained, _range_basis
     ctx = t4ctx_twisted
     lb = ctx.level_basis
 
@@ -203,18 +202,19 @@ def test_double_image_always_contained(t4ctx_twisted):
 
     lemma_fails_somewhere = False
     for k in ctx.structure.levels():
-        v3 = _range_basis(block("deldbar", k, k))
-        del_in = _range_basis(block("del", k, k + 1))
-        dbar_in = _range_basis(block("dbar", k, k - 1))
-        assert _contained(v3, del_in).all()
-        assert _contained(v3, dbar_in).all()
+        double = block("deldbar", k, k)
+        del_in = block("del", k, k + 1)
+        dbar_in = block("dbar", k, k - 1)
+        for v3, a, b in zip(double, del_in, dbar_in):
+            assert _ref_contained(v3, a) and _ref_contained(v3, b)
         if not ctx.class_check("ddbar_lemma", k)["holds"]:
             lemma_fails_somewhere = True
     assert lemma_fails_somewhere  # the twist genuinely breaks the lemma here
 
 
 def test_class_check_is_decided_once(monkeypatch):
-    """A repeated (kind, level) check runs no SVD and hands out a fresh dict."""
+    """A repeated (kind, level) check reads its ranks from the context, so it
+    runs no SVD, and it hands out a fresh dict."""
     s, m = _case(2, 1)
     ctx = HodgeContext(s, m)
     calls = []
@@ -355,11 +355,10 @@ def _reference_cutoff(spectra):
     return RANK_CUTOFF * radius if radius > 0 else 1e-12
 
 
-def _case(n, K, twisted=False, g_scale=1.0):
+def _case(n, K, twisted=False, g_scale=1.0, h=(0, 1, 2)):
+    """Complex T^{2n} on the box of size K, twisted by H = dx^h when asked."""
     box = TruncationBox(K)
-    twist = (
-        Spinor.constant_form(TorusGeometry(n), box, (0, 1, 2), 1.0) if twisted else None
-    )
+    twist = Spinor.constant_form(TorusGeometry(n), box, h, 1.0) if twisted else None
     s = GCStructure.complex_structure(n, box, twist=twist)
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
 
@@ -574,10 +573,14 @@ CLASS_CHECK_CASES = [
     lambda: _sheared_case(2, 1),
     # untwisted, so the checks rank 313 of the 625 modes and weight them
     lambda: _sheared_case(2, 2),
+    # the absolute floors bind on all 625 modes of a twisted box
+    lambda: _case(2, 2, twisted=True, g_scale=1e-4),
+    # an n = 3 twist that fails 15 of the 35 checks
+    lambda: _case(3, 0, twisted=True, h=(0, 1, 3)),
 ]
 CLASS_CHECK_IDS = [
     "t2", "t2-symplectic", "t4", "t4-twisted", "t4-symplectic", "t4-K2", "t4-twisted-floors",
-    "t4-b-transform", "t4-b-transform-K2",
+    "t4-b-transform", "t4-b-transform-K2", "t4-twisted-floors-K2", "t6-twisted",
 ]
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 CASES = range(len(CLASS_CHECK_CASES))
@@ -616,13 +619,13 @@ def test_class_checks_do_not_depend_on_the_order_asked(case):
 
 
 def test_hodge_table_svd_count(monkeypatch):
-    """hodge_table on T^4 K=1 makes 39 SVD calls (177 before the class
-    checks shared their bases and carried their ranks, 76 before they shared
-    each decomposition within a batch and ranked single rows and columns by
-    their norms): 34 batched calls in the 25 class checks and 5 per-mode
-    calls for the d kernel's levels.  The batch decomposes 25 distinct
-    matrices: the 12 level blocks of d between adjacent levels from -3 to 3,
-    dbar del on the 5 levels, and the 8 candidate spans of levels -2 to 1."""
+    """hodge_table on T^4 K=1 makes 20 SVD calls (39 when the class checks
+    built bases, 177 before they shared them): 15 values-only calls in the
+    25 class checks and 5 per-mode calls for the d kernel's levels.  The
+    checks rank 26 stacks, each once: del, dbar and dbar del on 5, 6 and 7
+    levels, d's rows and columns on 3 each and M on 2, since a stack with
+    an empty half is that of its other half; the 11 stacks of single rows
+    or columns, or empty, take their vector norms."""
     ctx = HodgeContext(*_case(2, 1))
     calls = []
     svd = np.linalg.svd
@@ -633,11 +636,8 @@ def test_hodge_table_svd_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     hodge_table(ctx)
-    assert len(calls) <= 39
-    assert ctx.check_counts == {
-        "decided": 25, "memo_hits": 0,
-        "decompositions_computed": 25, "decompositions_reused": 35,
-    }
+    assert len(calls) <= 20
+    assert ctx.check_counts == {"decided": 25, "ranks_computed": 26, "ranks_reused": 55}
 
 
 @settings(
@@ -648,8 +648,8 @@ def test_hodge_table_svd_count(monkeypatch):
 def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
     """Any questions, in any order and with repeats, asked as two batches on
     one context give the reference verdicts and what one-at-a-time checks
-    on a fresh context give, with the same counts of decided checks and
-    memo hits."""
+    on a fresh context give, with the same counts of decided checks and of
+    rank stacks computed and reused."""
     case = data.draw(st.sampled_from(CASES), label="case")
     structure, metric, want = _reference_case(case)
     asked = data.draw(st.lists(st.sampled_from(sorted(want)), max_size=2 * len(want)))
@@ -659,59 +659,56 @@ def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
     single = HodgeContext(structure, metric)
     assert got == [single.class_check(kind, k) for kind, k in asked]
     assert got == [want[q] for q in asked]
-    for key in ("decided", "memo_hits"):
-        assert batched.check_counts[key] == single.check_counts[key]
+    assert batched.check_counts == single.check_counts
 
 
 @pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
-def test_a_batch_decomposes_each_matrix_once(case, monkeypatch):
-    """Within one batch, no matrix goes through a decomposing SVD twice, and
-    the number of decompositions does not depend on the order asked."""
+def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
+    """Every question asked twice, in order, reversed or shuffled, as
+    batches or one at a time: each rank stack is built once per context,
+    one MODE_CHUNK of representatives after another, and the same stacks
+    in every order."""
+    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
     structure, metric, want = _reference_case(case)
     questions = list(want)
     shuffled = [questions[i] for i in np.random.default_rng(5).permutation(len(questions))]
-    svd = np.linalg.svd
-    computed = []
-    for order in (questions, shuffled):
-        seen = []
+    built = HodgeContext._rank_matrices
+    stacks = []
+    for order in (questions, questions[::-1], shuffled):
+        chunks = []
 
-        def recording_svd(mats, *args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                seen.append((mats.shape, mats.tobytes()))
-            return svd(mats, *args, **kwargs)
+        def recording(self, key, sel):
+            chunks.append((key, sel.start, sel.stop))
+            return built(self, key, sel)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(HodgeContext, "_rank_matrices", recording)
         ctx = HodgeContext(structure, metric)
-        assert ctx.class_checks(order) == [want[q] for q in order]
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert seen and len(set(seen)) == len(seen)
-        computed.append(ctx.check_counts["decompositions_computed"])
-    assert computed[0] == computed[1]
+        third = len(order) // 3
+        ctx.class_checks(order[:third])
+        for kind, k in order[third:] + order:
+            ctx.class_check(kind, k)
+        count = len(ctx.level_basis.weight)
+        cover = [(sel.start, sel.stop) for sel in hodge._chunks(count, 7)]
+        keys = list(dict.fromkeys(key for key, _, _ in chunks))
+        assert sorted(chunks) == sorted((key, *c) for key in keys for c in cover)
+        assert ctx.check_counts["ranks_computed"] == len(keys) == len(ctx._rank_stacks)
+        assert ctx.check_counts["decided"] == 2 * len(order)
+        stacks.append(sorted(keys))
+    assert stacks[0] == stacks[1] == stacks[2]
 
 
-def test_no_decomposition_outlives_its_batch(monkeypatch):
-    """When a batch reaches level k, every decomposition whose levels all lie
-    below k is freed, and none is alive after the batch returns."""
-    ctx = HodgeContext(*_case(2, 1))
-    kept = []
-    decomposition, check = HodgeContext._decomposition, HodgeContext.class_check
-
-    def recording(self, key):
-        bases = decomposition(self, key)
-        kept.extend((key, weakref.ref(basis)) for basis in bases)
-        return bases
-
-    def inspecting(self, kind, k):
-        assert all(ref() is None for key, ref in kept if max(key) < k), (kind, k)
-        return check(self, kind, k)
-
-    monkeypatch.setattr(HodgeContext, "_decomposition", recording)
-    monkeypatch.setattr(HodgeContext, "class_check", inspecting)
-    questions = [(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS]
-    ctx.class_checks(questions[::-1])
-    assert any(max(key) == 2 for key, _ in kept)
-    assert kept and all(ref() is None for _, ref in kept)
-    assert ctx._batch is None
+def test_class_checks_hold_ranks_alone(monkeypatch):
+    """The class checks build no basis, and what they leave on the context
+    is one (R, 2) int16 rank stack per key and the per-mode rank scale."""
+    ctx = HodgeContext(*_case(2, 1, twisted=True))
+    for name in ("_range_basis", "_range_and_null", "_basis_rank"):
+        monkeypatch.setattr(hodge, name, lambda *args, name=name: pytest.fail(name))
+    ctx.class_checks([(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS])
+    assert ctx._packages == {}
+    count = len(ctx.level_basis.weight)
+    for stack in ctx._rank_stacks.values():
+        assert stack.shape == (count, 2) and stack.dtype == np.int16
+    assert ctx._scale.shape == (count,)
 
 
 @pytest.mark.parametrize(
@@ -1123,7 +1120,7 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     for r in range(-n - 1, n + 2):
         for c in range(-n - 1, n + 2):
             want = whole[reps][:, lb.level(r), lb.level(c)]
-            assert same(ctx._block(r, c), want), (r, c)
+            assert same(ctx._block(r, c, reps), want), (r, c)
 
     chunks = list(hodge._chunks(len(lb.weight), hodge.MODE_CHUNK))
     assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(lb.weight)
@@ -1164,9 +1161,9 @@ def _arrays(value):
 def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
     """After hodge_table on T^4 K=2 (625 modes), what the context and its
     packages hold over the whole box is per-mode indices and scalars (the
-    mirror map, the modes, the rank scale), never a stack of per-mode
-    matrices; the packages' representative spectra are the exception, and
-    they cover the box only when it is twisted."""
+    mirror map, the modes, the rank scale, the class checks' ranks), never
+    a stack of per-mode matrices; the packages' representative spectra are
+    the exception, and they cover the box only when it is twisted."""
     ctx = HodgeContext(*_case(2, 2, twisted))
     hodge_table(ctx)
     count = len(ctx.level_basis.modes)
@@ -1183,7 +1180,8 @@ def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
                 if a.ndim and len(a) == count:
                     box_wide.add(attr)
                     assert a.ndim <= 2 and not np.iscomplexobj(a), attr
-    assert box_wide == ({"rep", "modes", "_scale", "weight"} if twisted else {"rep", "modes"})
+    twisted_wide = {"rep", "modes", "_scale", "_rank_stacks", "weight"}
+    assert box_wide == (twisted_wide if twisted else {"rep", "modes"})
 
 
 def _traced_peak(run) -> int:

@@ -789,9 +789,9 @@ def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
 
 
 def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
-    """Each experiment's sidecar entry counts the class checks it decided or
-    found in the memo and the decompositions it computed or reused; the
-    report bytes are those of a run without the sidecar."""
+    """Each experiment's sidecar entry counts the class checks it decided
+    and the rank stacks it computed or found on the context; the report
+    bytes are those of a run without the sidecar."""
     config = minimal_config()
     config["experiments"].append({"kind": "hodge-table"})
     path = tmp_path / "mini.json"
@@ -803,13 +803,13 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     assert not (tmp_path / "plain" / "mini.timings.json").exists()
     sidecar = json.loads((tmp_path / "timed" / "mini.timings.json").read_text())
     assert [t["class_checks"] for t in sidecar] == [
-        {"decided": 0, "memo_hits": 0, "decompositions_computed": 0, "decompositions_reused": 0},
-        # T^2: 3 levels x 5 kinds decompose 15 matrices: the 8 level blocks
-        # of d between adjacent levels from -2 to 2, dbar del on the 3
-        # levels and the 4 candidate spans of levels -1 and 0; 32 lookups
-        {"decided": 15, "memo_hits": 0,
-         "decompositions_computed": 15, "decompositions_reused": 17},
-        {"decided": 0, "memo_hits": 15, "decompositions_computed": 0, "decompositions_reused": 0},
+        {"decided": 0, "ranks_computed": 0, "ranks_reused": 0},
+        # T^2: 3 levels x 5 kinds rank 14 stacks in 43 lookups: del, dbar
+        # and dbar del on 3, 4 and 5 levels, and d's rows and columns of one
+        # level each (the other rows, columns and M have an empty half);
+        # the second table reads all 43 from the context
+        {"decided": 15, "ranks_computed": 14, "ranks_reused": 29},
+        {"decided": 15, "ranks_computed": 0, "ranks_reused": 43},
     ]
 
 
