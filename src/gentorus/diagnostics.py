@@ -29,11 +29,9 @@ from .fourier import (
 )
 from .hodge import (
     CHECK_KINDS,
-    MODE_CHUNK,
     HodgeContext,
     _adjoint,
     _basis_rank,
-    _chunks,
     _range_and_null,
     _range_basis,
 )
@@ -341,7 +339,8 @@ def calculus_suite(structure: GCStructure, seed: int = 0, samples: int = 5) -> L
 
 
 def _rep_chunks(ctx: HodgeContext):
-    """The context's representative modes, MODE_CHUNK at a time.
+    """The context's representative modes, one chunk at a time: as many as
+    keep four (m, N, N) stacks within ``hodge.CHUNK_BYTES``.
 
     The per-mode terms of the Hodge diagnostics are stacked products over
     these slices, d built for each slice alone.  A mirrored mode's terms
@@ -352,7 +351,7 @@ def _rep_chunks(ctx: HodgeContext):
     case over the representatives is the worst case over the box, and a
     count weights each representative by ``ctx.level_basis.weight``.
     """
-    return _chunks(len(ctx.level_basis.weight), MODE_CHUNK)
+    return ctx.level_basis.rep_chunks(4)
 
 
 def _worst(values: np.ndarray) -> np.ndarray:

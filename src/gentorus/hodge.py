@@ -7,9 +7,12 @@ mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
 box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes
 and their representatives; contexts, packages and the algebroid read them
 there and copy none.  Each reader builds d at exactly the modes it asks for
-(``_LevelBasis.d``), a chunk of MODE_CHUNK modes, the modes of a spinor,
+(``_LevelBasis.d``), a chunk of representatives, the modes of a spinor,
 or one level block at a chunk of representatives, and these are bitwise the
-rows and blocks of a stack over the whole box, which is never held.
+rows and blocks of a stack over the whole box, which is never held.  A
+pass over the representatives goes by chunks bounded in bytes, not modes:
+``_chunk_length`` gives the representatives whose (m, N, N) stacks, as
+many as the pass holds at once, fit in CHUNK_BYTES.
 Adjoints are conjugate transposes in that basis (exact on the truncation).
 The Laplacians are assembled per diagonal block from products of the level
 blocks of d (one block per level; the whole matrix for the level-mixing d
@@ -20,7 +23,7 @@ pseudo-inverse on the kernel complement.  The class checks (the
 ddbar-lemma and the solvability classes) are rank identities, as
 del^2 = dbar^2 = del dbar + dbar del = 0, so every verdict is decided
 from numerical ranks alone: of level blocks of d, of dbar del on a level,
-and of d's rows or columns of a level, built at MODE_CHUNK representatives
+and of d's rows or columns of a level, built one chunk of representatives
 at a time.  A rank is one values-only SVD per chunk, or the vector norm
 for a stack of single rows or columns; no basis is built.  A spinor enters
 and leaves as the coefficient rows of its mode stack, so every operator,
@@ -64,7 +67,9 @@ KINDS = ("d", "del", "dbar", "bc", "aeppli")
 
 RANK_CUTOFF = 1e-9
 
-MODE_CHUNK = 256  # modes per d build and per batched eigh; bounds their transient stacks
+# bytes of the complex (m, N, N) stacks that one chunk of a pass over the
+# representative modes holds at once (``_chunk_length``)
+CHUNK_BYTES = 1 << 20
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 
@@ -185,6 +190,15 @@ def _chunks(count: int, size: int) -> Iterator[slice]:
         yield slice(start, min(start + size, count))
 
 
+def _chunk_length(size: int, stacks: int) -> int:
+    """Representatives per chunk of a pass that holds ``stacks`` complex
+    (m, size, size) stacks at once: as many as keep them within CHUNK_BYTES,
+    and at least one.  Batched ``eigh``, ``svd``, ``matmul`` and ``einsum``
+    give each matrix bitwise the same result in any sub-batch, so the
+    chunk length moves no value."""
+    return max(1, CHUNK_BYTES // (16 * size * size * stacks))
+
+
 def _mode_mirror(count: int, odd: bool) -> np.ndarray:
     """Per mode of a box, the index of the representative mode that stands for it.
 
@@ -214,10 +228,11 @@ class _LevelBasis:
     ``structure.differentials["d"]`` changed to it, and ``d(sel)`` builds d
     from them at the modes that ``sel`` picks.  ``rep`` and ``weight`` are
     the mirror map of ``_mode_mirror`` and the number of modes each
-    representative stands for.  Contexts, packages and the algebroid read
-    these here and copy none of them.  It holds no context, so a context and
-    its packages form no reference cycle and are freed as soon as the
-    context is dropped.
+    representative stands for, and ``rep_chunks`` goes over the
+    representatives one chunk at a time.  Contexts, packages and the
+    algebroid read these here and copy none of them.  It holds no context,
+    so a context and its packages form no reference cycle and are freed as
+    soon as the context is dropped.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
@@ -255,6 +270,11 @@ class _LevelBasis:
         # by the modes it stands for
         self.rep = _mode_mirror(len(self.modes), not self.const.any())
         self.weight = np.bincount(self.rep)
+
+    def rep_chunks(self, stacks: int) -> Iterator[slice]:
+        """The representatives, one chunk at a time, for a pass that holds
+        ``stacks`` complex (m, N, N) stacks at once (``_chunk_length``)."""
+        return _chunks(len(self.weight), _chunk_length(self.size, stacks))
 
     def level(self, k: int) -> slice:
         """Coordinates of level k; empty outside [-n, n]."""
@@ -352,36 +372,41 @@ class _ModeSpectra:
     (a slice or an index array) and returns the diagonal blocks of their
     Laplacians, one (m, n_b, n_b) stack per slice of ``blocks``; the
     Laplacian is zero off these blocks.  The first pass calls it on
-    MODE_CHUNK representatives at a time and gives each block of a chunk to
+    ``chunk`` representatives at a time and gives each block of a chunk to
     one batched ``eigh``, of which it keeps the eigenvalues alone:
-    ``vals[b]`` is (R, n_b) for ``blocks[b]``.  Eigenvalues up to
-    RANK_CUTOFF times the spectral radius count as kernel.
+    ``vals[b]`` is (R, n_b) for ``blocks[b]``.  ``chunk`` is
+    ``_chunk_length`` for the stacks the pass holds at once: the level-mixing
+    ``d`` kind holds four whole (m, N, N) stacks (d, its adjoint, the
+    Laplacian and the eigenvectors), a blockwise kind about one, the d it
+    builds.  Eigenvalues up to RANK_CUTOFF times the spectral radius count
+    as kernel.
 
     Eigenvectors are built again by ``eigh`` at the representatives a
-    reader asks for (``decompose``).  Batched ``eigh`` gives each matrix
-    bitwise the same result in any sub-batch, so they are bitwise those of
-    the first pass.  ``vectors`` keeps those it builds, in the order they
-    were first asked for, for the next read: ``_slot[r]`` is representative
-    r's row in ``_held``, -1 before r is asked for, and ``_slot`` is None
-    until the first read, so spectra never read hold nothing over the modes
-    but ``vals``.  When one chunk covers every representative, the pass
-    keeps that chunk's vectors instead: dropping them would lower no peak,
-    and every read would rebuild them.  Every reader indexes through
-    ``lb.rep``.  The spectra hold ``lb``, never a context, so spectra that
-    outlive their context keep none alive.
+    reader asks for (``decompose``), ``chunk`` of them at a time.  Batched
+    ``eigh`` gives each matrix bitwise the same result in any sub-batch, so
+    they are bitwise those of the first pass.  ``vectors`` keeps those it
+    builds, in the order they were first asked for, for the next read:
+    ``_slot[r]`` is representative r's row in ``_held``, -1 before r is
+    asked for, and ``_slot`` is None until the first read, so spectra never
+    read hold nothing over the modes but ``vals``.  When one chunk covers
+    every representative, the pass keeps that chunk's vectors instead:
+    dropping them would lower no peak, and every read would rebuild them.
+    Every reader indexes through ``lb.rep``.  The spectra hold ``lb``, never
+    a context, so spectra that outlive their context keep none alive.
     """
 
     def __init__(self, lb: _LevelBasis, kind: str):
         self.level_basis = lb
         self.kind = kind
         self.blocks = lb.blocks(kind)
+        self.chunk = _chunk_length(lb.size, 4 if kind == "d" else 1)
         count = len(lb.weight)
         self.vals = [np.empty((count, b.stop - b.start)) for b in self.blocks]
         first: List[np.ndarray] = []  # the vectors kept when one chunk covers every representative
-        for sel in _chunks(count, MODE_CHUNK):
+        for sel in _chunks(count, self.chunk):
             for vals, block in zip(self.vals, self._laplacian(sel)):
                 vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
-                if count <= MODE_CHUNK:
+                if count <= self.chunk:
                     first.append(vecs)
                 del vecs  # otherwise freed before the next eigh
         self.radius = max(float(v.max()) for v in self.vals)
@@ -395,9 +420,9 @@ class _ModeSpectra:
     def decompose(self, reps: np.ndarray) -> List[np.ndarray]:
         """The eigenvectors at the representatives ``reps``, a nonempty
         index array: one (len(reps), n_b, n_b) stack per block, by batched
-        ``eigh`` over MODE_CHUNK of them at a time.  Nothing is kept."""
+        ``eigh`` over ``chunk`` of them at a time.  Nothing is kept."""
         parts: List[List[np.ndarray]] = [[] for _ in self.blocks]
-        for sel in _chunks(len(reps), MODE_CHUNK):
+        for sel in _chunks(len(reps), self.chunk):
             for part, block in zip(parts, self._laplacian(reps[sel])):
                 part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
         return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
@@ -599,6 +624,8 @@ class HodgeContext:
         self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
+        # per package built, its spectra's first pass: kind, chunk length, chunks
+        self.spectra_passes: List[Dict] = []
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -646,7 +673,9 @@ class HodgeContext:
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
-            self._packages[kind] = HodgePackage(self, kind)
+            self._packages[kind] = pk = HodgePackage(self, kind)
+            count, chunk = len(self.level_basis.weight), pk._spectra.chunk
+            self.spectra_passes.append({"kind": kind, "chunk": chunk, "chunks": -(-count // chunk)})
         return self._packages[kind]
 
     def identity_residual(self, kind: str) -> float:
@@ -655,7 +684,7 @@ class HodgeContext:
         its mirror have bitwise-equal Laplacians."""
         lb, sp = self.level_basis, self.package(kind)._spectra
         worst = 0.0
-        for sel in _chunks(len(lb.weight), MODE_CHUNK):
+        for sel in lb.rep_chunks(4):
             resid = (
                 sp.matrix(sel, sp.harmonic_weights)
                 + self._laplacian(kind, sel) @ sp.matrix(sel, sp.green_weights)
@@ -814,9 +843,9 @@ class HodgeContext:
         """Per representative mode, the operator scale and the absolute rank
         floor tied to it."""
         if self._scale is None:
-            chunks = _chunks(len(self.level_basis.weight), MODE_CHUNK)
+            lb = self.level_basis
             self._scale = np.maximum(1.0, np.concatenate(
-                [np.abs(self.level_basis.d(sel)).max(axis=(1, 2)) for sel in chunks]
+                [np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in lb.rep_chunks(1)]
             ))
         return self._scale, RANK_CUTOFF * self._scale
 
@@ -849,8 +878,9 @@ class HodgeContext:
         """Per representative mode, the ranks of the stack that ``key`` names
         (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
         at floor * scale, both from one values-only SVD.  Computed once per
-        context, over MODE_CHUNK representatives at a time, and kept; a
-        stack with an empty half is kept as the stack of its other half."""
+        context, over chunks of ``_chunk_length`` representatives for one d
+        stack (its blocks of d are smaller than d), and kept; a stack
+        with an empty half is kept as the stack of its other half."""
         name, j = key
         has = self.level_basis.level_slices.__contains__
         if name == "M" and not has(j - 1):
@@ -870,7 +900,7 @@ class HodgeContext:
         floors = np.stack([floor, floor * scale], axis=-1)
         # int16, a quarter of int64: the stacks are held while packages build
         ranks = np.empty(floors.shape, dtype=np.int16)
-        for sel in _chunks(len(scale), MODE_CHUNK):
+        for sel in self.level_basis.rep_chunks(1):
             values = _singular_values(self._rank_matrices(key, sel))
             ranks[sel] = _cut(values[:, None], floors[sel])
         self._rank_stacks[key] = ranks

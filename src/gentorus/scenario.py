@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .diagnostics import (
     structure_suite,
 )
 from .fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
-from .hodge import CHECK_COUNTERS, HodgeContext, ObstructionError
+from .hodge import CHECK_COUNTERS, CHUNK_BYTES, HodgeContext, ObstructionError
 from .metric import GeneralizedMetric, MetricError
 from .report import FORMATS
 from .spinor import CliffordPoly, Spinor, random_spinor
@@ -56,17 +56,23 @@ MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 MEMORY_BUDGET = 4 * 2 ** 30
 # complex (R, N, N) stacks over the representative modes that a Hodge
 # context and the experiment using it hold at once, in units of one d stack
-# over them, per experiment kind; "expand" is the algebroid package of an
-# expanded deformation, of the same size.  A context holds no d stack, and
-# its packages hold their eigenvalues and the eigenvectors of the
-# representatives read so far.  tracemalloc peaks on complex T^4 K=2, K=3
-# and T^6 K=1 are 3.5, 1.3 and 2.9 such stacks for hodge-table, in the d
-# package's Laplacian build (T^4 K=2 reads highest: one MODE_CHUNK there
-# holds 256 of its 313 representatives), and 14.7 and 11.6 for
-# identity-suite with 2 samples on T^4 K=2 and T^6 K=1, whose identities
-# read every representative's eigenvectors.  extend, scan and expand keep
-# the identity suite's bound.
-HODGE_STACKS = {"identity-suite": 16, "hodge-table": 4, "extend": 16, "scan": 16, "expand": 16}
+# over them, per experiment kind that reads eigenvectors; "expand" is the
+# algebroid package of an expanded deformation, of the same size.  A context
+# holds no d stack, and its packages hold their eigenvalues and the
+# eigenvectors of the representatives read so far.  tracemalloc peaks of an
+# identity suite with 2 samples are 14.7 and 11.6 such stacks on complex
+# T^4 K=2 and T^6 K=1, whose identities read every representative's
+# eigenvectors.  extend, scan and expand keep the identity suite's bound.
+HODGE_STACKS = {"identity-suite": 16, "extend": 16, "scan": 16, "expand": 16}
+# a hodge-table reads no eigenvectors and holds no d stack: its context
+# keeps the four packages' (R, N) float eigenvalues, the class checks' (R, 2)
+# int16 rank stacks (at most six per level from -n - 1 to n + 1), and the
+# box's (P, 2n) modes with their mirror map, and each pass holds one chunk
+# of CHUNK_BYTES at a time, with room here for this many.  tracemalloc peaks
+# of hodge_table on complex T^4 K=2, K=3 and T^6 K=1 are 1.99, 2.54 and
+# 2.87 MB, against estimates of 4.7, 5.4 and 15.3 MB that count the
+# structure too (``tools/hodge_peaks.py`` prints both).
+HODGE_TABLE_CHUNKS = 4
 
 # the keys a config may hold, the keys of each experiment kind besides
 # "kind", of each structure type and of each nested block; any other key is
@@ -225,21 +231,36 @@ def _twisted(spec) -> bool:
     return bool(spec.get("H")) or _twisted(spec.get("base"))
 
 
-def _estimated_bytes(n: int, K: int, twisted: bool, stacks: float) -> float:
+def _context_bytes(kind: str, n: int, modes: float, reps: float, size: float) -> float:
+    """The bytes a Hodge context and an experiment of ``kind`` hold over
+    the ``modes`` box modes and ``reps`` representatives, with ``size``
+    spinor components: ``HODGE_STACKS`` d stacks, or what a hodge-table
+    keeps."""
+    if kind == "hodge-table":
+        vals = 4 * reps * size * 8
+        ranks = 6 * (2 * n + 3) * reps * 2 * 2
+        box = modes * (2 * n + 1) * 8
+        return vals + ranks + box + HODGE_TABLE_CHUNKS * CHUNK_BYTES
+    return HODGE_STACKS[kind] * reps * size ** 2 * 16
+
+
+def _estimated_bytes(n: int, K: int, twisted: bool, kinds: Iterable[str]) -> float:
     """The bytes of a config's largest arrays, with N = 4^n spinor
     components: the structure's 4n complex (N, N) Clifford generators and
     the full SVD of its (2n N, N) frame action, four of its complex (2n N,
-    2n N) U, and ``stacks`` complex d stacks over the R representative modes
-    of a Hodge context (R = P // 2 + 1 of the P box modes, every mode when
-    twisted), 0 when none is built.  Counted in floats, so that a huge n or
-    K reads as infinite rather than being raised to its power exactly."""
+    2n N) U, and what the Hodge context of the largest of the experiment
+    ``kinds`` holds (``_context_bytes``) over the R representative modes
+    (R = P // 2 + 1 of the P box modes, every mode when twisted).  Counted
+    in floats, so that a huge n or K reads as infinite rather than being
+    raised to its power exactly."""
     try:
         size = 4.0 ** n
         total = 4 * n * size ** 2 * 16 + 4 * (2 * n * size) ** 2 * 16
-        if stacks:
+        kinds = [kind for kind in kinds if kind == "hodge-table" or kind in HODGE_STACKS]
+        if kinds:
             modes = (2.0 * K + 1) ** (2 * n)
             reps = modes if twisted else modes // 2 + 1
-            total += stacks * reps * size ** 2 * 16
+            total += max(_context_bytes(kind, n, modes, reps, size) for kind in kinds)
     except OverflowError:
         return math.inf
     return total
@@ -350,9 +371,8 @@ class Scenario:
         kinds = [exp.get("kind") for exp in self.experiments]
         if deformation and deformation.get("expand"):
             kinds.append("expand")
-        stacks = max((HODGE_STACKS[kind] for kind in kinds if kind in HODGE_STACKS), default=0)
         need = _estimated_bytes(
-            self.geometry.n, self.box.K, _twisted(self.config.get("structure")), stacks
+            self.geometry.n, self.box.K, _twisted(self.config.get("structure")), kinds
         )
         if need > MEMORY_BUDGET:
             raise ScenarioError(
@@ -487,6 +507,11 @@ class Runner:
         if self._context is None:
             return dict.fromkeys(CHECK_COUNTERS, 0)
         return dict(self._context.check_counts)
+
+    def _spectra_passes(self) -> List[Dict]:
+        """The first pass of each package the runner's context has built:
+        kind, chunk length and chunk count; none before it exists."""
+        return [] if self._context is None else list(self._context.spectra_passes)
 
     def _mode_counts(self) -> Dict[str, int]:
         """The modes of the scenario's box, and how many of them the runner's
@@ -708,7 +733,7 @@ class Runner:
         for exp in self.scenario.experiments:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
-            counts_before = self._check_counts()
+            counts_before, passes_before = self._check_counts(), len(self._spectra_passes())
             self._timing_details = {}
             started = time.monotonic()
             try:
@@ -747,6 +772,7 @@ class Runner:
                     key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
                 },
                 "modes": self._mode_counts(),
+                "spectra_passes": self._spectra_passes()[passes_before:],
             }
             timing.update(self._timing_details)
             timings.append(timing)

@@ -363,6 +363,12 @@ def _case(n, K, twisted=False, g_scale=1.0, h=(0, 1, 2)):
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
 
 
+def _chunk_bytes(size, reps, stacks=1):
+    """The ``hodge.CHUNK_BYTES`` at which a pass that holds ``stacks``
+    complex (m, size, size) stacks goes ``reps`` representatives at a time."""
+    return 16 * size * size * stacks * reps
+
+
 @pytest.mark.parametrize("policy", ["strict", "drop"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wedge_matrix_equals_the_sign_reference(n, policy):
@@ -403,8 +409,9 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     from gentorus.deformation import AlgebroidHodge
     from gentorus.spinor import CliffordPoly
 
-    # several chunks, the last one ragged
-    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    # several chunks of 7 representatives in the blockwise passes, the last
+    # one ragged
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(4 ** n, 7))
     s, m = _case(n, K, twisted)
     ctx = HodgeContext(s, m)
     alg = AlgebroidHodge(s, m)
@@ -666,10 +673,10 @@ def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
 def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
     """Every question asked twice, in order, reversed or shuffled, as
     batches or one at a time: each rank stack is built once per context,
-    one MODE_CHUNK of representatives after another, and the same stacks
-    in every order."""
-    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    one chunk of 7 representatives after another, and the same stacks in
+    every order."""
     structure, metric, want = _reference_case(case)
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(2 ** structure.dim, 7))
     questions = list(want)
     shuffled = [questions[i] for i in np.random.default_rng(5).permutation(len(questions))]
     built = HodgeContext._rank_matrices
@@ -1064,8 +1071,10 @@ def test_algebroid_package_makes_no_dL_calls(monkeypatch):
 def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, monkeypatch):
     """On T^4 K=1 (81 modes) every mode stack that hodge_table hands to
     svd or eigh holds at most the 41 representatives when untwisted, and
-    all 81 modes when twisted.  The package builds hold all of them; the
-    level content of the d kernel decomposes only the modes with a kernel."""
+    all 81 modes when twisted.  With CHUNK_BYTES room for one chunk of 81
+    in every pass, the package builds hold all of them; the level content
+    of the d kernel decomposes only the modes with a kernel."""
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 81, stacks=4))
     ctx = HodgeContext(*_case(2, 1, twisted))
     stacks = []
     for name in ("svd", "eigh"):
@@ -1107,7 +1116,7 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     masked operators and of its Laplacian blocks, d at scattered modes and
     at one mode, and the rank floors equal the slices of the whole-box
     ``_stack_linear`` stack bitwise, over ragged chunks of 7 modes."""
-    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 7))
     ctx = HodgeContext(*ASSEMBLY_CASES[name]())
     lb = ctx.level_basis
     whole = hodge._stack_linear(lb.const, lb.slopes, lb.modes)
@@ -1122,7 +1131,7 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
             want = whole[reps][:, lb.level(r), lb.level(c)]
             assert same(ctx._block(r, c, reps), want), (r, c)
 
-    chunks = list(hodge._chunks(len(lb.weight), hodge.MODE_CHUNK))
+    chunks = list(lb.rep_chunks(1))
     assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(lb.weight)
     masked = {key: np.where(mask, whole, 0.0) for key, mask in ctx._masks.items()}
     masked["d"] = whole
@@ -1205,15 +1214,33 @@ def test_hodge_context_and_class_checks_peak_below_one_box_d_stack():
     assert _traced_peak(lambda: HodgeContext(s, m).class_checks(questions)) < stack
 
 
+def _representative_stack(s) -> int:
+    """Bytes of one complex d stack over the representative modes of an
+    untwisted box."""
+    return (len(list(s.box.modes(s.geometry))) // 2 + 1) * 16 * (2 ** s.dim) ** 2
+
+
 def test_hodge_table_peaks_below_two_box_d_stacks():
-    """hodge_table on complex T^4 K=3, context included, peaks below two
-    whole-box d stacks (1.5 of them, in the d package's own eigenvector
-    build; 2.4 when d was kept over the box).  At K=2 one MODE_CHUNK holds
-    256 of the 313 representatives, so that build's chunk-sized temporaries
-    lift the peak to 2.7 stacks there."""
+    """hodge_table on complex T^4 K=3, context included, peaks below 0.6
+    of one d stack over the 1201 representatives (0.52, about a quarter of
+    a whole-box stack: the packages' eigenvalues and rank stacks held, plus
+    one chunk of CHUNK_BYTES in a package's first pass).  It read 1.25 when
+    passes went 256 modes at a time and the d package's first pass, which
+    holds four such stacks, set the peak, and 4.8 when d was kept over the
+    box."""
     s, m = _case(2, 3)
-    stack = len(list(s.box.modes(s.geometry))) * 16 * 16 * 16
-    assert _traced_peak(lambda: hodge_table(HodgeContext(s, m))) < 2 * stack
+    peak = _traced_peak(lambda: hodge_table(HodgeContext(s, m)))
+    assert peak < 0.6 * _representative_stack(s)
+
+
+def test_t6_hodge_table_peaks_below_a_sixth_of_a_representative_d_stack():
+    """hodge_table on complex T^6 K=1 (365 representatives, N = 64), context
+    included, peaks below a sixth of one d stack over the representatives
+    (0.12 of one; 2.9 when the d package's first pass went 256 modes at a
+    time)."""
+    s, m = _case(3, 1)
+    peak = _traced_peak(lambda: hodge_table(HodgeContext(s, m)))
+    assert peak < _representative_stack(s) / 6
 
 
 def test_packages_hold_their_eigenvalues_alone_after_hodge_table():
@@ -1255,10 +1282,13 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     scattered and repeated, in ragged chunks of 7 modes, with and without
     being kept, are bitwise those of one eigh over the whole box, and so
     are those that the first pass keeps when one chunk of 256 covers the
-    representatives."""
-    monkeypatch.setattr(hodge, "MODE_CHUNK", chunk)
+    representatives.  The d kind's pass holds four stacks, a blockwise
+    one's one, and the chunk is set in bytes for the kind's own."""
+    stacks = 4 if kind == "d" else 1
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk, stacks))
     ctx = HodgeContext(*ON_DEMAND_CASES[name]())
     sp = ctx.package(kind)._spectra
+    assert sp.chunk == chunk
     full = _full_box_spectra(ctx, kind)
     count = len(ctx.level_basis.weight)
 
@@ -1284,10 +1314,13 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
 def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, chunk, monkeypatch):
     """Green and harmonic reads at one mode at a time, repeated, at k and at
     -k, hand each representative to eigh once per package: one matrix per
-    block, the first time it is read.  When one chunk of 256 covers the 41
-    or 81 representatives of T^4 K=1, the first pass keeps its vectors and
-    no read decomposes."""
-    monkeypatch.setattr(hodge, "MODE_CHUNK", chunk)
+    block, the first time it is read.  ``chunk`` is the blockwise passes'
+    chunk length (256 at the default CHUNK_BYTES); the d kind's pass holds
+    four stacks, so its chunk is a quarter of it, 1 or 64.  When one chunk
+    covers the 41 or 81 representatives of T^4 K=1, the first pass keeps
+    its vectors and no read decomposes: every pass at 256, and the d kind's
+    at 64 untwisted only."""
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk))
     ctx = HodgeContext(*_case(2, 1, twisted))
     lb = ctx.level_basis
     packages = {kind: ctx.package(kind) for kind in ("dbar", "bc", "d")}
@@ -1311,7 +1344,9 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
                 pk.harmonic(sigma)
                 first.setdefault(i, pk.green_matrix(modes[i]))
                 assert np.array_equal(pk.green_matrix(modes[i]), first[i])
-        reps = {int(lb.rep[i]) for i in positions} if chunk < len(lb.weight) else set()
+        assert pk._spectra.chunk == (chunk // 4 if kind == "d" else chunk)
+        covered = pk._spectra.chunk >= len(lb.weight)
+        reps = set() if covered else {int(lb.rep[i]) for i in positions}
         assert sum(decomposed) == len(reps) * len(pk._spectra.blocks), kind
 
 
@@ -1324,7 +1359,8 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
 
     from gentorus.deformation import AlgebroidHodge
 
-    monkeypatch.setattr(hodge, "MODE_CHUNK", 7)
+    # chunks of 7 representatives, so no first pass keeps its vectors
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 7))
     s, m = _case(2, 1)
     gc.collect()
     gc.disable()

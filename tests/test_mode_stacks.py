@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gentorus import diagnostics
+from gentorus import diagnostics, hodge
 from gentorus.calculus import del_op, delbar_op, lie_derivation_dL, twisted_d
 from gentorus.deformation import (
     AlgebroidHodge,
@@ -1780,8 +1780,9 @@ def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
     the per-mode loops over the whole box exactly; on the twisted torus every
     mode is its own representative.  A median kernel cutoff makes the
     kernel-dimension counts nonzero, so the weights of the representatives
-    show.  With MODE_CHUNK at 7 or 1 the chunks end mid-box and the values
-    stay the same."""
+    show.  With ``hodge.CHUNK_BYTES`` set so that the diagnostics' passes
+    go 7 or 1 representatives at a time, the chunks end mid-box and the
+    values stay the same."""
     ctx = _hodge_case(name)
     assert (len(ctx.level_basis.weight) == len(ctx.level_basis.modes)) == (name == "twisted")
     if cutoff == "median":
@@ -1795,8 +1796,12 @@ def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
     )
     counts = [e["value"] for e in want if e["name"].startswith(("kernel_char", "decomposition_dims"))]
     assert any(counts) == (cutoff == "median")
-    for chunk in (diagnostics.MODE_CHUNK, 7, 1):
-        monkeypatch.setattr(diagnostics, "MODE_CHUNK", chunk)
+    size = ctx.level_basis.size
+    for chunk in (None, 7, 1):
+        if chunk:
+            # the diagnostics' passes hold four (m, N, N) stacks
+            monkeypatch.setattr(hodge, "CHUNK_BYTES", 16 * size * size * 4 * chunk)
+            assert next(diagnostics._rep_chunks(ctx)) == slice(0, chunk)
         got = (
             diagnostics._matrix_identities(ctx) + diagnostics._kernel_characterizations(ctx)
             + diagnostics._green_commutation(ctx) + diagnostics._star_conjugation(ctx)

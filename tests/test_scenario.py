@@ -358,7 +358,7 @@ def test_cli_tolerance_must_be_a_finite_positive_number(value, tmp_path, capsys)
     "n, K, experiments",
     [
         (3, 6, [{"kind": "hodge-table"}]), (12, 0, []), (5, 0, []),
-        (4, 1, [{"kind": "hodge-table"}]), (10 ** 6, 0, []), (1, 10 ** 400, [{"kind": "scan"}]),
+        (4, 3, [{"kind": "hodge-table"}]), (10 ** 6, 0, []), (1, 10 ** 400, [{"kind": "scan"}]),
     ],
 )
 def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path, capsys):
@@ -376,18 +376,26 @@ def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path,
 
 
 def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
-    """Complex T^6 K=1 with a hodge-table stays within the budget, and so
-    does K=2, since a hodge-table's packages keep their eigenvalues alone;
-    an identity suite at K=2, which reads every representative's
-    eigenvectors, is still refused.  The same box twisted counts every mode."""
-    from gentorus.scenario import HODGE_STACKS, MEMORY_BUDGET, _estimated_bytes
+    """Complex T^6 K=1, K=2 and K=3 with a hodge-table stay within the
+    budget, since a hodge-table holds its packages' eigenvalues and rank
+    stacks, not eigenvectors (0.14 GiB at K=3, where a hodge-table ran in
+    252 MB max RSS), and so does T^8 K=1 (0.3 GiB, mostly the structure's
+    SVD); T^8 K=3 is refused.  An identity suite at T^6 K=2, which reads
+    every representative's eigenvectors, is still refused.  The same box
+    twisted counts every mode, and a config with no Hodge experiment
+    counts the structure alone."""
+    from gentorus.scenario import MEMORY_BUDGET, _estimated_bytes
 
-    table, suite = HODGE_STACKS["hodge-table"], HODGE_STACKS["identity-suite"]
-    assert _estimated_bytes(3, 1, False, table) < MEMORY_BUDGET
+    table, suite = ["hodge-table"], ["identity-suite"]
+    for K in (1, 2, 3):
+        assert _estimated_bytes(3, K, False, table) < MEMORY_BUDGET
     assert _estimated_bytes(3, 1, True, table) > _estimated_bytes(3, 1, False, table)
-    assert _estimated_bytes(3, 2, False, table) < MEMORY_BUDGET
+    assert _estimated_bytes(4, 1, False, table) < MEMORY_BUDGET
+    assert _estimated_bytes(4, 3, False, table) > MEMORY_BUDGET
     assert _estimated_bytes(3, 2, False, suite) > MEMORY_BUDGET
-    assert _estimated_bytes(3, 3, False, 0) < MEMORY_BUDGET
+    assert _estimated_bytes(3, 2, False, table + suite) == _estimated_bytes(3, 2, False, suite)
+    assert _estimated_bytes(3, 3, False, []) == _estimated_bytes(3, 3, False, ["criterion"])
+    assert _estimated_bytes(3, 3, False, []) < _estimated_bytes(3, 3, False, table)
 
 
 @pytest.mark.parametrize(
@@ -811,6 +819,15 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
         {"decided": 15, "ranks_computed": 14, "ranks_reused": 29},
         {"decided": 15, "ranks_computed": 0, "ranks_reused": 43},
     ]
+    # the first pass of each package the experiment built, outside the
+    # report: the identity suite builds all five and the tables read them.
+    # A pass goes CHUNK_BYTES / (16 N^2 stacks) representatives at a time,
+    # 4096 at N = 4, a quarter of that for the d kind's four stacks, so
+    # T^2's 5 representatives take one chunk
+    passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1}
+              for kind in ("dbar", "bc", "aeppli", "d", "del")]
+    assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
+    assert '"spectra_passes"' not in timed.read_text()
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
@@ -1129,3 +1146,23 @@ def test_report_digests_tool_hashes_the_canonical_report():
     path = SCENARIOS / "t2_complex_identity.json"
     golden = GOLDENS / "t2-complex-identity.json"
     assert tool.digest(json.loads(path.read_text())) == hashlib.sha256(golden.read_bytes()).hexdigest()
+
+
+def test_hodge_peaks_tool_estimate_covers_the_traced_peak(capsys):
+    """``tools/hodge_peaks.py`` runs a complex hodge-table on T^4 K=1 and
+    K=2 in a fresh interpreter each; the admission estimate is at least the
+    tracemalloc peak of ``hodge_table``, and the printed table has one row
+    per case."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("hodge_peaks", ROOT / "tools" / "hodge_peaks.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for K in (1, 2):
+        m = tool.measure(2, K)
+        assert (m["n"], m["K"]) == (2, K)
+        assert 0 < m["peak_bytes"] <= m["estimate_bytes"]
+        assert m["peak_bytes"] < m["max_rss_bytes"]
+    assert tool.main(["--case", "2", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 and rows[1].startswith("T^4 K=1")
