@@ -527,20 +527,22 @@ def hodge_table(ctx: HodgeContext) -> Dict:
     """Kernel dimensions per kind and level plus class-check verdicts.
 
     The class checks go first.  They are decided from rank stacks that
-    the context keeps, one int per representative mode, and they hold no
-    basis when the packages are built.  The packages are read through
-    ``kernel_dimensions`` alone: the blockwise kinds count eigenvalues, and
-    the level-mixing ``d`` builds eigenvectors only at the modes that have
-    a kernel, once for all the levels, and keeps none, so the packages end
-    up holding their eigenvalues alone.
+    the context keeps, one int per representative mode.  The kernel
+    dimensions are rank identities over the same stacks
+    (``HodgeContext.kernel_counts``): the table builds no package and no
+    Laplacian spectra, and ranks anew only the two parity blocks of d,
+    whose Laplacian it eigendecomposes only at the modes that have a
+    kernel, for the kernel's level content.  ``warnings`` appears when
+    singular values of the stacks read lie within 10x of the rank cut.
     """
     levels = list(ctx.structure.levels())
     questions = [(kind, k) for k in levels for kind in CHECK_KINDS]
     checks: Dict[str, Dict[str, bool]] = {str(k): {} for k in levels}
     for (kind, k), check in zip(questions, ctx.class_checks(questions)):
         checks[str(k)][kind] = check["holds"]
-    dims = {
-        kind: {str(k): n for k, n in ctx.package(kind).kernel_dimensions().items()}
-        for kind in ("dbar", "bc", "aeppli", "d")
-    }
-    return {"kernel_dimensions": dims, "class_checks": checks}
+    counts, gap = ctx.kernel_counts(("dbar", "bc", "aeppli", "d"))
+    dims = {kind: {str(k): n for k, n in per_level.items()} for kind, per_level in counts.items()}
+    table = {"kernel_dimensions": dims, "class_checks": checks}
+    if gap:
+        table["warnings"] = [f"rank gap warning: {gap} singular values within 10x of the rank cut"]
+    return table

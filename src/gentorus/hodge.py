@@ -32,14 +32,19 @@ The Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar
 complex in polynomial coordinates (P maps to P . rho0), so it holds no
 operator of its own: its differential is the raising blocks of the level
 basis's d, and its spectra are those of the dbar Laplacian, which reads
-only those blocks.  What a context holds over the modes is the class
-checks' rank stacks, one int per representative mode and cut, and the
-packages' eigenvalues at the representative modes (and their eigenvectors
-when one chunk covers them).  A package builds eigenvectors again, by the
-same batched ``eigh``, at the representatives a reader asks for: bitwise
-those of the first pass, kept for the projector, Green operator and
-harmonic basis, and dropped after the level content of the ``d`` kernel
-is counted.
+only those blocks.  The kernel dimensions of the dbar, bc, aeppli and d
+Laplacians are rank identities over the same rank stacks
+(``HodgeContext.kernel_counts``), with d ranked by its two parity blocks,
+so a hodge-table builds no package and no Laplacian spectra: it
+eigendecomposes the d Laplacian only at the modes that have a kernel, for
+the kernel's level content.  What a context holds over the modes is its
+rank stacks, one int per representative mode and cut, and the packages'
+eigenvalues at the representative modes (and their eigenvectors when one
+chunk covers them).  A package builds eigenvectors again, by the same
+batched ``eigh``, at the representatives a reader asks for: bitwise those
+of the first pass, kept for the projector, Green operator and harmonic
+basis, and dropped after the level content of the ``d`` kernel is
+counted.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -47,7 +52,7 @@ have the same ranks and spans.  The box's modes run lexicographically over
 a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
 M // 2 + 1 modes are eigendecomposed and ranked (``_mode_mirror``).  Every
 reader maps a mode to its representative, and every count over the modes
-(kernel dimensions, class-check dims, spectral-gap warnings) weights a
+(kernel dimensions, class-check dims, gap warnings) weights a
 representative by the two modes it stands for (one for mode 0).  A twisted
 context, whose C is not exactly zero, decomposes every mode.
 """
@@ -86,8 +91,9 @@ class ObstructionError(ValueError):
         self.data = data or {}
 
 
-def _cut(s: np.ndarray, floor) -> np.ndarray:
-    """Per matrix, the number of singular values above max(RANK_CUTOFF * s_max, floor).
+def _cut(s: np.ndarray, floor, margin: float = 1.0) -> np.ndarray:
+    """Per matrix, the number of singular values above the cut
+    max(RANK_CUTOFF * s_max, floor), or above ``margin`` times it.
 
     ``s`` holds descending singular values along its last axis and ``floor``
     broadcasts against the rest.  The absolute floor matters when a matrix
@@ -95,7 +101,7 @@ def _cut(s: np.ndarray, floor) -> np.ndarray:
     meaningless reference.
     """
     bound = np.maximum(RANK_CUTOFF * s[..., :1], np.asarray(floor)[..., None])
-    return np.sum(s > bound, axis=-1)
+    return np.sum(s > margin * bound, axis=-1)
 
 
 def _below(rank: np.ndarray, width: int) -> np.ndarray:
@@ -287,6 +293,13 @@ class _LevelBasis:
             return [slice(0, self.size)]
         return [self.level_slices[k] for k in self.levels]
 
+    def spectra_chunk(self, kind: str) -> int:
+        """Representatives per chunk of a pass that eigendecomposes the
+        ``kind`` Laplacian: the level-mixing ``d`` holds four whole (m, N, N)
+        stacks (d, its adjoint, the Laplacian and the eigenvectors), a
+        blockwise kind about one, the d it builds."""
+        return _chunk_length(self.size, 4 if kind == "d" else 1)
+
     def d(self, sel) -> np.ndarray:
         """d at the box modes picked by ``sel`` (index, slice or indices),
         built from C and the A_a: bitwise the rows of a whole-box stack."""
@@ -358,6 +371,36 @@ def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndar
     return out
 
 
+def _eigenvectors(lb: _LevelBasis, kind: str, reps: np.ndarray, chunk: int) -> List[np.ndarray]:
+    """The eigenvectors of the ``kind`` Laplacians at the representatives
+    ``reps``, a nonempty index array, in ascending order of eigenvalue: one
+    (len(reps), n_b, n_b) stack per diagonal block, by batched ``eigh`` over
+    ``chunk`` of them at a time.  Batched ``eigh`` gives each matrix bitwise
+    the same result in any sub-batch, so these are bitwise those of any
+    other pass over the same representatives."""
+    parts: List[List[np.ndarray]] = [[] for _ in lb.blocks(kind)]
+    for sel in _chunks(len(reps), chunk):
+        for part, block in zip(parts, _laplacian_blocks(lb, lb.d(reps[sel]), kind)):
+            part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
+    return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
+
+
+def _level_content(
+    lb: _LevelBasis, kernels: Iterable[np.ndarray], weight: np.ndarray
+) -> Dict[int, int]:
+    """Per level, the dimension of the level content of level-mixing
+    kernels: ``kernels`` holds one (N, m) orthonormal kernel basis per
+    representative, weighted by ``weight``, and each counts the rank of its
+    basis projected to the level."""
+    counts = dict.fromkeys(lb.levels, 0)
+    for w, basis in zip(weight, kernels):
+        for level in lb.levels:
+            s = np.linalg.svd(basis[lb.level_slices[level]], compute_uv=False)
+            if s[0] > RANK_CUTOFF:
+                counts[level] += int(w) * int(np.sum(s > RANK_CUTOFF * s[0]))
+    return counts
+
+
 class _ModeSpectra:
     """Eigenvalues of the per-mode Hermitian ``kind`` Laplacians of d in the
     level basis ``lb``, by diagonal block, and their eigenvectors at the
@@ -368,18 +411,15 @@ class _ModeSpectra:
     it shares, and ``lb.weight[r]`` counts the modes that representative r
     stands for.  An untwisted operator pairs k with -k, so R = M // 2 + 1 of
     the M modes are decomposed; a twisted one decomposes every mode.
-    ``_laplacian(sel)`` builds d at the representatives picked by ``sel``
-    (a slice or an index array) and returns the diagonal blocks of their
-    Laplacians, one (m, n_b, n_b) stack per slice of ``blocks``; the
-    Laplacian is zero off these blocks.  The first pass calls it on
-    ``chunk`` representatives at a time and gives each block of a chunk to
-    one batched ``eigh``, of which it keeps the eigenvalues alone:
+    The first pass builds d at ``chunk`` representatives at a time and
+    the diagonal blocks of their Laplacians (``_laplacian_blocks``), one
+    (m, n_b, n_b) stack per slice of ``blocks``, the Laplacian being zero
+    off these blocks, and gives each block of a chunk to one batched
+    ``eigh``, of which it keeps the eigenvalues alone:
     ``vals[b]`` is (R, n_b) for ``blocks[b]``.  ``chunk`` is
-    ``_chunk_length`` for the stacks the pass holds at once: the level-mixing
-    ``d`` kind holds four whole (m, N, N) stacks (d, its adjoint, the
-    Laplacian and the eigenvectors), a blockwise kind about one, the d it
-    builds.  Eigenvalues up to RANK_CUTOFF times the spectral radius count
-    as kernel.
+    ``lb.spectra_chunk(kind)``, for the stacks the pass holds at once.
+    Eigenvalues up to RANK_CUTOFF times the spectral radius count as
+    kernel.
 
     Eigenvectors are built again by ``eigh`` at the representatives a
     reader asks for (``decompose``), ``chunk`` of them at a time.  Batched
@@ -399,12 +439,12 @@ class _ModeSpectra:
         self.level_basis = lb
         self.kind = kind
         self.blocks = lb.blocks(kind)
-        self.chunk = _chunk_length(lb.size, 4 if kind == "d" else 1)
+        self.chunk = lb.spectra_chunk(kind)
         count = len(lb.weight)
         self.vals = [np.empty((count, b.stop - b.start)) for b in self.blocks]
         first: List[np.ndarray] = []  # the vectors kept when one chunk covers every representative
         for sel in _chunks(count, self.chunk):
-            for vals, block in zip(self.vals, self._laplacian(sel)):
+            for vals, block in zip(self.vals, _laplacian_blocks(lb, lb.d(sel), kind)):
                 vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
                 if count <= self.chunk:
                     first.append(vecs)
@@ -414,18 +454,10 @@ class _ModeSpectra:
         self._slot: np.ndarray | None = np.arange(count) if first else None
         self._held: List[np.ndarray] = first
 
-    def _laplacian(self, sel) -> List[np.ndarray]:
-        return _laplacian_blocks(self.level_basis, self.level_basis.d(sel), self.kind)
-
     def decompose(self, reps: np.ndarray) -> List[np.ndarray]:
         """The eigenvectors at the representatives ``reps``, a nonempty
-        index array: one (len(reps), n_b, n_b) stack per block, by batched
-        ``eigh`` over ``chunk`` of them at a time.  Nothing is kept."""
-        parts: List[List[np.ndarray]] = [[] for _ in self.blocks]
-        for sel in _chunks(len(reps), self.chunk):
-            for part, block in zip(parts, self._laplacian(reps[sel])):
-                part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
-        return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
+        index array (``_eigenvectors``).  Nothing is kept."""
+        return _eigenvectors(self.level_basis, self.kind, reps, self.chunk)
 
     def vectors(self, reps) -> List[np.ndarray]:
         """The eigenvectors at the representatives ``reps`` (an index or an
@@ -518,35 +550,17 @@ class HodgePackage:
             sel, weight = slice(None), lb.weight
         else:
             sel, weight = lb.rep[lb.positions([mode])], np.ones(1, dtype=int)
+        kernel = sp.vals[self._levels.index(level) if self.blockwise else 0][sel] <= sp.cutoff
         if self.blockwise:
-            kernel = sp.vals[self._levels.index(level)][sel] <= sp.cutoff
             return int(np.sum(kernel, axis=1) @ weight)
-        return self._level_content(sel, weight)[level]
-
-    def kernel_dimensions(self) -> Dict[int, int]:
-        if self.blockwise:
-            return {k: self.kernel_dimension(k) for k in self.level_basis.levels}
-        return self._level_content(slice(None), self.level_basis.weight)
-
-    def _level_content(self, sel, weight: np.ndarray) -> Dict[int, int]:
-        """Per level, the dimension of the level content of the level-mixing
-        kernel at the representatives picked by ``sel``, each weighted by
-        ``weight``: the rank of the kernel basis projected to the level.
-        The eigenvectors are built at the modes that have a kernel, once
-        for all the levels, and dropped."""
-        lb, sp = self.level_basis, self._spectra
-        kernel = sp.vals[0][sel] <= sp.cutoff
+        # the level content of the level-mixing kernel: eigenvectors built
+        # at the modes that have a kernel, and dropped
         rows = np.flatnonzero(kernel.any(axis=1))
-        counts = dict.fromkeys(lb.levels, 0)
         if not len(rows):
-            return counts
+            return 0
         vecs = sp.decompose(np.arange(len(lb.weight))[sel][rows])[0]
-        for i, v in zip(rows, vecs):
-            for level in lb.levels:
-                s = np.linalg.svd(v[lb.level_slices[level]][:, kernel[i]], compute_uv=False)
-                if s[0] > RANK_CUTOFF:
-                    counts[level] += int(weight[i]) * int(np.sum(s > RANK_CUTOFF * s[0]))
-        return counts
+        kernels = (v[:, kernel[i]] for i, v in zip(rows, vecs))
+        return _level_content(lb, kernels, weight[rows])[level]
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -620,12 +634,16 @@ class HodgeContext:
         self.level_basis = _LevelBasis(structure, metric)
         self._packages: Dict[str, HodgePackage] = {}
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
-        # the class checks' rank stacks, by key (``_ranks``)
+        # the rank stacks, by key, and per key the singular values within
+        # 10x of the cut, weighted by the modes (``_ranks``)
         self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
+        self._rank_gaps: Dict[Tuple[str, int], int] = {}
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
         # per package built, its spectra's first pass: kind, chunk length, chunks
         self.spectra_passes: List[Dict] = []
+        # per rank stack computed: its key, chunk length and chunks
+        self.rank_passes: List[Dict] = []
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -831,6 +849,58 @@ class HodgeContext:
             },
         }
 
+    def kernel_counts(self, kinds: Iterable[str]) -> Tuple[Dict[str, Dict[int, int]], int]:
+        """Per kind of ``kinds`` ("dbar", "bc", "aeppli" or "d") and level,
+        the dimension of the kernel of its Laplacian over the box, counted
+        from rank stacks with no Laplacian spectra; and how many singular
+        values of the stacks read lie above the rank cut but within 10x of
+        it, each stack counted once.
+
+        With N_k the size of level k and the names of ``class_check``, per
+        representative mode (each weighted by the modes it stands for):
+
+        - dbar: N_k - r(dbar_k) - r(dbar_{k-1});
+        - bc: N_k - r(Col_k) - r(Q_k);
+        - aeppli: N_k - r(Q_k) - r(Row_k);
+        - d: d flips the parity of the level, so its rank is the sum of
+          those of its two parity blocks, and as d^2 = 0 its Laplacian has
+          N - 2 r(d) kernel vectors.  At the modes that have any, the
+          Laplacian is eigendecomposed whole, as the ``d`` package does,
+          and the N - 2 r(d) eigenvectors of smallest eigenvalue are
+          counted level by level (``_level_content``).
+
+        The stacks are those the class checks read, so after the checks
+        only the two parity blocks of d are ranked anew.
+        """
+        lb = self.level_basis
+        terms = {
+            "dbar": lambda k: [("dbar", k), ("dbar", k - 1)],
+            "bc": lambda k: [("col", k), ("dbar del", k)],
+            "aeppli": lambda k: [("dbar del", k), ("row", k)],
+        }
+        dims: Dict[str, Dict[int, int]] = {}
+        read = set()
+        for kind in kinds:
+            if kind == "d":
+                keys = [("d", 0), ("d", 1)]
+                kernel = lb.size - 2 * sum(self._ranks(key)[:, 0] for key in keys)
+                reps = np.flatnonzero(kernel > 0)
+                vecs = _eigenvectors(lb, "d", reps, lb.spectra_chunk("d"))[0] if len(reps) else []
+                kernels = (v[:, :m] for v, m in zip(vecs, kernel[reps]))
+                dims[kind] = _level_content(lb, kernels, lb.weight[reps])
+                read.update(map(self._rank_key, keys))
+                continue
+            if kind not in terms:
+                raise ValueError(f"no rank count for kind {kind!r}")
+            dims[kind] = {}
+            for k in lb.levels:
+                keys = terms[kind](k)
+                size = lb.level_slices[k].stop - lb.level_slices[k].start
+                ranks = sum(self._ranks(key)[:, 0] for key in keys)
+                dims[kind][k] = int((size - ranks) @ lb.weight)
+                read.update(map(self._rank_key, keys))
+        return dims, sum(self._rank_gaps[key] for key in read)
+
     def _block(self, row_level: int, col_level: int, sel: slice) -> np.ndarray:
         """The level block of d at the representatives picked by ``sel``:
         del one level down, dbar one up.  Built from the same block of C and
@@ -852,12 +922,21 @@ class HodgeContext:
     def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
         """The stack that a rank key names, at the representatives picked by
         ``sel``: ("del", j), ("dbar", j), ("dbar del", j), ("row", k),
-        ("col", j) or ("M", k), in the notation of ``class_check``."""
+        ("col", j) or ("M", k), in the notation of ``class_check``, or
+        ("d", p), d's block from the levels of parity p to the others."""
         name, j = key
 
         def block(row_level, col_level):
             return self._block(row_level, col_level, sel)
 
+        if name == "d":
+            lb = self.level_basis
+            odd = np.zeros(lb.size, dtype=int)
+            for k in lb.levels:
+                odd[lb.level_slices[k]] = k % 2
+            rows, cols = np.flatnonzero(odd != j), np.flatnonzero(odd == j)
+            const, slopes = lb.const[np.ix_(rows, cols)], lb.slopes[:, rows][:, :, cols]
+            return _stack_linear(const, slopes, lb.modes[sel])
         if name == "del":
             return block(j - 1, j)
         if name == "dbar":
@@ -874,13 +953,9 @@ class HodgeContext:
         zero = np.zeros(below.shape[:-1] + (row.shape[-1] - below.shape[-1],), complex)
         return np.concatenate([row, np.concatenate([below, zero], axis=-1)], axis=-2)
 
-    def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
-        """Per representative mode, the ranks of the stack that ``key`` names
-        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
-        at floor * scale, both from one values-only SVD.  Computed once per
-        context, over chunks of ``_chunk_length`` representatives for one d
-        stack (its blocks of d are smaller than d), and kept; a stack
-        with an empty half is kept as the stack of its other half."""
+    def _rank_key(self, key: Tuple[str, int]) -> Tuple[str, int]:
+        """The key under which ``_ranks`` keeps a stack: a stack with an
+        empty half is the stack of its other half."""
         name, j = key
         has = self.level_basis.level_slices.__contains__
         if name == "M" and not has(j - 1):
@@ -889,19 +964,39 @@ class HodgeContext:
             name = "row"
         if name == "row" and not has(j - 1):
             name, j = "del", j + 1
+        elif name == "row" and not has(j + 1):
+            name, j = "dbar", j - 1
         if name == "col" and not has(j + 1):
             name = "del"
-        key = name, j
+        elif name == "col" and not has(j - 1):
+            name = "dbar"
+        return name, j
+
+    def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
+        """Per representative mode, the ranks of the stack that ``key`` names
+        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
+        at floor * scale, both from one values-only SVD.  Computed once per
+        context, over chunks of ``_chunk_length`` representatives for one d
+        stack (its blocks of d are smaller than d), and kept under
+        ``_rank_key``, with the count of singular values above the first
+        cut but within 10x of it, each mode weighted by the modes it stands
+        for (``_rank_gaps``)."""
+        key = self._rank_key(key)
         if key in self._rank_stacks:
             self.check_counts["ranks_reused"] += 1
             return self._rank_stacks[key]
         self.check_counts["ranks_computed"] += 1
+        lb = self.level_basis
         scale, floor = self._floor()
         floors = np.stack([floor, floor * scale], axis=-1)
-        # int16, a quarter of int64: the stacks are held while packages build
+        # int16, a quarter of int64: the stacks are held for the context's life
         ranks = np.empty(floors.shape, dtype=np.int16)
-        for sel in self.level_basis.rep_chunks(1):
+        gap, chunks = 0, list(lb.rep_chunks(1))
+        for sel in chunks:
             values = _singular_values(self._rank_matrices(key, sel))
             ranks[sel] = _cut(values[:, None], floors[sel])
-        self._rank_stacks[key] = ranks
+            gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ lb.weight[sel])
+        self._rank_stacks[key], self._rank_gaps[key] = ranks, gap
+        self.rank_passes.append({"stack": key[0], "level": key[1],
+                                 "chunk": _chunk_length(lb.size, 1), "chunks": len(chunks)})
         return ranks

@@ -64,13 +64,13 @@ MEMORY_BUDGET = 4 * 2 ** 30
 # T^4 K=2 and T^6 K=1, whose identities read every representative's
 # eigenvectors.  extend, scan and expand keep the identity suite's bound.
 HODGE_STACKS = {"identity-suite": 16, "extend": 16, "scan": 16, "expand": 16}
-# a hodge-table reads no eigenvectors and holds no d stack: its context
-# keeps the four packages' (R, N) float eigenvalues, the class checks' (R, 2)
-# int16 rank stacks (at most six per level from -n - 1 to n + 1), and the
-# box's (P, 2n) modes with their mirror map, and each pass holds one chunk
-# of CHUNK_BYTES at a time, with room here for this many.  tracemalloc peaks
-# of hodge_table on complex T^4 K=2, K=3 and T^6 K=1 are 1.99, 2.54 and
-# 2.87 MB, against estimates of 4.7, 5.4 and 15.3 MB that count the
+# a hodge-table builds no package and holds no d stack: its context keeps
+# the (R, 2) int16 rank stacks (at most six per level from -n - 1 to n + 1
+# for the class checks, and d's two parity blocks) and the box's (P, 2n)
+# modes with their mirror map, and each pass holds one chunk of CHUNK_BYTES
+# at a time, with room here for this many.  tracemalloc peaks of
+# hodge_table on complex T^4 K=2, K=3 and T^6 K=1 are 1.63, 1.75 and
+# 2.22 MB, against estimates of 4.6, 4.8 and 14.5 MB that count the
 # structure too (``tools/hodge_peaks.py`` prints both).
 HODGE_TABLE_CHUNKS = 4
 
@@ -237,10 +237,9 @@ def _context_bytes(kind: str, n: int, modes: float, reps: float, size: float) ->
     spinor components: ``HODGE_STACKS`` d stacks, or what a hodge-table
     keeps."""
     if kind == "hodge-table":
-        vals = 4 * reps * size * 8
-        ranks = 6 * (2 * n + 3) * reps * 2 * 2
+        ranks = (6 * (2 * n + 3) + 2) * reps * 2 * 2
         box = modes * (2 * n + 1) * 8
-        return vals + ranks + box + HODGE_TABLE_CHUNKS * CHUNK_BYTES
+        return ranks + box + HODGE_TABLE_CHUNKS * CHUNK_BYTES
     return HODGE_STACKS[kind] * reps * size ** 2 * 16
 
 
@@ -508,10 +507,14 @@ class Runner:
             return dict.fromkeys(CHECK_COUNTERS, 0)
         return dict(self._context.check_counts)
 
-    def _spectra_passes(self) -> List[Dict]:
-        """The first pass of each package the runner's context has built:
-        kind, chunk length and chunk count; none before it exists."""
-        return [] if self._context is None else list(self._context.spectra_passes)
+    def _passes(self) -> Dict[str, List[Dict]]:
+        """The passes of the runner's context: the first pass of each package
+        it has built (kind, chunk length and chunk count) and each rank stack
+        it has computed (stack, level, chunk length and chunk count); none
+        before it exists."""
+        if self._context is None:
+            return {"spectra_passes": [], "rank_passes": []}
+        return {key: getattr(self._context, key) for key in ("spectra_passes", "rank_passes")}
 
     def _mode_counts(self) -> Dict[str, int]:
         """The modes of the scenario's box, and how many of them the runner's
@@ -543,11 +546,6 @@ class Runner:
 
     def _run_hodge_table(self, exp: Dict) -> Dict:
         table = hodge_table(self.context)
-        warnings = []
-        for kind in ("dbar", "bc", "aeppli", "d"):
-            warnings.extend(self.context.package(kind).warnings)
-        if warnings:
-            table["warnings"] = sorted(set(warnings))
         findings = []
         for level, verdicts in table["class_checks"].items():
             for kind, ok in verdicts.items():
@@ -733,7 +731,8 @@ class Runner:
         for exp in self.scenario.experiments:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
-            counts_before, passes_before = self._check_counts(), len(self._spectra_passes())
+            counts_before = self._check_counts()
+            passes_before = {key: len(done) for key, done in self._passes().items()}
             self._timing_details = {}
             started = time.monotonic()
             try:
@@ -772,7 +771,7 @@ class Runner:
                     key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
                 },
                 "modes": self._mode_counts(),
-                "spectra_passes": self._spectra_passes()[passes_before:],
+                **{key: done[passes_before[key]:] for key, done in self._passes().items()},
             }
             timing.update(self._timing_details)
             timings.append(timing)

@@ -139,7 +139,7 @@ def brute_force_kernel_dims(ctx):
 
 def test_t2_kernel_dimensions_with_oracle(t2ctx):
     pk = t2ctx.package("dbar")
-    assert pk.kernel_dimensions() == {-1: 1, 0: 2, 1: 1}
+    assert {k: pk.kernel_dimension(k) for k in t2ctx.structure.levels()} == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
     # oscillatory modes contribute nothing
     for mode in box_modes(t2ctx):
@@ -150,7 +150,7 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
 
 def test_t4_kernel_dimensions_binomial(t4ctx):
     pk = t4ctx.package("dbar")
-    dims = pk.kernel_dimensions()
+    dims = {k: pk.kernel_dimension(k) for k in t4ctx.structure.levels()}
     assert dims == {k: math.comb(4, k + 2) for k in t4ctx.structure.levels()}
     assert brute_force_kernel_dims(t4ctx) == dims
 
@@ -626,25 +626,28 @@ def test_class_checks_do_not_depend_on_the_order_asked(case):
 
 
 def test_hodge_table_svd_count(monkeypatch):
-    """hodge_table on T^4 K=1 makes 20 SVD calls (39 when the class checks
+    """hodge_table on T^4 K=1 makes 22 SVD calls (39 when the class checks
     built bases, 177 before they shared them): 15 values-only calls in the
-    25 class checks and 5 per-mode calls for the d kernel's levels.  The
+    25 class checks, 2 for d's parity blocks and 5 per-mode calls for the
+    d kernel's levels, and one eigh, at the one mode with a d kernel.  The
     checks rank 26 stacks, each once: del, dbar and dbar del on 5, 6 and 7
     levels, d's rows and columns on 3 each and M on 2, since a stack with
     an empty half is that of its other half; the 11 stacks of single rows
-    or columns, or empty, take their vector norms."""
+    or columns, or empty, take their vector norms.  The kernel counts read
+    32 stacks, 10 each for dbar, bc and aeppli and d's two parity blocks,
+    which are the only ones ranked anew."""
     ctx = HodgeContext(*_case(2, 1))
-    calls = []
-    svd = np.linalg.svd
+    calls = {"svd": [], "eigh": []}
+    for name in calls:
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+        def counting(*args, _real=getattr(np.linalg, name), _calls=calls[name], **kwargs):
+            _calls.append(1)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, name, counting)
     hodge_table(ctx)
-    assert len(calls) <= 20
-    assert ctx.check_counts == {"decided": 25, "ranks_computed": 26, "ranks_reused": 55}
+    assert len(calls["svd"]) <= 22 and len(calls["eigh"]) == 1
+    assert ctx.check_counts == {"decided": 25, "ranks_computed": 28, "ranks_reused": 85}
 
 
 @settings(
@@ -1168,23 +1171,17 @@ def _arrays(value):
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
 def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
-    """After hodge_table on T^4 K=2 (625 modes), what the context and its
-    packages hold over the whole box is per-mode indices and scalars (the
-    mirror map, the modes, the rank scale, the class checks' ranks), never
-    a stack of per-mode matrices; the packages' representative spectra are
-    the exception, and they cover the box only when it is twisted."""
+    """After hodge_table on T^4 K=2 (625 modes), what the context holds
+    over the whole box is per-mode indices and scalars (the mirror map, the
+    modes, the rank scale, the ranks), never a stack of per-mode matrices,
+    and it holds no package."""
     ctx = HodgeContext(*_case(2, 2, twisted))
     hodge_table(ctx)
     count = len(ctx.level_basis.modes)
-    holders = [ctx, ctx.level_basis]
-    for pk in ctx._packages.values():
-        holders += [pk, pk._spectra]
-    assert len(holders) == 2 + 2 * 4
+    assert ctx._packages == {}
     box_wide = set()
-    for holder in holders:
+    for holder in (ctx, ctx.level_basis):
         for attr, value in vars(holder).items():
-            if holder is not ctx and attr in ("vals", "vecs"):
-                continue
             for a in _arrays(value):
                 if a.ndim and len(a) == count:
                     box_wide.add(attr)
@@ -1243,12 +1240,13 @@ def test_t6_hodge_table_peaks_below_a_sixth_of_a_representative_d_stack():
     assert peak < _representative_stack(s) / 6
 
 
-def test_packages_hold_their_eigenvalues_alone_after_hodge_table():
-    """After hodge_table on complex T^4 K=2 the four packages hold less than
-    half a d stack over the 313 representatives (their eigenvalues, about
-    an eighth of one; two such stacks of eigenvectors when every package
-    kept its own): the blockwise kernel counts read eigenvalues alone, and
-    the d kernel's eigenvectors are built at its kernel modes and dropped."""
+def test_packages_hold_their_eigenvalues_alone_after_kernel_counts():
+    """After every level's kernel dimension is read from the dbar, bc,
+    aeppli and d packages of complex T^4 K=2, they hold less than half a d
+    stack over the 313 representatives (their eigenvalues, about an eighth
+    of one; two such stacks of eigenvectors when every package kept its
+    own): the blockwise kernel counts read eigenvalues alone, and the d
+    kernel's eigenvectors are built at its kernel modes and dropped."""
     import gc
     import tracemalloc
 
@@ -1257,7 +1255,10 @@ def test_packages_hold_their_eigenvalues_alone_after_hodge_table():
     tracemalloc.start()
     try:
         ctx = HodgeContext(s, m)
-        hodge_table(ctx)
+        for kind in ("dbar", "bc", "aeppli", "d"):
+            pk = ctx.package(kind)
+            for k in s.levels():
+                pk.kernel_dimension(k)
         gc.collect()
         with_packages = tracemalloc.get_traced_memory()[0]
         ctx._packages.clear()
@@ -1370,7 +1371,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
         sigma = lb.spinor(lb.modes[5:6], np.arange(lb.size)[None] + 1j)
         pk = ctx.package("bc")
         green = pk.green(sigma)
-        ctx.package("d").kernel_dimensions()
+        ctx.package("d").kernel_dimension(0)
         ctx.package("d").harmonic(sigma)
         assert len(pk._spectra._held[0]) == 1
         ref = weakref.ref(ctx)
@@ -1387,3 +1388,118 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# the hodge-table counted from rank stacks, against the packages
+# ----------------------------------------------------------------------
+
+
+TABLE_CASES = {
+    "t2-K3": lambda: _case(1, 3),
+    "t4-K1": lambda: _case(2, 1),
+    "t4-K2": lambda: _case(2, 2),
+    "t4-twisted-K1": lambda: _case(2, 1, twisted=True),
+    "t4-twisted-K2": lambda: _case(2, 2, twisted=True),
+    "t4-symplectic-K1": lambda: _symplectic_case(2, 1),
+    "t4-b-transform-K1": lambda: _sheared_case(2, 1),
+    "t6-K1": lambda: _case(3, 1),
+    "t6-twisted-K1": lambda: _case(3, 1, twisted=True, h=(0, 1, 3)),
+}
+
+
+def _table_after_checks(ctx):
+    """hodge_table on a context whose class checks were decided first, and
+    the rank stacks that the table's kernel counts added."""
+    ctx.class_checks([(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS])
+    before = set(ctx._rank_stacks)
+    table = hodge_table(ctx)
+    assert ctx._packages == {} and ctx.spectra_passes == []
+    return table, set(ctx._rank_stacks) - before
+
+
+def _rank_kernel(ctx):
+    """Per representative, N - 2 r(d) from d's two parity rank stacks."""
+    return ctx.level_basis.size - 2 * sum(ctx._ranks(("d", p))[:, 0] for p in (0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_hodge_table_rank_counts_equal_the_packages(name):
+    """hodge_table builds no package and no spectra, and ranks no stack
+    beyond the class checks' but d's two parity blocks; its dbar, bc,
+    aeppli and d rows equal the packages' kernel dimensions level by level,
+    and N - 2 r(d) equals the d package's kernel eigenvalue count at every
+    representative."""
+    ctx = HodgeContext(*TABLE_CASES[name]())
+    table, added = _table_after_checks(ctx)
+    assert added == {("d", 0), ("d", 1)}
+    levels = list(ctx.structure.levels())
+    for kind, dims in table["kernel_dimensions"].items():
+        pk = ctx.package(kind)
+        assert dims == {str(k): pk.kernel_dimension(k) for k in levels}, kind
+    sp = ctx.package("d")._spectra
+    assert np.array_equal(_rank_kernel(ctx), np.sum(sp.vals[0] <= sp.cutoff, axis=1))
+    assert "warnings" not in table
+
+
+def test_hodge_table_rank_counts_where_the_floors_bind():
+    """With g = 1e-4 on twisted T^4 K=2, d reaches 7e5 and the absolute
+    rank floors bind on every mode.  The packages' one cutoff, RANK_CUTOFF
+    times the spectral radius over the box, is then 500 and takes small
+    nonzero eigenvalues of the low modes for kernel, while the rank counts
+    are those of g = 1: a constant rescaling of the metric moves no
+    cohomology, so the table and the per-mode d kernel are unchanged."""
+    scaled = HodgeContext(*_case(2, 2, twisted=True, g_scale=1e-4))
+    table, added = _table_after_checks(scaled)
+    assert added == {("d", 0), ("d", 1)}
+    plain = HodgeContext(*_case(2, 2, twisted=True))
+    assert table == hodge_table(plain)
+    assert table["kernel_dimensions"]["dbar"] == {"-2": 1, "-1": 3, "0": 4, "1": 3, "2": 1}
+    assert np.array_equal(_rank_kernel(scaled), _rank_kernel(plain))
+
+
+def _full_box_rank_stacks(ctx):
+    """Every stack the table's kernel counts read, over every mode of the
+    box, from the whole-box d: dbar_k, Col_k, Q_k and Row_k at each level
+    and d's two parity blocks, each distinct stack once (a stack with an
+    empty half is bitwise its other half)."""
+    lb = ctx.level_basis
+    whole = hodge._stack_linear(lb.const, lb.slopes, lb.modes)
+
+    def block(r, c):
+        return whole[:, lb.level(r), lb.level(c)]
+
+    stacks = []
+    for k in lb.levels:
+        stacks += [
+            block(k + 1, k), block(k, k - 1),
+            np.concatenate([block(k - 1, k), block(k + 1, k)], axis=1),
+            block(k, k - 1) @ block(k - 1, k),
+            np.concatenate([block(k, k + 1), block(k, k - 1)], axis=2),
+        ]
+    odd = np.repeat([k % 2 for k in lb.levels], [lb.level(k).stop - lb.level(k).start for k in lb.levels])
+    for p in (0, 1):
+        stacks.append(whole[:, odd != p][:, :, odd == p])
+    distinct = {(s.shape, s.tobytes()): s for s in stacks}
+    return list(distinct.values()), np.maximum(1.0, np.abs(whole).max(axis=(1, 2)))
+
+
+def test_rank_gap_warning_counts_every_mode_of_the_box(monkeypatch):
+    """With a cutoff wide enough that singular values fall within 10x of
+    the rank cut, the table warns with their count over every mode of the
+    box, from each distinct stack it reads once: twice at a paired
+    representative, once at mode 0."""
+    monkeypatch.setattr(hodge, "RANK_CUTOFF", 0.1)
+    ctx = HodgeContext(*_case(2, 1))
+    stacks, scale = _full_box_rank_stacks(ctx)
+    gap = 0
+    for stack in stacks:
+        if not stack.size:
+            continue
+        s = np.linalg.svd(stack, compute_uv=False)
+        cut = np.maximum(0.1 * s[:, :1], 0.1 * scale[:, None])
+        gap += int(np.sum((s > cut) & (s <= 10 * cut)))
+    assert gap > 0
+    assert hodge_table(ctx)["warnings"] == [
+        f"rank gap warning: {gap} singular values within 10x of the rank cut"
+    ]

@@ -357,8 +357,8 @@ def test_cli_tolerance_must_be_a_finite_positive_number(value, tmp_path, capsys)
 @pytest.mark.parametrize(
     "n, K, experiments",
     [
-        (3, 6, [{"kind": "hodge-table"}]), (12, 0, []), (5, 0, []),
-        (4, 3, [{"kind": "hodge-table"}]), (10 ** 6, 0, []), (1, 10 ** 400, [{"kind": "scan"}]),
+        (3, 9, [{"kind": "hodge-table"}]), (12, 0, []), (5, 0, []),
+        (4, 4, [{"kind": "hodge-table"}]), (10 ** 6, 0, []), (1, 10 ** 400, [{"kind": "scan"}]),
     ],
 )
 def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path, capsys):
@@ -377,10 +377,10 @@ def test_oversize_config_is_refused_before_building(n, K, experiments, tmp_path,
 
 def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
     """Complex T^6 K=1, K=2 and K=3 with a hodge-table stay within the
-    budget, since a hodge-table holds its packages' eigenvalues and rank
-    stacks, not eigenvectors (0.14 GiB at K=3, where a hodge-table ran in
-    252 MB max RSS), and so does T^8 K=1 (0.3 GiB, mostly the structure's
-    SVD); T^8 K=3 is refused.  An identity suite at T^6 K=2, which reads
+    budget, since a hodge-table holds rank stacks and the box's modes, not
+    spectra (0.03 GiB at K=3), and so does T^8 K=1 (0.3 GiB, mostly the
+    structure's SVD); T^8 K=4 (8.6 GiB, mostly rank stacks and modes) is
+    refused.  An identity suite at T^6 K=2, which reads
     every representative's eigenvectors, is still refused.  The same box
     twisted counts every mode, and a config with no Hodge experiment
     counts the structure alone."""
@@ -391,7 +391,7 @@ def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
         assert _estimated_bytes(3, K, False, table) < MEMORY_BUDGET
     assert _estimated_bytes(3, 1, True, table) > _estimated_bytes(3, 1, False, table)
     assert _estimated_bytes(4, 1, False, table) < MEMORY_BUDGET
-    assert _estimated_bytes(4, 3, False, table) > MEMORY_BUDGET
+    assert _estimated_bytes(4, 4, False, table) > MEMORY_BUDGET
     assert _estimated_bytes(3, 2, False, suite) > MEMORY_BUDGET
     assert _estimated_bytes(3, 2, False, table + suite) == _estimated_bytes(3, 2, False, suite)
     assert _estimated_bytes(3, 3, False, []) == _estimated_bytes(3, 3, False, ["criterion"])
@@ -798,8 +798,9 @@ def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
 
 def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     """Each experiment's sidecar entry counts the class checks it decided
-    and the rank stacks it computed or found on the context; the report
-    bytes are those of a run without the sidecar."""
+    and the rank stacks it computed or found on the context, and lists the
+    passes it made; the report bytes are those of a run without the
+    sidecar."""
     config = minimal_config()
     config["experiments"].append({"kind": "hodge-table"})
     path = tmp_path / "mini.json"
@@ -814,20 +815,29 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
         {"decided": 0, "ranks_computed": 0, "ranks_reused": 0},
         # T^2: 3 levels x 5 kinds rank 14 stacks in 43 lookups: del, dbar
         # and dbar del on 3, 4 and 5 levels, and d's rows and columns of one
-        # level each (the other rows, columns and M have an empty half);
-        # the second table reads all 43 from the context
-        {"decided": 15, "ranks_computed": 14, "ranks_reused": 29},
-        {"decided": 15, "ranks_computed": 0, "ranks_reused": 43},
+        # level each (the other rows, columns and M have an empty half).
+        # The kernel counts read 20 more, 6 each for dbar, bc and aeppli
+        # and d's two parity blocks, which are the only new stacks; the
+        # second table reads all 63 from the context
+        {"decided": 15, "ranks_computed": 16, "ranks_reused": 47},
+        {"decided": 15, "ranks_computed": 0, "ranks_reused": 63},
     ]
     # the first pass of each package the experiment built, outside the
-    # report: the identity suite builds all five and the tables read them.
+    # report: the identity suite builds all five and the tables none.
     # A pass goes CHUNK_BYTES / (16 N^2 stacks) representatives at a time,
     # 4096 at N = 4, a quarter of that for the d kind's four stacks, so
     # T^2's 5 representatives take one chunk
     passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1}
               for kind in ("dbar", "bc", "aeppli", "d", "del")]
     assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
+    # the rank stacks the first table computed, one pass of one chunk each,
+    # d's parity blocks last
+    ranked = [t["rank_passes"] for t in sidecar]
+    assert ranked[0] == ranked[2] == [] and len(ranked[1]) == 16
+    assert all((p["chunk"], p["chunks"]) == (4096, 1) for p in ranked[1])
+    assert [(p["stack"], p["level"]) for p in ranked[1][-2:]] == [("d", 0), ("d", 1)]
     assert '"spectra_passes"' not in timed.read_text()
+    assert '"rank_passes"' not in timed.read_text()
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
