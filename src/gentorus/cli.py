@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .report import emit_report, report_to_table, reports_equal
+from .report import emit_report, report_to_table
 from .scenario import ScenarioError, _object, exit_code_for, run_scenario
 
 
@@ -83,7 +83,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(want_exps, list):
         raise ScenarioError(f"expected report {args.expected} has no 'experiments' list")
     report, _ = run_scenario(config)
-    if reports_equal(report, expected):
+    if report == expected:
         print("verify: reports match")
         return 0
     print("verify: reports differ", file=sys.stderr)

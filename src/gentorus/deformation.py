@@ -13,13 +13,12 @@ inverses) is a :class:`~gentorus.fourier.FourierMatrix` mode stack, so each
 matrix product is one batched convolution.  Lists of sections are stacks
 too: the frames, the sheared frames and every transport image are (4n, 2n)
 stacks whose columns hold the sections' (tangent, cotangent) components,
-defined once in :class:`FrameMaps`; only the frames that
-``frame_block_matrices`` and ``DeformedStructure`` hand out are
-:class:`CourantVector` lists.  Spinors are mode stacks as well: the
-transport and the factorwise dressings are one product of a word matrix
-(the substituted frame words on the vacuum, one column each) with a
-spinor's frame coordinates, and the exponential action is repeated products
-of eps's action matrix.
+defined once in :class:`FrameMaps`; only the frames of the structure that
+``DeformedStructure`` builds are :class:`CourantVector` lists.  Spinors are
+mode stacks as well: the transport and the factorwise dressings are one
+product of a word matrix (the substituted frame words on the vacuum, one
+column each) with a spinor's frame coordinates, and the exponential action
+is repeated products of eps's action matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .hodge import (
 from .metric import GeneralizedMetric
 from .spinor import (
     CliffordPoly,
-    CourantVector,
     Spinor,
     _action,
     _stack_linear,
@@ -598,16 +596,6 @@ def frame_block_matrices(
     dim = structure.dim
     geometry, box = structure.geometry, structure.box
 
-    def columns(stack):
-        return [
-            CourantVector(
-                geometry, box,
-                [stack[c, i] for c in range(dim)],
-                [stack[dim + c, i] for c in range(dim)],
-            )
-            for i in range(dim)
-        ]
-
     ident = FourierMatrix.identity(geometry, box, dim)
     frame, dual, xi, eta = maps.frame, maps.dual, maps.xi, maps.eta
     q = FourierMatrix.constant(geometry, box, natural_pairing_matrix(dim))
@@ -648,8 +636,6 @@ def frame_block_matrices(
     swap_residual = (inv_one_minus_es.matmul(e_mat) - e_mat.matmul(inv_one_minus_se)).norm()
 
     return {
-        "frames": columns(xi),
-        "dual_frames": columns(xi_dual),
         "forward": forward,
         "inverse": closed_inverse,
         "eps_matrix": e_mat,
@@ -922,11 +908,10 @@ def extend_closed_form(
     if variant == "standard":
         # the checks whose level exists; the others hold trivially
         wanted = {"B_lower": ("B_k", level - 1), "S_upper": ("S_k", level + 1)}
-        asked = {name: q for name, q in wanted.items() if abs(q[1]) <= structure.n}
-        verdicts = dict(zip(asked, context.class_checks(asked.values())))
         for name, (kind, k) in wanted.items():
-            class_checks[name] = verdicts.get(
-                name, {"holds": True, "kind": kind, "level": k, "dims": {}}
+            class_checks[name] = (
+                context.class_check(kind, k) if abs(k) <= structure.n
+                else {"holds": True, "kind": kind, "level": k, "dims": {}}
             )
         for name, check in class_checks.items():
             if not check["holds"]:
@@ -1078,11 +1063,13 @@ def hodge_number_scan(
     Every harmonic basis element of a level is extended to ``order``, and
     the extensions are stacked once: their coefficient rows on the union of
     their supports, per order.  For each sample t the deformed structure is
-    built at eps(t) (constant deformations only) and its raising-kernel
-    dimensions recorded.  Then each level is one pass: the rows summed with
-    weights t^p conj(t)^q are the E extended harmonics at t, an (E, P, N)
-    block; forward o undress, which for a constant eps is one matrix at
-    every mode, maps them into the deformed level basis; one batched apply
+    built at eps(t) (constant deformations only).  Each raising-kernel
+    dimension, undeformed or deformed, is the length of the level's harmonic
+    basis, which the extensions or the Gram matrix read anyway.  Then each
+    level is one pass: the rows summed with weights t^p conj(t)^q are the E
+    extended harmonics at t, an (E, P, N) block; forward o undress, which
+    for a constant eps is one matrix at every mode, maps them into the
+    deformed level basis; one batched apply
     projects them onto the deformed harmonics; and the E x H Gram matrix
     against the deformed harmonic basis, whose rank is the injectivity
     rank, is a plain conjugate inner product of coordinate rows, since the
@@ -1100,14 +1087,16 @@ def hodge_number_scan(
     phases = dict.fromkeys(("extension", "deformed", "image"), 0.0)
     started = time.monotonic()
     pk = context.package("dbar")
-    base_dims = {k: pk.kernel_dimension(k) for k in levels}
+    base_dims = {}
     stacks = {}
     extensions = 0
     for k in levels:
+        harmonics = pk.harmonic_basis(k)
+        base_dims[k] = len(harmonics)
         try:
             exts = [
                 extend_closed_form(context, series, sig, order, variant="standard", tol=tol)
-                for sig in pk.harmonic_basis(k)
+                for sig in harmonics
             ]
         except ObstructionError as err:
             raise ObstructionError(f"extending the level {k} harmonics: {err}", err.data) from err
@@ -1125,7 +1114,6 @@ def hodge_number_scan(
         started = time.monotonic()
         ds = DeformedStructure(structure, eps_t)
         pk_t = ds.context.package("dbar")
-        dims = {k: pk_t.kernel_dimension(k) for k in levels}
         phases["deformed"] += time.monotonic() - started
         started = time.monotonic()
         # forward o undress into the deformed level basis, one matrix at every
@@ -1135,9 +1123,10 @@ def hodge_number_scan(
         step = ds.ratio * (
             pk_t.level_basis.basis_inv @ ds.structure._level_matrix @ structure._level_inverse
         )
-        ranks = {}
+        dims, ranks = {}, {}
         for k in levels:
             h_index, h_rows = pk_t.harmonic_basis_rows(k)
+            dims[k] = len(h_index)
             if k not in stacks or not len(h_index):
                 ranks[k] = 0
                 continue
@@ -1145,8 +1134,8 @@ def hodge_number_scan(
             weights = np.array([t ** p * t.conjugate() ** q for p, q in orders])
             block = np.tensordot(weights, coeffs, axes=(0, 1)) @ step.T
             count, width = block.shape[0], len(index)
-            image = pk_t.harmonic_rows(
-                np.tile(index, count), block.reshape(count * width, -1)
+            image = pk_t.apply(
+                np.tile(index, count), block.reshape(count * width, -1), pk_t.harmonic_weights
             ).reshape(block.shape)
             # each deformed harmonic pairs only with the image at its own mode
             slot = np.minimum(np.searchsorted(index, h_index), width - 1)

@@ -407,7 +407,7 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
     """
     out = []
     for kind in ("bc", "aeppli"):
-        sp = ctx.package(kind)._spectra
+        pk = ctx.package(kind)
         dim_mismatch = decomp_dim_defect = 0
         containment = orth = 0.0
         for sel in _rep_chunks(ctx):
@@ -422,7 +422,7 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
                 third = _range_basis(np.concatenate([dl, db], axis=2))
             weight = ctx.level_basis.weight[sel]
             null = _range_and_null(stack)[1]
-            hmat = sp.matrix(sel, sp.harmonic_weights)
+            hmat = pk.matrix(sel, pk.harmonic_weights)
             hbasis = _range_basis(hmat)
             hdim = _basis_rank(hbasis)
             dim_mismatch += int(np.sum(weight * (hdim != _basis_rank(null))))
@@ -444,8 +444,7 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
 def _green_commutation(ctx: HodgeContext) -> List[Dict]:
     """The eight Laplacian/Green commutation identities as matrix equations."""
     worst = {f"green_identity_{i}": 0.0 for i in range(1, 9)}
-    bc = ctx.package("bc")._spectra
-    ae = ctx.package("aeppli")._spectra
+    bc, ae = ctx.package("bc"), ctx.package("aeppli")
     for sel in _rep_chunks(ctx):
         lbc, la = ctx._laplacian("bc", sel), ctx._laplacian("aeppli", sel)
         dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
@@ -535,11 +534,10 @@ def hodge_table(ctx: HodgeContext) -> Dict:
     kernel, for the kernel's level content.  ``warnings`` appears when
     singular values of the stacks read lie within 10x of the rank cut.
     """
-    levels = list(ctx.structure.levels())
-    questions = [(kind, k) for k in levels for kind in CHECK_KINDS]
-    checks: Dict[str, Dict[str, bool]] = {str(k): {} for k in levels}
-    for (kind, k), check in zip(questions, ctx.class_checks(questions)):
-        checks[str(k)][kind] = check["holds"]
+    checks = {
+        str(k): {kind: ctx.class_check(kind, k)["holds"] for kind in CHECK_KINDS}
+        for k in ctx.structure.levels()
+    }
     counts, gap = ctx.kernel_counts(("dbar", "bc", "aeppli", "d"))
     dims = {kind: {str(k): n for k, n in per_level.items()} for kind, per_level in counts.items()}
     table = {"kernel_dimensions": dims, "class_checks": checks}

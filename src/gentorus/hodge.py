@@ -40,11 +40,12 @@ eigendecomposes the d Laplacian only at the modes that have a kernel, for
 the kernel's level content.  What a context holds over the modes is its
 rank stacks, one int per representative mode and cut, and the packages'
 eigenvalues at the representative modes (and their eigenvectors when one
-chunk covers them).  A package builds eigenvectors again, by the same
-batched ``eigh``, at the representatives a reader asks for: bitwise those
-of the first pass, kept for the projector, Green operator and harmonic
-basis, and dropped after the level content of the ``d`` kernel is
-counted.
+chunk covers them).  A package is the spectra of its kind
+(``HodgePackage`` subclasses ``_ModeSpectra``), and it builds eigenvectors
+again, by the same batched ``eigh``, at the representatives a reader asks
+for: bitwise those of the first pass, kept for the projector, Green
+operator and harmonic basis, and dropped after the level content of the
+``d`` kernel is counted.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -52,7 +53,7 @@ have the same ranks and spans.  The box's modes run lexicographically over
 a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
 M // 2 + 1 modes are eigendecomposed and ranked (``_mode_mirror``).  Every
 reader maps a mode to its representative, and every count over the modes
-(kernel dimensions, class-check dims, gap warnings) weights a
+(kernel dimensions, class-check dims, rank gap warnings) weights a
 representative by the two modes it stands for (one for mode 0).  A twisted
 context, whose C is not exactly zero, decomposes every mode.
 """
@@ -125,41 +126,26 @@ def _rank(mats: np.ndarray, floor=0.0) -> np.ndarray:
     return _cut(_singular_values(mats), floor)
 
 
-def _range_basis(mats: np.ndarray, floor=0.0) -> np.ndarray:
+def _range_basis(mats: np.ndarray) -> np.ndarray:
     """Orthonormal range bases of a stack, (..., r, min(r, c)).
 
     Columns past each matrix's rank are exact zeros, and every kept column
     is a unit vector, so ``_basis_rank`` reads the rank back.  Zero columns
     add only zero singular values, so every rank and containment is
-    unchanged.  A stack of single rows or columns is decided by its vector
-    norms: the basis is the normalized column, or the 1 x 1 unit.
+    unchanged.
     """
-    rows, cols = mats.shape[-2:]
-    if min(rows, cols) > 1:
-        u, s = np.linalg.svd(mats, full_matrices=False)[:2]
-        u *= _below(_cut(s, floor), s.shape[-1])
-        return u
-    s = _singular_values(mats)
-    kept = _below(_cut(s, floor), s.shape[-1])
-    if cols == 1 and rows > 0:
-        return np.divide(mats, s[..., None, :], out=np.zeros_like(mats), where=kept)
-    return np.broadcast_to(kept, mats.shape[:-2] + (rows, s.shape[-1])).astype(mats.dtype)
+    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
+    u *= _below(_cut(s, 0.0), s.shape[-1])
+    return u
 
 
-def _range_and_null(mats: np.ndarray, floor=0.0) -> Tuple[np.ndarray, np.ndarray]:
+def _range_and_null(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The range basis, as ``_range_basis`` gives it, and the orthonormal
-    null-space basis, (..., c, c) and zero past the nullity, of a stack from
-    one decomposition.
-
-    One SVD gives both; a stack of single columns, or of matrices without
-    rows, needs none.
-    """
+    null-space basis, (..., c, c) and zero past the nullity, of a stack
+    from one SVD."""
     rows, cols = mats.shape[-2:]
-    if cols <= 1 or rows == 0:
-        span = _range_basis(mats, floor)
-        return span, np.eye(cols, dtype=mats.dtype) * ~_below(_basis_rank(span), cols)
     u, s, vh = np.linalg.svd(mats, full_matrices=rows < cols)
-    rank = _cut(s, floor)
+    rank = _cut(s, 0.0)
     u *= _below(rank, s.shape[-1])
     null = np.conjugate(vh, out=vh).swapaxes(-1, -2)
     null *= ~_below(rank, cols)
@@ -188,6 +174,17 @@ def _mode_positions(box: TruncationBox, dim: int, modes) -> np.ndarray:
         mode = tuple(int(v) for v in k[np.argmax(outside)])
         raise ValueError(f"spinor mode {mode} outside the context box")
     return np.ravel_multi_index(tuple(k.T + box.K), (2 * box.K + 1,) * dim)
+
+
+def _box_modes(box: TruncationBox, dim: int) -> np.ndarray:
+    """The modes of ``box``, an (M, dim) int array in the lexicographic
+    order of ``box.modes``, filled axis by axis from broadcast ranges, so
+    no per-mode object is built."""
+    side = (2 * box.K + 1,) * dim
+    modes = np.empty(side + (dim,), dtype=int)
+    for a, axis in enumerate(np.indices(side, sparse=True)):
+        modes[..., a] = axis - box.K
+    return modes.reshape(-1, dim)
 
 
 def _chunks(count: int, size: int) -> Iterator[slice]:
@@ -265,7 +262,7 @@ class _LevelBasis:
         residual = float(np.abs(gram - np.eye(self.size)).max())
         if residual > 1e-10:
             raise ValueError(f"level basis failed orthonormalization ({residual:.3e})")
-        self.modes = np.array(list(self.box.modes(self.geometry)), dtype=int).reshape(-1, self.dim)
+        self.modes = _box_modes(self.box, self.dim)
 
         # d at mode k is -H^ + 2 pi i sum_a k_a dx^a^ in the level basis
         const, slopes = structure.differentials["d"]
@@ -505,62 +502,37 @@ class _ModeSpectra:
         return out
 
 
-class HodgePackage:
-    """Eigendecomposed Laplacian of one kind with projector and Green operator.
-
-    Most Laplacians preserve the level grading and are eigendecomposed per
-    level block; the full twisted-d Laplacian mixes levels by +-2 away from
-    the generalized Kaehler case, so that kind decomposes whole per-mode
-    matrices.  Its spectra (``_ModeSpectra``) hold the eigenvalues at the
-    representative modes and the one cutoff that every kernel count,
-    projector and Green operator reads; every count over the modes weights
-    a representative by the modes it stands for.  The eigenvectors are
-    built at the representatives a reader asks for
-    (``_ModeSpectra.vectors``): the projector, the Green operator and the
-    harmonic basis keep them for the next read, and the level content of
-    the ``d`` kernel builds them at the modes that have a kernel and keeps
-    none.  The package holds the context's level basis, never the context,
-    so the two form no reference cycle.
+class HodgePackage(_ModeSpectra):
+    """The spectra of one kind of Laplacian (``_ModeSpectra``), with its
+    kernel dimensions, harmonic basis, projector and Green operator on
+    spinors.  The level-mixing ``d`` kind decomposes whole per-mode
+    matrices, the others their level blocks; the level content of the
+    ``d`` kernel builds eigenvectors at the modes that have a kernel and
+    keeps none.  A package holds the context's level basis, never the
+    context, so the two form no reference cycle.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
         if kind not in KINDS:
             raise ValueError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
-        self.level_basis = lb = context.level_basis
-        self.kind = kind
+        super().__init__(context.level_basis, kind)
         self.blockwise = kind != "d"
-        self._levels = lb.levels if self.blockwise else [None]
-        self._spectra = sp = _ModeSpectra(lb, kind)
-
-        self.warnings: List[str] = []
-        gap = sum(
-            int(np.sum((v > sp.cutoff) & (v <= 10 * sp.cutoff), axis=1) @ lb.weight)
-            for v in sp.vals
-        )
-        if gap:
-            self.warnings.append(
-                f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"
-            )
+        self._levels = self.level_basis.levels if self.blockwise else [None]
 
     # ------------------------------------------------------------------
 
-    def kernel_dimension(self, level: int, mode: Tuple[int, ...] | None = None) -> int:
-        lb, sp = self.level_basis, self._spectra
-        if mode is None:
-            sel, weight = slice(None), lb.weight
-        else:
-            sel, weight = lb.rep[lb.positions([mode])], np.ones(1, dtype=int)
-        kernel = sp.vals[self._levels.index(level) if self.blockwise else 0][sel] <= sp.cutoff
+    def kernel_dimension(self, level: int) -> int:
+        lb = self.level_basis
+        kernel = self.vals[self._levels.index(level) if self.blockwise else 0] <= self.cutoff
         if self.blockwise:
-            return int(np.sum(kernel, axis=1) @ weight)
+            return int(np.sum(kernel, axis=1) @ lb.weight)
         # the level content of the level-mixing kernel: eigenvectors built
         # at the modes that have a kernel, and dropped
         rows = np.flatnonzero(kernel.any(axis=1))
         if not len(rows):
             return 0
-        vecs = sp.decompose(np.arange(len(lb.weight))[sel][rows])[0]
-        kernels = (v[:, kernel[i]] for i, v in zip(rows, vecs))
-        return _level_content(lb, kernels, weight[rows])[level]
+        kernels = (v[:, kernel[i]] for i, v in zip(rows, self.decompose(rows)[0]))
+        return _level_content(lb, kernels, lb.weight[rows])[level]
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -571,15 +543,15 @@ class HodgePackage:
     def harmonic_basis_rows(self, level: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
         """``harmonic_basis`` as level-basis coordinates: each spinor's box
         mode index and its one coordinate row, in the same order."""
-        lb, sp = self.level_basis, self._spectra
+        lb = self.level_basis
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
-        for b, (key, vals, sl) in enumerate(zip(self._levels, sp.vals, sp.blocks)):
+        for b, (key, vals, sl) in enumerate(zip(self._levels, self.vals, self.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            modes, cols = np.nonzero(vals[lb.rep] <= sp.cutoff)
+            modes, cols = np.nonzero(vals[lb.rep] <= self.cutoff)
             coords = np.zeros((len(modes), lb.size), dtype=complex)
-            coords[:, sl] = sp.vectors(lb.rep[modes])[b][np.arange(len(modes)), :, cols]
+            coords[:, sl] = self.vectors(lb.rep[modes])[b][np.arange(len(modes)), :, cols]
             index.append(modes)
             rows.append(coords)
         # mode by mode, then block by block, then eigenvector by eigenvector
@@ -591,27 +563,19 @@ class HodgePackage:
         lb = self.level_basis
         if sigma.is_zero():
             return Spinor.zero(lb.geometry, lb.box)
-        coords = self._spectra.apply(lb.positions(sigma.modes), lb.coords(sigma), weights)
+        coords = self.apply(lb.positions(sigma.modes), lb.coords(sigma), weights)
         return lb.spinor(sigma.modes, coords)
 
     def harmonic(self, sigma: Spinor) -> Spinor:
         """Projection onto the kernel."""
-        return self._apply_spectral(sigma, self._spectra.harmonic_weights)
-
-    def harmonic_rows(self, index: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Projection onto the kernel of level-basis coordinate rows, row i
-        at box mode ``index[i]``; rows at the same mode are projected alike."""
-        return self._spectra.apply(index, coords, self._spectra.harmonic_weights)
+        return self._apply_spectral(sigma, self.harmonic_weights)
 
     def green(self, sigma: Spinor) -> Spinor:
         """Pseudo-inverse on the kernel complement."""
-        return self._apply_spectral(sigma, self._spectra.green_weights)
+        return self._apply_spectral(sigma, self.green_weights)
 
     def laplacian(self, sigma: Spinor) -> Spinor:
         return self._apply_spectral(sigma, lambda v: v)
-
-    def green_matrix(self, mode: Tuple[int, ...]) -> np.ndarray:
-        return self._spectra.matrix(self.level_basis.positions([mode])[0], self._spectra.green_weights)
 
 
 class HodgeContext:
@@ -692,7 +656,7 @@ class HodgeContext:
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
             self._packages[kind] = pk = HodgePackage(self, kind)
-            count, chunk = len(self.level_basis.weight), pk._spectra.chunk
+            count, chunk = len(self.level_basis.weight), pk.chunk
             self.spectra_passes.append({"kind": kind, "chunk": chunk, "chunks": -(-count // chunk)})
         return self._packages[kind]
 
@@ -700,12 +664,12 @@ class HodgeContext:
         """Operator-norm residual of (harmonic + laplacian o green - 1) for the
         ``kind`` package, worst mode: worst representative, since a mode and
         its mirror have bitwise-equal Laplacians."""
-        lb, sp = self.level_basis, self.package(kind)._spectra
+        lb, pk = self.level_basis, self.package(kind)
         worst = 0.0
         for sel in lb.rep_chunks(4):
             resid = (
-                sp.matrix(sel, sp.harmonic_weights)
-                + self._laplacian(kind, sel) @ sp.matrix(sel, sp.green_weights)
+                pk.matrix(sel, pk.harmonic_weights)
+                + self._laplacian(kind, sel) @ pk.matrix(sel, pk.green_weights)
                 - np.eye(lb.size)
             )
             worst = max(worst, float(np.linalg.norm(resid, 2, axis=(1, 2)).max()))
@@ -775,10 +739,6 @@ class HodgeContext:
     # ------------------------------------------------------------------
     # class checks
     # ------------------------------------------------------------------
-
-    def class_checks(self, questions: Iterable[Tuple[str, int]]) -> List[Dict]:
-        """The verdicts of (kind, level) class checks, in the order asked."""
-        return [self.class_check(kind, k) for kind, k in questions]
 
     def class_check(self, kind: str, k: int) -> Dict:
         """Rank verdicts for the ddbar-lemma and the solvability classes.

@@ -21,10 +21,6 @@ def report_to_json(report: Dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def load_report(text: str) -> Dict:
-    return json.loads(text)
-
-
 def _iter_rows(report: Dict) -> Iterable[Tuple]:
     """Flatten a report into (experiment, record, key, value, tolerance, passed)."""
     for i, exp in enumerate(report.get("experiments", [])):
@@ -199,7 +195,3 @@ def emit_report(
         )
         written.append(path)
     return written
-
-
-def reports_equal(a: Dict, b: Dict) -> bool:
-    return a == b

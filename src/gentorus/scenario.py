@@ -653,6 +653,11 @@ class Runner:
             if all(r < 1e-12 * scale for r in residuals):
                 entries.append(entry("assembled_decay_noise_floor", 0.0, tol))
             else:
+                if 0.0 in t_samples or len(set(t_samples)) < 2:
+                    raise ScenarioError(
+                        f"t_samples {exp['t_samples']}: the decay-exponent fit needs "
+                        "two distinct nonzero |t| and no t = 0"
+                    )
                 slope = float(np.polyfit(np.log(t_samples), np.log(residuals), 1)[0])
                 table["fitted_exponent"] = round12(slope)
                 entries.append(

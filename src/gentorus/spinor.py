@@ -722,11 +722,6 @@ class CliffordPoly:
         return f"CliffordPoly(degree={self.degree}, terms={len(_live_columns(self.stack))})"
 
 
-def reversal(vectors: Sequence[CourantVector]) -> List[CourantVector]:
-    """Reversed composition order of a Clifford factor list."""
-    return list(reversed(vectors))
-
-
 _MONOMIAL_CACHE: Dict[int, List[Monomial]] = {}
 _MONOMIAL_INDEX_CACHE: Dict[int, Dict[Monomial, int]] = {}
 _GENERATOR_CACHE: Dict[int, np.ndarray] = {}

@@ -1,6 +1,7 @@
 """Hodge packages, solvers, class checks, with independent matrix oracles."""
 
 import functools
+import itertools
 import math
 import weakref
 
@@ -142,10 +143,28 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
     assert {k: pk.kernel_dimension(k) for k in t2ctx.structure.levels()} == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
     # oscillatory modes contribute nothing
-    for mode in box_modes(t2ctx):
+    rep = t2ctx.level_basis.rep
+    for i, mode in enumerate(box_modes(t2ctx)):
         if mode != (0, 0):
-            for k in t2ctx.structure.levels():
-                assert pk.kernel_dimension(k, mode) == 0
+            for vals in pk.vals:
+                assert not np.any(vals[rep[i]] <= pk.cutoff)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_modes_are_the_box_iterator_as_an_int_grid(n):
+    """The level basis's modes, an integer grid, are ``box.modes`` in order
+    and as ints on T^{2n} for K = 0..3.  They are compared slice by slice,
+    so no list of tuples is held: T^8 K=3 has 5.8 million modes."""
+    g = TorusGeometry(n)
+    for K in range(4):
+        box = TruncationBox(K)
+        grid = hodge._box_modes(box, g.dim)
+        assert grid.dtype == int and grid.shape == ((2 * K + 1) ** g.dim, g.dim)
+        flat = itertools.chain.from_iterable(box.modes(g))
+        for start in range(0, len(grid), 1 << 16):
+            rows = grid[start:start + (1 << 16)]
+            assert np.array_equal(np.fromiter(flat, int, rows.size).reshape(rows.shape), rows)
+        assert next(flat, None) is None
 
 
 def test_t4_kernel_dimensions_binomial(t4ctx):
@@ -323,16 +342,6 @@ def test_dbar_minimal_solve(t4ctx):
     assert ctx.metric.bi_norm(x) <= ctx.metric.bi_norm(w) * (1 + 1e-9)
 
 
-def test_spectral_gap_warning_band():
-    """Eigenvalues within 10x of the cutoff are flagged, not fatal."""
-    s = GCStructure.complex_structure(1, BOX)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
-    ctx = HodgeContext(s, m)
-    pk = ctx.package("dbar")
-    assert pk.warnings == []  # flat spectrum has gaps >> cutoff
-    assert pk._spectra.cutoff < 1e-6 * pk._spectra.radius
-
-
 def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff():
     """The kernel counts, the harmonic basis and the harmonic projector all
     read the spectra's one cutoff: moved to the median eigenvalue on
@@ -340,9 +349,8 @@ def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff():
     levels -1, 0 and 1 (1, 2 and 1 at the package's own cutoff)."""
     ctx = HodgeContext(*_case(1, 1))
     lb, pk = ctx.level_basis, ctx.package("dbar")
-    sp = pk._spectra
-    sp.cutoff = float(np.median(np.concatenate([v.ravel() for v in sp.vals])))
-    projector = sp.matrix(slice(None), sp.harmonic_weights)
+    pk.cutoff = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
+    projector = pk.matrix(slice(None), pk.harmonic_weights)
     for level, want in zip(lb.levels, (5, 10, 5)):
         block = projector[:, lb.level_slices[level], lb.level_slices[level]]
         assert int(np.linalg.matrix_rank(block).sum()) == want
@@ -446,7 +454,8 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
                 eigs[mode, k] = np.linalg.eigh((block + block.conj().T) / 2)[0]
         cutoff = _reference_cutoff(eigs.values())
         for (mode, k), vals in eigs.items():
-            assert pk.kernel_dimension(k, mode) == int(np.sum(vals <= cutoff))
+            held = pk.vals[lb.levels.index(k)][lb.rep[lb.positions([mode])[0]]]
+            assert int(np.sum(held <= pk.cutoff)) == int(np.sum(vals <= cutoff))
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
@@ -665,7 +674,8 @@ def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
     asked = data.draw(st.lists(st.sampled_from(sorted(want)), max_size=2 * len(want)))
     split = data.draw(st.integers(0, len(asked)), label="split")
     batched = HodgeContext(structure, metric)
-    got = batched.class_checks(asked[:split]) + batched.class_checks(asked[split:])
+    got = [batched.class_check(kind, k) for kind, k in asked[:split]]
+    got += [batched.class_check(kind, k) for kind, k in asked[split:]]
     single = HodgeContext(structure, metric)
     assert got == [single.class_check(kind, k) for kind, k in asked]
     assert got == [want[q] for q in asked]
@@ -694,7 +704,8 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
         monkeypatch.setattr(HodgeContext, "_rank_matrices", recording)
         ctx = HodgeContext(structure, metric)
         third = len(order) // 3
-        ctx.class_checks(order[:third])
+        for kind, k in order[:third]:
+            ctx.class_check(kind, k)
         for kind, k in order[third:] + order:
             ctx.class_check(kind, k)
         count = len(ctx.level_basis.weight)
@@ -713,7 +724,9 @@ def test_class_checks_hold_ranks_alone(monkeypatch):
     ctx = HodgeContext(*_case(2, 1, twisted=True))
     for name in ("_range_basis", "_range_and_null", "_basis_rank"):
         monkeypatch.setattr(hodge, name, lambda *args, name=name: pytest.fail(name))
-    ctx.class_checks([(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS])
+    for k in ctx.structure.levels():
+        for kind in CHECK_KINDS:
+            ctx.class_check(kind, k)
     assert ctx._packages == {}
     count = len(ctx.level_basis.weight)
     for stack in ctx._rank_stacks.values():
@@ -726,9 +739,9 @@ def test_class_checks_hold_ranks_alone(monkeypatch):
     ids=["column", "row", "scalar", "no-rows", "no-columns", "empty"],
 )
 def test_one_row_and_one_column_stacks_match_the_svd(shape):
-    """Ranks, range bases and null bases of stacks of single rows or columns,
-    or of empty matrices, agree with a per-matrix SVD under the same cut,
-    on zero vectors, floors that bind and floors that do not."""
+    """Ranks of stacks of single rows or columns, or of empty matrices,
+    agree with a per-matrix SVD under the same cut, on zero vectors, floors
+    that bind and floors that do not."""
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(7,) + shape) + 1j * rng.normal(size=(7,) + shape)
     mats[0] = 0.0
@@ -739,25 +752,38 @@ def test_one_row_and_one_column_stacks_match_the_svd(shape):
     floors = np.array([0.0, 0.0, 0.5, 2.0, 1e-9, 0.0, 3.0]) * np.where(norms > 0, norms, 1.0)
     floors[4] = 1e-9
     rank = hodge._rank(mats, floors)
-    # a one-row stack's range comes from the norm alone, and from the SVD
-    # that its null space needs when both are asked: equal up to a phase
-    span = hodge._range_basis(mats, floors)
-    shared_span, null = hodge._range_and_null(mats, floors)
-    assert span.shape == shared_span.shape == mats.shape[:-1] + (min(shape),)
-    assert null.shape == (7, shape[1], shape[1])
+    assert rank.tolist() == [_ref_rank(mat, floor=floor) for mat, floor in zip(mats, floors)]
+    if min(shape) == 1:
+        assert rank.tolist() == [0, 1, 1, 0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (12, 4), (4, 8)], ids=["square", "tall", "wide"])
+def test_range_and_null_bases_match_the_svd(shape):
+    """Range and null-space bases of a stack, zero past their rank and
+    nullity, span what a per-matrix SVD spans, and ``_basis_rank`` reads the
+    rank back; a stack of zero, rank-deficient and full-rank matrices."""
+    rng = np.random.default_rng(7)
+    rows, cols = shape
+    mats = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+    mats[0] = 0.0
+    mats[1:4] = mats[1:4, :, :2] @ mats[1:4, :2, :]  # rank 2
+    mats[2] *= 1e-13
+    span = hodge._range_basis(mats)
+    shared_span, null = hodge._range_and_null(mats)
+    assert span.shape == shared_span.shape == (6, rows, min(shape))
+    assert null.shape == (6, cols, cols)
 
     def projector(basis):
         return basis @ basis.conj().T
 
-    for mat, floor, r, u, w, v in zip(mats, floors, rank, span, shared_span, null):
-        ref_rank = _ref_rank(mat, floor=floor)
-        assert r == ref_rank == hodge._basis_rank(u) == hodge._basis_rank(w)
-        assert hodge._basis_rank(v) == shape[1] - ref_rank
-        want = projector(_ref_range_basis(mat, floor=floor))
+    for mat, u, w, v in zip(mats, span, shared_span, null):
+        ref_rank = _ref_rank(mat)
+        assert hodge._basis_rank(u) == hodge._basis_rank(w) == ref_rank
+        assert hodge._basis_rank(v) == cols - ref_rank
+        want = projector(_ref_range_basis(mat))
         assert np.allclose(projector(u), want) and np.allclose(projector(w), want)
-        assert np.allclose(projector(v), projector(_ref_null_basis(mat, floor=floor)))
-    if min(shape) == 1:
-        assert rank.tolist() == [0, 1, 1, 0, 1, 1, 0]
+        assert np.allclose(projector(v), projector(_ref_null_basis(mat)))
+    assert hodge._basis_rank(span).tolist() == [0, 2, 2, 2, 4, 4]
 
 
 # ----------------------------------------------------------------------
@@ -872,7 +898,7 @@ def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
     lb = ctx.level_basis
     every = list(range(len(lb.modes)))
     assert lb.rep.tolist() == every and lb.weight.tolist() == [1] * len(every)
-    assert all(len(v) == len(every) for v in ctx.package("bc")._spectra.vals)
+    assert all(len(v) == len(every) for v in ctx.package("bc").vals)
     alg = AlgebroidHodge(ctx.structure, ctx.metric)
     assert alg.level_basis.rep.tolist() == every
 
@@ -899,26 +925,20 @@ def _apply_full(spectra, blocks, index, coords, weights):
 @pytest.mark.parametrize("kind", KINDS)
 def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
     """The package holds half the box, yet its eigenvalues, eigenvectors,
-    kernel dimensions (summed and per mode), spectral-gap warnings,
-    harmonic bases and harmonic and Green applies are those of a
-    decomposition of every mode."""
+    kernel dimensions, harmonic bases and harmonic and Green applies are
+    those of a decomposition of every mode."""
     ctx = mirrored
     lb, pk = ctx.level_basis, ctx.package(kind)
-    sp = pk._spectra
     count = len(lb.modes)
     full = _full_box_spectra(ctx, kind)
     blocks = lb.blocks(kind)
-    every = sp.decompose(np.arange(len(lb.weight)))
-    for (vals, vecs), held_vals, held_vecs in zip(full, sp.vals, every):
+    every = pk.decompose(np.arange(len(lb.weight)))
+    for (vals, vecs), held_vals, held_vecs in zip(full, pk.vals, every):
         assert len(held_vals) == len(held_vecs) == count // 2 + 1
         assert np.array_equal(held_vals[lb.rep], vals)
         assert np.array_equal(held_vecs[lb.rep], vecs)
     cutoff = _reference_cutoff(vals for vals, _ in full)
-    assert sp.cutoff == cutoff
-
-    gap = sum(int(np.sum((vals > cutoff) & (vals <= 10 * cutoff))) for vals, _ in full)
-    want = [f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"]
-    assert pk.warnings == (want if gap else [])
+    assert pk.cutoff == cutoff
 
     def kernel_dim(level, indices):
         if pk.blockwise:
@@ -935,8 +955,6 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
 
     for level in lb.levels:
         assert pk.kernel_dimension(level) == kernel_dim(level, range(count))
-        for i, mode in enumerate(box_modes(ctx)):
-            assert pk.kernel_dimension(level, mode) == kernel_dim(level, [i])
 
     for level in [None, *lb.levels]:
         want = []
@@ -959,26 +977,10 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
     coords = rng.normal(size=(count, lb.size)) + 1j * rng.normal(size=(count, lb.size))
     sigma = lb.spinor(lb.modes, coords)
     index = lb.positions(sigma.modes)
-    for method, weights in ((pk.harmonic, sp.harmonic_weights), (pk.green, sp.green_weights)):
+    for method, weights in ((pk.harmonic, pk.harmonic_weights), (pk.green, pk.green_weights)):
         want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights))
         got = method(sigma)
         assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
-
-
-def test_spectral_gap_warning_counts_every_mode_of_the_box(monkeypatch):
-    """With a cutoff wide enough that eigenvalues fall within 10x of it, the
-    warning counts them at every mode of the box: twice at a paired
-    representative, once at mode 0."""
-    monkeypatch.setattr(hodge, "RANK_CUTOFF", 0.1)
-    ctx = HodgeContext(*_case(2, 1))
-    for kind in KINDS:
-        full = _full_box_spectra(ctx, kind)
-        cutoff = 0.1 * max(float(vals.max()) for vals, _ in full)
-        gap = sum(int(np.sum((vals > cutoff) & (vals <= 10 * cutoff))) for vals, _ in full)
-        assert gap > 0
-        assert ctx.package(kind).warnings == [
-            f"spectral gap warning: {gap} eigenvalues within 10x of the kernel cutoff"
-        ]
 
 
 def test_algebroid_spectra_equal_a_full_box_decomposition():
@@ -1047,10 +1049,10 @@ def test_algebroid_spectra_equal_the_dbar_package(name):
     assert not alg._slopes[:, lowered].any()
     pk = HodgeContext(s, m).package("dbar")
     assert np.array_equal(alg.level_basis.rep, pk.level_basis.rep)
-    alg_sp, pk_sp = alg._spectra, pk._spectra
-    assert len(alg_sp.vals) == len(pk_sp.vals) == s.dim + 1
+    alg_sp = alg._spectra
+    assert len(alg_sp.vals) == len(pk.vals) == s.dim + 1
     reps = np.arange(len(pk.level_basis.weight))
-    for got, want in zip(alg_sp.vals + alg_sp.decompose(reps), pk_sp.vals + pk_sp.decompose(reps)):
+    for got, want in zip(alg_sp.vals + alg_sp.decompose(reps), pk.vals + pk.decompose(reps)):
         assert np.array_equal(got, want)
 
 
@@ -1208,7 +1210,13 @@ def test_hodge_context_and_class_checks_peak_below_one_box_d_stack():
     s, m = _case(2, 2)
     questions = [(kind, k) for k in s.levels() for kind in CHECK_KINDS]
     stack = len(list(s.box.modes(s.geometry))) * 16 * 16 * 16
-    assert _traced_peak(lambda: HodgeContext(s, m).class_checks(questions)) < stack
+
+    def checks():
+        ctx = HodgeContext(s, m)
+        for kind, k in questions:
+            ctx.class_check(kind, k)
+
+    assert _traced_peak(checks) < stack
 
 
 def _representative_stack(s) -> int:
@@ -1288,7 +1296,7 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     stacks = 4 if kind == "d" else 1
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk, stacks))
     ctx = HodgeContext(*ON_DEMAND_CASES[name]())
-    sp = ctx.package(kind)._spectra
+    sp = ctx.package(kind)
     assert sp.chunk == chunk
     full = _full_box_spectra(ctx, kind)
     count = len(ctx.level_basis.weight)
@@ -1343,12 +1351,12 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
                 sigma = lb.spinor([modes[i]], rng.normal(size=(1, lb.size)) + 0j)
                 pk.green(sigma)
                 pk.harmonic(sigma)
-                first.setdefault(i, pk.green_matrix(modes[i]))
-                assert np.array_equal(pk.green_matrix(modes[i]), first[i])
-        assert pk._spectra.chunk == (chunk // 4 if kind == "d" else chunk)
-        covered = pk._spectra.chunk >= len(lb.weight)
+                first.setdefault(i, pk.matrix(i, pk.green_weights))
+                assert np.array_equal(pk.matrix(i, pk.green_weights), first[i])
+        assert pk.chunk == (chunk // 4 if kind == "d" else chunk)
+        covered = pk.chunk >= len(lb.weight)
         reps = set() if covered else {int(lb.rep[i]) for i in positions}
-        assert sum(decomposed) == len(reps) * len(pk._spectra.blocks), kind
+        assert sum(decomposed) == len(reps) * len(pk.blocks), kind
 
 
 def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(monkeypatch):
@@ -1373,7 +1381,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
         green = pk.green(sigma)
         ctx.package("d").kernel_dimension(0)
         ctx.package("d").harmonic(sigma)
-        assert len(pk._spectra._held[0]) == 1
+        assert len(pk._held[0]) == 1
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None
@@ -1411,7 +1419,9 @@ TABLE_CASES = {
 def _table_after_checks(ctx):
     """hodge_table on a context whose class checks were decided first, and
     the rank stacks that the table's kernel counts added."""
-    ctx.class_checks([(kind, k) for k in ctx.structure.levels() for kind in CHECK_KINDS])
+    for k in ctx.structure.levels():
+        for kind in CHECK_KINDS:
+            ctx.class_check(kind, k)
     before = set(ctx._rank_stacks)
     table = hodge_table(ctx)
     assert ctx._packages == {} and ctx.spectra_passes == []
@@ -1437,8 +1447,8 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
     for kind, dims in table["kernel_dimensions"].items():
         pk = ctx.package(kind)
         assert dims == {str(k): pk.kernel_dimension(k) for k in levels}, kind
-    sp = ctx.package("d")._spectra
-    assert np.array_equal(_rank_kernel(ctx), np.sum(sp.vals[0] <= sp.cutoff, axis=1))
+    pk = ctx.package("d")
+    assert np.array_equal(_rank_kernel(ctx), np.sum(pk.vals[0] <= pk.cutoff, axis=1))
     assert "warnings" not in table
 
 

@@ -100,6 +100,9 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacked_scan_matches_the_per_extension_loop(case, monkeypatch):
+    """The scan's dims, the lengths of the harmonic bases it reads, are the
+    dbar packages' kernel dimensions, undeformed and at every sample, and
+    its injectivity ranks and Gram matrices are the loop's."""
     make, t_samples, levels = CASES[case]
     scenario = Scenario(make())
     context = HodgeContext(scenario.structure, scenario.metric)
@@ -114,6 +117,8 @@ def test_stacked_scan_matches_the_per_extension_loop(case, monkeypatch):
     monkeypatch.undo()
     want = loop_scan(context, scenario.series, t_samples, levels=levels)
 
+    pk = context.package("dbar")
+    assert report["base_dims"] == {k: pk.kernel_dimension(k) for k in report["levels"]}
     assert [row["dims"] for row in report["rows"]] == [row["dims"] for row in want]
     assert [row["injectivity_rank"] for row in report["rows"]] == [
         row["injectivity_rank"] for row in want

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,9 @@ from hypothesis import strategies as st
 from gentorus.cli import main
 from gentorus.report import (
     emit_report,
-    load_report,
     report_to_csv,
     report_to_json,
     report_to_table,
-    reports_equal,
 )
 from gentorus.scenario import (
     BLOCK_KEYS,
@@ -73,8 +72,8 @@ def test_reports_byte_identical():
 
 def test_report_round_trip():
     report, _ = run_scenario(minimal_config())
-    again = load_report(report_to_json(report))
-    assert reports_equal(report, again)
+    again = json.loads(report_to_json(report))
+    assert report == again
     assert again == report
 
 
@@ -146,7 +145,7 @@ def test_cli_run_and_verify(tmp_path, capsys):
     code = main(["verify", str(config_path), str(report_path)])
     assert code == 0
     # corrupt the golden file: verify fails
-    doc = load_report(report_path.read_text())
+    doc = json.loads(report_path.read_text())
     doc["experiments"][0]["status"] = "fail"
     report_path.write_text(report_to_json(doc))
     code = main(["verify", str(config_path), str(report_path)])
@@ -1134,6 +1133,30 @@ def test_fail_fast_stops_early():
     assert len(full["experiments"]) == 2
     stopped, _ = run_scenario(config, fail_fast=True)
     assert len(stopped["experiments"]) == 1
+
+
+@pytest.mark.parametrize(
+    "t_samples", [[0.05], [0.05, 0.05], [0, 0.05, 0.1]], ids=["one", "repeated", "zero"]
+)
+def test_extend_refuses_a_decay_fit_it_cannot_make(t_samples, capfd):
+    """The decay exponent is the slope of log residual against log |t|.  With
+    fewer than two distinct nonzero |t|, or a t = 0, the first extend of
+    ``t2_deformation`` is an error naming the samples, with no warning and
+    nothing from LAPACK on stderr.  (It was a false fail for one sample, the
+    same with a RankWarning for a repeated one, and ``LinAlgError: SVD did
+    not converge`` with DLASCL lines for a zero.)"""
+    config = json.loads((SCENARIOS / "t2_deformation.json").read_text())
+    config["experiments"] = [dict(config["experiments"][0], t_samples=t_samples)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = run_scenario(config)
+    (record,) = report["experiments"]
+    assert record["status"] == "error" and exit_code_for(report) == 1
+    assert record["error"] == (
+        f"ScenarioError: t_samples {t_samples}: the decay-exponent fit needs "
+        "two distinct nonzero |t| and no t = 0"
+    )
+    assert capfd.readouterr().err == ""
 
 
 def test_report_digests_tool_hashes_the_canonical_report():

@@ -16,7 +16,6 @@ from gentorus.spinor import (
     pairing,
     random_courant_vector,
     random_spinor,
-    reversal,
     wedge,
 )
 
@@ -149,14 +148,6 @@ def test_courant_bracket_function_coefficients():
     diff = br2.add(expected.scale(-1))
     assert diff.norm() < 1e-12
     del rng
-
-
-def test_reversal_returns_reversed_composition():
-    rng = np.random.default_rng(23)
-    vecs = [random_courant_vector(rng, T2, BOX, max_mode=0) for _ in range(3)]
-    assert reversal(vecs[:1]) == vecs[:1]
-    assert reversal(vecs[:2]) == [vecs[1], vecs[0]]
-    assert reversal(vecs) == [vecs[2], vecs[1], vecs[0]]
 
 
 def test_form_reversal_signs():
