@@ -104,6 +104,9 @@ class GCStructure:
         The real 4n x 4n endomorphism.
     structure_constants : ndarray
         c[i, j, k] = <l^k, [l_i, l_j]_H>.
+    dual_structure_constants : ndarray
+        d[i, j, k] = <l_k, [l^i, l^j]_H>, the constants of the Schouten
+        bracket on polynomials over the dual frame.
     differentials : dict
         ``"d"``, ``"del"`` and ``"dbar"`` to the pair (C, A) with the
         operator C + 2 pi i sum_a k_a A_a at mode k on the monomial basis:
@@ -154,6 +157,7 @@ class GCStructure:
         self._level_matrix, self._level_slices = self._build_level_basis()
         self._level_inverse = np.linalg.inv(self._level_matrix)
         self.structure_constants = self._structure_constants()
+        self.dual_structure_constants = self._dual_structure_constants()
         self.validation = self._residuals()
         bad = {k: v for k, v in self.validation.items() if v > tol}
         if bad:
@@ -248,13 +252,12 @@ class GCStructure:
         Paired with the dual frame it gives c; paired with the frame, its
         mass off the conjugate bundle, which is zero exactly when L is
         involutive (``integrability``, with the first worst pair i < j).
+        The same pairing with the roles of the frames swapped gives
+        ``dual_structure_constants``.
         """
         dim = self.dim
         tangent = self._frame_vals[:dim]
-        rows, cols = np.triu_indices(dim, 1)  # the pairs i < j in row order
-        bracket = np.einsum(
-            "kp,lp,klm->pm", tangent[:, rows], tangent[:, cols], self._twist_tensor()
-        )
+        rows, cols, bracket = self._constant_brackets(tangent)
         c = np.zeros((dim, dim, dim), dtype=complex)
         c[rows, cols] = bracket @ self._dual_vals[:dim] + 0.0
         c[cols, rows] = -c[rows, cols]
@@ -265,6 +268,33 @@ class GCStructure:
             (int(rows[worst]), int(cols[worst])) if off[worst] > 0 else None
         )
         return c
+
+    def _dual_structure_constants(self) -> np.ndarray:
+        """d[i, j, k] = <l_k, [l^i, l^j]_H>, the brackets of the dual frame
+        along itself.
+
+        Their mass off the dual frame needs no check of its own: J and H
+        are real (``j_real``, ``twist_real``) and the dual frame spans the
+        -i eigenbundle (``frame_eigen``), so L-bar is the conjugate of L
+        and the bracket of two of its sections is the conjugate of a
+        bracket in L, on the conjugate bundle when L is involutive.
+        """
+        dim = self.dim
+        rows, cols, bracket = self._constant_brackets(self._dual_vals[:dim])
+        d = np.zeros((dim, dim, dim), dtype=complex)
+        d[rows, cols] = bracket @ self._frame_vals[:dim] + 0.0
+        d[cols, rows] = -d[rows, cols]
+        return d
+
+    def _constant_brackets(self, tangent: np.ndarray):
+        """The pairs i < j in row order, and row p the 1-form
+        [s_i, s_j]_H = i_{X_j} i_{X_i} H of the constant sections whose
+        tangent parts are the columns of ``tangent``."""
+        rows, cols = np.triu_indices(self.dim, 1)
+        bracket = np.einsum(
+            "kp,lp,klm->pm", tangent[:, rows], tangent[:, cols], self._twist_tensor()
+        )
+        return rows, cols, bracket
 
     def _residuals(self) -> Dict[str, float]:
         q = natural_pairing_matrix(self.dim)
