@@ -56,6 +56,21 @@ reader maps a mode to its representative, and every count over the modes
 (kernel dimensions, class-check dims, rank gap warnings) weights a
 representative by the two modes it stands for (one for mode 0).  A twisted
 context, whose C is not exactly zero, decomposes every mode.
+
+H is real, so d is real, and conjugation maps level j to level -j: a
+level block of d at -k is the conjugate of its partner's at k, with the
+levels exchanged (``_partner``).  The partner of del_j is dbar_{-j}; that
+of dbar del on level j is dbar del on level -j, as del dbar = -dbar del;
+those of d's rows or columns of level j are d's rows or columns of level
+-j; d's two parity blocks are their own.  Conjugation keeps singular
+values, so a partner's ranks at -k are those at k, and of each pair of rank
+stacks one is ranked, the dbar member or the one at level j <= 0, and the
+other is its ranks read through ``_LevelBasis.conjugates``, the
+representative of -k per representative k: the identity on an untwisted
+box, the reversal of the modes on a twisted one.  A stack that is its own
+partner is ranked on the first M // 2 + 1 modes of a twisted box, the
+rest read through the same map, so twisted or not, each pair of a stack
+and a mode is ranked once with its conjugate.
 """
 
 from __future__ import annotations
@@ -79,9 +94,9 @@ CHUNK_BYTES = 1 << 20
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
 
-# HodgeContext.check_counts: class checks decided, and rank stacks computed
-# and served from the context's cache
-CHECK_COUNTERS = ("decided", "ranks_computed", "ranks_reused")
+# HodgeContext.check_counts: class checks decided, and rank stacks computed,
+# read from their conjugate partner's, and served from the context's cache
+CHECK_COUNTERS = ("decided", "ranks_computed", "ranks_mirrored", "ranks_reused")
 
 
 class ObstructionError(ValueError):
@@ -218,6 +233,22 @@ def _mode_mirror(count: int, odd: bool) -> np.ndarray:
     return np.minimum(index, index[::-1]) if odd else index
 
 
+def _partner(key: Tuple[str, int]) -> Tuple[str, int] | None:
+    """The rank key (``HodgeContext._rank_matrices``) of the stack whose
+    ranks at -m are those of ``key``'s at m, or None.  d is real and
+    conjugation maps level j to level -j, so the conjugate of del_j at m is
+    dbar_{-j} at -m; as del dbar = -dbar del, that of Q_j is Q_{-j}, and
+    those of Row_k and Col_j are Row_{-k} and Col_{-j}, halves swapped.  d's
+    parity blocks are their own partners; M_k has no partner among the
+    stacks ranked."""
+    name, j = key
+    if name == "M":
+        return None
+    if name == "d":
+        return key
+    return {"del": "dbar", "dbar": "del"}.get(name, name), -j
+
+
 class _LevelBasis:
     """The per-box data of the Hodge layer, and level-basis coordinates of
     spinors stacked over the modes of the box.
@@ -273,6 +304,12 @@ class _LevelBasis:
         # by the modes it stands for
         self.rep = _mode_mirror(len(self.modes), not self.const.any())
         self.weight = np.bincount(self.rep)
+
+    def conjugates(self) -> np.ndarray:
+        """Per representative, the representative of the mode -k of its
+        mode k: itself on an untwisted box, and mode M - 1 - r of a twisted
+        one, where the representatives are all M modes."""
+        return self.rep[len(self.rep) - 1 - np.arange(len(self.weight))]
 
     def rep_chunks(self, stacks: int) -> Iterator[slice]:
         """The representatives, one chunk at a time, for a pass that holds
@@ -710,8 +747,10 @@ class HodgeContext:
                 "input is not dbar-closed", {"dbar_norm": closed, "scale": scale}
             )
         del_sigma = self.apply("del", sigma)
-        bc = self.package("bc")
-        beta = self.apply("deldbar_adj", bc.green(del_sigma)).scale(-1)
+        # the bc package is built only for a del sigma it has to invert
+        if not del_sigma.is_zero():
+            del_sigma = self.package("bc").green(del_sigma)
+        beta = self.apply("deldbar_adj", del_sigma).scale(-1)
         gamma = sigma.add(self.apply("dbar", beta))
         d_res = self.apply("d", gamma).norm()
         if d_res > tol * scale:
@@ -770,8 +809,9 @@ class HodgeContext:
         With no level k + 1 the four S/B kinds hold, with dims 0 and 0.
         ``dims`` sums c and t over the modes, each representative weighted
         by the modes it stands for (a level block at -k is minus the one at
-        k).  Each rank stack is computed once per context (``_ranks``);
-        every call returns a fresh dict.
+        k).  Each rank stack is ranked once per context, or read from its
+        conjugate partner's ranks (``_ranks``); every call returns a fresh
+        dict.
         """
         if kind not in CHECK_KINDS:
             raise ValueError(f"unknown class check {kind!r}")
@@ -814,7 +854,8 @@ class HodgeContext:
         the dimension of the kernel of its Laplacian over the box, counted
         from rank stacks with no Laplacian spectra; and how many singular
         values of the stacks read lie above the rank cut but within 10x of
-        it, each stack counted once.
+        it, each stack counted once (a stack read from its conjugate
+        partner has its partner's singular values, so its partner's count).
 
         With N_k the size of level k and the names of ``class_check``, per
         representative mode (each weighted by the modes it stands for):
@@ -830,7 +871,8 @@ class HodgeContext:
           counted level by level (``_level_content``).
 
         The stacks are those the class checks read, so after the checks
-        only the two parity blocks of d are ranked anew.
+        only the two parity blocks of d are ranked anew, each its own
+        conjugate partner.
         """
         lb = self.level_basis
         terms = {
@@ -935,28 +977,62 @@ class HodgeContext:
     def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
         """Per representative mode, the ranks of the stack that ``key`` names
         (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
-        at floor * scale, both from one values-only SVD.  Computed once per
-        context, over chunks of ``_chunk_length`` representatives for one d
-        stack (its blocks of d are smaller than d), and kept under
-        ``_rank_key``, with the count of singular values above the first
-        cut but within 10x of it, each mode weighted by the modes it stands
-        for (``_rank_gaps``)."""
+        at floor * scale, both from one values-only SVD.  Kept under
+        ``_rank_key``, once per context, with the count of singular values
+        above the first cut but within 10x of it, each mode weighted by the
+        modes it stands for (``_rank_gaps``).
+
+        d is real, so a stack at -m is the conjugate of its partner's at m
+        (``_partner``), and of each pair only "dbar" and the member at level
+        j <= 0 are ranked (``_rank_pass``): the other is that stack read
+        through ``_LevelBasis.conjugates``, with its gap count, so the same
+        stacks are ranked whichever member is asked first.  The partners'
+        singular values agree to rounding (about 1e-14), not bitwise, so a
+        value at the cut could rank apart; a direct pass over every
+        representative is kept in the tests as the reference, on the
+        floor-binding cases too."""
         key = self._rank_key(key)
         if key in self._rank_stacks:
             self.check_counts["ranks_reused"] += 1
             return self._rank_stacks[key]
+        name, j = key
+        if name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
+            self._rank_pass(key)
+        else:
+            partner = _partner(key)
+            if partner not in self._rank_stacks:
+                self._rank_pass(partner)
+            self.check_counts["ranks_mirrored"] += 1
+            self._rank_stacks[key] = self._rank_stacks[partner][self.level_basis.conjugates()]
+            self._rank_gaps[key] = self._rank_gaps[partner]
+        return self._rank_stacks[key]
+
+    def _rank_pass(self, key: Tuple[str, int]) -> None:
+        """Rank the stack that ``key`` names, over chunks of ``_chunk_length``
+        representatives for one d stack (its blocks of d are smaller than
+        d), and keep its ranks and gap count (``_ranks``).  A stack that is
+        its own partner has the same ranks at a representative and at its
+        conjugate, so only the first of each pair is ranked, weighted by the
+        modes of both, and the other reads it: the first M // 2 + 1 modes
+        of a twisted box, every representative of an untwisted one."""
         self.check_counts["ranks_computed"] += 1
-        lb = self.level_basis
+        # the scale first: its pass over whole d stacks is the larger, so
+        # nothing of this pass is held during it
         scale, floor = self._floor()
         floors = np.stack([floor, floor * scale], axis=-1)
+        lb = self.level_basis
+        fold = np.arange(len(lb.weight))
+        if _partner(key) == key:
+            fold = np.minimum(fold, lb.conjugates())
+        weight = np.bincount(fold[lb.rep])
         # int16, a quarter of int64: the stacks are held for the context's life
-        ranks = np.empty(floors.shape, dtype=np.int16)
-        gap, chunks = 0, list(lb.rep_chunks(1))
+        ranks = np.empty((len(weight), 2), dtype=np.int16)
+        gap, chunk = 0, _chunk_length(lb.size, 1)
+        chunks = list(_chunks(len(weight), chunk))
         for sel in chunks:
             values = _singular_values(self._rank_matrices(key, sel))
             ranks[sel] = _cut(values[:, None], floors[sel])
-            gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ lb.weight[sel])
-        self._rank_stacks[key], self._rank_gaps[key] = ranks, gap
-        self.rank_passes.append({"stack": key[0], "level": key[1],
-                                 "chunk": _chunk_length(lb.size, 1), "chunks": len(chunks)})
-        return ranks
+            gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ weight[sel])
+        self._rank_stacks[key], self._rank_gaps[key] = ranks[fold], gap
+        self.rank_passes.append({"stack": key[0], "level": key[1], "modes": len(weight),
+                                 "chunk": chunk, "chunks": len(chunks)})

@@ -635,16 +635,28 @@ def test_class_checks_do_not_depend_on_the_order_asked(case):
 
 
 def test_hodge_table_svd_count(monkeypatch):
-    """hodge_table on T^4 K=1 makes 22 SVD calls (39 when the class checks
-    built bases, 177 before they shared them): 15 values-only calls in the
-    25 class checks, 2 for d's parity blocks and 5 per-mode calls for the
-    d kernel's levels, and one eigh, at the one mode with a d kernel.  The
-    checks rank 26 stacks, each once: del, dbar and dbar del on 5, 6 and 7
+    """hodge_table on T^4 K=1 makes 17 SVD calls (22 before the conjugate
+    stacks were mirrored, 39 when the class checks built bases, 177 before
+    they shared them): 10 values-only calls in the 25 class checks, 2 for
+    d's parity blocks and 5 per-mode calls for the d kernel's levels, and
+    one eigh, at the one mode with a d kernel.
+
+    The checks read 26 stacks: del, dbar and dbar del on 5, 6 and 7
     levels, d's rows and columns on 3 each and M on 2, since a stack with
-    an empty half is that of its other half; the 11 stacks of single rows
-    or columns, or empty, take their vector norms.  The kernel counts read
-    32 stacks, 10 each for dbar, bc and aeppli and d's two parity blocks,
-    which are the only ones ranked anew."""
+    an empty half is that of its other half.  They rank 16 of them: dbar on
+    its 6 levels, dbar del, rows and columns at levels j <= 0 (4, 2 and 2)
+    and M on 2.  The other 10 are the conjugates of ranked stacks, read
+    through the mirror: del on 5 levels (those of dbar at -j), dbar del at
+    j = 1, 2, 3, Row_1 and Col_1.  Of the 16 ranked, the 6 stacks of single
+    rows or columns, or empty, take their vector norms (dbar_{-3}, dbar_{-2},
+    dbar_1, dbar_2, Q_{-3}, Q_{-2}), so 10 take an SVD.  The kernel counts
+    read 32 stacks, 10 each for dbar, bc and aeppli and d's two parity
+    blocks, which are the only ones ranked anew: 18 ranked in all.
+
+    Of the 113 lookups (81 by the checks, 32 by the kernel counts), 16
+    rank their own stack, 10 read their partner's, 2 of which (del_{-1}
+    and del_0) rank that partner first (dbar_1 and dbar_0), and the other
+    87 find their stack kept: 16 + 2 = 18 ranked."""
     ctx = HodgeContext(*_case(2, 1))
     calls = {"svd": [], "eigh": []}
     for name in calls:
@@ -655,8 +667,10 @@ def test_hodge_table_svd_count(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     hodge_table(ctx)
-    assert len(calls["svd"]) <= 22 and len(calls["eigh"]) == 1
-    assert ctx.check_counts == {"decided": 25, "ranks_computed": 28, "ranks_reused": 85}
+    assert len(calls["svd"]) == 17 and len(calls["eigh"]) == 1
+    assert ctx.check_counts == {
+        "decided": 25, "ranks_computed": 18, "ranks_mirrored": 10, "ranks_reused": 87,
+    }
 
 
 @settings(
@@ -687,7 +701,9 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
     """Every question asked twice, in order, reversed or shuffled, as
     batches or one at a time: each rank stack is built once per context,
     one chunk of 7 representatives after another, and the same stacks in
-    every order."""
+    every order.  Of each conjugate pair only dbar and the member at level
+    j <= 0 are built, and the other is read from it; a stack that is its
+    own partner is built on the first M // 2 + 1 modes of a twisted box."""
     structure, metric, want = _reference_case(case)
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(2 ** structure.dim, 7))
     questions = list(want)
@@ -708,14 +724,67 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
             ctx.class_check(kind, k)
         for kind, k in order[third:] + order:
             ctx.class_check(kind, k)
-        count = len(ctx.level_basis.weight)
-        cover = [(sel.start, sel.stop) for sel in hodge._chunks(count, 7)]
+        lb = ctx.level_basis
+        count = len(lb.weight)
+        half = count // 2 + 1 if count == len(lb.modes) else count
+
+        def cover(key):
+            modes = half if hodge._partner(key) == key else count
+            return [(sel.start, sel.stop) for sel in hodge._chunks(modes, 7)]
+
         keys = list(dict.fromkeys(key for key, _, _ in chunks))
-        assert sorted(chunks) == sorted((key, *c) for key in keys for c in cover)
-        assert ctx.check_counts["ranks_computed"] == len(keys) == len(ctx._rank_stacks)
+        assert sorted(chunks) == sorted((key, *c) for key in keys for c in cover(key))
+        assert all(name in ("dbar", "M", "d") or (name != "del" and j <= 0) for name, j in keys)
+        mirrored = set(ctx._rank_stacks) - set(keys)
+        assert all(hodge._partner(key) in keys for key in mirrored)
+        assert ctx.check_counts["ranks_computed"] == len(keys)
+        assert ctx.check_counts["ranks_mirrored"] == len(mirrored)
         assert ctx.check_counts["decided"] == 2 * len(order)
         stacks.append(sorted(keys))
     assert stacks[0] == stacks[1] == stacks[2]
+
+
+def _direct_ranks(ctx, key):
+    """The ranks and gap count of the stack that ``key`` names by one pass
+    over every representative, with no mirror and no half pass: the
+    reference for ``HodgeContext._ranks``."""
+    lb = ctx.level_basis
+    scale, floor = ctx._floor()
+    values = hodge._singular_values(ctx._rank_matrices(key, slice(0, len(lb.weight))))
+    ranks = hodge._cut(values[:, None], np.stack([floor, floor * scale], axis=-1))
+    gap = int((ranks[:, 0] - hodge._cut(values, floor, margin=10.0)) @ lb.weight)
+    return ranks, gap
+
+
+@pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
+def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
+    """Every stack the class checks and kernel counts can ask for, at the
+    levels -n - 1 to n + 1 that they ask, read through its conjugate
+    partner's ranks or ranked on half of a twisted box, has the ranks and
+    gap count of a direct pass over all representatives.  This rests on
+    ``_rank_key`` commuting with the partner map and, on a twisted box, on
+    the rank scale being bitwise even in the mode, both asserted."""
+    structure, metric, _ = _reference_case(case)
+    ctx = HodgeContext(structure, metric)
+    n = structure.n
+    keys = [(name, j) for j in range(-n - 1, n + 2)
+            for name in ("del", "dbar", "dbar del", "row", "col", "M")]
+    keys += [("d", 0), ("d", 1)]
+    for key in keys:
+        ranks, gap = _direct_ranks(ctx, ctx._rank_key(key))
+        got = ctx._ranks(key)
+        assert got.dtype == np.int16 and np.array_equal(got, ranks), key
+        assert ctx._rank_gaps[ctx._rank_key(key)] == gap, key
+        partner = hodge._partner(key)
+        if partner is not None:
+            assert hodge._partner(ctx._rank_key(key)) == ctx._rank_key(partner), key
+    assert ctx.check_counts["ranks_mirrored"] > 0
+    lb = ctx.level_basis
+    twisted = len(lb.weight) == len(lb.modes)
+    reps = np.arange(len(lb.weight))
+    assert np.array_equal(lb.conjugates(), reps[::-1] if twisted else reps)
+    scale = ctx._floor()[0]
+    assert not twisted or scale.tobytes() == scale[::-1].tobytes()
 
 
 def test_class_checks_hold_ranks_alone(monkeypatch):
@@ -1498,18 +1567,20 @@ def test_rank_gap_warning_counts_every_mode_of_the_box(monkeypatch):
     """With a cutoff wide enough that singular values fall within 10x of
     the rank cut, the table warns with their count over every mode of the
     box, from each distinct stack it reads once: twice at a paired
-    representative, once at mode 0."""
+    representative, once at mode 0.  On a twisted box, a stack that is its
+    own conjugate partner counts the same way over the half it ranks."""
     monkeypatch.setattr(hodge, "RANK_CUTOFF", 0.1)
-    ctx = HodgeContext(*_case(2, 1))
-    stacks, scale = _full_box_rank_stacks(ctx)
-    gap = 0
-    for stack in stacks:
-        if not stack.size:
-            continue
-        s = np.linalg.svd(stack, compute_uv=False)
-        cut = np.maximum(0.1 * s[:, :1], 0.1 * scale[:, None])
-        gap += int(np.sum((s > cut) & (s <= 10 * cut)))
-    assert gap > 0
-    assert hodge_table(ctx)["warnings"] == [
-        f"rank gap warning: {gap} singular values within 10x of the rank cut"
-    ]
+    for twisted in (False, True):
+        ctx = HodgeContext(*_case(2, 1, twisted))
+        stacks, scale = _full_box_rank_stacks(ctx)
+        gap = 0
+        for stack in stacks:
+            if not stack.size:
+                continue
+            s = np.linalg.svd(stack, compute_uv=False)
+            cut = np.maximum(0.1 * s[:, :1], 0.1 * scale[:, None])
+            gap += int(np.sum((s > cut) & (s <= 10 * cut)))
+        assert gap > 0
+        assert hodge_table(ctx)["warnings"] == [
+            f"rank gap warning: {gap} singular values within 10x of the rank cut"
+        ], twisted

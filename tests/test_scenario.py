@@ -797,9 +797,9 @@ def test_varying_criterion_verdict_follows_the_policy(policy, status, error):
 
 def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     """Each experiment's sidecar entry counts the class checks it decided
-    and the rank stacks it computed or found on the context, and lists the
-    passes it made; the report bytes are those of a run without the
-    sidecar."""
+    and the rank stacks it computed, read from their conjugate partners or
+    found on the context, and lists the passes it made; the report bytes
+    are those of a run without the sidecar."""
     config = minimal_config()
     config["experiments"].append({"kind": "hodge-table"})
     path = tmp_path / "mini.json"
@@ -811,15 +811,22 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     assert not (tmp_path / "plain" / "mini.timings.json").exists()
     sidecar = json.loads((tmp_path / "timed" / "mini.timings.json").read_text())
     assert [t["class_checks"] for t in sidecar] == [
-        {"decided": 0, "ranks_computed": 0, "ranks_reused": 0},
-        # T^2: 3 levels x 5 kinds rank 14 stacks in 43 lookups: del, dbar
+        {"decided": 0, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 0},
+        # T^2: 3 levels x 5 kinds read 14 stacks in 43 lookups: del, dbar
         # and dbar del on 3, 4 and 5 levels, and d's rows and columns of one
         # level each (the other rows, columns and M have an empty half).
-        # The kernel counts read 20 more, 6 each for dbar, bc and aeppli
-        # and d's two parity blocks, which are the only new stacks; the
+        # They rank 9: dbar on its 4 levels, dbar del at levels -2, -1, 0,
+        # and Row_0 and Col_0, which are their own conjugate partners; the
+        # other 5, del on 3 levels and dbar del at 1 and 2, are their
+        # partners' ranks read through the mirror.  The kernel counts read
+        # 20 more, 6 each for dbar, bc and aeppli and d's two parity
+        # blocks, which are the only new stacks.  Of the 63 lookups, 9
+        # rank their own stack, 5 read their partner's, 2 of which (del_0
+        # and del_1) rank that partner first (dbar_0 and dbar_{-1}), and
+        # the other 49 find their stack kept: 9 + 2 = 11 ranked.  The
         # second table reads all 63 from the context
-        {"decided": 15, "ranks_computed": 16, "ranks_reused": 47},
-        {"decided": 15, "ranks_computed": 0, "ranks_reused": 63},
+        {"decided": 15, "ranks_computed": 11, "ranks_mirrored": 5, "ranks_reused": 49},
+        {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 63},
     ]
     # the first pass of each package the experiment built, outside the
     # report: the identity suite builds all five and the tables none.
@@ -829,11 +836,12 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1}
               for kind in ("dbar", "bc", "aeppli", "d", "del")]
     assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
-    # the rank stacks the first table computed, one pass of one chunk each,
-    # d's parity blocks last
+    # the rank stacks the first table computed, one pass of one chunk each
+    # over all 5 representatives (untwisted, a stack that is its own
+    # partner ranks every representative), d's parity blocks last
     ranked = [t["rank_passes"] for t in sidecar]
-    assert ranked[0] == ranked[2] == [] and len(ranked[1]) == 16
-    assert all((p["chunk"], p["chunks"]) == (4096, 1) for p in ranked[1])
+    assert ranked[0] == ranked[2] == [] and len(ranked[1]) == 11
+    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[1])
     assert [(p["stack"], p["level"]) for p in ranked[1][-2:]] == [("d", 0), ("d", 1)]
     assert '"spectra_passes"' not in timed.read_text()
     assert '"rank_passes"' not in timed.read_text()

@@ -39,6 +39,8 @@ _OMEGA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
 _TWISTED = {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}
+# g = 1e-4 I puts d at 7e5, where the absolute rank floors bind on every mode
+_SMALL_G = {"g": [[1e-4 if i == j else 0 for j in range(4)] for i in range(4)]}
 # on T^6, H = dx0^dx1^dx3 fails 15 of the 35 class checks at K=1
 _TWISTED_T6 = {"type": "complex", "H": [{"indices": [0, 1, 3], "c": 1.0}]}
 
@@ -60,8 +62,8 @@ def _identity(name: str, n: int, K: int, samples: int, structure: Dict, metric=N
     return _config(name, n, K, experiment, structure, metric)
 
 
-def _hodge_table(name: str, n: int, K: int, structure: Dict) -> Dict:
-    return _config(name, n, K, {"kind": "hodge-table"}, structure)
+def _hodge_table(name: str, n: int, K: int, structure: Dict, metric=None) -> Dict:
+    return _config(name, n, K, {"kind": "hodge-table"}, structure, metric)
 
 
 def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
@@ -74,8 +76,8 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 
 
 # identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s),
-# hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), and on
-# T^6 K=1, untwisted and twisted (1-2 s each), and a Maurer-Cartan
+# hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), also at
+# g = 1e-4 I, and on T^6 K=1, untwisted and twisted (1-2 s each), and a Maurer-Cartan
 # expansion on twisted T^4 K=3, whose higher orders go through the twisted
 # algebroid's Green operator (0.15 s), timed on a 2-vCPU x86-64 host
 INLINE = [
@@ -86,6 +88,7 @@ INLINE = [
               {"type": "b_transform", "base": {"type": "complex"}, "B": _B}, {"b": _B}),
     _identity("t6-complex-identity", 3, 0, 2, {"type": "complex"}),
     _hodge_table("t4-twisted-hodge", 2, 2, _TWISTED),
+    _hodge_table("t4-twisted-floors-K2-hodge", 2, 2, _TWISTED, _SMALL_G),
     _hodge_table("t6-complex-hodge", 3, 1, {"type": "complex"}),
     _hodge_table("t6-twisted-hodge", 3, 1, _TWISTED_T6),
     _expand("t4-twisted-expand", 2, 3, _TWISTED),
