@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,9 +23,15 @@ from .calculus import (
 from .fourier import (
     TorusGeometry,
     TruncationBox,
+    _join,
     _mode_keys,
+    _norms,
+    _products,
     _runs_within_chunk,
-    _stack_products,
+    _split,
+    _Stacks,
+    _sum,
+    _without_zeros,
 )
 from .hodge import (
     CHECK_KINDS,
@@ -90,7 +96,7 @@ def _clifford_relation(
 
     All samples are drawn first, in the per-sample order: a, b, then the
     spinor.  Their products are then stacks over runs of samples (see
-    :class:`_Stacks`), each run's largest stack within ``PAIR_CHUNK``
+    :class:`~gentorus.fourier._Stacks`), each run's largest stack within ``PAIR_CHUNK``
     entries, formed with :func:`~gentorus.fourier._stack_products`, the
     summation ``FourierMatrix.matmul`` uses: each pair-product GEMM keeps
     its own column count, samples of equal count share a batched matmul
@@ -140,45 +146,6 @@ def _clifford_relation(
     return resid
 
 
-class _Stacks(NamedTuple):
-    """One Fourier stack per sample, held end to end: the coefficient
-    matrices (T, rows, cols), their mode keys (T,) (see
-    :func:`~gentorus.fourier._mode_keys`), ascending within each sample, and
-    each sample's number of matrices (S,).  As in a ``FourierMatrix``, no
-    matrix is all zero."""
-
-    coeffs: np.ndarray
-    keys: np.ndarray
-    counts: np.ndarray
-
-
-def _owners(stacks: _Stacks) -> np.ndarray:
-    return np.repeat(np.arange(len(stacks.counts)), stacks.counts)
-
-
-def _without_zeros(stacks: _Stacks) -> _Stacks:
-    """The stacks less their all-zero matrices."""
-    live = stacks.coeffs.any(axis=(1, 2))
-    if live.all():
-        return stacks
-    counts = np.bincount(_owners(stacks)[live], minlength=len(stacks.counts))
-    return _Stacks(stacks.coeffs[live], stacks.keys[live], counts)
-
-
-def _split(stacks: _Stacks, count: int) -> Tuple[_Stacks, _Stacks]:
-    """The first ``count`` samples' stacks and the rest's."""
-    cut = int(stacks.counts[:count].sum())
-    return (
-        _Stacks(stacks.coeffs[:cut], stacks.keys[:cut], stacks.counts[:count]),
-        _Stacks(stacks.coeffs[cut:], stacks.keys[cut:], stacks.counts[count:]),
-    )
-
-
-def _join(first: _Stacks, second: _Stacks) -> _Stacks:
-    """The samples of ``first``, then those of ``second``."""
-    return _Stacks(*(np.concatenate(pair) for pair in zip(first, second)))
-
-
 def _row_stacks(
     box: TruncationBox, dim: int, cells: List[List[Tuple]], shape: Tuple[int, int]
 ) -> _Stacks:
@@ -199,41 +166,6 @@ def _row_stacks(
         coeffs[p, i, j] = c
     keys = _mode_keys(box, np.array(modes, dtype=np.int64).reshape(-1, dim))
     return _without_zeros(_Stacks(coeffs, keys, np.array(counts)))
-
-
-def _products(left: _Stacks, right: _Stacks) -> _Stacks:
-    """Per sample, the product of its two stacks as ``FourierMatrix.matmul``
-    forms it inside the box."""
-    sums, p, q, owner = _stack_products(
-        left.coeffs, left.keys, left.counts, right.coeffs, right.keys, right.counts
-    )
-    counts = np.bincount(owner, minlength=len(left.counts))
-    return _without_zeros(_Stacks(sums, left.keys[p] + right.keys[q], counts))
-
-
-def _sum(first: _Stacks, second: _Stacks) -> _Stacks:
-    """Per sample, the sum of its two stacks as ``FourierMatrix.add`` forms
-    it: both stacks' matrices sorted stably by mode, those at one mode
-    summed by ``reduceat``.  Two empty stacks sum to an empty one."""
-    owner = np.concatenate([_owners(first), _owners(second)])
-    keys = np.concatenate([first.keys, second.keys])
-    order = np.lexsort((keys, owner))
-    owner, keys = owner[order], keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])))
-    )[: len(keys)]
-    coeffs = np.add.reduceat(np.concatenate([first.coeffs, second.coeffs])[order], starts, axis=0)
-    counts = np.bincount(owner[starts], minlength=len(first.counts))
-    return _without_zeros(_Stacks(coeffs, keys[starts], counts))
-
-
-def _norms(stacks: _Stacks) -> np.ndarray:
-    """Per sample, ``FourierMatrix.norm``: the root of one sum over the
-    sample's contiguous squared magnitudes, whose pairwise order a sum over
-    a longer run would change."""
-    squares = np.abs(stacks.coeffs) ** 2
-    ends = np.cumsum(stacks.counts).tolist()
-    return np.sqrt([np.sum(squares[end - n:end]) for end, n in zip(ends, stacks.counts.tolist())])
 
 
 # A section drawn for the Clifford suite is its 4n components (tangent, then

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -344,6 +344,18 @@ def _mode_keys(box: TruncationBox, modes: np.ndarray) -> np.ndarray:
     return modes @ base ** np.arange(modes.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
+def _key_modes(box: TruncationBox, keys: np.ndarray, dim: int) -> np.ndarray:
+    """The (len(keys), dim) modes whose :func:`_mode_keys` are ``keys``:
+    the keys' balanced digits in base 4K + 1, most significant first."""
+    base = 4 * box.K + 1
+    modes = np.zeros((len(keys), dim), dtype=np.int64)
+    rest = np.asarray(keys, dtype=np.int64)
+    for axis in range(dim - 1, -1, -1):
+        modes[:, axis] = (rest + 2 * box.K) % base - 2 * box.K
+        rest = (rest - modes[:, axis]) // base
+    return modes
+
+
 def _group_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values starts in a sorted array."""
     if not len(keys):
@@ -529,6 +541,92 @@ def _stack_products(
             slots, products = slots[kept], products[kept]
         _add_rows(out, slots, products)
     return out, p[first], q[first], owner[first]
+
+
+# ---------------------------------------------------------------------------
+# one Fourier stack per sample, held end to end
+# ---------------------------------------------------------------------------
+
+# A batch of samples, each a FourierMatrix, is one array of coefficient
+# matrices with the samples' matrices in sample order.  The helpers below
+# form per sample what the FourierMatrix operations form for it alone, bit
+# for bit, so that a loop over samples becomes a few stacked passes; a pass
+# over many samples goes in runs of _runs_within_chunk.
+
+
+class _Stacks(NamedTuple):
+    """One Fourier stack per sample, held end to end: the coefficient
+    matrices (T, rows, cols), their mode keys (T,) (see :func:`_mode_keys`),
+    ascending within each sample, and each sample's number of matrices (S,).
+    As in a ``FourierMatrix``, no matrix is all zero."""
+
+    coeffs: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
+
+
+def _owners(stacks: _Stacks) -> np.ndarray:
+    """The sample of each matrix."""
+    return np.repeat(np.arange(len(stacks.counts)), stacks.counts)
+
+
+def _without_zeros(stacks: _Stacks) -> _Stacks:
+    """The stacks less their all-zero matrices, as the ``FourierMatrix``
+    constructors drop them."""
+    live = stacks.coeffs.any(axis=(1, 2))
+    if live.all():
+        return stacks
+    counts = np.bincount(_owners(stacks)[live], minlength=len(stacks.counts))
+    return _Stacks(stacks.coeffs[live], stacks.keys[live], counts)
+
+
+def _split(stacks: _Stacks, count: int) -> Tuple[_Stacks, _Stacks]:
+    """The first ``count`` samples' stacks and the rest's."""
+    cut = int(stacks.counts[:count].sum())
+    return (
+        _Stacks(stacks.coeffs[:cut], stacks.keys[:cut], stacks.counts[:count]),
+        _Stacks(stacks.coeffs[cut:], stacks.keys[cut:], stacks.counts[count:]),
+    )
+
+
+def _join(first: _Stacks, second: _Stacks) -> _Stacks:
+    """The samples of ``first``, then those of ``second``."""
+    return _Stacks(*(np.concatenate(pair) for pair in zip(first, second)))
+
+
+def _products(left: _Stacks, right: _Stacks) -> _Stacks:
+    """Per sample, the product of its two stacks as ``FourierMatrix.matmul``
+    forms it inside the box (see :func:`_stack_products`)."""
+    sums, p, q, owner = _stack_products(
+        left.coeffs, left.keys, left.counts, right.coeffs, right.keys, right.counts
+    )
+    counts = np.bincount(owner, minlength=len(left.counts))
+    return _without_zeros(_Stacks(sums, left.keys[p] + right.keys[q], counts))
+
+
+def _sum(first: _Stacks, second: _Stacks) -> _Stacks:
+    """Per sample, the sum of its two stacks as ``FourierMatrix.add`` forms
+    it: both stacks' matrices sorted stably by mode, those at one mode
+    summed by ``reduceat``.  Two empty stacks sum to an empty one."""
+    owner = np.concatenate([_owners(first), _owners(second)])
+    keys = np.concatenate([first.keys, second.keys])
+    order = np.lexsort((keys, owner))
+    owner, keys = owner[order], keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])))
+    )[: len(keys)]
+    coeffs = np.add.reduceat(np.concatenate([first.coeffs, second.coeffs])[order], starts, axis=0)
+    counts = np.bincount(owner[starts], minlength=len(first.counts))
+    return _without_zeros(_Stacks(coeffs, keys[starts], counts))
+
+
+def _norms(stacks: _Stacks) -> np.ndarray:
+    """Per sample, ``FourierMatrix.norm``: the root of one sum over the
+    sample's contiguous squared magnitudes, whose pairwise order a sum over
+    a longer run would change."""
+    squares = np.abs(stacks.coeffs) ** 2
+    ends = np.cumsum(stacks.counts).tolist()
+    return np.sqrt([np.sum(squares[end - n:end]) for end, n in zip(ends, stacks.counts.tolist())])
 
 
 class FourierMatrix:

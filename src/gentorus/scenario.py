@@ -580,11 +580,13 @@ class Runner:
             t = _complex_from(t)
             eps_t = series.eps_at(t)
             deformed = DeformedStructure(s, eps_t) if constant else None
+            sigmas = [
+                random_spinor(rng, s.geometry, s.box, max_mode=max(1, s.box.K // 2))
+                for _ in range(samples if run_samples else 0)
+            ]
             worst_identity = 0.0
             agree = True
-            for _ in range(samples if run_samples else 0):
-                sigma = random_spinor(rng, s.geometry, s.box, max_mode=max(1, s.box.K // 2))
-                res = holomorphy_residuals(s, eps_t, sigma, deformed=deformed)
+            for res in holomorphy_residuals(s, eps_t, sigmas, deformed=deformed) if sigmas else []:
                 if "proof_identity_residual" in res:
                     worst_identity = max(
                         worst_identity, res["proof_identity_residual"] / res["scale"]

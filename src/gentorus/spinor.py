@@ -653,20 +653,23 @@ class CliffordPoly:
             return FourierScalar.zero(self.geometry, self.box)
         return self.stack[0, keys.index(sorted_sign[0])].scale(sorted_sign[1])
 
-    def act(self, sigma: Spinor, policy: str | None = None) -> Spinor:
-        """Iterated Clifford action, slots applied in increasing tuple order.
-
-        The frame must be constant: the action is one matrix, the sum of
-        the coefficients times the constant matrices of the slot words,
-        applied to sigma's column in one product.
-        """
+    def action_matrix(self) -> FourierMatrix:
+        """The matrix of the iterated Clifford action, slots applied in
+        increasing tuple order: the sum of the coefficients times the
+        constant matrices of the slot words, built on first use.  The frame
+        must be constant."""
         if self._matrix is None:
             if not all(v.is_constant() for v in self.frame):
                 raise ValueError("the Clifford action needs a constant frame")
             dim = self.geometry.dim
             slots = [constant_clifford_matrix(v.constant_values(), dim) for v in self.frame]
             self._matrix = _word_action(self.stack, self.keys, np.array(slots))
-        return Spinor.from_stack(self._matrix.matmul(sigma.stack, policy=policy))
+        return self._matrix
+
+    def act(self, sigma: Spinor, policy: str | None = None) -> Spinor:
+        """Iterated Clifford action: one product of :meth:`action_matrix`
+        with sigma's column."""
+        return Spinor.from_stack(self.action_matrix().matmul(sigma.stack, policy=policy))
 
     def wedge(self, other: "CliffordPoly") -> "CliffordPoly":
         """Exterior product over a common frame.

@@ -243,9 +243,8 @@ def test_criterion_07_holomorphy_criterion():
         eps = CliffordPoly.constant(s.dual_frame, (0, 1), c)
         ds = DeformedStructure(s, eps)
         rng = np.random.default_rng(int(100 * c))
-        for _ in range(20):
-            sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
-            res = holomorphy_residuals(s, eps, sigma, deformed=ds)
+        sigmas = [random_spinor(rng, s.geometry, s.box, max_mode=1) for _ in range(20)]
+        for res in holomorphy_residuals(s, eps, sigmas, deformed=ds):
             worst = max(worst, res["proof_identity_residual"] / res["scale"])
             lhs_zero = res["lhs_residual"] < 1e-9 * res["scale"]
             rhs_zero = res["rhs_residual"] < 1e-9 * res["scale"]

@@ -397,9 +397,8 @@ def test_criterion_proof_identity(t2, c):
     eps = CliffordPoly.constant(t2.dual_frame, (0, 1), c)
     ds = DeformedStructure(t2, eps)
     rng = np.random.default_rng(int(1000 * c))
-    for _ in range(20):
-        sigma = random_spinor(rng, t2.geometry, t2.box, max_mode=1)
-        res = holomorphy_residuals(t2, eps, sigma, deformed=ds)
+    sigmas = [random_spinor(rng, t2.geometry, t2.box, max_mode=1) for _ in range(20)]
+    for res in holomorphy_residuals(t2, eps, sigmas, deformed=ds):
         assert res["proof_identity_residual"] < 1e-9 * res["scale"]
         lhs_zero = res["lhs_residual"] < 1e-9 * res["scale"]
         rhs_zero = res["rhs_residual"] < 1e-9 * res["scale"]
@@ -411,9 +410,8 @@ def test_criterion_proof_identity_t4_generic(t4):
     rng = np.random.default_rng(347)
     eps = random_constant_eps(rng, t4, 0.35)
     ds = DeformedStructure(t4, eps)
-    for _ in range(5):
-        sigma = random_spinor(rng, t4.geometry, t4.box, max_mode=1)
-        res = holomorphy_residuals(t4, eps, sigma, deformed=ds)
+    sigmas = [random_spinor(rng, t4.geometry, t4.box, max_mode=1) for _ in range(5)]
+    for res in holomorphy_residuals(t4, eps, sigmas, deformed=ds):
         assert res["proof_identity_residual"] < 1e-9 * res["scale"]
 
 
@@ -422,7 +420,7 @@ def test_criterion_zero_deformation_reduces_to_delbar(t2):
     rng = np.random.default_rng(323)
     from gentorus.calculus import delbar_op
     sigma = random_spinor(rng, t2.geometry, t2.box, max_mode=1)
-    res = holomorphy_residuals(t2, zero, sigma)
+    res = holomorphy_residuals(t2, zero, [sigma])[0]
     want = delbar_op(sigma, t2).norm()
     assert abs(res["rhs_residual"] - want) < 1e-12 * max(1.0, want)
     assert abs(res["lhs_residual"] - want) < 1e-12 * max(1.0, want)
@@ -454,7 +452,7 @@ def test_varying_criterion_rhs_under_drop_drops_mass_and_inverts_nothing(monkeyp
         lost = 0.0
         for sigma in sigmas:
             lost += criterion_rhs(s, eps, sigma).dropped_mass()
-            res = holomorphy_residuals(s, eps, sigma)
+            res = holomorphy_residuals(s, eps, [sigma])[0]
             assert set(res) == {"rhs_residual", "scale"}
             assert np.isfinite(res["rhs_residual"])
         assert lost > 0
@@ -463,7 +461,7 @@ def test_varying_criterion_rhs_under_drop_drops_mass_and_inverts_nothing(monkeyp
 def test_beltrami_deformed_holomorphy_on_seed(t2):
     """The transported canonical class is holomorphic for the shear itself."""
     eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
-    res = holomorphy_residuals(t2, eps, t2.rho0)
+    res = holomorphy_residuals(t2, eps, [t2.rho0])[0]
     assert res["rhs_residual"] < 1e-12
     assert res["lhs_residual"] < 1e-12
 
@@ -483,12 +481,85 @@ def test_holomorphy_residuals_builds_one_transport(t2, monkeypatch):
     monkeypatch.setattr(Transport, "__init__", counting)
     eps = CliffordPoly.constant(t2.dual_frame, (0, 1), 0.3)
     sigma = random_spinor(np.random.default_rng(5), t2.geometry, t2.box, max_mode=1)
-    res = holomorphy_residuals(t2, eps, sigma)
+    res = holomorphy_residuals(t2, eps, [sigma])
     assert len(calls) == 1
     ds = DeformedStructure(t2, eps)
     calls.clear()
-    assert holomorphy_residuals(t2, eps, sigma, deformed=ds) == res
+    assert holomorphy_residuals(t2, eps, [sigma], deformed=ds) == res
     assert calls == []
+
+
+def _per_sample_residuals(deformed, sigma):
+    """The criterion's residuals of one spinor, composed as the criterion
+    composed them one sample at a time: the right-hand side, then the
+    transport, the deformed delbar and the undressing, each a
+    ``FourierMatrix`` or ``Spinor`` operation on that spinor alone."""
+    from gentorus.calculus import delbar_op
+
+    transport = deformed.transport
+    rhs = deformation._criterion_rhs(transport, sigma)
+    lhs = delbar_op(transport.forward(sigma), deformed.structure)
+    identity = lhs.add(transport.forward(transport.undress(rhs)).scale(-1))
+    return {
+        "rhs_residual": rhs.norm(),
+        "lhs_residual": lhs.norm(),
+        "proof_identity_residual": identity.norm(),
+        "scale": max(1.0, lhs.norm(), rhs.norm()),
+    }
+
+
+def _criterion_cases(n, K, samples):
+    """(structure, eps, spinors) for every slot at c = 0.1, 0.3, 0.5 and for
+    the zero eps; the spinors are random at the criterion's max mode, then
+    rho0."""
+    s = GCStructure.complex_structure(n, TruncationBox(K))
+    rng = np.random.default_rng(10 * n + K)
+    epss = [
+        CliffordPoly.constant(s.dual_frame, slot, c)
+        for c in (0.1, 0.3, 0.5)
+        for slot in itertools.combinations(range(s.dim), 2)
+    ]
+    for eps in epss + [CliffordPoly.zero(s.dual_frame, 2)]:
+        sigmas = [
+            random_spinor(rng, s.geometry, s.box, max_mode=max(1, K // 2))
+            for _ in range(samples)
+        ]
+        yield s, eps, sigmas + [s.rho0]
+
+
+@pytest.mark.parametrize("n, K", [(1, 1), (1, 4), (2, 1), (2, 2)])
+def test_stacked_criterion_equals_the_per_sample_composition(n, K):
+    """Every key of every sample's dict is bitwise the per-sample one."""
+    for s, eps, sigmas in _criterion_cases(n, K, 4):
+        ds = DeformedStructure(s, eps)
+        got = holomorphy_residuals(s, eps, sigmas, deformed=ds)
+        assert got == [_per_sample_residuals(ds, sigma) for sigma in sigmas]
+
+
+def test_criterion_split_into_runs_equals_one_run(monkeypatch):
+    """Samples in several runs, each within a small ``PAIR_CHUNK``, give
+    the dicts of one run over all of them."""
+    from gentorus import fourier
+
+    runs = []
+    real = deformation._constant_criterion
+
+    def counted(transport, structure, sigmas):
+        runs.append(len(sigmas))
+        return real(transport, structure, sigmas)
+
+    monkeypatch.setattr(deformation, "_constant_criterion", counted)
+    for n, K in [(1, 4), (2, 2)]:
+        s, eps, sigmas = next(_criterion_cases(n, K, 12))
+        ds = DeformedStructure(s, eps)
+        whole = holomorphy_residuals(s, eps, sigmas, deformed=ds)
+        assert runs == [len(sigmas)]
+        runs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fourier, "PAIR_CHUNK", 4 ** s.dim * 3)
+            assert holomorphy_residuals(s, eps, sigmas, deformed=ds) == whole
+        assert len(runs) > 2 and sum(runs) == len(sigmas)
+        runs.clear()
 
 
 def test_mc_verify_constant_and_single_coefficient(t4):

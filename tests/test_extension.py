@@ -110,7 +110,7 @@ def test_fourier_eps_regression_exponent(t2k5):
     from gentorus.deformation import holomorphy_residuals
     t = 0.05
     sigma_t = ext.undressed_at(t)
-    res_c = holomorphy_residuals(s, series.eps_at(t), sigma_t)
+    res_c = holomorphy_residuals(s, series.eps_at(t), [sigma_t])[0]
     dressed = ext.criterion_residual_at(t)
     assert abs(res_c["rhs_residual"] - dressed) < 1e-10 * max(1.0, dressed)
 

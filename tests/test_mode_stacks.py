@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gentorus import diagnostics, hodge
+from gentorus import diagnostics, fourier, hodge
 from gentorus.calculus import del_op, delbar_op, lie_derivation_dL, twisted_d
 from gentorus.deformation import (
     AlgebroidHodge,
@@ -592,8 +592,6 @@ def test_fourier_matrix_products_match_reference(space):
 def general_products(monkeypatch):
     """Counts the products that take FourierMatrix.matmul's general path,
     the one that sums mode pairs into their output modes."""
-    import gentorus.fourier as fourier
-
     calls = []
     real = fourier._add_rows
 
@@ -724,8 +722,6 @@ def test_stacked_products_match_per_stack_reference(monkeypatch, chunk):
     and with a small ``PAIR_CHUNK`` several chunks per sample, rows padded
     to the longest chunk and batches split.  Modes in [-1, 1]^2 make many
     pairs share an output mode, within a chunk and across chunks."""
-    import gentorus.fourier as fourier
-
     monkeypatch.setattr(fourier, "PAIR_CHUNK", chunk)
     geometry, box = TorusGeometry(1), TruncationBox(2)
     rng = np.random.default_rng(61)
@@ -1557,7 +1553,7 @@ def test_clifford_suite_products_and_conversions(monkeypatch):
     scalar converted to a stack."""
     counts = {"matmul": 0, "from_entries": 0, "stacked": 0}
     matmul, from_entries = FourierMatrix.matmul, FourierMatrix.from_entries.__func__
-    stacked = diagnostics._stack_products
+    stacked = fourier._stack_products
 
     def counted_matmul(self, other, policy=None):
         counts["matmul"] += 1
@@ -1573,7 +1569,7 @@ def test_clifford_suite_products_and_conversions(monkeypatch):
 
     monkeypatch.setattr(FourierMatrix, "matmul", counted_matmul)
     monkeypatch.setattr(FourierMatrix, "from_entries", classmethod(counted_from_entries))
-    monkeypatch.setattr(diagnostics, "_stack_products", counted_stacked)
+    monkeypatch.setattr(fourier, "_stack_products", counted_stacked)
     clifford_suite(TorusGeometry(1), TruncationBox(1), seed=0, samples=100)
     assert counts == {"matmul": 0, "from_entries": 0, "stacked": 3}
 

@@ -705,23 +705,24 @@ def _varying_criterion_config(policy, K=1):
 
 
 @pytest.mark.parametrize(
-    "constant, policy, K, calls",
+    "constant, policy, K, samples",
     [(False, "drop", 1, 0), (True, "drop", 1, 6), (True, "strict", 1, 6), (False, "strict", 2, 6)],
     ids=["varying-drop", "constant-drop", "constant-strict", "varying-strict"],
 )
 def test_criterion_runs_samples_only_where_they_decide_the_verdict(
-    constant, policy, K, calls, monkeypatch
+    constant, policy, K, samples, monkeypatch
 ):
     """A varying eps reports no sample, so under drop none is computed;
-    under strict a sample may still raise, so all of them run."""
+    under strict a sample may still raise, so all of them run.  Each t's
+    samples go in one call."""
     import gentorus.scenario as scenario
 
     seen = []
     real = scenario.holomorphy_residuals
 
-    def counted(*args, **kwargs):
-        seen.append(args)
-        return real(*args, **kwargs)
+    def counted(structure, eps, sigmas, **kwargs):
+        seen.append(len(sigmas))
+        return real(structure, eps, sigmas, **kwargs)
 
     monkeypatch.setattr(scenario, "holomorphy_residuals", counted)
     config = _varying_criterion_config(policy, K)
@@ -730,7 +731,7 @@ def test_criterion_runs_samples_only_where_they_decide_the_verdict(
         config["deformation"]["coefficients"]["1,0"]["terms"]["0,1"] = 0.3
     report, _ = run_scenario(config)
     assert report["summary"]["status"] == "pass"
-    assert len(seen) == calls
+    assert sum(seen) == samples
 
 
 def test_constant_criterion_builds_each_word_matrix_once_per_transport(monkeypatch):

@@ -7,9 +7,9 @@ byte-identical:
 The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
 seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
-and ``inline/<name>`` for the identity suites, Hodge tables and expansion
-of ``INLINE``, which run the T^4 and T^6 paths that no shipped or benchmark
-config reaches.
+and ``inline/<name>`` for the identity suites, Hodge tables, expansion and
+criterion of ``INLINE``, which run the T^4 and T^6 paths that no shipped or
+benchmark config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
 ``perfbench/``.
@@ -66,6 +66,15 @@ def _hodge_table(name: str, n: int, K: int, structure: Dict, metric=None) -> Dic
     return _config(name, n, K, {"kind": "hodge-table"}, structure, metric)
 
 
+def _criterion(name: str, n: int, K: int, terms: Dict, t, samples: int) -> Dict:
+    """A ``criterion`` experiment on the complex structure with the
+    constant first-order deformation ``terms``."""
+    config = _config(name, n, K, {"kind": "criterion", "t": t, "samples": samples},
+                     {"type": "complex"})
+    config["deformation"] = {"coefficients": {"1,0": {"terms": terms}}}
+    return config
+
+
 def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
     """The ``t4-expand`` benchmark config on another structure: its two
     first-order terms expanded to order 3 under ``drop``, then ``criterion``."""
@@ -79,7 +88,9 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 # hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), also at
 # g = 1e-4 I, and on T^6 K=1, untwisted and twisted (1-2 s each), and a Maurer-Cartan
 # expansion on twisted T^4 K=3, whose higher orders go through the twisted
-# algebroid's Green operator (0.15 s), timed on a 2-vCPU x86-64 host
+# algebroid's Green operator (0.15 s), and a constant-eps criterion on T^4
+# K=2, whose samples go through the deformed T^4 structure (0.1 s), timed on
+# a 2-vCPU x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
@@ -92,6 +103,7 @@ INLINE = [
     _hodge_table("t6-complex-hodge", 3, 1, {"type": "complex"}),
     _hodge_table("t6-twisted-hodge", 3, 1, _TWISTED_T6),
     _expand("t4-twisted-expand", 2, 3, _TWISTED),
+    _criterion("t4-constant-criterion", 2, 2, {"0,2": 0.3}, [0.1, 0.3], 20),
 ]
 
 
