@@ -41,28 +41,6 @@ def delbar_op(sigma: Spinor, structure: GCStructure) -> Spinor:
     return sigma.map_modes(_stack_linear(*structure.differentials["dbar"], sigma.modes))
 
 
-def dolbeault_split(
-    sigma: Spinor, structure: GCStructure, tol: float = 1e-9
-) -> Tuple[Spinor, Spinor]:
-    """Split d_H sigma of a single-level sigma into its two components.
-
-    Raises ValueError with the level weights when sigma mixes levels.
-    """
-    k = structure.level_of(sigma, tol=tol)
-    d_sigma = twisted_d(sigma, structure)
-    lower = (
-        structure.project_level(d_sigma, k - 1)
-        if k - 1 >= -structure.n
-        else Spinor.zero(sigma.geometry, sigma.box)
-    )
-    upper = (
-        structure.project_level(d_sigma, k + 1)
-        if k + 1 <= structure.n
-        else Spinor.zero(sigma.geometry, sigma.box)
-    )
-    return lower, upper
-
-
 def lie_derivation_dL(a: CliffordPoly, structure: GCStructure) -> CliffordPoly:
     """Lie algebroid differential on polynomials over the dual frame.
 
@@ -212,10 +190,3 @@ def schouten_bracket(
             sa.geometry, sa.box, pairs.modes, coeffs[:, None, :], dropped[None, :]
         ),
     )
-
-
-def maurer_cartan_residual(eps: CliffordPoly, structure: GCStructure) -> CliffordPoly:
-    """d_L eps - (1/2)[eps, eps], the integrability defect of a deformation."""
-    dl = lie_derivation_dL(eps, structure)
-    br = schouten_bracket(eps, eps, structure)
-    return dl.add(br.scale(-0.5))

@@ -556,7 +556,7 @@ class Transport:
     # -- frame endomorphism images ---------------------------------------
 
     # each returns the images of the dual frame as a stack of sections: the
-    # frame (into L) or the dual frame times a matrix
+    # dual frame times a matrix
 
     def images_one_minus_epseps(self) -> FourierMatrix:
         s = self.structure
@@ -565,16 +565,6 @@ class Transport:
 
     def images_inverse_one_minus_epseps(self) -> FourierMatrix:
         return self.maps.dual.matmul(_neumann_inverse(self.maps.eps_eps_star))
-
-    def images_one_plus_star_minus_epseps(self) -> FourierMatrix:
-        return self.maps.eta - self.maps.dual.matmul(self.maps.eps_eps_star)
-
-    def images_inverse_combo(self) -> FourierMatrix:
-        """(-eps* (1 - eps eps*)^{-1} + (1 - eps eps*)^{-1}) on the dual frame."""
-        inv = _neumann_inverse(self.maps.eps_eps_star)
-        return self.maps.dual.matmul(inv) - self.maps.frame.matmul(
-            self.maps.eps_star_matrix.matmul(inv)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +715,6 @@ class DeformedStructure:
 def bracket_del_action(structure: GCStructure, eps: CliffordPoly, sigma: Spinor) -> Spinor:
     """[del, eps .] sigma = del(eps . sigma) - eps . (del sigma)."""
     return del_op(eps.act(sigma), structure).add(eps.act(del_op(sigma, structure)).scale(-1))
-
-
-def criterion_rhs(structure: GCStructure, eps: CliffordPoly, sigma: Spinor) -> Spinor:
-    """(delbar + [del, eps .]) (1 - eps eps*)(sigma)."""
-    return _criterion_rhs(Transport(structure, eps), sigma)
 
 
 def _criterion_rhs(transport: Transport, sigma: Spinor) -> Spinor:
@@ -899,10 +884,6 @@ class ExtensionSeries:
         for (p, q), sig in self.coefficients.items():
             out = out.add(sig.scale((t ** p) * (t.conjugate() ** q)))
         return out
-
-    def undressed_at(self, t: complex) -> Spinor:
-        """sigma_t = (1 - eps eps*)^{-1} (dressed), materialized at numeric t."""
-        return Transport(self.series.structure, self.series.eps_at(t)).undress(self.dressed_at(t))
 
     def criterion_residual_at(self, t: complex) -> float:
         """Norm of (delbar + [del, eps(t) .]) applied to the dressed value."""

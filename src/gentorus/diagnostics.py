@@ -102,8 +102,8 @@ def _clifford_relation(
     its own column count, samples of equal count share a batched matmul
     with rows padded, and each sample's products are summed into its modes
     in the order its own product sums them.  So every residual is bitwise
-    the one :func:`~gentorus.spinor.clifford_act` and
-    :func:`~gentorus.spinor.pairing` give for the sample alone.
+    the one that ``clifford_act`` and ``pairing``, the reference section
+    operations in ``tests/reference.py``, give for the sample alone.
     """
     dim, size = geometry.dim, 2 ** geometry.dim
     a_cells, b_cells, pair_cells, sigma_cells, norms = [], [], [], [], []
@@ -151,8 +151,9 @@ def _row_stacks(
 ) -> _Stacks:
     """Per sample, the stack of the given shape with coefficient c at (mode,
     i, j) for each of its (mode, i, j, c) cells, no two at one place and
-    every mode in the box: a section's components as ``clifford_matrix``
-    weighs them, a scalar, or a spinor as ``random_spinor`` stacks it."""
+    every mode in the box: a section's components as the reference
+    ``clifford_matrix`` weighs them, a scalar, or a spinor as
+    ``random_spinor`` stacks it."""
     modes, at, counts = [], [], []
     for sample in cells:
         distinct = sorted({cell[0] for cell in sample})
@@ -169,8 +170,8 @@ def _row_stacks(
 
 
 # A section drawn for the Clifford suite is its 4n components (tangent, then
-# cotangent) as one (mode, coefficient) term each, as random_courant_vector
-# draws them.
+# cotangent) as one (mode, coefficient) term each, as the reference
+# random_courant_vector in tests/reference.py draws them.
 
 
 def _fourier_section(
@@ -189,7 +190,8 @@ def _section_norm(section: List[Tuple]) -> float:
 
 def _pairing(a: List[Tuple], b: List[Tuple]) -> Dict[Tuple[int, ...], complex]:
     """<a, b> as mode -> coefficient, summed in the order and with the
-    Python complex arithmetic of :func:`~gentorus.spinor.pairing`."""
+    Python complex arithmetic of the reference ``pairing`` in
+    ``tests/reference.py``."""
     dim = len(a) // 2
     out: Dict[Tuple[int, ...], complex] = {}
     for j in range(dim):

@@ -712,13 +712,6 @@ class FourierMatrix:
         return cls.constant(geometry, box, np.eye(size))
 
     @classmethod
-    def from_scalars(cls, entries: Sequence[Sequence[FourierScalar]]) -> "FourierMatrix":
-        """The stack of a nested (rows, cols) sequence of scalars."""
-        sample = entries[0][0]
-        cells = (((i, j), f) for i, row in enumerate(entries) for j, f in enumerate(row))
-        return cls.from_entries(sample.geometry, sample.box, (len(entries), len(entries[0])), cells)
-
-    @classmethod
     def from_entries(
         cls,
         geometry: TorusGeometry,

@@ -659,11 +659,6 @@ class HodgeContext:
         d = self.level_basis.d(sel)
         return d if name == "d" else np.where(self._masks[name], d, 0.0)
 
-    def operator_matrix(self, name: str, mode: Tuple[int, ...]) -> np.ndarray:
-        if name.endswith("_adj"):
-            return _adjoint(self.operator_matrix(name[:-4], mode))
-        return self._op(name, self.level_basis.positions([mode])[0])
-
     def _laplacian(self, kind: str, sel) -> np.ndarray:
         """The ``kind`` Laplacian at the modes picked by ``sel`` (index or slice):
         its blocks placed on the diagonal."""
@@ -913,12 +908,16 @@ class HodgeContext:
 
     def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per representative mode, the operator scale and the absolute rank
-        floor tied to it."""
+        floor tied to it.  The scale is the largest entry of d, read one
+        level block (k +- 1, k) at a time (``_block``): d moves the level by
+        one, so these blocks hold all of d, and no whole d stack is built."""
         if self._scale is None:
             lb = self.level_basis
-            self._scale = np.maximum(1.0, np.concatenate(
-                [np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in lb.rep_chunks(1)]
-            ))
+            blocks = [(k + s, k) for k in lb.levels for s in (-1, 1) if k + s in lb.level_slices]
+            self._scale = np.maximum(1.0, np.concatenate([
+                np.max([np.abs(self._block(*b, sel)).max(axis=(1, 2)) for b in blocks], axis=0)
+                for sel in lb.rep_chunks(1)
+            ]))
         return self._scale, RANK_CUTOFF * self._scale
 
     def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
@@ -1016,8 +1015,8 @@ class HodgeContext:
         modes of both, and the other reads it: the first M // 2 + 1 modes
         of a twisted box, every representative of an untwisted one."""
         self.check_counts["ranks_computed"] += 1
-        # the scale first: its pass over whole d stacks is the larger, so
-        # nothing of this pass is held during it
+        # the scale first, so that nothing of this pass is held during its
+        # pass over d's level blocks
         scale, floor = self._floor()
         floors = np.stack([floor, floor * scale], axis=-1)
         lb = self.level_basis

@@ -264,10 +264,6 @@ class GeneralizedMetric:
         j = np.asarray(structure.jmatrix, dtype=float)
         return float(np.abs(self.gmatrix @ j - j @ self.gmatrix).max())
 
-    def hodge_star(self, sigma: Spinor) -> Spinor:
-        """Hodge star as the Clifford word of the oriented C+ frame."""
-        return sigma.map_modes(self.star_matrix)
-
     def bi_inner(self, alpha: Spinor, beta: Spinor) -> complex:
         """Born-Infeld inner product, linear in alpha, conjugate-linear in beta.
 

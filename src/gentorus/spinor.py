@@ -18,7 +18,7 @@ A spinor holds its coefficients as one
 :func:`monomial_list` basis.  A map that acts mode by mode (Hodge operators,
 level projections, the metric pairing, the transport inverse, d) is one
 product over the modes (:meth:`Spinor.map_modes`), and a product with
-varying coefficients (wedge, contraction, Clifford action) is one
+varying coefficients (wedge, a frame polynomial's Clifford action) is one
 ``FourierMatrix.matmul`` of the operand's action matrix, built from its
 coefficients and the constant matrices of :func:`clifford_generators`, with
 the spinor's column.  A frame polynomial (:class:`CliffordPoly`) is one
@@ -128,17 +128,6 @@ class Spinor:
     def zero(cls, geometry: TorusGeometry, box: TruncationBox) -> "Spinor":
         return cls(geometry, box, {})
 
-    @classmethod
-    def scalar(cls, f: FourierScalar) -> "Spinor":
-        return cls(f.geometry, f.box, {(): f})
-
-    @classmethod
-    def constant_form(
-        cls, geometry: TorusGeometry, box: TruncationBox, mono: Sequence[int], c=1.0
-    ) -> "Spinor":
-        key = tuple(int(i) for i in mono)
-        return cls(geometry, box, {key: FourierScalar.constant(geometry, box, c)})
-
     # ------------------------------------------------------------------
     # the coefficient stack
     # ------------------------------------------------------------------
@@ -180,10 +169,6 @@ class Spinor:
 
     def scale(self, c) -> "Spinor":
         return Spinor.from_stack(self.stack.scale(c))
-
-    def scale_scalar(self, g: FourierScalar) -> "Spinor":
-        """g sigma: one product of the column with the 1 x 1 stack of g."""
-        return Spinor.from_stack(self.stack.matmul(FourierMatrix.from_scalars([[g]])))
 
     def __add__(self, other: "Spinor") -> "Spinor":
         return self.add(other)
@@ -287,12 +272,6 @@ def wedge(a: Spinor, b: Spinor) -> Spinor:
     return Spinor.from_stack(wedge_matrix(a).matmul(b.stack))
 
 
-def form_reversal(a: Spinor) -> Spinor:
-    """Reversal anti-automorphism: degree-p parts pick up (-1)^{p(p-1)/2}."""
-    signs = [-1 if (len(m) * (len(m) - 1) // 2) % 2 else 1 for m in monomial_list(a.geometry.dim)]
-    return a.map_modes(np.diag(signs))
-
-
 class CourantVector:
     """Section X + xi of T + T*, components as FourierScalars.
 
@@ -331,22 +310,6 @@ class CourantVector:
         cot = [FourierScalar.constant(geometry, box, c) for c in cotangent]
         return cls(geometry, box, tan, cot)
 
-    @classmethod
-    def basis_vector(
-        cls, geometry: TorusGeometry, box: TruncationBox, axis: int
-    ) -> "CourantVector":
-        tan = [0.0] * geometry.dim
-        tan[axis] = 1.0
-        return cls.constant(geometry, box, tan, [0.0] * geometry.dim)
-
-    @classmethod
-    def basis_form(
-        cls, geometry: TorusGeometry, box: TruncationBox, axis: int
-    ) -> "CourantVector":
-        cot = [0.0] * geometry.dim
-        cot[axis] = 1.0
-        return cls.constant(geometry, box, [0.0] * geometry.dim, cot)
-
     def add(self, other: "CourantVector") -> "CourantVector":
         return CourantVector(
             self.geometry,
@@ -361,14 +324,6 @@ class CourantVector:
             self.box,
             [a.scale(c) for a in self.tangent],
             [a.scale(c) for a in self.cotangent],
-        )
-
-    def scale_scalar(self, f: FourierScalar, policy: str | None = None) -> "CourantVector":
-        return CourantVector(
-            self.geometry,
-            self.box,
-            [a.mul(f, policy=policy) for a in self.tangent],
-            [a.mul(f, policy=policy) for a in self.cotangent],
         )
 
     def conj(self) -> "CourantVector":
@@ -412,43 +367,6 @@ class CourantVector:
         return f"CourantVector(X={list(self.tangent)}, xi={list(self.cotangent)})"
 
 
-def pairing(a: CourantVector, b: CourantVector, policy: str | None = None) -> FourierScalar:
-    """<X + xi, Y + eta> = xi(Y) + eta(X); symmetric, no 1/2 factor."""
-    if a.geometry != b.geometry or a.box != b.box:
-        raise GeometryMismatch("pairing of sections in different spaces")
-    out = FourierScalar.zero(a.geometry, a.box)
-    for j in range(a.geometry.dim):
-        out = out.add(a.cotangent[j].mul(b.tangent[j], policy=policy))
-        out = out.add(b.cotangent[j].mul(a.tangent[j], policy=policy))
-    return out
-
-
-def clifford_matrix(a: CourantVector) -> FourierMatrix:
-    """The matrix of the Clifford action of a section on the monomial basis."""
-    weights = FourierMatrix.from_scalars([a.tangent + a.cotangent])
-    return _action(weights, clifford_generators(a.geometry.dim))
-
-
-def contract(a: CourantVector, sigma: Spinor) -> Spinor:
-    """Interior product i_X sigma by the tangent part of a."""
-    dim = a.geometry.dim
-    action = _action(FourierMatrix.from_scalars([a.tangent]), clifford_generators(dim)[:dim])
-    return Spinor.from_stack(action.matmul(sigma.stack))
-
-
-def clifford_act(a: CourantVector, sigma: Spinor) -> Spinor:
-    """Clifford action (X + xi) . sigma = i_X sigma + xi ^ sigma."""
-    return Spinor.from_stack(clifford_matrix(a).matmul(sigma.stack))
-
-
-def clifford_act_many(vectors: Sequence[CourantVector], sigma: Spinor) -> Spinor:
-    """Iterated action v1 . v2 . ... . vk . sigma (rightmost acts first)."""
-    out = sigma
-    for v in reversed(vectors):
-        out = clifford_act(v, out)
-    return out
-
-
 def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
     """The operators C + 2 pi i sum_a k_a A_a at the given modes, stacked.
 
@@ -459,73 +377,6 @@ def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
     out = np.einsum("ma,aij->mij", 2j * math.pi * k, slopes)
     out += const
     return out
-
-
-def exterior_derivative(sigma: Spinor) -> Spinor:
-    """Coordinate exterior derivative d sigma: 2 pi i sum_a k_a dx^a ^ at mode k."""
-    dim = sigma.geometry.dim
-    slopes = clifford_generators(dim)[dim:]
-    return sigma.map_modes(_stack_linear(0.0, slopes, sigma.modes))
-
-
-def courant_bracket(
-    a: CourantVector,
-    b: CourantVector,
-    H: Spinor | None = None,
-    policy: str | None = None,
-) -> CourantVector:
-    """H-twisted Courant bracket of sections of T + T*.
-
-    [X + xi, Y + eta]_H = [X, Y] + L_X eta - L_Y xi
-                          - 1/2 d(i_X eta - i_Y xi) + i_Y i_X H.
-
-    By the Cartan formula L_X eta = d(i_X eta) + i_X d eta, the 1-form part
-    is, with s = i_X eta - i_Y xi and sums over repeated indices,
-        1/2 d_j s + X^k (d_k eta_j - d_j eta_k) - Y^k (d_k xi_j - d_j xi_k)
-        + H_klj X^k Y^l.
-    """
-    geom, box = a.geometry, a.box
-    dim = geom.dim
-    X, xi, Y, eta = a.tangent, a.cotangent, b.tangent, b.cotangent
-    zero = FourierScalar.zero(geom, box)
-
-    def grad(f: FourierScalar) -> List[FourierScalar | None]:
-        """d_0 f .. d_{dim-1} f; all None for a constant f."""
-        return [f.derive(k) for k in range(dim)] if any(map(any, f.coeffs)) else [None] * dim
-
-    def total(terms) -> FourierScalar:
-        """The sum of c f g over (c, f, g) terms, zero and None factors skipped."""
-        out = zero
-        for c, f, g in terms:
-            if f is not None and g is not None and f.coeffs and g.coeffs:
-                out = out.add(f.mul(g, policy=policy).scale(c))
-        return out
-
-    # dX[j][k] is d_k X^j
-    dX, dY, dxi, deta = ([grad(f) for f in v] for v in (X, Y, xi, eta))
-
-    # vector-field bracket [X, Y]^j = X^k d_k Y^j - Y^k d_k X^j
-    lie_tan = [
-        total([(c, f[k], g[j][k]) for c, f, g in ((1, X, dY), (-1, Y, dX)) for k in range(dim)])
-        for j in range(dim)
-    ]
-    s = total([(1, eta[k], X[k]) for k in range(dim)] + [(-1, xi[k], Y[k]) for k in range(dim)])
-    cot = []
-    for j in range(dim):
-        terms = []
-        for k in range(dim):
-            if k != j:
-                terms += [(1, X[k], deta[j][k]), (-1, X[k], deta[k][j]),
-                          (-1, Y[k], dxi[j][k]), (1, Y[k], dxi[k][j])]
-        cot.append(s.derive(j).scale(0.5).add(total(terms)))
-
-    if H is not None:
-        for mono, h in H.comps.items():
-            if len(mono) == 3:
-                for k, l, j in itertools.permutations(mono):
-                    sign = sort_monomial((k, l, j))[1]
-                    cot[j] = cot[j].add(total([(sign, total([(1, X[k], Y[l])]), h)]))
-    return CourantVector(geom, box, lie_tan, cot)
 
 
 class CliffordPoly:
@@ -695,32 +546,6 @@ class CliffordPoly:
     def terms(self) -> Iterable[Tuple[Tuple[int, ...], FourierScalar]]:
         return self.coeffs.items()
 
-    def partial_eval(
-        self, v: CourantVector, argument_duals: Sequence[CourantVector]
-    ) -> CourantVector:
-        """Clifford partial evaluation a(v) for degree-2 polynomials.
-
-        For eps = (1/2) eps_{ij} f^i f^j over an isotropic frame {f^i} whose
-        arguments f_p are extracted by pairing with ``argument_duals`` (so
-        <argument_duals[p], f_q> = delta_pq), the commutator rule
-        eps . v . rho = eps(v) . rho + v . eps . rho resolves to
-        eps(f_p) = eps_{ip} f^i; sections outside the argument span are
-        killed.
-        """
-        if self.degree != 2:
-            raise ValueError("partial evaluation implemented for degree 2 only")
-        out = CourantVector.zero(self.geometry, self.box)
-        for p, dual in enumerate(argument_duals):
-            cp = pairing(dual, v)
-            if cp.is_zero():
-                continue
-            for i in range(len(self.frame)):
-                cf = self.coefficient((i, p))
-                if cf.is_zero():
-                    continue
-                out = out.add(self.frame[i].scale_scalar(cf.mul(cp)))
-        return out
-
     def __repr__(self) -> str:
         return f"CliffordPoly(degree={self.degree}, terms={len(_live_columns(self.stack))})"
 
@@ -828,16 +653,3 @@ def random_spinor(
     coeffs = np.zeros((len(values), size, 1), dtype=complex)
     coeffs[np.arange(len(values)), rows, 0] = values
     return Spinor.from_stack(FourierMatrix(geometry, box, modes, coeffs))
-
-
-def random_courant_vector(
-    rng: np.random.Generator,
-    geometry: TorusGeometry,
-    box: TruncationBox,
-    max_mode: int | None = None,
-) -> CourantVector:
-    """A random section: one one-term :func:`random_fourier_scalar` per
-    component, tangent then cotangent; constant at max mode 0."""
-    tan = [random_fourier_scalar(rng, geometry, box, max_mode, 1) for _ in range(geometry.dim)]
-    cot = [random_fourier_scalar(rng, geometry, box, max_mode, 1) for _ in range(geometry.dim)]
-    return CourantVector(geometry, box, tan, cot)

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .fourier import FourierMatrix, FourierScalar, TorusGeometry, TruncationBox
+from .fourier import FourierMatrix, TorusGeometry, TruncationBox
 from .spinor import (
     CourantVector,
     Spinor,
     clifford_generators,
     constant_clifford_matrix,
     sort_monomial,
-    wedge,
     wedge_matrix,
 )
 
@@ -51,32 +50,6 @@ def natural_pairing_matrix(dim: int) -> np.ndarray:
     q[:dim, dim:] = np.eye(dim)
     q[dim:, :dim] = np.eye(dim)
     return q
-
-
-def wedge_exponential(b: Spinor) -> Spinor:
-    """exp(b ^ .) applied to the constant function 1, for even-degree b."""
-    geometry, box = b.geometry, b.box
-    out = Spinor.scalar(FourierScalar.constant(geometry, box, 1.0))
-    term = Spinor.scalar(FourierScalar.constant(geometry, box, 1.0))
-    for i in range(1, geometry.dim // 2 + 1):
-        term = wedge(b, term).scale(1.0 / i)
-        if term.is_zero():
-            break
-        out = out.add(term)
-    return out
-
-
-def two_form_spinor(
-    geometry: TorusGeometry, box: TruncationBox, matrix: np.ndarray
-) -> Spinor:
-    """Constant 2-form sum_{j<k} m_{jk} dx^j ^ dx^k from an antisymmetric matrix."""
-    matrix = np.asarray(matrix)
-    comps: Dict[Tuple[int, ...], FourierScalar] = {}
-    for j in range(geometry.dim):
-        for k in range(j + 1, geometry.dim):
-            if matrix[j, k] != 0:
-                comps[(j, k)] = FourierScalar.constant(geometry, box, matrix[j, k])
-    return Spinor(geometry, box, comps)
 
 
 class GCStructure:
@@ -514,14 +487,6 @@ class GCStructure:
         self._check_level(k)
         return self._level_part(self.frame_coordinates(sigma), k)
 
-    def level_components(self, sigma: Spinor) -> Dict[int, Spinor]:
-        coords = self.frame_coordinates(sigma)
-        return {
-            k: self._level_part(coords, k)
-            for k in self.levels()
-            if np.any(coords.coeffs[:, self._level_slices[k]])
-        }
-
     def level_weights(self, sigma: Spinor) -> Dict[int, float]:
         coords = self.frame_coordinates(sigma).coeffs
         return {
@@ -540,24 +505,6 @@ class GCStructure:
             detail = {k: w / total for k, w in weights.items() if w > 0}
             raise ValueError(f"spinor mixes levels; relative weights {detail}")
         return live[0]
-
-    def level_spinors(self, k: int) -> List[Spinor]:
-        """Constant frame spinors spanning the level-k slice."""
-        self._check_level(k)
-        sl = self._level_slices[k]
-        return [self._constant_spinor(col) for col in self._level_matrix[:, sl].T]
-
-    def rotation_generator(self) -> np.ndarray:
-        """Spinorial action of J on the monomial basis.
-
-        Normalized so the canonical generator has eigenvalue n*i; level k
-        sits at eigenvalue -k*i.
-        """
-        size = 2 ** self.dim
-        nhat = np.zeros((size, size), dtype=complex)
-        for i in range(self.dim):
-            nhat += self._dual_cliff[i] @ self._frame_cliff[i]
-        return 1j * (self.n * np.eye(size) - nhat)
 
     def rebox(self, box: TruncationBox) -> "GCStructure":
         """The same structure with its data re-homed in another box."""

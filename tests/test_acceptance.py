@@ -15,6 +15,7 @@ from gentorus.deformation import (
     Beltrami,
     DeformedStructure,
     Transport,
+    _neumann_inverse,
     extend_closed_form,
     frame_block_matrices,
     hodge_number_scan,
@@ -35,6 +36,8 @@ from gentorus.metric import GeneralizedMetric
 from gentorus.scenario import exit_code_for, run_scenario
 from gentorus.spinor import CliffordPoly, Spinor, random_spinor
 from gentorus.structure import GCStructure
+
+from reference import constant_form, level_spinors, scale_spinor
 
 
 def report(number: int, passed: bool, detail: str):
@@ -103,7 +106,7 @@ def test_criterion_02_structure_validation():
 def test_criterion_03_calculus_identities(t2, t4):
     """d_H^2, the Dolbeault split, the Leibniz rule and the bracket identity."""
     entries = []
-    H = Spinor.constant_form(TorusGeometry(2), TruncationBox(1), (0, 1, 2), 1.0)
+    H = constant_form(TorusGeometry(2), TruncationBox(1), (0, 1, 2), 1.0)
     twisted = GCStructure.complex_structure(2, TruncationBox(1), twist=H)
     for s in (t2[0], t4[0], twisted):
         entries.extend(calculus_suite(s, seed=43))
@@ -183,6 +186,8 @@ def test_criterion_06_deformation_algebra_suite(t4):
     for s in (s2, s4):
         eps = random_eps(s, 0.4)
         tr = Transport(s, eps)
+        # (1 + eps* - eps eps*) on the dual frame
+        dressing = tr.maps.eta - tr.maps.dual.matmul(tr.maps.eps_eps_star)
         for _ in range(5):
             sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
             scale = max(1.0, sigma.norm())
@@ -192,9 +197,8 @@ def test_criterion_06_deformation_algebra_suite(t4):
                 (tr.exp_act(tr.exp_act(sigma), sign=-1) - sigma).norm() / scale,
             )
             lhs = tr.exp_act(tr.forward(sigma), sign=-1)
-            rhs = tr.factorwise(tr.images_one_plus_star_minus_epseps(), sigma)
-            worst_dressing = max(worst_dressing, (lhs - rhs).norm() / scale)
-            dressed = tr.factorwise(tr.images_one_plus_star_minus_epseps(), sigma)
+            dressed = tr.factorwise(dressing, sigma)
+            worst_dressing = max(worst_dressing, (lhs - dressed).norm() / scale)
             mid = twisted_d(dressed, s).add(bracket_del_action(s, eps, dressed))
             lhs6 = twisted_d(tr.forward(sigma), s)
             worst_transport = max(
@@ -205,12 +209,14 @@ def test_criterion_06_deformation_algebra_suite(t4):
             worst_conjugation = max(
                 worst_conjugation, (lhs22 - rhs22).norm() / max(1.0, lhs22.norm())
             )
-        # the inverse-transport combo on its exact domain (bottom two levels)
-        combo = tr.images_inverse_combo()
+        # the inverse-transport combo (1 - eps*)(1 - eps eps*)^{-1}, on its exact domain
+        # (bottom two levels)
+        inv = _neumann_inverse(tr.maps.eps_eps_star)
+        combo = tr.maps.dual.matmul(inv) - tr.maps.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
         for level in (-s.n, -s.n + 1):
-            for b in s.level_spinors(level):
-                sigma = b.scale_scalar(
-                    FourierScalar.mode(s.geometry, s.box, (1,) + (0,) * (s.dim - 1))
+            for b in level_spinors(s, level):
+                sigma = scale_spinor(
+                    b, FourierScalar.mode(s.geometry, s.box, (1,) + (0,) * (s.dim - 1))
                 )
                 lhs35 = tr.inverse(tr.exp_act(sigma))
                 rhs35 = tr.factorwise(combo, sigma)

@@ -16,6 +16,8 @@ from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import CliffordPoly, Spinor
 from gentorus.structure import GCStructure
 
+from reference import constant_form, level_spinors, scale_spinor
+
 
 def make_t2(K):
     s = GCStructure.complex_structure(1, TruncationBox(K))
@@ -65,8 +67,9 @@ def test_constant_eps_zero_tail_and_oracle(t2k1):
     assert list(ext.coefficients) == [(0, 0)]
 
     t = 0.1
-    sigma_t = ext.undressed_at(t)
-    transported = Transport(s, series.eps_at(t)).forward(sigma_t)
+    tr = Transport(s, series.eps_at(t))
+    sigma_t = tr.undress(ext.dressed_at(t))
+    transported = tr.forward(sigma_t)
     # oracle: classical extension dz - t c dzbar, normalized like rho0
     geometry, box = s.geometry, s.box
     expect = Spinor(
@@ -109,7 +112,7 @@ def test_fourier_eps_regression_exponent(t2k5):
     # feeding it to the criterion reproduces the dressed residual
     from gentorus.deformation import holomorphy_residuals
     t = 0.05
-    sigma_t = ext.undressed_at(t)
+    sigma_t = Transport(s, series.eps_at(t)).undress(ext.dressed_at(t))
     res_c = holomorphy_residuals(s, series.eps_at(t), [sigma_t])[0]
     dressed = ext.criterion_residual_at(t)
     assert abs(res_c["rhs_residual"] - dressed) < 1e-10 * max(1.0, dressed)
@@ -153,7 +156,7 @@ def make_twisted_t4():
     from gentorus.fourier import TorusGeometry
     box = TruncationBox(2)
     g4 = TorusGeometry(2)
-    H = Spinor.constant_form(g4, box, (0, 1, 2), 1.0)
+    H = constant_form(g4, box, (0, 1, 2), 1.0)
     s = GCStructure.complex_structure(2, box, twist=H)
     m = GeneralizedMetric.from_tensors(g4, box, np.eye(4))
     return s, m, HodgeContext(s, m)
@@ -189,8 +192,8 @@ def test_twisted_t4_extension_and_class_obstruction():
 def test_seed_must_be_harmonic(t2k1):
     s, m, ctx = t2k1
     series = constant_series(s, 0.2)
-    bad_seed = ctx.apply("dbar", s.level_spinors(-1)[0].scale_scalar(
-        FourierScalar.mode(s.geometry, s.box, (1, 0))
+    bad_seed = ctx.apply("dbar", scale_spinor(
+        level_spinors(s, -1)[0], FourierScalar.mode(s.geometry, s.box, (1, 0))
     ))
     with pytest.raises(ObstructionError, match="harmonic"):
         extend_closed_form(ctx, series, bad_seed, 2)

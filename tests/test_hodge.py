@@ -30,6 +30,8 @@ from gentorus.spinor import (
 )
 from gentorus.structure import GCStructure
 
+from reference import constant_form, operator_matrix, scale_spinor
+
 BOX = TruncationBox(1)
 
 
@@ -91,7 +93,7 @@ def t4ctx():
 @pytest.fixture(scope="module")
 def t4ctx_twisted():
     geometry = TorusGeometry(2)
-    H = Spinor.constant_form(geometry, BOX, (0, 1, 2), 1.0)
+    H = constant_form(geometry, BOX, (0, 1, 2), 1.0)
     s = GCStructure.complex_structure(2, BOX, twist=H)
     m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
     return HodgeContext(s, m)
@@ -114,7 +116,7 @@ def brute_force_kernel_dims(ctx):
             unit = np.zeros(size)
             unit[j] = 1.0
             sigma = spinor_from_constant_vector(s.geometry, s.box, unit)
-            sigma = sigma.scale_scalar(FourierScalar.mode(s.geometry, s.box, mode))
+            sigma = scale_spinor(sigma, FourierScalar.mode(s.geometry, s.box, mode))
             image = delbar_op(sigma, s)
             cols[:, j] = mode_vector(image, mode)
         adj = np.linalg.solve(hmat, cols.conj().T @ hmat)
@@ -366,7 +368,7 @@ def _reference_cutoff(spectra):
 def _case(n, K, twisted=False, g_scale=1.0, h=(0, 1, 2)):
     """Complex T^{2n} on the box of size K, twisted by H = dx^h when asked."""
     box = TruncationBox(K)
-    twist = Spinor.constant_form(TorusGeometry(n), box, h, 1.0) if twisted else None
+    twist = constant_form(TorusGeometry(n), box, h, 1.0) if twisted else None
     s = GCStructure.complex_structure(n, box, twist=twist)
     return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
 
@@ -391,7 +393,7 @@ def test_wedge_matrix_equals_the_sign_reference(n, policy):
         for _ in range(4):
             form = random_spinor(rng, geometry, box, terms=2)
             if policy == "drop":
-                form = form.scale_scalar(random_fourier_scalar(rng, geometry, box))
+                form = scale_spinor(form, random_fourier_scalar(rng, geometry, box))
             form = Spinor(geometry, box, {m: f for m, f in form.comps.items() if rng.random() < 0.5})
             got = wedge_matrix(form)
             mats, mass = wedge_matrix_reference(form)
@@ -432,7 +434,7 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
             k * w for k, w in zip(mode, wedge_axis)
         )
         ref = lb.basis_inv @ dmono @ lb.basis
-        assert np.abs(ctx.operator_matrix("d", mode) - ref).max() < 1e-12
+        assert np.abs(operator_matrix(ctx, "d", mode) - ref).max() < 1e-12
 
         probe = np.zeros((lb.size, lb.size), dtype=complex)
         phase = FourierScalar.mode(s.geometry, s.box, mode)
@@ -512,7 +514,7 @@ def _ref_intersection_dim(a, b, rel=RANK_CUTOFF, floor=0.0):
 
 
 def _ref_block(ctx, name, mode, row_level, col_level):
-    mat = ctx.operator_matrix(name, mode)
+    mat = operator_matrix(ctx, name, mode)
     n = ctx.structure.n
     lb = ctx.level_basis
     rows = lb.level_slices[row_level] if -n <= row_level <= n else slice(0, 0)
@@ -525,7 +527,7 @@ def reference_class_check(ctx, kind, k):
     holds = True
     dims = {"candidates": 0, "target": 0}
     for mode in box_modes(ctx):
-        scale = max(1.0, float(np.abs(ctx.operator_matrix("d", mode)).max()))
+        scale = max(1.0, float(np.abs(operator_matrix(ctx, "d", mode)).max()))
         floor = RANK_CUTOFF * scale
 
         def block(name, row_level, col_level):
@@ -763,7 +765,9 @@ def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
     partner's ranks or ranked on half of a twisted box, has the ranks and
     gap count of a direct pass over all representatives.  This rests on
     ``_rank_key`` commuting with the partner map and, on a twisted box, on
-    the rank scale being bitwise even in the mode, both asserted."""
+    the rank scale being bitwise even in the mode, both asserted.  The
+    scale, read from d's level blocks, is bitwise the largest entry of the
+    whole d stacks."""
     structure, metric, _ = _reference_case(case)
     ctx = HodgeContext(structure, metric)
     n = structure.n
@@ -785,6 +789,8 @@ def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
     assert np.array_equal(lb.conjugates(), reps[::-1] if twisted else reps)
     scale = ctx._floor()[0]
     assert not twisted or scale.tobytes() == scale[::-1].tobytes()
+    whole = np.concatenate([np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in lb.rep_chunks(1)])
+    assert scale.tobytes() == np.maximum(1.0, whole).tobytes()
 
 
 def test_class_checks_hold_ranks_alone(monkeypatch):
@@ -1222,8 +1228,8 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     scattered = np.random.default_rng(3).permutation(len(modes))[:11]
     assert same(ctx._op("d", scattered), whole[scattered])
     for i in (0, len(modes) // 3, len(modes) - 1):
-        assert same(ctx.operator_matrix("d", modes[i]), whole[i])
-        assert same(ctx.operator_matrix("deldbar", modes[i]), masked["deldbar"][i])
+        assert same(operator_matrix(ctx, "d", modes[i]), whole[i])
+        assert same(operator_matrix(ctx, "deldbar", modes[i]), masked["deldbar"][i])
     assert same(ctx._op("dbar", slice(None)), masked["dbar"])
     assert same(ctx._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
 

@@ -3,31 +3,36 @@
 import numpy as np
 import pytest
 
-from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
-from gentorus.spinor import (
-    CliffordPoly,
-    CourantVector,
-    Spinor,
-    clifford_act,
-    clifford_act_many,
-    courant_bracket,
-    exterior_derivative,
-    form_reversal,
-    pairing,
-    random_courant_vector,
-    random_spinor,
-    wedge,
-)
+from gentorus.calculus import twisted_d
+from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
+from gentorus.spinor import CliffordPoly, CourantVector, Spinor, monomial_list
+from gentorus.spinor import random_fourier_scalar, random_spinor, wedge
+from gentorus.structure import GCStructure
+
+from reference import clifford_act, constant_form, courant_bracket, pairing, random_courant_vector
+from reference import scalar_spinor, scale_section, scale_spinor
 
 T2 = TorusGeometry(1)
 T4 = TorusGeometry(2)
 BOX = TruncationBox(3)
 
 
+def basis_vector(geometry: TorusGeometry, box: TruncationBox, axis: int) -> CourantVector:
+    tan = [0.0] * geometry.dim
+    tan[axis] = 1.0
+    return CourantVector.constant(geometry, box, tan, [0.0] * geometry.dim)
+
+
+def basis_form(geometry: TorusGeometry, box: TruncationBox, axis: int) -> CourantVector:
+    cot = [0.0] * geometry.dim
+    cot[axis] = 1.0
+    return CourantVector.constant(geometry, box, [0.0] * geometry.dim, cot)
+
+
 def test_pairing_on_coordinate_frame():
-    d1 = CourantVector.basis_vector(T2, BOX, 0)   # d/dx1
-    dx1 = CourantVector.basis_form(T2, BOX, 0)
-    d2 = CourantVector.basis_vector(T2, BOX, 1)
+    d1 = basis_vector(T2, BOX, 0)   # d/dx1
+    dx1 = basis_form(T2, BOX, 0)
+    d2 = basis_vector(T2, BOX, 1)
     assert pairing(d1, dx1).coefficient((0, 0)) == 1.0
     assert pairing(d1, d2).is_zero()
     both = d1.add(dx1)
@@ -43,13 +48,13 @@ def test_pairing_symmetric():
 
 
 def test_clifford_act_basic():
-    one = Spinor.scalar(FourierScalar.constant(T2, BOX, 1.0))
-    dx1 = CourantVector.basis_form(T2, BOX, 0)
+    one = scalar_spinor(FourierScalar.constant(T2, BOX, 1.0))
+    dx1 = basis_form(T2, BOX, 0)
     acted = clifford_act(dx1, one)
     assert acted.coefficient((0,)).coefficient((0, 0)) == 1.0
 
-    d1 = CourantVector.basis_vector(T2, BOX, 0)
-    dx12 = Spinor.constant_form(T2, BOX, (0, 1))
+    d1 = basis_vector(T2, BOX, 0)
+    dx12 = constant_form(T2, BOX, (0, 1))
     contracted = clifford_act(d1, dx12)
     assert contracted.coefficient((1,)).coefficient((0, 0)) == 1.0
     assert contracted.coefficient((0,)).is_zero()
@@ -65,7 +70,7 @@ def test_clifford_relation_constant(geometry):
         b = random_courant_vector(rng, geometry, box, max_mode=0)
         sigma = random_spinor(rng, geometry, box, max_mode=0)
         lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
-        rhs = sigma.scale_scalar(pairing(a, b))
+        rhs = scale_spinor(sigma, pairing(a, b))
         scale = max(1.0, a.norm() * b.norm() * sigma.norm())
         assert (lhs - rhs).norm() < 1e-12 * scale
 
@@ -79,7 +84,7 @@ def test_clifford_relation_fourier(geometry):
         b = random_courant_vector(rng, geometry, box, max_mode=1)
         sigma = random_spinor(rng, geometry, box, max_mode=1)
         lhs = clifford_act(a, clifford_act(b, sigma)) + clifford_act(b, clifford_act(a, sigma))
-        rhs = sigma.scale_scalar(pairing(a, b))
+        rhs = scale_spinor(sigma, pairing(a, b))
         scale = max(1.0, a.norm() * b.norm() * sigma.norm())
         assert (lhs - rhs).norm() < 1e-9 * scale
 
@@ -92,8 +97,8 @@ def test_zero_section_acts_as_zero():
 
 
 def test_wedge_signs():
-    dx1 = Spinor.constant_form(T2, BOX, (0,))
-    dx2 = Spinor.constant_form(T2, BOX, (1,))
+    dx1 = constant_form(T2, BOX, (0,))
+    dx2 = constant_form(T2, BOX, (1,))
     w12 = wedge(dx1, dx2)
     w21 = wedge(dx2, dx1)
     assert w12.coefficient((0, 1)).coefficient((0, 0)) == 1.0
@@ -102,29 +107,31 @@ def test_wedge_signs():
 
 
 def test_exterior_derivative_modes():
+    """d_H with no twist is the exterior derivative."""
+    s = GCStructure.complex_structure(1, BOX)
     f = FourierScalar.mode(T2, BOX, (1, 0))
-    sigma = Spinor.scalar(f)
-    d_sigma = exterior_derivative(sigma)
+    sigma = scalar_spinor(f)
+    d_sigma = twisted_d(sigma, s)
     import math
     assert d_sigma.coefficient((0,)).coefficient((1, 0)) == pytest.approx(2j * math.pi)
     assert d_sigma.coefficient((1,)).is_zero()
-    dd = exterior_derivative(d_sigma)
+    dd = twisted_d(d_sigma, s)
     assert dd.norm() < 1e-12
 
 
 def test_courant_bracket_coordinate_fields():
     # constant coordinate sections commute on the flat torus
-    d1 = CourantVector.basis_vector(T4, BOX, 0)
-    dx2 = CourantVector.basis_form(T4, BOX, 1)
+    d1 = basis_vector(T4, BOX, 0)
+    dx2 = basis_form(T4, BOX, 1)
     br = courant_bracket(d1, dx2)
     assert br.norm() < 1e-15
 
 
 def test_courant_bracket_twist_term():
     # [X, Y]_H picks up i_Y i_X H for constant vector fields
-    H = Spinor.constant_form(T4, BOX, (0, 1, 2))
-    X = CourantVector.basis_vector(T4, BOX, 0)
-    Y = CourantVector.basis_vector(T4, BOX, 1)
+    H = constant_form(T4, BOX, (0, 1, 2))
+    X = basis_vector(T4, BOX, 0)
+    Y = basis_vector(T4, BOX, 1)
     br = courant_bracket(X, Y, H=H)
     # i_Y i_X (dx1^dx2^dx3) = dx3
     assert br.cotangent[2].coefficient((0, 0, 0, 0)) == 1.0
@@ -135,30 +142,36 @@ def test_courant_bracket_function_coefficients():
     # [f X, g Y] reproduces the Lie-bracket Leibniz structure on tangent parts
     rng = np.random.default_rng(21)
     f = FourierScalar.mode(T2, BOX, (1, 0))
-    X = CourantVector.basis_vector(T2, BOX, 0).scale_scalar(f)
-    Y = CourantVector.basis_vector(T2, BOX, 1)
+    X = scale_section(basis_vector(T2, BOX, 0), f)
+    Y = basis_vector(T2, BOX, 1)
     br = courant_bracket(X, Y)
     # [f d1, d2] = -(d2 f) d1 = 0 here since f depends on x1 only
     assert br.norm() < 1e-14
     g = FourierScalar.mode(T2, BOX, (0, 1))
-    Z = CourantVector.basis_vector(T2, BOX, 0).scale_scalar(g)
+    Z = scale_section(basis_vector(T2, BOX, 0), g)
     br2 = courant_bracket(Z, Y)
     # [g d1, d2] = -(d2 g) d1
-    expected = CourantVector.basis_vector(T2, BOX, 0).scale_scalar(g.derive(1)).scale(-1)
+    expected = scale_section(basis_vector(T2, BOX, 0), g.derive(1)).scale(-1)
     diff = br2.add(expected.scale(-1))
     assert diff.norm() < 1e-12
     del rng
 
 
+def form_reversal(a: Spinor) -> Spinor:
+    """Reversal anti-automorphism: degree-p parts pick up (-1)^{p(p-1)/2}."""
+    signs = [-1 if (len(m) * (len(m) - 1) // 2) % 2 else 1 for m in monomial_list(a.geometry.dim)]
+    return a.map_modes(np.diag(signs))
+
+
 def test_form_reversal_signs():
-    sigma = Spinor.constant_form(T4, BOX, (0, 1))
+    sigma = constant_form(T4, BOX, (0, 1))
     assert form_reversal(sigma).coefficient((0, 1)).coefficient((0,) * 4) == -1.0
-    tau = Spinor.constant_form(T4, BOX, (0, 1, 2, 3))
+    tau = constant_form(T4, BOX, (0, 1, 2, 3))
     assert form_reversal(tau).coefficient((0, 1, 2, 3)).coefficient((0,) * 4) == 1.0
 
 
 def test_poly_act_degree_zero_and_antisymmetry():
-    frame = [CourantVector.basis_form(T2, BOX, 0), CourantVector.basis_vector(T2, BOX, 1)]
+    frame = [basis_form(T2, BOX, 0), basis_vector(T2, BOX, 1)]
     c = CliffordPoly(frame, 0, {(): FourierScalar.constant(T2, BOX, 2.0)})
     rng = np.random.default_rng(25)
     sigma = random_spinor(rng, T2, BOX, max_mode=1)
@@ -201,23 +214,22 @@ def test_wedge_part_is_function_linear():
     """For tangent-free sections the action commutes with scalar rescaling."""
     rng = np.random.default_rng(29)
     box = TruncationBox(4)
-    from gentorus.spinor import random_fourier_scalar
     for _ in range(5):
         cot = [random_fourier_scalar(rng, T2, box, 1) for _ in range(2)]
         zero = [FourierScalar.zero(T2, box) for _ in range(2)]
         a = CourantVector(T2, box, zero, cot)
         sigma = random_spinor(rng, T2, box, max_mode=1)
         f = random_fourier_scalar(rng, T2, box, 1)
-        lhs = clifford_act(a, sigma.scale_scalar(f))
-        rhs = clifford_act(a, sigma).scale_scalar(f)
+        lhs = clifford_act(a, scale_spinor(sigma, f))
+        rhs = scale_spinor(clifford_act(a, sigma), f)
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, lhs.norm())
 
 
 def test_contraction_graded_leibniz():
-    """i_X(alpha ^ beta) = i_X alpha ^ beta + (-1)^p alpha ^ i_X beta."""
+    """i_X(alpha ^ beta) = i_X alpha ^ beta + (-1)^p alpha ^ i_X beta, with
+    i_X the Clifford action of a section with no cotangent part."""
     rng = np.random.default_rng(31)
     box = TruncationBox(4)
-    from gentorus.spinor import contract, random_fourier_scalar
     for _ in range(5):
         tan = [random_fourier_scalar(rng, T4, box, 1) for _ in range(4)]
         zero = [FourierScalar.zero(T4, box) for _ in range(4)]
@@ -230,9 +242,9 @@ def test_contraction_graded_leibniz():
                  for m in it.combinations(range(4), p)},
             )
             beta = random_spinor(rng, T4, box, max_mode=1)
-            lhs = contract(X, wedge(alpha, beta))
-            rhs = wedge(contract(X, alpha), beta).add(
-                wedge(alpha, contract(X, beta)).scale((-1) ** p)
+            lhs = clifford_act(X, wedge(alpha, beta))
+            rhs = wedge(clifford_act(X, alpha), beta).add(
+                wedge(alpha, clifford_act(X, beta)).scale((-1) ** p)
             )
             assert (lhs - rhs).norm() < 1e-10 * max(1.0, lhs.norm())
 
@@ -242,16 +254,15 @@ def test_spinor_dropped_mass_accounting():
     box = TruncationBox(1, policy="drop")
     f = FourierScalar.mode(T2, box, (1, 0), 2.0)
     sigma = Spinor(T2, box, {(0,): f})
-    out = sigma.scale_scalar(f)  # mode (2, 0) escapes, |c|^2 = 16
+    out = scale_spinor(sigma, f)  # mode (2, 0) escapes, |c|^2 = 16
     assert out.is_zero()
     assert out.dropped_mass() == pytest.approx(16.0)
     # strict policy on the same data raises instead
-    from gentorus.fourier import TruncationError
     strict_box = TruncationBox(1)
     g = FourierScalar.mode(T2, strict_box, (1, 0), 2.0)
     tau = Spinor(T2, strict_box, {(0,): g})
     with pytest.raises(TruncationError):
-        tau.scale_scalar(g)
+        scale_spinor(tau, g)
 
 
 def test_poly_wedge_matches_iterated_action():
@@ -259,10 +270,9 @@ def test_poly_wedge_matches_iterated_action():
     and swapping picks up the graded sign (-1)^{pq}."""
     rng = np.random.default_rng(33)
     box = TruncationBox(4)
-    from gentorus.spinor import random_fourier_scalar
     import itertools as it
     # isotropic frame: the four coordinate 1-forms on T4
-    frame = [CourantVector.basis_form(T4, box, j) for j in range(4)]
+    frame = [basis_form(T4, box, j) for j in range(4)]
     for pdeg, qdeg in ((1, 1), (1, 2), (2, 2)):
         P = CliffordPoly(
             frame, pdeg,
@@ -290,6 +300,6 @@ def test_isotropic_factors_anticommute():
         a = CourantVector.constant(T2, BOX, [0, 0], ca)
         b = CourantVector.constant(T2, BOX, [0, 0], cb)
         sigma = random_spinor(rng, T2, BOX, max_mode=1)
-        lhs = clifford_act_many([a, b], sigma)
-        rhs = clifford_act_many([b, a], sigma).scale(-1)
+        lhs = clifford_act(a, clifford_act(b, sigma))
+        rhs = clifford_act(b, clifford_act(a, sigma)).scale(-1)
         assert (lhs - rhs).norm() < 1e-12

@@ -4,9 +4,9 @@ replaced.
 The references below are the earlier implementation, kept as oracles: the
 named constructors built lists of ``CourantVector`` sections, and the
 structure constants and the validation residuals came from
-``courant_bracket`` and ``pairing`` on those sections (``FourierScalar``
-dict arithmetic); del and dbar were masked level blocks of d, rebuilt on
-every call.  The matrices must come out bitwise equal, and the residuals
+``courant_bracket`` and ``pairing`` (now in ``tests/reference.py``) on those
+sections (``FourierScalar`` dict arithmetic); del and dbar were masked level
+blocks of d, rebuilt on every call.  The matrices must come out bitwise equal, and the residuals
 within 1e-15.
 """
 
@@ -21,11 +21,11 @@ from gentorus.spinor import (
     Spinor,
     clifford_generators,
     constant_clifford_matrix,
-    courant_bracket,
-    pairing,
     wedge_matrix,
 )
 from gentorus.structure import GCStructure, StructureError, natural_pairing_matrix
+
+from reference import constant_form, courant_bracket, pairing
 
 BOX = TruncationBox(2)
 T4 = TorusGeometry(2)
@@ -131,7 +131,7 @@ _CONJ = np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
 JCX = _CONJ @ _jstd(2) @ np.linalg.inv(_CONJ)
 OMEGA = np.array([[0, 0, 2.0, 0], [0, 0, 0, 0.5], [-2.0, 0, 0, 0], [0, -0.5, 0, 0]])
 B01 = np.array([[0, 1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-H012 = Spinor.constant_form(T4, BOX, (0, 1, 2), 1.0)
+H012 = constant_form(T4, BOX, (0, 1, 2), 1.0)
 
 # name -> (the structure, its reference frames, its twist)
 CASES = {
