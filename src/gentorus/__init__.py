@@ -17,7 +17,7 @@ from .fourier import (
     TruncationBox,
     TruncationError,
 )
-from .spinor import CliffordPoly, CourantVector, Spinor
+from .spinor import CliffordPoly, Spinor
 
 __all__ = [
     "FourierScalar",
@@ -26,7 +26,6 @@ __all__ = [
     "TruncationBox",
     "TruncationError",
     "CliffordPoly",
-    "CourantVector",
     "Spinor",
     "GCStructure",
     "GeneralizedMetric",

@@ -51,7 +51,7 @@ def lie_derivation_dL(a: CliffordPoly, structure: GCStructure) -> CliffordPoly:
     ``differentials["dL"]``, applied to the coefficient row in one product
     over the modes; as for any map between keys, no dropped mass is carried.
     """
-    if a.frame != structure.dual_frame:
+    if a.frame is not structure.dual_frame:
         raise ValueError("polynomial must live over the structure's dual frame")
     rows, cols = structure.degree_slice(a.degree + 1), structure.degree_slice(a.degree)
     const, slopes = structure.differentials["dL"]
@@ -137,7 +137,7 @@ def schouten_bracket(
     an output key's dropped mass is the sum of those of the pair products
     that feed it.
     """
-    if a.frame != structure.dual_frame or b.frame != structure.dual_frame:
+    if a.frame is not structure.dual_frame or b.frame is not structure.dual_frame:
         raise ValueError("bracket arguments must live over the dual frame")
     p, q = a.degree, b.degree
     if p == 0 or q == 0:

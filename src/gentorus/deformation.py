@@ -11,10 +11,9 @@ Every matrix of Fourier series here (the frame maps [eps], [eps*] and
 eps eps*, the pairing blocks of the sheared frames, and their Neumann-series
 inverses) is a :class:`~gentorus.fourier.FourierMatrix` mode stack, so each
 matrix product is one batched convolution.  Lists of sections are stacks
-too: the frames, the sheared frames and every transport image are (4n, 2n)
-stacks whose columns hold the sections' (tangent, cotangent) components,
-defined once in :class:`FrameMaps`; only the frames of the structure that
-``DeformedStructure`` builds are :class:`CourantVector` lists.  Spinors are
+too: the structure's frames, the sheared frames of :class:`FrameMaps` and
+every transport image are (4n, 2n) stacks whose columns hold the sections'
+(tangent, cotangent) components.  Spinors are
 mode stacks as well: the transport and the factorwise dressings are one
 product of a word matrix (the substituted frame words on the vacuum, one
 column each) with a spinor's frame coordinates, and the exponential action
@@ -119,15 +118,15 @@ class FrameMaps:
     ``eps_star_matrix`` N satisfies eps*(l^p) = sum_i N[i, p] l_i; the
     composite eps eps* acts on the dual frame by E = M N.  A list of
     sections is a (4n, 2n) stack whose column i holds the (tangent,
-    cotangent) components of section i: ``frame`` and ``dual`` hold the
-    frames l_i and l^i, ``xi`` the sheared frame (1+eps)(l_i) and ``eta``
-    the sheared dual frame (1+eps*)(l^i).  All of them are
-    :class:`FourierMatrix` stacks, each built on first use, so a reader
+    cotangent) components of section i, as the structure's ``frame`` and
+    ``dual_frame`` hold l_i and l^i: ``xi`` is the sheared frame
+    (1+eps)(l_i) and ``eta`` the sheared dual frame (1+eps*)(l^i).  Both
+    are :class:`FourierMatrix` stacks, each built on first use, so a reader
     of ``eps_matrix`` alone (``sup_norm``) builds nothing else.
     """
 
     def __init__(self, structure: GCStructure, eps: CliffordPoly):
-        if eps.degree != 2 or eps.frame != structure.dual_frame:
+        if eps.degree != 2 or eps.frame is not structure.dual_frame:
             raise DeformationError("deformation must be a 2-polynomial over the dual frame")
         self.structure = structure
         self.eps = eps
@@ -157,22 +156,14 @@ class FrameMaps:
         return self.eps_matrix.matmul(self.eps_star_matrix)
 
     @cached_property
-    def frame(self) -> FourierMatrix:
-        s = self.structure
-        return FourierMatrix.constant(s.geometry, s.box, s._frame_vals)
-
-    @cached_property
-    def dual(self) -> FourierMatrix:
-        s = self.structure
-        return FourierMatrix.constant(s.geometry, s.box, s._dual_vals)
-
-    @cached_property
     def xi(self) -> FourierMatrix:
-        return self.frame + self.dual.matmul(self.eps_matrix)
+        s = self.structure
+        return s.frame + s.dual_frame.matmul(self.eps_matrix)
 
     @cached_property
     def eta(self) -> FourierMatrix:
-        return self.dual + self.frame.matmul(self.eps_star_matrix)
+        s = self.structure
+        return s.dual_frame + s.frame.matmul(self.eps_star_matrix)
 
     def sup_norm(self) -> float:
         """Grid estimate of the sup over the torus of the 2-norm of eps.
@@ -218,7 +209,7 @@ class Beltrami:
             key = (int(key[0]), int(key[1]))
             if key[0] + key[1] < 1:
                 raise DeformationError("deformation coefficients start at order 1")
-            if poly.degree != 2 or poly.frame != structure.dual_frame:
+            if poly.degree != 2 or poly.frame is not structure.dual_frame:
                 raise DeformationError(
                     "every coefficient must be a 2-polynomial over the dual frame"
                 )
@@ -561,10 +552,10 @@ class Transport:
     def images_one_minus_epseps(self) -> FourierMatrix:
         s = self.structure
         ident = FourierMatrix.identity(s.geometry, s.box, s.dim)
-        return self.maps.dual.matmul(ident - self.maps.eps_eps_star)
+        return s.dual_frame.matmul(ident - self.maps.eps_eps_star)
 
     def images_inverse_one_minus_epseps(self) -> FourierMatrix:
-        return self.maps.dual.matmul(_neumann_inverse(self.maps.eps_eps_star))
+        return self.structure.dual_frame.matmul(_neumann_inverse(self.maps.eps_eps_star))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +588,7 @@ def frame_block_matrices(
     geometry, box = structure.geometry, structure.box
 
     ident = FourierMatrix.identity(geometry, box, dim)
-    frame, dual, xi, eta = maps.frame, maps.dual, maps.xi, maps.eta
+    frame, dual, xi, eta = structure.frame, structure.dual_frame, maps.xi, maps.eta
     q = FourierMatrix.constant(geometry, box, natural_pairing_matrix(dim))
 
     # normalize the dual frame: xi^i = sum_j N[i, j] eta^j

@@ -184,7 +184,8 @@ def _fourier_section(
 
 
 def _section_norm(section: List[Tuple]) -> float:
-    """``CourantVector.norm``: the root sum of the squared component norms."""
+    """The root sum of the squared component norms, summed as the ``norm``
+    of the reference sections in ``tests/reference.py`` sums them."""
     return math.sqrt(sum(math.sqrt(abs(c) ** 2) ** 2 for _, c in section))
 
 

@@ -227,15 +227,6 @@ class FourierScalar:
                 dropped += abs(c) ** 2
         return FourierScalar(self.geometry, self.box, kept, dropped)
 
-    def conj(self) -> "FourierScalar":
-        """Complex conjugate; flips every frequency."""
-        return FourierScalar(
-            self.geometry,
-            self.box,
-            {tuple(-k for k in m): c.conjugate() for m, c in self.coeffs.items()},
-            self.dropped_mass,
-        )
-
     def derive(self, axis: int) -> "FourierScalar":
         """Coordinate derivative d/dx^axis; multiplies mode k by 2*pi*i*k_axis."""
         if not 0 <= axis < self.geometry.dim:
@@ -256,9 +247,6 @@ class FourierScalar:
     # queries
     # ------------------------------------------------------------------
 
-    def coefficient(self, mode: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(int(k) for k in mode), 0.0 + 0.0j)
-
     def norm(self) -> float:
         """l2 norm of the coefficient vector (spectral norm of the scalar)."""
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
@@ -275,19 +263,6 @@ class FourierScalar:
             if abs(self.coeffs.get(neg, 0.0 + 0.0j) - c.conjugate()) > tol:
                 return False
         return True
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at spatial points, shape (..., 2n) -> complex array (...)."""
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1], dtype=complex)
-        tau = 2.0j * math.pi
-        for m, c in self.coeffs.items():
-            out += c * np.exp(tau * (points @ np.asarray(m, dtype=float)))
-        return out
-
-    def embed(self, box: TruncationBox) -> "FourierScalar":
-        """Re-home the scalar in a different (usually larger) box."""
-        return FourierScalar(self.geometry, box, dict(self.coeffs), self.dropped_mass)
 
     def support(self) -> Iterable[Mode]:
         return self.coeffs.keys()

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .fourier import TorusGeometry, TruncationBox, _mode_keys
-from .spinor import CourantVector, Spinor, constant_clifford_matrix, monomial_list
+from .spinor import Spinor, constant_clifford_matrix, monomial_list
 from .structure import GCStructure, natural_pairing_matrix
 
 
@@ -47,9 +47,9 @@ class GeneralizedMetric:
     Attributes
     ----------
     gmatrix : ndarray
-        Real 4n x 4n matrix of G.
-    cplus : list of CourantVector
-        Orthonormal frame of the +1 eigenbundle.
+        Real 4n x 4n matrix of G, from the orthonormal frames of its +1
+        and -1 eigenbundles C+ and C-, given as (4n, 2n) matrices of
+        section columns.
     star_matrix : ndarray
         Constant matrix of the Hodge star on the monomial basis.
     volume_factor : float
@@ -99,9 +99,6 @@ class GeneralizedMetric:
             )
 
         self._cplus_values = cplus_values
-        self.cplus = [
-            CourantVector.constant(geometry, box, v[:dim], v[dim:]) for v in cplus_values.T
-        ]
         self.star_matrix = star
         self.bi_gram = gram
 
@@ -230,7 +227,7 @@ class GeneralizedMetric:
         geometry, box = structure.geometry, structure.box
         dim = geometry.dim
         q = natural_pairing_matrix(dim)
-        fvals = np.column_stack([v.constant_values() for v in structure.frame])
+        fvals = structure._frame_vals
         nmat = fvals.T @ q @ fvals.conj()
         vals, vecs = np.linalg.eigh(nmat)
         pos = [i for i, v in enumerate(vals) if v > 1e-12]

@@ -1,8 +1,8 @@
 """Spinors and the Clifford module over T + T*.
 
 A spinor is an element of the full exterior algebra of the cotangent bundle
-with :class:`~gentorus.fourier.FourierScalar` coefficients.  Sections of
-T + T* act on spinors by interior contraction plus wedge,
+with Fourier-series coefficients.  Sections of T + T* act on spinors by
+interior contraction plus wedge,
 
     (X + xi) . sigma = i_X sigma + xi ^ sigma,
 
@@ -21,8 +21,10 @@ product over the modes (:meth:`Spinor.map_modes`), and a product with
 varying coefficients (wedge, a frame polynomial's Clifford action) is one
 ``FourierMatrix.matmul`` of the operand's action matrix, built from its
 coefficients and the constant matrices of :func:`clifford_generators`, with
-the spinor's column.  A frame polynomial (:class:`CliffordPoly`) is one
-``FourierMatrix`` row over the slot keys of its degree.
+the spinor's column.  A list of sections is a (4n, 2n) ``FourierMatrix``
+stack whose column i holds section i's tangent then cotangent components,
+and a frame polynomial (:class:`CliffordPoly`) is one ``FourierMatrix`` row
+over the slot keys of its degree, held with the stack of its frame.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class Spinor:
     column, ``stack``: modes (P, 2n), coefficients (P, 2^{2n}, 1) on the
     :func:`monomial_list` basis and the dropped mass of each component.
     The constructor takes a dict from strictly increasing index tuples to
-    :class:`FourierScalar` coefficients; ``comps`` and ``coefficient`` read
-    the stack back as such scalars.
+    :class:`FourierScalar` coefficients; ``comps`` reads the stack back as
+    such scalars.
     """
 
     def __init__(
@@ -195,12 +197,6 @@ class Spinor:
         keys = monomial_list(self.geometry.dim)
         return {keys[j]: self.stack[j, 0] for j in _live_columns(self.stack.T)}
 
-    def coefficient(self, mono: Sequence[int]) -> FourierScalar:
-        j = monomial_index(self.geometry.dim).get(tuple(int(i) for i in mono))
-        if j is None:
-            return FourierScalar.zero(self.geometry, self.box)
-        return self.stack[j, 0]
-
     def norm(self) -> float:
         return self.stack.norm()
 
@@ -272,101 +268,6 @@ def wedge(a: Spinor, b: Spinor) -> Spinor:
     return Spinor.from_stack(wedge_matrix(a).matmul(b.stack))
 
 
-class CourantVector:
-    """Section X + xi of T + T*, components as FourierScalars.
-
-    ``tangent`` and ``cotangent`` are length-2n tuples indexed by coordinate
-    axis.
-    """
-
-    def __init__(
-        self,
-        geometry: TorusGeometry,
-        box: TruncationBox,
-        tangent: Sequence[FourierScalar],
-        cotangent: Sequence[FourierScalar],
-    ):
-        if len(tangent) != geometry.dim or len(cotangent) != geometry.dim:
-            raise ValueError("component count must be 2n for each of X and xi")
-        self.geometry = geometry
-        self.box = box
-        self.tangent = tuple(tangent)
-        self.cotangent = tuple(cotangent)
-
-    @classmethod
-    def zero(cls, geometry: TorusGeometry, box: TruncationBox) -> "CourantVector":
-        z = [FourierScalar.zero(geometry, box) for _ in range(geometry.dim)]
-        return cls(geometry, box, z, list(z))
-
-    @classmethod
-    def constant(
-        cls,
-        geometry: TorusGeometry,
-        box: TruncationBox,
-        tangent: Sequence[complex],
-        cotangent: Sequence[complex],
-    ) -> "CourantVector":
-        tan = [FourierScalar.constant(geometry, box, c) for c in tangent]
-        cot = [FourierScalar.constant(geometry, box, c) for c in cotangent]
-        return cls(geometry, box, tan, cot)
-
-    def add(self, other: "CourantVector") -> "CourantVector":
-        return CourantVector(
-            self.geometry,
-            self.box,
-            [a.add(b) for a, b in zip(self.tangent, other.tangent)],
-            [a.add(b) for a, b in zip(self.cotangent, other.cotangent)],
-        )
-
-    def scale(self, c) -> "CourantVector":
-        return CourantVector(
-            self.geometry,
-            self.box,
-            [a.scale(c) for a in self.tangent],
-            [a.scale(c) for a in self.cotangent],
-        )
-
-    def conj(self) -> "CourantVector":
-        return CourantVector(
-            self.geometry,
-            self.box,
-            [a.conj() for a in self.tangent],
-            [a.conj() for a in self.cotangent],
-        )
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def is_constant(self, tol: float = 0.0) -> bool:
-        zero_mode = (0,) * self.geometry.dim
-        for f in self.tangent + self.cotangent:
-            for m, c in f.coeffs.items():
-                if m != zero_mode and abs(c) > tol:
-                    return False
-        return True
-
-    def constant_values(self) -> np.ndarray:
-        """Components as a complex vector (X then xi); constant sections only."""
-        zero_mode = (0,) * self.geometry.dim
-        vals = [f.coefficient(zero_mode) for f in self.tangent + self.cotangent]
-        return np.asarray(vals, dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(f.norm() ** 2 for f in self.tangent + self.cotangent))
-
-    def __repr__(self) -> str:
-        return f"CourantVector(X={list(self.tangent)}, xi={list(self.cotangent)})"
-
-
 def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
     """The operators C + 2 pi i sum_a k_a A_a at the given modes, stacked.
 
@@ -382,27 +283,27 @@ def _stack_linear(const: np.ndarray, slopes: np.ndarray, modes) -> np.ndarray:
 class CliffordPoly:
     """Antisymmetric polynomial over an ordered frame of T + T* sections.
 
-    Stored as one :class:`~gentorus.fourier.FourierMatrix` row, ``stack``,
+    ``frame`` is the :class:`~gentorus.fourier.FourierMatrix` stack of the
+    frame, one column of (tangent, cotangent) components per slot, held as
+    given: polynomials share a frame only when they hold the same stack
+    object.  The coefficients are one ``FourierMatrix`` row, ``stack``,
     over ``keys``, the degree's strictly increasing slot-index tuples in
     ``itertools.combinations`` order; the constructor takes a dict from
-    slot tuples to FourierScalar coefficients, and ``coeffs``, ``terms`` and
-    ``coefficient`` read the row back as such scalars.  Every slot is
-    resolved to a frame :class:`CourantVector`.  The coefficient convention
-    follows the evaluation rule  a(l_{j1}, ..., l_{jp}) = a_{j1...jp}  with
-    the full antisymmetric extension to unordered tuples.
+    slot tuples to FourierScalar coefficients, and ``coeffs`` and ``terms``
+    read the row back as such scalars.  The coefficient convention follows
+    the evaluation rule  a(l_{j1}, ..., l_{jp}) = a_{j1...jp}  with the
+    full antisymmetric extension to unordered tuples.
     """
 
     def __init__(
         self,
-        frame: Sequence[CourantVector],
+        frame: FourierMatrix,
         degree: int,
         coeffs: Dict[Tuple[int, ...], FourierScalar] | None = None,
     ):
-        if not frame:
-            raise ValueError("frame must be nonempty")
-        self.frame = tuple(frame)
-        self.geometry = frame[0].geometry
-        self.box = frame[0].box
+        self.frame = frame
+        self.geometry = frame.geometry
+        self.box = frame.box
         self.degree = int(degree)
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -414,7 +315,7 @@ class CliffordPoly:
                 key = tuple(int(i) for i in key)
                 if len(key) != self.degree:
                     raise ValueError(f"tuple {key} has wrong arity")
-                if any(not 0 <= i < len(self.frame) for i in key):
+                if any(not 0 <= i < frame.shape[1] for i in key):
                     raise ValueError(f"slot index out of range in {key}")
                 sorted_sign = sort_monomial(key)
                 if sorted_sign is None:
@@ -430,35 +331,26 @@ class CliffordPoly:
         self._matrix: FourierMatrix | None = None  # the action matrix, built on first use
 
     @classmethod
-    def from_stack(
-        cls, frame: Sequence[CourantVector], degree: int, stack: FourierMatrix
-    ) -> "CliffordPoly":
+    def from_stack(cls, frame: FourierMatrix, degree: int, stack: FourierMatrix) -> "CliffordPoly":
         """The degree-``degree`` polynomial whose coefficient row is ``stack``."""
         out = cls.__new__(cls)
-        out.frame, out.geometry, out.box = tuple(frame), stack.geometry, stack.box
+        out.frame, out.geometry, out.box = frame, stack.geometry, stack.box
         out.degree, out.stack, out._matrix = int(degree), stack, None
         return out
 
     @classmethod
-    def zero(cls, frame: Sequence[CourantVector], degree: int) -> "CliffordPoly":
+    def zero(cls, frame: FourierMatrix, degree: int) -> "CliffordPoly":
         return cls(frame, degree, {})
 
     @classmethod
-    def constant(
-        cls, frame: Sequence[CourantVector], key: Sequence[int], c=1.0
-    ) -> "CliffordPoly":
-        geom = frame[0].geometry
-        box = frame[0].box
-        return cls(
-            frame,
-            len(tuple(key)),
-            {tuple(key): FourierScalar.constant(geom, box, c)},
-        )
+    def constant(cls, frame: FourierMatrix, key: Sequence[int], c=1.0) -> "CliffordPoly":
+        f = FourierScalar.constant(frame.geometry, frame.box, c)
+        return cls(frame, len(tuple(key)), {tuple(key): f})
 
     @property
     def keys(self) -> List[Tuple[int, ...]]:
         """The slot keys of the degree, one per column of ``stack``."""
-        return list(itertools.combinations(range(len(self.frame)), self.degree))
+        return list(itertools.combinations(range(self.frame.shape[1]), self.degree))
 
     @property
     def coeffs(self) -> Dict[Tuple[int, ...], FourierScalar]:
@@ -467,8 +359,10 @@ class CliffordPoly:
         return {keys[j]: self.stack[0, j] for j in _live_columns(self.stack)}
 
     def add(self, other: "CliffordPoly") -> "CliffordPoly":
-        if other.degree != self.degree or len(other.frame) != len(self.frame):
-            raise ValueError("cannot add polynomials of different shapes")
+        if other.frame is not self.frame:
+            raise ValueError("cannot add polynomials over different frames")
+        if other.degree != self.degree:
+            raise ValueError("cannot add polynomials of different degrees")
         return CliffordPoly.from_stack(self.frame, self.degree, self.stack.add(other.stack))
 
     def scale(self, c) -> "CliffordPoly":
@@ -496,24 +390,16 @@ class CliffordPoly:
             return not len(self.stack.modes)
         return bool(np.abs(self.stack.coeffs).max(initial=0.0) <= tol)
 
-    def coefficient(self, key: Sequence[int]) -> FourierScalar:
-        """Fully antisymmetric coefficient a_{j1...jp} for any index tuple."""
-        sorted_sign = sort_monomial(tuple(int(i) for i in key))
-        keys = self.keys
-        if sorted_sign is None or sorted_sign[0] not in keys:
-            return FourierScalar.zero(self.geometry, self.box)
-        return self.stack[0, keys.index(sorted_sign[0])].scale(sorted_sign[1])
-
     def action_matrix(self) -> FourierMatrix:
         """The matrix of the iterated Clifford action, slots applied in
         increasing tuple order: the sum of the coefficients times the
         constant matrices of the slot words, built on first use.  The frame
         must be constant."""
         if self._matrix is None:
-            if not all(v.is_constant() for v in self.frame):
+            if not self.frame.is_constant():
                 raise ValueError("the Clifford action needs a constant frame")
             dim = self.geometry.dim
-            slots = [constant_clifford_matrix(v.constant_values(), dim) for v in self.frame]
+            slots = [constant_clifford_matrix(v, dim) for v in self.frame.constant_values().T]
             self._matrix = _word_action(self.stack, self.keys, np.array(slots))
         return self._matrix
 
@@ -529,7 +415,7 @@ class CliffordPoly:
         slot words equals the wedge, so acting with the product matches the
         iterated action up to the usual graded sign.
         """
-        if other.frame != self.frame:
+        if other.frame is not self.frame:
             raise ValueError("wedge needs a common frame")
         out: Dict[Tuple[int, ...], FourierScalar] = {}
         terms_b = list(other.terms())

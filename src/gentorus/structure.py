@@ -25,7 +25,6 @@ import numpy as np
 
 from .fourier import FourierMatrix, TorusGeometry, TruncationBox
 from .spinor import (
-    CourantVector,
     Spinor,
     clifford_generators,
     constant_clifford_matrix,
@@ -58,17 +57,20 @@ class GCStructure:
     The constructor takes the frames as matrices: ``frame`` and
     ``dual_frame`` are (4n, 2n) complex arrays whose column i holds section
     i's tangent then cotangent components.  Everything else is built from
-    them once: the sections, J, the Clifford matrices of the frames, rho0,
-    the level basis, the structure constants, the validation residuals and
-    the matrices of d_H and of its level parts.
+    them once: J, the Clifford matrices of the frames, rho0, the level
+    basis, the structure constants, the validation residuals and the
+    matrices of d_H and of its level parts.
 
     Attributes
     ----------
-    frame : tuple of CourantVector
-        Basis l_1..l_{2n} of the +i eigenbundle L.
-    dual_frame : tuple of CourantVector
+    frame : FourierMatrix
+        Basis l_1..l_{2n} of the +i eigenbundle L: the constant (4n, 2n)
+        stack whose coefficients are the frame matrix itself (a view, not
+        a copy).  A polynomial over the frame holds this stack, and frames
+        are compared by identity.
+    dual_frame : FourierMatrix
         Pairing-dual basis l^1..l^{2n} spanning the conjugate bundle,
-        with <l^i, l_j> = delta^i_j.
+        with <l^i, l_j> = delta^i_j, as a stack in the same way.
     rho0 : Spinor
         Canonical line generator, L . rho0 = 0, deterministic phase.
     twist : Spinor
@@ -106,8 +108,8 @@ class GCStructure:
             twist = Spinor.zero(geometry, box)
         self.twist = twist
 
-        # + 0.0 turns negative zeros positive, as the sections' dict coefficients
-        # hold them, so the matrices and the sections agree bit for bit
+        # + 0.0 turns negative zeros positive: the signs of the frames' zeros
+        # reach J, the structure constants and every report built on them
         self._frame_vals = np.asarray(frame, dtype=complex) + 0.0
         self._dual_vals = np.asarray(dual_frame, dtype=complex) + 0.0
         shape = (2 * self.dim, self.dim)
@@ -119,8 +121,8 @@ class GCStructure:
         degrees = sorted({len(mono) for mono in twist.comps} - {3})
         if degrees:
             raise StructureError(f"twist must be a 3-form, got components of degree {degrees}")
-        self.frame = self._sections(self._frame_vals)
-        self.dual_frame = self._sections(self._dual_vals)
+        self.frame = FourierMatrix.constant(geometry, box, self._frame_vals)
+        self.dual_frame = FourierMatrix.constant(geometry, box, self._dual_vals)
         self.jmatrix = self._build_jmatrix()
         self._frame_cliff = [constant_clifford_matrix(v, self.dim) for v in self._frame_vals.T]
         self._dual_cliff = [constant_clifford_matrix(v, self.dim) for v in self._dual_vals.T]
@@ -200,13 +202,6 @@ class GCStructure:
                 col += 1
             slices[k] = slice(start, col)
         return columns, slices
-
-    def _sections(self, values: np.ndarray) -> Tuple[CourantVector, ...]:
-        """The constant sections whose components are the columns of ``values``."""
-        dim = self.dim
-        return tuple(
-            CourantVector.constant(self.geometry, self.box, v[:dim], v[dim:]) for v in values.T
-        )
 
     def _twist_tensor(self) -> np.ndarray:
         """H_{klm}: the twist's constant coefficients as an antisymmetric tensor."""

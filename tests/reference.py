@@ -2,12 +2,16 @@
 method as a function of its ``self``) as inputs and oracles: the Clifford
 suite's residuals must be bitwise those of ``clifford_act``, ``pairing``
 and ``scale_spinor``, and the structure constants those of
-``courant_bracket`` and ``pairing``.  pytest does not collect this module.
+``courant_bracket`` and ``pairing``.  These oracles take sections of
+T + T* as :class:`CourantVector` lists of ``FourierScalar`` components;
+``sections`` reads them off a (4n, 2n) stack such as a structure's
+``frame``.  pytest does not collect this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -15,8 +19,123 @@ import numpy as np
 from gentorus.fourier import FourierMatrix, FourierScalar, GeometryMismatch, TorusGeometry, TruncationBox
 from gentorus.hodge import _adjoint
 from gentorus.spinor import (
-    CourantVector, Spinor, _action, clifford_generators, random_fourier_scalar, sort_monomial,
+    CliffordPoly, Spinor, _action, clifford_generators, monomial_index, random_fourier_scalar,
+    sort_monomial,
 )
+
+
+def mode_coefficient(f: FourierScalar, mode: Sequence[int]) -> complex:
+    return f.coeffs.get(tuple(int(k) for k in mode), 0.0 + 0.0j)
+
+
+def spinor_coefficient(sigma: Spinor, mono: Sequence[int]) -> FourierScalar:
+    j = monomial_index(sigma.geometry.dim).get(tuple(int(i) for i in mono))
+    if j is None:
+        return FourierScalar.zero(sigma.geometry, sigma.box)
+    return sigma.stack[j, 0]
+
+
+def poly_coefficient(poly: CliffordPoly, key: Sequence[int]) -> FourierScalar:
+    """Fully antisymmetric coefficient a_{j1...jp} for any index tuple."""
+    sorted_sign = sort_monomial(tuple(int(i) for i in key))
+    keys = poly.keys
+    if sorted_sign is None or sorted_sign[0] not in keys:
+        return FourierScalar.zero(poly.geometry, poly.box)
+    return poly.stack[0, keys.index(sorted_sign[0])].scale(sorted_sign[1])
+
+
+def conj_scalar(f: FourierScalar) -> FourierScalar:
+    """Complex conjugate; flips every frequency."""
+    return FourierScalar(
+        f.geometry,
+        f.box,
+        {tuple(-k for k in m): c.conjugate() for m, c in f.coeffs.items()},
+        f.dropped_mass,
+    )
+
+
+class CourantVector:
+    """Section X + xi of T + T*, components as FourierScalars.
+
+    ``tangent`` and ``cotangent`` are length-2n tuples indexed by coordinate
+    axis.
+    """
+
+    def __init__(
+        self,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        tangent: Sequence[FourierScalar],
+        cotangent: Sequence[FourierScalar],
+    ):
+        if len(tangent) != geometry.dim or len(cotangent) != geometry.dim:
+            raise ValueError("component count must be 2n for each of X and xi")
+        self.geometry = geometry
+        self.box = box
+        self.tangent = tuple(tangent)
+        self.cotangent = tuple(cotangent)
+
+    @classmethod
+    def zero(cls, geometry: TorusGeometry, box: TruncationBox) -> "CourantVector":
+        z = [FourierScalar.zero(geometry, box) for _ in range(geometry.dim)]
+        return cls(geometry, box, z, list(z))
+
+    @classmethod
+    def constant(
+        cls,
+        geometry: TorusGeometry,
+        box: TruncationBox,
+        tangent: Sequence[complex],
+        cotangent: Sequence[complex],
+    ) -> "CourantVector":
+        tan = [FourierScalar.constant(geometry, box, c) for c in tangent]
+        cot = [FourierScalar.constant(geometry, box, c) for c in cotangent]
+        return cls(geometry, box, tan, cot)
+
+    def add(self, other: "CourantVector") -> "CourantVector":
+        return CourantVector(
+            self.geometry,
+            self.box,
+            [a.add(b) for a, b in zip(self.tangent, other.tangent)],
+            [a.add(b) for a, b in zip(self.cotangent, other.cotangent)],
+        )
+
+    def scale(self, c) -> "CourantVector":
+        return CourantVector(
+            self.geometry,
+            self.box,
+            [a.scale(c) for a in self.tangent],
+            [a.scale(c) for a in self.cotangent],
+        )
+
+    def constant_values(self) -> np.ndarray:
+        """Components as a complex vector (X then xi); constant sections only."""
+        zero_mode = (0,) * self.geometry.dim
+        vals = [mode_coefficient(f, zero_mode) for f in self.tangent + self.cotangent]
+        return np.asarray(vals, dtype=complex)
+
+    def norm(self) -> float:
+        return math.sqrt(sum(f.norm() ** 2 for f in self.tangent + self.cotangent))
+
+
+def section_stack(vectors: Sequence[CourantVector]) -> FourierMatrix:
+    """The (4n, k) stack whose column i holds section i's components."""
+    return from_scalars(
+        [list(comps) for comps in zip(*(v.tangent + v.cotangent for v in vectors))]
+    )
+
+
+def sections(stack: FourierMatrix) -> Tuple[CourantVector, ...]:
+    """The sections whose components are the columns of a (4n, k) stack,
+    tangent rows first."""
+    dim = stack.geometry.dim
+    return tuple(
+        CourantVector(
+            stack.geometry, stack.box,
+            [stack[r, i] for r in range(dim)], [stack[dim + r, i] for r in range(dim)],
+        )
+        for i in range(stack.shape[1])
+    )
 
 
 def from_scalars(entries: Sequence[Sequence[FourierScalar]]) -> FourierMatrix:

@@ -37,7 +37,7 @@ from gentorus.scenario import exit_code_for, run_scenario
 from gentorus.spinor import CliffordPoly, Spinor, random_spinor
 from gentorus.structure import GCStructure
 
-from reference import constant_form, level_spinors, scale_spinor
+from reference import constant_form, level_spinors, poly_coefficient, scale_spinor
 
 
 def report(number: int, passed: bool, detail: str):
@@ -167,7 +167,7 @@ def test_criterion_06_deformation_algebra_suite(t4):
         mat = np.zeros((s.dim, s.dim), dtype=complex)
         for i in range(s.dim):
             for p in range(s.dim):
-                mat[i, p] = eps.coefficient((i, p)).integrate()
+                mat[i, p] = poly_coefficient(eps, (i, p)).integrate()
         return eps.scale(norm / max(np.linalg.norm(mat, 2), 1e-12))
 
     worst_inverse = 0.0
@@ -187,7 +187,7 @@ def test_criterion_06_deformation_algebra_suite(t4):
         eps = random_eps(s, 0.4)
         tr = Transport(s, eps)
         # (1 + eps* - eps eps*) on the dual frame
-        dressing = tr.maps.eta - tr.maps.dual.matmul(tr.maps.eps_eps_star)
+        dressing = tr.maps.eta - s.dual_frame.matmul(tr.maps.eps_eps_star)
         for _ in range(5):
             sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
             scale = max(1.0, sigma.norm())
@@ -212,7 +212,7 @@ def test_criterion_06_deformation_algebra_suite(t4):
         # the inverse-transport combo (1 - eps*)(1 - eps eps*)^{-1}, on its exact domain
         # (bottom two levels)
         inv = _neumann_inverse(tr.maps.eps_eps_star)
-        combo = tr.maps.dual.matmul(inv) - tr.maps.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
+        combo = s.dual_frame.matmul(inv) - s.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
         for level in (-s.n, -s.n + 1):
             for b in level_spinors(s, level):
                 sigma = scale_spinor(

@@ -24,10 +24,11 @@ from gentorus.deformation import (
 from gentorus.fourier import FourierMatrix, FourierScalar, TruncationBox, TruncationError
 from gentorus.hodge import ObstructionError
 from gentorus.metric import GeneralizedMetric
-from gentorus.spinor import CliffordPoly, CourantVector, random_spinor
+from gentorus.spinor import CliffordPoly, random_spinor
 from gentorus.structure import GCStructure
 
-from reference import clifford_act, level_spinors, pairing, scale_section, scale_spinor
+from reference import CourantVector, clifford_act, level_spinors, pairing, poly_coefficient
+from reference import scale_section, scale_spinor, sections
 
 BOX = TruncationBox(3)
 
@@ -53,7 +54,7 @@ def random_constant_eps(rng, structure, norm=0.3):
     mat = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for p in range(dim):
-            mat[i, p] = eps.coefficient((i, p)).integrate()
+            mat[i, p] = poly_coefficient(eps, (i, p)).integrate()
     scale = norm / max(np.linalg.norm(mat, 2), 1e-12)
     return eps.scale(scale)
 
@@ -178,23 +179,14 @@ def test_deformed_frame_reconstruction(t4):
     """xi_i = l^q(xi_i) (1+eps)(l_q) and the dual analogue."""
     rng = np.random.default_rng(303)
     eps = random_constant_eps(rng, t4, 0.4)
-    xi, dim = FrameMaps(t4, eps).xi, t4.dim
-    frames = [
-        CourantVector(t4.geometry, t4.box, [xi[c, i] for c in range(dim)],
-                      [xi[dim + c, i] for c in range(dim)])
-        for i in range(dim)
-    ]
-    maps_frame = [
-        t4.frame[i].add(
-            sum_images(t4, eps, i)
-        )
-        for i in range(t4.dim)
-    ]
+    frames = sections(FrameMaps(t4, eps).xi)
+    maps_frame = [l.add(sum_images(t4, eps, i)) for i, l in enumerate(sections(t4.frame))]
+    dual = sections(t4.dual_frame)
     for i in range(t4.dim):
         # reconstruct xi_i from its frame pairings
         acc = None
         for q in range(t4.dim):
-            coeff = pairing(t4.dual_frame[q], frames[i]).integrate()
+            coeff = pairing(dual[q], frames[i]).integrate()
             term = maps_frame[q].scale(coeff)
             acc = term if acc is None else acc.add(term)
         assert acc.add(frames[i].scale(-1)).norm() < 1e-10
@@ -202,10 +194,10 @@ def test_deformed_frame_reconstruction(t4):
 
 def sum_images(structure, eps, i):
     acc = CourantVector.zero(structure.geometry, structure.box)
-    for a in range(structure.dim):
-        c = eps.coefficient((a, i))
+    for a, l in enumerate(sections(structure.dual_frame)):
+        c = poly_coefficient(eps, (a, i))
         if not c.is_zero():
-            acc = acc.add(scale_section(structure.dual_frame[a], c))
+            acc = acc.add(scale_section(l, c))
     return acc
 
 
@@ -243,11 +235,11 @@ def partial_eval(
         cp = pairing(dual, v)
         if cp.is_zero():
             continue
-        for i in range(len(poly.frame)):
-            cf = poly.coefficient((i, p))
+        for i, l in enumerate(sections(poly.frame)):
+            cf = poly_coefficient(poly, (i, p))
             if cf.is_zero():
                 continue
-            out = out.add(scale_section(poly.frame[i], cf.mul(cp)))
+            out = out.add(scale_section(l, cf.mul(cp)))
     return out
 
 
@@ -258,10 +250,11 @@ def test_exp_intertwines_frame_shear(fixture, request):
     rng = np.random.default_rng(307)
     eps = random_constant_eps(rng, s, 0.4)
     tr = Transport(s, eps)
-    for l in list(s.frame) + list(s.dual_frame):
+    dual = sections(s.dual_frame)
+    for l in sections(s.frame) + dual:
         rho = random_spinor(rng, s.geometry, s.box, max_mode=1)
         lhs = tr.exp_act(clifford_act(l, rho))
-        rhs = clifford_act(l.add(partial_eval(eps, l, s.dual_frame)), tr.exp_act(rho))
+        rhs = clifford_act(l.add(partial_eval(eps, l, dual)), tr.exp_act(rho))
         assert (lhs - rhs).norm() < 1e-10 * max(1.0, rho.norm())
 
 
@@ -287,7 +280,7 @@ def test_dressing_identity_all_levels(fixture, request):
     for _ in range(3):
         sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
         lhs = tr.exp_act(tr.forward(sigma), sign=-1)
-        rhs = tr.factorwise(tr.maps.eta - tr.maps.dual.matmul(tr.maps.eps_eps_star), sigma)
+        rhs = tr.factorwise(tr.maps.eta - s.dual_frame.matmul(tr.maps.eps_eps_star), sigma)
         assert (lhs - rhs).norm() < 1e-9 * max(1.0, sigma.norm())
 
 
@@ -300,7 +293,7 @@ def test_inverse_combo_on_low_levels(fixture, request):
     eps = random_constant_eps(rng, s, 0.4)
     tr = Transport(s, eps)
     inv = _neumann_inverse(tr.maps.eps_eps_star)
-    combo = tr.maps.dual.matmul(inv) - tr.maps.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
+    combo = s.dual_frame.matmul(inv) - s.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
     for level in (-s.n, -s.n + 1):
         base = level_spinors(s, level)
         for b in base:
@@ -350,9 +343,9 @@ def test_differential_transport_identity(fixture, request):
     eps = random_constant_eps(rng, s, 0.4)
     tr = Transport(s, eps)
     # (1 + eps* - eps eps*) and the combo (1 - eps*)(1 - eps eps*)^{-1} on the dual frame
-    dressing = tr.maps.eta - tr.maps.dual.matmul(tr.maps.eps_eps_star)
+    dressing = tr.maps.eta - s.dual_frame.matmul(tr.maps.eps_eps_star)
     inv = _neumann_inverse(tr.maps.eps_eps_star)
-    combo = tr.maps.dual.matmul(inv) - tr.maps.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
+    combo = s.dual_frame.matmul(inv) - s.frame.matmul(tr.maps.eps_star_matrix.matmul(inv))
     for _ in range(3):
         sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
         dressed = tr.factorwise(dressing, sigma)

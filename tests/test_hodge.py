@@ -31,6 +31,7 @@ from gentorus.spinor import (
 from gentorus.structure import GCStructure
 
 from reference import constant_form, operator_matrix, scale_spinor
+from reference import mode_coefficient, spinor_coefficient
 
 BOX = TruncationBox(1)
 
@@ -45,7 +46,10 @@ def spinor_from_constant_vector(geometry, box, vec):
 
 def mode_vector(sigma, mode):
     """sigma's coefficients at one mode, read from its components."""
-    return np.array([sigma.coefficient(m).coefficient(mode) for m in monomial_list(sigma.geometry.dim)])
+    return np.array([
+        mode_coefficient(spinor_coefficient(sigma, m), mode)
+        for m in monomial_list(sigma.geometry.dim)
+    ])
 
 
 def wedge_matrix_reference(form):
@@ -442,7 +446,7 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
         for j, key in enumerate(monomial_list(s.dim)):
             image = lie_derivation_dL(CliffordPoly(s.dual_frame, len(key), {key: phase}), s)
             for ikey, f in image.terms():
-                probe[index[ikey], j] = f.coefficient(mode)
+                probe[index[ikey], j] = mode_coefficient(f, mode)
         ref = alg.poly_basis_inv @ probe @ alg.poly_basis
         assert np.abs(stacked[i] - ref).max() < 1e-12
 

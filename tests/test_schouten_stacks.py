@@ -21,10 +21,11 @@ from gentorus.calculus import schouten_bracket
 from gentorus.deformation import maurer_cartan_expand
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
 from gentorus.metric import GeneralizedMetric
-from gentorus.spinor import CliffordPoly, CourantVector, random_fourier_scalar, sort_monomial
+from gentorus.spinor import CliffordPoly, random_fourier_scalar, sort_monomial
 from gentorus.structure import GCStructure
 
-from reference import constant_form, courant_bracket, pairing, scale_section
+from reference import CourantVector, constant_form, courant_bracket, pairing, scale_section
+from reference import sections
 
 # ----------------------------------------------------------------------
 # the ring bracket, as it was
@@ -36,14 +37,17 @@ SPAN_TOL = 1e-9
 
 
 def _expand_in_dual_frame(
-    v: CourantVector, structure: GCStructure, policy: str | None = None
+    v: CourantVector,
+    frame: Tuple[CourantVector, ...],
+    dual: Tuple[CourantVector, ...],
+    policy: str | None = None,
 ) -> Tuple[List[FourierScalar], float]:
     """Coefficients of a section along the dual frame, plus the off-span mass."""
     coeffs = []
     off = 0.0
-    for k in range(structure.dim):
-        coeffs.append(pairing(structure.frame[k], v, policy=policy))
-        off = max(off, pairing(structure.dual_frame[k], v, policy=policy).norm())
+    for l, d in zip(frame, dual):
+        coeffs.append(pairing(l, v, policy=policy))
+        off = max(off, pairing(d, v, policy=policy).norm())
     return coeffs, off
 
 
@@ -61,7 +65,7 @@ def ref_schouten_bracket(
     and coefficient functions are folded into the first factor of each
     monomial, which keeps the sum exact for non-constant coefficients.
     """
-    if a.frame != structure.dual_frame or b.frame != structure.dual_frame:
+    if a.frame is not structure.dual_frame or b.frame is not structure.dual_frame:
         raise ValueError("bracket arguments must live over the dual frame")
     p, q = a.degree, b.degree
     if p == 0 or q == 0:
@@ -70,17 +74,18 @@ def ref_schouten_bracket(
     # term would build a FourierMatrix in the innermost loop
     out: Dict[Tuple[int, ...], FourierScalar] = {}
     H = structure.twist
+    frame, dual = sections(structure.frame), sections(structure.dual_frame)
     terms_b = list(b.terms())
     for key_a, f in a.terms():
-        secs_a = [structure.dual_frame[i] for i in key_a]
+        secs_a = [dual[i] for i in key_a]
         secs_a[0] = scale_section(secs_a[0], f, policy=policy)
         for key_b, g in terms_b:
-            secs_b = [structure.dual_frame[i] for i in key_b]
+            secs_b = [dual[i] for i in key_b]
             secs_b[0] = scale_section(secs_b[0], g, policy=policy)
             for alpha in range(p):
                 for beta in range(q):
                     br = courant_bracket(secs_a[alpha], secs_b[beta], H=H, policy=policy)
-                    coeffs, off = _expand_in_dual_frame(br, structure, policy=policy)
+                    coeffs, off = _expand_in_dual_frame(br, frame, dual, policy=policy)
                     scale = max(1.0, br.norm())
                     if off > SPAN_TOL * scale:
                         raise ValueError(
@@ -194,7 +199,7 @@ def test_bracket_matches_ring(structure, degrees, max_mode, monkeypatch):
 
 def test_dual_frame_constants_are_its_ring_brackets(structure):
     """<l_k, [l^i, l^j]_H> from the ring, and no mass off the dual frame."""
-    frame, dual, H = structure.frame, structure.dual_frame, structure.twist
+    frame, dual, H = sections(structure.frame), sections(structure.dual_frame), structure.twist
     for i, j in itertools.product(range(structure.dim), repeat=2):
         br = courant_bracket(dual[i], dual[j], H=H)
         along = [pairing(frame[k], br).integrate() for k in range(structure.dim)]

@@ -5,12 +5,14 @@ import pytest
 
 from gentorus.calculus import twisted_d
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox, TruncationError
-from gentorus.spinor import CliffordPoly, CourantVector, Spinor, monomial_list
+from gentorus.spinor import CliffordPoly, Spinor, monomial_list
 from gentorus.spinor import random_fourier_scalar, random_spinor, wedge
 from gentorus.structure import GCStructure
 
-from reference import clifford_act, constant_form, courant_bracket, pairing, random_courant_vector
+from reference import CourantVector, clifford_act, constant_form, courant_bracket, pairing
+from reference import random_courant_vector, section_stack
 from reference import scalar_spinor, scale_section, scale_spinor
+from reference import mode_coefficient, spinor_coefficient
 
 T2 = TorusGeometry(1)
 T4 = TorusGeometry(2)
@@ -33,10 +35,10 @@ def test_pairing_on_coordinate_frame():
     d1 = basis_vector(T2, BOX, 0)   # d/dx1
     dx1 = basis_form(T2, BOX, 0)
     d2 = basis_vector(T2, BOX, 1)
-    assert pairing(d1, dx1).coefficient((0, 0)) == 1.0
+    assert mode_coefficient(pairing(d1, dx1), (0, 0)) == 1.0
     assert pairing(d1, d2).is_zero()
     both = d1.add(dx1)
-    assert pairing(both, both).coefficient((0, 0)) == 2.0
+    assert mode_coefficient(pairing(both, both), (0, 0)) == 2.0
 
 
 def test_pairing_symmetric():
@@ -51,13 +53,13 @@ def test_clifford_act_basic():
     one = scalar_spinor(FourierScalar.constant(T2, BOX, 1.0))
     dx1 = basis_form(T2, BOX, 0)
     acted = clifford_act(dx1, one)
-    assert acted.coefficient((0,)).coefficient((0, 0)) == 1.0
+    assert mode_coefficient(spinor_coefficient(acted, (0,)), (0, 0)) == 1.0
 
     d1 = basis_vector(T2, BOX, 0)
     dx12 = constant_form(T2, BOX, (0, 1))
     contracted = clifford_act(d1, dx12)
-    assert contracted.coefficient((1,)).coefficient((0, 0)) == 1.0
-    assert contracted.coefficient((0,)).is_zero()
+    assert mode_coefficient(spinor_coefficient(contracted, (1,)), (0, 0)) == 1.0
+    assert spinor_coefficient(contracted, (0,)).is_zero()
 
 
 @pytest.mark.parametrize("geometry", [T2, T4])
@@ -101,8 +103,8 @@ def test_wedge_signs():
     dx2 = constant_form(T2, BOX, (1,))
     w12 = wedge(dx1, dx2)
     w21 = wedge(dx2, dx1)
-    assert w12.coefficient((0, 1)).coefficient((0, 0)) == 1.0
-    assert w21.coefficient((0, 1)).coefficient((0, 0)) == -1.0
+    assert mode_coefficient(spinor_coefficient(w12, (0, 1)), (0, 0)) == 1.0
+    assert mode_coefficient(spinor_coefficient(w21, (0, 1)), (0, 0)) == -1.0
     assert wedge(dx1, dx1).is_zero()
 
 
@@ -113,8 +115,9 @@ def test_exterior_derivative_modes():
     sigma = scalar_spinor(f)
     d_sigma = twisted_d(sigma, s)
     import math
-    assert d_sigma.coefficient((0,)).coefficient((1, 0)) == pytest.approx(2j * math.pi)
-    assert d_sigma.coefficient((1,)).is_zero()
+    d0 = spinor_coefficient(d_sigma, (0,))
+    assert mode_coefficient(d0, (1, 0)) == pytest.approx(2j * math.pi)
+    assert spinor_coefficient(d_sigma, (1,)).is_zero()
     dd = twisted_d(d_sigma, s)
     assert dd.norm() < 1e-12
 
@@ -134,7 +137,7 @@ def test_courant_bracket_twist_term():
     Y = basis_vector(T4, BOX, 1)
     br = courant_bracket(X, Y, H=H)
     # i_Y i_X (dx1^dx2^dx3) = dx3
-    assert br.cotangent[2].coefficient((0, 0, 0, 0)) == 1.0
+    assert mode_coefficient(br.cotangent[2], (0, 0, 0, 0)) == 1.0
     assert br.tangent[0].is_zero()
 
 
@@ -165,13 +168,13 @@ def form_reversal(a: Spinor) -> Spinor:
 
 def test_form_reversal_signs():
     sigma = constant_form(T4, BOX, (0, 1))
-    assert form_reversal(sigma).coefficient((0, 1)).coefficient((0,) * 4) == -1.0
+    assert mode_coefficient(spinor_coefficient(form_reversal(sigma), (0, 1)), (0,) * 4) == -1.0
     tau = constant_form(T4, BOX, (0, 1, 2, 3))
-    assert form_reversal(tau).coefficient((0, 1, 2, 3)).coefficient((0,) * 4) == 1.0
+    assert mode_coefficient(spinor_coefficient(form_reversal(tau), (0, 1, 2, 3)), (0,) * 4) == 1.0
 
 
 def test_poly_act_degree_zero_and_antisymmetry():
-    frame = [basis_form(T2, BOX, 0), basis_vector(T2, BOX, 1)]
+    frame = section_stack([basis_form(T2, BOX, 0), basis_vector(T2, BOX, 1)])
     c = CliffordPoly(frame, 0, {(): FourierScalar.constant(T2, BOX, 2.0)})
     rng = np.random.default_rng(25)
     sigma = random_spinor(rng, T2, BOX, max_mode=1)
@@ -188,7 +191,7 @@ def test_poly_act_matches_direct_expansion():
     # frame vectors d/dz = (d1 - i d2)/2 and dzbar = dx1 - i dx2
     dz_vec = CourantVector.constant(T2, BOX, [0.5, -0.5j], [0, 0])
     dzbar = CourantVector.constant(T2, BOX, [0, 0], [1.0, -1.0j])
-    frame = [dz_vec, dzbar]
+    frame = section_stack([dz_vec, dzbar])
     eps = CliffordPoly(frame, 2, {(0, 1): FourierScalar.constant(T2, BOX, 1.0)})
     # sigma = dz
     sigma = Spinor(
@@ -272,7 +275,7 @@ def test_poly_wedge_matches_iterated_action():
     box = TruncationBox(4)
     import itertools as it
     # isotropic frame: the four coordinate 1-forms on T4
-    frame = [basis_form(T4, box, j) for j in range(4)]
+    frame = section_stack([basis_form(T4, box, j) for j in range(4)])
     for pdeg, qdeg in ((1, 1), (1, 2), (2, 2)):
         P = CliffordPoly(
             frame, pdeg,

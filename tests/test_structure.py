@@ -6,12 +6,15 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
+from gentorus.calculus import lie_derivation_dL, schouten_bracket
+from gentorus.deformation import Beltrami, FrameMaps
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
 from gentorus.metric import GeneralizedMetric
-from gentorus.spinor import Spinor, monomial_list, random_spinor, wedge
+from gentorus.spinor import CliffordPoly, Spinor, monomial_list, random_spinor, wedge
 from gentorus.structure import GCStructure, StructureError
 
-from reference import clifford_act, constant_form, level_spinors, scalar_spinor
+from reference import clifford_act, constant_form, level_spinors, scalar_spinor, sections
+from reference import mode_coefficient, spinor_coefficient
 
 BOX = TruncationBox(2)
 
@@ -19,9 +22,10 @@ BOX = TruncationBox(2)
 def constant_spinor_vector(sigma):
     """Coefficient vector of a constant-coefficient spinor, read from its components."""
     zero = (0,) * sigma.geometry.dim
-    return np.array(
-        [sigma.coefficient(mono).coefficient(zero) for mono in monomial_list(sigma.geometry.dim)]
-    )
+    return np.array([
+        mode_coefficient(spinor_coefficient(sigma, mono), zero)
+        for mono in monomial_list(sigma.geometry.dim)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -168,10 +172,7 @@ def test_b_transform_identity_and_shear(t2_complex):
     # on T2 every constant 2-form is of type (1,1): the shear moves the
     # frames but commutes with the complex-type J
     assert np.abs(sheared.jmatrix - s.jmatrix).max() < 1e-12
-    moved = max(
-        np.abs(a.constant_values() - c.constant_values()).max()
-        for a, c in zip(sheared.frame, s.frame)
-    )
+    moved = np.abs(sheared.frame.constant_values() - s.frame.constant_values()).max()
     assert moved > 0.1
 
 
@@ -244,7 +245,7 @@ def test_level_projection_eigenvectors_of_rotation(t2_complex):
 def test_rho0_and_translates_levels(t2_complex):
     s = t2_complex
     assert s.level_of(s.rho0) == -1
-    lifted = clifford_act(s.dual_frame[0], s.rho0)
+    lifted = clifford_act(sections(s.dual_frame)[0], s.rho0)
     assert s.level_of(lifted) == 0
     assert (s.project_level(s.rho0, -1) - s.rho0).norm() < 1e-12
     for k in (0, 1):
@@ -253,9 +254,37 @@ def test_rho0_and_translates_levels(t2_complex):
 
 def test_level_of_rejects_mixed(t2_complex):
     s = t2_complex
-    mixed = s.rho0.add(clifford_act(s.dual_frame[0], s.rho0))
+    mixed = s.rho0.add(clifford_act(sections(s.dual_frame)[0], s.rho0))
     with pytest.raises(ValueError, match="weights"):
         s.level_of(mixed)
+
+
+# each operation that takes a polynomial over the structure's dual frame,
+# handed the 2-polynomial ``poly``
+FRAME_CHECKS = {
+    "add": lambda s, poly: CliffordPoly.zero(s.dual_frame, 2).add(poly),
+    "wedge": lambda s, poly: CliffordPoly.constant(s.dual_frame, (0,)).wedge(poly),
+    "lie_derivation_dL": lambda s, poly: lie_derivation_dL(poly, s),
+    "schouten_bracket": lambda s, poly: schouten_bracket(
+        CliffordPoly.constant(s.dual_frame, (0, 1)), poly, s
+    ),
+    "FrameMaps": lambda s, poly: FrameMaps(s, poly),
+    "Beltrami": lambda s, poly: Beltrami(s, {(1, 0): poly}),
+}
+
+
+@pytest.mark.parametrize("op", FRAME_CHECKS)
+def test_frames_are_compared_by_identity(op):
+    """A polynomial's frame is the structure's stack object: one over the
+    dual frame of a second structure built from equal values, or over the
+    frame where the dual frame is required, is refused."""
+    s, twin = GCStructure.complex_structure(2, BOX), GCStructure.complex_structure(2, BOX)
+    assert np.array_equal(twin.dual_frame.coeffs, s.dual_frame.coeffs)
+    check = FRAME_CHECKS[op]
+    check(s, CliffordPoly.constant(s.dual_frame, (0, 1), 0.1))
+    for frame in (twin.dual_frame, s.frame):
+        with pytest.raises(ValueError):
+            check(s, CliffordPoly.constant(frame, (0, 1), 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +299,7 @@ def test_euclidean_metric_star_t2(t2_complex):
     assert m.volume_factor == pytest.approx(1.0)
     one = scalar_spinor(FourierScalar.constant(s.geometry, s.box, 1.0))
     starred = one.map_modes(m.star_matrix)
-    top = starred.coefficient((0, 1)).coefficient((0, 0))
+    top = mode_coefficient(spinor_coefficient(starred, (0, 1)), (0, 0))
     assert abs(abs(top) - 0.5) < 1e-12
     assert abs(top.imag) < 1e-12
 
@@ -290,8 +319,8 @@ def test_star_square_matches_brute_force(t2_complex):
     m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
     brute = np.eye(4, dtype=complex)
     from gentorus.spinor import constant_clifford_matrix
-    for v in m.cplus:
-        brute = brute @ constant_clifford_matrix(v.constant_values(), 2)
+    for v in m._cplus_values.T:
+        brute = brute @ constant_clifford_matrix(v, 2)
     assert np.abs(m.star_matrix @ m.star_matrix - brute @ brute).max() < 1e-12
 
 
@@ -373,8 +402,8 @@ def test_gl_pairing_vanishes(t2_complex):
     q = natural_pairing_matrix(2)
     for i in range(2):
         for j in range(2):
-            vi = s.frame[i].constant_values()
-            vj = s.frame[j].constant_values()
+            vi = s.frame.constant_values()[:, i]
+            vj = s.frame.constant_values()[:, j]
             assert abs((m.gmatrix @ vi) @ q @ vj) < 1e-12
 
 

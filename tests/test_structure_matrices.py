@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
+from gentorus.metric import GeneralizedMetric
 from gentorus.spinor import (
-    CourantVector,
     Spinor,
     clifford_generators,
     constant_clifford_matrix,
@@ -25,7 +25,7 @@ from gentorus.spinor import (
 )
 from gentorus.structure import GCStructure, StructureError, natural_pairing_matrix
 
-from reference import constant_form, courant_bracket, pairing
+from reference import CourantVector, constant_form, courant_bracket, pairing
 
 BOX = TruncationBox(2)
 T4 = TorusGeometry(2)
@@ -306,8 +306,10 @@ def test_matrices_bitwise_equal_to_the_dict_ring(built):
     name, s, ref = built
     assert _same_bits(s._frame_vals, ref["frame"])
     assert _same_bits(s._dual_vals, ref["dual"])
-    assert _same_bits(_values(s.frame), ref["frame"])
-    assert _same_bits(_values(s.dual_frame), ref["dual"])
+    assert _same_bits(s.frame.constant_values(), ref["frame"])
+    assert _same_bits(s.dual_frame.constant_values(), ref["dual"])
+    assert np.shares_memory(s.frame.coeffs, s._frame_vals)
+    assert np.shares_memory(s.dual_frame.coeffs, s._dual_vals)
     assert _same_bits(s.jmatrix, ref["jmatrix"])
     assert _same_bits(s._level_matrix, ref["level"])
     assert _same_bits(s.structure_constants, ref["c"])
@@ -343,17 +345,26 @@ def test_twisted_symplectic_t4_names_its_worst_bracket_pair():
 
 
 def test_building_a_structure_makes_no_fourier_products(monkeypatch):
-    """Validation is matrix products: building complex T^4 at K=2 makes no
-    FourierScalar.mul call (the dict ring made 772)."""
-    calls = []
-    mul = FourierScalar.mul
+    """Validation is matrix products and the frames are stacks over the
+    frame matrices: building complex T^2, T^4 and T^6 at K=2 and their
+    compatible metrics makes no FourierScalar at all (section frames made
+    24, 96 and 216 scalars, and the dict ring's validation 772 products
+    on T^4).  A scalar is made by the constructor or by ``_from_clean``."""
+    made = []
+    init, from_clean = FourierScalar.__init__, FourierScalar._from_clean.__func__
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return mul(self, *args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FourierScalar, "mul", counted)
-    GCStructure.complex_structure(2, TruncationBox(2))
-    assert calls == []
+    def counted_from_clean(cls, *args, **kwargs):
+        made.append(1)
+        return from_clean(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FourierScalar, "__init__", counted_init)
+    monkeypatch.setattr(FourierScalar, "_from_clean", classmethod(counted_from_clean))
+    for n in (1, 2, 3):
+        GeneralizedMetric.compatible_with(GCStructure.complex_structure(n, TruncationBox(2)))
+        assert made == [], n
     _structure_constants(*_complex_frames(2), None)
-    assert calls  # the reference does go through the dict ring
+    assert made  # the reference does go through the dict ring
