@@ -51,11 +51,23 @@ On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
 have the same ranks and spans.  The box's modes run lexicographically over
 a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
-M // 2 + 1 modes are eigendecomposed and ranked (``_mode_mirror``).  Every
-reader maps a mode to its representative, and every count over the modes
-(kernel dimensions, class-check dims, rank gap warnings) weights a
-representative by the two modes it stands for (one for mode 0).  A twisted
-context, whose C is not exactly zero, decomposes every mode.
+M // 2 + 1 modes are eigendecomposed (``_mode_mirror``).  Every reader maps
+a mode to its representative, and every count over the modes (kernel
+dimensions, class-check dims, rank gap warnings) weights a representative
+by the two modes it stands for (one for mode 0).  A twisted context, whose
+C is not exactly zero, decomposes every mode.
+
+A rank needs no bitwise equality, so the rank passes fold further.  A signed
+permutation P of the lattice axes whose P + P preserves J and the
+generalized metric, and which preserves H, acts on forms by a unitary U
+that keeps the levels, with d at P m equal to U d_m U^-1: every rank of a
+level block of d, or of a product of them, is constant on the orbits of the
+group G of such P (``_symmetry_group``; the irreducible Brillouin zone of
+band-structure codes).  A context finds G at its first rank pass, labels
+the orbits of the box (``_orbit_map``, whose group {I, -I} is the mirror),
+and ranks each stack at the least representative of each orbit alone,
+weighted by the orbit's modes (``HodgeContext._rank_pass``); complex T^4
+K=3 ranks 91 of its 1201 representatives.
 
 H is real, so d is real, and conjugation maps level j to level -j: a
 level block of d at -k is the conjugate of its partner's at k, with the
@@ -70,7 +82,8 @@ representative of -k per representative k: the identity on an untwisted
 box, the reversal of the modes on a twisted one.  A stack that is its own
 partner is ranked on the first M // 2 + 1 modes of a twisted box, the
 rest read through the same map, so twisted or not, each pair of a stack
-and a mode is ranked once with its conjugate.
+and a mode is ranked once with its conjugate; with G, such a stack is
+ranked once per orbit of G and -I together.
 """
 
 from __future__ import annotations
@@ -87,6 +100,10 @@ from .structure import GCStructure
 KINDS = ("d", "del", "dbar", "bc", "aeppli")
 
 RANK_CUTOFF = 1e-9
+
+# relative tolerance of the entries of J, G and H that a lattice symmetry
+# must preserve (``_symmetry_group``)
+SYMMETRY_RTOL = 1e-10
 
 # bytes of the complex (m, N, N) stacks that one chunk of a pass over the
 # representative modes holds at once (``_chunk_length``)
@@ -217,20 +234,162 @@ def _chunk_length(size: int, stacks: int) -> int:
     return max(1, CHUNK_BYTES // (16 * size * size * stacks))
 
 
-def _mode_mirror(count: int, odd: bool) -> np.ndarray:
-    """Per mode of a box, the index of the representative mode that stands for it.
+def _orbit_map(modes: np.ndarray, K: int, generators: List[np.ndarray]) -> np.ndarray:
+    """Per mode of a box, the least index of a mode in its orbit under the
+    group that the signed permutation matrices ``generators`` generate.
+
+    ``modes`` is the box of size K in lexicographic order (``_box_modes``),
+    which a signed permutation P maps onto itself, m to P m.  The labels
+    start at the modes' own indices; each round takes, for each generator
+    P, the least label of mode i and of P m_i, then each label's own label,
+    and stops when no label moves.  P has finite order, so its cycles carry
+    the least index of an orbit to every member.  A round builds the index
+    of P m from m's digits on the fly, so the pass holds a few integers per
+    mode, never an array per group element or per generator.
+    """
+    dim = modes.shape[1]
+    strides = (2 * K + 1) ** np.arange(dim)[::-1]
+    offset = K * int(strides.sum())
+    label = np.arange(len(modes))
+    while True:
+        new = label
+        for p in generators:
+            # the index of P m is (P m + K) . strides = m . (P^T strides) + K sum(strides)
+            new = np.minimum(new, new[modes @ (p.T @ strides) + offset])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _mode_mirror(modes: np.ndarray, K: int, odd: bool) -> np.ndarray:
+    """Per mode of a box, the index of the representative mode that stands
+    for it: the orbit map (``_orbit_map``) of the group {I, -I} when
+    ``odd``, of the trivial group otherwise.
 
     The modes run lexicographically over a symmetric cube, so -k of mode i
-    sits at index count - 1 - i.  An operator C + 2 pi i sum_a k_a A_a with
-    C exactly zero is odd in k: its stack at -k is bitwise the negation of
-    the one at k, so the Laplacians at +-k are bitwise equal and the level
-    blocks share their ranks and spans.  Then mode i is represented by
-    min(i, count - 1 - i); otherwise (``odd`` false) by itself.  Either way
-    the representatives are the first modes of the box, and
-    ``np.bincount`` of the result counts the modes each one stands for.
+    sits at index M - 1 - i.  An operator C + 2 pi i sum_a k_a A_a with C
+    exactly zero is odd in k: its stack at -k is bitwise the negation of
+    the one at k, so the Laplacians at +-k are bitwise equal and their
+    eigenvectors too.  Then mode i is represented by min(i, M - 1 - i);
+    otherwise by itself.  Either way the representatives are the first
+    modes of the box, and ``np.bincount`` of the result counts the modes
+    each one stands for.  The packages read this map, not the structure's
+    whole symmetry group (``_symmetry_group``): a symmetry other than -I
+    conjugates d by a unitary, which keeps ranks and eigenvalues but not
+    the eigenvectors' bits.
     """
-    index = np.arange(count)
-    return np.minimum(index, index[::-1]) if odd else index
+    return _orbit_map(modes, K, [-np.eye(modes.shape[1], dtype=int)] if odd else [])
+
+
+def _pair_tensor(x: np.ndarray, dim: int) -> np.ndarray:
+    """An endomorphism of T + T*, a (2 dim, 2 dim) matrix, as a (dim, dim,
+    4) tensor: entry [a, c] holds its four entries between axis a and axis
+    c (tangent and cotangent each), so that P + P, for a signed permutation
+    P of the axes, acts on it by P on each of the first two indices."""
+    return x.reshape(2, dim, 2, dim).transpose(1, 3, 0, 2).reshape(dim, dim, 4)
+
+
+def _symmetry_group(structure: GCStructure, metric: GeneralizedMetric) -> Tuple[List[np.ndarray], int]:
+    """Generators of the group G of the lattice's signed permutations P, as
+    (2n, 2n) integer matrices, and the order of G.
+
+    P e_a = s_a e_{pi(a)} belongs to G when P + P preserves J and the
+    generalized metric and P preserves the twist H, entry by entry:
+    X[pi(a), pi(c)] = s_a s_c X[a, c] for J and G, and the same with three
+    indices for H, to SYMMETRY_RTOL times the tensor's largest entry.  Such
+    a P acts on forms by dx^a -> s_a dx^{pi(a)}; the action fixes the line
+    of rho0 and H, so it keeps the level grading and the Born-Infeld inner
+    product, and conjugates d at m into d at P m by a level-block-diagonal
+    unitary: every rank of a level block of d, or of a product of them, is
+    constant on the orbits of G.
+
+    The images of the axes are assigned depth first, axis by axis, and a
+    partial assignment is cut as soon as one entry between its axes fails
+    (``extensions``), so the (2n)! 4^n candidates are never listed.  G is
+    searched along its stabilizer chain: G_i fixes the axes before i, and
+    for each image of axis i that the generators found so far do not yet
+    reach, one completion with those axes fixed is searched for and, when
+    found, added as a generator.  The generators then generate G, and |G| is
+    the product over i of the orbit lengths of axis i under G_i.
+    """
+    dim = structure.dim
+    pairs = np.concatenate([_pair_tensor(structure.jmatrix, dim),
+                            _pair_tensor(metric.gmatrix, dim)], axis=-1)
+    twist = structure._twist_tensor()
+    pair_tol, twist_tol = (SYMMETRY_RTOL * float(np.abs(x).max()) for x in (pairs, twist))
+    image = np.arange(dim)
+    sign = np.ones(dim, dtype=int)
+    diagonal = np.arange(dim)
+    flips = np.array([1, -1])[:, None, None]
+
+    def extensions(i: int) -> np.ndarray:
+        """The images of axis i that agree with those of the axes before it
+        on every entry between them: a (dim, 2) mask over the target axis b
+        and the sign, + then -."""
+        a, s = image[:i], sign[:i]
+        # per b, the entries of J and G between b and the images of the axes
+        # before i, row then column, and what they must equal up to b's sign
+        moved = np.concatenate([pairs[:, a], pairs[a].swapaxes(0, 1)], axis=1)
+        fixed = np.concatenate([pairs[i, :i], pairs[:i, i]]) * np.tile(s, 2)[:, None]
+        ok = (np.abs(moved[:, None] - flips * fixed) <= pair_tol).all(axis=(2, 3))
+        ok &= (np.abs(pairs[diagonal, diagonal] - pairs[i, i]) <= pair_tol).all(axis=1)[:, None]
+        moved = twist[:, a][:, :, a]
+        fixed = np.outer(s, s) * twist[i, :i, :i]
+        ok &= (np.abs(moved[:, None] - flips * fixed) <= twist_tol).all(axis=(2, 3))
+        ok[a] = False
+        return ok
+
+    def complete(i: int) -> bool:
+        """Assign the axes from i on, depth first; False when no
+        assignment extends those before i."""
+        if i == dim:
+            return True
+        for b, col in zip(*np.nonzero(extensions(i))):
+            image[i], sign[i] = b, 1 - 2 * col
+            if complete(i + 1):
+                return True
+        return False
+
+    def orbit(i: int, gens: List[Tuple[np.ndarray, np.ndarray]]) -> set:
+        """The signed axes (b, s) that the group ``gens`` generates maps axis i to."""
+        seen, todo = {(i, 1)}, [(i, 1)]
+        while todo:
+            b, s = todo.pop()
+            for perm, signs in gens:
+                point = (int(perm[b]), s * int(signs[b]))
+                if point not in seen:
+                    seen.add(point)
+                    todo.append(point)
+        return seen
+
+    gens: List[Tuple[np.ndarray, np.ndarray]] = []
+    order = 1
+    for i in reversed(range(dim)):
+        image[:i], sign[:i] = np.arange(i), 1
+        reached = orbit(i, gens)
+        for b, col in zip(*np.nonzero(extensions(i))):
+            if (int(b), 1 - 2 * int(col)) in reached:
+                continue
+            image[i], sign[i] = b, 1 - 2 * col
+            if complete(i + 1):
+                gens.append((image.copy(), sign.copy()))
+                reached = orbit(i, gens)
+        order *= len(reached)
+    matrices = []
+    for perm, signs in gens:
+        p = np.zeros((dim, dim), dtype=int)
+        p[perm, np.arange(dim)] = signs
+        matrices.append(p)
+    return matrices, order
+
+
+def _orbit_index(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For per-item labels that name the least item of each item's orbit
+    (``_orbit_map``), those least items in ascending order, and per item
+    the position of its orbit's among them."""
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    return reps, np.searchsorted(reps, labels)
 
 
 def _partner(key: Tuple[str, int]) -> Tuple[str, int] | None:
@@ -263,7 +422,11 @@ class _LevelBasis:
     from them at the modes that ``sel`` picks.  ``rep`` and ``weight`` are
     the mirror map of ``_mode_mirror`` and the number of modes each
     representative stands for, and ``rep_chunks`` goes over the
-    representatives one chunk at a time.  Contexts, packages and the
+    representatives one chunk at a time.  Every reader's arrays over the
+    modes are indexed by these representatives: the packages' spectra,
+    and a context's rank stacks, which it ranks at fewer modes still, one
+    per orbit of the structure's lattice symmetries, and reads back at
+    every representative (``HodgeContext._orbits``).  Contexts, packages and the
     algebroid read these here and copy none of them.  It holds no context,
     so a context and its packages form no reference cycle and are freed as
     soon as the context is dropped.
@@ -302,7 +465,7 @@ class _LevelBasis:
         # untwisted, d is odd in k: the packages and the class checks decide
         # the representatives, the first len(weight) modes, and weight each
         # by the modes it stands for
-        self.rep = _mode_mirror(len(self.modes), not self.const.any())
+        self.rep = _mode_mirror(self.modes, self.box.K, not self.const.any())
         self.weight = np.bincount(self.rep)
 
     def conjugates(self) -> np.ndarray:
@@ -639,11 +802,19 @@ class HodgeContext:
         # 10x of the cut, weighted by the modes (``_ranks``)
         self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
         self._rank_gaps: Dict[Tuple[str, int], int] = {}
+        # found at the first rank pass (``_orbits``): per representative, the
+        # least representative of its orbit under the structure's lattice
+        # symmetries, the order of their group, and the rank scale at the
+        # least representatives
+        self._orbit_labels: np.ndarray | None = None
+        self._group_order = 0
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
         # per package built, its spectra's first pass: kind, chunk length, chunks
         self.spectra_passes: List[Dict] = []
-        # per rank stack computed: its key, chunk length and chunks
+        # per rank stack computed: its key, the representatives its ranks
+        # cover, the symmetry group's order, the representatives it ranked,
+        # chunk length and chunks
         self.rank_passes: List[Dict] = []
 
     # ------------------------------------------------------------------
@@ -906,19 +1077,38 @@ class HodgeContext:
         rows, cols = lb.level(row_level), lb.level(col_level)
         return _stack_linear(lb.const[rows, cols], lb.slopes[:, rows, cols], lb.modes[sel])
 
-    def _floor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per representative mode, the operator scale and the absolute rank
+    def _floor(self, reps: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+        """At the representatives ``reps`` (an index array; every
+        representative when None), the operator scale and the absolute rank
         floor tied to it.  The scale is the largest entry of d, read one
         level block (k +- 1, k) at a time (``_block``): d moves the level by
-        one, so these blocks hold all of d, and no whole d stack is built."""
-        if self._scale is None:
+        one, so these blocks hold all of d, and no whole d stack is built.
+        The rank passes read it at the orbit representatives they rank
+        (``_orbits``)."""
+        lb = self.level_basis
+        if reps is None:
+            reps = np.arange(len(lb.weight))
+        blocks = [(k + s, k) for k in lb.levels for s in (-1, 1) if k + s in lb.level_slices]
+        scale = np.maximum(1.0, np.concatenate([
+            np.max([np.abs(self._block(*b, reps[sel])).max(axis=(1, 2)) for b in blocks], axis=0)
+            for sel in _chunks(len(reps), _chunk_length(lb.size, 1))
+        ]))
+        return scale, RANK_CUTOFF * scale
+
+    def _orbits(self) -> np.ndarray:
+        """Per representative, the least representative of its orbit under
+        the group G of the structure's lattice symmetries
+        (``_symmetry_group``), from the orbit map of the box's modes
+        (``_orbit_map``).  Found at the first rank pass and kept, with |G|
+        and the rank scale at the least representatives (``_floor``), so a
+        context that ranks nothing pays nothing.  Untwisted, -I is in G, so
+        the least member of an orbit is a representative of the mirror."""
+        if self._orbit_labels is None:
             lb = self.level_basis
-            blocks = [(k + s, k) for k in lb.levels for s in (-1, 1) if k + s in lb.level_slices]
-            self._scale = np.maximum(1.0, np.concatenate([
-                np.max([np.abs(self._block(*b, sel)).max(axis=(1, 2)) for b in blocks], axis=0)
-                for sel in lb.rep_chunks(1)
-            ]))
-        return self._scale, RANK_CUTOFF * self._scale
+            generators, self._group_order = _symmetry_group(self.structure, self.metric)
+            self._orbit_labels = _orbit_map(lb.modes, self.box.K, generators)[: len(lb.weight)].copy()
+            self._scale = self._floor(_orbit_index(self._orbit_labels)[0])[0]
+        return self._orbit_labels
 
     def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
         """The stack that a rank key names, at the representatives picked by
@@ -981,15 +1171,19 @@ class HodgeContext:
         above the first cut but within 10x of it, each mode weighted by the
         modes it stands for (``_rank_gaps``).
 
-        d is real, so a stack at -m is the conjugate of its partner's at m
-        (``_partner``), and of each pair only "dbar" and the member at level
-        j <= 0 are ranked (``_rank_pass``): the other is that stack read
+        A ranked stack is ranked at one representative per orbit of the
+        structure's lattice symmetries and read at the others
+        (``_rank_pass``).  d is real, so a stack at -m is the conjugate of
+        its partner's at m (``_partner``), and of each pair only "dbar" and
+        the member at level j <= 0 are ranked: the other is that stack read
         through ``_LevelBasis.conjugates``, with its gap count, so the same
-        stacks are ranked whichever member is asked first.  The partners'
-        singular values agree to rounding (about 1e-14), not bitwise, so a
-        value at the cut could rank apart; a direct pass over every
-        representative is kept in the tests as the reference, on the
-        floor-binding cases too."""
+        stacks are ranked whichever member is asked first.  The singular
+        values of a stack at the members of an orbit, and at its partner's,
+        agree to rounding (about 1e-14), not bitwise, and the rank floor is
+        read at the member ranked, so a value at the cut could rank apart; a
+        direct pass over every representative, each at its own floor, is
+        kept in the tests as the reference, on the floor-binding cases
+        too."""
         key = self._rank_key(key)
         if key in self._rank_stacks:
             self.check_counts["ranks_reused"] += 1
@@ -1007,31 +1201,41 @@ class HodgeContext:
         return self._rank_stacks[key]
 
     def _rank_pass(self, key: Tuple[str, int]) -> None:
-        """Rank the stack that ``key`` names, over chunks of ``_chunk_length``
-        representatives for one d stack (its blocks of d are smaller than
-        d), and keep its ranks and gap count (``_ranks``).  A stack that is
-        its own partner has the same ranks at a representative and at its
-        conjugate, so only the first of each pair is ranked, weighted by the
-        modes of both, and the other reads it: the first M // 2 + 1 modes
-        of a twisted box, every representative of an untwisted one."""
+        """Rank the stack that ``key`` names at one representative per orbit
+        of the structure's lattice symmetries G (``_orbits``), over chunks
+        of ``_chunk_length`` of them for one d stack (its blocks of d are
+        smaller than d), and keep its ranks at every representative and its
+        gap count (``_ranks``).  A symmetry P conjugates d at m into d at
+        P m by a level-block-diagonal unitary, so every stack has the same
+        ranks over an orbit, and each ranked representative is weighted by
+        the modes of its orbit.  A stack that is its own partner has the
+        same ranks at a representative and at its conjugate, so it is ranked
+        once per orbit of G and -I together: -I commutes with G, so that
+        orbit's least member is the lesser of those of the orbits of k and
+        -k.  On an untwisted box -I is in G already."""
         self.check_counts["ranks_computed"] += 1
-        # the scale first, so that nothing of this pass is held during its
-        # pass over d's level blocks
-        scale, floor = self._floor()
-        floors = np.stack([floor, floor * scale], axis=-1)
         lb = self.level_basis
-        fold = np.arange(len(lb.weight))
+        # the orbits and the scale first, so that nothing of this pass is
+        # held during their passes
+        labels = self._orbits()
+        ranked = _orbit_index(labels)[0]
         if _partner(key) == key:
-            fold = np.minimum(fold, lb.conjugates())
-        weight = np.bincount(fold[lb.rep])
+            labels = np.minimum(labels, labels[lb.conjugates()])
+        reps, index = _orbit_index(labels)
+        scale = self._scale[np.searchsorted(ranked, reps)]
+        floor = RANK_CUTOFF * scale
+        floors = np.stack([floor, floor * scale], axis=-1)
+        weight = np.bincount(index[lb.rep], minlength=len(reps))
         # int16, a quarter of int64: the stacks are held for the context's life
-        ranks = np.empty((len(weight), 2), dtype=np.int16)
+        ranks = np.empty((len(reps), 2), dtype=np.int16)
         gap, chunk = 0, _chunk_length(lb.size, 1)
-        chunks = list(_chunks(len(weight), chunk))
+        chunks = list(_chunks(len(reps), chunk))
         for sel in chunks:
-            values = _singular_values(self._rank_matrices(key, sel))
+            values = _singular_values(self._rank_matrices(key, reps[sel]))
             ranks[sel] = _cut(values[:, None], floors[sel])
             gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ weight[sel])
-        self._rank_stacks[key], self._rank_gaps[key] = ranks[fold], gap
-        self.rank_passes.append({"stack": key[0], "level": key[1], "modes": len(weight),
-                                 "chunk": chunk, "chunks": len(chunks)})
+        self._rank_stacks[key], self._rank_gaps[key] = ranks[index], gap
+        self.rank_passes.append({
+            "stack": key[0], "level": key[1], "modes": len(lb.weight),
+            "group": self._group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
+        })

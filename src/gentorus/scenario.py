@@ -66,12 +66,13 @@ MEMORY_BUDGET = 4 * 2 ** 30
 HODGE_STACKS = {"identity-suite": 16, "extend": 16, "scan": 16, "expand": 16}
 # a hodge-table builds no package and holds no d stack: its context keeps
 # the (R, 2) int16 rank stacks (at most six per level from -n - 1 to n + 1
-# for the class checks, and d's two parity blocks) and the box's (P, 2n)
-# modes with their mirror map, and each pass holds one chunk of CHUNK_BYTES
-# at a time, with room here for this many.  tracemalloc peaks of
-# hodge_table on complex T^4 K=2, K=3 and T^6 K=1 are 1.63, 1.75 and
-# 2.22 MB, against estimates of 4.6, 4.8 and 14.5 MB that count the
-# structure too (``tools/hodge_peaks.py`` prints both).
+# for the class checks, and d's two parity blocks) with the orbit label of
+# each representative, and the box's (P, 2n) modes with their mirror map,
+# and each pass holds one chunk of CHUNK_BYTES at a time, with room here for
+# this many.  tracemalloc peaks of hodge_table on complex T^4 K=2, K=3 and
+# T^6 K=1, K=2 are 0.25, 0.71, 1.42 and 3.79 MB, against estimates of 4.6,
+# 4.8, 14.5 and 17.1 MB that count the structure too
+# (``tools/hodge_peaks.py`` prints both).
 HODGE_TABLE_CHUNKS = 4
 
 # the keys a config may hold, the keys of each experiment kind besides
@@ -237,7 +238,7 @@ def _context_bytes(kind: str, n: int, modes: float, reps: float, size: float) ->
     spinor components: ``HODGE_STACKS`` d stacks, or what a hodge-table
     keeps."""
     if kind == "hodge-table":
-        ranks = (6 * (2 * n + 3) + 2) * reps * 2 * 2
+        ranks = ((6 * (2 * n + 3) + 2) * 2 * 2 + 8) * reps
         box = modes * (2 * n + 1) * 8
         return ranks + box + HODGE_TABLE_CHUNKS * CHUNK_BYTES
     return HODGE_STACKS[kind] * reps * size ** 2 * 16
@@ -510,19 +511,24 @@ class Runner:
     def _passes(self) -> Dict[str, List[Dict]]:
         """The passes of the runner's context: the first pass of each package
         it has built (kind, chunk length and chunk count) and each rank stack
-        it has computed (stack, level, chunk length and chunk count); none
-        before it exists."""
+        it has computed (stack, level, the representatives it gives ranks
+        for, the order of the symmetry group, the representatives it ranked,
+        chunk length and chunk count); none before it exists."""
         if self._context is None:
             return {"spectra_passes": [], "rank_passes": []}
         return {key: getattr(self._context, key) for key in ("spectra_passes", "rank_passes")}
 
     def _mode_counts(self) -> Dict[str, int]:
-        """The modes of the scenario's box, and how many of them the runner's
-        context eigendecomposes and ranks: about half of them untwisted,
-        every one twisted, none before the context exists."""
+        """The modes of the scenario's box; how many of them the runner's
+        context eigendecomposes, about half of them untwisted, every one
+        twisted; and how many its rank passes rank at most, one per orbit of
+        the structure's lattice symmetries; none before the context exists
+        or ranks."""
         box, dim = self.scenario.box, self.scenario.geometry.dim
-        decomposed = 0 if self._context is None else len(self._context.level_basis.weight)
-        return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed}
+        ctx = self._context
+        decomposed = 0 if ctx is None else len(ctx.level_basis.weight)
+        ranked = 0 if ctx is None else max((p["ranked"] for p in ctx.rank_passes), default=0)
+        return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed, "ranked": ranked}
 
     # -- experiment implementations --------------------------------------
 

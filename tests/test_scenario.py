@@ -378,7 +378,7 @@ def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
     """Complex T^6 K=1, K=2 and K=3 with a hodge-table stay within the
     budget, since a hodge-table holds rank stacks and the box's modes, not
     spectra (0.03 GiB at K=3), and so does T^8 K=1 (0.3 GiB, mostly the
-    structure's SVD); T^8 K=4 (8.6 GiB, mostly rank stacks and modes) is
+    structure's SVD); T^8 K=4 (8.8 GiB, mostly rank stacks and modes) is
     refused.  An identity suite at T^6 K=2, which reads
     every representative's eigenvectors, is still refused.  The same box
     twisted counts every mode, and a config with no Hodge experiment
@@ -838,21 +838,25 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
               for kind in ("dbar", "bc", "aeppli", "d", "del")]
     assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
     # the rank stacks the first table computed, one pass of one chunk each
-    # over all 5 representatives (untwisted, a stack that is its own
-    # partner ranks every representative), d's parity blocks last
+    # for all 5 representatives, d's parity blocks last; each ranks the 3
+    # that stand for the orbits of the complex structure's 4 lattice
+    # symmetries (untwisted, a stack that is its own partner ranks as many)
     ranked = [t["rank_passes"] for t in sidecar]
     assert ranked[0] == ranked[2] == [] and len(ranked[1]) == 11
     assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[1])
+    assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[1])
     assert [(p["stack"], p["level"]) for p in ranked[1][-2:]] == [("d", 0), ("d", 1)]
     assert '"spectra_passes"' not in timed.read_text()
     assert '"rank_passes"' not in timed.read_text()
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
-    """Each sidecar entry gives the box's modes and how many of them the
-    runner's context decomposes: none before the context exists, the 5
-    representatives of the 9 untwisted T^2 modes, every mode when twisted.
-    The report holds no such count."""
+    """Each sidecar entry gives the box's modes, how many of them the
+    runner's context decomposes and how many its rank passes rank: none
+    before the context exists or ranks; the 5 representatives of the 9
+    untwisted T^2 modes, 3 of them ranked, one per orbit of the complex
+    structure's 4 lattice symmetries; every mode when twisted, and 27 of
+    the 81 ranked.  The report holds no such count."""
     config = _deformation_config()
     config["experiments"] = [
         {"kind": "criterion", "t": [0.1], "samples": 1},
@@ -860,8 +864,8 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
     ]
     report, timings = run_scenario(config)
     assert [t["modes"] for t in timings] == [
-        {"box": 9, "decomposed": 0},
-        {"box": 9, "decomposed": 5},
+        {"box": 9, "decomposed": 0, "ranked": 0},
+        {"box": 9, "decomposed": 5, "ranked": 3},
     ]
     assert '"decomposed"' not in report_to_json(report)
     twisted = {
@@ -870,7 +874,7 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
         "structure": {"type": "complex", "H": [{"indices": [0, 1, 2], "c": [1.0, 0]}]},
         "experiments": [{"kind": "hodge-table"}],
     }
-    assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 81}
+    assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 81, "ranked": 27}
 
 
 def test_timings_sidecar_times_each_identity_suite():

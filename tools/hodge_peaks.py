@@ -1,7 +1,6 @@
 """Print the memory a ``hodge-table`` takes beside the estimate that admits it:
 
-    python3 tools/hodge_peaks.py            # complex T^4 K=2, K=3 and T^6 K=1
-    python3 tools/hodge_peaks.py --large    # and complex T^6 K=2 (about 20 s)
+    python3 tools/hodge_peaks.py            # complex T^4 K=2, K=3 and T^6 K=1, K=2
     python3 tools/hodge_peaks.py --case 2 1 # complex T^4 K=1 alone
 
 Each case runs in a fresh interpreter.  It parses a complex, untwisted
@@ -27,8 +26,7 @@ from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CASES: List[Tuple[int, int]] = [(2, 2), (2, 3), (3, 1)]
-LARGE: List[Tuple[int, int]] = [(3, 2)]
+CASES: List[Tuple[int, int]] = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
 
 def _child(n: int, K: int) -> Dict:
@@ -76,7 +74,6 @@ def measure(n: int, K: int) -> Dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--large", action="store_true", help="add complex T^6 K=2")
     parser.add_argument("--case", nargs=2, type=int, metavar=("N", "K"),
                         help="measure complex T^{2N} at box size K alone")
     parser.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
@@ -84,7 +81,7 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(_child(*args.child)))
         return 0
-    cases = [tuple(args.case)] if args.case else CASES + (LARGE if args.large else [])
+    cases = [tuple(args.case)] if args.case else CASES
     print(f"{'case':<14}{'tracemalloc peak':>18}{'max RSS':>12}{'estimate':>12}")
     for n, K in cases:
         m = measure(n, K)

@@ -43,6 +43,9 @@ _TWISTED = {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}
 _SMALL_G = {"g": [[1e-4 if i == j else 0 for j in range(4)] for i in range(4)]}
 # on T^6, H = dx0^dx1^dx3 fails 15 of the 35 class checks at K=1
 _TWISTED_T6 = {"type": "complex", "H": [{"indices": [0, 1, 3], "c": 1.0}]}
+# g = diag(1, 2, 1, 2) keeps 16 of complex T^4's 32 lattice symmetries
+_UNEQUAL_G = {"g": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]}
+_B_TRANSFORM = {"type": "b_transform", "base": {"type": "complex"}, "B": _B}
 
 
 def _config(name: str, n: int, K: int, experiment: Dict, structure: Dict, metric=None) -> Dict:
@@ -86,7 +89,9 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 
 # identity suites on T^4 K=1 (about 1 s each) and T^6 K=0 (about 10 s),
 # hodge tables on twisted T^4 K=2, whose d mixes levels (0.2 s), also at
-# g = 1e-4 I, and on T^6 K=1, untwisted and twisted (1-2 s each), and a Maurer-Cartan
+# g = 1e-4 I, on complex T^4 K=2 with g = diag(1, 2, 1, 2) and B-transformed
+# T^4 K=2, whose lattice symmetries are 16 and 4, on T^6 K=1, untwisted and
+# twisted (1-2 s each), and on complex T^6 K=2 (384 symmetries), and a Maurer-Cartan
 # expansion on twisted T^4 K=3, whose higher orders go through the twisted
 # algebroid's Green operator (0.15 s), and a constant-eps criterion on T^4
 # K=2, whose samples go through the deformed T^4 structure (0.1 s), timed on
@@ -95,13 +100,15 @@ INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
     _identity("t4-symplectic-identity", 2, 1, 20, {"type": "symplectic", "omega": _OMEGA}),
-    _identity("t4-b-transform-identity", 2, 1, 20,
-              {"type": "b_transform", "base": {"type": "complex"}, "B": _B}, {"b": _B}),
+    _identity("t4-b-transform-identity", 2, 1, 20, _B_TRANSFORM, {"b": _B}),
     _identity("t6-complex-identity", 3, 0, 2, {"type": "complex"}),
     _hodge_table("t4-twisted-hodge", 2, 2, _TWISTED),
     _hodge_table("t4-twisted-floors-K2-hodge", 2, 2, _TWISTED, _SMALL_G),
     _hodge_table("t6-complex-hodge", 3, 1, {"type": "complex"}),
     _hodge_table("t6-twisted-hodge", 3, 1, _TWISTED_T6),
+    _hodge_table("t4-unequal-g-hodge", 2, 2, {"type": "complex"}, _UNEQUAL_G),
+    _hodge_table("t4-b-transform-hodge", 2, 2, _B_TRANSFORM, {"b": _B}),
+    _hodge_table("t6-complex-K2-hodge", 3, 2, {"type": "complex"}),
     _expand("t4-twisted-expand", 2, 3, _TWISTED),
     _criterion("t4-constant-criterion", 2, 2, {"0,2": 0.3}, [0.1, 0.3], 20),
 ]
