@@ -294,15 +294,18 @@ class AlgebroidHodge:
     (``hodge._LevelBasis``); they are kept for ``dL_adjoint`` alone.  The
     Laplacians are the dbar Laplacian's level blocks, which read only the
     raising blocks of d, eigendecomposed in stacked chunks by
-    ``hodge._ModeSpectra(lb, "dbar")``, which keeps the eigenvalues and
-    builds eigenvectors at the representatives read: bitwise the spectra of
-    the context's dbar package.  When C is exactly zero the differential is
-    odd in k, so the Laplacians at +-k are bitwise equal and only the first
-    half of the box, mode 0 included, is decomposed; otherwise every mode
-    is.  A polynomial's coefficient rows are placed in its degree's slice of
-    the ``monomial_list`` keys, so the projector, Green operator and adjoint
-    each act by one batched product, and the result's rows are read back
-    from its degree's slice: no scalar is built on the way.
+    ``hodge._ModeSpectra(lb, "dbar")``, which keeps the eigenvalues at one
+    representative per orbit of the structure's lattice symmetries, for
+    the kernel cutoff, and eigendecomposes each representative that the
+    Green operator or projector reads when it is first read: bitwise the
+    spectra of the context's dbar package.  When C is exactly zero the
+    differential is odd in k, so the Laplacians at +-k are bitwise equal
+    and the representatives are the first half of the box, mode 0
+    included; otherwise every mode is one.  A polynomial's coefficient rows
+    are placed in its degree's slice of the ``monomial_list`` keys, so the
+    projector, Green operator and adjoint each act by one batched product,
+    and the result's rows are read back from its degree's slice: no scalar
+    is built on the way.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):

@@ -36,38 +36,40 @@ only those blocks.  The kernel dimensions of the dbar, bc, aeppli and d
 Laplacians are rank identities over the same rank stacks
 (``HodgeContext.kernel_counts``), with d ranked by its two parity blocks,
 so a hodge-table builds no package and no Laplacian spectra: it
-eigendecomposes the d Laplacian only at the modes that have a kernel, for
-the kernel's level content.  What a context holds over the modes is its
-rank stacks, one int per representative mode and cut, and the packages'
-eigenvalues at the representative modes (and their eigenvectors when one
-chunk covers them).  A package is the spectra of its kind
-(``HodgePackage`` subclasses ``_ModeSpectra``), and it builds eigenvectors
-again, by the same batched ``eigh``, at the representatives a reader asks
-for: bitwise those of the first pass, kept for the projector, Green
-operator and harmonic basis, and dropped after the level content of the
-``d`` kernel is counted.
+eigendecomposes the d Laplacian only at the least member of each orbit
+(below) that has a kernel, for the kernel's level content.  What a context
+holds over the modes is its rank stacks, one int per representative mode
+and cut, and the packages' eigenvalues at the least member of each orbit.
+A package is the spectra of its kind (``HodgePackage`` subclasses
+``_ModeSpectra``), and it eigendecomposes, by the same batched ``eigh``,
+each representative that its projector, Green operator or harmonic basis
+reads, once, and keeps it.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
 have the same ranks and spans.  The box's modes run lexicographically over
 a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
-M // 2 + 1 modes are eigendecomposed (``_mode_mirror``).  Every reader maps
-a mode to its representative, and every count over the modes (kernel
-dimensions, class-check dims, rank gap warnings) weights a representative
-by the two modes it stands for (one for mode 0).  A twisted context, whose
-C is not exactly zero, decomposes every mode.
+M // 2 + 1 modes are representatives (``_mode_mirror``), each
+eigendecomposition bitwise its mirror's.  Every reader maps a mode to its
+representative, and every count over the modes (kernel dimensions,
+class-check dims, rank gap warnings) weights a representative by the two
+modes it stands for (one for mode 0).  On a twisted context, whose C is not
+exactly zero, every mode is a representative.
 
-A rank needs no bitwise equality, so the rank passes fold further.  A signed
-permutation P of the lattice axes whose P + P preserves J and the
-generalized metric, and which preserves H, acts on forms by a unitary U
-that keeps the levels, with d at P m equal to U d_m U^-1: every rank of a
-level block of d, or of a product of them, is constant on the orbits of the
+Ranks and eigenvalues need no bitwise equality, so the rank passes and the
+packages' first passes fold further.  A signed permutation P of the lattice
+axes whose P + P preserves J and the generalized metric, and which
+preserves H, acts on forms by a unitary U that keeps the levels, with d at
+P m equal to U d_m U^-1: every rank of a level block of d, or of a product
+of them, and every Laplacian eigenvalue is constant on the orbits of the
 group G of such P (``_symmetry_group``; the irreducible Brillouin zone of
-band-structure codes).  A context finds G at its first rank pass, labels
-the orbits of the box (``_orbit_map``, whose group {I, -I} is the mirror),
-and ranks each stack at the least representative of each orbit alone,
-weighted by the orbit's modes (``HodgeContext._rank_pass``); complex T^4
-K=3 ranks 91 of its 1201 representatives.
+band-structure codes), up to rounding.  The level basis labels the orbits
+of the box once (``_LevelBasis.orbits``, from ``_orbit_map``, whose group
+{I, -I} is the mirror); a context ranks each stack, and a package's first
+pass eigendecomposes, at the least representative of each orbit alone,
+weighted by the orbit's modes; complex T^4 K=3 ranks 91 of its 1201
+representatives.  U moves the eigenvectors' bits, so what a reader weights
+with comes from the ``eigh`` at its own representative.
 
 H is real, so d is real, and conjugation maps level j to level -j: a
 level block of d at -k is the conjugate of its partner's at k, with the
@@ -274,10 +276,12 @@ def _mode_mirror(modes: np.ndarray, K: int, odd: bool) -> np.ndarray:
     eigenvectors too.  Then mode i is represented by min(i, M - 1 - i);
     otherwise by itself.  Either way the representatives are the first
     modes of the box, and ``np.bincount`` of the result counts the modes
-    each one stands for.  The packages read this map, not the structure's
-    whole symmetry group (``_symmetry_group``): a symmetry other than -I
-    conjugates d by a unitary, which keeps ranks and eigenvalues but not
-    the eigenvectors' bits.
+    each one stands for.  Every value a package weights with, eigenvalue
+    or eigenvector, is read at a mode's representative under this map: a
+    symmetry other than -I conjugates d by a unitary, which keeps ranks and
+    eigenvalues, up to rounding, but not the eigenvectors' bits.  The
+    packages classify and count the kernel by the whole symmetry group's
+    orbits (``_LevelBasis.orbits``).
     """
     return _orbit_map(modes, K, [-np.eye(modes.shape[1], dtype=int)] if odd else [])
 
@@ -423,16 +427,18 @@ class _LevelBasis:
     the mirror map of ``_mode_mirror`` and the number of modes each
     representative stands for, and ``rep_chunks`` goes over the
     representatives one chunk at a time.  Every reader's arrays over the
-    modes are indexed by these representatives: the packages' spectra,
-    and a context's rank stacks, which it ranks at fewer modes still, one
-    per orbit of the structure's lattice symmetries, and reads back at
-    every representative (``HodgeContext._orbits``).  Contexts, packages and the
-    algebroid read these here and copy none of them.  It holds no context,
-    so a context and its packages form no reference cycle and are freed as
-    soon as the context is dropped.
+    modes are indexed by these representatives, and ``orbits`` is the one
+    map of them to the orbits of the structure's lattice symmetries that
+    the rank passes and the packages share.  ``decomposed`` counts the
+    representatives handed to ``eigh`` over this basis.  Contexts, packages
+    and the algebroid read these here and copy none of them.  It holds the
+    structure and metric, for the symmetry search, but no context, so a
+    context and its packages form no reference cycle and are freed as soon
+    as the context is dropped.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
+        self._structure, self._metric = structure, metric
         self.geometry = structure.geometry
         self.box = structure.box
         self.dim = structure.dim
@@ -467,6 +473,27 @@ class _LevelBasis:
         # by the modes it stands for
         self.rep = _mode_mirror(self.modes, self.box.K, not self.const.any())
         self.weight = np.bincount(self.rep)
+        # found at the first read of ``orbits``
+        self._orbit_labels: np.ndarray | None = None
+        self.group_order = 0
+        self.decomposed = 0
+
+    def orbits(self) -> np.ndarray:
+        """Per representative, the least representative of its orbit under
+        the group G of the structure's lattice symmetries
+        (``_symmetry_group``, ``_orbit_map``), found at the first read and
+        kept, with |G| as ``group_order``.  Untwisted, -I is in G, so the
+        least member of an orbit is a representative of the mirror."""
+        if self._orbit_labels is None:
+            generators, self.group_order = _symmetry_group(self._structure, self._metric)
+            self._orbit_labels = _orbit_map(self.modes, self.box.K, generators)[: len(self.weight)].copy()
+        return self._orbit_labels
+
+    def orbit_reps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The least representative of each orbit (``orbits``), in
+        ascending order, and the box modes each orbit holds."""
+        least, orbit = _orbit_index(self.orbits())
+        return least, np.bincount(orbit[self.rep], minlength=len(least))
 
     def conjugates(self) -> np.ndarray:
         """Per representative, the representative of the mode -k of its
@@ -568,18 +595,20 @@ def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndar
     return out
 
 
-def _eigenvectors(lb: _LevelBasis, kind: str, reps: np.ndarray, chunk: int) -> List[np.ndarray]:
-    """The eigenvectors of the ``kind`` Laplacians at the representatives
-    ``reps``, a nonempty index array, in ascending order of eigenvalue: one
-    (len(reps), n_b, n_b) stack per diagonal block, by batched ``eigh`` over
-    ``chunk`` of them at a time.  Batched ``eigh`` gives each matrix bitwise
-    the same result in any sub-batch, so these are bitwise those of any
-    other pass over the same representatives."""
-    parts: List[List[np.ndarray]] = [[] for _ in lb.blocks(kind)]
+def _eigh(lb: _LevelBasis, kind: str, reps: np.ndarray, chunk: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The eigenvalues and eigenvectors of the ``kind`` Laplacians at the
+    representatives ``reps``, a nonempty index array, in ascending order of
+    eigenvalue: one pair of (len(reps), n_b) and (len(reps), n_b, n_b)
+    stacks per diagonal block, by batched ``eigh`` over ``chunk`` of them at
+    a time, counted in ``lb.decomposed``.  Batched ``eigh`` gives each
+    matrix bitwise the same result in any sub-batch, so these are bitwise
+    those of any other pass over the same representatives."""
+    parts: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in lb.blocks(kind)]
     for sel in _chunks(len(reps), chunk):
         for part, block in zip(parts, _laplacian_blocks(lb, lb.d(reps[sel]), kind)):
-            part.append(np.linalg.eigh((block + _adjoint(block)) / 2)[1])
-    return [part[0] if len(part) == 1 else np.concatenate(part) for part in parts]
+            part.append(np.linalg.eigh((block + _adjoint(block)) / 2))
+    lb.decomposed += len(reps)
+    return [part[0] if len(part) == 1 else tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
 def _level_content(
@@ -600,36 +629,33 @@ def _level_content(
 
 class _ModeSpectra:
     """Eigenvalues of the per-mode Hermitian ``kind`` Laplacians of d in the
-    level basis ``lb``, by diagonal block, and their eigenvectors at the
-    representatives a reader asks for.
+    level basis ``lb``, by diagonal block, at one representative per orbit
+    of the structure's lattice symmetries, and the eigenvalues and
+    eigenvectors at the representatives a reader asks for.
 
-    Only the representative modes are decomposed: ``lb.rep`` (from
-    ``_mode_mirror``) maps each mode of the box to the mode whose spectra
-    it shares, and ``lb.weight[r]`` counts the modes that representative r
-    stands for.  An untwisted operator pairs k with -k, so R = M // 2 + 1 of
-    the M modes are decomposed; a twisted one decomposes every mode.
-    The first pass builds d at ``chunk`` representatives at a time and
-    the diagonal blocks of their Laplacians (``_laplacian_blocks``), one
-    (m, n_b, n_b) stack per slice of ``blocks``, the Laplacian being zero
-    off these blocks, and gives each block of a chunk to one batched
-    ``eigh``, of which it keeps the eigenvalues alone:
-    ``vals[b]`` is (R, n_b) for ``blocks[b]``.  ``chunk`` is
-    ``lb.spectra_chunk(kind)``, for the stacks the pass holds at once.
-    Eigenvalues up to RANK_CUTOFF times the spectral radius count as
-    kernel.
+    ``lb.rep`` (from ``_mode_mirror``) maps each mode of the box to the
+    representative whose eigendecomposition is bitwise its own: R = M // 2
+    + 1 of the M modes untwisted, every mode twisted.  The Laplacians over
+    an orbit of ``lb.orbits()`` are unitarily equivalent, so the first pass
+    eigendecomposes the least representative of each orbit alone,
+    ``least``, ``chunk`` (``lb.spectra_chunk(kind)``) at a time: it builds d
+    there and the diagonal blocks of its Laplacians (``_laplacian_blocks``),
+    one stack per slice of ``blocks``, and gives each to one batched
+    ``eigh``.  ``vals[b]`` is (len(least), n_b) for ``blocks[b]``; the
+    cutoff, RANK_CUTOFF times the spectral radius, the kernel dimensions and
+    the modes a harmonic basis visits read it, each orbit weighted by its
+    modes (``orbit_weight``).
 
-    Eigenvectors are built again by ``eigh`` at the representatives a
-    reader asks for (``decompose``), ``chunk`` of them at a time.  Batched
-    ``eigh`` gives each matrix bitwise the same result in any sub-batch, so
-    they are bitwise those of the first pass.  ``vectors`` keeps those it
-    builds, in the order they were first asked for, for the next read:
+    What a reader weights with, eigenvalues and eigenvectors, comes from the
+    ``eigh`` at its own representative (``eigen``), never from another orbit
+    member: each representative is decomposed once, when first asked for,
+    and kept.  Batched ``eigh`` gives each matrix bitwise the same result in
+    any sub-batch, so at a least representative these are the first pass's.
     ``_slot[r]`` is representative r's row in ``_held``, -1 before r is
-    asked for, and ``_slot`` is None until the first read, so spectra never
-    read hold nothing over the modes but ``vals``.  When one chunk covers
-    every representative, the pass keeps that chunk's vectors instead:
-    dropping them would lower no peak, and every read would rebuild them.
-    Every reader indexes through ``lb.rep``.  The spectra hold ``lb``, never
-    a context, so spectra that outlive their context keep none alive.
+    asked for, and ``_slot`` is None until the first read.  When one chunk
+    covers the first pass, it keeps its eigenvectors: dropping them would
+    lower no peak.  The spectra hold ``lb``, never a context, so spectra
+    that outlive their context keep none alive.
     """
 
     def __init__(self, lb: _LevelBasis, kind: str):
@@ -637,33 +663,41 @@ class _ModeSpectra:
         self.kind = kind
         self.blocks = lb.blocks(kind)
         self.chunk = lb.spectra_chunk(kind)
-        count = len(lb.weight)
+        self.least, self.orbit_weight = lb.orbit_reps()
+        count = len(self.least)
         self.vals = [np.empty((count, b.stop - b.start)) for b in self.blocks]
-        first: List[np.ndarray] = []  # the vectors kept when one chunk covers every representative
+        first: List[np.ndarray] = []  # the vectors kept when one chunk covers the pass
         for sel in _chunks(count, self.chunk):
-            for vals, block in zip(self.vals, _laplacian_blocks(lb, lb.d(sel), kind)):
+            for vals, block in zip(self.vals, _laplacian_blocks(lb, lb.d(self.least[sel]), kind)):
                 vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
                 if count <= self.chunk:
                     first.append(vecs)
                 del vecs  # otherwise freed before the next eigh
+        lb.decomposed += count
         self.radius = max(float(v.max()) for v in self.vals)
         self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
-        self._slot: np.ndarray | None = np.arange(count) if first else None
-        self._held: List[np.ndarray] = first
+        self._slot: np.ndarray | None = None
+        self._held: List[Tuple[np.ndarray, np.ndarray]] = []
+        if first:
+            self._slot = np.full(len(lb.weight), -1)
+            self._slot[self.least] = np.arange(count)
+            self._held = list(zip(self.vals, first))
 
-    def decompose(self, reps: np.ndarray) -> List[np.ndarray]:
-        """The eigenvectors at the representatives ``reps``, a nonempty
-        index array (``_eigenvectors``).  Nothing is kept."""
-        return _eigenvectors(self.level_basis, self.kind, reps, self.chunk)
+    def decompose(self, reps: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The eigenvalues and eigenvectors at the representatives ``reps``,
+        a nonempty index array (``_eigh``).  Nothing is kept."""
+        return _eigh(self.level_basis, self.kind, reps, self.chunk)
 
-    def vectors(self, reps) -> List[np.ndarray]:
-        """The eigenvectors at the representatives ``reps`` (an index or an
-        index array), one stack per block.  Those not yet held are
+    def eigen(self, reps) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The eigenvalues and eigenvectors at the representatives ``reps``
+        (an index or an index array), one pair per block, from the ``eigh``
+        at each representative itself.  Those not yet held are
         decomposed once and kept."""
         count = len(self.level_basis.weight)
         if self._slot is None:
             self._slot = np.full(count, -1)
-            self._held = [np.empty((0, b.stop - b.start, b.stop - b.start), complex)
+            self._held = [(np.empty((0, b.stop - b.start)),
+                           np.empty((0, b.stop - b.start, b.stop - b.start), complex))
                           for b in self.blocks]
         slots = self._slot[reps]
         missing = slots < 0
@@ -671,10 +705,14 @@ class _ModeSpectra:
             new = np.zeros(count, dtype=bool)
             new[np.asarray(reps)[missing]] = True
             new = np.flatnonzero(new)
-            self._slot[new] = np.arange(len(self._held[0]), len(self._held[0]) + len(new))
-            self._held = [np.concatenate([held, v]) for held, v in zip(self._held, self.decompose(new))]
+            held = len(self._held[0][0])
+            self._slot[new] = np.arange(held, held + len(new))
+            self._held = [
+                (np.concatenate([vals, more_vals]), np.concatenate([vecs, more_vecs]))
+                for (vals, vecs), (more_vals, more_vecs) in zip(self._held, self.decompose(new))
+            ]
             slots = self._slot[reps]
-        return [held[slots] for held in self._held]
+        return [(vals[slots], vecs[slots]) for vals, vecs in self._held]
 
     def harmonic_weights(self, vals: np.ndarray) -> np.ndarray:
         return (vals <= self.cutoff).astype(float)
@@ -686,9 +724,8 @@ class _ModeSpectra:
     def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
         """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
         out = np.zeros_like(coords)
-        index = self.level_basis.rep[index]
-        for vals, v, b in zip(self.vals, self.vectors(index), self.blocks):
-            inner = weights(vals[index])[..., None] * (_adjoint(v) @ coords[:, b, None])
+        for (vals, v), b in zip(self.eigen(self.level_basis.rep[index]), self.blocks):
+            inner = weights(vals)[..., None] * (_adjoint(v) @ coords[:, b, None])
             out[:, b] = (v @ inner)[..., 0]
         return out
 
@@ -697,8 +734,8 @@ class _ModeSpectra:
         sel = self.level_basis.rep[sel]
         size = self.blocks[-1].stop
         out = np.zeros(np.shape(sel) + (size, size), dtype=complex)
-        for vals, v, b in zip(self.vals, self.vectors(sel), self.blocks):
-            out[..., b, b] = (v * weights(vals[sel])[..., None, :]) @ _adjoint(v)
+        for (vals, v), b in zip(self.eigen(sel), self.blocks):
+            out[..., b, b] = (v * weights(vals)[..., None, :]) @ _adjoint(v)
         return out
 
 
@@ -707,9 +744,9 @@ class HodgePackage(_ModeSpectra):
     kernel dimensions, harmonic basis, projector and Green operator on
     spinors.  The level-mixing ``d`` kind decomposes whole per-mode
     matrices, the others their level blocks; the level content of the
-    ``d`` kernel builds eigenvectors at the modes that have a kernel and
-    keeps none.  A package holds the context's level basis, never the
-    context, so the two form no reference cycle.
+    ``d`` kernel builds eigenvectors at the least representatives whose
+    orbits have a kernel and keeps none.  A package holds the context's
+    level basis, never the context, so the two form no reference cycle.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
@@ -722,17 +759,19 @@ class HodgePackage(_ModeSpectra):
     # ------------------------------------------------------------------
 
     def kernel_dimension(self, level: int) -> int:
-        lb = self.level_basis
+        """The kernel's dimension at ``level``, read at the least
+        representative of each orbit and weighted by the orbit's modes."""
         kernel = self.vals[self._levels.index(level) if self.blockwise else 0] <= self.cutoff
         if self.blockwise:
-            return int(np.sum(kernel, axis=1) @ lb.weight)
+            return int(np.sum(kernel, axis=1) @ self.orbit_weight)
         # the level content of the level-mixing kernel: eigenvectors built
-        # at the modes that have a kernel, and dropped
+        # at the orbits that have a kernel, and dropped
         rows = np.flatnonzero(kernel.any(axis=1))
         if not len(rows):
             return 0
-        kernels = (v[:, kernel[i]] for i, v in zip(rows, self.decompose(rows)[0]))
-        return _level_content(lb, kernels, lb.weight[rows])[level]
+        vecs = self.decompose(self.least[rows])[0][1]
+        kernels = (v[:, kernel[i]] for i, v in zip(rows, vecs))
+        return _level_content(self.level_basis, kernels, self.orbit_weight[rows])[level]
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -742,17 +781,22 @@ class HodgePackage(_ModeSpectra):
 
     def harmonic_basis_rows(self, level: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
         """``harmonic_basis`` as level-basis coordinates: each spinor's box
-        mode index and its one coordinate row, in the same order."""
+        mode index and its one coordinate row, in the same order: the kernel
+        eigenvectors of each mode's own representative, at the modes whose
+        orbit has a kernel in the block at its least representative."""
         lb = self.level_basis
+        orbit = np.searchsorted(self.least, lb.orbits())[lb.rep]
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
         for b, (key, vals, sl) in enumerate(zip(self._levels, self.vals, self.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            modes, cols = np.nonzero(vals[lb.rep] <= self.cutoff)
+            visited = np.flatnonzero((vals <= self.cutoff).any(axis=1)[orbit])
+            own, vecs = self.eigen(lb.rep[visited])[b]
+            modes, cols = np.nonzero(own <= self.cutoff)
             coords = np.zeros((len(modes), lb.size), dtype=complex)
-            coords[:, sl] = self.vectors(lb.rep[modes])[b][np.arange(len(modes)), :, cols]
-            index.append(modes)
+            coords[:, sl] = vecs[modes, :, cols]
+            index.append(visited[modes])
             rows.append(coords)
         # mode by mode, then block by block, then eigenvector by eigenvector
         index = np.concatenate(index)
@@ -802,15 +846,14 @@ class HodgeContext:
         # 10x of the cut, weighted by the modes (``_ranks``)
         self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
         self._rank_gaps: Dict[Tuple[str, int], int] = {}
-        # found at the first rank pass (``_orbits``): per representative, the
-        # least representative of its orbit under the structure's lattice
-        # symmetries, the order of their group, and the rank scale at the
-        # least representatives
-        self._orbit_labels: np.ndarray | None = None
-        self._group_order = 0
+        # the rank scale at the least representative of each orbit of the
+        # structure's lattice symmetries, found at the first rank pass
+        # (``_orbit_scale``)
         self._scale: np.ndarray | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
-        # per package built, its spectra's first pass: kind, chunk length, chunks
+        # per package built, its spectra's first pass: kind, chunk length,
+        # chunks, the symmetry group's order and the representatives it
+        # eigendecomposed
         self.spectra_passes: List[Dict] = []
         # per rank stack computed: its key, the representatives its ranks
         # cover, the symmetry group's order, the representatives it ranked,
@@ -859,8 +902,11 @@ class HodgeContext:
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
             self._packages[kind] = pk = HodgePackage(self, kind)
-            count, chunk = len(self.level_basis.weight), pk.chunk
-            self.spectra_passes.append({"kind": kind, "chunk": chunk, "chunks": -(-count // chunk)})
+            count, chunk = len(pk.least), pk.chunk
+            self.spectra_passes.append({
+                "kind": kind, "chunk": chunk, "chunks": -(-count // chunk),
+                "group": self.level_basis.group_order, "decomposed": count,
+            })
         return self._packages[kind]
 
     def identity_residual(self, kind: str) -> float:
@@ -1031,10 +1077,11 @@ class HodgeContext:
         - aeppli: N_k - r(Q_k) - r(Row_k);
         - d: d flips the parity of the level, so its rank is the sum of
           those of its two parity blocks, and as d^2 = 0 its Laplacian has
-          N - 2 r(d) kernel vectors.  At the modes that have any, the
-          Laplacian is eigendecomposed whole, as the ``d`` package does,
-          and the N - 2 r(d) eigenvectors of smallest eigenvalue are
-          counted level by level (``_level_content``).
+          N - 2 r(d) kernel vectors.  At the least representative of each
+          orbit (``_LevelBasis.orbits``) that has any, the Laplacian is
+          eigendecomposed whole, as the ``d`` package does, and the N - 2 r(d)
+          eigenvectors of smallest eigenvalue are counted level by level
+          (``_level_content``), weighted by the orbit's modes.
 
         The stacks are those the class checks read, so after the checks
         only the two parity blocks of d are ranked anew, each its own
@@ -1052,10 +1099,11 @@ class HodgeContext:
             if kind == "d":
                 keys = [("d", 0), ("d", 1)]
                 kernel = lb.size - 2 * sum(self._ranks(key)[:, 0] for key in keys)
-                reps = np.flatnonzero(kernel > 0)
-                vecs = _eigenvectors(lb, "d", reps, lb.spectra_chunk("d"))[0] if len(reps) else []
-                kernels = (v[:, :m] for v, m in zip(vecs, kernel[reps]))
-                dims[kind] = _level_content(lb, kernels, lb.weight[reps])
+                least, weight = lb.orbit_reps()
+                rows = np.flatnonzero(kernel[least] > 0)
+                vecs = _eigh(lb, "d", least[rows], lb.spectra_chunk("d"))[0][1] if len(rows) else []
+                kernels = (v[:, :m] for v, m in zip(vecs, kernel[least[rows]]))
+                dims[kind] = _level_content(lb, kernels, weight[rows])
                 read.update(map(self._rank_key, keys))
                 continue
             if kind not in terms:
@@ -1084,7 +1132,7 @@ class HodgeContext:
         level block (k +- 1, k) at a time (``_block``): d moves the level by
         one, so these blocks hold all of d, and no whole d stack is built.
         The rank passes read it at the orbit representatives they rank
-        (``_orbits``)."""
+        (``_orbit_scale``)."""
         lb = self.level_basis
         if reps is None:
             reps = np.arange(len(lb.weight))
@@ -1095,20 +1143,14 @@ class HodgeContext:
         ]))
         return scale, RANK_CUTOFF * scale
 
-    def _orbits(self) -> np.ndarray:
-        """Per representative, the least representative of its orbit under
-        the group G of the structure's lattice symmetries
-        (``_symmetry_group``), from the orbit map of the box's modes
-        (``_orbit_map``).  Found at the first rank pass and kept, with |G|
-        and the rank scale at the least representatives (``_floor``), so a
-        context that ranks nothing pays nothing.  Untwisted, -I is in G, so
-        the least member of an orbit is a representative of the mirror."""
-        if self._orbit_labels is None:
-            lb = self.level_basis
-            generators, self._group_order = _symmetry_group(self.structure, self.metric)
-            self._orbit_labels = _orbit_map(lb.modes, self.box.K, generators)[: len(lb.weight)].copy()
-            self._scale = self._floor(_orbit_index(self._orbit_labels)[0])[0]
-        return self._orbit_labels
+    def _orbit_scale(self) -> np.ndarray:
+        """The rank scale (``_floor``) at the least representative of each
+        orbit of the structure's lattice symmetries (``_LevelBasis.orbits``),
+        found at the first rank pass and kept, so a context that ranks
+        nothing pays nothing."""
+        if self._scale is None:
+            self._scale = self._floor(self.level_basis.orbit_reps()[0])[0]
+        return self._scale
 
     def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
         """The stack that a rank key names, at the representatives picked by
@@ -1202,7 +1244,7 @@ class HodgeContext:
 
     def _rank_pass(self, key: Tuple[str, int]) -> None:
         """Rank the stack that ``key`` names at one representative per orbit
-        of the structure's lattice symmetries G (``_orbits``), over chunks
+        of the structure's lattice symmetries G (``_LevelBasis.orbits``), over chunks
         of ``_chunk_length`` of them for one d stack (its blocks of d are
         smaller than d), and keep its ranks at every representative and its
         gap count (``_ranks``).  A symmetry P conjugates d at m into d at
@@ -1217,12 +1259,13 @@ class HodgeContext:
         lb = self.level_basis
         # the orbits and the scale first, so that nothing of this pass is
         # held during their passes
-        labels = self._orbits()
+        labels = lb.orbits()
+        scale = self._orbit_scale()
         ranked = _orbit_index(labels)[0]
         if _partner(key) == key:
             labels = np.minimum(labels, labels[lb.conjugates()])
         reps, index = _orbit_index(labels)
-        scale = self._scale[np.searchsorted(ranked, reps)]
+        scale = scale[np.searchsorted(ranked, reps)]
         floor = RANK_CUTOFF * scale
         floors = np.stack([floor, floor * scale], axis=-1)
         weight = np.bincount(index[lb.rep], minlength=len(reps))
@@ -1237,5 +1280,5 @@ class HodgeContext:
         self._rank_stacks[key], self._rank_gaps[key] = ranks[index], gap
         self.rank_passes.append({
             "stack": key[0], "level": key[1], "modes": len(lb.weight),
-            "group": self._group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
+            "group": lb.group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
         })

@@ -510,23 +510,27 @@ class Runner:
 
     def _passes(self) -> Dict[str, List[Dict]]:
         """The passes of the runner's context: the first pass of each package
-        it has built (kind, chunk length and chunk count) and each rank stack
-        it has computed (stack, level, the representatives it gives ranks
-        for, the order of the symmetry group, the representatives it ranked,
-        chunk length and chunk count); none before it exists."""
+        it has built (kind, chunk length, chunk count, the order of the
+        symmetry group and the representatives it eigendecomposed) and each
+        rank stack it has computed (stack, level, the representatives it
+        gives ranks for, the order of the symmetry group, the
+        representatives it ranked, chunk length and chunk count); none
+        before it exists."""
         if self._context is None:
             return {"spectra_passes": [], "rank_passes": []}
         return {key: getattr(self._context, key) for key in ("spectra_passes", "rank_passes")}
 
     def _mode_counts(self) -> Dict[str, int]:
-        """The modes of the scenario's box; how many of them the runner's
-        context eigendecomposes, about half of them untwisted, every one
-        twisted; and how many its rank passes rank at most, one per orbit of
-        the structure's lattice symmetries; none before the context exists
-        or ranks."""
+        """The modes of the scenario's box; how many representatives the
+        runner's context has eigendecomposed so far, counted at every
+        ``eigh`` over its level basis: its packages' first passes, one per
+        orbit of the structure's lattice symmetries, their reads at other
+        representatives, and a table's d kernel; and how many its rank
+        passes rank at most, one per orbit; none before the context exists,
+        decomposes or ranks."""
         box, dim = self.scenario.box, self.scenario.geometry.dim
         ctx = self._context
-        decomposed = 0 if ctx is None else len(ctx.level_basis.weight)
+        decomposed = 0 if ctx is None else ctx.level_basis.decomposed
         ranked = 0 if ctx is None else max((p["ranked"] for p in ctx.rank_passes), default=0)
         return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed, "ranked": ranked}
 

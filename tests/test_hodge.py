@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import json
 import math
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from gentorus.diagnostics import hodge_suite, hodge_table
 from gentorus.fourier import FourierScalar, TorusGeometry, TruncationBox
 from gentorus.hodge import KINDS, RANK_CUTOFF, HodgeContext, ObstructionError
 from gentorus.metric import GeneralizedMetric
+from gentorus.scenario import Scenario
 from gentorus.spinor import (
     CliffordPoly,
     Spinor,
@@ -149,12 +152,12 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
     pk = t2ctx.package("dbar")
     assert {k: pk.kernel_dimension(k) for k in t2ctx.structure.levels()} == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
-    # oscillatory modes contribute nothing
+    # oscillatory modes contribute nothing, read at their own representatives
     rep = t2ctx.level_basis.rep
     for i, mode in enumerate(box_modes(t2ctx)):
         if mode != (0, 0):
-            for vals in pk.vals:
-                assert not np.any(vals[rep[i]] <= pk.cutoff)
+            for vals, _ in pk.eigen(rep[i]):
+                assert not np.any(vals <= pk.cutoff)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -461,14 +464,14 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
                 eigs[mode, k] = np.linalg.eigh((block + block.conj().T) / 2)[0]
         cutoff = _reference_cutoff(eigs.values())
         for (mode, k), vals in eigs.items():
-            held = pk.vals[lb.levels.index(k)][lb.rep[lb.positions([mode])[0]]]
+            held = pk.eigen(lb.rep[lb.positions([mode])[0]])[lb.levels.index(k)][0]
             assert int(np.sum(held <= pk.cutoff)) == int(np.sum(vals <= cutoff))
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
     # every mode of the box, each read at its representative, over every block
     sp = alg._spectra
-    batched = sum(np.sum(v[alg.level_basis.rep] <= sp.cutoff, axis=1) for v in sp.vals)
+    batched = sum(np.sum(v <= sp.cutoff, axis=1) for v, _ in sp.eigen(alg.level_basis.rep))
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.tolist()
 
 
@@ -739,7 +742,7 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
         lb = ctx.level_basis
         count = len(lb.weight)
         half = count // 2 + 1 if count == len(lb.modes) else count
-        labels = ctx._orbits()
+        labels = lb.orbits()
 
         def cover(key):
             own = labels
@@ -822,7 +825,7 @@ def test_class_checks_hold_ranks_alone(monkeypatch):
     count = len(ctx.level_basis.weight)
     for stack in ctx._rank_stacks.values():
         assert stack.shape == (count, 2) and stack.dtype == np.int16
-    assert ctx._scale.shape == hodge._orbit_index(ctx._orbits())[0].shape
+    assert ctx._scale.shape == hodge._orbit_index(ctx.level_basis.orbits())[0].shape
 
 
 @pytest.mark.parametrize(
@@ -982,14 +985,21 @@ def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
 
 
 def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
-    """-H^ is not zero, so d is not odd in k: every mode stands for itself."""
+    """-H^ is not zero, so d is not odd in k: every mode stands for itself,
+    and a package reads its eigenvalues and eigenvectors at every mode.  Its
+    first pass decomposes the least mode of each orbit of the twisted
+    structure's lattice symmetries alone."""
     from gentorus.deformation import AlgebroidHodge
 
     ctx = t4ctx_twisted
     lb = ctx.level_basis
     every = list(range(len(lb.modes)))
     assert lb.rep.tolist() == every and lb.weight.tolist() == [1] * len(every)
-    assert all(len(v) == len(every) for v in ctx.package("bc").vals)
+    pk = ctx.package("bc")
+    labels = lb.orbits()
+    assert np.array_equal(pk.least, np.flatnonzero(labels == every)) and len(pk.least) < len(every)
+    assert all(len(v) == len(pk.least) for v in pk.vals)
+    assert all(len(vals) == len(vecs) == len(every) for vals, vecs in pk.eigen(lb.rep))
     alg = AlgebroidHodge(ctx.structure, ctx.metric)
     assert alg.level_basis.rep.tolist() == every
 
@@ -1015,21 +1025,25 @@ def _apply_full(spectra, blocks, index, coords, weights):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
-    """The package holds half the box, yet its eigenvalues, eigenvectors,
-    kernel dimensions, harmonic bases and harmonic and Green applies are
-    those of a decomposition of every mode."""
+    """The package reads half the box and its first pass decomposes one
+    mode per orbit of the lattice symmetries, yet its eigenvalues,
+    eigenvectors, kernel dimensions, harmonic bases and harmonic and Green
+    applies are those of a decomposition of every mode.  Its cutoff is
+    bitwise the one read at the least mode of each orbit."""
     ctx = mirrored
     lb, pk = ctx.level_basis, ctx.package(kind)
     count = len(lb.modes)
     full = _full_box_spectra(ctx, kind)
     blocks = lb.blocks(kind)
     every = pk.decompose(np.arange(len(lb.weight)))
-    for (vals, vecs), held_vals, held_vecs in zip(full, pk.vals, every):
+    assert len(pk.least) < count // 2 + 1
+    for (vals, vecs), first, (held_vals, held_vecs) in zip(full, pk.vals, every):
         assert len(held_vals) == len(held_vecs) == count // 2 + 1
         assert np.array_equal(held_vals[lb.rep], vals)
         assert np.array_equal(held_vecs[lb.rep], vecs)
+        assert np.array_equal(first, vals[pk.least])
+    assert pk.cutoff == _reference_cutoff(vals[pk.least] for vals, _ in full)
     cutoff = _reference_cutoff(vals for vals, _ in full)
-    assert pk.cutoff == cutoff
 
     def kernel_dim(level, indices):
         if pk.blockwise:
@@ -1075,9 +1089,10 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
 
 
 def test_algebroid_spectra_equal_a_full_box_decomposition():
-    """The algebroid package of complex T^4 K=1 decomposes half the box,
-    and its harmonic projector and Green operator are those of a
-    decomposition of every mode."""
+    """The algebroid package of complex T^4 K=1 reads half the box, and its
+    first pass decomposes the least of the 6 orbits of the 32 lattice
+    symmetries alone, yet its harmonic projector and Green operator are
+    those of a decomposition of every mode."""
     from gentorus.deformation import AlgebroidHodge
     from gentorus.spinor import _stack_linear, random_fourier_scalar
 
@@ -1093,10 +1108,12 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
     ]
     levels = [lb.level_slices[k] for k in lb.levels]
     every = sp.decompose(np.arange(len(lb.weight)))
-    for vals, vecs, (full_vals, full_vecs) in zip(sp.vals, every, full):
+    assert len(sp.least) == 6
+    for (vals, vecs), first, (full_vals, full_vecs) in zip(every, sp.vals, full):
         assert len(vals) == count // 2 + 1
         assert np.array_equal(vals[lb.rep], full_vals)
         assert np.array_equal(vecs[lb.rep], full_vecs)
+        assert np.array_equal(first, full_vals[sp.least])
 
     rng = np.random.default_rng(43)
     s = alg.structure
@@ -1141,10 +1158,13 @@ def test_algebroid_spectra_equal_the_dbar_package(name):
     pk = HodgeContext(s, m).package("dbar")
     assert np.array_equal(alg.level_basis.rep, pk.level_basis.rep)
     alg_sp = alg._spectra
+    assert np.array_equal(alg_sp.least, pk.least)
     assert len(alg_sp.vals) == len(pk.vals) == s.dim + 1
     reps = np.arange(len(pk.level_basis.weight))
-    for got, want in zip(alg_sp.vals + alg_sp.decompose(reps), pk.vals + pk.decompose(reps)):
-        assert np.array_equal(got, want)
+    got = alg_sp.vals + [a for pair in alg_sp.decompose(reps) for a in pair]
+    want = pk.vals + [a for pair in pk.decompose(reps) for a in pair]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_algebroid_package_makes_no_dL_calls(monkeypatch):
@@ -1163,13 +1183,18 @@ def test_algebroid_package_makes_no_dL_calls(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("twisted, rows", [(False, 41), (True, 81)], ids=["untwisted", "twisted"])
-def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, monkeypatch):
-    """On T^4 K=1 (81 modes) every mode stack that hodge_table hands to
-    svd or eigh holds at most the 41 representatives when untwisted, and
-    all 81 modes when twisted.  With CHUNK_BYTES room for one chunk of 81
-    in every pass, the package builds hold all of them; the level content
-    of the d kernel decomposes only the modes with a kernel."""
+@pytest.mark.parametrize(
+    "twisted, rows, orbits", [(False, 41, 6), (True, 81, 27)], ids=["untwisted", "twisted"]
+)
+def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, orbits, monkeypatch):
+    """On T^4 K=1 (81 modes) the representatives are 41 modes untwisted and
+    all 81 twisted, and the least modes of the orbits of the lattice
+    symmetries are 6 and 27 of them.  With CHUNK_BYTES room for one chunk
+    of 81 in every pass, each package build hands eigh one stack per block
+    that holds those least modes alone, and every mode stack that
+    hodge_table hands to svd or eigh holds at most as many: its rank
+    passes rank one mode per orbit, and the level content of the d kernel
+    decomposes only the least modes whose orbits have a kernel."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 81, stacks=4))
     ctx = HodgeContext(*_case(2, 1, twisted))
     stacks = []
@@ -1185,8 +1210,9 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, mon
         ctx.package(kind)
     builds = list(stacks)
     hodge_table(ctx)
-    assert builds and set(builds) == {rows}
-    assert len(stacks) > len(builds) and max(stacks) == rows
+    assert len(ctx.level_basis.weight) == rows
+    assert builds and set(builds) == {orbits}
+    assert len(stacks) > len(builds) and max(stacks) == orbits
 
 
 # ----------------------------------------------------------------------
@@ -1378,11 +1404,12 @@ ON_DEMAND_CASES = {
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(ON_DEMAND_CASES))
 def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkeypatch):
-    """Eigenvectors built at the representatives asked for, one at a time,
-    scattered and repeated, in ragged chunks of 7 modes, with and without
-    being kept, are bitwise those of one eigh over the whole box, and so
-    are those that the first pass keeps when one chunk of 256 covers the
-    representatives.  The d kind's pass holds four stacks, a blockwise
+    """Eigenvalues and eigenvectors built at the representatives asked for,
+    one at a time, scattered and repeated, in ragged chunks of 7 modes,
+    with and without being kept, are bitwise those of one eigh over the
+    whole box, and so are the first pass's eigenvalues at the least mode of
+    each orbit, and the eigenvectors it keeps there when one chunk of 256
+    covers those modes.  The d kind's pass holds four stacks, a blockwise
     one's one, and the chunk is set in bytes for the kind's own."""
     stacks = 4 if kind == "d" else 1
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk, stacks))
@@ -1395,18 +1422,21 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     def same(got, reps):
         return len(got) == len(full) and all(
             g.shape == v[reps].shape and g.tobytes() == v[reps].tobytes()
-            for g, (_, v) in zip(got, full)
+            for pair, want in zip(got, full) for g, v in zip(pair, want, strict=True)
         )
 
+    assert all(v.tobytes() == vals[sp.least].tobytes() for v, (vals, _) in zip(sp.vals, full, strict=True))
+    assert (sp._slot is not None) == (chunk >= len(sp.least))
     for r in (count - 1, 0, count // 2, 0):
-        assert same(sp.vectors(r), r)
+        assert same(sp.eigen(r), r)
     scattered = np.random.default_rng(5).permutation(count)[:19]
-    assert same(sp.vectors(np.concatenate([scattered, scattered[:3]])),
+    assert same(sp.eigen(np.concatenate([scattered, scattered[:3]])),
                 np.concatenate([scattered, scattered[:3]]))
     assert same(sp.decompose(scattered), scattered)
-    assert same(sp.vectors(np.arange(count)), np.arange(count))
+    assert same(sp.eigen(sp.least), sp.least)
+    assert same(sp.eigen(np.arange(count)), np.arange(count))
     assert same(sp.decompose(np.arange(count)), np.arange(count))
-    assert len(sp._held[0]) == count
+    assert len(sp._held[0][0]) == len(sp._held[0][1]) == count
 
 
 @pytest.mark.parametrize("chunk", [7, 256])
@@ -1417,9 +1447,11 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
     block, the first time it is read.  ``chunk`` is the blockwise passes'
     chunk length (256 at the default CHUNK_BYTES); the d kind's pass holds
     four stacks, so its chunk is a quarter of it, 1 or 64.  When one chunk
-    covers the 41 or 81 representatives of T^4 K=1, the first pass keeps
-    its vectors and no read decomposes: every pass at 256, and the d kind's
-    at 64 untwisted only."""
+    covers the least modes of the orbits of the lattice symmetries, 6 of
+    the 41 representatives of T^4 K=1 and 27 of the 81 twisted, the first
+    pass keeps their vectors and a read there decomposes nothing: every
+    pass at 256, the blockwise ones at 7 untwisted, and the d kind's at 64;
+    a read anywhere else decomposes its representative once."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk))
     ctx = HodgeContext(*_case(2, 1, twisted))
     lb = ctx.level_basis
@@ -1445,9 +1477,9 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
                 first.setdefault(i, pk.matrix(i, pk.green_weights))
                 assert np.array_equal(pk.matrix(i, pk.green_weights), first[i])
         assert pk.chunk == (chunk // 4 if kind == "d" else chunk)
-        covered = pk.chunk >= len(lb.weight)
-        reps = set() if covered else {int(lb.rep[i]) for i in positions}
-        assert sum(decomposed) == len(reps) * len(pk.blocks), kind
+        kept = set(pk.least.tolist()) if pk.chunk >= len(pk.least) else set()
+        reps = {int(lb.rep[i]) for i in positions} - kept
+        assert reps and sum(decomposed) == len(reps) * len(pk.blocks), kind
 
 
 def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(monkeypatch):
@@ -1459,8 +1491,9 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
 
     from gentorus.deformation import AlgebroidHodge
 
-    # chunks of 7 representatives, so no first pass keeps its vectors
-    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 7))
+    # chunks of 5 representatives, so no first pass over the 6 orbits of
+    # the lattice symmetries keeps its vectors
+    monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 5))
     s, m = _case(2, 1)
     gc.collect()
     gc.disable()
@@ -1472,7 +1505,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
         green = pk.green(sigma)
         ctx.package("d").kernel_dimension(0)
         ctx.package("d").harmonic(sigma)
-        assert len(pk._held[0]) == 1
+        assert len(pk._held[0][0]) == 1
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None
@@ -1481,7 +1514,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
         alg = AlgebroidHodge(s, m)
         poly = CliffordPoly(s.dual_frame, 1, {(0,): FourierScalar(s.geometry, s.box, {(1, 0, 0, 0): 0.5})})
         alg.green(poly)
-        assert len(alg._spectra._held[0]) == 1
+        assert len(alg._spectra._held[0][0]) == 1
         ref = weakref.ref(alg)
         del alg
         assert ref() is None
@@ -1530,7 +1563,8 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
     beyond the class checks' but d's two parity blocks; its dbar, bc,
     aeppli and d rows equal the packages' kernel dimensions level by level,
     and N - 2 r(d) equals the d package's kernel eigenvalue count at every
-    representative."""
+    representative, read there and at the least representative of each
+    orbit of the lattice symmetries."""
     ctx = HodgeContext(*TABLE_CASES[name]())
     table, added = _table_after_checks(ctx)
     assert added == {("d", 0), ("d", 1)}
@@ -1539,7 +1573,9 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
         pk = ctx.package(kind)
         assert dims == {str(k): pk.kernel_dimension(k) for k in levels}, kind
     pk = ctx.package("d")
-    assert np.array_equal(_rank_kernel(ctx), np.sum(pk.vals[0] <= pk.cutoff, axis=1))
+    assert np.array_equal(_rank_kernel(ctx)[pk.least], np.sum(pk.vals[0] <= pk.cutoff, axis=1))
+    own = pk.eigen(np.arange(len(ctx.level_basis.weight)))[0][0]
+    assert np.array_equal(_rank_kernel(ctx), np.sum(own <= pk.cutoff, axis=1))
     assert "warnings" not in table
 
 
@@ -1744,9 +1780,9 @@ def test_symmetry_group_orders_and_orbit_counts(build, order, orbits):
     which leave 91 of the 1201 representatives of K=3 to rank; complex T^6
     has 3! 4^3 = 384; the twist dx0^dx1^dx2 and the B-field leave 4; the
     metric diag(1, 2, 1, 2) forbids the exchange, leaving 16."""
-    ctx = HodgeContext(*build())
-    labels = ctx._orbits()
-    assert ctx._group_order == order
+    lb = HodgeContext(*build()).level_basis
+    labels = lb.orbits()
+    assert lb.group_order == order
     assert len(hodge._orbit_index(labels)[0]) == orbits
     assert np.array_equal(labels[labels], labels) and np.all(labels <= np.arange(len(labels)))
 
@@ -1804,3 +1840,123 @@ def test_symmetry_search_and_orbits_on_t8_are_fast_and_linear_in_memory():
     assert order == 6144 and np.count_nonzero(labels == np.arange(len(modes))) == 15
     assert min(times) < 0.1
     assert _traced_peak(run) < 8 * 8 * len(modes)
+
+
+# ----------------------------------------------------------------------
+# lattice symmetries: one eigendecomposition per orbit
+# ----------------------------------------------------------------------
+
+
+def _t4_deform_structures():
+    """The structures and metrics of the six deformed contexts that the
+    scan of the benchmark's t4-deform config builds: complex T^4 K=2
+    deformed by its constant series at t = 0.05 to 0.3, each with 8
+    lattice symmetries."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "t4-deform" / "t4_deform.json"
+    config = json.loads(path.read_text("utf-8"))
+    scenario = Scenario(config)
+    (scan,) = [exp for exp in config["experiments"] if exp["kind"] == "scan"]
+
+    def build(t):
+        ctx = DeformedStructure(scenario.structure, scenario.series.eps_at(complex(t))).context
+        return ctx.structure, ctx.metric
+
+    return {f"t4-deform-t{t}": functools.partial(build, t) for t in scan["t_samples"]}
+
+
+ORBIT_CASES = {**SYMMETRY_CASES, **_t4_deform_structures()}
+
+
+def _direct_spectra(lb, kind):
+    """Per block of the ``kind`` Laplacian, the eigenvalues and eigenvectors
+    at every representative, from one eigh per chunk of 64 of them."""
+    parts = [
+        [np.linalg.eigh((block + hodge._adjoint(block)) / 2) for block in hodge._laplacian_blocks(lb, lb.d(sel), kind)]
+        for sel in hodge._chunks(len(lb.weight), 64)
+    ]
+    return [tuple(np.concatenate(arrays) for arrays in zip(*per_block)) for per_block in zip(*parts)]
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, monkeypatch):
+    """Each package's first pass builds and hands eigh the least
+    representative of each orbit of the structure's lattice symmetries
+    alone, one matrix per block, and what the package reads equals a direct
+    eigh at every representative, cut at RANK_CUTOFF times the radius over
+    all of them: the same kernel dimension at every level, bitwise the same
+    harmonic basis rows at every level, and bitwise the same harmonic and
+    Green applies and matrices at scattered modes.  So each value a read
+    weights with is its own representative's, none another orbit member's.
+    The cases are the class checks' structures, complex T^6 K=1 and the six
+    deformed structures of the t4-deform scan."""
+    ctx = HodgeContext(*ORBIT_CASES[name]())
+    lb = ctx.level_basis
+    reps = np.arange(len(lb.weight))
+    least = np.flatnonzero(lb.orbits() == reps)
+    rng = np.random.default_rng(17)
+    scattered = rng.permutation(len(lb.modes))[: min(23, len(lb.modes))]
+    coords = rng.normal(size=(len(scattered), lb.size)) + 1j * rng.normal(size=(len(scattered), lb.size))
+    for kind in KINDS:
+        built, handed = [], []
+        monkeypatch.setattr(lb, "d", lambda sel, _real=lb.d: built.append(np.array(sel)) or _real(sel))
+
+        def counting(a, *args, _real=np.linalg.eigh, **kwargs):
+            handed.append(len(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        pk = ctx.package(kind)
+        monkeypatch.undo()
+        assert np.array_equal(np.concatenate(built), least) and np.array_equal(pk.least, least), kind
+        assert sum(handed) == len(least) * len(pk.blocks), kind
+
+        full = _direct_spectra(lb, kind)
+        radius = max(float(vals.max()) for vals, _ in full)
+        cutoff = RANK_CUTOFF * radius if radius > 0 else 1e-12
+
+        def harmonic(vals):
+            return (vals <= cutoff).astype(float)
+
+        def green(vals):
+            kernel = vals <= cutoff
+            return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals))
+
+        for level in lb.levels:
+            if pk.blockwise:
+                vals = full[lb.levels.index(level)][0]
+                want = int(np.sum(vals <= cutoff, axis=1) @ lb.weight)
+            else:
+                want = 0
+                for r in np.flatnonzero((full[0][0] <= cutoff).any(axis=1)):
+                    kern = full[0][1][r][lb.level_slices[level]][:, full[0][0][r] <= cutoff]
+                    s = np.linalg.svd(kern, compute_uv=False)
+                    if len(s) and s[0] > RANK_CUTOFF:
+                        want += int(lb.weight[r]) * int(np.sum(s > RANK_CUTOFF * s[0]))
+            assert pk.kernel_dimension(level) == want, (kind, level)
+
+        for level in [None, *lb.levels]:
+            index, rows = [], []
+            for i, r in enumerate(lb.rep):
+                for key, (vals, vecs), b in zip(pk._levels, full, pk.blocks):
+                    if pk.blockwise and level is not None and key != level:
+                        continue
+                    for j in np.flatnonzero(vals[r] <= cutoff):
+                        row = np.zeros(lb.size, dtype=complex)
+                        row[b] = vecs[r][:, j]
+                        index.append(i)
+                        rows.append(row)
+            got_index, got_rows = pk.harmonic_basis_rows(level)
+            assert got_index.tolist() == index, (kind, level)
+            assert got_rows.tobytes() == np.array(rows, dtype=complex).reshape(-1, lb.size).tobytes()
+
+        at = lb.rep[scattered]
+        for weights, pk_weights in ((harmonic, pk.harmonic_weights), (green, pk.green_weights)):
+            out = np.zeros_like(coords)
+            mats = np.zeros((len(at), lb.size, lb.size), dtype=complex)
+            for (vals, vecs), b in zip(full, pk.blocks):
+                v = vecs[at]
+                inner = weights(vals[at])[..., None] * (hodge._adjoint(v) @ coords[:, b, None])
+                out[:, b] = (v @ inner)[..., 0]
+                mats[:, b, b] = (v * weights(vals[at])[..., None, :]) @ hodge._adjoint(v)
+            assert pk.apply(scattered, coords, pk_weights).tobytes() == out.tobytes(), kind
+            assert pk.matrix(scattered, pk_weights).tobytes() == mats.tobytes(), kind

@@ -134,8 +134,9 @@ def ref_map(sigma, per_mode):
     return ref_spinor(sigma.geometry, sigma.box, vectors)
 
 
-def every_vector(spectra):
-    """Every representative's eigenvectors, per block."""
+def every_eigen(spectra):
+    """Every representative's eigenvalues and eigenvectors, one pair per
+    block, from a direct eigh at each representative."""
     return spectra.decompose(np.arange(len(spectra.level_basis.weight)))
 
 
@@ -144,28 +145,30 @@ def box_modes(ctx):
     return [tuple(mode) for mode in ctx.level_basis.modes.tolist()]
 
 
-def ref_spectral(spectra, all_vecs, index, coords, weights):
+def ref_spectral(spectra, every, index, coords, weights):
     """weights(L) at box mode ``index``, from its representative's spectra;
-    ``all_vecs`` is ``every_vector(spectra)``, read once by the caller."""
+    ``every`` is ``every_eigen(spectra)``, read once by the caller."""
     out = np.zeros_like(coords)
     index = spectra.level_basis.rep[index]
-    for vals, vecs, b in zip(spectra.vals, all_vecs, spectra.blocks):
+    for (vals, vecs), b in zip(every, spectra.blocks):
         v = vecs[index]
         out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
     return out
 
 
-def ref_kernel_dimension(ctx, pk, vecs, level, indices):
+def ref_kernel_dimension(ctx, pk, every, level, indices):
     """The kernel dimension summed over box modes ``indices``, one mode at a
-    time; ``vecs`` is ``every_vector(pk)``, read once by the caller."""
+    time, each read at its own representative; ``every`` is
+    ``every_eigen(pk)``, read once by the caller."""
     rep = pk.level_basis.rep
     if pk.blockwise:
-        vals = pk.vals[pk._levels.index(level)]
+        vals = every[pk._levels.index(level)][0]
         return sum(int(np.sum(vals[rep[i]] <= pk.cutoff)) for i in indices)
     total = 0
     sl = ctx.level_basis.level_slices[level]
+    vals, vecs = every[0]
     for i in rep[list(indices)]:
-        kern = vecs[0][i][:, pk.vals[0][i] <= pk.cutoff]
+        kern = vecs[i][:, vals[i] <= pk.cutoff]
         if kern.shape[1] == 0:
             continue
         s = np.linalg.svd(kern[sl, :], compute_uv=False)
@@ -174,13 +177,13 @@ def ref_kernel_dimension(ctx, pk, vecs, level, indices):
     return total
 
 
-def ref_harmonic_basis(ctx, pk, all_vecs, level):
-    """The kernel spinors mode by mode; ``all_vecs`` is
-    ``every_vector(pk)``, read once by the caller."""
+def ref_harmonic_basis(ctx, pk, every, level):
+    """The kernel spinors mode by mode, each read at its own representative;
+    ``every`` is ``every_eigen(pk)``, read once by the caller."""
     out = []
     lb = pk.level_basis
     for i, mode in zip(lb.rep, box_modes(ctx)):
-        for key, vals, vecs, sl in zip(pk._levels, pk.vals, all_vecs, pk.blocks):
+        for key, (vals, vecs), sl in zip(pk._levels, every, pk.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue
             for j in np.flatnonzero(vals[i] <= pk.cutoff):
@@ -188,6 +191,18 @@ def ref_harmonic_basis(ctx, pk, all_vecs, level):
                 coords[sl] = vecs[i][:, j]
                 out.append(ref_spinor(ctx.geometry, ctx.box, {mode: lb.basis @ coords}))
     return out
+
+
+def gap_cutoff(spectra):
+    """A cutoff in the spectral gap just above the median eigenvalue of the
+    first pass: midway between the median and the least eigenvalue above
+    it by more than rounding.  The members of an orbit of the lattice
+    symmetries share an eigenvalue only to rounding, so a cutoff at an
+    eigenvalue could split them."""
+    vals = np.concatenate([v.ravel() for v in spectra.vals])
+    median = float(np.median(vals))
+    above = vals[vals > median + 1e-9 * max(1.0, abs(median))]
+    return (median + float(above.min())) / 2
 
 
 def ref_frame_coordinates(s, sigma):
@@ -242,7 +257,7 @@ def test_apply_rejects_modes_outside_the_box(case):
 def test_spectral_maps_match_per_mode(case, kind):
     s, _, ctx = case
     lb, pk = ctx.level_basis, ctx.package(kind)
-    vecs = every_vector(pk)
+    every = every_eigen(pk)
     maps = [
         (pk.harmonic, pk.harmonic_weights),
         (pk.green, pk.green_weights),
@@ -253,7 +268,7 @@ def test_spectral_maps_match_per_mode(case, kind):
             want = ref_map(
                 sigma,
                 lambda mode, v: lb.basis
-                @ ref_spectral(pk, vecs, lb.positions([mode])[0], lb.basis_inv @ v, weights),
+                @ ref_spectral(pk, every, lb.positions([mode])[0], lb.basis_inv @ v, weights),
             )
             _assert_close(method(sigma), want)
 
@@ -261,19 +276,22 @@ def test_spectral_maps_match_per_mode(case, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("cutoff", ["package", "median"])
 def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch):
+    """The kernel dimensions, read at the least representative of each
+    orbit of the lattice symmetries, and the harmonic bases equal a direct
+    count and basis at every mode's own representative, at the package's
+    cutoff and at one in the gap around the median eigenvalue."""
     s, _, ctx = case
     pk = ctx.package(kind)
     if cutoff == "median":
         # kernels at many modes and in several blocks fix the basis order
-        median = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
-        monkeypatch.setattr(pk, "cutoff", median)
+        monkeypatch.setattr(pk, "cutoff", gap_cutoff(pk))
     everywhere = range(len(ctx.level_basis.modes))
-    vecs = every_vector(pk)
+    every = every_eigen(pk)
     for k in s.levels():
-        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, vecs, k, everywhere)
+        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, every, k, everywhere)
     for level in [None, *s.levels()]:
         got = pk.harmonic_basis(level)
-        want = ref_harmonic_basis(ctx, pk, vecs, level)
+        want = ref_harmonic_basis(ctx, pk, every, level)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert {m: f.coeffs for m, f in a.comps.items()} == {
@@ -376,7 +394,7 @@ def test_algebroid_maps_match_per_mode(case):
     s, m, _ = case
     alg = AlgebroidHodge(s, m)
     sp = alg._spectra
-    vecs = every_vector(sp)
+    every = every_eigen(sp)
     rng = np.random.default_rng(31)
     for degree in range(1, s.dim + 1):
         terms = {
@@ -387,7 +405,7 @@ def test_algebroid_maps_match_per_mode(case):
         coords = ref_poly_coords(alg, poly)
         for method, weights in [(alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)]:
             vectors = {
-                mode: ref_spectral(sp, vecs, alg.level_basis.positions([mode])[0], c, weights)
+                mode: ref_spectral(sp, every, alg.level_basis.positions([mode])[0], c, weights)
                 for mode, c in coords.items()
             }
             got, want = method(poly), ref_poly(alg, vectors, degree)

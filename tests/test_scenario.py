@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -832,9 +833,11 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     # the first pass of each package the experiment built, outside the
     # report: the identity suite builds all five and the tables none.
     # A pass goes CHUNK_BYTES / (16 N^2 stacks) representatives at a time,
-    # 4096 at N = 4, a quarter of that for the d kind's four stacks, so
-    # T^2's 5 representatives take one chunk
-    passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1}
+    # 4096 at N = 4, a quarter of that for the d kind's four stacks, and it
+    # eigendecomposes the 3 of T^2's 5 representatives that stand for the
+    # orbits of the complex structure's 4 lattice symmetries: one chunk
+    passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1,
+               "group": 4, "decomposed": 3}
               for kind in ("dbar", "bc", "aeppli", "d", "del")]
     assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
     # the rank stacks the first table computed, one pass of one chunk each
@@ -851,12 +854,16 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
-    """Each sidecar entry gives the box's modes, how many of them the
-    runner's context decomposes and how many its rank passes rank: none
-    before the context exists or ranks; the 5 representatives of the 9
-    untwisted T^2 modes, 3 of them ranked, one per orbit of the complex
-    structure's 4 lattice symmetries; every mode when twisted, and 27 of
-    the 81 ranked.  The report holds no such count."""
+    """Each sidecar entry gives the box's modes, how many representatives
+    the runner's context has eigendecomposed so far and how many its rank
+    passes rank, none before the context exists, decomposes or ranks.  A
+    hodge-table builds no package: of the 9 untwisted T^2 modes it ranks 3,
+    one per orbit of the complex structure's 4 lattice symmetries, and
+    decomposes the one mode whose orbit has a d kernel, mode 0; twisted
+    T^4 K=1 ranks 27 of its 81 modes and decomposes one.  An identity suite
+    builds all five packages, whose first passes decompose 3 modes each,
+    and its identities read the other 2 representatives of each: 25.  The
+    report holds no such count."""
     config = _deformation_config()
     config["experiments"] = [
         {"kind": "criterion", "t": [0.1], "samples": 1},
@@ -865,7 +872,7 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
     report, timings = run_scenario(config)
     assert [t["modes"] for t in timings] == [
         {"box": 9, "decomposed": 0, "ranked": 0},
-        {"box": 9, "decomposed": 5, "ranked": 3},
+        {"box": 9, "decomposed": 1, "ranked": 3},
     ]
     assert '"decomposed"' not in report_to_json(report)
     twisted = {
@@ -874,7 +881,34 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
         "structure": {"type": "complex", "H": [{"indices": [0, 1, 2], "c": [1.0, 0]}]},
         "experiments": [{"kind": "hodge-table"}],
     }
-    assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 81, "ranked": 27}
+    assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 1, "ranked": 27}
+    report, timings = run_scenario(minimal_config())
+    assert timings[0]["modes"] == {"box": 9, "decomposed": 25, "ranked": 0}
+    assert '"decomposed"' not in report_to_json(report)
+
+
+def test_t4_deform_eigendecomposes_at_most_3000_laplacian_blocks(monkeypatch):
+    """The benchmark's t4-deform config, complex T^4 K=2 with two extends
+    and a scan over six deformed structures, hands ``np.linalg.eigh`` at
+    most 3,000 matrices in process (2,876): each package's first pass
+    decomposes one mode per orbit of its structure's lattice symmetries, 28
+    of the 313 representatives undeformed and 91 on each deformed
+    structure, and a read decomposes only the representatives it reads.  A
+    first pass over every representative made 10,996.  A count is
+    deterministic, so a regression shows here without timing."""
+    import numpy as np
+
+    config = json.loads((BENCH_CONFIGS / "t4-deform" / "t4_deform.json").read_text("utf-8"))
+    matrices = []
+
+    def counting(a, *args, _real=np.linalg.eigh, **kwargs):
+        matrices.append(len(a) if np.ndim(a) > 2 else 1)
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    report, _ = run_scenario(config)
+    assert [exp["status"] for exp in report["experiments"]] == ["pass", "pass", "pass"]
+    assert sum(matrices) <= 3000
 
 
 def test_timings_sidecar_times_each_identity_suite():
@@ -1192,6 +1226,36 @@ def test_report_digests_tool_hashes_the_canonical_report():
     path = SCENARIOS / "t2_complex_identity.json"
     golden = GOLDENS / "t2-complex-identity.json"
     assert tool.digest(json.loads(path.read_text())) == hashlib.sha256(golden.read_bytes()).hexdigest()
+
+
+def test_report_digests_tool_compares_against_a_saved_file(tmp_path, capsys, monkeypatch):
+    """``tools/report_digests.py --against FILE`` prints the digests as
+    without it and exits 0 when FILE holds each of them, and otherwise
+    exits 1 and names on stderr every config whose digest differs from
+    FILE's or is missing from it, and no other."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "tools" / "report_digests.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    shipped = [(f"scenarios/{p.name}", json.loads(p.read_text())) for p in sorted(SCENARIOS.glob("*.json"))][:3]
+    monkeypatch.setattr(tool, "configs", lambda: iter(shipped))
+    assert tool.main([]) == 0
+    printed = capsys.readouterr().out
+    saved = tmp_path / "digests.txt"
+    saved.write_text(printed)
+    assert tool.main(["--against", str(saved)]) == 0
+    out, err = capsys.readouterr()
+    assert out == printed and err == ""
+    second, third = shipped[1][0], shipped[2][0]
+    lines = printed.splitlines()
+    saved.write_text("\n".join([lines[0], f"{second} {'0' * 64}"]) + "\n")
+    assert tool.main(["--against", str(saved)]) == 1
+    out, err = capsys.readouterr()
+    assert out == printed
+    assert err.splitlines() == [f"{second}: differs from {saved}", f"{third}: missing from {saved}"]
 
 
 def test_hodge_peaks_tool_estimate_covers_the_traced_peak(capsys):

@@ -3,13 +3,18 @@ and every benchmark config, to check that a change leaves reports
 byte-identical:
 
     python3 tools/report_digests.py > digests.txt
+    python3 tools/report_digests.py --against digests.txt
+
+With ``--against FILE`` it also compares each digest with the one FILE
+gives for the same name, and exits 1 after naming every config whose digest
+differs from FILE's or is missing from it.
 
 The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
 seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
-and ``inline/<name>`` for the identity suites, Hodge tables, expansion and
-criterion of ``INLINE``, which run the T^4 and T^6 paths that no shipped or
-benchmark config reaches.
+and ``inline/<name>`` for the identity suites, Hodge tables, expansion,
+criterion and deformation runs of ``INLINE``, which run the T^4 and T^6
+paths that no shipped or benchmark config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
 ``perfbench/``.
@@ -17,11 +22,12 @@ The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
@@ -78,6 +84,16 @@ def _criterion(name: str, n: int, K: int, terms: Dict, t, samples: int) -> Dict:
     return config
 
 
+def _deform(name: str, structure: Dict, metric=None) -> Dict:
+    """The ``t4-deform`` benchmark config, two extends and a scan of complex
+    T^4 K=2 under its constant deformation, on another structure or metric."""
+    config = json.loads((ROOT / "perfbench/configs/t4-deform/t4_deform.json").read_text("utf-8"))
+    config.update(name=name, structure=structure)
+    if metric:
+        config["metric"] = metric
+    return config
+
+
 def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
     """The ``t4-expand`` benchmark config on another structure: its two
     first-order terms expanded to order 3 under ``drop``, then ``criterion``."""
@@ -93,9 +109,13 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 # T^4 K=2, whose lattice symmetries are 16 and 4, on T^6 K=1, untwisted and
 # twisted (1-2 s each), and on complex T^6 K=2 (384 symmetries), and a Maurer-Cartan
 # expansion on twisted T^4 K=3, whose higher orders go through the twisted
-# algebroid's Green operator (0.15 s), and a constant-eps criterion on T^4
-# K=2, whose samples go through the deformed T^4 structure (0.1 s), timed on
-# a 2-vCPU x86-64 host
+# algebroid's Green operator (0.15 s), a constant-eps criterion on T^4
+# K=2, whose samples go through the deformed T^4 structure (0.1 s), and the
+# t4-deform experiments with g = diag(1, 2, 1, 2) (16 symmetries; pass,
+# pass, pass) and on the twisted T^4, where every mode is a representative
+# (finding, pass, finding), so that the packages' kernel classification on
+# smaller groups and the scan's deformed side are digested (0.15 s each),
+# timed on a 2-vCPU x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
@@ -111,6 +131,8 @@ INLINE = [
     _hodge_table("t6-complex-K2-hodge", 3, 2, {"type": "complex"}),
     _expand("t4-twisted-expand", 2, 3, _TWISTED),
     _criterion("t4-constant-criterion", 2, 2, {"0,2": 0.3}, [0.1, 0.3], 20),
+    _deform("t4-unequal-g-deform", {"type": "complex"}, _UNEQUAL_G),
+    _deform("t4-twisted-deform", _TWISTED),
 ]
 
 
@@ -133,10 +155,24 @@ def configs() -> Iterator[Tuple[str, Dict]]:
         yield f"inline/{config['name']}", config
 
 
-def main() -> int:
+def main(argv: List[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE", type=Path,
+                        help="a saved output of this tool to compare every digest with")
+    args = parser.parse_args(argv)
+    saved: Dict[str, str] = {}
+    if args.against:
+        saved = dict(line.split() for line in args.against.read_text("utf-8").splitlines() if line.strip())
+    moved = []
     for name, config in configs():
-        print(name, digest(config), flush=True)
-    return 0
+        value = digest(config)
+        print(name, value, flush=True)
+        if args.against and saved.get(name) != value:
+            moved.append(name)
+    for name in moved:
+        state = "missing from" if name not in saved else "differs from"
+        print(f"{name}: {state} {args.against}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
