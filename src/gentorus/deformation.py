@@ -293,12 +293,13 @@ class AlgebroidHodge:
     are the raising blocks of those of d_H in the level basis
     (``hodge._LevelBasis``); they are kept for ``dL_adjoint`` alone.  The
     Laplacians are the dbar Laplacian's level blocks, which read only the
-    raising blocks of d, eigendecomposed in stacked chunks by
-    ``hodge._ModeSpectra(lb, "dbar")``, which keeps the eigenvalues at one
-    representative per orbit of the structure's lattice symmetries, for
-    the kernel cutoff, and eigendecomposes each representative that the
-    Green operator or projector reads when it is first read: bitwise the
-    spectra of the context's dbar package.  When C is exactly zero the
+    raising blocks of d, eigendecomposed in stacked chunks by a bare
+    ``hodge._ModeSpectra(lb, "dbar")`` on its own level basis.  That counts
+    the kernel at each representative from the level basis's dbar rank
+    stacks, ranked once per orbit of the structure's lattice symmetries,
+    and eigendecomposes each representative that the Green operator or
+    projector reads when it is first read: bitwise the kernel counts and
+    spectra of the context's dbar package, with no context built.  When C is exactly zero the
     differential is odd in k, so the Laplacians at +-k are bitwise equal
     and the representatives are the first half of the box, mode 0
     included; otherwise every mode is one.  A polynomial's coefficient rows
@@ -397,7 +398,7 @@ def maurer_cartan_expand(
         if key not in ((1, 0), (0, 1)):
             raise DeformationError("first-order data must sit at orders (1,0), (0,1)")
         defect = lie_derivation_dL(poly, structure).norm()
-        if defect > tol * max(1.0, poly.norm()):
+        if not defect <= tol * max(1.0, poly.norm()):
             raise ObstructionError(
                 "first-order coefficient is not d_L-closed",
                 {"residual": defect},
@@ -421,14 +422,14 @@ def maurer_cartan_expand(
             if rhs.is_zero(1e-16):
                 continue
             harm = hodge.harmonic(rhs).norm()
-            if harm > tol * max(1.0, rhs.norm()):
+            if not harm <= tol * max(1.0, rhs.norm()):
                 raise ObstructionError(
                     f"Kuranishi obstruction at order ({i},{j})",
                     {"harmonic_norm": harm, "order": f"{i},{j}"},
                 )
             sol = hodge.dL_adjoint(hodge.green(rhs))
             resid = lie_derivation_dL(sol, structure).add(rhs.scale(-1)).norm()
-            if resid > tol * max(1.0, rhs.norm()):
+            if not resid <= tol * max(1.0, rhs.norm()):
                 raise ObstructionError(
                     f"d_L solve failed at order ({i},{j})",
                     {"residual": resid, "order": f"{i},{j}"},
@@ -955,7 +956,7 @@ def extend_closed_form(
     level = structure.level_of(sigma00)
     pk = context.package("dbar")
     harm_defect = (pk.harmonic(sigma00) - sigma00).norm()
-    if harm_defect > tol * max(1.0, sigma00.norm()):
+    if not harm_defect <= tol * max(1.0, sigma00.norm()):
         raise ObstructionError(
             "seed is not harmonic for the raising Laplacian",
             {"defect": harm_defect},
@@ -1021,7 +1022,7 @@ def extend_closed_form(
                 rhs = context.apply("del", y).scale(-1)
                 scale = max(1.0, rhs.norm(), gamma0.norm())
                 harm = pk.harmonic(rhs).norm()
-                if harm > tol * scale:
+                if not harm <= tol * scale:
                     raise ObstructionError(
                         f"extension obstruction at order ({p},{q})",
                         {"harmonic_norm": harm, "order": f"{p},{q}", "scale": scale},
@@ -1051,7 +1052,7 @@ def extend_closed_form(
                 scale = max(1.0, tau.norm(), gamma0.norm())
                 closed = context.apply("dbar", tau).norm()
                 harm = pk.harmonic(tau).norm()
-                if closed > tol * scale or harm > tol * scale:
+                if not (closed <= tol * scale and harm <= tol * scale):
                     raise ObstructionError(
                         f"extension obstruction at order ({p},{q})",
                         {
@@ -1066,7 +1067,7 @@ def extend_closed_form(
                     sig = context.apply("dbar_adj", pk.green(tau))
                 eq_res = (context.apply("dbar", sig) - tau).norm()
                 low_res = float("nan")
-            if eq_res > tol * scale:
+            if not eq_res <= tol * scale:
                 raise ObstructionError(
                     f"order ({p},{q}) solve failed",
                     {"equation_residual": eq_res, "order": f"{p},{q}"},

@@ -307,7 +307,7 @@ def _matrix_identities(ctx: HodgeContext) -> List[Dict]:
             "d_split": _worst(d - dl - db) / np.maximum(1.0, top),
         }
         for k, v in values.items():
-            worst[k] = max(worst[k], v.max())
+            worst[k] = np.maximum(worst[k], v.max())
     return [entry(k, v, 1e-9) for k, v in worst.items()]
 
 
@@ -322,7 +322,7 @@ def _adjointness(ctx: HodgeContext, rng: np.random.Generator, samples: int = 5) 
         for name in worst:
             lhs = metric.bi_inner(ctx.apply(name, alpha), beta)
             rhs = metric.bi_inner(alpha, ctx.apply(name + "_adj", beta))
-            worst[name] = max(worst[name], abs(lhs - rhs) / scale)
+            worst[name] = np.maximum(worst[name], abs(lhs - rhs) / scale)
     return [entry(f"adjointness_{k}", v, 1e-9) for k, v in worst.items()]
 
 
@@ -361,14 +361,14 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
             hbasis = _range_basis(hmat)
             hdim = _basis_rank(hbasis)
             dim_mismatch += int(np.sum(weight * (hdim != _basis_rank(null))))
-            containment = max(containment, float(np.abs(null - hmat @ null).max()))
+            containment = np.maximum(containment, np.abs(null - hmat @ null).max())
             total = hdim + _basis_rank(second) + _basis_rank(third)
             decomp_dim_defect += int(np.sum(weight * np.abs(total - ctx.level_basis.size)))
-            orth = max(
+            orth = np.maximum.reduce([
                 orth,
-                *(float(np.abs(_adjoint(a) @ b).max())
+                *(np.abs(_adjoint(a) @ b).max()
                   for a, b in ((hbasis, second), (second, third), (hbasis, third))),
-            )
+            ])
         out.append(entry(f"kernel_characterization_dim_{kind}", dim_mismatch, 0.0))
         out.append(entry(f"kernel_containment_{kind}", containment, 1e-9))
         out.append(entry(f"decomposition_dims_{kind}", decomp_dim_defect, 0.0))
@@ -401,7 +401,7 @@ def _green_commutation(ctx: HodgeContext) -> List[Dict]:
         }
         for i, resid in resids.items():
             key = f"green_identity_{i}"
-            worst[key] = max(worst[key], (resid / scale).max())
+            worst[key] = np.maximum(worst[key], (resid / scale).max())
     return [entry(k, v, 1e-9) for k, v in worst.items()]
 
 
@@ -415,8 +415,8 @@ def _star_conjugation(ctx: HodgeContext) -> List[Dict]:
     for sel in _rep_chunks(ctx):
         dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
         scale = np.maximum(1.0, np.maximum(_worst(dl), _worst(db)))
-        worst = max(worst, (_worst(_adjoint(db) - star @ dl @ star_inv) / scale).max())
-        worst_del = max(worst_del, (_worst(_adjoint(dl) - star @ db @ star_inv) / scale).max())
+        worst = np.maximum(worst, (_worst(_adjoint(db) - star @ dl @ star_inv) / scale).max())
+        worst_del = np.maximum(worst_del, (_worst(_adjoint(dl) - star @ db @ star_inv) / scale).max())
     return [
         entry("star_conjugation_dbar_adj", worst, 1e-9),
         entry("star_conjugation_del_adj", worst_del, 1e-9),
@@ -436,11 +436,11 @@ def _kaehler_diagnostic(ctx: HodgeContext) -> List[Dict]:
     for sel in _rep_chunks(ctx):
         ld, ldel, ldbar = (ctx._laplacian(kind, sel) for kind in ("d", "del", "dbar"))
         scale = np.maximum(1.0, _worst(ld))
-        worst = max(
+        worst = np.maximum.reduce([
             worst,
-            float((_worst(ld - 2 * ldel) / scale).max()),
-            float((_worst(ld - 2 * ldbar) / scale).max()),
-        )
+            (_worst(ld - 2 * ldel) / scale).max(),
+            (_worst(ld - 2 * ldbar) / scale).max(),
+        ])
     return [entry("kaehler_laplacian_identity", worst, 1e-9)]
 
 
@@ -461,19 +461,19 @@ def hodge_table(ctx: HodgeContext) -> Dict:
     """Kernel dimensions per kind and level plus class-check verdicts.
 
     The class checks go first.  They are decided from rank stacks that
-    the context keeps, one int per representative mode.  The kernel
-    dimensions are rank identities over the same stacks
-    (``HodgeContext.kernel_counts``): the table builds no package and no
-    Laplacian spectra, and ranks anew only the two parity blocks of d,
-    whose Laplacian it eigendecomposes only at the modes that have a
-    kernel, for the kernel's level content.  ``warnings`` appears when
+    the context's level basis keeps, one int per representative mode.  The
+    kernel dimensions are rank identities over the same stacks
+    (``_LevelBasis.kernel_counts``), the counts the packages read: the
+    table builds no package, and ranks anew only the two parity blocks of
+    d, whose Laplacian the level basis eigendecomposes once, only at the
+    modes that have a kernel, for the kernel's level content.  ``warnings`` appears when
     singular values of the stacks read lie within 10x of the rank cut.
     """
     checks = {
         str(k): {kind: ctx.class_check(kind, k)["holds"] for kind in CHECK_KINDS}
         for k in ctx.structure.levels()
     }
-    counts, gap = ctx.kernel_counts(("dbar", "bc", "aeppli", "d"))
+    counts, gap = ctx.level_basis.kernel_counts(("dbar", "bc", "aeppli", "d"))
     dims = {kind: {str(k): n for k, n in per_level.items()} for kind, per_level in counts.items()}
     table = {"kernel_dimensions": dims, "class_checks": checks}
     if gap:

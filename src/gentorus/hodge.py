@@ -4,12 +4,13 @@ Constant structures make every operator block-diagonal over Fourier modes.
 On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
 ``GCStructure.differentials["d"]`` changed to that basis.  One object per
-box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes
-and their representatives; contexts, packages and the algebroid read them
-there and copy none.  Each reader builds d at exactly the modes it asks for
-(``_LevelBasis.d``), a chunk of representatives, the modes of a spinor,
-or one level block at a chunk of representatives, and these are bitwise the
-rows and blocks of a stack over the whole box, which is never held.  A
+box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes,
+their representatives and the rank stacks; contexts, packages and the
+algebroid read them there and copy none.  Each reader builds d at exactly
+the modes it asks for (``_LevelBasis.d``), a chunk of representatives, the
+modes of a spinor, or one level block at a chunk of representatives, and
+these are bitwise the rows and blocks of a stack over the whole box, which
+is never held.  A
 pass over the representatives goes by chunks bounded in bytes, not modes:
 ``_chunk_length`` gives the representatives whose (m, N, N) stacks, as
 many as the pass holds at once, fit in CHUNK_BYTES.
@@ -18,8 +19,9 @@ The Laplacians are assembled per diagonal block from products of the level
 blocks of d (one block per level; the whole matrix for the level-mixing d
 Laplacian), so their entries off the blocks are exact zeros, and each
 block is eigendecomposed by batched ``eigh``, one chunk of modes at a
-time, the kernel split off by a relative cutoff; the Green operator is the
-pseudo-inverse on the kernel complement.  The class checks (the
+time; the Green operator is the pseudo-inverse on the kernel complement,
+refused (LinAlgError) where an eigenvalue past the kernel reads 0 or less.
+The class checks (the
 ddbar-lemma and the solvability classes) are rank identities, as
 del^2 = dbar^2 = del dbar + dbar del = 0, so every verdict is decided
 from numerical ranks alone: of level blocks of d, of dbar del on a level,
@@ -32,18 +34,27 @@ The Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar
 complex in polynomial coordinates (P maps to P . rho0), so it holds no
 operator of its own: its differential is the raising blocks of the level
 basis's d, and its spectra are those of the dbar Laplacian, which reads
-only those blocks.  The kernel dimensions of the dbar, bc, aeppli and d
-Laplacians are rank identities over the same rank stacks
-(``HodgeContext.kernel_counts``), with d ranked by its two parity blocks,
-so a hodge-table builds no package and no Laplacian spectra: it
-eigendecomposes the d Laplacian only at the least member of each orbit
-(below) that has a kernel, for the kernel's level content.  What a context
-holds over the modes is its rank stacks, one int per representative mode
-and cut, and the packages' eigenvalues at the least member of each orbit.
-A package is the spectra of its kind (``HodgePackage`` subclasses
-``_ModeSpectra``), and it eigendecomposes, by the same batched ``eigh``,
-each representative that its projector, Green operator or harmonic basis
-reads, once, and keeps it.
+only those blocks.
+
+There is one kernel rule.  The kernel of each kind of Laplacian is
+ker A cap ker B* for a pair A, B of rank stacks with A B = 0, so its
+dimension at a representative is a rank identity, N_k - r(A) - r(B)
+(``_LevelBasis.kernel_sizes``), with d ranked by its two parity blocks.
+No eigenvalue is compared with a cutoff: a cutoff scaled to the spectrum
+reads a kernel that moves with the scale of the metric, while a kernel
+dimension, the dimension of a space of harmonic forms, does not.  The
+kernel dimensions over the box (``_LevelBasis.kernel_counts``) weight
+these counts by the modes, so a hodge-table builds no package and no
+Laplacian spectra: it eigendecomposes the d Laplacian only at the least
+member of each orbit (below) that has a kernel, once per level basis, for
+the kernel's level content.  A package is the spectra of its kind
+(``HodgePackage`` subclasses ``_ModeSpectra``): its kernel at a
+representative is the m eigenvectors of smallest eigenvalue, m that rank
+count, and its kernel dimensions are those same counts.  It
+eigendecomposes, by the same batched ``eigh``, each representative that
+its projector, Green operator or harmonic basis reads, once, and keeps it.
+What a level basis holds over the modes is its rank stacks, one int per
+representative mode and cut.
 
 On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
 k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
@@ -56,20 +67,18 @@ class-check dims, rank gap warnings) weights a representative by the two
 modes it stands for (one for mode 0).  On a twisted context, whose C is not
 exactly zero, every mode is a representative.
 
-Ranks and eigenvalues need no bitwise equality, so the rank passes and the
-packages' first passes fold further.  A signed permutation P of the lattice
-axes whose P + P preserves J and the generalized metric, and which
-preserves H, acts on forms by a unitary U that keeps the levels, with d at
-P m equal to U d_m U^-1: every rank of a level block of d, or of a product
-of them, and every Laplacian eigenvalue is constant on the orbits of the
-group G of such P (``_symmetry_group``; the irreducible Brillouin zone of
+Ranks need no bitwise equality, so the rank passes fold further.  A
+signed permutation P of the lattice axes whose P + P preserves J and the
+generalized metric, and which preserves H, acts on forms by a unitary U
+that keeps the levels, with d at P m equal to U d_m U^-1: every rank of a
+level block of d, or of a product of them, is constant on the orbits of
+the group G of such P (``_symmetry_group``; the irreducible Brillouin zone of
 band-structure codes), up to rounding.  The level basis labels the orbits
 of the box once (``_LevelBasis.orbits``, from ``_orbit_map``, whose group
-{I, -I} is the mirror); a context ranks each stack, and a package's first
-pass eigendecomposes, at the least representative of each orbit alone,
-weighted by the orbit's modes; complex T^4 K=3 ranks 91 of its 1201
-representatives.  U moves the eigenvectors' bits, so what a reader weights
-with comes from the ``eigh`` at its own representative.
+{I, -I} is the mirror) and ranks each stack at the least representative
+of each orbit alone, weighted by the orbit's modes; complex T^4 K=3 ranks
+91 of its 1201 representatives.  U moves the eigenvectors' bits, so what a
+reader weights with comes from the ``eigh`` at its own representative.
 
 H is real, so d is real, and conjugation maps level j to level -j: a
 level block of d at -k is the conjugate of its partner's at k, with the
@@ -112,6 +121,15 @@ SYMMETRY_RTOL = 1e-10
 CHUNK_BYTES = 1 << 20
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
+
+# per blockwise Laplacian kind, the rank keys A and B whose ker A cap ker B*
+# is its kernel on level k (``_LevelBasis.kernel_terms``)
+KERNEL_TERMS = {
+    "dbar": lambda k: [("dbar", k), ("dbar", k - 1)],
+    "del": lambda k: [("del", k), ("del", k + 1)],
+    "bc": lambda k: [("col", k), ("dbar del", k)],
+    "aeppli": lambda k: [("dbar del", k), ("row", k)],
+}
 
 # HodgeContext.check_counts: class checks decided, and rank stacks computed,
 # read from their conjugate partner's, and served from the context's cache
@@ -279,9 +297,9 @@ def _mode_mirror(modes: np.ndarray, K: int, odd: bool) -> np.ndarray:
     each one stands for.  Every value a package weights with, eigenvalue
     or eigenvector, is read at a mode's representative under this map: a
     symmetry other than -I conjugates d by a unitary, which keeps ranks and
-    eigenvalues, up to rounding, but not the eigenvectors' bits.  The
-    packages classify and count the kernel by the whole symmetry group's
-    orbits (``_LevelBasis.orbits``).
+    eigenvalues, up to rounding, but not the eigenvectors' bits.  The rank
+    stacks that the packages count their kernels from are ranked once per
+    orbit of the whole symmetry group (``_LevelBasis.orbits``).
     """
     return _orbit_map(modes, K, [-np.eye(modes.shape[1], dtype=int)] if odd else [])
 
@@ -397,7 +415,7 @@ def _orbit_index(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _partner(key: Tuple[str, int]) -> Tuple[str, int] | None:
-    """The rank key (``HodgeContext._rank_matrices``) of the stack whose
+    """The rank key (``_LevelBasis._rank_matrices``) of the stack whose
     ranks at -m are those of ``key``'s at m, or None.  d is real and
     conjugation maps level j to level -j, so the conjugate of del_j at m is
     dbar_{-j} at -m; as del dbar = -dbar del, that of Q_j is Q_{-j}, and
@@ -429,12 +447,15 @@ class _LevelBasis:
     representatives one chunk at a time.  Every reader's arrays over the
     modes are indexed by these representatives, and ``orbits`` is the one
     map of them to the orbits of the structure's lattice symmetries that
-    the rank passes and the packages share.  ``decomposed`` counts the
-    representatives handed to ``eigh`` over this basis.  Contexts, packages
-    and the algebroid read these here and copy none of them.  It holds the
-    structure and metric, for the symmetry search, but no context, so a
-    context and its packages form no reference cycle and are freed as soon
-    as the context is dropped.
+    the rank passes read.  It keeps the rank stacks (``_ranks``), which the
+    class checks and every kernel count read (``kernel_sizes``,
+    ``kernel_counts``), with their counters (``check_counts``) and passes
+    (``rank_passes``), and ``decomposed`` counts the representatives
+    handed to ``eigh`` over this basis.  Contexts, packages and the
+    algebroid read these here and copy none of them.  It holds the
+    structure and metric, for the symmetry search, but no context or
+    package, so a context and its packages form no reference cycle and are
+    freed as soon as the context is dropped.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
@@ -477,6 +498,20 @@ class _LevelBasis:
         self._orbit_labels: np.ndarray | None = None
         self.group_order = 0
         self.decomposed = 0
+        # the rank stacks, by key, and per key the singular values within
+        # 10x of the cut, weighted by the modes (``_ranks``)
+        self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
+        self._rank_gaps: Dict[Tuple[str, int], int] = {}
+        # the rank scale at the least representative of each orbit, found at
+        # the first rank pass (``_orbit_scale``), and the level content of
+        # the d kernel, at its first count (``_d_content``)
+        self._scale: np.ndarray | None = None
+        self._d_levels: Dict[int, int] | None = None
+        self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
+        # per rank stack computed: its key, the representatives its ranks
+        # cover, the symmetry group's order, the representatives it ranked,
+        # chunk length and chunks
+        self.rank_passes: List[Dict] = []
 
     def orbits(self) -> np.ndarray:
         """Per representative, the least representative of its orbit under
@@ -542,6 +577,236 @@ class _LevelBasis:
     def spinor(self, modes, coords: np.ndarray) -> Spinor:
         """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
         return Spinor.from_modes(self.geometry, self.box, modes, coords @ self.basis.T)
+
+    def kernel_terms(self, kind: str) -> List[Tuple[int, List[Tuple[str, int]], int]]:
+        """Per diagonal block of the ``kind`` Laplacian (``blocks``), its
+        size, the rank keys (``_rank_matrices``) and how many times their
+        ranks its kernel falls short of that size by, per representative:
+        with N_k the size of level k and the names of
+        ``HodgeContext.class_check``,
+
+        - dbar: N_k - r(dbar_k) - r(dbar_{k-1});
+        - del: N_k - r(del_k) - r(del_{k+1});
+        - bc: N_k - r(Col_k) - r(Q_k);
+        - aeppli: N_k - r(Q_k) - r(Row_k);
+        - d: N - 2 r(d).  d flips the parity of the level, so its rank is
+          the sum of those of its two parity blocks.
+
+        For the pair A, B of keys, ker A cap ker B* is the Laplacian's
+        kernel, and as A B = 0 its dimension is dim ker A - r(B)."""
+        if kind == "d":
+            return [(self.size, [("d", 0), ("d", 1)], 2)]
+        if kind not in KERNEL_TERMS:
+            raise ValueError(f"unknown Laplacian kind {kind!r}")
+        return [(self.level_slices[k].stop - self.level_slices[k].start, KERNEL_TERMS[kind](k), 1)
+                for k in self.levels]
+
+    def kernel_sizes(self, kind: str) -> List[np.ndarray]:
+        """Per diagonal block of the ``kind`` Laplacian, the dimension of
+        its kernel at every representative, counted from the rank stacks
+        (``kernel_terms``)."""
+        return [size - times * sum(self._ranks(key)[:, 0] for key in keys)
+                for size, keys, times in self.kernel_terms(kind)]
+
+    def kernel_counts(self, kinds: Iterable[str]) -> Tuple[Dict[str, Dict[int, int]], int]:
+        """Per kind of ``kinds`` and level, the dimension of the kernel of
+        its Laplacian over the box, counted from the rank stacks
+        (``kernel_sizes``) with each representative weighted by the modes it
+        stands for; and how many singular values of the stacks read lie
+        above the rank cut but within 10x of it, each stack counted once (a
+        stack read from its conjugate partner has its partner's singular
+        values, so its partner's count).  The level-mixing d kernel is
+        counted level by level (``_d_content``).  The stacks of dbar, bc and
+        aeppli are those the class checks read, so after the checks only
+        the two parity blocks of d are ranked anew, each its own conjugate
+        partner."""
+        dims: Dict[str, Dict[int, int]] = {}
+        read = set()
+        for kind in kinds:
+            read.update(self._rank_key(key) for _, keys, _ in self.kernel_terms(kind) for key in keys)
+            dims[kind] = (self._d_content() if kind == "d" else
+                          {k: int(m @ self.weight) for k, m in zip(self.levels, self.kernel_sizes(kind))})
+        return dims, sum(self._rank_gaps[key] for key in read)
+
+    def _d_content(self) -> Dict[int, int]:
+        """Per level, the dimension of the level content of the d kernel: at
+        the least representative of each orbit (``orbits``) that has a
+        kernel, the d Laplacian is eigendecomposed whole and its m
+        eigenvectors of smallest eigenvalue, m the kernel's dimension there
+        (``kernel_sizes``), are counted level by level (``_level_content``),
+        weighted by the orbit's modes.  Found at the first read and kept; no
+        eigenvector is kept."""
+        if self._d_levels is None:
+            kernel = self.kernel_sizes("d")[0]
+            least, weight = self.orbit_reps()
+            rows = np.flatnonzero(kernel[least] > 0)
+            vecs = _eigh(self, "d", least[rows], self.spectra_chunk("d"))[0][1] if len(rows) else []
+            kernels = (v[:, :m] for v, m in zip(vecs, kernel[least[rows]]))
+            self._d_levels = _level_content(self, kernels, weight[rows])
+        return dict(self._d_levels)
+
+    def _block(self, row_level: int, col_level: int, sel: slice) -> np.ndarray:
+        """The level block of d at the representatives picked by ``sel``:
+        del one level down, dbar one up.  Built from the same block of C and
+        the A_a, so bitwise that block of d, and no larger."""
+        rows, cols = self.level(row_level), self.level(col_level)
+        return _stack_linear(self.const[rows, cols], self.slopes[:, rows, cols], self.modes[sel])
+
+    def _floor(self, reps: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+        """At the representatives ``reps`` (an index array; every
+        representative when None), the operator scale and the absolute rank
+        floor tied to it.  The scale is the largest entry of d, read one
+        level block (k +- 1, k) at a time (``_block``): d moves the level by
+        one, so these blocks hold all of d, and no whole d stack is built.
+        The rank passes read it at the orbit representatives they rank
+        (``_orbit_scale``)."""
+        if reps is None:
+            reps = np.arange(len(self.weight))
+        blocks = [(k + s, k) for k in self.levels for s in (-1, 1) if k + s in self.level_slices]
+        scale = np.maximum(1.0, np.concatenate([
+            np.max([np.abs(self._block(*b, reps[sel])).max(axis=(1, 2)) for b in blocks], axis=0)
+            for sel in _chunks(len(reps), _chunk_length(self.size, 1))
+        ]))
+        return scale, RANK_CUTOFF * scale
+
+    def _orbit_scale(self) -> np.ndarray:
+        """The rank scale (``_floor``) at the least representative of each
+        orbit of the structure's lattice symmetries (``orbits``), found at
+        the first rank pass and kept, so a level basis that ranks nothing
+        pays nothing."""
+        if self._scale is None:
+            self._scale = self._floor(self.orbit_reps()[0])[0]
+        return self._scale
+
+    def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
+        """The stack that a rank key names, at the representatives picked by
+        ``sel``: ("del", j), ("dbar", j), ("dbar del", j), ("row", k),
+        ("col", j) or ("M", k), in the notation of
+        ``HodgeContext.class_check``, or ("d", p), d's block from the levels
+        of parity p to the others."""
+        name, j = key
+
+        def block(row_level, col_level):
+            return self._block(row_level, col_level, sel)
+
+        if name == "d":
+            odd = np.zeros(self.size, dtype=int)
+            for k in self.levels:
+                odd[self.level_slices[k]] = k % 2
+            rows, cols = np.flatnonzero(odd != j), np.flatnonzero(odd == j)
+            const, slopes = self.const[np.ix_(rows, cols)], self.slopes[:, rows][:, :, cols]
+            return _stack_linear(const, slopes, self.modes[sel])
+        if name == "del":
+            return block(j - 1, j)
+        if name == "dbar":
+            return block(j + 1, j)
+        if name == "dbar del":
+            return block(j, j - 1) @ block(j - 1, j)
+        if name == "col":
+            return np.concatenate([block(j - 1, j), block(j + 1, j)], axis=-2)
+        row = np.concatenate([block(j, j + 1), block(j, j - 1)], axis=-1)
+        if name == "row":
+            return row
+        # M: d's rows of level j over dbar_{j+1} and an explicit zero block
+        below = block(j + 2, j + 1)
+        zero = np.zeros(below.shape[:-1] + (row.shape[-1] - below.shape[-1],), complex)
+        return np.concatenate([row, np.concatenate([below, zero], axis=-1)], axis=-2)
+
+    def _rank_key(self, key: Tuple[str, int]) -> Tuple[str, int]:
+        """The key under which ``_ranks`` keeps a stack: a stack with an
+        empty half is the stack of its other half."""
+        name, j = key
+        has = self.level_slices.__contains__
+        if name == "M" and not has(j - 1):
+            name, j = "col", j + 1
+        elif name == "M" and not has(j + 2):
+            name = "row"
+        if name == "row" and not has(j - 1):
+            name, j = "del", j + 1
+        elif name == "row" and not has(j + 1):
+            name, j = "dbar", j - 1
+        if name == "col" and not has(j + 1):
+            name = "del"
+        elif name == "col" and not has(j - 1):
+            name = "dbar"
+        return name, j
+
+    def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
+        """Per representative mode, the ranks of the stack that ``key`` names
+        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
+        at floor * scale, both from one values-only SVD.  Kept under
+        ``_rank_key``, once per level basis, with the count of singular
+        values above the first cut but within 10x of it, each mode weighted
+        by the modes it stands for (``_rank_gaps``).
+
+        A ranked stack is ranked at one representative per orbit of the
+        structure's lattice symmetries and read at the others
+        (``_rank_pass``).  d is real, so a stack at -m is the conjugate of
+        its partner's at m (``_partner``), and of each pair only "dbar" and
+        the member at level j <= 0 are ranked: the other is that stack read
+        through ``conjugates``, with its gap count, so the same stacks are
+        ranked whichever member is asked first.  The singular
+        values of a stack at the members of an orbit, and at its partner's,
+        agree to rounding (about 1e-14), not bitwise, and the rank floor is
+        read at the member ranked, so a value at the cut could rank apart; a
+        direct pass over every representative, each at its own floor, is
+        kept in the tests as the reference, on the floor-binding cases
+        too."""
+        key = self._rank_key(key)
+        if key in self._rank_stacks:
+            self.check_counts["ranks_reused"] += 1
+            return self._rank_stacks[key]
+        name, j = key
+        if name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
+            self._rank_pass(key)
+        else:
+            partner = _partner(key)
+            if partner not in self._rank_stacks:
+                self._rank_pass(partner)
+            self.check_counts["ranks_mirrored"] += 1
+            self._rank_stacks[key] = self._rank_stacks[partner][self.conjugates()]
+            self._rank_gaps[key] = self._rank_gaps[partner]
+        return self._rank_stacks[key]
+
+    def _rank_pass(self, key: Tuple[str, int]) -> None:
+        """Rank the stack that ``key`` names at one representative per orbit
+        of the structure's lattice symmetries G (``orbits``), over chunks of
+        ``_chunk_length`` of them for one d stack (its blocks of d are
+        smaller than d), and keep its ranks at every representative and its
+        gap count (``_ranks``).  A symmetry P conjugates d at m into d at
+        P m by a level-block-diagonal unitary, so every stack has the same
+        ranks over an orbit, and each ranked representative is weighted by
+        the modes of its orbit.  A stack that is its own partner has the
+        same ranks at a representative and at its conjugate, so it is ranked
+        once per orbit of G and -I together: -I commutes with G, so that
+        orbit's least member is the lesser of those of the orbits of k and
+        -k.  On an untwisted box -I is in G already."""
+        self.check_counts["ranks_computed"] += 1
+        # the orbits and the scale first, so that nothing of this pass is
+        # held during their passes
+        labels = self.orbits()
+        scale = self._orbit_scale()
+        ranked = _orbit_index(labels)[0]
+        if _partner(key) == key:
+            labels = np.minimum(labels, labels[self.conjugates()])
+        reps, index = _orbit_index(labels)
+        scale = scale[np.searchsorted(ranked, reps)]
+        floor = RANK_CUTOFF * scale
+        floors = np.stack([floor, floor * scale], axis=-1)
+        weight = np.bincount(index[self.rep], minlength=len(reps))
+        # int16, a quarter of int64: the stacks are held for the basis's life
+        ranks = np.empty((len(reps), 2), dtype=np.int16)
+        gap, chunk = 0, _chunk_length(self.size, 1)
+        chunks = list(_chunks(len(reps), chunk))
+        for sel in chunks:
+            values = _singular_values(self._rank_matrices(key, reps[sel]))
+            ranks[sel] = _cut(values[:, None], floors[sel])
+            gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ weight[sel])
+        self._rank_stacks[key], self._rank_gaps[key] = ranks[index], gap
+        self.rank_passes.append({
+            "stack": key[0], "level": key[1], "modes": len(self.weight),
+            "group": self.group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
+        })
 
 
 def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndarray]:
@@ -628,34 +893,25 @@ def _level_content(
 
 
 class _ModeSpectra:
-    """Eigenvalues of the per-mode Hermitian ``kind`` Laplacians of d in the
-    level basis ``lb``, by diagonal block, at one representative per orbit
-    of the structure's lattice symmetries, and the eigenvalues and
-    eigenvectors at the representatives a reader asks for.
+    """The per-mode Hermitian ``kind`` Laplacians of d in the level basis
+    ``lb``, by diagonal block: their kernel dimensions at every
+    representative, and their eigenvalues and eigenvectors at the
+    representatives a reader asks for.
 
-    ``lb.rep`` (from ``_mode_mirror``) maps each mode of the box to the
-    representative whose eigendecomposition is bitwise its own: R = M // 2
-    + 1 of the M modes untwisted, every mode twisted.  The Laplacians over
-    an orbit of ``lb.orbits()`` are unitarily equivalent, so the first pass
-    eigendecomposes the least representative of each orbit alone,
-    ``least``, ``chunk`` (``lb.spectra_chunk(kind)``) at a time: it builds d
-    there and the diagonal blocks of its Laplacians (``_laplacian_blocks``),
-    one stack per slice of ``blocks``, and gives each to one batched
-    ``eigh``.  ``vals[b]`` is (len(least), n_b) for ``blocks[b]``; the
-    cutoff, RANK_CUTOFF times the spectral radius, the kernel dimensions and
-    the modes a harmonic basis visits read it, each orbit weighted by its
-    modes (``orbit_weight``).
-
-    What a reader weights with, eigenvalues and eigenvectors, comes from the
-    ``eigh`` at its own representative (``eigen``), never from another orbit
-    member: each representative is decomposed once, when first asked for,
-    and kept.  Batched ``eigh`` gives each matrix bitwise the same result in
-    any sub-batch, so at a least representative these are the first pass's.
-    ``_slot[r]`` is representative r's row in ``_held``, -1 before r is
-    asked for, and ``_slot`` is None until the first read.  When one chunk
-    covers the first pass, it keeps its eigenvectors: dropping them would
-    lower no peak.  The spectra hold ``lb``, never a context, so spectra
-    that outlive their context keep none alive.
+    ``kernel[b]`` holds, per representative, the dimension m of the kernel
+    of ``blocks[b]``, counted from the rank stacks of ``lb``
+    (``_LevelBasis.kernel_sizes``), the rule of ``kernel_counts`` and of
+    the class checks: the kernel at a representative is the m eigenvectors
+    of smallest eigenvalue of its ``eigh``, and no eigenvalue is compared
+    with a cutoff, so the harmonic and Green weights take the eigenvalues
+    and m.  Eigenvalues and eigenvectors come from the ``eigh`` at a
+    mode's own representative (``lb.rep``, from ``_mode_mirror``, whose
+    eigendecomposition is bitwise the mode's), never from another member
+    of its orbit: each representative is eigendecomposed by ``_eigh``,
+    ``chunk`` (``lb.spectra_chunk(kind)``) at a time, when first read
+    (``eigen``), and kept.  ``_slot[r]`` is representative r's row in
+    ``_held``, -1 before r is read.  The spectra hold ``lb``, never a
+    context, so spectra that outlive their context keep none alive.
     """
 
     def __init__(self, lb: _LevelBasis, kind: str):
@@ -663,69 +919,65 @@ class _ModeSpectra:
         self.kind = kind
         self.blocks = lb.blocks(kind)
         self.chunk = lb.spectra_chunk(kind)
-        self.least, self.orbit_weight = lb.orbit_reps()
-        count = len(self.least)
-        self.vals = [np.empty((count, b.stop - b.start)) for b in self.blocks]
-        first: List[np.ndarray] = []  # the vectors kept when one chunk covers the pass
-        for sel in _chunks(count, self.chunk):
-            for vals, block in zip(self.vals, _laplacian_blocks(lb, lb.d(self.least[sel]), kind)):
-                vals[sel], vecs = np.linalg.eigh((block + _adjoint(block)) / 2)
-                if count <= self.chunk:
-                    first.append(vecs)
-                del vecs  # otherwise freed before the next eigh
-        lb.decomposed += count
-        self.radius = max(float(v.max()) for v in self.vals)
-        self.cutoff = RANK_CUTOFF * self.radius if self.radius > 0 else 1e-12
-        self._slot: np.ndarray | None = None
-        self._held: List[Tuple[np.ndarray, np.ndarray]] = []
-        if first:
-            self._slot = np.full(len(lb.weight), -1)
-            self._slot[self.least] = np.arange(count)
-            self._held = list(zip(self.vals, first))
-
-    def decompose(self, reps: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The eigenvalues and eigenvectors at the representatives ``reps``,
-        a nonempty index array (``_eigh``).  Nothing is kept."""
-        return _eigh(self.level_basis, self.kind, reps, self.chunk)
+        self.kernel = lb.kernel_sizes(kind)
+        self._slot = np.full(len(lb.weight), -1)
+        self._held = [(np.empty((0, b.stop - b.start)),
+                       np.empty((0, b.stop - b.start, b.stop - b.start), complex))
+                      for b in self.blocks]
 
     def eigen(self, reps) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The eigenvalues and eigenvectors at the representatives ``reps``
         (an index or an index array), one pair per block, from the ``eigh``
         at each representative itself.  Those not yet held are
         decomposed once and kept."""
-        count = len(self.level_basis.weight)
-        if self._slot is None:
-            self._slot = np.full(count, -1)
-            self._held = [(np.empty((0, b.stop - b.start)),
-                           np.empty((0, b.stop - b.start, b.stop - b.start), complex))
-                          for b in self.blocks]
         slots = self._slot[reps]
         missing = slots < 0
-        if missing.any():
-            new = np.zeros(count, dtype=bool)
+        if np.any(missing):
+            new = np.zeros(len(self._slot), dtype=bool)
             new[np.asarray(reps)[missing]] = True
             new = np.flatnonzero(new)
             held = len(self._held[0][0])
             self._slot[new] = np.arange(held, held + len(new))
             self._held = [
                 (np.concatenate([vals, more_vals]), np.concatenate([vecs, more_vecs]))
-                for (vals, vecs), (more_vals, more_vecs) in zip(self._held, self.decompose(new))
+                for (vals, vecs), (more_vals, more_vecs)
+                in zip(self._held, _eigh(self.level_basis, self.kind, new, self.chunk))
             ]
             slots = self._slot[reps]
         return [(vals[slots], vecs[slots]) for vals, vecs in self._held]
 
-    def harmonic_weights(self, vals: np.ndarray) -> np.ndarray:
-        return (vals <= self.cutoff).astype(float)
+    @staticmethod
+    def harmonic_weights(vals: np.ndarray, m) -> np.ndarray:
+        """1 on the first m eigenvalues of each row, the kernel, else 0."""
+        return (np.arange(vals.shape[-1]) < np.asarray(m)[..., None]).astype(float)
 
-    def green_weights(self, vals: np.ndarray) -> np.ndarray:
-        kernel = vals <= self.cutoff
+    @staticmethod
+    def green_weights(vals: np.ndarray, m) -> np.ndarray:
+        """0 on the first m eigenvalues of each row, the kernel, else 1 / vals.
+
+        The Laplacian is positive semi-definite with an m-dimensional
+        kernel, so every eigenvalue past the kernel is positive.  ``eigh``
+        resolves eigenvalues only to about eps times the largest, so on a
+        Laplacian that spans many decades (bc and aeppli on twisted T^4 at
+        g = 1e-4 I reach 2.5e23) one can read 0 or less; its weight would be
+        inf and the Green operator NaN, so LinAlgError is raised instead."""
+        kernel = np.arange(vals.shape[-1]) < np.asarray(m)[..., None]
+        rest = vals[~kernel]
+        if not np.all(rest > 0):
+            raise np.linalg.LinAlgError(
+                f"Green operator unresolved: an eigenvalue outside the rank-counted kernel "
+                f"reads {rest.min():.3g} against a largest eigenvalue of {vals.max():.3g}"
+            )
         return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals))
 
     def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
-        """weights(L) applied to coordinate rows; row i sits at mode ``index[i]``."""
+        """weights(L) applied to coordinate rows; row i sits at mode
+        ``index[i]``.  ``weights`` takes the eigenvalues and the kernel
+        dimensions at the rows' representatives."""
         out = np.zeros_like(coords)
-        for (vals, v), b in zip(self.eigen(self.level_basis.rep[index]), self.blocks):
-            inner = weights(vals)[..., None] * (_adjoint(v) @ coords[:, b, None])
+        reps = self.level_basis.rep[index]
+        for (vals, v), b, m in zip(self.eigen(reps), self.blocks, self.kernel):
+            inner = weights(vals, m[reps])[..., None] * (_adjoint(v) @ coords[:, b, None])
             out[:, b] = (v @ inner)[..., 0]
         return out
 
@@ -734,8 +986,8 @@ class _ModeSpectra:
         sel = self.level_basis.rep[sel]
         size = self.blocks[-1].stop
         out = np.zeros(np.shape(sel) + (size, size), dtype=complex)
-        for (vals, v), b in zip(self.eigen(sel), self.blocks):
-            out[..., b, b] = (v * weights(vals)[..., None, :]) @ _adjoint(v)
+        for (vals, v), b, m in zip(self.eigen(sel), self.blocks, self.kernel):
+            out[..., b, b] = (v * weights(vals, m[sel])[..., None, :]) @ _adjoint(v)
         return out
 
 
@@ -743,10 +995,10 @@ class HodgePackage(_ModeSpectra):
     """The spectra of one kind of Laplacian (``_ModeSpectra``), with its
     kernel dimensions, harmonic basis, projector and Green operator on
     spinors.  The level-mixing ``d`` kind decomposes whole per-mode
-    matrices, the others their level blocks; the level content of the
-    ``d`` kernel builds eigenvectors at the least representatives whose
-    orbits have a kernel and keeps none.  A package holds the context's
-    level basis, never the context, so the two form no reference cycle.
+    matrices, the others their level blocks.  Its kernel dimensions are
+    ``kernel_counts`` of the level basis, the counts of ``hodge-table``.  A
+    package holds the context's level basis, never the context, so the two
+    form no reference cycle.
     """
 
     def __init__(self, context: "HodgeContext", kind: str):
@@ -759,19 +1011,9 @@ class HodgePackage(_ModeSpectra):
     # ------------------------------------------------------------------
 
     def kernel_dimension(self, level: int) -> int:
-        """The kernel's dimension at ``level``, read at the least
-        representative of each orbit and weighted by the orbit's modes."""
-        kernel = self.vals[self._levels.index(level) if self.blockwise else 0] <= self.cutoff
-        if self.blockwise:
-            return int(np.sum(kernel, axis=1) @ self.orbit_weight)
-        # the level content of the level-mixing kernel: eigenvectors built
-        # at the orbits that have a kernel, and dropped
-        rows = np.flatnonzero(kernel.any(axis=1))
-        if not len(rows):
-            return 0
-        vecs = self.decompose(self.least[rows])[0][1]
-        kernels = (v[:, kernel[i]] for i, v in zip(rows, vecs))
-        return _level_content(self.level_basis, kernels, self.orbit_weight[rows])[level]
+        """The kernel's dimension at ``level`` over the box
+        (``_LevelBasis.kernel_counts``)."""
+        return self.level_basis.kernel_counts([self.kind])[0][self.kind][level]
 
     def harmonic_basis(self, level: int | None = None) -> List[Spinor]:
         """Orthonormal kernel spinors (at one level for blockwise kinds)."""
@@ -783,17 +1025,16 @@ class HodgePackage(_ModeSpectra):
         """``harmonic_basis`` as level-basis coordinates: each spinor's box
         mode index and its one coordinate row, in the same order: the kernel
         eigenvectors of each mode's own representative, at the modes whose
-        orbit has a kernel in the block at its least representative."""
+        block has a kernel."""
         lb = self.level_basis
-        orbit = np.searchsorted(self.least, lb.orbits())[lb.rep]
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
-        for b, (key, vals, sl) in enumerate(zip(self._levels, self.vals, self.blocks)):
+        for b, (key, m, sl) in enumerate(zip(self._levels, self.kernel, self.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            visited = np.flatnonzero((vals <= self.cutoff).any(axis=1)[orbit])
+            visited = np.flatnonzero(m[lb.rep] > 0)
             own, vecs = self.eigen(lb.rep[visited])[b]
-            modes, cols = np.nonzero(own <= self.cutoff)
+            modes, cols = np.nonzero(self.harmonic_weights(own, m[lb.rep[visited]]))
             coords = np.zeros((len(modes), lb.size), dtype=complex)
             coords[:, sl] = vecs[modes, :, cols]
             index.append(visited[modes])
@@ -819,7 +1060,7 @@ class HodgePackage(_ModeSpectra):
         return self._apply_spectral(sigma, self.green_weights)
 
     def laplacian(self, sigma: Spinor) -> Spinor:
-        return self._apply_spectral(sigma, lambda v: v)
+        return self._apply_spectral(sigma, lambda vals, m: vals)
 
 
 class HodgeContext:
@@ -842,23 +1083,6 @@ class HodgeContext:
         self.level_basis = _LevelBasis(structure, metric)
         self._packages: Dict[str, HodgePackage] = {}
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
-        # the rank stacks, by key, and per key the singular values within
-        # 10x of the cut, weighted by the modes (``_ranks``)
-        self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
-        self._rank_gaps: Dict[Tuple[str, int], int] = {}
-        # the rank scale at the least representative of each orbit of the
-        # structure's lattice symmetries, found at the first rank pass
-        # (``_orbit_scale``)
-        self._scale: np.ndarray | None = None
-        self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
-        # per package built, its spectra's first pass: kind, chunk length,
-        # chunks, the symmetry group's order and the representatives it
-        # eigendecomposed
-        self.spectra_passes: List[Dict] = []
-        # per rank stack computed: its key, the representatives its ranks
-        # cover, the symmetry group's order, the representatives it ranked,
-        # chunk length and chunks
-        self.rank_passes: List[Dict] = []
 
     # ------------------------------------------------------------------
     # matrix assembly
@@ -901,12 +1125,7 @@ class HodgeContext:
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
-            self._packages[kind] = pk = HodgePackage(self, kind)
-            count, chunk = len(pk.least), pk.chunk
-            self.spectra_passes.append({
-                "kind": kind, "chunk": chunk, "chunks": -(-count // chunk),
-                "group": self.level_basis.group_order, "decomposed": count,
-            })
+            self._packages[kind] = HodgePackage(self, kind)
         return self._packages[kind]
 
     def identity_residual(self, kind: str) -> float:
@@ -939,7 +1158,7 @@ class HodgeContext:
         harm = bc.harmonic(y).norm()
         x = self.apply("deldbar_adj", bc.green(y))
         resid = (self.apply("deldbar", x) - y).norm()
-        if harm > tol * scale or resid > tol * scale:
+        if not (harm <= tol * scale and resid <= tol * scale):
             raise ObstructionError(
                 "right-hand side is not in the image of del dbar",
                 {"harmonic_norm": harm, "residual": resid, "scale": scale},
@@ -954,7 +1173,7 @@ class HodgeContext:
         """
         scale = max(sigma.norm(), 1e-300)
         closed = self.apply("dbar", sigma).norm()
-        if closed > tol * scale:
+        if not closed <= tol * scale:
             raise ObstructionError(
                 "input is not dbar-closed", {"dbar_norm": closed, "scale": scale}
             )
@@ -965,7 +1184,7 @@ class HodgeContext:
         beta = self.apply("deldbar_adj", del_sigma).scale(-1)
         gamma = sigma.add(self.apply("dbar", beta))
         d_res = self.apply("d", gamma).norm()
-        if d_res > tol * scale:
+        if not d_res <= tol * scale:
             raise ObstructionError(
                 "class condition failed: no d-closed representative on this truncation",
                 {"d_residual": d_res, "scale": scale},
@@ -980,7 +1199,7 @@ class HodgeContext:
         closed = self.apply("dbar", tau).norm()
         x = self.apply("dbar_adj", pk.green(tau))
         resid = (self.apply("dbar", x) - tau).norm()
-        if harm > tol * scale or resid > tol * scale:
+        if not (harm <= tol * scale and resid <= tol * scale):
             raise ObstructionError(
                 "right-hand side is not dbar-exact",
                 {"harmonic_norm": harm, "residual": resid, "closed": closed, "scale": scale},
@@ -1003,7 +1222,8 @@ class HodgeContext:
         d, Q_j = dbar_{j-1} del_j (dbar del on level j), d's rows of level k
         Row_k = [del_{k+1} | dbar_{k-1}], its columns of level j
         Col_j = [del_j ; dbar_j], and M_k = [[del_{k+1}, dbar_{k-1}],
-        [dbar_{k+1}, 0]]; r the rank at the per-mode floor of ``_floor`` and
+        [dbar_{k+1}, 0]]; r the rank at the per-mode floor of
+        ``_LevelBasis._floor`` and
         r_s at floor * scale.  As dim(im A cap ker B) = r(A) - r(BA) and
         del^2 = dbar^2 = del dbar + dbar del = 0, each verdict is a rank
         identity at every representative mode:
@@ -1021,23 +1241,24 @@ class HodgeContext:
         With no level k + 1 the four S/B kinds hold, with dims 0 and 0.
         ``dims`` sums c and t over the modes, each representative weighted
         by the modes it stands for (a level block at -k is minus the one at
-        k).  Each rank stack is ranked once per context, or read from its
-        conjugate partner's ranks (``_ranks``); every call returns a fresh
-        dict.
+        k).  Each rank stack is ranked once per level basis, or read from
+        its conjugate partner's ranks (``_LevelBasis._ranks``); every call
+        returns a fresh dict.
         """
         if kind not in CHECK_KINDS:
             raise ValueError(f"unknown class check {kind!r}")
-        self.check_counts["decided"] += 1
+        lb = self.level_basis
+        lb.check_counts["decided"] += 1
 
         def r(name: str, j: int, scaled: bool = False) -> np.ndarray:
-            return self._ranks((name, j))[:, int(scaled)]
+            return lb._ranks((name, j))[:, int(scaled)]
 
         if kind == "ddbar_lemma":
             d1 = r("del", k + 1) - r("dbar del", k + 1)
             d2 = r("dbar", k - 1) - r("dbar del", k - 1)
             d3 = r("dbar del", k, scaled=True)
             holds, candidates, target = (d1 == d2) & (d2 == d3), d1 + d2, 2 * d3
-        elif k + 1 not in self.level_basis.level_slices:
+        elif k + 1 not in lb.level_slices:
             # no level above k: nothing to check
             holds, candidates, target = True, 0, 0
         else:
@@ -1056,229 +1277,7 @@ class HodgeContext:
             "level": k,
             "holds": bool(np.all(holds)),
             "dims": {
-                "candidates": int(np.sum(candidates * self.level_basis.weight)),
-                "target": int(np.sum(target * self.level_basis.weight)),
+                "candidates": int(np.sum(candidates * lb.weight)),
+                "target": int(np.sum(target * lb.weight)),
             },
         }
-
-    def kernel_counts(self, kinds: Iterable[str]) -> Tuple[Dict[str, Dict[int, int]], int]:
-        """Per kind of ``kinds`` ("dbar", "bc", "aeppli" or "d") and level,
-        the dimension of the kernel of its Laplacian over the box, counted
-        from rank stacks with no Laplacian spectra; and how many singular
-        values of the stacks read lie above the rank cut but within 10x of
-        it, each stack counted once (a stack read from its conjugate
-        partner has its partner's singular values, so its partner's count).
-
-        With N_k the size of level k and the names of ``class_check``, per
-        representative mode (each weighted by the modes it stands for):
-
-        - dbar: N_k - r(dbar_k) - r(dbar_{k-1});
-        - bc: N_k - r(Col_k) - r(Q_k);
-        - aeppli: N_k - r(Q_k) - r(Row_k);
-        - d: d flips the parity of the level, so its rank is the sum of
-          those of its two parity blocks, and as d^2 = 0 its Laplacian has
-          N - 2 r(d) kernel vectors.  At the least representative of each
-          orbit (``_LevelBasis.orbits``) that has any, the Laplacian is
-          eigendecomposed whole, as the ``d`` package does, and the N - 2 r(d)
-          eigenvectors of smallest eigenvalue are counted level by level
-          (``_level_content``), weighted by the orbit's modes.
-
-        The stacks are those the class checks read, so after the checks
-        only the two parity blocks of d are ranked anew, each its own
-        conjugate partner.
-        """
-        lb = self.level_basis
-        terms = {
-            "dbar": lambda k: [("dbar", k), ("dbar", k - 1)],
-            "bc": lambda k: [("col", k), ("dbar del", k)],
-            "aeppli": lambda k: [("dbar del", k), ("row", k)],
-        }
-        dims: Dict[str, Dict[int, int]] = {}
-        read = set()
-        for kind in kinds:
-            if kind == "d":
-                keys = [("d", 0), ("d", 1)]
-                kernel = lb.size - 2 * sum(self._ranks(key)[:, 0] for key in keys)
-                least, weight = lb.orbit_reps()
-                rows = np.flatnonzero(kernel[least] > 0)
-                vecs = _eigh(lb, "d", least[rows], lb.spectra_chunk("d"))[0][1] if len(rows) else []
-                kernels = (v[:, :m] for v, m in zip(vecs, kernel[least[rows]]))
-                dims[kind] = _level_content(lb, kernels, weight[rows])
-                read.update(map(self._rank_key, keys))
-                continue
-            if kind not in terms:
-                raise ValueError(f"no rank count for kind {kind!r}")
-            dims[kind] = {}
-            for k in lb.levels:
-                keys = terms[kind](k)
-                size = lb.level_slices[k].stop - lb.level_slices[k].start
-                ranks = sum(self._ranks(key)[:, 0] for key in keys)
-                dims[kind][k] = int((size - ranks) @ lb.weight)
-                read.update(map(self._rank_key, keys))
-        return dims, sum(self._rank_gaps[key] for key in read)
-
-    def _block(self, row_level: int, col_level: int, sel: slice) -> np.ndarray:
-        """The level block of d at the representatives picked by ``sel``:
-        del one level down, dbar one up.  Built from the same block of C and
-        the A_a, so bitwise that block of d, and no larger."""
-        lb = self.level_basis
-        rows, cols = lb.level(row_level), lb.level(col_level)
-        return _stack_linear(lb.const[rows, cols], lb.slopes[:, rows, cols], lb.modes[sel])
-
-    def _floor(self, reps: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
-        """At the representatives ``reps`` (an index array; every
-        representative when None), the operator scale and the absolute rank
-        floor tied to it.  The scale is the largest entry of d, read one
-        level block (k +- 1, k) at a time (``_block``): d moves the level by
-        one, so these blocks hold all of d, and no whole d stack is built.
-        The rank passes read it at the orbit representatives they rank
-        (``_orbit_scale``)."""
-        lb = self.level_basis
-        if reps is None:
-            reps = np.arange(len(lb.weight))
-        blocks = [(k + s, k) for k in lb.levels for s in (-1, 1) if k + s in lb.level_slices]
-        scale = np.maximum(1.0, np.concatenate([
-            np.max([np.abs(self._block(*b, reps[sel])).max(axis=(1, 2)) for b in blocks], axis=0)
-            for sel in _chunks(len(reps), _chunk_length(lb.size, 1))
-        ]))
-        return scale, RANK_CUTOFF * scale
-
-    def _orbit_scale(self) -> np.ndarray:
-        """The rank scale (``_floor``) at the least representative of each
-        orbit of the structure's lattice symmetries (``_LevelBasis.orbits``),
-        found at the first rank pass and kept, so a context that ranks
-        nothing pays nothing."""
-        if self._scale is None:
-            self._scale = self._floor(self.level_basis.orbit_reps()[0])[0]
-        return self._scale
-
-    def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
-        """The stack that a rank key names, at the representatives picked by
-        ``sel``: ("del", j), ("dbar", j), ("dbar del", j), ("row", k),
-        ("col", j) or ("M", k), in the notation of ``class_check``, or
-        ("d", p), d's block from the levels of parity p to the others."""
-        name, j = key
-
-        def block(row_level, col_level):
-            return self._block(row_level, col_level, sel)
-
-        if name == "d":
-            lb = self.level_basis
-            odd = np.zeros(lb.size, dtype=int)
-            for k in lb.levels:
-                odd[lb.level_slices[k]] = k % 2
-            rows, cols = np.flatnonzero(odd != j), np.flatnonzero(odd == j)
-            const, slopes = lb.const[np.ix_(rows, cols)], lb.slopes[:, rows][:, :, cols]
-            return _stack_linear(const, slopes, lb.modes[sel])
-        if name == "del":
-            return block(j - 1, j)
-        if name == "dbar":
-            return block(j + 1, j)
-        if name == "dbar del":
-            return block(j, j - 1) @ block(j - 1, j)
-        if name == "col":
-            return np.concatenate([block(j - 1, j), block(j + 1, j)], axis=-2)
-        row = np.concatenate([block(j, j + 1), block(j, j - 1)], axis=-1)
-        if name == "row":
-            return row
-        # M: d's rows of level j over dbar_{j+1} and an explicit zero block
-        below = block(j + 2, j + 1)
-        zero = np.zeros(below.shape[:-1] + (row.shape[-1] - below.shape[-1],), complex)
-        return np.concatenate([row, np.concatenate([below, zero], axis=-1)], axis=-2)
-
-    def _rank_key(self, key: Tuple[str, int]) -> Tuple[str, int]:
-        """The key under which ``_ranks`` keeps a stack: a stack with an
-        empty half is the stack of its other half."""
-        name, j = key
-        has = self.level_basis.level_slices.__contains__
-        if name == "M" and not has(j - 1):
-            name, j = "col", j + 1
-        elif name == "M" and not has(j + 2):
-            name = "row"
-        if name == "row" and not has(j - 1):
-            name, j = "del", j + 1
-        elif name == "row" and not has(j + 1):
-            name, j = "dbar", j - 1
-        if name == "col" and not has(j + 1):
-            name = "del"
-        elif name == "col" and not has(j - 1):
-            name = "dbar"
-        return name, j
-
-    def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
-        """Per representative mode, the ranks of the stack that ``key`` names
-        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
-        at floor * scale, both from one values-only SVD.  Kept under
-        ``_rank_key``, once per context, with the count of singular values
-        above the first cut but within 10x of it, each mode weighted by the
-        modes it stands for (``_rank_gaps``).
-
-        A ranked stack is ranked at one representative per orbit of the
-        structure's lattice symmetries and read at the others
-        (``_rank_pass``).  d is real, so a stack at -m is the conjugate of
-        its partner's at m (``_partner``), and of each pair only "dbar" and
-        the member at level j <= 0 are ranked: the other is that stack read
-        through ``_LevelBasis.conjugates``, with its gap count, so the same
-        stacks are ranked whichever member is asked first.  The singular
-        values of a stack at the members of an orbit, and at its partner's,
-        agree to rounding (about 1e-14), not bitwise, and the rank floor is
-        read at the member ranked, so a value at the cut could rank apart; a
-        direct pass over every representative, each at its own floor, is
-        kept in the tests as the reference, on the floor-binding cases
-        too."""
-        key = self._rank_key(key)
-        if key in self._rank_stacks:
-            self.check_counts["ranks_reused"] += 1
-            return self._rank_stacks[key]
-        name, j = key
-        if name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
-            self._rank_pass(key)
-        else:
-            partner = _partner(key)
-            if partner not in self._rank_stacks:
-                self._rank_pass(partner)
-            self.check_counts["ranks_mirrored"] += 1
-            self._rank_stacks[key] = self._rank_stacks[partner][self.level_basis.conjugates()]
-            self._rank_gaps[key] = self._rank_gaps[partner]
-        return self._rank_stacks[key]
-
-    def _rank_pass(self, key: Tuple[str, int]) -> None:
-        """Rank the stack that ``key`` names at one representative per orbit
-        of the structure's lattice symmetries G (``_LevelBasis.orbits``), over chunks
-        of ``_chunk_length`` of them for one d stack (its blocks of d are
-        smaller than d), and keep its ranks at every representative and its
-        gap count (``_ranks``).  A symmetry P conjugates d at m into d at
-        P m by a level-block-diagonal unitary, so every stack has the same
-        ranks over an orbit, and each ranked representative is weighted by
-        the modes of its orbit.  A stack that is its own partner has the
-        same ranks at a representative and at its conjugate, so it is ranked
-        once per orbit of G and -I together: -I commutes with G, so that
-        orbit's least member is the lesser of those of the orbits of k and
-        -k.  On an untwisted box -I is in G already."""
-        self.check_counts["ranks_computed"] += 1
-        lb = self.level_basis
-        # the orbits and the scale first, so that nothing of this pass is
-        # held during their passes
-        labels = lb.orbits()
-        scale = self._orbit_scale()
-        ranked = _orbit_index(labels)[0]
-        if _partner(key) == key:
-            labels = np.minimum(labels, labels[lb.conjugates()])
-        reps, index = _orbit_index(labels)
-        scale = scale[np.searchsorted(ranked, reps)]
-        floor = RANK_CUTOFF * scale
-        floors = np.stack([floor, floor * scale], axis=-1)
-        weight = np.bincount(index[lb.rep], minlength=len(reps))
-        # int16, a quarter of int64: the stacks are held for the context's life
-        ranks = np.empty((len(reps), 2), dtype=np.int16)
-        gap, chunk = 0, _chunk_length(lb.size, 1)
-        chunks = list(_chunks(len(reps), chunk))
-        for sel in chunks:
-            values = _singular_values(self._rank_matrices(key, reps[sel]))
-            ranks[sel] = _cut(values[:, None], floors[sel])
-            gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ weight[sel])
-        self._rank_stacks[key], self._rank_gaps[key] = ranks[index], gap
-        self.rank_passes.append({
-            "stack": key[0], "level": key[1], "modes": len(lb.weight),
-            "group": lb.group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
-        })

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .fourier import TorusGeometry, TruncationBox, _mode_keys
+from .fourier import TorusGeometry, _mode_keys
 from .spinor import Spinor, constant_clifford_matrix, monomial_list
 from .structure import GCStructure, natural_pairing_matrix
 
@@ -60,7 +60,6 @@ class GeneralizedMetric:
     def __init__(
         self,
         geometry: TorusGeometry,
-        box: TruncationBox,
         cplus_values: np.ndarray,
         cminus_values: np.ndarray,
         g: np.ndarray | None = None,
@@ -68,7 +67,6 @@ class GeneralizedMetric:
         tol: float = 1e-10,
     ):
         self.geometry = geometry
-        self.box = box
         dim = geometry.dim
         q = natural_pairing_matrix(dim)
 
@@ -182,7 +180,6 @@ class GeneralizedMetric:
     def from_tensors(
         cls,
         geometry: TorusGeometry,
-        box: TruncationBox,
         g: np.ndarray,
         b: np.ndarray | None = None,
         tol: float = 1e-10,
@@ -213,7 +210,7 @@ class GeneralizedMetric:
         inv = np.linalg.inv(chol)
         cplus = vplus @ inv.T
         cminus = vminus @ inv.T
-        return cls(geometry, box, cplus, cminus, g=g, b=b, tol=tol)
+        return cls(geometry, cplus, cminus, g=g, b=b, tol=tol)
 
     @classmethod
     def compatible_with(
@@ -224,7 +221,7 @@ class GeneralizedMetric:
         Diagonalizes the Hermitian pairing h(x, y) = <x, conj y> on the +i
         eigenbundle; the positive part and its conjugate span C+.
         """
-        geometry, box = structure.geometry, structure.box
+        geometry = structure.geometry
         dim = geometry.dim
         q = natural_pairing_matrix(dim)
         fvals = structure._frame_vals
@@ -248,7 +245,7 @@ class GeneralizedMetric:
 
         cplus = real_frame(pos)
         cminus = real_frame(neg)
-        metric = cls(geometry, box, cplus, cminus, tol=tol)
+        metric = cls(geometry, cplus, cminus, tol=tol)
         if metric.compatibility(structure) > 1e-9:
             raise MetricError("constructed metric does not commute with the structure")
         return metric

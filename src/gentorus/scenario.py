@@ -438,7 +438,7 @@ class Scenario:
             if "b" in spec and spec["b"] is not None:
                 b = np.asarray(spec["b"], dtype=float)
         try:
-            return GeneralizedMetric.from_tensors(self.geometry, self.box, g, b)
+            return GeneralizedMetric.from_tensors(self.geometry, g, b)
         except MetricError as err:
             raise ScenarioError(f"metric construction failed: {err}") from err
 
@@ -506,33 +506,27 @@ class Runner:
         """The class-check counters of the runner's context, zero before it exists."""
         if self._context is None:
             return dict.fromkeys(CHECK_COUNTERS, 0)
-        return dict(self._context.check_counts)
+        return dict(self._context.level_basis.check_counts)
 
-    def _passes(self) -> Dict[str, List[Dict]]:
-        """The passes of the runner's context: the first pass of each package
-        it has built (kind, chunk length, chunk count, the order of the
-        symmetry group and the representatives it eigendecomposed) and each
-        rank stack it has computed (stack, level, the representatives it
-        gives ranks for, the order of the symmetry group, the
-        representatives it ranked, chunk length and chunk count); none
-        before it exists."""
-        if self._context is None:
-            return {"spectra_passes": [], "rank_passes": []}
-        return {key: getattr(self._context, key) for key in ("spectra_passes", "rank_passes")}
+    def _rank_passes(self) -> List[Dict]:
+        """Each rank stack the runner's context has computed: stack, level,
+        the representatives it gives ranks for, the order of the symmetry
+        group, the representatives it ranked, chunk length and chunk count;
+        none before the context exists."""
+        return [] if self._context is None else self._context.level_basis.rank_passes
 
     def _mode_counts(self) -> Dict[str, int]:
         """The modes of the scenario's box; how many representatives the
         runner's context has eigendecomposed so far, counted at every
-        ``eigh`` over its level basis: its packages' first passes, one per
-        orbit of the structure's lattice symmetries, their reads at other
-        representatives, and a table's d kernel; and how many its rank
-        passes rank at most, one per orbit; none before the context exists,
-        decomposes or ranks."""
-        box, dim = self.scenario.box, self.scenario.geometry.dim
-        ctx = self._context
-        decomposed = 0 if ctx is None else ctx.level_basis.decomposed
-        ranked = 0 if ctx is None else max((p["ranked"] for p in ctx.rank_passes), default=0)
-        return {"box": (2 * box.K + 1) ** dim, "decomposed": decomposed, "ranked": ranked}
+        ``eigh`` over its level basis: its packages' reads, each
+        representative once, and the d kernel's level content; and how many
+        its rank passes rank at most, one per orbit; none before the context
+        exists, decomposes or ranks."""
+        box = self.scenario.box
+        decomposed = 0 if self._context is None else self._context.level_basis.decomposed
+        ranked = max((p["ranked"] for p in self._rank_passes()), default=0)
+        return {"box": (2 * box.K + 1) ** self.scenario.geometry.dim,
+                "decomposed": decomposed, "ranked": ranked}
 
     # -- experiment implementations --------------------------------------
 
@@ -749,7 +743,7 @@ class Runner:
             kind = exp["kind"]
             record: Dict = {"kind": kind}
             counts_before = self._check_counts()
-            passes_before = {key: len(done) for key, done in self._passes().items()}
+            passes_before = len(self._rank_passes())
             self._timing_details = {}
             started = time.monotonic()
             try:
@@ -788,7 +782,7 @@ class Runner:
                     key: counts_after[key] - counts_before[key] for key in CHECK_COUNTERS
                 },
                 "modes": self._mode_counts(),
-                **{key: done[passes_before[key]:] for key, done in self._passes().items()},
+                "rank_passes": self._rank_passes()[passes_before:],
             }
             timing.update(self._timing_details)
             timings.append(timing)

@@ -49,14 +49,14 @@ def report(number: int, passed: bool, detail: str):
 @pytest.fixture(scope="module")
 def t2():
     s = GCStructure.complex_structure(1, TruncationBox(1))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     return s, m, HodgeContext(s, m)
 
 
 @pytest.fixture(scope="module")
 def t4():
     s = GCStructure.complex_structure(2, TruncationBox(1))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     return s, m, HodgeContext(s, m)
 
 
@@ -264,7 +264,7 @@ def test_criterion_08_extension_solver():
     decay of the assembled residual, and agreement of the two variants."""
     order = 4
     s = GCStructure.complex_structure(1, TruncationBox(order + 1))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     ctx = HodgeContext(s, m)
 
     c = 0.4
@@ -317,7 +317,7 @@ def test_criterion_08_extension_solver():
 def test_criterion_09_hodge_number_invariance():
     """Scan over four samples: constant dimensions and full injectivity rank."""
     s = GCStructure.complex_structure(1, TruncationBox(1))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     ctx = HodgeContext(s, m)
     series = Beltrami(s, {(1, 0): CliffordPoly.constant(s.dual_frame, (0, 1), 0.3)})
     scan = hodge_number_scan(ctx, series, [0.0, 0.05, 0.1, 0.15], order=2)

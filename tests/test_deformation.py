@@ -589,7 +589,7 @@ def test_mc_verify_constant_and_single_coefficient(t4):
 
 
 def test_mc_expand_matches_verify(t4):
-    m = GeneralizedMetric.from_tensors(t4.geometry, t4.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(t4.geometry, np.eye(4))
     f1 = FourierScalar.mode(t4.geometry, t4.box, (1, 0, 0, 0), 0.3)
     f2 = FourierScalar.mode(t4.geometry, t4.box, (0, 1, 0, 0), 0.25)
     e10 = CliffordPoly(t4.dual_frame, 2, {(0, 2): f1})
@@ -607,7 +607,7 @@ def test_mc_residuals_are_computed_once_per_series(t4, monkeypatch):
     """The Maurer-Cartan residuals are computed on the first verification of
     a series and read back by every later one, each judged against its own
     tolerance; every call returns its own residual dict."""
-    m = GeneralizedMetric.from_tensors(t4.geometry, t4.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(t4.geometry, np.eye(4))
     f1 = FourierScalar.mode(t4.geometry, t4.box, (1, 0, 0, 0), 0.3)
     f2 = FourierScalar.mode(t4.geometry, t4.box, (0, 1, 0, 0), 0.25)
     e10 = CliffordPoly(t4.dual_frame, 2, {(0, 2): f1})
@@ -685,7 +685,7 @@ def test_mc_orders_above_the_cut_are_truncation():
     first unmatched order is reported with its residual, the size of what
     was cut, and does not decide integrability."""
     s = GCStructure.complex_structure(2, TruncationBox(3, "drop"))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     e10 = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.mode(s.geometry, s.box, (1, 0, 0, 0), 0.3)})
     e01 = CliffordPoly(s.dual_frame, 2, {(0, 3): FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 0.25)})
     series = maurer_cartan_expand(s, m, {(1, 0): e10, (0, 1): e01}, 3)
@@ -708,7 +708,7 @@ def test_mc_expand_leaves_no_noise_slots():
     operator is exactly zero off its blocks, so no float noise leaks into
     slots the recursion never fills."""
     s = GCStructure.complex_structure(2, TruncationBox(2))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     e10 = CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.mode(s.geometry, s.box, (1, 0, 0, 0), 0.3)})
     e01 = CliffordPoly(s.dual_frame, 2, {(0, 3): FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 0.25)})
     series = maurer_cartan_expand(s, m, {(1, 0): e10, (0, 1): e01}, 3)
@@ -719,7 +719,7 @@ def test_mc_expand_leaves_no_noise_slots():
 
 
 def test_mc_expand_rejects_nonclosed_first_order(t4):
-    m = GeneralizedMetric.from_tensors(t4.geometry, t4.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(t4.geometry, np.eye(4))
     f = FourierScalar.mode(t4.geometry, t4.box, (0, 1, 0, 0), 1.0)
     bad = CliffordPoly(t4.dual_frame, 2, {(0, 2): f})
     assert lie_derivation_dL(bad, t4).norm() > 0.5

@@ -21,7 +21,7 @@ from reference import constant_form, level_spinors, scale_spinor
 
 def make_t2(K):
     s = GCStructure.complex_structure(1, TruncationBox(K))
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     return s, m, HodgeContext(s, m)
 
 
@@ -158,7 +158,7 @@ def make_twisted_t4():
     g4 = TorusGeometry(2)
     H = constant_form(g4, box, (0, 1, 2), 1.0)
     s = GCStructure.complex_structure(2, box, twist=H)
-    m = GeneralizedMetric.from_tensors(g4, box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(g4, np.eye(4))
     return s, m, HodgeContext(s, m)
 
 
@@ -204,7 +204,7 @@ def test_nonintegrable_series_aborts():
     stop the solver with an obstruction, never pass silently."""
     box = TruncationBox(2)
     s = GCStructure.complex_structure(2, box)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     ctx = HodgeContext(s, m)
     f = FourierScalar.mode(s.geometry, s.box, (0, 1, 0, 0), 1.0)
     bad = CliffordPoly(s.dual_frame, 2, {(0, 2): f})
@@ -285,7 +285,7 @@ def test_scan_t4(t2k1):
     sample and full transport ranks."""
     box = TruncationBox(1)
     s = GCStructure.complex_structure(2, box)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     ctx = HodgeContext(s, m)
     eps = CliffordPoly.constant(s.dual_frame, (0, 2), 0.3)
     series = Beltrami(s, {(1, 0): eps})

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gentorus import hodge
+from gentorus import diagnostics, hodge
 from gentorus.calculus import delbar_op
 from gentorus.deformation import DeformedStructure
 from gentorus.diagnostics import hodge_suite, hodge_table
@@ -87,14 +87,14 @@ def box_modes(ctx):
 @pytest.fixture(scope="module")
 def t2ctx():
     s = GCStructure.complex_structure(1, BOX)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     return HodgeContext(s, m)
 
 
 @pytest.fixture(scope="module")
 def t4ctx():
     s = GCStructure.complex_structure(2, BOX)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     return HodgeContext(s, m)
 
 
@@ -103,7 +103,7 @@ def t4ctx_twisted():
     geometry = TorusGeometry(2)
     H = constant_form(geometry, BOX, (0, 1, 2), 1.0)
     s = GCStructure.complex_structure(2, BOX, twist=H)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     return HodgeContext(s, m)
 
 
@@ -152,12 +152,15 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
     pk = t2ctx.package("dbar")
     assert {k: pk.kernel_dimension(k) for k in t2ctx.structure.levels()} == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
-    # oscillatory modes contribute nothing, read at their own representatives
+    # oscillatory modes contribute nothing, read at their own representatives:
+    # no rank count and no eigenvalue under the whole-box cutoff
     rep = t2ctx.level_basis.rep
+    cutoff = _reference_cutoff(vals for vals, _ in pk.eigen(rep))
     for i, mode in enumerate(box_modes(t2ctx)):
         if mode != (0, 0):
+            assert not any(m[rep[i]] for m in pk.kernel)
             for vals, _ in pk.eigen(rep[i]):
-                assert not np.any(vals <= pk.cutoff)
+                assert not np.any(vals <= cutoff)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -209,7 +212,7 @@ def test_symplectic_torus_class_checks_all_true():
     holds at every level (regression for the numerical-rank noise floor)."""
     om = np.array([[0.0, 1.0], [-1.0, 0.0]])
     s = GCStructure.symplectic_structure(om, BOX)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     ctx = HodgeContext(s, m)
     table = hodge_table(ctx)
     for level, verdicts in table["class_checks"].items():
@@ -352,14 +355,22 @@ def test_dbar_minimal_solve(t4ctx):
     assert ctx.metric.bi_norm(x) <= ctx.metric.bi_norm(w) * (1 + 1e-9)
 
 
-def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff():
+def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff(monkeypatch):
     """The kernel counts, the harmonic basis and the harmonic projector all
-    read the spectra's one cutoff: moved to the median eigenvalue on
-    complex T^2 K=1, each finds 5, 10 and 5 kernel vectors over the box at
-    levels -1, 0 and 1 (1, 2 and 1 at the package's own cutoff)."""
+    read the level basis's one kernel count (``kernel_sizes``): forced to
+    the eigenvalues at most the median one at the least mode of each orbit
+    on complex T^2 K=1, each finds 5, 10 and 5 kernel vectors over the box
+    at levels -1, 0 and 1 (1, 2 and 1 from the rank stacks)."""
     ctx = HodgeContext(*_case(1, 1))
-    lb, pk = ctx.level_basis, ctx.package("dbar")
-    pk.cutoff = float(np.median(np.concatenate([v.ravel() for v in pk.vals])))
+    lb = ctx.level_basis
+    least = lb.orbit_reps()[0]
+    spectra = hodge._eigh(lb, "dbar", least, lb.spectra_chunk("dbar"))
+    median = float(np.median(np.concatenate([vals.ravel() for vals, _ in spectra])))
+    orbit = np.searchsorted(least, lb.orbits())
+    forced = [np.sum(vals <= median, axis=1)[orbit] for vals, _ in spectra]
+    assert [int(m @ lb.weight) for m in lb.kernel_sizes("dbar")] == [1, 2, 1]
+    monkeypatch.setattr(lb, "kernel_sizes", lambda kind: forced)
+    pk = ctx.package("dbar")
     projector = pk.matrix(slice(None), pk.harmonic_weights)
     for level, want in zip(lb.levels, (5, 10, 5)):
         block = projector[:, lb.level_slices[level], lb.level_slices[level]]
@@ -378,7 +389,7 @@ def _case(n, K, twisted=False, g_scale=1.0, h=(0, 1, 2)):
     box = TruncationBox(K)
     twist = constant_form(TorusGeometry(n), box, h, 1.0) if twisted else None
     s = GCStructure.complex_structure(n, box, twist=twist)
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, g_scale * np.eye(2 * n))
+    return s, GeneralizedMetric.from_tensors(s.geometry, g_scale * np.eye(2 * n))
 
 
 def _chunk_bytes(size, reps, stacks=1):
@@ -464,15 +475,17 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
                 eigs[mode, k] = np.linalg.eigh((block + block.conj().T) / 2)[0]
         cutoff = _reference_cutoff(eigs.values())
         for (mode, k), vals in eigs.items():
-            held = pk.eigen(lb.rep[lb.positions([mode])[0]])[lb.levels.index(k)][0]
-            assert int(np.sum(held <= pk.cutoff)) == int(np.sum(vals <= cutoff))
+            r, b = lb.rep[lb.positions([mode])[0]], lb.levels.index(k)
+            held = pk.eigen(r)[b][0]
+            assert pk.kernel[b][r] == int(np.sum(held <= cutoff)) == int(np.sum(vals <= cutoff))
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
     # every mode of the box, each read at its representative, over every block
-    sp = alg._spectra
-    batched = sum(np.sum(v <= sp.cutoff, axis=1) for v, _ in sp.eigen(alg.level_basis.rep))
+    sp, rep = alg._spectra, alg.level_basis.rep
+    batched = sum(np.sum(v <= cutoff, axis=1) for v, _ in sp.eigen(rep))
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.tolist()
+    assert sum(m[rep] for m in sp.kernel).tolist() == batched.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +595,7 @@ def reference_class_check(ctx, kind, k):
 def _symplectic_case(n, K):
     omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     s = GCStructure.symplectic_structure(omega, TruncationBox(K))
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n))
+    return s, GeneralizedMetric.from_tensors(s.geometry, np.eye(2 * n))
 
 
 CLASS_CHECK_CASES = [
@@ -643,7 +656,7 @@ def test_class_checks_do_not_depend_on_the_order_asked(case):
         ctx = HodgeContext(structure, metric)
         for kind, k in order:
             assert ctx.class_check(kind, k) == want[kind, k], (kind, k)
-        assert ctx.check_counts["decided"] == len(questions)
+        assert ctx.level_basis.check_counts["decided"] == len(questions)
 
 
 def test_hodge_table_svd_count(monkeypatch):
@@ -680,7 +693,7 @@ def test_hodge_table_svd_count(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     hodge_table(ctx)
     assert len(calls["svd"]) == 17 and len(calls["eigh"]) == 1
-    assert ctx.check_counts == {
+    assert ctx.level_basis.check_counts == {
         "decided": 25, "ranks_computed": 18, "ranks_mirrored": 10, "ranks_reused": 87,
     }
 
@@ -705,7 +718,7 @@ def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
     single = HodgeContext(structure, metric)
     assert got == [single.class_check(kind, k) for kind, k in asked]
     assert got == [want[q] for q in asked]
-    assert batched.check_counts == single.check_counts
+    assert batched.level_basis.check_counts == single.level_basis.check_counts
 
 
 @pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
@@ -723,7 +736,7 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(2 ** structure.dim, 7))
     questions = list(want)
     shuffled = [questions[i] for i in np.random.default_rng(5).permutation(len(questions))]
-    built = HodgeContext._rank_matrices
+    built = hodge._LevelBasis._rank_matrices
     stacks = []
     for order in (questions, questions[::-1], shuffled):
         chunks = []
@@ -732,7 +745,7 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
             chunks.append((key, tuple(sel.tolist())))
             return built(self, key, sel)
 
-        monkeypatch.setattr(HodgeContext, "_rank_matrices", recording)
+        monkeypatch.setattr(hodge._LevelBasis, "_rank_matrices", recording)
         ctx = HodgeContext(structure, metric)
         third = len(order) // 3
         for kind, k in order[:third]:
@@ -755,11 +768,11 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
         keys = list(dict.fromkeys(key for key, _ in chunks))
         assert sorted(chunks) == sorted((key, c) for key in keys for c in cover(key))
         assert all(name in ("dbar", "M", "d") or (name != "del" and j <= 0) for name, j in keys)
-        mirrored = set(ctx._rank_stacks) - set(keys)
+        mirrored = set(ctx.level_basis._rank_stacks) - set(keys)
         assert all(hodge._partner(key) in keys for key in mirrored)
-        assert ctx.check_counts["ranks_computed"] == len(keys)
-        assert ctx.check_counts["ranks_mirrored"] == len(mirrored)
-        assert ctx.check_counts["decided"] == 2 * len(order)
+        assert ctx.level_basis.check_counts["ranks_computed"] == len(keys)
+        assert ctx.level_basis.check_counts["ranks_mirrored"] == len(mirrored)
+        assert ctx.level_basis.check_counts["decided"] == 2 * len(order)
         stacks.append(sorted(keys))
     assert stacks[0] == stacks[1] == stacks[2]
 
@@ -767,10 +780,10 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
 def _direct_ranks(ctx, key):
     """The ranks and gap count of the stack that ``key`` names by one pass
     over every representative, with no mirror and no half pass: the
-    reference for ``HodgeContext._ranks``."""
+    reference for ``_LevelBasis._ranks``."""
     lb = ctx.level_basis
-    scale, floor = ctx._floor()
-    values = hodge._singular_values(ctx._rank_matrices(key, slice(0, len(lb.weight))))
+    scale, floor = ctx.level_basis._floor()
+    values = hodge._singular_values(ctx.level_basis._rank_matrices(key, slice(0, len(lb.weight))))
     ranks = hodge._cut(values[:, None], np.stack([floor, floor * scale], axis=-1))
     gap = int((ranks[:, 0] - hodge._cut(values, floor, margin=10.0)) @ lb.weight)
     return ranks, gap
@@ -793,19 +806,19 @@ def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
             for name in ("del", "dbar", "dbar del", "row", "col", "M")]
     keys += [("d", 0), ("d", 1)]
     for key in keys:
-        ranks, gap = _direct_ranks(ctx, ctx._rank_key(key))
-        got = ctx._ranks(key)
+        ranks, gap = _direct_ranks(ctx, ctx.level_basis._rank_key(key))
+        got = ctx.level_basis._ranks(key)
         assert got.dtype == np.int16 and np.array_equal(got, ranks), key
-        assert ctx._rank_gaps[ctx._rank_key(key)] == gap, key
+        assert ctx.level_basis._rank_gaps[ctx.level_basis._rank_key(key)] == gap, key
         partner = hodge._partner(key)
         if partner is not None:
-            assert hodge._partner(ctx._rank_key(key)) == ctx._rank_key(partner), key
-    assert ctx.check_counts["ranks_mirrored"] > 0
+            assert hodge._partner(ctx.level_basis._rank_key(key)) == ctx.level_basis._rank_key(partner), key
+    assert ctx.level_basis.check_counts["ranks_mirrored"] > 0
     lb = ctx.level_basis
     twisted = len(lb.weight) == len(lb.modes)
     reps = np.arange(len(lb.weight))
     assert np.array_equal(lb.conjugates(), reps[::-1] if twisted else reps)
-    scale = ctx._floor()[0]
+    scale = ctx.level_basis._floor()[0]
     assert not twisted or scale.tobytes() == scale[::-1].tobytes()
     whole = np.concatenate([np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in lb.rep_chunks(1)])
     assert scale.tobytes() == np.maximum(1.0, whole).tobytes()
@@ -823,9 +836,9 @@ def test_class_checks_hold_ranks_alone(monkeypatch):
             ctx.class_check(kind, k)
     assert ctx._packages == {}
     count = len(ctx.level_basis.weight)
-    for stack in ctx._rank_stacks.values():
+    for stack in ctx.level_basis._rank_stacks.values():
         assert stack.shape == (count, 2) and stack.dtype == np.int16
-    assert ctx._scale.shape == hodge._orbit_index(ctx.level_basis.orbits())[0].shape
+    assert ctx.level_basis._scale.shape == hodge._orbit_index(ctx.level_basis.orbits())[0].shape
 
 
 @pytest.mark.parametrize(
@@ -909,7 +922,7 @@ def _sheared_case(n, K):
     b = np.zeros((2 * n, 2 * n))
     b[0, 1], b[1, 0] = 0.7, -0.7
     s = GCStructure.complex_structure(n, TruncationBox(K)).b_transform(b)
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n), b)
+    return s, GeneralizedMetric.from_tensors(s.geometry, np.eye(2 * n), b)
 
 
 @pytest.mark.parametrize(
@@ -987,8 +1000,8 @@ def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
 def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
     """-H^ is not zero, so d is not odd in k: every mode stands for itself,
     and a package reads its eigenvalues and eigenvectors at every mode.  Its
-    first pass decomposes the least mode of each orbit of the twisted
-    structure's lattice symmetries alone."""
+    kernel counts are ranked at the least mode of each orbit of the twisted
+    structure's lattice symmetries alone, and are constant on the orbits."""
     from gentorus.deformation import AlgebroidHodge
 
     ctx = t4ctx_twisted
@@ -997,8 +1010,10 @@ def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
     assert lb.rep.tolist() == every and lb.weight.tolist() == [1] * len(every)
     pk = ctx.package("bc")
     labels = lb.orbits()
-    assert np.array_equal(pk.least, np.flatnonzero(labels == every)) and len(pk.least) < len(every)
-    assert all(len(v) == len(pk.least) for v in pk.vals)
+    least = np.flatnonzero(labels == every)
+    assert 0 < len(least) < len(every)
+    assert max(p["ranked"] for p in lb.rank_passes) == len(least)
+    assert all(len(m) == len(every) and np.array_equal(m, m[labels]) for m in pk.kernel)
     assert all(len(vals) == len(vecs) == len(every) for vals, vecs in pk.eigen(lb.rep))
     alg = AlgebroidHodge(ctx.structure, ctx.metric)
     assert alg.level_basis.rep.tolist() == every
@@ -1013,37 +1028,38 @@ def _full_box_spectra(ctx, kind):
     ]
 
 
-def _apply_full(spectra, blocks, index, coords, weights):
-    """weights(L) applied to coordinate rows at box modes ``index``."""
+def _apply_full(spectra, blocks, index, coords, weights, cutoff):
+    """weights(L) applied to coordinate rows at box modes ``index``, the
+    kernel at each mode its eigenvalues at most ``cutoff``."""
     out = np.zeros_like(coords)
     for (vals, vecs), b in zip(spectra, blocks):
         v = vecs[index]
-        inner = weights(vals[index])[..., None] * (v.conj().swapaxes(-1, -2) @ coords[:, b, None])
+        kernel = np.sum(vals[index] <= cutoff, axis=-1)
+        inner = weights(vals[index], kernel)[..., None] * (v.conj().swapaxes(-1, -2) @ coords[:, b, None])
         out[:, b] = (v @ inner)[..., 0]
     return out
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
-    """The package reads half the box and its first pass decomposes one
-    mode per orbit of the lattice symmetries, yet its eigenvalues,
+    """The package reads half the box and its kernel counts are ranked at
+    one mode per orbit of the lattice symmetries, yet its eigenvalues,
     eigenvectors, kernel dimensions, harmonic bases and harmonic and Green
-    applies are those of a decomposition of every mode.  Its cutoff is
-    bitwise the one read at the least mode of each orbit."""
+    applies are those of a decomposition of every mode, its kernel there
+    the eigenvalues under the whole box's cutoff."""
     ctx = mirrored
     lb, pk = ctx.level_basis, ctx.package(kind)
     count = len(lb.modes)
     full = _full_box_spectra(ctx, kind)
     blocks = lb.blocks(kind)
-    every = pk.decompose(np.arange(len(lb.weight)))
-    assert len(pk.least) < count // 2 + 1
-    for (vals, vecs), first, (held_vals, held_vecs) in zip(full, pk.vals, every):
+    every = hodge._eigh(lb, kind, np.arange(len(lb.weight)), pk.chunk)
+    cutoff = _reference_cutoff(vals for vals, _ in full)
+    assert max(p["ranked"] for p in lb.rank_passes) < count // 2 + 1
+    for (vals, vecs), m, (held_vals, held_vecs) in zip(full, pk.kernel, every, strict=True):
         assert len(held_vals) == len(held_vecs) == count // 2 + 1
         assert np.array_equal(held_vals[lb.rep], vals)
         assert np.array_equal(held_vecs[lb.rep], vecs)
-        assert np.array_equal(first, vals[pk.least])
-    assert pk.cutoff == _reference_cutoff(vals[pk.least] for vals, _ in full)
-    cutoff = _reference_cutoff(vals for vals, _ in full)
+        assert np.array_equal(m[lb.rep], np.sum(vals <= cutoff, axis=1))
 
     def kernel_dim(level, indices):
         if pk.blockwise:
@@ -1083,16 +1099,17 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
     sigma = lb.spinor(lb.modes, coords)
     index = lb.positions(sigma.modes)
     for method, weights in ((pk.harmonic, pk.harmonic_weights), (pk.green, pk.green_weights)):
-        want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights))
+        want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights, cutoff))
         got = method(sigma)
         assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
 
 
 def test_algebroid_spectra_equal_a_full_box_decomposition():
     """The algebroid package of complex T^4 K=1 reads half the box, and its
-    first pass decomposes the least of the 6 orbits of the 32 lattice
+    kernel counts are ranked at the least of the 6 orbits of the 32 lattice
     symmetries alone, yet its harmonic projector and Green operator are
-    those of a decomposition of every mode."""
+    those of a decomposition of every mode, its kernel there the
+    eigenvalues under the whole box's cutoff."""
     from gentorus.deformation import AlgebroidHodge
     from gentorus.spinor import _stack_linear, random_fourier_scalar
 
@@ -1107,13 +1124,14 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
         for block in hodge._laplacian_blocks(lb, d, "dbar")
     ]
     levels = [lb.level_slices[k] for k in lb.levels]
-    every = sp.decompose(np.arange(len(lb.weight)))
-    assert len(sp.least) == 6
-    for (vals, vecs), first, (full_vals, full_vecs) in zip(every, sp.vals, full):
+    every = hodge._eigh(lb, "dbar", np.arange(len(lb.weight)), sp.chunk)
+    cutoff = _reference_cutoff(vals for vals, _ in full)
+    assert max(p["ranked"] for p in lb.rank_passes) == len(lb.orbit_reps()[0]) == 6
+    for (vals, vecs), m, (full_vals, full_vecs) in zip(every, sp.kernel, full, strict=True):
         assert len(vals) == count // 2 + 1
         assert np.array_equal(vals[lb.rep], full_vals)
         assert np.array_equal(vecs[lb.rep], full_vecs)
-        assert np.array_equal(first, full_vals[sp.least])
+        assert np.array_equal(m[lb.rep], np.sum(full_vals <= cutoff, axis=1))
 
     rng = np.random.default_rng(43)
     s = alg.structure
@@ -1123,7 +1141,7 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
         modes, coords = alg._coords(poly)
         index = hodge._mode_positions(s.box, s.dim, modes)
         for method, weights in ((alg.harmonic, sp.harmonic_weights), (alg.green, sp.green_weights)):
-            rows = _apply_full(full, levels, index, coords, weights)
+            rows = _apply_full(full, levels, index, coords, weights, cutoff)
             got, want = method(poly), alg._poly(modes, rows, degree)
             assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
 
@@ -1145,12 +1163,12 @@ def _algebroid_structures():
 @pytest.mark.parametrize("name", sorted(_algebroid_structures()))
 def test_algebroid_spectra_equal_the_dbar_package(name):
     """Under P -> P . rho0 d_L is dbar: the algebroid differential is d's
-    raising blocks, exactly zero elsewhere, and its spectra are bitwise
-    those of the context's dbar package."""
+    raising blocks, exactly zero elsewhere, and its kernel counts and
+    spectra are bitwise those of the context's dbar package."""
     from gentorus.deformation import AlgebroidHodge
 
     s = _algebroid_structures()[name]
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(s.dim))
     alg = AlgebroidHodge(s, m)
     lowered = ~s.shift_mask(+1)
     assert not alg._const[lowered].any()
@@ -1158,11 +1176,10 @@ def test_algebroid_spectra_equal_the_dbar_package(name):
     pk = HodgeContext(s, m).package("dbar")
     assert np.array_equal(alg.level_basis.rep, pk.level_basis.rep)
     alg_sp = alg._spectra
-    assert np.array_equal(alg_sp.least, pk.least)
-    assert len(alg_sp.vals) == len(pk.vals) == s.dim + 1
+    assert len(alg_sp.kernel) == len(pk.kernel) == s.dim + 1
     reps = np.arange(len(pk.level_basis.weight))
-    got = alg_sp.vals + [a for pair in alg_sp.decompose(reps) for a in pair]
-    want = pk.vals + [a for pair in pk.decompose(reps) for a in pair]
+    got = alg_sp.kernel + [a for pair in alg_sp.eigen(reps) for a in pair]
+    want = pk.kernel + [a for pair in pk.eigen(reps) for a in pair]
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
 
@@ -1190,19 +1207,19 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, orb
     """On T^4 K=1 (81 modes) the representatives are 41 modes untwisted and
     all 81 twisted, and the least modes of the orbits of the lattice
     symmetries are 6 and 27 of them.  With CHUNK_BYTES room for one chunk
-    of 81 in every pass, each package build hands eigh one stack per block
-    that holds those least modes alone, and every mode stack that
-    hodge_table hands to svd or eigh holds at most as many: its rank
-    passes rank one mode per orbit, and the level content of the d kernel
-    decomposes only the least modes whose orbits have a kernel."""
+    of 81 in every pass, the package builds hand eigh nothing and svd
+    stacks of at most those least modes, their rank passes, and every mode
+    stack that hodge_table hands to svd or eigh holds at most as many: its
+    rank passes rank one mode per orbit, and the level content of the d
+    kernel decomposes only the least modes whose orbits have a kernel."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 81, stacks=4))
     ctx = HodgeContext(*_case(2, 1, twisted))
     stacks = []
     for name in ("svd", "eigh"):
 
-        def counting(a, *args, _real=getattr(np.linalg, name), **kwargs):
+        def counting(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
             if np.ndim(a) > 2:
-                stacks.append(len(a))
+                stacks.append((_name, len(a)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -1211,8 +1228,10 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, orb
     builds = list(stacks)
     hodge_table(ctx)
     assert len(ctx.level_basis.weight) == rows
-    assert builds and set(builds) == {orbits}
-    assert len(stacks) > len(builds) and max(stacks) == orbits
+    assert builds and {name for name, _ in builds} == {"svd"}
+    assert max(size for _, size in builds) == orbits
+    assert ("eigh", orbits) not in stacks
+    assert len(stacks) > len(builds) and max(size for _, size in stacks) == orbits
 
 
 # ----------------------------------------------------------------------
@@ -1251,7 +1270,7 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     for r in range(-n - 1, n + 2):
         for c in range(-n - 1, n + 2):
             want = whole[reps][:, lb.level(r), lb.level(c)]
-            assert same(ctx._block(r, c, reps), want), (r, c)
+            assert same(ctx.level_basis._block(r, c, reps), want), (r, c)
 
     chunks = list(lb.rep_chunks(1))
     assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(lb.weight)
@@ -1273,7 +1292,7 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
         assert same(operator_matrix(ctx, "d", modes[i]), whole[i])
         assert same(operator_matrix(ctx, "deldbar", modes[i]), masked["deldbar"][i])
     assert same(ctx._op("dbar", slice(None)), masked["dbar"])
-    assert same(ctx._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
+    assert same(ctx.level_basis._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
 
 
 def _arrays(value):
@@ -1344,12 +1363,11 @@ def _representative_stack(s) -> int:
 
 def test_hodge_table_peaks_below_two_box_d_stacks():
     """hodge_table on complex T^4 K=3, context included, peaks below 0.6
-    of one d stack over the 1201 representatives (0.52, about a quarter of
-    a whole-box stack: the packages' eigenvalues and rank stacks held, plus
-    one chunk of CHUNK_BYTES in a package's first pass).  It read 1.25 when
-    passes went 256 modes at a time and the d package's first pass, which
-    holds four such stacks, set the peak, and 4.8 when d was kept over the
-    box."""
+    of one d stack over the 1201 representatives (about a quarter of a
+    whole-box stack: the rank stacks held, plus one chunk of CHUNK_BYTES in
+    a pass).  It read 1.25 when passes went 256 modes at a time and a pass
+    of the d Laplacian, which holds four such stacks, set the peak, and 4.8
+    when d was kept over the box."""
     s, m = _case(2, 3)
     peak = _traced_peak(lambda: hodge_table(HodgeContext(s, m)))
     assert peak < 0.6 * _representative_stack(s)
@@ -1358,7 +1376,7 @@ def test_hodge_table_peaks_below_two_box_d_stacks():
 def test_t6_hodge_table_peaks_below_a_sixth_of_a_representative_d_stack():
     """hodge_table on complex T^6 K=1 (365 representatives, N = 64), context
     included, peaks below a sixth of one d stack over the representatives
-    (0.12 of one; 2.9 when the d package's first pass went 256 modes at a
+    (0.12 of one; 2.9 when a pass of the d Laplacian went 256 modes at a
     time)."""
     s, m = _case(3, 1)
     peak = _traced_peak(lambda: hodge_table(HodgeContext(s, m)))
@@ -1367,11 +1385,13 @@ def test_t6_hodge_table_peaks_below_a_sixth_of_a_representative_d_stack():
 
 def test_packages_hold_their_eigenvalues_alone_after_kernel_counts():
     """After every level's kernel dimension is read from the dbar, bc,
-    aeppli and d packages of complex T^4 K=2, they hold less than half a d
-    stack over the 313 representatives (their eigenvalues, about an eighth
-    of one; two such stacks of eigenvectors when every package kept its
-    own): the blockwise kernel counts read eigenvalues alone, and the d
-    kernel's eigenvectors are built at its kernel modes and dropped."""
+    aeppli and d packages of complex T^4 K=2, they hold less than a
+    twentieth of a d stack over the 313 representatives (their kernel
+    counts and read slots, a few ints per representative; their
+    first-pass eigenvalues took about an eighth of one, and two such
+    stacks of eigenvectors when every package kept its own): the kernel
+    counts read rank stacks alone, and the d kernel's eigenvectors are
+    built at its kernel modes and dropped."""
     import gc
     import tracemalloc
 
@@ -1391,7 +1411,7 @@ def test_packages_hold_their_eigenvalues_alone_after_kernel_counts():
         held = with_packages - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < held < 0.5 * stack
+    assert 0 < held < 0.05 * stack
 
 
 ON_DEMAND_CASES = {
@@ -1407,17 +1427,17 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     """Eigenvalues and eigenvectors built at the representatives asked for,
     one at a time, scattered and repeated, in ragged chunks of 7 modes,
     with and without being kept, are bitwise those of one eigh over the
-    whole box, and so are the first pass's eigenvalues at the least mode of
-    each orbit, and the eigenvectors it keeps there when one chunk of 256
-    covers those modes.  The d kind's pass holds four stacks, a blockwise
-    one's one, and the chunk is set in bytes for the kind's own."""
+    whole box, at the least mode of each orbit too, and a package builds
+    with none held.  The d kind's pass holds four stacks, a blockwise one's
+    one, and the chunk is set in bytes for the kind's own."""
     stacks = 4 if kind == "d" else 1
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk, stacks))
     ctx = HodgeContext(*ON_DEMAND_CASES[name]())
     sp = ctx.package(kind)
     assert sp.chunk == chunk
     full = _full_box_spectra(ctx, kind)
-    count = len(ctx.level_basis.weight)
+    lb = ctx.level_basis
+    count = len(lb.weight)
 
     def same(got, reps):
         return len(got) == len(full) and all(
@@ -1425,17 +1445,17 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
             for pair, want in zip(got, full) for g, v in zip(pair, want, strict=True)
         )
 
-    assert all(v.tobytes() == vals[sp.least].tobytes() for v, (vals, _) in zip(sp.vals, full, strict=True))
-    assert (sp._slot is not None) == (chunk >= len(sp.least))
+    assert not (sp._slot >= 0).any() and all(len(vals) == 0 for vals, _ in sp._held)
     for r in (count - 1, 0, count // 2, 0):
         assert same(sp.eigen(r), r)
     scattered = np.random.default_rng(5).permutation(count)[:19]
     assert same(sp.eigen(np.concatenate([scattered, scattered[:3]])),
                 np.concatenate([scattered, scattered[:3]]))
-    assert same(sp.decompose(scattered), scattered)
-    assert same(sp.eigen(sp.least), sp.least)
+    assert same(hodge._eigh(lb, kind, scattered, sp.chunk), scattered)
+    least = lb.orbit_reps()[0]
+    assert same(sp.eigen(least), least)
     assert same(sp.eigen(np.arange(count)), np.arange(count))
-    assert same(sp.decompose(np.arange(count)), np.arange(count))
+    assert same(hodge._eigh(lb, kind, np.arange(count), sp.chunk), np.arange(count))
     assert len(sp._held[0][0]) == len(sp._held[0][1]) == count
 
 
@@ -1446,12 +1466,9 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
     -k, hand each representative to eigh once per package: one matrix per
     block, the first time it is read.  ``chunk`` is the blockwise passes'
     chunk length (256 at the default CHUNK_BYTES); the d kind's pass holds
-    four stacks, so its chunk is a quarter of it, 1 or 64.  When one chunk
-    covers the least modes of the orbits of the lattice symmetries, 6 of
-    the 41 representatives of T^4 K=1 and 27 of the 81 twisted, the first
-    pass keeps their vectors and a read there decomposes nothing: every
-    pass at 256, the blockwise ones at 7 untwisted, and the d kind's at 64;
-    a read anywhere else decomposes its representative once."""
+    four stacks, so its chunk is a quarter of it, 1 or 64.  A package
+    builds with no eigenvectors held, so every representative read is
+    decomposed once, whatever the chunk."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk))
     ctx = HodgeContext(*_case(2, 1, twisted))
     lb = ctx.level_basis
@@ -1477,8 +1494,7 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
                 first.setdefault(i, pk.matrix(i, pk.green_weights))
                 assert np.array_equal(pk.matrix(i, pk.green_weights), first[i])
         assert pk.chunk == (chunk // 4 if kind == "d" else chunk)
-        kept = set(pk.least.tolist()) if pk.chunk >= len(pk.least) else set()
-        reps = {int(lb.rep[i]) for i in positions} - kept
+        reps = {int(lb.rep[i]) for i in positions}
         assert reps and sum(decomposed) == len(reps) * len(pk.blocks), kind
 
 
@@ -1491,8 +1507,7 @@ def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(m
 
     from gentorus.deformation import AlgebroidHodge
 
-    # chunks of 5 representatives, so no first pass over the 6 orbits of
-    # the lattice symmetries keeps its vectors
+    # chunks of 5 representatives
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 5))
     s, m = _case(2, 1)
     gc.collect()
@@ -1546,15 +1561,15 @@ def _table_after_checks(ctx):
     for k in ctx.structure.levels():
         for kind in CHECK_KINDS:
             ctx.class_check(kind, k)
-    before = set(ctx._rank_stacks)
+    before = set(ctx.level_basis._rank_stacks)
     table = hodge_table(ctx)
-    assert ctx._packages == {} and ctx.spectra_passes == []
-    return table, set(ctx._rank_stacks) - before
+    assert ctx._packages == {}
+    return table, set(ctx.level_basis._rank_stacks) - before
 
 
 def _rank_kernel(ctx):
     """Per representative, N - 2 r(d) from d's two parity rank stacks."""
-    return ctx.level_basis.size - 2 * sum(ctx._ranks(("d", p))[:, 0] for p in (0, 1))
+    return ctx.level_basis.size - 2 * sum(ctx.level_basis._ranks(("d", p))[:, 0] for p in (0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
@@ -1562,7 +1577,8 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
     """hodge_table builds no package and no spectra, and ranks no stack
     beyond the class checks' but d's two parity blocks; its dbar, bc,
     aeppli and d rows equal the packages' kernel dimensions level by level,
-    and N - 2 r(d) equals the d package's kernel eigenvalue count at every
+    and N - 2 r(d), the d package's kernel count, equals the count of the
+    d Laplacian's eigenvalues under the whole box's cutoff at every
     representative, read there and at the least representative of each
     orbit of the lattice symmetries."""
     ctx = HodgeContext(*TABLE_CASES[name]())
@@ -1573,19 +1589,22 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
         pk = ctx.package(kind)
         assert dims == {str(k): pk.kernel_dimension(k) for k in levels}, kind
     pk = ctx.package("d")
-    assert np.array_equal(_rank_kernel(ctx)[pk.least], np.sum(pk.vals[0] <= pk.cutoff, axis=1))
+    assert np.array_equal(pk.kernel[0], _rank_kernel(ctx))
     own = pk.eigen(np.arange(len(ctx.level_basis.weight)))[0][0]
-    assert np.array_equal(_rank_kernel(ctx), np.sum(own <= pk.cutoff, axis=1))
+    cutoff = _reference_cutoff([own])
+    least = ctx.level_basis.orbit_reps()[0]
+    assert np.array_equal(_rank_kernel(ctx)[least], np.sum(own[least] <= cutoff, axis=1))
+    assert np.array_equal(_rank_kernel(ctx), np.sum(own <= cutoff, axis=1))
     assert "warnings" not in table
 
 
 def test_hodge_table_rank_counts_where_the_floors_bind():
     """With g = 1e-4 on twisted T^4 K=2, d reaches 7e5 and the absolute
-    rank floors bind on every mode.  The packages' one cutoff, RANK_CUTOFF
-    times the spectral radius over the box, is then 500 and takes small
-    nonzero eigenvalues of the low modes for kernel, while the rank counts
-    are those of g = 1: a constant rescaling of the metric moves no
-    cohomology, so the table and the per-mode d kernel are unchanged."""
+    rank floors bind on every mode.  A cutoff of RANK_CUTOFF times the
+    spectral radius over the box is then 500 and would take small nonzero
+    eigenvalues of the low modes for kernel, while the rank counts are those
+    of g = 1: a constant rescaling of the metric moves no cohomology, so the
+    table and the per-mode d kernel are unchanged."""
     scaled = HodgeContext(*_case(2, 2, twisted=True, g_scale=1e-4))
     table, added = _table_after_checks(scaled)
     assert added == {("d", 0), ("d", 1)}
@@ -1593,6 +1612,116 @@ def test_hodge_table_rank_counts_where_the_floors_bind():
     assert table == hodge_table(plain)
     assert table["kernel_dimensions"]["dbar"] == {"-2": 1, "-1": 3, "0": 4, "1": 3, "2": 1}
     assert np.array_equal(_rank_kernel(scaled), _rank_kernel(plain))
+
+
+@pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
+def test_harmonic_rows_are_null_vectors_of_the_counted_pair(case):
+    """On every class-check structure, the g = 1e-4 ones included, for every
+    kind and level: each harmonic basis row v at mode m is a null vector of
+    the pair A, B whose ker A cap ker B* the kind's kernel is
+    (``_LevelBasis.kernel_terms``; d and d for the d kind), with
+    |[A_m; B_m*] v| at most RANK_CUTOFF times the rank scale at m, and each
+    package's kernel dimension is ``kernel_counts``, which counts as many
+    rows."""
+    ctx = HodgeContext(*CLASS_CHECK_CASES[case]())
+    lb = ctx.level_basis
+    scale = lb._floor()[0]
+
+    def residual(a, b, v):
+        out = np.einsum("mij,mj->mi", a, v)
+        adj = np.einsum("mji,mj->mi", b.conj(), v)
+        return np.sqrt(np.linalg.norm(out, axis=1) ** 2 + np.linalg.norm(adj, axis=1) ** 2)
+
+    for kind in KINDS:
+        pk = ctx.package(kind)
+        counts = lb.kernel_counts([kind])[0][kind]
+        assert {k: pk.kernel_dimension(k) for k in lb.levels} == counts, kind
+        if kind == "d":
+            index, rows = pk.harmonic_basis_rows()
+            assert len(index) == int(pk.kernel[0] @ lb.weight)
+            d = lb.d(index)
+            worst = residual(d, d, rows) / (RANK_CUTOFF * scale[lb.rep[index]])
+            assert np.all(worst <= 1.0), kind
+            continue
+        for level in lb.levels:
+            index, rows = pk.harmonic_basis_rows(level)
+            assert len(index) == counts[level], (kind, level)
+            a, b = (lb._rank_matrices(key, index) for key in hodge.KERNEL_TERMS[kind](level))
+            worst = residual(a, b, rows[:, lb.level_slices[level]]) / (RANK_CUTOFF * scale[lb.rep[index]])
+            assert np.all(worst <= 1.0), (kind, level)
+
+
+def _twisted_deform_config(K, g):
+    """The benchmark's t4-deform experiments (two extends and a scan) on
+    twisted complex T^4, H = dx0^dx1^dx2, at box size K and metric g I."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "t4-deform" / "t4_deform.json"
+    config = json.loads(path.read_text("utf-8"))
+    config["structure"] = {"type": "complex", "H": [{"indices": [0, 1, 2], "c": 1.0}]}
+    config["torus"] = dict(config["torus"], K=K)
+    config["metric"] = {"g": (g * np.eye(4)).tolist()}
+    return config
+
+
+def test_twisted_deform_verdicts_do_not_depend_on_the_metric_scale():
+    """Kernel dimensions are dimensions of harmonic spaces, so a constant
+    rescaling of the metric moves no verdict: the t4-deform experiments on
+    twisted T^4 K=1 give the same statuses and findings at g = I and at
+    g = 1e-4 I, finding, pass, finding (the second extend reported
+    ``input is not dbar-closed`` at g = 1e-4 when the packages cut their
+    kernels at a fraction of the spectral radius)."""
+    from gentorus.scenario import run_scenario
+
+    verdicts = []
+    for g in (1.0, 1e-4):
+        report = run_scenario(_twisted_deform_config(1, g))[0]
+        verdicts.append([(e["status"], e.get("findings")) for e in report["experiments"]])
+    assert verdicts[0] == verdicts[1]
+    assert [status for status, _ in verdicts[0]] == ["finding", "pass", "finding"]
+
+
+def test_unresolved_green_operator_errors_and_never_passes():
+    """On twisted T^4 K=1 at g = 1e-4 I the bc and aeppli Laplacians reach
+    2.5e23, and rounding leaves eigenvalues of 0 or less past the
+    rank-counted kernel at modes such as (0, 0, 0, +-1), where a Green
+    weight would be inf.  Their identity residuals raise LinAlgError or are
+    finite, and the identity suite reports an error or finite entries,
+    never a pass over a NaN."""
+    from gentorus.scenario import run_scenario
+
+    ctx = HodgeContext(*CLASS_CHECK_CASES[CLASS_CHECK_IDS.index("t4-twisted-floors")]())
+    for kind in ("bc", "aeppli"):
+        try:
+            value = ctx.identity_residual(kind)
+        except np.linalg.LinAlgError as err:
+            assert "Green operator unresolved" in str(err), kind
+        else:
+            assert np.isfinite(value), kind
+
+    config = _twisted_deform_config(1, 1e-4)
+    config["experiments"] = [{"kind": "identity-suite", "samples": 2}]
+    record = run_scenario(config)[0]["experiments"][0]
+    if record["status"] == "error":
+        assert "Green operator unresolved" in record["error"]
+    else:
+        assert all(np.isfinite(e["value"]) for e in record["entries"])
+
+
+def test_identity_reductions_keep_a_nan(monkeypatch):
+    """A NaN in a Green operator is never reduced away: ``identity_residual``
+    raises, as its operator norm is an SVD, which does not converge on a
+    NaN, and the Green commutation entries that read it are NaN and fail,
+    rather than a max over the chunks dropping it and reporting the
+    others' worst."""
+    ctx = HodgeContext(*CLASS_CHECK_CASES[CLASS_CHECK_IDS.index("t4")]())
+    for kind in ("bc", "aeppli"):
+        pk = ctx.package(kind)
+        monkeypatch.setattr(pk, "green_weights", lambda vals, m: np.full(vals.shape, np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        ctx.identity_residual("bc")
+    entries = {e["name"]: e for e in diagnostics._green_commutation(ctx)}
+    for i in (5, 6, 7, 8):
+        assert np.isnan(entries[f"green_identity_{i}"]["value"]), i
+        assert not entries[f"green_identity_{i}"]["passed"], i
 
 
 def _full_box_rank_stacks(ctx):
@@ -1653,7 +1782,7 @@ def _diagonal_metric_case(K):
     """Complex T^4 with g = diag(1, 2, 1, 2): each complex line keeps its
     four rotations, but the two lines can no longer be exchanged."""
     s = GCStructure.complex_structure(2, TruncationBox(K))
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.diag([1.0, 2.0, 1.0, 2.0]))
+    return s, GeneralizedMetric.from_tensors(s.geometry, np.diag([1.0, 2.0, 1.0, 2.0]))
 
 
 SYMMETRY_CASES = dict(zip(CLASS_CHECK_IDS, CLASS_CHECK_CASES))
@@ -1877,22 +2006,37 @@ def _direct_spectra(lb, kind):
     return [tuple(np.concatenate(arrays) for arrays in zip(*per_block)) for per_block in zip(*parts)]
 
 
+def _direct_kernel(ctx, kind):
+    """Per block of the ``kind`` Laplacian, its kernel dimension at every
+    representative from a direct rank pass over all of them, each at its
+    own floor (``_direct_ranks``), with no orbit and no mirror."""
+    lb = ctx.level_basis
+    return [size - times * sum(_direct_ranks(ctx, lb._rank_key(key))[0][:, 0] for key in keys)
+            for size, keys, times in lb.kernel_terms(kind)]
+
+
 @pytest.mark.parametrize("name", sorted(ORBIT_CASES))
 def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, monkeypatch):
-    """Each package's first pass builds and hands eigh the least
-    representative of each orbit of the structure's lattice symmetries
-    alone, one matrix per block, and what the package reads equals a direct
-    eigh at every representative, cut at RANK_CUTOFF times the radius over
-    all of them: the same kernel dimension at every level, bitwise the same
-    harmonic basis rows at every level, and bitwise the same harmonic and
-    Green applies and matrices at scattered modes.  So each value a read
-    weights with is its own representative's, none another orbit member's.
-    The cases are the class checks' structures, complex T^6 K=1 and the six
-    deformed structures of the t4-deform scan."""
+    """A package's first pass is its rank passes, one representative per
+    orbit of the structure's lattice symmetries: its build builds no d and
+    hands eigh nothing, and what the package reads equals a direct eigh at
+    every representative with the kernel its m eigenvectors of smallest
+    eigenvalue, m from a direct rank pass over every representative at its
+    own floor: the same kernel counts at every representative, the same
+    kernel dimension at every level, bitwise the same harmonic basis rows
+    at every level, and bitwise the same harmonic and Green applies and
+    matrices at scattered modes, or, where the reference reads an
+    eigenvalue of 0 or less past the kernel (bc and aeppli on the twisted
+    boxes at g = 1e-4), a Green read that raises LinAlgError.  So each value
+    a read weights with is its own representative's, none another orbit
+    member's.  Those m are the
+    eigenvalues under RANK_CUTOFF times the radius over all
+    representatives, except on the twisted boxes at g = 1e-4, where that
+    cutoff takes small nonzero eigenvalues for kernel.  The cases are the
+    class checks' structures, complex T^6 K=1 and the six deformed
+    structures of the t4-deform scan."""
     ctx = HodgeContext(*ORBIT_CASES[name]())
     lb = ctx.level_basis
-    reps = np.arange(len(lb.weight))
-    least = np.flatnonzero(lb.orbits() == reps)
     rng = np.random.default_rng(17)
     scattered = rng.permutation(len(lb.modes))[: min(23, len(lb.modes))]
     coords = rng.normal(size=(len(scattered), lb.size)) + 1j * rng.normal(size=(len(scattered), lb.size))
@@ -1907,28 +2051,31 @@ def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, mon
         monkeypatch.setattr(np.linalg, "eigh", counting)
         pk = ctx.package(kind)
         monkeypatch.undo()
-        assert np.array_equal(np.concatenate(built), least) and np.array_equal(pk.least, least), kind
-        assert sum(handed) == len(least) * len(pk.blocks), kind
+        assert built == [] and handed == [], kind
 
         full = _direct_spectra(lb, kind)
+        kernel = _direct_kernel(ctx, kind)
+        assert all(np.array_equal(m, want) for m, want in zip(pk.kernel, kernel, strict=True)), kind
         radius = max(float(vals.max()) for vals, _ in full)
         cutoff = RANK_CUTOFF * radius if radius > 0 else 1e-12
+        cut = [np.sum(vals <= cutoff, axis=1) for vals, _ in full]
+        agree = all(np.array_equal(c, m) for c, m in zip(cut, kernel))
+        assert agree == ("floors" not in name), kind
 
-        def harmonic(vals):
-            return (vals <= cutoff).astype(float)
+        def harmonic(vals, m):
+            return (np.arange(vals.shape[-1]) < m[:, None]).astype(float)
 
-        def green(vals):
-            kernel = vals <= cutoff
+        def green(vals, m):
+            kernel = np.arange(vals.shape[-1]) < m[:, None]
             return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals))
 
         for level in lb.levels:
             if pk.blockwise:
-                vals = full[lb.levels.index(level)][0]
-                want = int(np.sum(vals <= cutoff, axis=1) @ lb.weight)
+                want = int(kernel[lb.levels.index(level)] @ lb.weight)
             else:
                 want = 0
-                for r in np.flatnonzero((full[0][0] <= cutoff).any(axis=1)):
-                    kern = full[0][1][r][lb.level_slices[level]][:, full[0][0][r] <= cutoff]
+                for r in np.flatnonzero(kernel[0]):
+                    kern = full[0][1][r][lb.level_slices[level], : kernel[0][r]]
                     s = np.linalg.svd(kern, compute_uv=False)
                     if len(s) and s[0] > RANK_CUTOFF:
                         want += int(lb.weight[r]) * int(np.sum(s > RANK_CUTOFF * s[0]))
@@ -1937,10 +2084,10 @@ def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, mon
         for level in [None, *lb.levels]:
             index, rows = [], []
             for i, r in enumerate(lb.rep):
-                for key, (vals, vecs), b in zip(pk._levels, full, pk.blocks):
+                for key, (vals, vecs), m, b in zip(pk._levels, full, kernel, pk.blocks):
                     if pk.blockwise and level is not None and key != level:
                         continue
-                    for j in np.flatnonzero(vals[r] <= cutoff):
+                    for j in range(m[r]):
                         row = np.zeros(lb.size, dtype=complex)
                         row[b] = vecs[r][:, j]
                         index.append(i)
@@ -1950,13 +2097,26 @@ def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, mon
             assert got_rows.tobytes() == np.array(rows, dtype=complex).reshape(-1, lb.size).tobytes()
 
         at = lb.rep[scattered]
-        for weights, pk_weights in ((harmonic, pk.harmonic_weights), (green, pk.green_weights)):
+        # at g = 1e-4 the bc and aeppli Laplacians reach 2.5e23, and rounding
+        # leaves eigenvalues of 0 or less outside the rank counts' kernel at
+        # some modes: there the package refuses the Green operator
+        resolved = all(np.all(vals[at][np.arange(vals.shape[1]) >= m[at][:, None]] > 0)
+                       for (vals, _), m in zip(full, kernel))
+        assert resolved or "floors" in name, kind
+        if not resolved:
+            with pytest.raises(np.linalg.LinAlgError, match="Green operator unresolved"):
+                pk.apply(scattered, coords, pk.green_weights)
+            with pytest.raises(np.linalg.LinAlgError, match="Green operator unresolved"):
+                pk.matrix(scattered, pk.green_weights)
+        checked = ((harmonic, pk.harmonic_weights), (green, pk.green_weights))
+        for weights, pk_weights in checked if resolved else checked[:1]:
             out = np.zeros_like(coords)
             mats = np.zeros((len(at), lb.size, lb.size), dtype=complex)
-            for (vals, vecs), b in zip(full, pk.blocks):
-                v = vecs[at]
-                inner = weights(vals[at])[..., None] * (hodge._adjoint(v) @ coords[:, b, None])
+            for (vals, vecs), m, b in zip(full, kernel, pk.blocks):
+                v, w = vecs[at], weights(vals[at], m[at])
+                inner = w[..., None] * (hodge._adjoint(v) @ coords[:, b, None])
                 out[:, b] = (v @ inner)[..., 0]
-                mats[:, b, b] = (v * weights(vals[at])[..., None, :]) @ hodge._adjoint(v)
-            assert pk.apply(scattered, coords, pk_weights).tobytes() == out.tobytes(), kind
-            assert pk.matrix(scattered, pk_weights).tobytes() == mats.tobytes(), kind
+                mats[:, b, b] = (v * w[..., None, :]) @ hodge._adjoint(v)
+            got_out, got_mats = pk.apply(scattered, coords, pk_weights), pk.matrix(scattered, pk_weights)
+            assert got_out.tobytes() == out.tobytes(), kind
+            assert got_mats.tobytes() == mats.tobytes(), kind

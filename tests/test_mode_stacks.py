@@ -78,7 +78,7 @@ def _build(name, policy="strict"):
         box = TruncationBox(1, policy)
         twist = constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0)
         s = GCStructure.complex_structure(2, box, twist=twist)
-    return s, GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+    return s, GeneralizedMetric.from_tensors(s.geometry, np.eye(s.dim))
 
 
 @pytest.fixture(scope="module", params=["t2-K2", "t4-twisted-K1"])
@@ -137,7 +137,46 @@ def ref_map(sigma, per_mode):
 def every_eigen(spectra):
     """Every representative's eigenvalues and eigenvectors, one pair per
     block, from a direct eigh at each representative."""
-    return spectra.decompose(np.arange(len(spectra.level_basis.weight)))
+    lb = spectra.level_basis
+    return hodge._eigh(lb, spectra.kind, np.arange(len(lb.weight)), spectra.chunk)
+
+
+def direct_kernel(spectra):
+    """Per block, the kernel dimension at every representative from one
+    rank pass over all of them, each at its own floor, with no orbit and
+    no mirror."""
+    lb = spectra.level_basis
+    floor = lb._floor()[1]
+    every = slice(0, len(lb.weight))
+    return [
+        size - times * sum(
+            hodge._cut(hodge._singular_values(lb._rank_matrices(lb._rank_key(key), every)), floor)
+            for key in keys
+        )
+        for size, keys, times in lb.kernel_terms(spectra.kind)
+    ]
+
+
+def forced_kernel(lb, kind, cut):
+    """Per block of the ``kind`` Laplacian and representative, the count of
+    eigenvalues at the least representative of its orbit that are at most
+    ``cut(values)``, ``values`` all those eigenvalues: a kernel count to
+    force in place of the rank counts, the same over each orbit."""
+    least = lb.orbit_reps()[0]
+    spectra = hodge._eigh(lb, kind, least, lb.spectra_chunk(kind))
+    bound = cut(np.concatenate([vals.ravel() for vals, _ in spectra]))
+    orbit = np.searchsorted(least, lb.orbits())
+    return [np.sum(vals <= bound, axis=1)[orbit] for vals, _ in spectra]
+
+
+def force_kernel(monkeypatch, lb, counts):
+    """Make ``lb`` count the kernels of the kinds in ``counts`` as given,
+    for the packages built after and for ``kernel_counts``; their rank
+    stacks are ranked first, for the gap counts."""
+    real = lb.kernel_sizes
+    for kind in counts:
+        real(kind)
+    monkeypatch.setattr(lb, "kernel_sizes", lambda kind: counts[kind] if kind in counts else real(kind))
 
 
 def box_modes(ctx):
@@ -146,29 +185,30 @@ def box_modes(ctx):
 
 
 def ref_spectral(spectra, every, index, coords, weights):
-    """weights(L) at box mode ``index``, from its representative's spectra;
-    ``every`` is ``every_eigen(spectra)``, read once by the caller."""
+    """weights(L) at box mode ``index``, from its representative's spectra
+    and kernel counts; ``every`` is ``every_eigen(spectra)``, read once by
+    the caller."""
     out = np.zeros_like(coords)
     index = spectra.level_basis.rep[index]
-    for (vals, vecs), b in zip(every, spectra.blocks):
+    for (vals, vecs), m, b in zip(every, spectra.kernel, spectra.blocks):
         v = vecs[index]
-        out[b] = v @ (weights(vals[index]) * (v.conj().T @ coords[b]))
+        out[b] = v @ (weights(vals[index], m[index]) * (v.conj().T @ coords[b]))
     return out
 
 
-def ref_kernel_dimension(ctx, pk, every, level, indices):
+def ref_kernel_dimension(ctx, pk, kernel, every, level, indices):
     """The kernel dimension summed over box modes ``indices``, one mode at a
-    time, each read at its own representative; ``every`` is
-    ``every_eigen(pk)``, read once by the caller."""
+    time, each read at its own representative, whose kernel is its first
+    ``kernel`` eigenvectors per block; ``every`` is ``every_eigen(pk)``,
+    read once by the caller."""
     rep = pk.level_basis.rep
     if pk.blockwise:
-        vals = every[pk._levels.index(level)][0]
-        return sum(int(np.sum(vals[rep[i]] <= pk.cutoff)) for i in indices)
+        return sum(int(kernel[pk._levels.index(level)][rep[i]]) for i in indices)
     total = 0
     sl = ctx.level_basis.level_slices[level]
-    vals, vecs = every[0]
+    vecs = every[0][1]
     for i in rep[list(indices)]:
-        kern = vecs[i][:, vals[i] <= pk.cutoff]
+        kern = vecs[i][:, : kernel[0][i]]
         if kern.shape[1] == 0:
             continue
         s = np.linalg.svd(kern[sl, :], compute_uv=False)
@@ -177,29 +217,29 @@ def ref_kernel_dimension(ctx, pk, every, level, indices):
     return total
 
 
-def ref_harmonic_basis(ctx, pk, every, level):
-    """The kernel spinors mode by mode, each read at its own representative;
-    ``every`` is ``every_eigen(pk)``, read once by the caller."""
+def ref_harmonic_basis(ctx, pk, kernel, every, level):
+    """The kernel spinors mode by mode, each read at its own representative,
+    whose kernel is its first ``kernel`` eigenvectors per block; ``every``
+    is ``every_eigen(pk)``, read once by the caller."""
     out = []
     lb = pk.level_basis
     for i, mode in zip(lb.rep, box_modes(ctx)):
-        for key, (vals, vecs), sl in zip(pk._levels, every, pk.blocks):
+        for key, (vals, vecs), m, sl in zip(pk._levels, every, kernel, pk.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue
-            for j in np.flatnonzero(vals[i] <= pk.cutoff):
+            for j in range(m[i]):
                 coords = np.zeros(lb.size, dtype=complex)
                 coords[sl] = vecs[i][:, j]
                 out.append(ref_spinor(ctx.geometry, ctx.box, {mode: lb.basis @ coords}))
     return out
 
 
-def gap_cutoff(spectra):
-    """A cutoff in the spectral gap just above the median eigenvalue of the
-    first pass: midway between the median and the least eigenvalue above
-    it by more than rounding.  The members of an orbit of the lattice
-    symmetries share an eigenvalue only to rounding, so a cutoff at an
-    eigenvalue could split them."""
-    vals = np.concatenate([v.ravel() for v in spectra.vals])
+def gap_cutoff(vals):
+    """A cutoff in the spectral gap just above the median of ``vals``:
+    midway between the median and the least value above it by more than
+    rounding.  The members of an orbit of the lattice symmetries share an
+    eigenvalue only to rounding, so a cutoff at an eigenvalue could split
+    them."""
     median = float(np.median(vals))
     above = vals[vals > median + 1e-9 * max(1.0, abs(median))]
     return (median + float(above.min())) / 2
@@ -261,7 +301,7 @@ def test_spectral_maps_match_per_mode(case, kind):
     maps = [
         (pk.harmonic, pk.harmonic_weights),
         (pk.green, pk.green_weights),
-        (pk.laplacian, lambda v: v),
+        (pk.laplacian, lambda vals, m: vals),
     ]
     for method, weights in maps:
         for sigma in _spinors(s, 13):
@@ -276,22 +316,29 @@ def test_spectral_maps_match_per_mode(case, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("cutoff", ["package", "median"])
 def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch):
-    """The kernel dimensions, read at the least representative of each
+    """The kernel dimensions, ranked at the least representative of each
     orbit of the lattice symmetries, and the harmonic bases equal a direct
-    count and basis at every mode's own representative, at the package's
-    cutoff and at one in the gap around the median eigenvalue."""
-    s, _, ctx = case
-    pk = ctx.package(kind)
+    count and basis at every mode's own representative: with the package's
+    rank counts, which equal a direct rank pass over every representative,
+    and with a count forced to the eigenvalues under a cutoff in the gap
+    around the median eigenvalue."""
+    s, m, ctx = case
     if cutoff == "median":
         # kernels at many modes and in several blocks fix the basis order
-        monkeypatch.setattr(pk, "cutoff", gap_cutoff(pk))
+        ctx = HodgeContext(s, m)
+        kernel = forced_kernel(ctx.level_basis, kind, gap_cutoff)
+        force_kernel(monkeypatch, ctx.level_basis, {kind: kernel})
+    pk = ctx.package(kind)
+    if cutoff == "package":
+        kernel = direct_kernel(pk)
+    assert all(np.array_equal(a, b) for a, b in zip(pk.kernel, kernel, strict=True))
     everywhere = range(len(ctx.level_basis.modes))
     every = every_eigen(pk)
     for k in s.levels():
-        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, every, k, everywhere)
+        assert pk.kernel_dimension(k) == ref_kernel_dimension(ctx, pk, kernel, every, k, everywhere)
     for level in [None, *s.levels()]:
         got = pk.harmonic_basis(level)
-        want = ref_harmonic_basis(ctx, pk, every, level)
+        want = ref_harmonic_basis(ctx, pk, kernel, every, level)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert {m: f.coeffs for m, f in a.comps.items()} == {
@@ -1368,7 +1415,7 @@ def test_algebroid_maps_and_eps_matrix_build_no_scalars(monkeypatch):
     FrameMaps.eps_matrix read and write coefficient stacks: they construct
     no FourierScalar."""
     s = DL_CASES["t4-twisted"]()
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(s.dim))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(s.dim))
     alg = AlgebroidHodge(s, m)
     rng = np.random.default_rng(173)
     polys = [_random_poly(rng, s, degree) for degree in (1, 2, 3)]
@@ -1624,15 +1671,15 @@ def _hodge_case(name):
     if name == "symplectic":
         omega = np.array([[0.0, 1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1.0, 0]])
         s = GCStructure.symplectic_structure(omega, box)
-        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4)))
+        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, np.eye(4)))
     if name == "b-transform":
         b = np.zeros((4, 4))
         b[0, 1], b[1, 0] = 0.7, -0.7
         s = GCStructure.complex_structure(2, box).b_transform(b)
-        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4), b))
+        return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, np.eye(4), b))
     twist = constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0) if name == "twisted" else None
     s = GCStructure.complex_structure(2, box, twist=twist)
-    return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(4)))
+    return HodgeContext(s, GeneralizedMetric.from_tensors(s.geometry, np.eye(4)))
 
 
 def ref_matrix_identities(ctx):
@@ -1743,18 +1790,17 @@ def ref_star_conjugation(ctx):
 def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
     """Over the representative modes, stacked, the Hodge diagnostics equal
     the per-mode loops over the whole box exactly; on the twisted torus every
-    mode is its own representative.  A median kernel cutoff makes the
-    kernel-dimension counts nonzero, so the weights of the representatives
-    show.  With ``hodge.CHUNK_BYTES`` set so that the diagnostics' passes
+    mode is its own representative.  A kernel count forced to the
+    eigenvalues at most the median makes the kernel-dimension counts
+    nonzero, so the weights of the representatives show.  With ``hodge.CHUNK_BYTES`` set so that the diagnostics' passes
     go 7 or 1 representatives at a time, the chunks end mid-box and the
     values stay the same."""
     ctx = _hodge_case(name)
     assert (len(ctx.level_basis.weight) == len(ctx.level_basis.modes)) == (name == "twisted")
     if cutoff == "median":
-        for kind in ("bc", "aeppli"):
-            sp = ctx.package(kind)
-            median = float(np.median(np.concatenate([v.ravel() for v in sp.vals])))
-            monkeypatch.setattr(sp, "cutoff", median)
+        lb = ctx.level_basis
+        counts = {kind: forced_kernel(lb, kind, np.median) for kind in ("bc", "aeppli")}
+        force_kernel(monkeypatch, lb, counts)
     want = (
         ref_matrix_identities(ctx) + ref_kernel_characterizations(ctx)
         + ref_green_commutation(ctx) + ref_star_conjugation(ctx)
@@ -1832,7 +1878,7 @@ def test_level_basis_modes_run_lexicographically(n, K):
     minus mode i, which ``_mode_mirror`` relies on."""
     box = TruncationBox(K)
     s = GCStructure.complex_structure(n, box)
-    lb = _LevelBasis(s, GeneralizedMetric.from_tensors(s.geometry, box, np.eye(2 * n)))
+    lb = _LevelBasis(s, GeneralizedMetric.from_tensors(s.geometry, np.eye(2 * n)))
     assert lb.modes.shape == ((2 * K + 1) ** (2 * n), 2 * n)
     assert np.array_equal(_mode_positions(box, s.dim, lb.modes), np.arange(len(lb.modes)))
     assert np.array_equal(lb.modes[::-1], -lb.modes)

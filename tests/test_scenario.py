@@ -813,44 +813,50 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     assert not (tmp_path / "plain" / "mini.timings.json").exists()
     sidecar = json.loads((tmp_path / "timed" / "mini.timings.json").read_text())
     assert [t["class_checks"] for t in sidecar] == [
-        {"decided": 0, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 0},
-        # T^2: 3 levels x 5 kinds read 14 stacks in 43 lookups: del, dbar
-        # and dbar del on 3, 4 and 5 levels, and d's rows and columns of one
-        # level each (the other rows, columns and M have an empty half).
-        # They rank 9: dbar on its 4 levels, dbar del at levels -2, -1, 0,
-        # and Row_0 and Col_0, which are their own conjugate partners; the
-        # other 5, del on 3 levels and dbar del at 1 and 2, are their
-        # partners' ranks read through the mirror.  The kernel counts read
-        # 20 more, 6 each for dbar, bc and aeppli and d's two parity
-        # blocks, which are the only new stacks.  Of the 63 lookups, 9
-        # rank their own stack, 5 read their partner's, 2 of which (del_0
-        # and del_1) rank that partner first (dbar_0 and dbar_{-1}), and
-        # the other 49 find their stack kept: 9 + 2 = 11 ranked.  The
-        # second table reads all 63 from the context
-        {"decided": 15, "ranks_computed": 11, "ranks_mirrored": 5, "ranks_reused": 49},
-        {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 63},
+        # T^2, 3 levels: the identity suite builds the dbar, bc, aeppli, d
+        # and del packages, whose kernel counts read 26 stacks: they rank
+        # 10, dbar on its 4 levels, dbar del at levels -1 and 0, Col_0 and
+        # Row_0, which are their own conjugate partners, and d's two parity
+        # blocks; 5, del at levels -1, 0, 1 and 2 and dbar del at 1, are
+        # their partners' ranks read through the mirror, and 11 lookups
+        # find their stack kept (a stack with an empty half is that of its
+        # other half)
+        {"decided": 0, "ranks_computed": 10, "ranks_mirrored": 5, "ranks_reused": 11},
+        # 3 levels x 5 kinds read 14 stacks in 43 lookups and the kernel
+        # counts 20 more; of the 63 only dbar del at -2 (empty) is ranked
+        # and dbar del at 2 read from it.  The second table reads 61 of them
+        # from the context, all but d's two parity blocks, as the level
+        # content of the d kernel is kept from the first
+        {"decided": 15, "ranks_computed": 1, "ranks_mirrored": 1, "ranks_reused": 61},
+        {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 61},
     ]
-    # the first pass of each package the experiment built, outside the
-    # report: the identity suite builds all five and the tables none.
-    # A pass goes CHUNK_BYTES / (16 N^2 stacks) representatives at a time,
-    # 4096 at N = 4, a quarter of that for the d kind's four stacks, and it
-    # eigendecomposes the 3 of T^2's 5 representatives that stand for the
-    # orbits of the complex structure's 4 lattice symmetries: one chunk
-    passes = [{"kind": kind, "chunk": 1024 if kind == "d" else 4096, "chunks": 1,
-               "group": 4, "decomposed": 3}
-              for kind in ("dbar", "bc", "aeppli", "d", "del")]
-    assert [t["spectra_passes"] for t in sidecar] == [passes, [], []]
-    # the rank stacks the first table computed, one pass of one chunk each
-    # for all 5 representatives, d's parity blocks last; each ranks the 3
-    # that stand for the orbits of the complex structure's 4 lattice
-    # symmetries (untwisted, a stack that is its own partner ranks as many)
+    # the rank stacks each experiment computed, outside the report, one pass
+    # of one chunk each for all 5 representatives, d's parity blocks last in
+    # the identity suite's; each ranks the 3 that stand for the orbits of
+    # the complex structure's 4 lattice symmetries (untwisted, a stack that
+    # is its own partner ranks as many).  A package's build decomposes no
+    # mode, so no experiment lists a spectra pass
     ranked = [t["rank_passes"] for t in sidecar]
-    assert ranked[0] == ranked[2] == [] and len(ranked[1]) == 11
-    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[1])
-    assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[1])
-    assert [(p["stack"], p["level"]) for p in ranked[1][-2:]] == [("d", 0), ("d", 1)]
-    assert '"spectra_passes"' not in timed.read_text()
+    assert [len(passes) for passes in ranked] == [10, 1, 0]
+    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[0] + ranked[1])
+    assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[0] + ranked[1])
+    assert [(p["stack"], p["level"]) for p in ranked[0][-2:]] == [("d", 0), ("d", 1)]
+    assert [(p["stack"], p["level"]) for p in ranked[1]] == [("dbar del", -2)]
+    assert all("spectra_passes" not in entry for entry in sidecar)
     assert '"rank_passes"' not in timed.read_text()
+
+
+def test_a_second_hodge_table_eigendecomposes_nothing_more():
+    """The level content of the d kernel is found once per level basis and
+    kept with its rank stacks: after an identity suite, whose packages read
+    all 5 representatives of complex T^2 K=1 each (25), the first table
+    eigendecomposes the one mode with a d kernel, mode 0, and the second
+    table none."""
+    config = minimal_config()
+    config["experiments"].append({"kind": "hodge-table"})
+    report, timings = run_scenario(config)
+    assert [e["kind"] for e in report["experiments"]] == ["identity-suite", "hodge-table", "hodge-table"]
+    assert [t["modes"]["decomposed"] for t in timings] == [25, 26, 26]
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
@@ -861,9 +867,9 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
     one per orbit of the complex structure's 4 lattice symmetries, and
     decomposes the one mode whose orbit has a d kernel, mode 0; twisted
     T^4 K=1 ranks 27 of its 81 modes and decomposes one.  An identity suite
-    builds all five packages, whose first passes decompose 3 modes each,
-    and its identities read the other 2 representatives of each: 25.  The
-    report holds no such count."""
+    builds all five packages, which rank 3 modes for their kernel counts
+    and decompose none, and its identities read all 5 representatives of
+    each: 25.  The report holds no such count."""
     config = _deformation_config()
     config["experiments"] = [
         {"kind": "criterion", "t": [0.1], "samples": 1},
@@ -883,19 +889,19 @@ def test_timings_sidecar_counts_the_modes_the_context_decomposes():
     }
     assert run_scenario(twisted)[1][0]["modes"] == {"box": 81, "decomposed": 1, "ranked": 27}
     report, timings = run_scenario(minimal_config())
-    assert timings[0]["modes"] == {"box": 9, "decomposed": 25, "ranked": 0}
+    assert timings[0]["modes"] == {"box": 9, "decomposed": 25, "ranked": 3}
     assert '"decomposed"' not in report_to_json(report)
 
 
 def test_t4_deform_eigendecomposes_at_most_3000_laplacian_blocks(monkeypatch):
     """The benchmark's t4-deform config, complex T^4 K=2 with two extends
     and a scan over six deformed structures, hands ``np.linalg.eigh`` at
-    most 3,000 matrices in process (2,876): each package's first pass
-    decomposes one mode per orbit of its structure's lattice symmetries, 28
-    of the 313 representatives undeformed and 91 on each deformed
-    structure, and a read decomposes only the representatives it reads.  A
-    first pass over every representative made 10,996.  A count is
-    deterministic, so a regression shows here without timing."""
+    most 100 matrices in process (41): a package counts its kernels from
+    rank stacks, and a read decomposes only the representatives it reads.
+    A first pass of each package at one mode per orbit of its structure's
+    lattice symmetries made 2,876, and one over every representative
+    10,996.  A count is deterministic, so a regression shows here without
+    timing."""
     import numpy as np
 
     config = json.loads((BENCH_CONFIGS / "t4-deform" / "t4_deform.json").read_text("utf-8"))
@@ -908,7 +914,7 @@ def test_t4_deform_eigendecomposes_at_most_3000_laplacian_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     report, _ = run_scenario(config)
     assert [exp["status"] for exp in report["experiments"]] == ["pass", "pass", "pass"]
-    assert sum(matrices) <= 3000
+    assert sum(matrices) <= 100
 
 
 def test_timings_sidecar_times_each_identity_suite():

@@ -288,7 +288,7 @@ def test_expansion_forms_no_ring_product(twisted, monkeypatch):
     box = TruncationBox(3, "drop")
     H = constant_form(TorusGeometry(2), box, (0, 1, 2), 1.0) if twisted else None
     s = GCStructure.complex_structure(2, box, twist=H)
-    metric = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(4))
+    metric = GeneralizedMetric.from_tensors(s.geometry, np.eye(4))
     first = {
         (1, 0): CliffordPoly(s.dual_frame, 2, {(0, 2): FourierScalar.mode(s.geometry, box, (1, 0, 0, 0), 0.3)}),
         (0, 1): CliffordPoly(s.dual_frame, 2, {(0, 3): FourierScalar.mode(s.geometry, box, (0, 1, 0, 0), 0.25)}),

@@ -294,7 +294,7 @@ def test_frames_are_compared_by_identity(op):
 
 def test_euclidean_metric_star_t2(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     assert m.compatibility(s) < 1e-12
     assert m.volume_factor == pytest.approx(1.0)
     one = scalar_spinor(FourierScalar.constant(s.geometry, s.box, 1.0))
@@ -306,7 +306,7 @@ def test_euclidean_metric_star_t2(t2_complex):
 
 def test_star_is_real_operator(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     rng = np.random.default_rng(35)
     sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
     lhs = sigma.conj().map_modes(m.star_matrix)
@@ -316,7 +316,7 @@ def test_star_is_real_operator(t2_complex):
 
 def test_star_square_matches_brute_force(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     brute = np.eye(4, dtype=complex)
     from gentorus.spinor import constant_clifford_matrix
     for v in m._cplus_values.T:
@@ -327,7 +327,7 @@ def test_star_square_matches_brute_force(t2_complex):
 @pytest.mark.parametrize("n", [1, 2])
 def test_bi_inner_positive_definite(n):
     s = GCStructure.complex_structure(n, BOX)
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2 * n))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2 * n))
     rng = np.random.default_rng(37)
     for _ in range(10):
         sigma = random_spinor(rng, s.geometry, s.box, max_mode=1)
@@ -338,7 +338,7 @@ def test_bi_inner_positive_definite(n):
 
 def test_bi_inner_hermitian(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     rng = np.random.default_rng(39)
     for _ in range(10):
         a = random_spinor(rng, s.geometry, s.box, max_mode=1)
@@ -348,7 +348,7 @@ def test_bi_inner_hermitian(t2_complex):
 
 def test_bi_inner_levels_and_modes_orthogonal(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     # distinct levels orthogonal
     for k1 in s.levels():
         for k2 in s.levels():
@@ -365,19 +365,19 @@ def test_bi_inner_levels_and_modes_orthogonal(t2_complex):
 
 def test_rho0_unit_norm_and_positive(t2_complex):
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     val = m.bi_inner(s.rho0, s.rho0)
     assert val.real > 0
     # the canonical complex-type generator dz/sqrt(2) has BI norm 1/sqrt(2)
     # for the Euclidean metric; just pin positivity and reproducibility here
-    again = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    again = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     assert abs(m.bi_inner(s.rho0, s.rho0) - again.bi_inner(s.rho0, s.rho0)) < 1e-15
 
 
 def test_metric_with_bfield():
     s = GCStructure.complex_structure(1, BOX)
     b = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2), b)
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2), b)
     assert m.validation["involution"] < 1e-12
     assert m.volume_factor == pytest.approx(np.linalg.det(np.eye(2) + b))
     rng = np.random.default_rng(41)
@@ -397,7 +397,7 @@ def test_compatible_metric_construction(t2_complex):
 def test_gl_pairing_vanishes(t2_complex):
     """<G l_i, l_j> = 0: the metric preserves the eigenbundle."""
     s = t2_complex
-    m = GeneralizedMetric.from_tensors(s.geometry, s.box, np.eye(2))
+    m = GeneralizedMetric.from_tensors(s.geometry, np.eye(2))
     from gentorus.structure import natural_pairing_matrix
     q = natural_pairing_matrix(2)
     for i in range(2):
@@ -415,5 +415,5 @@ def test_volume_factor_positive_random_b():
         g = a @ a.T + 4 * np.eye(4)
         c = rng.normal(size=(4, 4))
         b = c - c.T
-        m = GeneralizedMetric.from_tensors(geometry, BOX, g, b)
+        m = GeneralizedMetric.from_tensors(geometry, g, b)
         assert m.volume_factor > 0

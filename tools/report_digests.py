@@ -113,9 +113,10 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 # K=2, whose samples go through the deformed T^4 structure (0.1 s), and the
 # t4-deform experiments with g = diag(1, 2, 1, 2) (16 symmetries; pass,
 # pass, pass) and on the twisted T^4, where every mode is a representative
-# (finding, pass, finding), so that the packages' kernel classification on
-# smaller groups and the scan's deformed side are digested (0.15 s each),
-# timed on a 2-vCPU x86-64 host
+# (finding, pass, finding), also at g = 1e-4 I, where the same verdicts
+# show that the packages' kernels do not depend on the metric's scale, so
+# that the packages' kernel classification on smaller groups and the scan's
+# deformed side are digested (0.15 s each), timed on a 2-vCPU x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
@@ -133,6 +134,7 @@ INLINE = [
     _criterion("t4-constant-criterion", 2, 2, {"0,2": 0.3}, [0.1, 0.3], 20),
     _deform("t4-unequal-g-deform", {"type": "complex"}, _UNEQUAL_G),
     _deform("t4-twisted-deform", _TWISTED),
+    _deform("t4-twisted-floors-deform", _TWISTED, _SMALL_G),
 ]
 
 
