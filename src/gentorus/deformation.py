@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -932,6 +932,19 @@ def _majorant_diagnostic(
     }
 
 
+class ExtensionBatch(NamedTuple):
+    """The extensions of a batch of E seeds of one level
+    (``extend_closed_forms``): per order (p, q), the (P, 2^{2n}, E) stack
+    whose column e is seed e's coefficient, an order absent where every
+    coefficient is zero; per seed, its residual dict, as
+    ``ExtensionSeries.residuals``; and the class checks of the level."""
+
+    level: int
+    coefficients: Dict[OrderKey, FourierMatrix]
+    residuals: List[Dict[str, Dict[str, float]]]
+    class_checks: Dict
+
+
 def extend_closed_form(
     context: HodgeContext,
     series: Beltrami,
@@ -946,21 +959,101 @@ def extend_closed_form(
     by the minimal dbar solve plus the double-operator correction;
     h_vanishing: solve the single equation with the extra eps . del sigma~
     terms (solvable when the raising cohomology above the level vanishes;
-    the harmonic obstruction is checked per order either way).
+    the harmonic obstruction is checked per order either way).  This is
+    ``extend_closed_forms`` on a batch of one, whose one-column stacks are
+    the coefficients' own.
     """
+    batch = extend_closed_forms(context, series, [sigma00], order, variant, tol)
+    coeffs = {key: Spinor.from_stack(stack) for key, stack in batch.coefficients.items()}
+    majorant = _majorant_diagnostic(coeffs, series)
+    return ExtensionSeries(
+        series, batch.level, coeffs, batch.residuals[0], variant, majorant, batch.class_checks
+    )
+
+
+def extend_closed_forms(
+    context: HodgeContext,
+    series: Beltrami,
+    seeds: Sequence[Spinor],
+    order: int,
+    variant: str = "standard",
+    tol: float = 1e-9,
+) -> ExtensionBatch:
+    """Extend harmonic dbar-classes of one level together, as
+    ``extend_closed_form`` extends each: the seeds are the columns of one
+    stack over the union of their modes, so each step of the solve is one
+    operation on all of them, and every norm, check and residual is taken
+    column by column.  A batch of several seeds that raises a ValueError
+    (an obstruction, a failed solve, a truncation escape, an unresolved
+    Green operator, seeds of several levels) is extended again one seed
+    at a time, so the error raised is the one that the loop over the seeds
+    raises; where that loop passes, the batch's own error stands.
+    """
+    try:
+        return _extend_batch(context, series, seeds, order, variant, tol)
+    except ValueError:
+        if len(seeds) > 1:
+            for sigma in seeds:
+                extend_closed_form(context, series, sigma, order, variant, tol)
+        raise
+
+
+def _columns(columns: Sequence[FourierMatrix]) -> FourierMatrix:
+    """The stack whose column e is the one-column stack ``columns[e]``, over
+    the union of their modes; one column is itself, so a batch of one is
+    its seed's own stack."""
+    if len(columns) == 1:
+        return columns[0]
+    first = columns[0]
+    modes = np.concatenate([col.modes for col in columns])
+    owner = np.repeat(np.arange(len(columns)), [len(col.modes) for col in columns])
+    coeffs = np.zeros((len(modes), first.shape[0], len(columns)), dtype=complex)
+    coeffs[np.arange(len(modes)), :, owner] = np.concatenate([col.coeffs[:, :, 0] for col in columns])
+    return FourierMatrix(
+        first.geometry, first.box, modes, coeffs, np.hstack([col.dropped_mass for col in columns])
+    )
+
+
+def _keep(stack: FourierMatrix, keep: List[bool]) -> FourierMatrix:
+    """The stack with every column that ``keep`` does not mark set to zero."""
+    if all(keep):
+        return stack
+    mask = np.array(keep, dtype=float)
+    return FourierMatrix._from_sorted(
+        stack.geometry, stack.box, stack.modes, stack.coeffs * mask, stack.dropped_mass * mask
+    )
+
+
+def _extend_batch(
+    context: HodgeContext,
+    series: Beltrami,
+    seeds: Sequence[Spinor],
+    order: int,
+    variant: str,
+    tol: float,
+) -> ExtensionBatch:
+    """The solve of ``extend_closed_forms``, raising at the first column to
+    fail.  On one seed every array is the one-column stack of that seed's
+    own solve, so its coefficients and residuals are bitwise those of a
+    solve on spinors."""
     if variant not in ("standard", "h_vanishing"):
         raise DeformationError(f"unknown variant {variant!r}")
     structure = context.structure
     if structure is not series.structure:
         raise DeformationError("series and context structures differ")
-    level = structure.level_of(sigma00)
+    levels = {structure.level_of(sigma) for sigma in seeds}
+    if len(levels) > 1:
+        raise DeformationError("the seeds of a batch lie at different levels")
+    (level,) = levels
+    sigma00 = _columns([sigma.stack for sigma in seeds])
     pk = context.package("dbar")
-    harm_defect = (pk.harmonic(sigma00) - sigma00).norm()
-    if not harm_defect <= tol * max(1.0, sigma00.norm()):
-        raise ObstructionError(
-            "seed is not harmonic for the raising Laplacian",
-            {"defect": harm_defect},
-        )
+    defects = (pk.harmonic(sigma00) - sigma00).column_norms()
+    for harm_defect, norm in zip(defects, sigma00.column_norms()):
+        if not harm_defect <= tol * max(1.0, norm):
+            raise ObstructionError(
+                "seed is not harmonic for the raising Laplacian",
+                {"defect": harm_defect},
+            )
     mc = maurer_cartan_verify(series, tol=tol)
     if not mc["integrable"]:
         raise ObstructionError(
@@ -994,94 +1087,90 @@ def extend_closed_form(
         # a nonzero harmonic space above the level is not fatal: the per-order
         # harmonic obstruction check below is the sharp condition
 
-    coeffs: Dict[OrderKey, Spinor] = {}
-    residuals: Dict[str, Dict[str, float]] = {}
+    coeffs: Dict[OrderKey, FourierMatrix] = {}
+    residuals: List[Dict[str, Dict[str, float]]] = [{} for _ in seeds]
+    zero = FourierMatrix.zero(structure.geometry, structure.box, sigma00.shape)
     gamma0, _ = context.d_closed_representative(sigma00, tol=tol)
     coeffs[(0, 0)] = gamma0
-    residuals["0,0"] = {
-        "lowering": context.apply("del", gamma0).norm(),
-        "equation": context.apply("dbar", gamma0).norm(),
-        "scale": max(1.0, gamma0.norm()),
-    }
+    gamma_norms = gamma0.column_norms()
+    lowering = context.apply("del", gamma0).column_norms()
+    equation = context.apply("dbar", gamma0).column_norms()
+    for res, low, eq, norm in zip(residuals, lowering, equation, gamma_norms):
+        res["0,0"] = {"lowering": low, "equation": eq, "scale": max(1.0, norm)}
 
-    def driving_sum(p: int, q: int) -> Spinor:
+    def driving_sum(p: int, q: int) -> FourierMatrix:
         # solver products are exact on the truncation: escapes are errors,
         # never silently dropped content
-        acc = Spinor.zero(structure.geometry, structure.box)
+        acc = zero
         for (i, k), epspoly in series.coefficients.items():
             j, l = p - i, q - k
             if (j, l) in coeffs:
-                acc = acc.add(epspoly.act(coeffs[(j, l)], policy="strict"))
+                acc = acc.add(epspoly.action_matrix().matmul(coeffs[(j, l)], policy="strict"))
         return acc
 
     for total in range(1, order + 1):
         for p in range(total + 1):
             q = total - p
-            y = driving_sum(p, q)
-            if variant == "standard":
-                rhs = context.apply("del", y).scale(-1)
-                scale = max(1.0, rhs.norm(), gamma0.norm())
-                harm = pk.harmonic(rhs).norm()
-                if not harm <= tol * scale:
-                    raise ObstructionError(
-                        f"extension obstruction at order ({p},{q})",
-                        {"harmonic_norm": harm, "order": f"{p},{q}", "scale": scale},
-                    )
-                if rhs.norm() <= 1e-15 * scale:
-                    sig = Spinor.zero(structure.geometry, structure.box)
-                else:
-                    first = context.apply("dbar_adj", pk.green(rhs))
-                    del_first = context.apply("del", first)
-                    if del_first.norm() > 1e-15 * scale:
-                        correction = context.apply(
-                            "deldbar_adj", context.package("bc").green(del_first)
-                        ).scale(-1)
-                        sig = first.add(context.apply("dbar", correction))
-                    else:
-                        sig = first
-                eq_res = (context.apply("dbar", sig) - rhs).norm()
-                low_res = context.apply("del", sig).norm()
-            else:
-                tau = context.apply("del", y).scale(-1)
+            rhs = context.apply("del", driving_sum(p, q)).scale(-1)
+            if variant == "h_vanishing":
                 for (i, k), epspoly in series.coefficients.items():
                     j, l = p - i, q - k
                     if (j, l) in coeffs:
-                        tau = tau.add(
-                            epspoly.act(context.apply("del", coeffs[(j, l)]), policy="strict")
+                        rhs = rhs.add(epspoly.action_matrix().matmul(
+                            context.apply("del", coeffs[(j, l)]), policy="strict"
+                        ))
+            norms = rhs.column_norms()
+            scales = [max(1.0, norm, g) for norm, g in zip(norms, gamma_norms)]
+            if variant == "standard":
+                for harm, scale in zip(pk.harmonic(rhs).column_norms(), scales):
+                    if not harm <= tol * scale:
+                        raise ObstructionError(
+                            f"extension obstruction at order ({p},{q})",
+                            {"harmonic_norm": harm, "order": f"{p},{q}", "scale": scale},
                         )
-                scale = max(1.0, tau.norm(), gamma0.norm())
-                closed = context.apply("dbar", tau).norm()
-                harm = pk.harmonic(tau).norm()
-                if not (closed <= tol * scale and harm <= tol * scale):
+            else:
+                closed = context.apply("dbar", rhs).column_norms()
+                for dbar_res, harm, scale in zip(closed, pk.harmonic(rhs).column_norms(), scales):
+                    if not (dbar_res <= tol * scale and harm <= tol * scale):
+                        raise ObstructionError(
+                            f"extension obstruction at order ({p},{q})",
+                            {
+                                "harmonic_norm": harm,
+                                "dbar_closed_residual": dbar_res,
+                                "order": f"{p},{q}",
+                            },
+                        )
+            # a column whose right-hand side is zero to rounding solves to zero
+            live = [not norm <= 1e-15 * scale for norm, scale in zip(norms, scales)]
+            sig = zero
+            if any(live):
+                sig = context.apply("dbar_adj", pk.green(_keep(rhs, live)))
+                if variant == "standard":
+                    # the double-operator correction, where del sig is not zero
+                    del_first = context.apply("del", sig)
+                    fix = [norm > 1e-15 * scale for norm, scale in zip(del_first.column_norms(), scales)]
+                    if any(fix):
+                        correction = context.apply(
+                            "deldbar_adj", context.package("bc").green(_keep(del_first, fix))
+                        ).scale(-1)
+                        sig = sig.add(context.apply("dbar", correction))
+            eq_res = (context.apply("dbar", sig) - rhs).column_norms()
+            low_res = (
+                context.apply("del", sig).column_norms() if variant == "standard"
+                else [float("nan")] * len(seeds)
+            )
+            for eq, scale in zip(eq_res, scales):
+                if not eq <= tol * scale:
                     raise ObstructionError(
-                        f"extension obstruction at order ({p},{q})",
-                        {
-                            "harmonic_norm": harm,
-                            "dbar_closed_residual": closed,
-                            "order": f"{p},{q}",
-                        },
+                        f"order ({p},{q}) solve failed",
+                        {"equation_residual": eq, "order": f"{p},{q}"},
                     )
-                if tau.norm() <= 1e-15 * scale:
-                    sig = Spinor.zero(structure.geometry, structure.box)
-                else:
-                    sig = context.apply("dbar_adj", pk.green(tau))
-                eq_res = (context.apply("dbar", sig) - tau).norm()
-                low_res = float("nan")
-            if not eq_res <= tol * scale:
-                raise ObstructionError(
-                    f"order ({p},{q}) solve failed",
-                    {"equation_residual": eq_res, "order": f"{p},{q}"},
-                )
-            if not sig.is_zero(0.0):
+            if len(sig.modes):
                 coeffs[(p, q)] = sig
-            residuals[f"{p},{q}"] = {
-                "equation": eq_res,
-                "lowering": low_res,
-                "scale": scale,
-            }
+            for res, eq, low, scale in zip(residuals, eq_res, low_res, scales):
+                res[f"{p},{q}"] = {"equation": eq, "lowering": low, "scale": scale}
 
-    majorant = _majorant_diagnostic(coeffs, series)
-    return ExtensionSeries(series, level, coeffs, residuals, variant, majorant, class_checks)
+    return ExtensionBatch(level, coeffs, residuals, class_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,27 +1178,20 @@ def extend_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _stack_extensions(
-    structure: GCStructure, extensions: Sequence[ExtensionSeries]
+def _order_rows(
+    structure: GCStructure, coefficients: Dict[OrderKey, FourierMatrix]
 ) -> Tuple[List[OrderKey], np.ndarray, np.ndarray]:
-    """The coefficient rows of a level's extensions on the union of their
-    supports: the orders, the union's box mode indices (P,) in ascending
-    order, and rows (E, orders, P, N) that are zero where an extension has
-    no coefficient at an order or a mode."""
-
-    def box_index(sigma):
-        return _mode_positions(structure.box, structure.dim, sigma.modes)
-
-    coeffs = [ext.coefficients for ext in extensions]
-    orders = sorted({key for c in coeffs for key in c})
-    index = np.flatnonzero(np.bincount(
-        np.concatenate([box_index(sig) for c in coeffs for sig in c.values()])
-    ))
-    rows = np.zeros((len(coeffs), len(orders), len(index), 2 ** structure.dim), dtype=complex)
-    for e, c in enumerate(coeffs):
-        for o, key in enumerate(orders):
-            if key in c:
-                rows[e, o, np.searchsorted(index, box_index(c[key]))] = c[key].rows
+    """The coefficient rows of a batch of E extensions on the union of
+    their supports: the orders, the union's box mode indices (P,) in
+    ascending order, and rows (E, orders, P, N) that are zero where an
+    extension has no coefficient at an order or a mode."""
+    orders = sorted(coefficients)
+    positions = [_mode_positions(structure.box, structure.dim, coefficients[key].modes) for key in orders]
+    index = np.flatnonzero(np.bincount(np.concatenate(positions)))
+    count = coefficients[orders[0]].shape[1]
+    rows = np.zeros((count, len(orders), len(index), 2 ** structure.dim), dtype=complex)
+    for o, (key, pos) in enumerate(zip(orders, positions)):
+        rows[:, o, np.searchsorted(index, pos)] = coefficients[key].coeffs.transpose(2, 0, 1)
     return orders, index, rows
 
 
@@ -1124,24 +1206,27 @@ def hodge_number_scan(
     """Kernel dimensions of the deformed raising Laplacian across samples,
     plus the rank of the harmonic transport map at each level.
 
-    Every harmonic basis element of a level is extended to ``order``, and
-    the extensions are stacked once: their coefficient rows on the union of
-    their supports, per order.  For each sample t the deformed structure is
-    built at eps(t) (constant deformations only).  Each raising-kernel
-    dimension, undeformed or deformed, is the length of the level's harmonic
-    basis, which the extensions or the Gram matrix read anyway.  Then each
-    level is one pass: the rows summed with weights t^p conj(t)^q are the E
-    extended harmonics at t, an (E, P, N) block; forward o undress, which
-    for a constant eps is one matrix at every mode, maps them into the
-    deformed level basis; one batched apply
-    projects them onto the deformed harmonics; and the E x H Gram matrix
-    against the deformed harmonic basis, whose rank is the injectivity
-    rank, is a plain conjugate inner product of coordinate rows, since the
-    level basis is Born-Infeld orthonormal.  Constancy verdicts compare
-    every row to t = 0.  Rows come in the given sample order.
-    ``extensions`` counts the extended harmonics over all the levels, and
-    ``phases`` holds the wall seconds of the extensions, of the deformed
-    structures and packages, and of the images; neither is part of any report.
+    The harmonic basis of each level is extended to ``order`` as one batch
+    (``extend_closed_forms``), one extension solve per level that has
+    harmonics, and its coefficient stacks are laid out once as rows on the
+    union of their supports, per order.  For each sample t the deformed
+    structure is built at eps(t) (constant deformations only), and its
+    harmonic basis is read once, over every level, and split by the level
+    block each row lies in.  Each raising-kernel dimension, undeformed or
+    deformed, is the length of the level's harmonic basis, which the
+    extensions or the Gram matrix read anyway.  Then per level the rows
+    summed with weights t^p conj(t)^q are the E extended harmonics at t, an
+    (E, P, N) block, and forward o undress, which for a constant eps is one
+    matrix at every mode, maps them into the deformed level basis; one
+    batched apply per sample projects the blocks of every level onto the
+    deformed harmonics; and per level the E x H Gram matrix against the
+    deformed harmonic basis, whose rank is the injectivity rank, is a plain
+    conjugate inner product of coordinate rows, since the level basis is
+    Born-Infeld orthonormal.  Constancy verdicts compare every row to
+    t = 0.  Rows come in the given sample order.  ``extensions`` counts the
+    extended harmonics over all the levels, and ``phases`` holds the wall
+    seconds of the extensions, of the deformed structures and packages, and
+    of the images; neither is part of any report.
     """
     structure = context.structure
     if not series.is_constant():
@@ -1157,16 +1242,14 @@ def hodge_number_scan(
     for k in levels:
         harmonics = pk.harmonic_basis(k)
         base_dims[k] = len(harmonics)
+        if not harmonics:
+            continue
         try:
-            exts = [
-                extend_closed_form(context, series, sig, order, variant="standard", tol=tol)
-                for sig in harmonics
-            ]
+            batch = extend_closed_forms(context, series, harmonics, order, "standard", tol)
         except ObstructionError as err:
             raise ObstructionError(f"extending the level {k} harmonics: {err}", err.data) from err
-        extensions += len(exts)
-        if exts:
-            stacks[k] = _stack_extensions(structure, exts)
+        extensions += len(harmonics)
+        stacks[k] = _order_rows(structure, batch.coefficients)
     phases["extension"] = time.monotonic() - started
 
     def sample_row(t: complex) -> Dict:
@@ -1187,25 +1270,35 @@ def hodge_number_scan(
         step = ds.ratio * (
             pk_t.level_basis.basis_inv @ ds.structure._level_matrix @ structure._level_inverse
         )
-        dims, ranks = {}, {}
+        # the deformed harmonics of every level, each row in its level's
+        # block, and the extended harmonics at t of each level that has both
+        h_index, h_rows = pk_t.harmonic_basis_rows()
+        deformed, blocks = {}, {}
         for k in levels:
-            h_index, h_rows = pk_t.harmonic_basis_rows(k)
-            dims[k] = len(h_index)
-            if k not in stacks or not len(h_index):
-                ranks[k] = 0
-                continue
-            orders, index, coeffs = stacks[k]
-            weights = np.array([t ** p * t.conjugate() ** q for p, q in orders])
-            block = np.tensordot(weights, coeffs, axes=(0, 1)) @ step.T
-            count, width = block.shape[0], len(index)
-            image = pk_t.apply(
-                np.tile(index, count), block.reshape(count * width, -1), pk_t.harmonic_weights
-            ).reshape(block.shape)
-            # each deformed harmonic pairs only with the image at its own mode
-            slot = np.minimum(np.searchsorted(index, h_index), width - 1)
-            shared = index[slot] == h_index
-            gram = np.einsum("ehn,hn->eh", image[:, slot], h_rows.conj()) * shared
-            ranks[k] = int(_rank(gram))
+            mine = np.any(h_rows[:, pk_t.level_basis.level(k)], axis=1)
+            deformed[k] = h_index[mine], h_rows[mine]
+            if k in stacks and mine.any():
+                orders, index, coeffs = stacks[k]
+                weights = np.array([t ** p * t.conjugate() ** q for p, q in orders])
+                blocks[k] = np.tensordot(weights, coeffs, axes=(0, 1)) @ step.T
+        dims = {k: len(deformed[k][0]) for k in levels}
+        ranks = dict.fromkeys(levels, 0)
+        if blocks:
+            # one apply projects the images of every level
+            flat = pk_t.apply(
+                np.concatenate([np.tile(stacks[k][1], len(block)) for k, block in blocks.items()]),
+                np.concatenate([block.reshape(-1, block.shape[-1]) for block in blocks.values()]),
+                pk_t.harmonic_weights,
+            )
+            ends = np.cumsum([block.shape[0] * block.shape[1] for block in blocks.values()])
+            for (k, block), image in zip(blocks.items(), np.split(flat, ends[:-1])):
+                index, (h_index, h_rows) = stacks[k][1], deformed[k]
+                image = image.reshape(block.shape)
+                # each deformed harmonic pairs only with the image at its own mode
+                slot = np.minimum(np.searchsorted(index, h_index), len(index) - 1)
+                shared = index[slot] == h_index
+                gram = np.einsum("ehn,hn->eh", image[:, slot], h_rows.conj()) * shared
+                ranks[k] = int(_rank(gram))
         phases["image"] += time.monotonic() - started
         return {"t": t, "dims": dims, "injectivity_rank": ranks}
 

@@ -683,6 +683,14 @@ class FourierMatrix:
         return cls(geometry, box, np.zeros((1, geometry.dim), dtype=np.int64), values[None])
 
     @classmethod
+    def zero(cls, geometry: TorusGeometry, box: TruncationBox, shape: Tuple[int, int]) -> "FourierMatrix":
+        """The zero matrix of the given (rows, cols) shape: no mode."""
+        return cls._from_sorted(
+            geometry, box, np.zeros((0, geometry.dim), dtype=np.int64),
+            np.zeros((0,) + tuple(shape), dtype=complex), np.zeros(shape),
+        )
+
+    @classmethod
     def identity(cls, geometry: TorusGeometry, box: TruncationBox, size: int) -> "FourierMatrix":
         return cls.constant(geometry, box, np.eye(size))
 
@@ -874,6 +882,13 @@ class FourierMatrix:
     def norm(self) -> float:
         """l2 norm of all coefficients: the root sum of squared entry norms."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+
+    def column_norms(self) -> List[float]:
+        """Per column, the l2 norm of its coefficients: for one column,
+        ``norm`` itself, bitwise."""
+        if self.shape[1] == 1:
+            return [self.norm()]
+        return np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=(0, 1))).tolist()
 
     def entry_norms(self) -> np.ndarray:
         """(rows, cols) array of the entries' l2 norms."""

@@ -29,7 +29,9 @@ and of d's rows or columns of a level, built one chunk of representatives
 at a time.  A rank is one values-only SVD per chunk, or the vector norm
 for a stack of single rows or columns; no basis is built.  A spinor enters
 and leaves as the coefficient rows of its mode stack, so every operator,
-projector and Green operator acts by one product batched over its modes.
+projector and Green operator acts by one product batched over its modes;
+a stack of E spinor columns enters as E rows per mode, so a batch of
+spinors is one such product too.
 The Lie-algebroid complex (``deformation.AlgebroidHodge``) is the dbar
 complex in polynomial coordinates (P maps to P . rho0), so it holds no
 operator of its own: its differential is the raising blocks of the level
@@ -103,7 +105,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from .fourier import TruncationBox
+from .fourier import FourierMatrix, TruncationBox
 from .metric import GeneralizedMetric
 from .spinor import Spinor, _stack_linear
 from .structure import GCStructure
@@ -570,13 +572,23 @@ class _LevelBasis:
         """Indices into the mode stacks; ValueError for a mode outside the box."""
         return _mode_positions(self.box, self.dim, modes)
 
-    def coords(self, sigma: Spinor) -> np.ndarray:
-        """sigma's coordinate rows in the level basis, at ``sigma.modes``."""
-        return sigma.rows @ self.basis_inv.T
-
     def spinor(self, modes, coords: np.ndarray) -> Spinor:
         """The spinor with level-basis coordinate rows ``coords`` at ``modes``."""
-        return Spinor.from_modes(self.geometry, self.box, modes, coords @ self.basis.T)
+        return Spinor.from_stack(self.columns(modes, coords, 1))
+
+    def column_coords(self, stack: FourierMatrix) -> np.ndarray:
+        """The level-basis coordinate rows of the columns of a (P, N, E)
+        stack of spinors, (P E, N): mode by mode, and the E columns in turn
+        within a mode.  For a spinor's one column, its rows at its modes."""
+        modes, size, columns = stack.coeffs.shape
+        return stack.coeffs.transpose(0, 2, 1).reshape(modes * columns, size) @ self.basis_inv.T
+
+    def columns(self, modes, coords: np.ndarray, count: int) -> FourierMatrix:
+        """The stack of ``count`` spinor columns at ``modes`` whose
+        level-basis coordinate rows ``coords`` are laid out as
+        ``column_coords`` lays them out; ``spinor`` is its one column."""
+        rows = (coords @ self.basis.T).reshape(len(modes), count, self.size)
+        return FourierMatrix(self.geometry, self.box, modes, rows.transpose(0, 2, 1))
 
     def kernel_terms(self, kind: str) -> List[Tuple[int, List[Tuple[str, int]], int]]:
         """Per diagonal block of the ``kind`` Laplacian (``blocks``), its
@@ -731,6 +743,16 @@ class _LevelBasis:
             name = "dbar"
         return name, j
 
+    def _zero(self, key: Tuple[str, int]) -> bool:
+        """Whether the stack that ``key`` names is zero by its levels alone:
+        del_j, dbar_j, or dbar del on level j, with a level that it joins
+        outside [-n, n].  A row, col or M key with an empty half is already
+        that of its other half (``_rank_key``)."""
+        name, j = key
+        other = j + 1 if name == "dbar" else j - 1
+        has = self.level_slices.__contains__
+        return name in ("del", "dbar", "dbar del") and not (has(j) and has(other))
+
     def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
         """Per representative mode, the ranks of the stack that ``key`` names
         (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
@@ -751,18 +773,24 @@ class _LevelBasis:
         read at the member ranked, so a value at the cut could rank apart; a
         direct pass over every representative, each at its own floor, is
         kept in the tests as the reference, on the floor-binding cases
-        too."""
+        too.  A stack that is zero by its levels (``_zero``) is kept with
+        rank 0 and no pass, and is counted neither as computed nor as
+        mirrored."""
         key = self._rank_key(key)
         if key in self._rank_stacks:
             self.check_counts["ranks_reused"] += 1
             return self._rank_stacks[key]
         name, j = key
-        if name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
+        if self._zero(key):
+            # rank 0 everywhere: no orbits, scale or SVD
+            self._rank_stacks[key] = np.zeros((len(self.weight), 2), dtype=np.int16)
+            self._rank_gaps[key] = 0
+        elif name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
             self._rank_pass(key)
         else:
             partner = _partner(key)
             if partner not in self._rank_stacks:
-                self._rank_pass(partner)
+                self._ranks(partner)
             self.check_counts["ranks_mirrored"] += 1
             self._rank_stacks[key] = self._rank_stacks[partner][self.conjugates()]
             self._rank_gaps[key] = self._rank_gaps[partner]
@@ -1044,19 +1072,26 @@ class HodgePackage(_ModeSpectra):
         order = np.argsort(index, kind="stable")
         return index[order], np.concatenate(rows)[order]
 
-    def _apply_spectral(self, sigma: Spinor, weights) -> Spinor:
+    def _apply_spectral(self, sigma: Spinor | FourierMatrix, weights) -> Spinor | FourierMatrix:
+        """weights(L) applied to a spinor, or to each column of an E-column
+        stack of them, by one ``apply`` over its rows (``column_coords``)."""
+        if isinstance(sigma, Spinor):
+            return Spinor.from_stack(self._apply_spectral(sigma.stack, weights))
         lb = self.level_basis
-        if sigma.is_zero():
-            return Spinor.zero(lb.geometry, lb.box)
-        coords = self.apply(lb.positions(sigma.modes), lb.coords(sigma), weights)
-        return lb.spinor(sigma.modes, coords)
+        if not len(sigma.modes):
+            return FourierMatrix.zero(lb.geometry, lb.box, sigma.shape)
+        count = sigma.shape[1]
+        index = np.repeat(lb.positions(sigma.modes), count)
+        return lb.columns(sigma.modes, self.apply(index, lb.column_coords(sigma), weights), count)
 
-    def harmonic(self, sigma: Spinor) -> Spinor:
-        """Projection onto the kernel."""
+    def harmonic(self, sigma: Spinor | FourierMatrix) -> Spinor | FourierMatrix:
+        """Projection onto the kernel, of a spinor or of each column of a
+        stack of them."""
         return self._apply_spectral(sigma, self.harmonic_weights)
 
-    def green(self, sigma: Spinor) -> Spinor:
-        """Pseudo-inverse on the kernel complement."""
+    def green(self, sigma: Spinor | FourierMatrix) -> Spinor | FourierMatrix:
+        """Pseudo-inverse on the kernel complement, of a spinor or of each
+        column of a stack of them."""
         return self._apply_spectral(sigma, self.green_weights)
 
     def laplacian(self, sigma: Spinor) -> Spinor:
@@ -1111,17 +1146,26 @@ class HodgeContext:
     # spinor transport
     # ------------------------------------------------------------------
 
-    def apply(self, name: str, sigma: Spinor) -> Spinor:
+    def apply(self, name: str, sigma: Spinor | FourierMatrix) -> Spinor | FourierMatrix:
+        """The operator ``name`` applied to a spinor, or to each column of an
+        E-column stack of them: one product per row of ``column_coords``,
+        with the operator built at each row's mode."""
         if name not in self.OPERATOR_NAMES:
             raise ValueError(f"unknown operator {name!r}")
-        if sigma.is_zero():
-            return Spinor.zero(self.geometry, self.box)
+        if isinstance(sigma, Spinor):
+            return Spinor.from_stack(self._apply_columns(name, sigma.stack))
+        return self._apply_columns(name, sigma)
+
+    def _apply_columns(self, name: str, stack: FourierMatrix) -> FourierMatrix:
+        if not len(stack.modes):
+            return FourierMatrix.zero(self.geometry, self.box, stack.shape)
         lb = self.level_basis
+        count = stack.shape[1]
         adjoint = name.endswith("_adj")
-        ops = self._op(name[:-4] if adjoint else name, lb.positions(sigma.modes))
+        ops = self._op(name[:-4] if adjoint else name, np.repeat(lb.positions(stack.modes), count))
         if adjoint:
             ops = _adjoint(ops)
-        return lb.spinor(sigma.modes, np.einsum("mij,mj->mi", ops, lb.coords(sigma)))
+        return lb.columns(stack.modes, np.einsum("mij,mj->mi", ops, lb.column_coords(stack)), count)
 
     def package(self, kind: str) -> HodgePackage:
         if kind not in self._packages:
@@ -1165,30 +1209,40 @@ class HodgeContext:
             )
         return x
 
-    def d_closed_representative(self, sigma: Spinor, tol: float = 1e-9) -> Tuple[Spinor, Spinor]:
+    def d_closed_representative(
+        self, sigma: Spinor | FourierMatrix, tol: float = 1e-9
+    ) -> Tuple[Spinor, Spinor] | Tuple[FourierMatrix, FourierMatrix]:
         """gamma = sigma + dbar beta with d gamma = 0, same raising-cohomology class.
 
         beta = -(del dbar)^* G_bc (del sigma); requires dbar sigma = 0 and the
-        exactness class condition for del sigma.
+        exactness class condition for del sigma.  ``sigma`` is a spinor, or
+        an E-column stack of them, whose columns are checked one by one: the
+        first column to fail raises its own error.
         """
-        scale = max(sigma.norm(), 1e-300)
-        closed = self.apply("dbar", sigma).norm()
-        if not closed <= tol * scale:
-            raise ObstructionError(
-                "input is not dbar-closed", {"dbar_norm": closed, "scale": scale}
-            )
+        if isinstance(sigma, Spinor):
+            gamma, beta = self._d_closed_columns(sigma.stack, tol)
+            return Spinor.from_stack(gamma), Spinor.from_stack(beta)
+        return self._d_closed_columns(sigma, tol)
+
+    def _d_closed_columns(self, sigma: FourierMatrix, tol: float) -> Tuple[FourierMatrix, FourierMatrix]:
+        scales = [max(norm, 1e-300) for norm in sigma.column_norms()]
+        for closed, scale in zip(self.apply("dbar", sigma).column_norms(), scales):
+            if not closed <= tol * scale:
+                raise ObstructionError(
+                    "input is not dbar-closed", {"dbar_norm": closed, "scale": scale}
+                )
         del_sigma = self.apply("del", sigma)
         # the bc package is built only for a del sigma it has to invert
-        if not del_sigma.is_zero():
+        if len(del_sigma.modes):
             del_sigma = self.package("bc").green(del_sigma)
         beta = self.apply("deldbar_adj", del_sigma).scale(-1)
         gamma = sigma.add(self.apply("dbar", beta))
-        d_res = self.apply("d", gamma).norm()
-        if not d_res <= tol * scale:
-            raise ObstructionError(
-                "class condition failed: no d-closed representative on this truncation",
-                {"d_residual": d_res, "scale": scale},
-            )
+        for d_res, scale in zip(self.apply("d", gamma).column_norms(), scales):
+            if not d_res <= tol * scale:
+                raise ObstructionError(
+                    "class condition failed: no d-closed representative on this truncation",
+                    {"d_residual": d_res, "scale": scale},
+                )
         return gamma, beta
 
     def solve_dbar_minimal(self, tau: Spinor, tol: float = 1e-9) -> Spinor:

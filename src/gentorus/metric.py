@@ -146,22 +146,16 @@ class GeneralizedMetric:
 
     @staticmethod
     def _gram_from(star: np.ndarray, dim: int) -> np.ndarray:
-        """Gram[mu, nu] = top coefficient of mon_mu ^ rev(star mon_nu)."""
+        """Gram[mu, nu] = top coefficient of mon_mu ^ rev(star mon_nu): the
+        row of star at the complement of mon_mu, negated where reversal
+        flips that complement, times the int sign of mon_mu ^ complement =
+        volume, as one gather."""
         monos = monomial_list(dim)
-        size = len(monos)
-        gram = np.zeros((size, size), dtype=complex)
-        comp_data = [_complement_sign(m, dim) for m in monos]
         index = {m: i for i, m in enumerate(monos)}
-        for nu in range(size):
-            image = star[:, nu].copy()
-            for i, m in enumerate(monos):
-                p = len(m)
-                if (p * (p - 1) // 2) % 2:
-                    image[i] = -image[i]
-            for mu, mono in enumerate(monos):
-                comp, sign = comp_data[mu]
-                gram[mu, nu] = sign * image[index[comp]]
-        return gram
+        comps, signs = zip(*(_complement_sign(m, dim) for m in monos))
+        flips = np.array([(len(m) * (len(m) - 1) // 2) % 2 == 1 for m in monos])
+        image = np.where(flips[:, None], -star, star)
+        return np.array(signs)[:, None] * image[[index[c] for c in comps]]
 
     def _recover_graph(self) -> Tuple[np.ndarray, np.ndarray]:
         dim = self.geometry.dim

@@ -128,7 +128,7 @@ class Spinor:
 
     @classmethod
     def zero(cls, geometry: TorusGeometry, box: TruncationBox) -> "Spinor":
-        return cls(geometry, box, {})
+        return cls.from_stack(FourierMatrix.zero(geometry, box, (2 ** geometry.dim, 1)))
 
     # ------------------------------------------------------------------
     # the coefficient stack

@@ -1,8 +1,9 @@
 """Former ``gentorus`` code that only the tests use, kept verbatim (a
 method as a function of its ``self``) as inputs and oracles: the Clifford
 suite's residuals must be bitwise those of ``clifford_act``, ``pairing``
-and ``scale_spinor``, and the structure constants those of
-``courant_bracket`` and ``pairing``.  These oracles take sections of
+and ``scale_spinor``, the structure constants those of
+``courant_bracket`` and ``pairing``, and the metric's Born-Infeld Gram
+matrix that of ``gram_from``.  These oracles take sections of
 T + T* as :class:`CourantVector` lists of ``FourierScalar`` components;
 ``sections`` reads them off a (4n, 2n) stack such as a structure's
 ``frame``.  pytest does not collect this module.
@@ -18,9 +19,10 @@ import numpy as np
 
 from gentorus.fourier import FourierMatrix, FourierScalar, GeometryMismatch, TorusGeometry, TruncationBox
 from gentorus.hodge import _adjoint
+from gentorus.metric import _complement_sign
 from gentorus.spinor import (
-    CliffordPoly, Spinor, _action, clifford_generators, monomial_index, random_fourier_scalar,
-    sort_monomial,
+    CliffordPoly, Spinor, _action, clifford_generators, monomial_index, monomial_list,
+    random_fourier_scalar, sort_monomial,
 )
 
 
@@ -281,3 +283,23 @@ def operator_matrix(ctx, name: str, mode: Tuple[int, ...]) -> np.ndarray:
     if name.endswith("_adj"):
         return _adjoint(operator_matrix(ctx, name[:-4], mode))
     return ctx._op(name, ctx.level_basis.positions([mode])[0])
+
+
+def gram_from(star: np.ndarray, dim: int) -> np.ndarray:
+    """``GeneralizedMetric._gram_from`` as the double loop it was:
+    Gram[mu, nu] = top coefficient of mon_mu ^ rev(star mon_nu)."""
+    monos = monomial_list(dim)
+    size = len(monos)
+    gram = np.zeros((size, size), dtype=complex)
+    comp_data = [_complement_sign(m, dim) for m in monos]
+    index = {m: i for i, m in enumerate(monos)}
+    for nu in range(size):
+        image = star[:, nu].copy()
+        for i, m in enumerate(monos):
+            p = len(m)
+            if (p * (p - 1) // 2) % 2:
+                image[i] = -image[i]
+        for mu, mono in enumerate(monos):
+            comp, sign = comp_data[mu]
+            gram[mu, nu] = sign * image[index[comp]]
+    return gram

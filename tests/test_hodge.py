@@ -681,7 +681,11 @@ def test_hodge_table_svd_count(monkeypatch):
     Of the 113 lookups (81 by the checks, 32 by the kernel counts), 16
     rank their own stack, 10 read their partner's, 2 of which (del_{-1}
     and del_0) rank that partner first (dbar_1 and dbar_0), and the other
-    87 find their stack kept: 16 + 2 = 18 ranked."""
+    87 find their stack kept: 16 + 2 = 18 ranked.  Six of the 26 stacks
+    are zero by their levels, blocks to or from a level outside [-2, 2] or
+    products through one: four of the ranked (dbar_{-3}, dbar_2, Q_{-3},
+    Q_{-2}) and two of the mirrored (del_3, Q_3).  They have rank 0 with no
+    pass, so 14 are counted as ranked and 8 as mirrored."""
     ctx = HodgeContext(*_case(2, 1))
     calls = {"svd": [], "eigh": []}
     for name in calls:
@@ -694,7 +698,7 @@ def test_hodge_table_svd_count(monkeypatch):
     hodge_table(ctx)
     assert len(calls["svd"]) == 17 and len(calls["eigh"]) == 1
     assert ctx.level_basis.check_counts == {
-        "decided": 25, "ranks_computed": 18, "ranks_mirrored": 10, "ranks_reused": 87,
+        "decided": 25, "ranks_computed": 14, "ranks_mirrored": 8, "ranks_reused": 87,
     }
 
 
@@ -731,7 +735,8 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
     partner the least of each orbit of those and -I together, all among the
     first M // 2 + 1 modes of a twisted box.  Of each conjugate pair only
     dbar and the member at level j <= 0 are built, and the other is read
-    from it."""
+    from it.  A stack through a level outside [-n, n], zero by its levels,
+    is built by no pass."""
     structure, metric, want = _reference_case(case)
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(2 ** structure.dim, 7))
     questions = list(want)
@@ -768,8 +773,14 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
         keys = list(dict.fromkeys(key for key, _ in chunks))
         assert sorted(chunks) == sorted((key, c) for key in keys for c in cover(key))
         assert all(name in ("dbar", "M", "d") or (name != "del" and j <= 0) for name, j in keys)
-        mirrored = set(ctx.level_basis._rank_stacks) - set(keys)
-        assert all(hodge._partner(key) in keys for key in mirrored)
+        # a stack that is zero by its levels is zero at every representative,
+        # kept with rank 0 and built by no pass
+        zero = {key for key in lb._rank_stacks if lb._zero(key)}
+        assert not zero & set(keys)
+        assert all(not built(lb, key, np.arange(count)).any() for key in zero)
+        assert all(not lb._rank_stacks[key].any() for key in zero)
+        mirrored = set(ctx.level_basis._rank_stacks) - set(keys) - zero
+        assert all(hodge._partner(key) in set(keys) | zero for key in mirrored)
         assert ctx.level_basis.check_counts["ranks_computed"] == len(keys)
         assert ctx.level_basis.check_counts["ranks_mirrored"] == len(mirrored)
         assert ctx.level_basis.check_counts["decided"] == 2 * len(order)
@@ -1099,7 +1110,7 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
     sigma = lb.spinor(lb.modes, coords)
     index = lb.positions(sigma.modes)
     for method, weights in ((pk.harmonic, pk.harmonic_weights), (pk.green, pk.green_weights)):
-        want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.coords(sigma), weights, cutoff))
+        want = lb.spinor(sigma.modes, _apply_full(full, blocks, index, lb.column_coords(sigma.stack), weights, cutoff))
         got = method(sigma)
         assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
 
@@ -2016,9 +2027,10 @@ def _direct_kernel(ctx, kind):
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_CASES))
-def test_orbit_first_pass_equals_a_direct_eigh_at_every_representative(name, monkeypatch):
-    """A package's first pass is its rank passes, one representative per
-    orbit of the structure's lattice symmetries: its build builds no d and
+def test_package_reads_equal_a_direct_eigh_with_direct_rank_counts(name, monkeypatch):
+    """A package's kernel counts come from its rank passes, one
+    representative per orbit of the structure's lattice symmetries: its
+    build builds no d and
     hands eigh nothing, and what the package reads equals a direct eigh at
     every representative with the kernel its m eigenvectors of smallest
     eigenvalue, m from a direct rank pass over every representative at its

@@ -6,7 +6,9 @@ spinor, undressed and transported by the spinor maps, projected by the
 deformed dbar package, and paired with each deformed harmonic by
 ``bi_inner``.  The stacked scan must report the same dimensions and
 injectivity ranks, and the Gram matrices it ranks must agree with the
-loop's to 1e-12 relative.
+loop's to 1e-12 relative.  The scan extends each level's harmonics as one
+batch (``extend_closed_forms``), which must equal ``extend_closed_form``
+seed by seed, and raise the error that the loop over the seeds raises.
 """
 
 import json
@@ -15,10 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentorus import deformation
-from gentorus.deformation import DeformedStructure, extend_closed_form, hodge_number_scan
-from gentorus.hodge import HodgeContext, _rank
+from gentorus import deformation, hodge
+from gentorus.deformation import (
+    DeformedStructure,
+    extend_closed_form,
+    extend_closed_forms,
+    hodge_number_scan,
+)
+from gentorus.fourier import FourierMatrix
+from gentorus.hodge import HodgeContext, ObstructionError, _rank
 from gentorus.scenario import Scenario, run_scenario
+from gentorus.spinor import Spinor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,3 +162,137 @@ def test_scan_labels_a_real_sample_by_its_value():
     report, _ = run_scenario(config)
     rows = report["experiments"][0]["tables"]["rows"]
     assert [row["t"] for row in rows] == [-0.1] * 3 + [0.1] * 3 + [0.0] * 3
+
+
+def _fourier_twisted_t4():
+    """Twisted T^4 K=2 under a first-order eps with one nonzero Fourier
+    mode: its level -1 harmonics pick up (1, 0) and (2, 0) terms, and the
+    twist breaks the class conditions of levels -2, 0 and 1."""
+    config = _twisted_t4()
+    config["torus"]["K"] = 2
+    config["deformation"] = {
+        "coefficients": {"1,0": {"terms": {"0,2": {"modes": [{"k": [1, 0, 0, 0], "c": 0.3}]}}}}
+    }
+    return config
+
+
+# the scan cases at their levels, all levels when None, and the Fourier eps
+BATCH_CASES = {
+    **{name: (make, levels) for name, (make, _, levels) in CASES.items()},
+    "twisted-t4-fourier-eps": (_fourier_twisted_t4, None),
+}
+
+
+def _column(stack, e):
+    """Column e of a batch's coefficient stack, as a spinor."""
+    return Spinor.from_stack(FourierMatrix(stack.geometry, stack.box, stack.modes, stack.coeffs[:, :, e:e + 1]))
+
+
+def _outcome(call):
+    """What a call returns and the ValueError it raises, one of them None."""
+    try:
+        return call(), None
+    except ValueError as err:
+        return None, err
+
+
+@pytest.mark.parametrize("variant", ["standard", "h_vanishing"])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_extensions_equal_the_per_seed_extensions(case, variant):
+    """Each level's harmonic basis extended as one batch: its coefficients
+    equal the per-seed extensions to 1e-12 relative, column by column,
+    with the same residual keys, scales to 1e-12, residual verdicts and
+    class checks; where the loop over the seeds raises, the batch raises
+    that error, the same type, message and data."""
+    make, levels = BATCH_CASES[case]
+    scenario = Scenario(make())
+    context = HodgeContext(scenario.structure, scenario.metric)
+    series, pk, tol = scenario.series, context.package("dbar"), 1e-9
+    solved, raised, orders = 0, [], set()
+    for k in levels or list(scenario.structure.levels()):
+        seeds = pk.harmonic_basis(k)
+        if not seeds:
+            continue
+        singles, want = _outcome(
+            lambda: [extend_closed_form(context, series, sigma, 2, variant) for sigma in seeds]
+        )
+        batch, got = _outcome(lambda: extend_closed_forms(context, series, seeds, 2, variant))
+        if want is not None:
+            assert got is not None and type(got) is type(want)
+            assert (str(got), getattr(got, "data", None)) == (str(want), getattr(want, "data", None))
+            raised.append(k)
+            continue
+        assert got is None
+        assert batch.level == k
+        orders.update(batch.coefficients)
+        for e, single in enumerate(singles):
+            assert batch.class_checks == single.class_checks
+            assert list(batch.residuals[e]) == list(single.residuals)
+            for key, ref in single.residuals.items():
+                res = batch.residuals[e][key]
+                assert list(res) == list(ref)
+                assert res["scale"] == pytest.approx(ref["scale"], rel=1e-12)
+                for name in ("equation", "lowering"):
+                    assert np.isnan(res[name]) == np.isnan(ref[name])
+                    assert (res[name] <= tol * res["scale"]) == (ref[name] <= tol * ref["scale"])
+            zero = Spinor.zero(context.geometry, context.box)
+            for key in set(batch.coefficients) | set(single.coefficients):
+                ref = single.coefficients.get(key, zero)
+                col = _column(batch.coefficients[key], e) if key in batch.coefficients else zero
+                assert (col - ref).norm() <= 1e-12 * max(1.0, ref.norm())
+            solved += 1
+    assert solved > 0
+    if case == "twisted-t4-fourier-eps":
+        # the level -1 seeds pick up (1, 0) and (2, 0); standard extends
+        # only the levels whose class conditions hold
+        assert sorted(orders) == [(0, 0), (1, 0), (2, 0)]
+        assert raised == ([-2, 0, 1] if variant == "standard" else [1])
+    else:
+        assert not raised
+
+
+def test_an_obstructed_batch_raises_the_per_seed_loops_error():
+    """A batch whose second seed mixes levels and whose first is not
+    harmonic: the batch fails on the second seed's level first, and is
+    extended again one seed at a time, so it raises the first seed's
+    error, as the loop over the seeds does."""
+    scenario = Scenario(_config("perfbench/configs/t4-deform/t4_deform.json"))
+    context = HodgeContext(scenario.structure, scenario.metric)
+    harmonics = context.package("dbar").harmonic_basis(0)
+    lb = context.level_basis
+    coords = np.zeros((1, lb.size), dtype=complex)
+    coords[0, lb.level(0)] = 1.0
+    not_harmonic = lb.spinor(lb.modes[5:6], coords)
+    mixed = harmonics[1].add(context.package("dbar").harmonic_basis(1)[0])
+    seeds = [not_harmonic, mixed, harmonics[2]]
+    _, want = _outcome(lambda: [extend_closed_form(context, scenario.series, sigma, 2) for sigma in seeds])
+    assert isinstance(want, ObstructionError) and "not harmonic" in str(want)
+    _, got = _outcome(lambda: extend_closed_forms(context, scenario.series, seeds, 2))
+    assert type(got) is ObstructionError
+    assert (str(got), got.data) == (str(want), want.data)
+
+
+def test_scan_extends_each_level_once_and_projects_each_sample_once(monkeypatch):
+    """On t4-deform the scan makes one extension solve per level that has
+    harmonics (5, holding 1, 4, 6, 4 and 1 seeds), not one per harmonic,
+    and one Hodge apply on the deformed side per nonzero sample."""
+    scenario = Scenario(_config("perfbench/configs/t4-deform/t4_deform.json"))
+    context = HodgeContext(scenario.structure, scenario.metric)
+    solves, applies = [], []
+    real_solve, real_apply = deformation._extend_batch, hodge._ModeSpectra.apply
+
+    def solve(context, series, seeds, *args):
+        solves.append(len(seeds))
+        return real_solve(context, series, seeds, *args)
+
+    def apply(self, index, coords, weights):
+        if self.level_basis is not context.level_basis:
+            applies.append(len(index))
+        return real_apply(self, index, coords, weights)
+
+    monkeypatch.setattr(deformation, "_extend_batch", solve)
+    monkeypatch.setattr(hodge._ModeSpectra, "apply", apply)
+    report = hodge_number_scan(context, scenario.series, [0.0, 0.05, 0.1, 0.3])
+    assert solves == [1, 4, 6, 4, 1]
+    assert report["extensions"] == 16
+    assert len(applies) == 3

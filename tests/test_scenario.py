@@ -815,19 +815,21 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     assert [t["class_checks"] for t in sidecar] == [
         # T^2, 3 levels: the identity suite builds the dbar, bc, aeppli, d
         # and del packages, whose kernel counts read 26 stacks: they rank
-        # 10, dbar on its 4 levels, dbar del at levels -1 and 0, Col_0 and
-        # Row_0, which are their own conjugate partners, and d's two parity
-        # blocks; 5, del at levels -1, 0, 1 and 2 and dbar del at 1, are
-        # their partners' ranks read through the mirror, and 11 lookups
-        # find their stack kept (a stack with an empty half is that of its
-        # other half)
-        {"decided": 0, "ranks_computed": 10, "ranks_mirrored": 5, "ranks_reused": 11},
+        # 7, dbar at levels -1 and 0, dbar del at 0, Col_0 and Row_0, which
+        # are their own conjugate partners, and d's two parity blocks; 3,
+        # del at levels 0 and 1 and dbar del at 1, are their partners'
+        # ranks read through the mirror; 5 are zero by their levels, blocks
+        # to or from a level outside [-1, 1] or a product through one (dbar
+        # at -2 and 1, del at -1 and 2, dbar del at -1), of rank 0 with no
+        # pass; and 11 lookups find their stack kept (a stack with an empty
+        # half is that of its other half)
+        {"decided": 0, "ranks_computed": 7, "ranks_mirrored": 3, "ranks_reused": 11},
         # 3 levels x 5 kinds read 14 stacks in 43 lookups and the kernel
-        # counts 20 more; of the 63 only dbar del at -2 (empty) is ranked
-        # and dbar del at 2 read from it.  The second table reads 61 of them
-        # from the context, all but d's two parity blocks, as the level
-        # content of the d kernel is kept from the first
-        {"decided": 15, "ranks_computed": 1, "ranks_mirrored": 1, "ranks_reused": 61},
+        # counts 20 more; of the 63 only dbar del at -2 and 2 are new, and
+        # both are zero by their levels.  The second table reads 61 of them from the
+        # context, all but d's two parity blocks, as the level content of
+        # the d kernel is kept from the first
+        {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 61},
         {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 61},
     ]
     # the rank stacks each experiment computed, outside the report, one pass
@@ -837,11 +839,10 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
     # is its own partner ranks as many).  A package's build decomposes no
     # mode, so no experiment lists a spectra pass
     ranked = [t["rank_passes"] for t in sidecar]
-    assert [len(passes) for passes in ranked] == [10, 1, 0]
-    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[0] + ranked[1])
-    assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[0] + ranked[1])
+    assert [len(passes) for passes in ranked] == [7, 0, 0]
+    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[0])
+    assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[0])
     assert [(p["stack"], p["level"]) for p in ranked[0][-2:]] == [("d", 0), ("d", 1)]
-    assert [(p["stack"], p["level"]) for p in ranked[1]] == [("dbar del", -2)]
     assert all("spectra_passes" not in entry for entry in sidecar)
     assert '"rank_passes"' not in timed.read_text()
 

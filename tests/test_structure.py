@@ -14,7 +14,7 @@ from gentorus.spinor import CliffordPoly, Spinor, monomial_list, random_spinor, 
 from gentorus.structure import GCStructure, StructureError
 
 from reference import clifford_act, constant_form, level_spinors, scalar_spinor, sections
-from reference import mode_coefficient, spinor_coefficient
+from reference import gram_from, mode_coefficient, spinor_coefficient
 
 BOX = TruncationBox(2)
 
@@ -302,6 +302,29 @@ def test_euclidean_metric_star_t2(t2_complex):
     top = mode_coefficient(spinor_coefficient(starred, (0, 1)), (0, 0))
     assert abs(abs(top) - 0.5) < 1e-12
     assert abs(top.imag) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_gather_is_bitwise_the_loop(n):
+    """The Born-Infeld Gram matrix, one signed gather, is bitwise the double
+    loop it replaced (``reference.gram_from``) on T^2 to T^8: on the star of
+    a metric with a B-field, and on a random star whose zero parts carry
+    both signs, so that every negation and every int x complex product
+    keeps its signed zeros."""
+    dim = 2 * n
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(dim, dim))
+    b = rng.normal(size=(dim, dim))
+    metric = GeneralizedMetric.from_tensors(TorusGeometry(n), a @ a.T + dim * np.eye(dim), b - b.T)
+    size = 2 ** dim
+    star = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    signed = rng.integers(0, 5, size=star.shape)
+    star = np.where(signed == 1, complex(-0.0, 0.0), star)
+    star = np.where(signed == 2, complex(0.0, -0.0), star)
+    star = np.where(signed == 3, complex(-0.0, -0.0), star)
+    assert np.signbit(star.real[star.real == 0]).any() and np.signbit(star.imag[star.imag == 0]).any()
+    for case in (metric.star_matrix, star):
+        assert GeneralizedMetric._gram_from(case, dim).tobytes() == gram_from(case, dim).tobytes()
 
 
 def test_star_is_real_operator(t2_complex):

@@ -13,7 +13,7 @@ The names are ``scenarios/<file>`` for each ``scenarios/*.json``,
 ``perfbench/configs/<workload>/<file>@seed<s>`` for each benchmark config at
 seeds 0 and 1, the seed written in as ``perfbench/workloads.py`` writes it,
 and ``inline/<name>`` for the identity suites, Hodge tables, expansion,
-criterion and deformation runs of ``INLINE``, which run the T^4 and T^6
+criterion, deformation and scan runs of ``INLINE``, which run the T^4 and T^6
 paths that no shipped or benchmark config reaches.
 The canonical report is ``report_to_json`` of ``run_scenario``, the bytes
 ``gentorus run --format json`` writes.  Nothing is written under
@@ -94,6 +94,15 @@ def _deform(name: str, structure: Dict, metric=None) -> Dict:
     return config
 
 
+def _scan(name: str, n: int, K: int, structure: Dict, terms: Dict, t_samples, levels) -> Dict:
+    """A ``scan`` experiment at ``levels`` under the constant first-order
+    deformation ``terms``."""
+    experiment = {"kind": "scan", "t_samples": t_samples, "levels": levels}
+    config = _config(name, n, K, experiment, structure)
+    config["deformation"] = {"coefficients": {"1,0": {"terms": terms}}}
+    return config
+
+
 def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
     """The ``t4-expand`` benchmark config on another structure: its two
     first-order terms expanded to order 3 under ``drop``, then ``criterion``."""
@@ -116,7 +125,10 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 # (finding, pass, finding), also at g = 1e-4 I, where the same verdicts
 # show that the packages' kernels do not depend on the metric's scale, so
 # that the packages' kernel classification on smaller groups and the scan's
-# deformed side are digested (0.15 s each), timed on a 2-vCPU x86-64 host
+# deformed side are digested (0.15 s each), and a scan of twisted T^4 K=1 at
+# the levels -1 and 2, whose harmonics extend past the class checks that
+# stop the twisted deform runs at level -2 (0.1 s), timed on a 2-vCPU
+# x86-64 host
 INLINE = [
     _identity("t4-complex-identity", 2, 1, 20, {"type": "complex"}),
     _identity("t4-twisted-identity", 2, 1, 20, _TWISTED),
@@ -135,6 +147,7 @@ INLINE = [
     _deform("t4-unequal-g-deform", {"type": "complex"}, _UNEQUAL_G),
     _deform("t4-twisted-deform", _TWISTED),
     _deform("t4-twisted-floors-deform", _TWISTED, _SMALL_G),
+    _scan("t4-twisted-levels-scan", 2, 1, _TWISTED, {"0,2": [0.3, 0]}, [0.0, 0.1, 0.2, 0.5], [-1, 2]),
 ]
 
 
