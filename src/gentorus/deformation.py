@@ -295,14 +295,11 @@ class AlgebroidHodge:
     Laplacians are the dbar Laplacian's level blocks, which read only the
     raising blocks of d, eigendecomposed in stacked chunks by a bare
     ``hodge._ModeSpectra(lb, "dbar")`` on its own level basis.  That counts
-    the kernel at each representative from the level basis's dbar rank
-    stacks, ranked once per orbit of the structure's lattice symmetries,
-    and eigendecomposes each representative that the Green operator or
-    projector reads when it is first read: bitwise the kernel counts and
-    spectra of the context's dbar package, with no context built.  When C is exactly zero the
-    differential is odd in k, so the Laplacians at +-k are bitwise equal
-    and the representatives are the first half of the box, mode 0
-    included; otherwise every mode is one.  A polynomial's coefficient rows
+    the kernel at each orbit of the structure's lattice symmetries from
+    the level basis's dbar rank stacks, ranked once per orbit, and
+    eigendecomposes each mode that the Green operator or projector reads
+    when it is first read, at that mode: bitwise the kernel counts and
+    spectra of the context's dbar package, with no context built.  A polynomial's coefficient rows
     are placed in its degree's slice of the ``monomial_list`` keys, so the
     projector, Green operator and adjoint each act by one batched product,
     and the result's rows are read back from its degree's slice: no scalar

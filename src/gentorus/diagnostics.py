@@ -273,20 +273,22 @@ def calculus_suite(structure: GCStructure, seed: int = 0, samples: int = 5) -> L
     ]
 
 
-def _rep_chunks(ctx: HodgeContext):
-    """The context's representative modes, one chunk at a time: as many as
-    keep four (m, N, N) stacks within ``hodge.CHUNK_BYTES``.
+def _mirror_chunks(ctx: HodgeContext):
+    """The modes that the Hodge diagnostics walk, one chunk at a time with
+    the box modes each stands for (``_LevelBasis.mirror_chunks``): as many
+    as keep four (m, N, N) stacks within ``hodge.CHUNK_BYTES``, over the
+    first half of an untwisted box and the whole of a twisted one.
 
     The per-mode terms of the Hodge diagnostics are stacked products over
-    these slices, d built for each slice alone.  A mirrored mode's terms
-    are bitwise its representative's: its del and dbar are negated, its
+    these slices, d built for each slice alone.  On an untwisted box the
+    terms at -k are bitwise those at k: its del and dbar are negated, its
     Laplacians and Green matrices equal, products of negated factors are
     exact, and the SVD is unchanged by sign flips of rows or columns.  A
     stacked product equals its per-mode one slice by slice.  So a worst
-    case over the representatives is the worst case over the box, and a
-    count weights each representative by ``ctx.level_basis.weight``.
+    case over the walk is the worst case over the box, and a count weights
+    each mode of the walk by the modes it stands for.
     """
-    return ctx.level_basis.rep_chunks(4)
+    return ctx.level_basis.mirror_chunks(4)
 
 
 def _worst(values: np.ndarray) -> np.ndarray:
@@ -296,7 +298,7 @@ def _worst(values: np.ndarray) -> np.ndarray:
 
 def _matrix_identities(ctx: HodgeContext) -> List[Dict]:
     worst = {"del_squared": 0.0, "dbar_squared": 0.0, "anticommute": 0.0, "d_split": 0.0}
-    for sel in _rep_chunks(ctx):
+    for sel, _ in _mirror_chunks(ctx):
         dl, db, d = (ctx._op(name, sel) for name in ("del", "dbar", "d"))
         top = _worst(d)
         scale = np.array([max(1.0, m) ** 2 for m in top])
@@ -336,16 +338,16 @@ def _hodge_identities(ctx: HodgeContext) -> List[Dict]:
 def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
     """Kernel and orthogonal-decomposition facts for the BC and Aeppli kinds.
 
-    Every basis is a stack over the representative modes, zero-padded past
-    its rank, so dimensions are counted as nonzero columns, and each count
-    weights a representative by the modes it stands for.
+    Every basis is a stack over the modes of ``_mirror_chunks``,
+    zero-padded past its rank, so dimensions are counted as nonzero
+    columns, and each count weights a mode by the box modes it stands for.
     """
     out = []
     for kind in ("bc", "aeppli"):
         pk = ctx.package(kind)
         dim_mismatch = decomp_dim_defect = 0
         containment = orth = 0.0
-        for sel in _rep_chunks(ctx):
+        for sel, weight in _mirror_chunks(ctx):
             dl, db, t = (ctx._op(name, sel) for name in ("del", "dbar", "deldbar"))
             if kind == "bc":
                 stack = np.concatenate([dl, db, _adjoint(t)], axis=1)
@@ -355,7 +357,6 @@ def _kernel_characterizations(ctx: HodgeContext) -> List[Dict]:
                 stack = np.concatenate([_adjoint(dl), _adjoint(db), t], axis=1)
                 second = _range_basis(_adjoint(t))
                 third = _range_basis(np.concatenate([dl, db], axis=2))
-            weight = ctx.level_basis.weight[sel]
             null = _range_and_null(stack)[1]
             hmat = pk.matrix(sel, pk.harmonic_weights)
             hbasis = _range_basis(hmat)
@@ -380,7 +381,7 @@ def _green_commutation(ctx: HodgeContext) -> List[Dict]:
     """The eight Laplacian/Green commutation identities as matrix equations."""
     worst = {f"green_identity_{i}": 0.0 for i in range(1, 9)}
     bc, ae = ctx.package("bc"), ctx.package("aeppli")
-    for sel in _rep_chunks(ctx):
+    for sel, _ in _mirror_chunks(ctx):
         lbc, la = ctx._laplacian("bc", sel), ctx._laplacian("aeppli", sel)
         dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
         t = dl @ db                      # level-preserving double operator
@@ -412,7 +413,7 @@ def _star_conjugation(ctx: HodgeContext) -> List[Dict]:
     star_inv = np.linalg.inv(star)
     worst = 0.0
     worst_del = 0.0
-    for sel in _rep_chunks(ctx):
+    for sel, _ in _mirror_chunks(ctx):
         dl, db = ctx._op("del", sel), ctx._op("dbar", sel)
         scale = np.maximum(1.0, np.maximum(_worst(dl), _worst(db)))
         worst = np.maximum(worst, (_worst(_adjoint(db) - star @ dl @ star_inv) / scale).max())
@@ -433,7 +434,7 @@ def _kaehler_diagnostic(ctx: HodgeContext) -> List[Dict]:
     except Exception:
         return [entry("kaehler_partner_integrable", 1.0, float("inf"))]
     worst = 0.0
-    for sel in _rep_chunks(ctx):
+    for sel, _ in _mirror_chunks(ctx):
         ld, ldel, ldbar = (ctx._laplacian(kind, sel) for kind in ("d", "del", "dbar"))
         scale = np.maximum(1.0, _worst(ld))
         worst = np.maximum.reduce([
@@ -461,7 +462,7 @@ def hodge_table(ctx: HodgeContext) -> Dict:
     """Kernel dimensions per kind and level plus class-check verdicts.
 
     The class checks go first.  They are decided from rank stacks that
-    the context's level basis keeps, one int per representative mode.  The
+    the context's level basis keeps, one int per symmetry orbit.  The
     kernel dimensions are rank identities over the same stacks
     (``_LevelBasis.kernel_counts``), the counts the packages read: the
     table builds no package, and ranks anew only the two parity blocks of

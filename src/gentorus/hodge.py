@@ -5,15 +5,14 @@ On a Born-Infeld-orthonormal constant basis the twisted differential at
 mode k is C + 2 pi i sum_a k_a A_a, with C and the A_a those of
 ``GCStructure.differentials["d"]`` changed to that basis.  One object per
 box, the level basis (``_LevelBasis``), holds C, the A_a, the box's modes,
-their representatives and the rank stacks; contexts, packages and the
-algebroid read them there and copy none.  Each reader builds d at exactly
-the modes it asks for (``_LevelBasis.d``), a chunk of representatives, the
-modes of a spinor, or one level block at a chunk of representatives, and
-these are bitwise the rows and blocks of a stack over the whole box, which
-is never held.  A
-pass over the representatives goes by chunks bounded in bytes, not modes:
-``_chunk_length`` gives the representatives whose (m, N, N) stacks, as
-many as the pass holds at once, fit in CHUNK_BYTES.
+their orbits and the rank stacks; contexts, packages and the algebroid
+read them there and copy none.  Each reader builds d at exactly the modes
+it asks for (``_LevelBasis.d``), a chunk of modes, the modes of a spinor,
+or one level block at a chunk of modes, and these are bitwise the rows and
+blocks of a stack over the whole box, which is never held.  A pass over
+modes goes by chunks bounded in bytes, not modes: ``_chunk_length`` gives
+the modes whose (m, N, N) stacks, as many as the pass holds at once, fit
+in CHUNK_BYTES.
 Adjoints are conjugate transposes in that basis (exact on the truncation).
 The Laplacians are assembled per diagonal block from products of the level
 blocks of d (one block per level; the whole matrix for the level-mixing d
@@ -25,10 +24,10 @@ The class checks (the
 ddbar-lemma and the solvability classes) are rank identities, as
 del^2 = dbar^2 = del dbar + dbar del = 0, so every verdict is decided
 from numerical ranks alone: of level blocks of d, of dbar del on a level,
-and of d's rows or columns of a level, built one chunk of representatives
-at a time.  A rank is one values-only SVD per chunk, or the vector norm
-for a stack of single rows or columns; no basis is built.  A spinor enters
-and leaves as the coefficient rows of its mode stack, so every operator,
+and of d's rows or columns of a level, built one chunk of modes at a
+time.  A rank is one values-only SVD per chunk, or the vector norm for a
+stack of single rows or columns; no basis is built.  A spinor enters and
+leaves as the coefficient rows of its mode stack, so every operator,
 projector and Green operator acts by one product batched over its modes;
 a stack of E spinor columns enters as E rows per mode, so a batch of
 spinors is one such product too.
@@ -40,47 +39,39 @@ only those blocks.
 
 There is one kernel rule.  The kernel of each kind of Laplacian is
 ker A cap ker B* for a pair A, B of rank stacks with A B = 0, so its
-dimension at a representative is a rank identity, N_k - r(A) - r(B)
+dimension at a mode is a rank identity, N_k - r(A) - r(B)
 (``_LevelBasis.kernel_sizes``), with d ranked by its two parity blocks.
 No eigenvalue is compared with a cutoff: a cutoff scaled to the spectrum
 reads a kernel that moves with the scale of the metric, while a kernel
 dimension, the dimension of a space of harmonic forms, does not.  The
 kernel dimensions over the box (``_LevelBasis.kernel_counts``) weight
-these counts by the modes, so a hodge-table builds no package and no
-Laplacian spectra: it eigendecomposes the d Laplacian only at the least
-member of each orbit (below) that has a kernel, once per level basis, for
-the kernel's level content.  A package is the spectra of its kind
-(``HodgePackage`` subclasses ``_ModeSpectra``): its kernel at a
-representative is the m eigenvectors of smallest eigenvalue, m that rank
-count, and its kernel dimensions are those same counts.  It
-eigendecomposes, by the same batched ``eigh``, each representative that
-its projector, Green operator or harmonic basis reads, once, and keeps it.
-What a level basis holds over the modes is its rank stacks, one int per
-representative mode and cut.
+these counts by the modes of each orbit (below), so a hodge-table builds
+no package and no Laplacian spectra: it eigendecomposes the d Laplacian
+only at the least member of each orbit that has a kernel, once per level
+basis, for the kernel's level content.  A package is the spectra of its
+kind (``HodgePackage`` subclasses ``_ModeSpectra``): its kernel at a mode
+is the m eigenvectors of smallest eigenvalue, m that rank count, and its
+kernel dimensions are those same counts.  It eigendecomposes, by the same
+batched ``eigh``, each mode that its projector, Green operator or harmonic
+basis reads, at that mode itself, once, and keeps it.  What a level basis
+holds over the box is one orbit index per mode, and its rank stacks, one
+int per orbit and cut.
 
-On an untwisted torus C = -H^ is exactly zero, so d at -k is bitwise -d at
-k: the Laplacians at +-k are bitwise equal, and the level blocks at +-k
-have the same ranks and spans.  The box's modes run lexicographically over
-a symmetric cube, so -k of mode i is mode M - 1 - i, and only the first
-M // 2 + 1 modes are representatives (``_mode_mirror``), each
-eigendecomposition bitwise its mirror's.  Every reader maps a mode to its
-representative, and every count over the modes (kernel dimensions,
-class-check dims, rank gap warnings) weights a representative by the two
-modes it stands for (one for mode 0).  On a twisted context, whose C is not
-exactly zero, every mode is a representative.
-
-Ranks need no bitwise equality, so the rank passes fold further.  A
-signed permutation P of the lattice axes whose P + P preserves J and the
-generalized metric, and which preserves H, acts on forms by a unitary U
-that keeps the levels, with d at P m equal to U d_m U^-1: every rank of a
-level block of d, or of a product of them, is constant on the orbits of
-the group G of such P (``_symmetry_group``; the irreducible Brillouin zone of
-band-structure codes), up to rounding.  The level basis labels the orbits
-of the box once (``_LevelBasis.orbits``, from ``_orbit_map``, whose group
-{I, -I} is the mirror) and ranks each stack at the least representative
-of each orbit alone, weighted by the orbit's modes; complex T^4 K=3 ranks
-91 of its 1201 representatives.  U moves the eigenvectors' bits, so what a
-reader weights with comes from the ``eigh`` at its own representative.
+The box is folded once, by the lattice symmetries.  A signed permutation P
+of the lattice axes whose P + P preserves J and the generalized metric,
+and which preserves H, acts on forms by a unitary U that keeps the levels,
+with d at P m equal to U d_m U^-1: every rank of a level block of d, or of
+a product of them, is constant on the orbits of the group G of such P
+(``_symmetry_group``; the irreducible Brillouin zone of band-structure
+codes), up to rounding.  The level basis labels the orbits of the box once
+(``_LevelBasis.orbits``, from ``_orbit_map``), ranks each stack at the
+least member of each orbit alone, keeps the ranks per orbit, and weights
+each orbit by its modes; complex T^4 K=3 ranks 91 orbits of its 2401
+modes.  On an untwisted torus C = -H^ is exactly zero, so d at -k is
+bitwise -d at k and -I is in G; the identity passes, which build every
+term of a mode, walk the first half of such a box alone
+(``_LevelBasis.mirror_chunks``).  U moves the eigenvectors' bits, so what a reader weights
+with comes from the ``eigh`` at its own mode.
 
 H is real, so d is real, and conjugation maps level j to level -j: a
 level block of d at -k is the conjugate of its partner's at k, with the
@@ -90,13 +81,10 @@ those of d's rows or columns of level j are d's rows or columns of level
 -j; d's two parity blocks are their own.  Conjugation keeps singular
 values, so a partner's ranks at -k are those at k, and of each pair of rank
 stacks one is ranked, the dbar member or the one at level j <= 0, and the
-other is its ranks read through ``_LevelBasis.conjugates``, the
-representative of -k per representative k: the identity on an untwisted
-box, the reversal of the modes on a twisted one.  A stack that is its own
-partner is ranked on the first M // 2 + 1 modes of a twisted box, the
-rest read through the same map, so twisted or not, each pair of a stack
-and a mode is ranked once with its conjugate; with G, such a stack is
-ranked once per orbit of G and -I together.
+other is its ranks read at the orbit of -k per orbit of k: the identity on
+an untwisted box, where -I is in G.  A stack that is its own partner is
+ranked once per orbit of G and -I together, so twisted or not, each pair
+of a stack and a mode is ranked once with its conjugate.
 """
 
 from __future__ import annotations
@@ -118,8 +106,8 @@ RANK_CUTOFF = 1e-9
 # must preserve (``_symmetry_group``)
 SYMMETRY_RTOL = 1e-10
 
-# bytes of the complex (m, N, N) stacks that one chunk of a pass over the
-# representative modes holds at once (``_chunk_length``)
+# bytes of the complex (m, N, N) stacks that one chunk of a pass over
+# modes holds at once (``_chunk_length``)
 CHUNK_BYTES = 1 << 20
 
 CHECK_KINDS = ("ddbar_lemma", "S_k", "B_k", "Scal_k", "Bcal_k")
@@ -248,7 +236,7 @@ def _chunks(count: int, size: int) -> Iterator[slice]:
 
 
 def _chunk_length(size: int, stacks: int) -> int:
-    """Representatives per chunk of a pass that holds ``stacks`` complex
+    """Modes per chunk of a pass that holds ``stacks`` complex
     (m, size, size) stacks at once: as many as keep them within CHUNK_BYTES,
     and at least one.  Batched ``eigh``, ``svd``, ``matmul`` and ``einsum``
     give each matrix bitwise the same result in any sub-batch, so the
@@ -282,28 +270,6 @@ def _orbit_map(modes: np.ndarray, K: int, generators: List[np.ndarray]) -> np.nd
         if np.array_equal(new, label):
             return label
         label = new
-
-
-def _mode_mirror(modes: np.ndarray, K: int, odd: bool) -> np.ndarray:
-    """Per mode of a box, the index of the representative mode that stands
-    for it: the orbit map (``_orbit_map``) of the group {I, -I} when
-    ``odd``, of the trivial group otherwise.
-
-    The modes run lexicographically over a symmetric cube, so -k of mode i
-    sits at index M - 1 - i.  An operator C + 2 pi i sum_a k_a A_a with C
-    exactly zero is odd in k: its stack at -k is bitwise the negation of
-    the one at k, so the Laplacians at +-k are bitwise equal and their
-    eigenvectors too.  Then mode i is represented by min(i, M - 1 - i);
-    otherwise by itself.  Either way the representatives are the first
-    modes of the box, and ``np.bincount`` of the result counts the modes
-    each one stands for.  Every value a package weights with, eigenvalue
-    or eigenvector, is read at a mode's representative under this map: a
-    symmetry other than -I conjugates d by a unitary, which keeps ranks and
-    eigenvalues, up to rounding, but not the eigenvectors' bits.  The rank
-    stacks that the packages count their kernels from are ranked once per
-    orbit of the whole symmetry group (``_LevelBasis.orbits``).
-    """
-    return _orbit_map(modes, K, [-np.eye(modes.shape[1], dtype=int)] if odd else [])
 
 
 def _pair_tensor(x: np.ndarray, dim: int) -> np.ndarray:
@@ -443,21 +409,18 @@ class _LevelBasis:
     ``positions`` finds among them.  ``const`` and ``slopes`` are C and the
     A_a of d_H = C + 2 pi i sum_a k_a A_a in this basis, those of
     ``structure.differentials["d"]`` changed to it, and ``d(sel)`` builds d
-    from them at the modes that ``sel`` picks.  ``rep`` and ``weight`` are
-    the mirror map of ``_mode_mirror`` and the number of modes each
-    representative stands for, and ``rep_chunks`` goes over the
-    representatives one chunk at a time.  Every reader's arrays over the
-    modes are indexed by these representatives, and ``orbits`` is the one
-    map of them to the orbits of the structure's lattice symmetries that
-    the rank passes read.  It keeps the rank stacks (``_ranks``), which the
-    class checks and every kernel count read (``kernel_sizes``,
-    ``kernel_counts``), with their counters (``check_counts``) and passes
-    (``rank_passes``), and ``decomposed`` counts the representatives
-    handed to ``eigh`` over this basis.  Contexts, packages and the
-    algebroid read these here and copy none of them.  It holds the
-    structure and metric, for the symmetry search, but no context or
-    package, so a context and its packages form no reference cycle and are
-    freed as soon as the context is dropped.
+    from them at the modes that ``sel`` picks.  ``orbits`` is the one map
+    of the modes to the orbits of the structure's lattice symmetries, and
+    every array of the Hodge layer over the box runs over its M modes or
+    over those orbits.  It keeps the rank stacks (``_ranks``), one row per
+    orbit, which the class checks and every kernel count read
+    (``kernel_sizes``, ``kernel_counts``), with their counters
+    (``check_counts``) and passes (``rank_passes``), and ``decomposed``
+    counts the modes handed to ``eigh`` over this basis.  Contexts,
+    packages and the algebroid read these here and copy none of them.  It
+    holds the structure and metric, for the symmetry search, but no
+    context or package, so a context and its packages form no reference
+    cycle and are freed as soon as the context is dropped.
     """
 
     def __init__(self, structure: GCStructure, metric: GeneralizedMetric):
@@ -491,57 +454,56 @@ class _LevelBasis:
         const, slopes = structure.differentials["d"]
         self.const = self.basis_inv @ const @ self.basis
         self.slopes = self.basis_inv @ slopes @ self.basis
-        # untwisted, d is odd in k: the packages and the class checks decide
-        # the representatives, the first len(weight) modes, and weight each
-        # by the modes it stands for
-        self.rep = _mode_mirror(self.modes, self.box.K, not self.const.any())
-        self.weight = np.bincount(self.rep)
-        # found at the first read of ``orbits``
-        self._orbit_labels: np.ndarray | None = None
+        # found at the first read of ``orbits``: per mode the position of its
+        # orbit, and per orbit its least mode and its count of modes
+        self._orbit: np.ndarray | None = None
+        self._least = self._sizes = np.zeros(0, dtype=int)
         self.group_order = 0
         self.decomposed = 0
         # the rank stacks, by key, and per key the singular values within
         # 10x of the cut, weighted by the modes (``_ranks``)
         self._rank_stacks: Dict[Tuple[str, int], np.ndarray] = {}
         self._rank_gaps: Dict[Tuple[str, int], int] = {}
-        # the rank scale at the least representative of each orbit, found at
+        # the rank scale at the least mode of each orbit, found at
         # the first rank pass (``_orbit_scale``), and the level content of
         # the d kernel, at its first count (``_d_content``)
         self._scale: np.ndarray | None = None
         self._d_levels: Dict[int, int] | None = None
         self.check_counts = dict.fromkeys(CHECK_COUNTERS, 0)
-        # per rank stack computed: its key, the representatives its ranks
-        # cover, the symmetry group's order, the representatives it ranked,
-        # chunk length and chunks
+        # per rank stack computed: its key, the symmetry group's order, the
+        # modes it ranked, chunk length and chunks
         self.rank_passes: List[Dict] = []
 
     def orbits(self) -> np.ndarray:
-        """Per representative, the least representative of its orbit under
-        the group G of the structure's lattice symmetries
-        (``_symmetry_group``, ``_orbit_map``), found at the first read and
-        kept, with |G| as ``group_order``.  Untwisted, -I is in G, so the
-        least member of an orbit is a representative of the mirror."""
-        if self._orbit_labels is None:
+        """Per mode of the box, the position of its orbit under the group G
+        of the structure's lattice symmetries (``_symmetry_group``,
+        ``_orbit_map``) among the orbits of ``orbit_reps``: the index through
+        which a rank stack, kept per orbit, is read at a mode.  Found at the
+        first read and kept, with |G| as ``group_order``."""
+        if self._orbit is None:
             generators, self.group_order = _symmetry_group(self._structure, self._metric)
-            self._orbit_labels = _orbit_map(self.modes, self.box.K, generators)[: len(self.weight)].copy()
-        return self._orbit_labels
+            self._least, self._orbit = _orbit_index(_orbit_map(self.modes, self.box.K, generators))
+            self._sizes = np.bincount(self._orbit)
+        return self._orbit
 
     def orbit_reps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The least representative of each orbit (``orbits``), in
-        ascending order, and the box modes each orbit holds."""
-        least, orbit = _orbit_index(self.orbits())
-        return least, np.bincount(orbit[self.rep], minlength=len(least))
+        """The least mode of each orbit (``orbits``), in ascending order,
+        and the box modes each orbit holds."""
+        self.orbits()
+        return self._least, self._sizes
 
-    def conjugates(self) -> np.ndarray:
-        """Per representative, the representative of the mode -k of its
-        mode k: itself on an untwisted box, and mode M - 1 - r of a twisted
-        one, where the representatives are all M modes."""
-        return self.rep[len(self.rep) - 1 - np.arange(len(self.weight))]
-
-    def rep_chunks(self, stacks: int) -> Iterator[slice]:
-        """The representatives, one chunk at a time, for a pass that holds
-        ``stacks`` complex (m, N, N) stacks at once (``_chunk_length``)."""
-        return _chunks(len(self.weight), _chunk_length(self.size, stacks))
+    def mirror_chunks(self, stacks: int) -> Iterator[Tuple[slice, np.ndarray]]:
+        """The modes that an identity pass walks, one chunk at a time for a
+        pass that holds ``stacks`` complex (m, N, N) stacks at once
+        (``_chunk_length``), each with the number of box modes it stands
+        for.  Untwisted, C is exactly zero, so d at -k, mode M - 1 - i of
+        mode i, is bitwise -d at k: the walk is the first M // 2 + 1 modes,
+        each standing for itself and its mirror, and mode 0 (the last) for
+        itself alone.  Twisted, it is the whole box, one mode each."""
+        count = len(self.modes)
+        half = count if self.const.any() else count // 2 + 1
+        for sel in _chunks(half, _chunk_length(self.size, stacks)):
+            yield sel, np.where(np.arange(sel.start, sel.stop) < count - half, 2, 1)
 
     def level(self, k: int) -> slice:
         """Coordinates of level k; empty outside [-n, n]."""
@@ -555,7 +517,7 @@ class _LevelBasis:
         return [self.level_slices[k] for k in self.levels]
 
     def spectra_chunk(self, kind: str) -> int:
-        """Representatives per chunk of a pass that eigendecomposes the
+        """Modes per chunk of a pass that eigendecomposes the
         ``kind`` Laplacian: the level-mixing ``d`` holds four whole (m, N, N)
         stacks (d, its adjoint, the Laplacian and the eigenvectors), a
         blockwise kind about one, the d it builds."""
@@ -593,7 +555,7 @@ class _LevelBasis:
     def kernel_terms(self, kind: str) -> List[Tuple[int, List[Tuple[str, int]], int]]:
         """Per diagonal block of the ``kind`` Laplacian (``blocks``), its
         size, the rank keys (``_rank_matrices``) and how many times their
-        ranks its kernel falls short of that size by, per representative:
+        ranks its kernel falls short of that size by, per mode:
         with N_k the size of level k and the names of
         ``HodgeContext.class_check``,
 
@@ -615,7 +577,7 @@ class _LevelBasis:
 
     def kernel_sizes(self, kind: str) -> List[np.ndarray]:
         """Per diagonal block of the ``kind`` Laplacian, the dimension of
-        its kernel at every representative, counted from the rank stacks
+        its kernel at every orbit (``orbits``), counted from the rank stacks
         (``kernel_terms``)."""
         return [size - times * sum(self._ranks(key)[:, 0] for key in keys)
                 for size, keys, times in self.kernel_terms(kind)]
@@ -623,11 +585,11 @@ class _LevelBasis:
     def kernel_counts(self, kinds: Iterable[str]) -> Tuple[Dict[str, Dict[int, int]], int]:
         """Per kind of ``kinds`` and level, the dimension of the kernel of
         its Laplacian over the box, counted from the rank stacks
-        (``kernel_sizes``) with each representative weighted by the modes it
-        stands for; and how many singular values of the stacks read lie
-        above the rank cut but within 10x of it, each stack counted once (a
-        stack read from its conjugate partner has its partner's singular
-        values, so its partner's count).  The level-mixing d kernel is
+        (``kernel_sizes``) with each orbit weighted by its modes; and how
+        many singular values of the stacks read lie above the rank cut but
+        within 10x of it, each stack counted once (a stack read from its
+        conjugate partner has its partner's singular values, so its
+        partner's count).  The level-mixing d kernel is
         counted level by level (``_d_content``).  The stacks of dbar, bc and
         aeppli are those the class checks read, so after the checks only
         the two parity blocks of d are ranked anew, each its own conjugate
@@ -637,12 +599,13 @@ class _LevelBasis:
         for kind in kinds:
             read.update(self._rank_key(key) for _, keys, _ in self.kernel_terms(kind) for key in keys)
             dims[kind] = (self._d_content() if kind == "d" else
-                          {k: int(m @ self.weight) for k, m in zip(self.levels, self.kernel_sizes(kind))})
+                          {k: int(m @ self.orbit_reps()[1])
+                           for k, m in zip(self.levels, self.kernel_sizes(kind))})
         return dims, sum(self._rank_gaps[key] for key in read)
 
     def _d_content(self) -> Dict[int, int]:
         """Per level, the dimension of the level content of the d kernel: at
-        the least representative of each orbit (``orbits``) that has a
+        the least mode of each orbit (``orbits``) that has a
         kernel, the d Laplacian is eigendecomposed whole and its m
         eigenvectors of smallest eigenvalue, m the kernel's dimension there
         (``kernel_sizes``), are counted level by level (``_level_content``),
@@ -651,51 +614,47 @@ class _LevelBasis:
         if self._d_levels is None:
             kernel = self.kernel_sizes("d")[0]
             least, weight = self.orbit_reps()
-            rows = np.flatnonzero(kernel[least] > 0)
+            rows = np.flatnonzero(kernel > 0)
             vecs = _eigh(self, "d", least[rows], self.spectra_chunk("d"))[0][1] if len(rows) else []
-            kernels = (v[:, :m] for v, m in zip(vecs, kernel[least[rows]]))
+            kernels = (v[:, :m] for v, m in zip(vecs, kernel[rows]))
             self._d_levels = _level_content(self, kernels, weight[rows])
         return dict(self._d_levels)
 
     def _block(self, row_level: int, col_level: int, sel: slice) -> np.ndarray:
-        """The level block of d at the representatives picked by ``sel``:
+        """The level block of d at the modes picked by ``sel``:
         del one level down, dbar one up.  Built from the same block of C and
         the A_a, so bitwise that block of d, and no larger."""
         rows, cols = self.level(row_level), self.level(col_level)
         return _stack_linear(self.const[rows, cols], self.slopes[:, rows, cols], self.modes[sel])
 
-    def _floor(self, reps: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
-        """At the representatives ``reps`` (an index array; every
-        representative when None), the operator scale and the absolute rank
-        floor tied to it.  The scale is the largest entry of d, read one
-        level block (k +- 1, k) at a time (``_block``): d moves the level by
-        one, so these blocks hold all of d, and no whole d stack is built.
-        The rank passes read it at the orbit representatives they rank
-        (``_orbit_scale``)."""
-        if reps is None:
-            reps = np.arange(len(self.weight))
+    def _floor(self, modes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """At the box modes ``modes`` (an index array), the operator scale
+        and the absolute rank floor tied to it.  The scale is the largest
+        entry of d, read one level block (k +- 1, k) at a time (``_block``):
+        d moves the level by one, so these blocks hold all of d, and no
+        whole d stack is built.  The rank passes read it at the least modes
+        of the orbits (``_orbit_scale``)."""
         blocks = [(k + s, k) for k in self.levels for s in (-1, 1) if k + s in self.level_slices]
         scale = np.maximum(1.0, np.concatenate([
-            np.max([np.abs(self._block(*b, reps[sel])).max(axis=(1, 2)) for b in blocks], axis=0)
-            for sel in _chunks(len(reps), _chunk_length(self.size, 1))
+            np.max([np.abs(self._block(*b, modes[sel])).max(axis=(1, 2)) for b in blocks], axis=0)
+            for sel in _chunks(len(modes), _chunk_length(self.size, 1))
         ]))
         return scale, RANK_CUTOFF * scale
 
     def _orbit_scale(self) -> np.ndarray:
-        """The rank scale (``_floor``) at the least representative of each
-        orbit of the structure's lattice symmetries (``orbits``), found at
-        the first rank pass and kept, so a level basis that ranks nothing
-        pays nothing."""
+        """The rank scale (``_floor``) at the least mode of each orbit of
+        the structure's lattice symmetries (``orbits``), found at the first
+        rank pass and kept, so a level basis that ranks nothing pays
+        nothing."""
         if self._scale is None:
             self._scale = self._floor(self.orbit_reps()[0])[0]
         return self._scale
 
     def _rank_matrices(self, key: Tuple[str, int], sel) -> np.ndarray:
-        """The stack that a rank key names, at the representatives picked by
-        ``sel``: ("del", j), ("dbar", j), ("dbar del", j), ("row", k),
-        ("col", j) or ("M", k), in the notation of
-        ``HodgeContext.class_check``, or ("d", p), d's block from the levels
-        of parity p to the others."""
+        """The stack that a rank key names, at the modes picked by ``sel``:
+        ("del", j), ("dbar", j), ("dbar del", j), ("row", k), ("col", j) or
+        ("M", k), in the notation of ``HodgeContext.class_check``, or ("d",
+        p), d's block from the levels of parity p to the others."""
         name, j = key
 
         def block(row_level, col_level):
@@ -754,36 +713,35 @@ class _LevelBasis:
         return name in ("del", "dbar", "dbar del") and not (has(j) and has(other))
 
     def _ranks(self, key: Tuple[str, int]) -> np.ndarray:
-        """Per representative mode, the ranks of the stack that ``key`` names
-        (``_rank_matrices``), an (R, 2) int16 array: cut at the floor, then
-        at floor * scale, both from one values-only SVD.  Kept under
+        """Per orbit of the structure's lattice symmetries (``orbits``), the
+        ranks of the stack that ``key`` names (``_rank_matrices``), an (O, 2)
+        int16 array, read at a mode through its orbit: cut at the floor,
+        then at floor * scale, both from one values-only SVD.  Kept under
         ``_rank_key``, once per level basis, with the count of singular
-        values above the first cut but within 10x of it, each mode weighted
-        by the modes it stands for (``_rank_gaps``).
+        values above the first cut but within 10x of it, each orbit
+        weighted by its modes (``_rank_gaps``).
 
-        A ranked stack is ranked at one representative per orbit of the
-        structure's lattice symmetries and read at the others
+        A ranked stack is ranked at the least mode of each orbit
         (``_rank_pass``).  d is real, so a stack at -m is the conjugate of
         its partner's at m (``_partner``), and of each pair only "dbar" and
         the member at level j <= 0 are ranked: the other is that stack read
-        through ``conjugates``, with its gap count, so the same stacks are
-        ranked whichever member is asked first.  The singular
+        at the orbit of -m per orbit of m, with its gap count, so the same
+        stacks are ranked whichever member is asked first.  The singular
         values of a stack at the members of an orbit, and at its partner's,
         agree to rounding (about 1e-14), not bitwise, and the rank floor is
         read at the member ranked, so a value at the cut could rank apart; a
-        direct pass over every representative, each at its own floor, is
-        kept in the tests as the reference, on the floor-binding cases
-        too.  A stack that is zero by its levels (``_zero``) is kept with
-        rank 0 and no pass, and is counted neither as computed nor as
-        mirrored."""
+        direct pass over every mode, each at its own floor, is kept in the
+        tests as the reference, on the floor-binding cases too.  A stack
+        that is zero by its levels (``_zero``) is kept as one row of zeros,
+        which broadcasts over the orbits, with no orbits, scale or pass, and
+        is counted neither as computed nor as mirrored."""
         key = self._rank_key(key)
         if key in self._rank_stacks:
             self.check_counts["ranks_reused"] += 1
             return self._rank_stacks[key]
         name, j = key
         if self._zero(key):
-            # rank 0 everywhere: no orbits, scale or SVD
-            self._rank_stacks[key] = np.zeros((len(self.weight), 2), dtype=np.int16)
+            self._rank_stacks[key] = np.zeros((1, 2), dtype=np.int16)
             self._rank_gaps[key] = 0
         elif name != "del" and (name not in ("dbar del", "row", "col") or j <= 0):
             self._rank_pass(key)
@@ -792,36 +750,43 @@ class _LevelBasis:
             if partner not in self._rank_stacks:
                 self._ranks(partner)
             self.check_counts["ranks_mirrored"] += 1
-            self._rank_stacks[key] = self._rank_stacks[partner][self.conjugates()]
+            ranks = self._rank_stacks[partner]
+            if not self._zero(partner):
+                # -m is mode M - 1 - i of mode i
+                orbit = self.orbits()
+                ranks = ranks[orbit[len(orbit) - 1 - self._least]]
+            self._rank_stacks[key] = ranks
             self._rank_gaps[key] = self._rank_gaps[partner]
         return self._rank_stacks[key]
 
     def _rank_pass(self, key: Tuple[str, int]) -> None:
-        """Rank the stack that ``key`` names at one representative per orbit
+        """Rank the stack that ``key`` names at the least mode of each orbit
         of the structure's lattice symmetries G (``orbits``), over chunks of
         ``_chunk_length`` of them for one d stack (its blocks of d are
-        smaller than d), and keep its ranks at every representative and its
-        gap count (``_ranks``).  A symmetry P conjugates d at m into d at
-        P m by a level-block-diagonal unitary, so every stack has the same
-        ranks over an orbit, and each ranked representative is weighted by
-        the modes of its orbit.  A stack that is its own partner has the
-        same ranks at a representative and at its conjugate, so it is ranked
-        once per orbit of G and -I together: -I commutes with G, so that
-        orbit's least member is the lesser of those of the orbits of k and
-        -k.  On an untwisted box -I is in G already."""
+        smaller than d), and keep its ranks per orbit and its gap count
+        (``_ranks``).  A symmetry P conjugates d at m into d at P m by a
+        level-block-diagonal unitary, so every stack has the same ranks over
+        an orbit, and each ranked mode is weighted by the modes of its
+        orbit.  A stack that is its own partner has the same ranks at a
+        mode and at its conjugate, so it is ranked once per orbit of G and
+        -I together: -I commutes with G, so that orbit's least member is the
+        lesser of those of the orbits of k and -k.  On an untwisted box -I
+        is in G already."""
         self.check_counts["ranks_computed"] += 1
         # the orbits and the scale first, so that nothing of this pass is
         # held during their passes
-        labels = self.orbits()
+        orbit = self.orbits()
         scale = self._orbit_scale()
-        ranked = _orbit_index(labels)[0]
+        least = self._least
+        labels = least[orbit]
         if _partner(key) == key:
-            labels = np.minimum(labels, labels[self.conjugates()])
+            # -m is mode M - 1 - i of mode i
+            labels = np.minimum(labels, labels[::-1])
         reps, index = _orbit_index(labels)
-        scale = scale[np.searchsorted(ranked, reps)]
+        scale = scale[np.searchsorted(least, reps)]
         floor = RANK_CUTOFF * scale
         floors = np.stack([floor, floor * scale], axis=-1)
-        weight = np.bincount(index[self.rep], minlength=len(reps))
+        weight = np.bincount(index)
         # int16, a quarter of int64: the stacks are held for the basis's life
         ranks = np.empty((len(reps), 2), dtype=np.int16)
         gap, chunk = 0, _chunk_length(self.size, 1)
@@ -830,9 +795,9 @@ class _LevelBasis:
             values = _singular_values(self._rank_matrices(key, reps[sel]))
             ranks[sel] = _cut(values[:, None], floors[sel])
             gap += int((ranks[sel, 0] - _cut(values, floor[sel], margin=10.0)) @ weight[sel])
-        self._rank_stacks[key], self._rank_gaps[key] = ranks[index], gap
+        self._rank_stacks[key], self._rank_gaps[key] = ranks[index[least]], gap
         self.rank_passes.append({
-            "stack": key[0], "level": key[1], "modes": len(self.weight),
+            "stack": key[0], "level": key[1],
             "group": self.group_order, "ranked": len(reps), "chunk": chunk, "chunks": len(chunks),
         })
 
@@ -888,19 +853,19 @@ def _laplacian_blocks(lb: _LevelBasis, d: np.ndarray, kind: str) -> List[np.ndar
     return out
 
 
-def _eigh(lb: _LevelBasis, kind: str, reps: np.ndarray, chunk: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _eigh(lb: _LevelBasis, kind: str, modes: np.ndarray, chunk: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The eigenvalues and eigenvectors of the ``kind`` Laplacians at the
-    representatives ``reps``, a nonempty index array, in ascending order of
-    eigenvalue: one pair of (len(reps), n_b) and (len(reps), n_b, n_b)
+    box modes ``modes``, a nonempty index array, in ascending order of
+    eigenvalue: one pair of (len(modes), n_b) and (len(modes), n_b, n_b)
     stacks per diagonal block, by batched ``eigh`` over ``chunk`` of them at
     a time, counted in ``lb.decomposed``.  Batched ``eigh`` gives each
     matrix bitwise the same result in any sub-batch, so these are bitwise
-    those of any other pass over the same representatives."""
+    those of any other pass over the same modes."""
     parts: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in lb.blocks(kind)]
-    for sel in _chunks(len(reps), chunk):
-        for part, block in zip(parts, _laplacian_blocks(lb, lb.d(reps[sel]), kind)):
+    for sel in _chunks(len(modes), chunk):
+        for part, block in zip(parts, _laplacian_blocks(lb, lb.d(modes[sel]), kind)):
             part.append(np.linalg.eigh((block + _adjoint(block)) / 2))
-    lb.decomposed += len(reps)
+    lb.decomposed += len(modes)
     return [part[0] if len(part) == 1 else tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
@@ -909,7 +874,7 @@ def _level_content(
 ) -> Dict[int, int]:
     """Per level, the dimension of the level content of level-mixing
     kernels: ``kernels`` holds one (N, m) orthonormal kernel basis per
-    representative, weighted by ``weight``, and each counts the rank of its
+    mode, weighted by ``weight``, and each counts the rank of its
     basis projected to the level."""
     counts = dict.fromkeys(lb.levels, 0)
     for w, basis in zip(weight, kernels):
@@ -922,24 +887,24 @@ def _level_content(
 
 class _ModeSpectra:
     """The per-mode Hermitian ``kind`` Laplacians of d in the level basis
-    ``lb``, by diagonal block: their kernel dimensions at every
-    representative, and their eigenvalues and eigenvectors at the
-    representatives a reader asks for.
+    ``lb``, by diagonal block: their kernel dimensions at every orbit of
+    the box (``lb.orbits``), and their eigenvalues and eigenvectors at the
+    modes a reader asks for.
 
-    ``kernel[b]`` holds, per representative, the dimension m of the kernel
-    of ``blocks[b]``, counted from the rank stacks of ``lb``
+    ``kernel[b]`` holds, per orbit, the dimension m of the kernel of
+    ``blocks[b]``, counted from the rank stacks of ``lb``
     (``_LevelBasis.kernel_sizes``), the rule of ``kernel_counts`` and of
-    the class checks: the kernel at a representative is the m eigenvectors
-    of smallest eigenvalue of its ``eigh``, and no eigenvalue is compared
-    with a cutoff, so the harmonic and Green weights take the eigenvalues
-    and m.  Eigenvalues and eigenvectors come from the ``eigh`` at a
-    mode's own representative (``lb.rep``, from ``_mode_mirror``, whose
-    eigendecomposition is bitwise the mode's), never from another member
-    of its orbit: each representative is eigendecomposed by ``_eigh``,
-    ``chunk`` (``lb.spectra_chunk(kind)``) at a time, when first read
-    (``eigen``), and kept.  ``_slot[r]`` is representative r's row in
-    ``_held``, -1 before r is read.  The spectra hold ``lb``, never a
-    context, so spectra that outlive their context keep none alive.
+    the class checks, and read at a mode through its orbit: the kernel at
+    a mode is the m eigenvectors of smallest eigenvalue of its ``eigh``,
+    and no eigenvalue is compared with a cutoff, so the harmonic and Green
+    weights take the eigenvalues and m.  Eigenvalues and eigenvectors come
+    from the ``eigh`` at the mode itself, never from another member of its
+    orbit, whose unitary moves the eigenvectors' bits: each mode is
+    eigendecomposed by ``_eigh``, ``chunk`` (``lb.spectra_chunk(kind)``)
+    at a time, when first read (``eigen``), and kept.  ``_slot[i]`` is
+    mode i's row in ``_held``, -1 before i is read.  The spectra hold
+    ``lb``, never a context, so spectra that outlive their context keep
+    none alive.
     """
 
     def __init__(self, lb: _LevelBasis, kind: str):
@@ -948,21 +913,21 @@ class _ModeSpectra:
         self.blocks = lb.blocks(kind)
         self.chunk = lb.spectra_chunk(kind)
         self.kernel = lb.kernel_sizes(kind)
-        self._slot = np.full(len(lb.weight), -1)
+        self._slot = np.full(len(lb.modes), -1)
         self._held = [(np.empty((0, b.stop - b.start)),
                        np.empty((0, b.stop - b.start, b.stop - b.start), complex))
                       for b in self.blocks]
 
-    def eigen(self, reps) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The eigenvalues and eigenvectors at the representatives ``reps``
-        (an index or an index array), one pair per block, from the ``eigh``
-        at each representative itself.  Those not yet held are
-        decomposed once and kept."""
-        slots = self._slot[reps]
+    def eigen(self, modes) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The eigenvalues and eigenvectors at the box modes ``modes`` (an
+        index or an index array), one pair per block, from the ``eigh`` at
+        each mode itself.  Those not yet held are decomposed once and
+        kept."""
+        slots = self._slot[modes]
         missing = slots < 0
         if np.any(missing):
             new = np.zeros(len(self._slot), dtype=bool)
-            new[np.asarray(reps)[missing]] = True
+            new[np.asarray(modes)[missing]] = True
             new = np.flatnonzero(new)
             held = len(self._held[0][0])
             self._slot[new] = np.arange(held, held + len(new))
@@ -971,7 +936,7 @@ class _ModeSpectra:
                 for (vals, vecs), (more_vals, more_vecs)
                 in zip(self._held, _eigh(self.level_basis, self.kind, new, self.chunk))
             ]
-            slots = self._slot[reps]
+            slots = self._slot[modes]
         return [(vals[slots], vecs[slots]) for vals, vecs in self._held]
 
     @staticmethod
@@ -1001,21 +966,22 @@ class _ModeSpectra:
     def apply(self, index: np.ndarray, coords: np.ndarray, weights) -> np.ndarray:
         """weights(L) applied to coordinate rows; row i sits at mode
         ``index[i]``.  ``weights`` takes the eigenvalues and the kernel
-        dimensions at the rows' representatives."""
+        dimensions at the rows' modes."""
         out = np.zeros_like(coords)
-        reps = self.level_basis.rep[index]
-        for (vals, v), b, m in zip(self.eigen(reps), self.blocks, self.kernel):
-            inner = weights(vals, m[reps])[..., None] * (_adjoint(v) @ coords[:, b, None])
+        orbit = self.level_basis.orbits()[index]
+        for (vals, v), b, m in zip(self.eigen(index), self.blocks, self.kernel):
+            inner = weights(vals, m[orbit])[..., None] * (_adjoint(v) @ coords[:, b, None])
             out[:, b] = (v @ inner)[..., 0]
         return out
 
     def matrix(self, sel, weights) -> np.ndarray:
         """weights(L) at the modes picked by ``sel`` (an index or a slice)."""
-        sel = self.level_basis.rep[sel]
+        sel = np.arange(len(self._slot))[sel]
+        orbit = self.level_basis.orbits()[sel]
         size = self.blocks[-1].stop
         out = np.zeros(np.shape(sel) + (size, size), dtype=complex)
         for (vals, v), b, m in zip(self.eigen(sel), self.blocks, self.kernel):
-            out[..., b, b] = (v * weights(vals, m[sel])[..., None, :]) @ _adjoint(v)
+            out[..., b, b] = (v * weights(vals, m[orbit])[..., None, :]) @ _adjoint(v)
         return out
 
 
@@ -1052,17 +1018,18 @@ class HodgePackage(_ModeSpectra):
     def harmonic_basis_rows(self, level: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
         """``harmonic_basis`` as level-basis coordinates: each spinor's box
         mode index and its one coordinate row, in the same order: the kernel
-        eigenvectors of each mode's own representative, at the modes whose
-        block has a kernel."""
+        eigenvectors of each mode's own ``eigh``, at the modes whose block
+        has a kernel."""
         lb = self.level_basis
+        orbit = lb.orbits()
         index = [np.zeros(0, dtype=int)]
         rows = [np.zeros((0, lb.size), dtype=complex)]
         for b, (key, m, sl) in enumerate(zip(self._levels, self.kernel, self.blocks)):
             if self.blockwise and level is not None and key != level:
                 continue
-            visited = np.flatnonzero(m[lb.rep] > 0)
-            own, vecs = self.eigen(lb.rep[visited])[b]
-            modes, cols = np.nonzero(self.harmonic_weights(own, m[lb.rep[visited]]))
+            visited = np.flatnonzero(m[orbit] > 0)
+            own, vecs = self.eigen(visited)[b]
+            modes, cols = np.nonzero(self.harmonic_weights(own, m[orbit[visited]]))
             coords = np.zeros((len(modes), lb.size), dtype=complex)
             coords[:, sl] = vecs[modes, :, cols]
             index.append(visited[modes])
@@ -1114,7 +1081,7 @@ class HodgeContext:
         self.metric = metric
         self.box = structure.box
         self.geometry = structure.geometry
-        # the modes, d's C and A_a, and the representatives
+        # the modes, d's C and A_a, and the orbits
         self.level_basis = _LevelBasis(structure, metric)
         self._packages: Dict[str, HodgePackage] = {}
         self._masks = {"del": structure.shift_mask(-1), "dbar": structure.shift_mask(+1)}
@@ -1174,11 +1141,12 @@ class HodgeContext:
 
     def identity_residual(self, kind: str) -> float:
         """Operator-norm residual of (harmonic + laplacian o green - 1) for the
-        ``kind`` package, worst mode: worst representative, since a mode and
-        its mirror have bitwise-equal Laplacians."""
+        ``kind`` package, worst mode, over the modes of
+        ``_LevelBasis.mirror_chunks``: a mode and its mirror have
+        bitwise-equal Laplacians and spectra."""
         lb, pk = self.level_basis, self.package(kind)
         worst = 0.0
-        for sel in lb.rep_chunks(4):
+        for sel, _ in lb.mirror_chunks(4):
             resid = (
                 pk.matrix(sel, pk.harmonic_weights)
                 + self._laplacian(kind, sel) @ pk.matrix(sel, pk.green_weights)
@@ -1280,7 +1248,7 @@ class HodgeContext:
         ``_LevelBasis._floor`` and
         r_s at floor * scale.  As dim(im A cap ker B) = r(A) - r(BA) and
         del^2 = dbar^2 = del dbar + dbar del = 0, each verdict is a rank
-        identity at every representative mode:
+        identity at every mode, decided per orbit (``_LevelBasis.orbits``):
 
         - ddbar_lemma: d1 = r(del_{k+1}) - r(Q_{k+1}), d2 = r(dbar_{k-1}) -
           r(Q_{k-1}) and d3 = r_s(Q_k); it holds iff d1 = d2 = d3, with dims
@@ -1293,9 +1261,8 @@ class HodgeContext:
           in the candidates, and it holds iff c = t.
 
         With no level k + 1 the four S/B kinds hold, with dims 0 and 0.
-        ``dims`` sums c and t over the modes, each representative weighted
-        by the modes it stands for (a level block at -k is minus the one at
-        k).  Each rank stack is ranked once per level basis, or read from
+        ``dims`` sums c and t over the modes, each orbit weighted by its
+        modes.  Each rank stack is ranked once per level basis, or read from
         its conjugate partner's ranks (``_LevelBasis._ranks``); every call
         returns a fresh dict.
         """
@@ -1326,12 +1293,13 @@ class HodgeContext:
             else:
                 target = r("dbar", k - 1)
                 holds = r("row" if plain else "M", k) == target + short
+        sizes = lb.orbit_reps()[1]
         return {
             "kind": kind,
             "level": k,
             "holds": bool(np.all(holds)),
             "dims": {
-                "candidates": int(np.sum(candidates * lb.weight)),
-                "target": int(np.sum(target * lb.weight)),
+                "candidates": int(np.sum(candidates * sizes)),
+                "target": int(np.sum(target * sizes)),
             },
         }

@@ -54,23 +54,24 @@ MAX_LIST_LENGTH = 64  # entries of a t, t_samples or levels list
 # bytes that a config's largest arrays may take, as _estimated_bytes counts
 # them; a config above it is refused before anything is built
 MEMORY_BUDGET = 4 * 2 ** 30
-# complex (R, N, N) stacks over the representative modes that a Hodge
-# context and the experiment using it hold at once, in units of one d stack
-# over them, per experiment kind that reads eigenvectors; "expand" is the
-# algebroid package of an expanded deformation, of the same size.  A context
-# holds no d stack, and its packages hold their eigenvalues and the
-# eigenvectors of the representatives read so far.  tracemalloc peaks of an
-# identity suite with 2 samples are 14.7 and 11.6 such stacks on complex
-# T^4 K=2 and T^6 K=1, whose identities read every representative's
-# eigenvectors.  extend, scan and expand keep the identity suite's bound.
+# complex (R, N, N) stacks over the R modes that an identity pass walks (the
+# first half of an untwisted box) that a Hodge context and the experiment
+# using it hold at once, in units of one d stack over them, per experiment
+# kind that reads eigenvectors; "expand" is the algebroid package of an
+# expanded deformation, of the same size.  A context holds no d stack, and
+# its packages hold their eigenvalues and the eigenvectors of the modes
+# read so far.  tracemalloc peaks of an identity suite with 2 samples are
+# 14.7 and 11.6 such stacks on complex T^4 K=2 and T^6 K=1, whose
+# identities read the eigenvectors of every mode they walk.  extend, scan
+# and expand keep the identity suite's bound.
 HODGE_STACKS = {"identity-suite": 16, "extend": 16, "scan": 16, "expand": 16}
 # a hodge-table builds no package and holds no d stack: its context keeps
-# the (R, 2) int16 rank stacks (at most six per level from -n - 1 to n + 1
-# for the class checks, and d's two parity blocks) with the orbit label of
-# each representative, and the box's (P, 2n) modes with their mirror map,
-# and each pass holds one chunk of CHUNK_BYTES at a time, with room here for
-# this many.  tracemalloc peaks of hodge_table on complex T^4 K=2, K=3 and
-# T^6 K=1, K=2 are 0.25, 0.71, 1.42 and 3.79 MB, against estimates of 4.6,
+# the rank stacks, counted here as (R, 2) int16 though they hold one row per
+# symmetry orbit (at most six per level from -n - 1 to n + 1 for the class
+# checks, and d's two parity blocks), and the box's (P, 2n) modes with the
+# orbit index of each, and each pass holds one chunk of CHUNK_BYTES at a
+# time, with room here for this many.  tracemalloc peaks of hodge_table on complex T^4 K=2, K=3 and
+# T^6 K=1, K=2 are 0.22, 0.59, 1.36 and 2.55 MB, against estimates of 4.6,
 # 4.8, 14.5 and 17.1 MB that count the structure too
 # (``tools/hodge_peaks.py`` prints both).
 HODGE_TABLE_CHUNKS = 4
@@ -234,9 +235,9 @@ def _twisted(spec) -> bool:
 
 def _context_bytes(kind: str, n: int, modes: float, reps: float, size: float) -> float:
     """The bytes a Hodge context and an experiment of ``kind`` hold over
-    the ``modes`` box modes and ``reps`` representatives, with ``size``
-    spinor components: ``HODGE_STACKS`` d stacks, or what a hodge-table
-    keeps."""
+    the ``modes`` box modes, ``reps`` of them walked by identity passes,
+    with ``size`` spinor components: ``HODGE_STACKS`` d stacks, or what a
+    hodge-table keeps."""
     if kind == "hodge-table":
         ranks = ((6 * (2 * n + 3) + 2) * 2 * 2 + 8) * reps
         box = modes * (2 * n + 1) * 8
@@ -249,8 +250,9 @@ def _estimated_bytes(n: int, K: int, twisted: bool, kinds: Iterable[str]) -> flo
     components: the structure's 4n complex (N, N) Clifford generators and
     the full SVD of its (2n N, N) frame action, four of its complex (2n N,
     2n N) U, and what the Hodge context of the largest of the experiment
-    ``kinds`` holds (``_context_bytes``) over the R representative modes
-    (R = P // 2 + 1 of the P box modes, every mode when twisted).  Counted
+    ``kinds`` holds (``_context_bytes``) over the R modes that identity
+    passes walk (R = P // 2 + 1 of the P box modes, every mode when
+    twisted).  Counted
     in floats, so that a huge n or K reads as infinite rather than being
     raised to its power exactly."""
     try:
@@ -510,16 +512,15 @@ class Runner:
 
     def _rank_passes(self) -> List[Dict]:
         """Each rank stack the runner's context has computed: stack, level,
-        the representatives it gives ranks for, the order of the symmetry
-        group, the representatives it ranked, chunk length and chunk count;
-        none before the context exists."""
+        the order of the symmetry group, the modes it ranked, chunk length
+        and chunk count; none before the context exists."""
         return [] if self._context is None else self._context.level_basis.rank_passes
 
     def _mode_counts(self) -> Dict[str, int]:
-        """The modes of the scenario's box; how many representatives the
-        runner's context has eigendecomposed so far, counted at every
-        ``eigh`` over its level basis: its packages' reads, each
-        representative once, and the d kernel's level content; and how many
+        """The modes of the scenario's box; how many modes the runner's
+        context has eigendecomposed so far, counted at every ``eigh`` over
+        its level basis: its packages' reads, each mode once, and the d
+        kernel's level content; and how many
         its rank passes rank at most, one per orbit; none before the context
         exists, decomposes or ranks."""
         box = self.scenario.box

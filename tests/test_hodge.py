@@ -152,14 +152,14 @@ def test_t2_kernel_dimensions_with_oracle(t2ctx):
     pk = t2ctx.package("dbar")
     assert {k: pk.kernel_dimension(k) for k in t2ctx.structure.levels()} == {-1: 1, 0: 2, 1: 1}
     assert brute_force_kernel_dims(t2ctx) == {-1: 1, 0: 2, 1: 1}
-    # oscillatory modes contribute nothing, read at their own representatives:
-    # no rank count and no eigenvalue under the whole-box cutoff
-    rep = t2ctx.level_basis.rep
-    cutoff = _reference_cutoff(vals for vals, _ in pk.eigen(rep))
+    # oscillatory modes contribute nothing, read at each mode itself: no
+    # rank count at its orbit and no eigenvalue under the whole-box cutoff
+    lb = t2ctx.level_basis
+    cutoff = _reference_cutoff(vals for vals, _ in pk.eigen(np.arange(len(lb.modes))))
     for i, mode in enumerate(box_modes(t2ctx)):
         if mode != (0, 0):
-            assert not any(m[rep[i]] for m in pk.kernel)
-            for vals, _ in pk.eigen(rep[i]):
+            assert not any(m[lb.orbits()[i]] for m in pk.kernel)
+            for vals, _ in pk.eigen(i):
                 assert not np.any(vals <= cutoff)
 
 
@@ -363,12 +363,11 @@ def test_kernel_counts_harmonic_basis_and_projector_read_one_cutoff(monkeypatch)
     at levels -1, 0 and 1 (1, 2 and 1 from the rank stacks)."""
     ctx = HodgeContext(*_case(1, 1))
     lb = ctx.level_basis
-    least = lb.orbit_reps()[0]
+    least, sizes = lb.orbit_reps()
     spectra = hodge._eigh(lb, "dbar", least, lb.spectra_chunk("dbar"))
     median = float(np.median(np.concatenate([vals.ravel() for vals, _ in spectra])))
-    orbit = np.searchsorted(least, lb.orbits())
-    forced = [np.sum(vals <= median, axis=1)[orbit] for vals, _ in spectra]
-    assert [int(m @ lb.weight) for m in lb.kernel_sizes("dbar")] == [1, 2, 1]
+    forced = [np.sum(vals <= median, axis=1) for vals, _ in spectra]
+    assert [int(m @ sizes) for m in lb.kernel_sizes("dbar")] == [1, 2, 1]
     monkeypatch.setattr(lb, "kernel_sizes", lambda kind: forced)
     pk = ctx.package("dbar")
     projector = pk.matrix(slice(None), pk.harmonic_weights)
@@ -392,10 +391,10 @@ def _case(n, K, twisted=False, g_scale=1.0, h=(0, 1, 2)):
     return s, GeneralizedMetric.from_tensors(s.geometry, g_scale * np.eye(2 * n))
 
 
-def _chunk_bytes(size, reps, stacks=1):
+def _chunk_bytes(size, modes, stacks=1):
     """The ``hodge.CHUNK_BYTES`` at which a pass that holds ``stacks``
-    complex (m, size, size) stacks goes ``reps`` representatives at a time."""
-    return 16 * size * size * stacks * reps
+    complex (m, size, size) stacks goes ``modes`` modes at a time."""
+    return 16 * size * size * stacks * modes
 
 
 @pytest.mark.parametrize("policy", ["strict", "drop"])
@@ -438,8 +437,7 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
     from gentorus.deformation import AlgebroidHodge
     from gentorus.spinor import CliffordPoly
 
-    # several chunks of 7 representatives in the blockwise passes, the last
-    # one ragged
+    # several chunks of 7 modes in the blockwise passes, the last one ragged
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(4 ** n, 7))
     s, m = _case(n, K, twisted)
     ctx = HodgeContext(s, m)
@@ -475,17 +473,18 @@ def test_stacked_operators_match_per_mode_reference(n, K, twisted, monkeypatch):
                 eigs[mode, k] = np.linalg.eigh((block + block.conj().T) / 2)[0]
         cutoff = _reference_cutoff(eigs.values())
         for (mode, k), vals in eigs.items():
-            r, b = lb.rep[lb.positions([mode])[0]], lb.levels.index(k)
-            held = pk.eigen(r)[b][0]
-            assert pk.kernel[b][r] == int(np.sum(held <= cutoff)) == int(np.sum(vals <= cutoff))
+            i, b = lb.positions([mode])[0], lb.levels.index(k)
+            held = pk.eigen(i)[b][0]
+            assert pk.kernel[b][lb.orbits()[i]] == int(np.sum(held <= cutoff)) == int(np.sum(vals <= cutoff))
 
     vals = [np.linalg.eigh(d @ d.conj().T + d.conj().T @ d)[0] for d in stacked]
     cutoff = _reference_cutoff(vals)
-    # every mode of the box, each read at its representative, over every block
-    sp, rep = alg._spectra, alg.level_basis.rep
-    batched = sum(np.sum(v <= cutoff, axis=1) for v, _ in sp.eigen(rep))
+    # every mode of the box, each read at itself, over every block
+    sp, orbit = alg._spectra, alg.level_basis.orbits()
+    batched = sum(np.sum(v <= cutoff, axis=1) for v, _ in sp.eigen(np.arange(len(orbit))))
     assert [int(np.sum(v <= cutoff)) for v in vals] == batched.tolist()
-    assert sum(m[rep] for m in sp.kernel).tolist() == batched.tolist()
+    assert sum(m[orbit] for m in sp.kernel).tolist() == batched.tolist()
+
 
 
 # ----------------------------------------------------------------------
@@ -729,11 +728,11 @@ def test_any_batch_of_checks_equals_the_reference_and_single_checks(data):
 def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
     """Every question asked twice, in order, reversed or shuffled, as
     batches or one at a time: each rank stack is built once per context,
-    one chunk of 7 of its ranked representatives after another, and the
-    same stacks in every order.  It ranks the least representative of each
-    orbit of the structure's lattice symmetries, and a stack that is its own
-    partner the least of each orbit of those and -I together, all among the
-    first M // 2 + 1 modes of a twisted box.  Of each conjugate pair only
+    one chunk of 7 of its ranked modes after another, and the same stacks
+    in every order.  It ranks the least mode of each orbit of the
+    structure's lattice symmetries, and a stack that is its own partner the
+    least of each orbit of those and -I together, all among the first
+    M // 2 + 1 modes of the box.  Of each conjugate pair only
     dbar and the member at level j <= 0 are built, and the other is read
     from it.  A stack through a level outside [-n, n], zero by its levels,
     is built by no pass."""
@@ -758,23 +757,24 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
         for kind, k in order[third:] + order:
             ctx.class_check(kind, k)
         lb = ctx.level_basis
-        count = len(lb.weight)
-        half = count // 2 + 1 if count == len(lb.modes) else count
-        labels = lb.orbits()
+        count = len(lb.modes)
+        # per mode, the least mode of its orbit; -m is mode M - 1 - i
+        labels = lb.orbit_reps()[0][lb.orbits()]
 
         def cover(key):
             own = labels
             if hodge._partner(key) == key:
-                own = np.minimum(labels, labels[lb.conjugates()])
+                own = np.minimum(labels, labels[::-1])
             reps = np.flatnonzero(own == np.arange(count))
-            assert reps.max() < half or hodge._partner(key) != key
+            assert reps.max() < count // 2 + 1 or hodge._partner(key) != key
             return [tuple(reps[sel].tolist()) for sel in hodge._chunks(len(reps), 7)]
 
         keys = list(dict.fromkeys(key for key, _ in chunks))
         assert sorted(chunks) == sorted((key, c) for key in keys for c in cover(key))
         assert all(name in ("dbar", "M", "d") or (name != "del" and j <= 0) for name, j in keys)
-        # a stack that is zero by its levels is zero at every representative,
-        # kept with rank 0 and built by no pass
+        # a stack that is zero by its levels is zero at every mode, kept
+        # with rank 0 and built by no pass
+
         zero = {key for key in lb._rank_stacks if lb._zero(key)}
         assert not zero & set(keys)
         assert all(not built(lb, key, np.arange(count)).any() for key in zero)
@@ -790,26 +790,34 @@ def test_each_rank_stack_is_computed_once_per_context(case, monkeypatch):
 
 def _direct_ranks(ctx, key):
     """The ranks and gap count of the stack that ``key`` names by one pass
-    over every representative, with no mirror and no half pass: the
-    reference for ``_LevelBasis._ranks``."""
-    lb = ctx.level_basis
-    scale, floor = ctx.level_basis._floor()
-    values = hodge._singular_values(ctx.level_basis._rank_matrices(key, slice(0, len(lb.weight))))
+    over every mode of the box, each at its own floor, with no orbits and
+    no partner: the reference for ``_LevelBasis._ranks``."""
+    every = np.arange(len(ctx.level_basis.modes))
+    scale, floor = ctx.level_basis._floor(every)
+    values = hodge._singular_values(ctx.level_basis._rank_matrices(key, every))
     ranks = hodge._cut(values[:, None], np.stack([floor, floor * scale], axis=-1))
-    gap = int((ranks[:, 0] - hodge._cut(values, floor, margin=10.0)) @ lb.weight)
+    gap = int(np.sum(ranks[:, 0] - hodge._cut(values, floor, margin=10.0)))
     return ranks, gap
+
+
+def _at_modes(lb, ranks):
+    """A rank stack, kept per orbit, read at every mode of the box through
+    the mode's orbit; a stack that is zero by its levels is one row, which
+    broadcasts over the orbits."""
+    return np.broadcast_to(ranks, (len(lb.orbit_reps()[0]), 2))[lb.orbits()]
 
 
 @pytest.mark.parametrize("case", CASES, ids=CLASS_CHECK_IDS)
 def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
     """Every stack the class checks and kernel counts can ask for, at the
     levels -n - 1 to n + 1 that they ask, read through its conjugate
-    partner's ranks or ranked on half of a twisted box, has the ranks and
-    gap count of a direct pass over all representatives.  This rests on
-    ``_rank_key`` commuting with the partner map and, on a twisted box, on
-    the rank scale being bitwise even in the mode, both asserted.  The
-    scale, read from d's level blocks, is bitwise the largest entry of the
-    whole d stacks."""
+    partner's ranks or ranked on half of a twisted box, and read at each
+    mode through its orbit, has the ranks and gap count of a direct pass
+    over every mode.  This rests on ``_rank_key`` commuting with the partner
+    map and on the rank scale being bitwise even in the mode, both
+    asserted; on an untwisted box the orbit of -m is that of m.  The scale,
+    read from d's level blocks, is bitwise the largest entry of the whole d
+    stacks."""
     structure, metric, _ = _reference_case(case)
     ctx = HodgeContext(structure, metric)
     n = structure.n
@@ -819,26 +827,28 @@ def test_mirrored_and_half_pass_ranks_equal_a_direct_pass(case):
     for key in keys:
         ranks, gap = _direct_ranks(ctx, ctx.level_basis._rank_key(key))
         got = ctx.level_basis._ranks(key)
-        assert got.dtype == np.int16 and np.array_equal(got, ranks), key
+        assert got.dtype == np.int16 and np.array_equal(_at_modes(ctx.level_basis, got), ranks), key
         assert ctx.level_basis._rank_gaps[ctx.level_basis._rank_key(key)] == gap, key
         partner = hodge._partner(key)
         if partner is not None:
             assert hodge._partner(ctx.level_basis._rank_key(key)) == ctx.level_basis._rank_key(partner), key
     assert ctx.level_basis.check_counts["ranks_mirrored"] > 0
     lb = ctx.level_basis
-    twisted = len(lb.weight) == len(lb.modes)
-    reps = np.arange(len(lb.weight))
-    assert np.array_equal(lb.conjugates(), reps[::-1] if twisted else reps)
-    scale = ctx.level_basis._floor()[0]
-    assert not twisted or scale.tobytes() == scale[::-1].tobytes()
-    whole = np.concatenate([np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in lb.rep_chunks(1)])
+    orbit, least = lb.orbits(), lb.orbit_reps()[0]
+    conjugate = orbit[len(orbit) - 1 - least]
+    assert lb.const.any() or np.array_equal(conjugate, np.arange(len(least)))
+    scale = ctx.level_basis._floor(np.arange(len(lb.modes)))[0]
+    assert scale.tobytes() == scale[::-1].tobytes()
+    whole = np.concatenate([np.abs(lb.d(sel)).max(axis=(1, 2)) for sel in hodge._chunks(len(lb.modes), 64)])
     assert scale.tobytes() == np.maximum(1.0, whole).tobytes()
 
 
 def test_class_checks_hold_ranks_alone(monkeypatch):
     """The class checks build no basis, and what they leave on the context
-    is one (R, 2) int16 rank stack per key and the rank scale at the least
-    representative of each orbit of the structure's lattice symmetries."""
+    is one (O, 2) int16 rank stack per key, one row per orbit of the
+    structure's lattice symmetries (one row in all for a stack that is zero
+    by its levels, or read from a partner that is), and the rank scale at
+    the least mode of each orbit."""
     ctx = HodgeContext(*_case(2, 1, twisted=True))
     for name in ("_range_basis", "_range_and_null", "_basis_rank"):
         monkeypatch.setattr(hodge, name, lambda *args, name=name: pytest.fail(name))
@@ -846,10 +856,14 @@ def test_class_checks_hold_ranks_alone(monkeypatch):
         for kind in CHECK_KINDS:
             ctx.class_check(kind, k)
     assert ctx._packages == {}
-    count = len(ctx.level_basis.weight)
-    for stack in ctx.level_basis._rank_stacks.values():
-        assert stack.shape == (count, 2) and stack.dtype == np.int16
-    assert ctx.level_basis._scale.shape == hodge._orbit_index(ctx.level_basis.orbits())[0].shape
+    lb = ctx.level_basis
+    orbits = len(lb.orbit_reps()[0])
+    assert orbits < len(lb.modes)
+    for key, stack in lb._rank_stacks.items():
+        zero = lb._zero(key) or lb._zero(hodge._partner(key) or key)
+        assert stack.shape == (1 if zero else orbits, 2) and stack.dtype == np.int16
+    assert lb._scale.shape == (orbits,)
+
 
 
 @pytest.mark.parametrize(
@@ -992,8 +1006,9 @@ def mirrored(request):
 
 def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
     """d at -k is bitwise -d at k, and every Laplacian block at -k is
-    bitwise the one at k; -k of mode i is mode P - 1 - i, so mode i is
-    represented by min(i, P - 1 - i)."""
+    bitwise the one at k; -k of mode i is mode P - 1 - i, so the identity
+    passes walk the first P // 2 + 1 modes alone, mode i < P // 2 standing
+    for itself and mode P - 1 - i, and mode 0, the last, for itself."""
     ctx = mirrored
     lb = ctx.level_basis
     modes = box_modes(ctx)
@@ -1004,30 +1019,38 @@ def test_untwisted_d_is_odd_in_k_and_its_laplacians_even(mirrored):
     for kind in KINDS:
         for block in hodge._laplacian_blocks(lb, d, kind):
             assert np.array_equal(block[::-1], block), kind
-    assert lb.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
-    assert lb.weight.tolist() == [2] * (count // 2) + [1]
+    assert _walked(lb) == (list(range(count // 2 + 1)), [2] * (count // 2) + [1])
+
+
+def _walked(lb):
+    """The modes that the identity passes walk (``mirror_chunks``), in
+    order, and the box modes each stands for."""
+    walked = list(lb.mirror_chunks(1))
+    modes = [i for sel, _ in walked for i in range(sel.start, sel.stop)]
+    return modes, np.concatenate([weight for _, weight in walked]).tolist()
 
 
 def test_twisted_context_decomposes_every_mode(t4ctx_twisted):
-    """-H^ is not zero, so d is not odd in k: every mode stands for itself,
-    and a package reads its eigenvalues and eigenvectors at every mode.  Its
-    kernel counts are ranked at the least mode of each orbit of the twisted
-    structure's lattice symmetries alone, and are constant on the orbits."""
+    """-H^ is not zero, so d is not odd in k: the identity passes walk
+    every mode, each standing for itself, and a package reads its
+    eigenvalues and eigenvectors at every mode.  Its kernel counts are
+    ranked at the least mode of each orbit of the twisted structure's
+    lattice symmetries alone, and kept per orbit."""
     from gentorus.deformation import AlgebroidHodge
 
     ctx = t4ctx_twisted
     lb = ctx.level_basis
     every = list(range(len(lb.modes)))
-    assert lb.rep.tolist() == every and lb.weight.tolist() == [1] * len(every)
+    assert _walked(lb) == (every, [1] * len(every))
     pk = ctx.package("bc")
-    labels = lb.orbits()
-    least = np.flatnonzero(labels == every)
+    least = lb.orbit_reps()[0]
     assert 0 < len(least) < len(every)
     assert max(p["ranked"] for p in lb.rank_passes) == len(least)
-    assert all(len(m) == len(every) and np.array_equal(m, m[labels]) for m in pk.kernel)
-    assert all(len(vals) == len(vecs) == len(every) for vals, vecs in pk.eigen(lb.rep))
+    assert all(len(m) == len(least) for m in pk.kernel)
+    assert all(len(vals) == len(vecs) == len(every) for vals, vecs in pk.eigen(every))
     alg = AlgebroidHodge(ctx.structure, ctx.metric)
-    assert alg.level_basis.rep.tolist() == every
+    assert _walked(alg.level_basis) == (every, [1] * len(every))
+
 
 
 def _full_box_spectra(ctx, kind):
@@ -1053,24 +1076,25 @@ def _apply_full(spectra, blocks, index, coords, weights, cutoff):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
-    """The package reads half the box and its kernel counts are ranked at
-    one mode per orbit of the lattice symmetries, yet its eigenvalues,
-    eigenvectors, kernel dimensions, harmonic bases and harmonic and Green
-    applies are those of a decomposition of every mode, its kernel there
-    the eigenvalues under the whole box's cutoff."""
+    """The package reads each mode at its own ``eigh`` and its kernel
+    counts are ranked at one mode per orbit of the lattice symmetries, yet
+    its eigenvalues, eigenvectors, kernel dimensions, harmonic bases and
+    harmonic and Green applies are those of a decomposition of every mode
+    by one ``eigh`` over the box, its kernel there the eigenvalues under
+    the whole box's cutoff."""
     ctx = mirrored
     lb, pk = ctx.level_basis, ctx.package(kind)
     count = len(lb.modes)
     full = _full_box_spectra(ctx, kind)
     blocks = lb.blocks(kind)
-    every = hodge._eigh(lb, kind, np.arange(len(lb.weight)), pk.chunk)
+    every = pk.eigen(np.arange(count))
     cutoff = _reference_cutoff(vals for vals, _ in full)
     assert max(p["ranked"] for p in lb.rank_passes) < count // 2 + 1
     for (vals, vecs), m, (held_vals, held_vecs) in zip(full, pk.kernel, every, strict=True):
-        assert len(held_vals) == len(held_vecs) == count // 2 + 1
-        assert np.array_equal(held_vals[lb.rep], vals)
-        assert np.array_equal(held_vecs[lb.rep], vecs)
-        assert np.array_equal(m[lb.rep], np.sum(vals <= cutoff, axis=1))
+        assert len(held_vals) == len(held_vecs) == count
+        assert np.array_equal(held_vals, vals)
+        assert np.array_equal(held_vecs, vecs)
+        assert np.array_equal(m[lb.orbits()], np.sum(vals <= cutoff, axis=1))
 
     def kernel_dim(level, indices):
         if pk.blockwise:
@@ -1116,18 +1140,18 @@ def test_representative_spectra_equal_a_full_box_decomposition(mirrored, kind):
 
 
 def test_algebroid_spectra_equal_a_full_box_decomposition():
-    """The algebroid package of complex T^4 K=1 reads half the box, and its
-    kernel counts are ranked at the least of the 6 orbits of the 32 lattice
-    symmetries alone, yet its harmonic projector and Green operator are
-    those of a decomposition of every mode, its kernel there the
-    eigenvalues under the whole box's cutoff."""
+    """The algebroid package of complex T^4 K=1 reads each mode at its own
+    ``eigh``, and its kernel counts are ranked at the least of the 6 orbits
+    of the 32 lattice symmetries alone, yet its spectra, harmonic projector
+    and Green operator are those of a decomposition of every mode by one
+    ``eigh`` over the box, its kernel there the eigenvalues under the whole
+    box's cutoff."""
     from gentorus.deformation import AlgebroidHodge
     from gentorus.spinor import _stack_linear, random_fourier_scalar
 
     alg = AlgebroidHodge(*_case(2, 1))
     lb = alg.level_basis
     sp, count = alg._spectra, len(lb.modes)
-    assert lb.rep.tolist() == [min(i, count - 1 - i) for i in range(count)]
     d = _stack_linear(alg._const, alg._slopes, lb.modes)
     assert np.array_equal(d[::-1], -d)
     full = [
@@ -1135,14 +1159,14 @@ def test_algebroid_spectra_equal_a_full_box_decomposition():
         for block in hodge._laplacian_blocks(lb, d, "dbar")
     ]
     levels = [lb.level_slices[k] for k in lb.levels]
-    every = hodge._eigh(lb, "dbar", np.arange(len(lb.weight)), sp.chunk)
+    every = sp.eigen(np.arange(count))
     cutoff = _reference_cutoff(vals for vals, _ in full)
     assert max(p["ranked"] for p in lb.rank_passes) == len(lb.orbit_reps()[0]) == 6
     for (vals, vecs), m, (full_vals, full_vecs) in zip(every, sp.kernel, full, strict=True):
-        assert len(vals) == count // 2 + 1
-        assert np.array_equal(vals[lb.rep], full_vals)
-        assert np.array_equal(vecs[lb.rep], full_vecs)
-        assert np.array_equal(m[lb.rep], np.sum(full_vals <= cutoff, axis=1))
+        assert len(vals) == count
+        assert np.array_equal(vals, full_vals)
+        assert np.array_equal(vecs, full_vecs)
+        assert np.array_equal(m[lb.orbits()], np.sum(full_vals <= cutoff, axis=1))
 
     rng = np.random.default_rng(43)
     s = alg.structure
@@ -1185,12 +1209,12 @@ def test_algebroid_spectra_equal_the_dbar_package(name):
     assert not alg._const[lowered].any()
     assert not alg._slopes[:, lowered].any()
     pk = HodgeContext(s, m).package("dbar")
-    assert np.array_equal(alg.level_basis.rep, pk.level_basis.rep)
+    assert np.array_equal(alg.level_basis.orbits(), pk.level_basis.orbits())
     alg_sp = alg._spectra
     assert len(alg_sp.kernel) == len(pk.kernel) == s.dim + 1
-    reps = np.arange(len(pk.level_basis.weight))
-    got = alg_sp.kernel + [a for pair in alg_sp.eigen(reps) for a in pair]
-    want = pk.kernel + [a for pair in pk.eigen(reps) for a in pair]
+    every = np.arange(len(pk.level_basis.modes))
+    got = alg_sp.kernel + [a for pair in alg_sp.eigen(every) for a in pair]
+    want = pk.kernel + [a for pair in pk.eigen(every) for a in pair]
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
 
@@ -1211,14 +1235,11 @@ def test_algebroid_package_makes_no_dL_calls(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "twisted, rows, orbits", [(False, 41, 6), (True, 81, 27)], ids=["untwisted", "twisted"]
-)
-def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, orbits, monkeypatch):
-    """On T^4 K=1 (81 modes) the representatives are 41 modes untwisted and
-    all 81 twisted, and the least modes of the orbits of the lattice
-    symmetries are 6 and 27 of them.  With CHUNK_BYTES room for one chunk
-    of 81 in every pass, the package builds hand eigh nothing and svd
+@pytest.mark.parametrize("twisted, orbits", [(False, 6), (True, 27)], ids=["untwisted", "twisted"])
+def test_hodge_table_decomposes_only_the_representative_modes(twisted, orbits, monkeypatch):
+    """On T^4 K=1 (81 modes) the least modes of the orbits of the lattice
+    symmetries are 6 untwisted and 27 twisted.  With CHUNK_BYTES room for
+    one chunk of 81 in every pass, the package builds hand eigh nothing and svd
     stacks of at most those least modes, their rank passes, and every mode
     stack that hodge_table hands to svd or eigh holds at most as many: its
     rank passes rank one mode per orbit, and the level content of the d
@@ -1238,7 +1259,7 @@ def test_hodge_table_decomposes_only_the_representative_modes(twisted, rows, orb
         ctx.package(kind)
     builds = list(stacks)
     hodge_table(ctx)
-    assert len(ctx.level_basis.weight) == rows
+    assert len(ctx.level_basis.orbit_reps()[0]) == orbits
     assert builds and {name for name, _ in builds} == {"svd"}
     assert max(size for _, size in builds) == orbits
     assert ("eigh", orbits) not in stacks
@@ -1264,15 +1285,17 @@ ASSEMBLY_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
 def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, monkeypatch):
-    """Every level block at the representatives, every chunk of d, of its
-    masked operators and of its Laplacian blocks, d at scattered modes and
-    at one mode, and the rank floors equal the slices of the whole-box
-    ``_stack_linear`` stack bitwise, over ragged chunks of 7 modes."""
+    """Every level block at every mode, every chunk of d that the identity
+    passes walk, of its masked operators and of its Laplacian blocks, d at
+    scattered modes and at one mode, and the rank floors equal the slices
+    of the whole-box ``_stack_linear`` stack bitwise, over ragged chunks of
+    7 modes."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, 7))
     ctx = HodgeContext(*ASSEMBLY_CASES[name]())
     lb = ctx.level_basis
     whole = hodge._stack_linear(lb.const, lb.slopes, lb.modes)
-    reps = slice(len(lb.weight))
+    count = len(lb.modes)
+    every = np.arange(count)
 
     def same(got, want):
         return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -1280,11 +1303,12 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
     n = ctx.structure.n
     for r in range(-n - 1, n + 2):
         for c in range(-n - 1, n + 2):
-            want = whole[reps][:, lb.level(r), lb.level(c)]
-            assert same(ctx.level_basis._block(r, c, reps), want), (r, c)
+            want = whole[every][:, lb.level(r), lb.level(c)]
+            assert same(ctx.level_basis._block(r, c, every), want), (r, c)
 
-    chunks = list(lb.rep_chunks(1))
-    assert len(chunks) > 1 and chunks[0].start == 0 and chunks[-1].stop == len(lb.weight)
+    chunks = [sel for sel, _ in lb.mirror_chunks(1)]
+    assert len(chunks) > 1 and chunks[0].start == 0
+    assert chunks[-1].stop == (count if lb.const.any() else count // 2 + 1)
     masked = {key: np.where(mask, whole, 0.0) for key, mask in ctx._masks.items()}
     masked["d"] = whole
     masked["deldbar"] = masked["del"] @ masked["dbar"]
@@ -1303,7 +1327,8 @@ def test_d_built_per_level_block_and_mode_chunk_is_the_whole_box_stack(name, mon
         assert same(operator_matrix(ctx, "d", modes[i]), whole[i])
         assert same(operator_matrix(ctx, "deldbar", modes[i]), masked["deldbar"][i])
     assert same(ctx._op("dbar", slice(None)), masked["dbar"])
-    assert same(ctx.level_basis._floor()[0], np.maximum(1.0, np.abs(whole[reps]).max(axis=(1, 2))))
+    assert same(ctx.level_basis._floor(every)[0], np.maximum(1.0, np.abs(whole).max(axis=(1, 2))))
+
 
 
 def _arrays(value):
@@ -1321,9 +1346,9 @@ def _arrays(value):
 @pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
 def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
     """After hodge_table on T^4 K=2 (625 modes), what the context holds
-    over the whole box is per-mode indices (the mirror map, the modes, the
-    orbit labels, the ranks), never a stack of per-mode matrices, and it
-    holds no package."""
+    over the whole box is the modes and their orbit index, never a stack
+    of per-mode matrices or a rank stack, which holds one row per orbit,
+    and it holds no package."""
     ctx = HodgeContext(*_case(2, 2, twisted))
     hodge_table(ctx)
     count = len(ctx.level_basis.modes)
@@ -1335,8 +1360,8 @@ def test_no_operator_stack_over_the_box_outlives_hodge_table(twisted):
                 if a.ndim and len(a) == count:
                     box_wide.add(attr)
                     assert a.ndim <= 2 and not np.iscomplexobj(a), attr
-    twisted_wide = {"rep", "modes", "_orbit_labels", "_rank_stacks", "weight"}
-    assert box_wide == (twisted_wide if twisted else {"rep", "modes"})
+    assert box_wide == {"modes", "_orbit"}
+
 
 
 def _traced_peak(run) -> int:
@@ -1435,8 +1460,8 @@ ON_DEMAND_CASES = {
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(ON_DEMAND_CASES))
 def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkeypatch):
-    """Eigenvalues and eigenvectors built at the representatives asked for,
-    one at a time, scattered and repeated, in ragged chunks of 7 modes,
+    """Eigenvalues and eigenvectors built at the modes asked for, one at a
+    time, scattered and repeated, in ragged chunks of 7 modes,
     with and without being kept, are bitwise those of one eigh over the
     whole box, at the least mode of each orbit too, and a package builds
     with none held.  The d kind's pass holds four stacks, a blockwise one's
@@ -1448,7 +1473,7 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
     assert sp.chunk == chunk
     full = _full_box_spectra(ctx, kind)
     lb = ctx.level_basis
-    count = len(lb.weight)
+    count = len(lb.modes)
 
     def same(got, reps):
         return len(got) == len(full) and all(
@@ -1474,11 +1499,11 @@ def test_on_demand_eigenvectors_equal_a_whole_box_eigh(name, kind, chunk, monkey
 @pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
 def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, chunk, monkeypatch):
     """Green and harmonic reads at one mode at a time, repeated, at k and at
-    -k, hand each representative to eigh once per package: one matrix per
-    block, the first time it is read.  ``chunk`` is the blockwise passes'
-    chunk length (256 at the default CHUNK_BYTES); the d kind's pass holds
-    four stacks, so its chunk is a quarter of it, 1 or 64.  A package
-    builds with no eigenvectors held, so every representative read is
+    -k, hand each mode read to eigh once per package, at that mode itself:
+    one matrix per block, the first time it is read.  ``chunk`` is the
+    blockwise passes' chunk length (256 at the default CHUNK_BYTES); the d
+    kind's pass holds four stacks, so its chunk is a quarter of it, 1 or
+    64.  A package builds with no eigenvectors held, so every mode read is
     decomposed once, whatever the chunk."""
     monkeypatch.setattr(hodge, "CHUNK_BYTES", _chunk_bytes(16, chunk))
     ctx = HodgeContext(*_case(2, 1, twisted))
@@ -1505,8 +1530,8 @@ def test_repeated_single_mode_reads_decompose_each_representative_once(twisted, 
                 first.setdefault(i, pk.matrix(i, pk.green_weights))
                 assert np.array_equal(pk.matrix(i, pk.green_weights), first[i])
         assert pk.chunk == (chunk // 4 if kind == "d" else chunk)
-        reps = {int(lb.rep[i]) for i in positions}
-        assert reps and sum(decomposed) == len(reps) * len(pk.blocks), kind
+        assert sum(decomposed) == len(set(positions)) * len(pk.blocks), kind
+
 
 
 def test_context_whose_packages_read_eigenvectors_dies_with_its_last_reference(monkeypatch):
@@ -1579,7 +1604,7 @@ def _table_after_checks(ctx):
 
 
 def _rank_kernel(ctx):
-    """Per representative, N - 2 r(d) from d's two parity rank stacks."""
+    """Per orbit, N - 2 r(d) from d's two parity rank stacks."""
     return ctx.level_basis.size - 2 * sum(ctx.level_basis._ranks(("d", p))[:, 0] for p in (0, 1))
 
 
@@ -1589,8 +1614,8 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
     beyond the class checks' but d's two parity blocks; its dbar, bc,
     aeppli and d rows equal the packages' kernel dimensions level by level,
     and N - 2 r(d), the d package's kernel count, equals the count of the
-    d Laplacian's eigenvalues under the whole box's cutoff at every
-    representative, read there and at the least representative of each
+    d Laplacian's eigenvalues under the whole box's cutoff at every mode,
+    read there through the mode's orbit and at the least mode of each
     orbit of the lattice symmetries."""
     ctx = HodgeContext(*TABLE_CASES[name]())
     table, added = _table_after_checks(ctx)
@@ -1599,13 +1624,13 @@ def test_hodge_table_rank_counts_equal_the_packages(name):
     for kind, dims in table["kernel_dimensions"].items():
         pk = ctx.package(kind)
         assert dims == {str(k): pk.kernel_dimension(k) for k in levels}, kind
-    pk = ctx.package("d")
+    pk, lb = ctx.package("d"), ctx.level_basis
     assert np.array_equal(pk.kernel[0], _rank_kernel(ctx))
-    own = pk.eigen(np.arange(len(ctx.level_basis.weight)))[0][0]
+    own = pk.eigen(np.arange(len(lb.modes)))[0][0]
     cutoff = _reference_cutoff([own])
-    least = ctx.level_basis.orbit_reps()[0]
-    assert np.array_equal(_rank_kernel(ctx)[least], np.sum(own[least] <= cutoff, axis=1))
-    assert np.array_equal(_rank_kernel(ctx), np.sum(own <= cutoff, axis=1))
+    least = lb.orbit_reps()[0]
+    assert np.array_equal(_rank_kernel(ctx), np.sum(own[least] <= cutoff, axis=1))
+    assert np.array_equal(_rank_kernel(ctx)[lb.orbits()], np.sum(own <= cutoff, axis=1))
     assert "warnings" not in table
 
 
@@ -1636,7 +1661,7 @@ def test_harmonic_rows_are_null_vectors_of_the_counted_pair(case):
     rows."""
     ctx = HodgeContext(*CLASS_CHECK_CASES[case]())
     lb = ctx.level_basis
-    scale = lb._floor()[0]
+    scale = lb._floor(np.arange(len(lb.modes)))[0]
 
     def residual(a, b, v):
         out = np.einsum("mij,mj->mi", a, v)
@@ -1649,16 +1674,17 @@ def test_harmonic_rows_are_null_vectors_of_the_counted_pair(case):
         assert {k: pk.kernel_dimension(k) for k in lb.levels} == counts, kind
         if kind == "d":
             index, rows = pk.harmonic_basis_rows()
-            assert len(index) == int(pk.kernel[0] @ lb.weight)
+            assert len(index) == int(pk.kernel[0] @ lb.orbit_reps()[1])
             d = lb.d(index)
-            worst = residual(d, d, rows) / (RANK_CUTOFF * scale[lb.rep[index]])
+            worst = residual(d, d, rows) / (RANK_CUTOFF * scale[index])
             assert np.all(worst <= 1.0), kind
             continue
         for level in lb.levels:
             index, rows = pk.harmonic_basis_rows(level)
             assert len(index) == counts[level], (kind, level)
             a, b = (lb._rank_matrices(key, index) for key in hodge.KERNEL_TERMS[kind](level))
-            worst = residual(a, b, rows[:, lb.level_slices[level]]) / (RANK_CUTOFF * scale[lb.rep[index]])
+            worst = residual(a, b, rows[:, lb.level_slices[level]]) / (RANK_CUTOFF * scale[index])
+
             assert np.all(worst <= 1.0), (kind, level)
 
 
@@ -1917,25 +1943,18 @@ def test_symmetry_group_orders_and_orbit_counts(build, order, orbits):
     """The orders of the structures' symmetry groups, and the orbits of the
     box that a context ranks once each: complex T^4 has 32 symmetries (the
     four rotations of each complex line, and the exchange of the lines),
-    which leave 91 of the 1201 representatives of K=3 to rank; complex T^6
+    which leave 91 orbits of the 2401 modes of K=3 to rank; complex T^6
     has 3! 4^3 = 384; the twist dx0^dx1^dx2 and the B-field leave 4; the
-    metric diag(1, 2, 1, 2) forbids the exchange, leaving 16."""
+    metric diag(1, 2, 1, 2) forbids the exchange, leaving 16.  Each mode's
+    orbit index points at the orbit whose least mode is at most the mode,
+    and the orbits' sizes cover the box."""
     lb = HodgeContext(*build()).level_basis
-    labels = lb.orbits()
+    orbit = lb.orbits()
+    least, sizes = lb.orbit_reps()
     assert lb.group_order == order
-    assert len(hodge._orbit_index(labels)[0]) == orbits
-    assert np.array_equal(labels[labels], labels) and np.all(labels <= np.arange(len(labels)))
-
-
-def test_mode_mirror_is_the_orbit_map_of_minus_identity():
-    """``_mode_mirror`` labels each mode by the lesser of its index and its
-    negative's, on a cube of any dimension and size, through the orbit map
-    of the group {I, -I}; the trivial group leaves every mode its own."""
-    for dim, K in ((2, 0), (2, 3), (4, 1), (3, 2)):
-        modes = hodge._box_modes(TruncationBox(K), dim)
-        index = np.arange(len(modes))
-        assert np.array_equal(hodge._mode_mirror(modes, K, True), np.minimum(index, index[::-1]))
-        assert np.array_equal(hodge._mode_mirror(modes, K, False), index)
+    assert len(least) == orbits and int(sizes.sum()) == len(orbit) == len(lb.modes)
+    assert np.array_equal(orbit[least], np.arange(orbits)) and np.all(least[orbit] <= np.arange(len(orbit)))
+    assert np.array_equal(sizes, np.bincount(orbit))
 
 
 def _complex_tensors(n):
@@ -2009,18 +2028,18 @@ ORBIT_CASES = {**SYMMETRY_CASES, **_t4_deform_structures()}
 
 def _direct_spectra(lb, kind):
     """Per block of the ``kind`` Laplacian, the eigenvalues and eigenvectors
-    at every representative, from one eigh per chunk of 64 of them."""
+    at every mode of the box, from one eigh per chunk of 64 of them."""
     parts = [
         [np.linalg.eigh((block + hodge._adjoint(block)) / 2) for block in hodge._laplacian_blocks(lb, lb.d(sel), kind)]
-        for sel in hodge._chunks(len(lb.weight), 64)
+        for sel in hodge._chunks(len(lb.modes), 64)
     ]
     return [tuple(np.concatenate(arrays) for arrays in zip(*per_block)) for per_block in zip(*parts)]
 
 
 def _direct_kernel(ctx, kind):
     """Per block of the ``kind`` Laplacian, its kernel dimension at every
-    representative from a direct rank pass over all of them, each at its
-    own floor (``_direct_ranks``), with no orbit and no mirror."""
+    mode from a direct rank pass over all of them, each at its own floor
+    (``_direct_ranks``), with no orbit and no partner."""
     lb = ctx.level_basis
     return [size - times * sum(_direct_ranks(ctx, lb._rank_key(key))[0][:, 0] for key in keys)
             for size, keys, times in lb.kernel_terms(kind)]
@@ -2028,25 +2047,23 @@ def _direct_kernel(ctx, kind):
 
 @pytest.mark.parametrize("name", sorted(ORBIT_CASES))
 def test_package_reads_equal_a_direct_eigh_with_direct_rank_counts(name, monkeypatch):
-    """A package's kernel counts come from its rank passes, one
-    representative per orbit of the structure's lattice symmetries: its
-    build builds no d and
+    """A package's kernel counts come from its rank passes, one mode per
+    orbit of the structure's lattice symmetries: its build builds no d and
     hands eigh nothing, and what the package reads equals a direct eigh at
-    every representative with the kernel its m eigenvectors of smallest
-    eigenvalue, m from a direct rank pass over every representative at its
-    own floor: the same kernel counts at every representative, the same
+    every mode of the box with the kernel its m eigenvectors of smallest
+    eigenvalue, m from a direct rank pass over every mode at its own floor:
+    the same kernel counts at every mode, read through its orbit, the same
     kernel dimension at every level, bitwise the same harmonic basis rows
     at every level, and bitwise the same harmonic and Green applies and
     matrices at scattered modes, or, where the reference reads an
     eigenvalue of 0 or less past the kernel (bc and aeppli on the twisted
     boxes at g = 1e-4), a Green read that raises LinAlgError.  So each value
-    a read weights with is its own representative's, none another orbit
-    member's.  Those m are the
-    eigenvalues under RANK_CUTOFF times the radius over all
-    representatives, except on the twisted boxes at g = 1e-4, where that
-    cutoff takes small nonzero eigenvalues for kernel.  The cases are the
-    class checks' structures, complex T^6 K=1 and the six deformed
-    structures of the t4-deform scan."""
+    a read weights with is its own mode's, none another orbit member's.
+    Those m are the eigenvalues under RANK_CUTOFF times the radius over the
+    box, except on the twisted boxes at g = 1e-4, where that cutoff takes
+    small nonzero eigenvalues for kernel.  The cases are the class checks'
+    structures, complex T^6 K=1 and the six deformed structures of the
+    t4-deform scan."""
     ctx = HodgeContext(*ORBIT_CASES[name]())
     lb = ctx.level_basis
     rng = np.random.default_rng(17)
@@ -2067,7 +2084,7 @@ def test_package_reads_equal_a_direct_eigh_with_direct_rank_counts(name, monkeyp
 
         full = _direct_spectra(lb, kind)
         kernel = _direct_kernel(ctx, kind)
-        assert all(np.array_equal(m, want) for m, want in zip(pk.kernel, kernel, strict=True)), kind
+        assert all(np.array_equal(m[lb.orbits()], want) for m, want in zip(pk.kernel, kernel, strict=True)), kind
         radius = max(float(vals.max()) for vals, _ in full)
         cutoff = RANK_CUTOFF * radius if radius > 0 else 1e-12
         cut = [np.sum(vals <= cutoff, axis=1) for vals, _ in full]
@@ -2083,32 +2100,33 @@ def test_package_reads_equal_a_direct_eigh_with_direct_rank_counts(name, monkeyp
 
         for level in lb.levels:
             if pk.blockwise:
-                want = int(kernel[lb.levels.index(level)] @ lb.weight)
+                want = int(kernel[lb.levels.index(level)].sum())
             else:
                 want = 0
                 for r in np.flatnonzero(kernel[0]):
                     kern = full[0][1][r][lb.level_slices[level], : kernel[0][r]]
                     s = np.linalg.svd(kern, compute_uv=False)
                     if len(s) and s[0] > RANK_CUTOFF:
-                        want += int(lb.weight[r]) * int(np.sum(s > RANK_CUTOFF * s[0]))
+                        want += int(np.sum(s > RANK_CUTOFF * s[0]))
             assert pk.kernel_dimension(level) == want, (kind, level)
 
         for level in [None, *lb.levels]:
             index, rows = [], []
-            for i, r in enumerate(lb.rep):
+            for i in range(len(lb.modes)):
                 for key, (vals, vecs), m, b in zip(pk._levels, full, kernel, pk.blocks):
                     if pk.blockwise and level is not None and key != level:
                         continue
-                    for j in range(m[r]):
+                    for j in range(m[i]):
                         row = np.zeros(lb.size, dtype=complex)
-                        row[b] = vecs[r][:, j]
+                        row[b] = vecs[i][:, j]
                         index.append(i)
                         rows.append(row)
             got_index, got_rows = pk.harmonic_basis_rows(level)
             assert got_index.tolist() == index, (kind, level)
             assert got_rows.tobytes() == np.array(rows, dtype=complex).reshape(-1, lb.size).tobytes()
 
-        at = lb.rep[scattered]
+        at = scattered
+
         # at g = 1e-4 the bc and aeppli Laplacians reach 2.5e23, and rounding
         # leaves eigenvalues of 0 or less outside the rank counts' kernel at
         # some modes: there the package refuses the Green operator
@@ -2132,3 +2150,49 @@ def test_package_reads_equal_a_direct_eigh_with_direct_rank_counts(name, monkeyp
             got_out, got_mats = pk.apply(scattered, coords, pk_weights), pk.matrix(scattered, pk_weights)
             assert got_out.tobytes() == out.tobytes(), kind
             assert got_mats.tobytes() == mats.tobytes(), kind
+
+
+UNTWISTED_CASES = {
+    "t2-K5": lambda: _case(1, 5),
+    **{name: build for name, build in ORBIT_CASES.items() if "twisted" not in name},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTWISTED_CASES))
+def test_untwisted_spectra_at_minus_k_are_bitwise_those_at_k(name):
+    """On an untwisted box d at -k is bitwise -d at k, so for all five
+    kinds a package's eigenvalues and eigenvectors at mode M - 1 - i, the
+    mode of -k, are bitwise those at mode i: eigendecomposing every mode at
+    itself reads what a fold of the box by the +-k mirror would.  The cases
+    are complex T^2 K=5 and the untwisted ``ORBIT_CASES``."""
+    ctx = HodgeContext(*UNTWISTED_CASES[name]())
+    lb = ctx.level_basis
+    assert not lb.const.any()
+    every = np.arange(len(lb.modes))
+    for kind in KINDS:
+        for vals, vecs in ctx.package(kind).eigen(every):
+            assert vals.tobytes() == vals[::-1].tobytes(), kind
+            assert vecs.tobytes() == vecs[::-1].tobytes(), kind
+
+
+def test_half_box_identity_passes_equal_a_whole_box_pass(monkeypatch):
+    """On complex T^4 K=1 the identity passes walk 41 of the 81 modes,
+    mode i standing for itself and mode 80 - i (``mirror_chunks``), and
+    every identity residual and every entry of the Hodge diagnostics reads
+    the same worst value or count as a walk of the whole box, one mode
+    each, which hands eigh more matrices."""
+    half = HodgeContext(*_case(2, 1))
+    assert _walked(half.level_basis) == (list(range(41)), [2] * 40 + [1])
+    residuals = {kind: half.identity_residual(kind) for kind in KINDS}
+    suite = hodge_suite(half)
+
+    def whole_box(self, stacks):
+        for sel in hodge._chunks(len(self.modes), hodge._chunk_length(self.size, stacks)):
+            yield sel, np.ones(sel.stop - sel.start, dtype=int)
+
+    monkeypatch.setattr(hodge._LevelBasis, "mirror_chunks", whole_box)
+    whole = HodgeContext(*_case(2, 1))
+    assert _walked(whole.level_basis) == (list(range(81)), [1] * 81)
+    assert {kind: whole.identity_residual(kind) for kind in KINDS} == residuals
+    assert hodge_suite(whole) == suite
+    assert whole.level_basis.decomposed > half.level_basis.decomposed

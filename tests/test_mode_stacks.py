@@ -135,19 +135,19 @@ def ref_map(sigma, per_mode):
 
 
 def every_eigen(spectra):
-    """Every representative's eigenvalues and eigenvectors, one pair per
-    block, from a direct eigh at each representative."""
+    """Every mode's eigenvalues and eigenvectors, one pair per block, from
+    a direct eigh at each mode of the box."""
     lb = spectra.level_basis
-    return hodge._eigh(lb, spectra.kind, np.arange(len(lb.weight)), spectra.chunk)
+    return hodge._eigh(lb, spectra.kind, np.arange(len(lb.modes)), spectra.chunk)
 
 
 def direct_kernel(spectra):
-    """Per block, the kernel dimension at every representative from one
+    """Per block, the kernel dimension at every mode of the box from one
     rank pass over all of them, each at its own floor, with no orbit and
-    no mirror."""
+    no partner."""
     lb = spectra.level_basis
-    floor = lb._floor()[1]
-    every = slice(0, len(lb.weight))
+    every = np.arange(len(lb.modes))
+    floor = lb._floor(every)[1]
     return [
         size - times * sum(
             hodge._cut(hodge._singular_values(lb._rank_matrices(lb._rank_key(key), every)), floor)
@@ -158,15 +158,15 @@ def direct_kernel(spectra):
 
 
 def forced_kernel(lb, kind, cut):
-    """Per block of the ``kind`` Laplacian and representative, the count of
-    eigenvalues at the least representative of its orbit that are at most
-    ``cut(values)``, ``values`` all those eigenvalues: a kernel count to
-    force in place of the rank counts, the same over each orbit."""
+    """Per block of the ``kind`` Laplacian and orbit of the lattice
+    symmetries, the count of eigenvalues at the least mode of the orbit that
+    are at most ``cut(values)``, ``values`` all those eigenvalues: a kernel
+    count to force in place of the rank counts, which are kept per orbit
+    too."""
     least = lb.orbit_reps()[0]
     spectra = hodge._eigh(lb, kind, least, lb.spectra_chunk(kind))
     bound = cut(np.concatenate([vals.ravel() for vals, _ in spectra]))
-    orbit = np.searchsorted(least, lb.orbits())
-    return [np.sum(vals <= bound, axis=1)[orbit] for vals, _ in spectra]
+    return [np.sum(vals <= bound, axis=1) for vals, _ in spectra]
 
 
 def force_kernel(monkeypatch, lb, counts):
@@ -185,29 +185,28 @@ def box_modes(ctx):
 
 
 def ref_spectral(spectra, every, index, coords, weights):
-    """weights(L) at box mode ``index``, from its representative's spectra
-    and kernel counts; ``every`` is ``every_eigen(spectra)``, read once by
+    """weights(L) at box mode ``index``, from its own spectra and the kernel
+    count of its orbit; ``every`` is ``every_eigen(spectra)``, read once by
     the caller."""
     out = np.zeros_like(coords)
-    index = spectra.level_basis.rep[index]
+    orbit = spectra.level_basis.orbits()[index]
     for (vals, vecs), m, b in zip(every, spectra.kernel, spectra.blocks):
         v = vecs[index]
-        out[b] = v @ (weights(vals[index], m[index]) * (v.conj().T @ coords[b]))
+        out[b] = v @ (weights(vals[index], m[orbit]) * (v.conj().T @ coords[b]))
     return out
 
 
 def ref_kernel_dimension(ctx, pk, kernel, every, level, indices):
     """The kernel dimension summed over box modes ``indices``, one mode at a
-    time, each read at its own representative, whose kernel is its first
-    ``kernel`` eigenvectors per block; ``every`` is ``every_eigen(pk)``,
-    read once by the caller."""
-    rep = pk.level_basis.rep
+    time, whose kernel is its first ``kernel`` eigenvectors per block, a
+    count per mode; ``every`` is ``every_eigen(pk)``, read once by the
+    caller."""
     if pk.blockwise:
-        return sum(int(kernel[pk._levels.index(level)][rep[i]]) for i in indices)
+        return sum(int(kernel[pk._levels.index(level)][i]) for i in indices)
     total = 0
     sl = ctx.level_basis.level_slices[level]
     vecs = every[0][1]
-    for i in rep[list(indices)]:
+    for i in indices:
         kern = vecs[i][:, : kernel[0][i]]
         if kern.shape[1] == 0:
             continue
@@ -218,12 +217,12 @@ def ref_kernel_dimension(ctx, pk, kernel, every, level, indices):
 
 
 def ref_harmonic_basis(ctx, pk, kernel, every, level):
-    """The kernel spinors mode by mode, each read at its own representative,
-    whose kernel is its first ``kernel`` eigenvectors per block; ``every``
-    is ``every_eigen(pk)``, read once by the caller."""
+    """The kernel spinors mode by mode, each from its own spectra, whose
+    kernel is its first ``kernel`` eigenvectors per block, a count per
+    mode; ``every`` is ``every_eigen(pk)``, read once by the caller."""
     out = []
     lb = pk.level_basis
-    for i, mode in zip(lb.rep, box_modes(ctx)):
+    for i, mode in enumerate(box_modes(ctx)):
         for key, (vals, vecs), m, sl in zip(pk._levels, every, kernel, pk.blocks):
             if pk.blockwise and level is not None and key != level:
                 continue
@@ -316,22 +315,24 @@ def test_spectral_maps_match_per_mode(case, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("cutoff", ["package", "median"])
 def test_kernel_counts_and_harmonic_bases_equal(case, kind, cutoff, monkeypatch):
-    """The kernel dimensions, ranked at the least representative of each
-    orbit of the lattice symmetries, and the harmonic bases equal a direct
-    count and basis at every mode's own representative: with the package's
-    rank counts, which equal a direct rank pass over every representative,
-    and with a count forced to the eigenvalues under a cutoff in the gap
-    around the median eigenvalue."""
+    """The kernel dimensions, ranked at the least mode of each orbit of
+    the lattice symmetries, and the harmonic bases equal a direct count and
+    basis at every mode from its own spectra: with the package's rank
+    counts, which read at every mode through its orbit equal a direct rank
+    pass over every mode, and with a count forced to the eigenvalues under a
+    cutoff in the gap around the median eigenvalue."""
     s, m, ctx = case
+    orbit = ctx.level_basis.orbits()
     if cutoff == "median":
         # kernels at many modes and in several blocks fix the basis order
         ctx = HodgeContext(s, m)
-        kernel = forced_kernel(ctx.level_basis, kind, gap_cutoff)
-        force_kernel(monkeypatch, ctx.level_basis, {kind: kernel})
+        forced = forced_kernel(ctx.level_basis, kind, gap_cutoff)
+        force_kernel(monkeypatch, ctx.level_basis, {kind: forced})
+        kernel = [count[orbit] for count in forced]
     pk = ctx.package(kind)
     if cutoff == "package":
         kernel = direct_kernel(pk)
-    assert all(np.array_equal(a, b) for a, b in zip(pk.kernel, kernel, strict=True))
+    assert all(np.array_equal(a[orbit], b) for a, b in zip(pk.kernel, kernel, strict=True))
     everywhere = range(len(ctx.level_basis.modes))
     every = every_eigen(pk)
     for k in s.levels():
@@ -1788,15 +1789,16 @@ def ref_star_conjugation(ctx):
 @pytest.mark.parametrize("name", ["complex", "symplectic", "b-transform", "twisted"])
 @pytest.mark.parametrize("cutoff", ["package", "median"])
 def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
-    """Over the representative modes, stacked, the Hodge diagnostics equal
-    the per-mode loops over the whole box exactly; on the twisted torus every
-    mode is its own representative.  A kernel count forced to the
-    eigenvalues at most the median makes the kernel-dimension counts
-    nonzero, so the weights of the representatives show.  With ``hodge.CHUNK_BYTES`` set so that the diagnostics' passes
-    go 7 or 1 representatives at a time, the chunks end mid-box and the
-    values stay the same."""
+    """Over the modes that the identity passes walk, the first half of an
+    untwisted box, stacked, the Hodge diagnostics equal the per-mode loops
+    over the whole box exactly; on the twisted torus the walk is the whole
+    box.  A kernel count forced to the eigenvalues at most the median makes
+    the kernel-dimension counts nonzero, so the weights of the walked modes
+    show.  With ``hodge.CHUNK_BYTES`` set so that the diagnostics' passes
+    go 7 or 1 modes at a time, the chunks end mid-box and the values stay
+    the same."""
     ctx = _hodge_case(name)
-    assert (len(ctx.level_basis.weight) == len(ctx.level_basis.modes)) == (name == "twisted")
+    assert bool(ctx.level_basis.const.any()) == (name == "twisted")
     if cutoff == "median":
         lb = ctx.level_basis
         counts = {kind: forced_kernel(lb, kind, np.median) for kind in ("bc", "aeppli")}
@@ -1812,7 +1814,7 @@ def test_hodge_suite_matches_per_mode_reference(name, cutoff, monkeypatch):
         if chunk:
             # the diagnostics' passes hold four (m, N, N) stacks
             monkeypatch.setattr(hodge, "CHUNK_BYTES", 16 * size * size * 4 * chunk)
-            assert next(diagnostics._rep_chunks(ctx)) == slice(0, chunk)
+            assert next(diagnostics._mirror_chunks(ctx))[0] == slice(0, chunk)
         got = (
             diagnostics._matrix_identities(ctx) + diagnostics._kernel_characterizations(ctx)
             + diagnostics._green_commutation(ctx) + diagnostics._star_conjugation(ctx)
@@ -1875,7 +1877,9 @@ def test_box_modes_run_lexicographically(n, K):
 def test_level_basis_modes_run_lexicographically(n, K):
     """The level basis's (M, 2n) mode array is in the box's lexicographic
     order: ``_mode_positions`` maps it to 0..M-1, and mode M - 1 - i is
-    minus mode i, which ``_mode_mirror`` relies on."""
+    minus mode i, which the identity passes' walk of half the box
+    (``_LevelBasis.mirror_chunks``) and the rank passes' conjugate orbits
+    rely on."""
     box = TruncationBox(K)
     s = GCStructure.complex_structure(n, box)
     lb = _LevelBasis(s, GeneralizedMetric.from_tensors(s.geometry, np.eye(2 * n)))

@@ -381,7 +381,7 @@ def test_size_estimate_admits_t6_hodge_table_and_counts_the_twist():
     spectra (0.03 GiB at K=3), and so does T^8 K=1 (0.3 GiB, mostly the
     structure's SVD); T^8 K=4 (8.8 GiB, mostly rank stacks and modes) is
     refused.  An identity suite at T^6 K=2, which reads
-    every representative's eigenvectors, is still refused.  The same box
+    the eigenvectors of half the box, is still refused.  The same box
     twisted counts every mode, and a config with no Hodge experiment
     counts the structure alone."""
     from gentorus.scenario import MEMORY_BUDGET, _estimated_bytes
@@ -818,7 +818,7 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
         # 7, dbar at levels -1 and 0, dbar del at 0, Col_0 and Row_0, which
         # are their own conjugate partners, and d's two parity blocks; 3,
         # del at levels 0 and 1 and dbar del at 1, are their partners'
-        # ranks read through the mirror; 5 are zero by their levels, blocks
+        # ranks read at the conjugate orbits; 5 are zero by their levels, blocks
         # to or from a level outside [-1, 1] or a product through one (dbar
         # at -2 and 1, del at -1 and 2, dbar del at -1), of rank 0 with no
         # pass; and 11 lookups find their stack kept (a stack with an empty
@@ -833,14 +833,15 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
         {"decided": 15, "ranks_computed": 0, "ranks_mirrored": 0, "ranks_reused": 61},
     ]
     # the rank stacks each experiment computed, outside the report, one pass
-    # of one chunk each for all 5 representatives, d's parity blocks last in
-    # the identity suite's; each ranks the 3 that stand for the orbits of
-    # the complex structure's 4 lattice symmetries (untwisted, a stack that
-    # is its own partner ranks as many).  A package's build decomposes no
+    # of one chunk each, d's parity blocks last in the identity suite's;
+    # each ranks the 3 modes that stand for the orbits of the complex
+    # structure's 4 lattice symmetries (untwisted, a stack that is its own
+    # partner ranks as many), and gives no count of the box's modes, which
+    # the entry's ``modes.box`` gives.  A package's build decomposes no
     # mode, so no experiment lists a spectra pass
     ranked = [t["rank_passes"] for t in sidecar]
     assert [len(passes) for passes in ranked] == [7, 0, 0]
-    assert all((p["modes"], p["chunk"], p["chunks"]) == (5, 4096, 1) for p in ranked[0])
+    assert all((p["chunk"], p["chunks"]) == (4096, 1) and "modes" not in p for p in ranked[0])
     assert all((p["group"], p["ranked"]) == (4, 3) for p in ranked[0])
     assert [(p["stack"], p["level"]) for p in ranked[0][-2:]] == [("d", 0), ("d", 1)]
     assert all("spectra_passes" not in entry for entry in sidecar)
@@ -850,7 +851,7 @@ def test_timings_sidecar_counts_class_checks_outside_the_report(tmp_path):
 def test_a_second_hodge_table_eigendecomposes_nothing_more():
     """The level content of the d kernel is found once per level basis and
     kept with its rank stacks: after an identity suite, whose packages read
-    all 5 representatives of complex T^2 K=1 each (25), the first table
+    the 5 modes of the first half of complex T^2 K=1 each (25), the first table
     eigendecomposes the one mode with a d kernel, mode 0, and the second
     table none."""
     config = minimal_config()
@@ -861,16 +862,16 @@ def test_a_second_hodge_table_eigendecomposes_nothing_more():
 
 
 def test_timings_sidecar_counts_the_modes_the_context_decomposes():
-    """Each sidecar entry gives the box's modes, how many representatives
-    the runner's context has eigendecomposed so far and how many its rank
+    """Each sidecar entry gives the box's modes, how many modes the
+    runner's context has eigendecomposed so far and how many its rank
     passes rank, none before the context exists, decomposes or ranks.  A
     hodge-table builds no package: of the 9 untwisted T^2 modes it ranks 3,
     one per orbit of the complex structure's 4 lattice symmetries, and
     decomposes the one mode whose orbit has a d kernel, mode 0; twisted
     T^4 K=1 ranks 27 of its 81 modes and decomposes one.  An identity suite
     builds all five packages, which rank 3 modes for their kernel counts
-    and decompose none, and its identities read all 5 representatives of
-    each: 25.  The report holds no such count."""
+    and decompose none, and its identities read the 5 modes of the first
+    half of the box for each: 25.  The report holds no such count."""
     config = _deformation_config()
     config["experiments"] = [
         {"kind": "criterion", "t": [0.1], "samples": 1},
@@ -898,11 +899,10 @@ def test_t4_deform_eigendecomposes_at_most_3000_laplacian_blocks(monkeypatch):
     """The benchmark's t4-deform config, complex T^4 K=2 with two extends
     and a scan over six deformed structures, hands ``np.linalg.eigh`` at
     most 100 matrices in process (41): a package counts its kernels from
-    rank stacks, and a read decomposes only the representatives it reads.
-    A first pass of each package at one mode per orbit of its structure's
-    lattice symmetries made 2,876, and one over every representative
-    10,996.  A count is deterministic, so a regression shows here without
-    timing."""
+    rank stacks, and a read decomposes only the modes it reads.  A first
+    pass of each package at one mode per orbit of its structure's lattice
+    symmetries made 2,876, and one over the first half of the box 10,996.
+    A count is deterministic, so a regression shows here without timing."""
     import numpy as np
 
     config = json.loads((BENCH_CONFIGS / "t4-deform" / "t4_deform.json").read_text("utf-8"))

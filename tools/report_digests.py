@@ -121,7 +121,7 @@ def _expand(name: str, n: int, K: int, structure: Dict) -> Dict:
 # algebroid's Green operator (0.15 s), a constant-eps criterion on T^4
 # K=2, whose samples go through the deformed T^4 structure (0.1 s), and the
 # t4-deform experiments with g = diag(1, 2, 1, 2) (16 symmetries; pass,
-# pass, pass) and on the twisted T^4, where every mode is a representative
+# pass, pass) and on the twisted T^4, where the identity passes walk every mode
 # (finding, pass, finding), also at g = 1e-4 I, where the same verdicts
 # show that the packages' kernels do not depend on the metric's scale, so
 # that the packages' kernel classification on smaller groups and the scan's
